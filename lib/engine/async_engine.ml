@@ -114,7 +114,7 @@ type payload =
   | P_trav of { qid : int; trav : Traverser.t; mutable cz : int }
   | P_trav_batch of { qid : int; travs : Traverser.t list; mutable cz : int }
     (* Frontier batching ([Engine.Common.batched]): one coalesced message
-       per (destination, step) group instead of one packet per traverser.
+       per (destination, kind) bucket instead of one packet per traverser.
        Each traverser still carries its own step and weight, so reliable
        delivery (ack / retransmit / dedup) treats the batch like any
        other payload and conservation is untouched. *)
@@ -187,7 +187,7 @@ type worker = {
   mutable busy_until : Sim_time.t;
   mutable busy_total : Sim_time.t; (* accumulated CPU time *)
   mutable awake : bool; (* a quantum event is scheduled *)
-  members : int array Lazy.t; (* owned vertices, for Scan sources *)
+  scan : int option -> int array; (* owned vertices with a label, for Scan sources *)
   scratch : Batch_exec.scratch Lazy.t; (* batched-mode bitset verdict memo *)
   (* Causal worker chain: the last execution node on this worker and its
      query, valid only while the worker has been continuously busy since
@@ -208,6 +208,34 @@ type worker = {
   mutable delegate_armed : bool;
 }
 
+let no_trav = Traverser.make ~vertex:0 ~step:0 ~weight:Weight.zero ~n_registers:0
+
+(* The unit every traverser executes in: traversers sharing a (qid,
+   step), each with the causal context it arrived under. *)
+type group = {
+  mutable g_qid : int;
+  mutable g_step : int;
+  g_travs : Traverser.t Vec.t;
+  g_czs : int Vec.t;
+}
+
+let group () =
+  { g_qid = -1; g_step = -1; g_travs = Vec.create ~dummy:no_trav; g_czs = Vec.create ~dummy:(-1) }
+
+(* What executing one group produced, summed over its elements. *)
+type yield = {
+  kids : Traverser.t Vec.t; (* children, in execution order *)
+  parents : int Vec.t; (* each child's parent vertex, for traffic profiling *)
+  mutable finished : Weight.t;
+  mutable row_weight : Weight.t;
+  mutable n_rows : int;
+  mutable edges : int;
+  mutable reads : int;
+  mutable memo_ops : int;
+  mutable memo_hits : int;
+  mutable memo_misses : int;
+}
+
 (* Build an open engine session ({!Engine.service_handle}): all state is
    captured in the returned closures, so [run] below is a thin
    submit-all/drive/finish wrapper and the service layer can drive the
@@ -218,8 +246,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let obs = common.Engine.Common.obs in
   let check = common.Engine.Common.check in
   let deadline = common.Engine.Common.deadline in
-  (* Frontier batching is opt-in; everything it touches is gated on this
-     flag so the unbatched path stays byte-identical. *)
+  (* Frontier batching is opt-in: it selects the staging, fusion and
+     wire-format settings of the one execution path ([run_group]). *)
   let batched = common.Engine.Common.batched in
   let mutation = common.Engine.Common.mutation in
   let cluster = Cluster.create cluster_config in
@@ -329,6 +357,15 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
      sites are guarded by [cz_on], so the default path pays nothing. *)
   let causal = Pstm_obs.Recorder.causal obs in
   let cz_on = Pstm_obs.Causal.enabled causal in
+  (* One causal hand-off: a node at [ts] bound to [src] by a [cat] edge. *)
+  let cz_hop ~qid ~name ~ts ~src cat =
+    if not cz_on then -1
+    else begin
+      let n = Pstm_obs.Causal.node causal ~qid ~name ~ts in
+      Pstm_obs.Causal.edge causal ~src ~dst:n cat;
+      n
+    end
+  in
   let inflight = ref 0 in
   (* dispatched but not yet executed traversers *)
   (* Service callback: fired once per query at its terminal transition
@@ -365,6 +402,14 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let node_memos = Array.init (Cluster.n_nodes cluster) (fun _ -> Memo.create ()) in
   let workers =
     Array.init n_workers (fun id ->
+        let members =
+          (* Under adaptive repartitioning the owner table mutates at
+             runtime; Scan sources partition the vertex set by the
+             launch-time assignment, so membership is frozen eagerly
+             (each vertex scanned exactly once no matter what moves). *)
+          if adaptive_on then Lazy.from_val (Partition.members partition id)
+          else lazy (Partition.members partition id)
+        in
         {
           id;
           memo =
@@ -382,13 +427,14 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           cz_coalesce = Hashtbl.create 4;
           cz_delegate = Hashtbl.create 4;
           delegate_armed = false;
-          members =
-            (* Under adaptive repartitioning the owner table mutates at
-               runtime; Scan sources partition the vertex set by the
-               launch-time assignment, so membership is frozen eagerly
-               (each vertex scanned exactly once no matter what moves). *)
-            (if adaptive_on then Lazy.from_val (Partition.members partition id)
-             else lazy (Partition.members partition id));
+          scan =
+            (fun label ->
+              let mine = Lazy.force members in
+              match label with
+              | None -> mine
+              | Some l ->
+                Array.of_seq
+                  (Seq.filter (Graph.has_vertex_label graph ~label:l) (Array.to_seq mine)));
           scratch = lazy (Batch_exec.scratch ~graph);
         })
   in
@@ -432,29 +478,28 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let migrated_ever : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let next_round = ref Sim_time.zero in
   let profiled_at_round = ref 0 in
+  let centralized op =
+    match (options.flavor, op) with
+    | Gaia_like, (Step.Dedup _ | Step.Visit _ | Step.Join _ | Step.Aggregate _) -> true
+    | _ -> false
+  in
+  let key_vertex (trav : Traverser.t) e =
+    match Step.eval_expr graph ~vertex:trav.Traverser.vertex ~regs:trav.Traverser.regs e with
+    | Value.Vertex v -> Some v
+    | _ -> None
+  in
   (* The vertex whose owner the dispatch target is, if any: By_vertex
      routes by the traverser's vertex, By_key by the key's vertex when
      the key is one. Coordinator-routed and hash-routed steps (and
      Gaia's centralized stateful ops) have none. *)
   let routed_vertex q (trav : Traverser.t) =
-    let step = Program.step q.program trav.step in
-    let centralized =
-      match (options.flavor, step.Step.op) with
-      | Gaia_like, (Step.Dedup _ | Step.Visit _ | Step.Join _ | Step.Aggregate _) -> true
-      | _ -> false
-    in
-    if centralized then None
+    let op = (Program.step q.program trav.Traverser.step).Step.op in
+    if centralized op then None
     else begin
-      match Step.routing step.Step.op with
+      match Step.routing op with
       | Step.By_coordinator -> None
       | Step.By_vertex -> Some trav.Traverser.vertex
-      | Step.By_key e -> begin
-        match
-          Step.eval_expr graph ~vertex:trav.Traverser.vertex ~regs:trav.Traverser.regs e
-        with
-        | Value.Vertex v -> Some v
-        | _ -> None
-      end
+      | Step.By_key e -> key_vertex trav e
     end
   in
   (* The vertex whose memo entries this traverser's step reads or
@@ -469,13 +514,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     else begin
       match (Program.step q.program trav.Traverser.step).Step.op with
       | Step.Visit _ -> Some trav.Traverser.vertex
-      | Step.Dedup { by } | Step.Join { key = by; _ } -> begin
-        match
-          Step.eval_expr graph ~vertex:trav.Traverser.vertex ~regs:trav.Traverser.regs by
-        with
-        | Value.Vertex v -> Some v
-        | _ -> None
-      end
+      | Step.Dedup { by } | Step.Join { key = by; _ } -> key_vertex trav by
       | _ -> None
     end
   in
@@ -510,15 +549,14 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       Sim_time.add costs.Cluster.memo_op (costs.Cluster.latch * contention ())
     else costs.Cluster.memo_op
   in
-  let exec_cost (o : Exec.outcome) =
-    let data =
-      (o.Exec.edges_scanned * costs.Cluster.per_edge)
-      + (o.Exec.prop_reads * costs.Cluster.per_property)
-    in
+  (* CPU time of executing one group: one step dispatch, so a group of
+     one pays it per traverser, plus the group's data and memo volume. *)
+  let step_cost (y : yield) =
+    let data = (y.edges * costs.Cluster.per_edge) + (y.reads * costs.Cluster.per_property) in
     let data = if options.shared_state then data + (data / 2) else data in
     let base =
       costs.Cluster.step_dispatch + shared_step_penalty () + data
-      + (o.Exec.memo_ops * memo_op_cost ())
+      + (y.memo_ops * memo_op_cost ())
     in
     (* Memory thrashing faults the whole access path, not just the data
        columns (§V-A3: GraphScope on SF1000). *)
@@ -541,14 +579,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       | _ -> Pstm_obs.Causal.Network
     in
     let ts = Cluster.now cluster in
-    let arrive ~qid ~name cz =
-      if cz < 0 then -1
-      else begin
-        let a = Pstm_obs.Causal.node causal ~qid ~name ~ts in
-        Pstm_obs.Causal.edge causal ~src:cz ~dst:a hop;
-        a
-      end
-    in
+    let arrive ~qid ~name cz = if cz < 0 then -1 else cz_hop ~qid ~name ~ts ~src:cz hop in
     match p with
     | P_trav ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive" r.cz
     | P_trav_batch ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-batch" r.cz
@@ -589,6 +620,118 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       let rank = (wid - coordinator + n_workers) mod n_workers in
       if rank = 0 then None else Some ((((rank - 1) / f) + coordinator) mod n_workers)
   in
+  let msg_kind q (trav : Traverser.t) =
+    match (Program.step q.program trav.Traverser.step).Step.op with
+    | Step.Emit _ -> Metrics.Result_msg
+    | _ -> Metrics.Traverser_msg
+  in
+  (* Traffic profiling: every remote dispatch whose target is decided by
+     a vertex's owner is an edge of the workload's communication graph —
+     the signal the adaptive repartitioner minimizes. [src_vertex] is
+     the parent's vertex, or -1 for a traverser no step spawned. Returns
+     whether the hop was profiled. *)
+  let profile_hop ~src_vertex q (trav : Traverser.t) =
+    (traffic_on || adaptive_on)
+    && src_vertex >= 0
+    &&
+    match routed_vertex q trav with
+    | None -> false
+    | Some v ->
+      let bytes = 8 + Traverser.bytes trav in
+      Pstm_obs.Traffic.record obs_traffic ~src:src_vertex ~dst:v ~bytes;
+      Pstm_obs.Traffic.record profile ~src:src_vertex ~dst:v ~bytes;
+      true
+  in
+  (* --- Staged execution state ------------------------------------------
+     The engine is single-threaded and no group's execution nests inside
+     another's, so one set of accumulators serves every worker, reused
+     from group to group: a group of one allocates nothing here. *)
+  let solo = group () in (* the group of one, when staging is off *)
+  let staged = Vec.create ~dummy:solo in (* this quantum's groups, first-seen order *)
+  let n_staged = ref 0 in
+  let staged_at : (int * int, group) Hashtbl.t = Hashtbl.create 16 in
+  let y =
+    {
+      kids = Vec.create ~dummy:no_trav;
+      parents = Vec.create ~dummy:0;
+      finished = Weight.zero;
+      row_weight = Weight.zero;
+      n_rows = 0;
+      edges = 0;
+      reads = 0;
+      memo_ops = 0;
+      memo_hits = 0;
+      memo_misses = 0;
+    }
+  in
+  (* Batch-wire buckets, keyed 2 x destination + 1 for result messages. *)
+  let kid_keys = Vec.create ~dummy:0 in
+  let bucket_keys = Vec.create ~dummy:0 in (* first-seen order *)
+  let bucket_size = Array.make (2 * n_workers) 0 in
+  let bucket_travs = Array.make (2 * n_workers) [] in
+  let rec push_kids parent = function
+    | [] -> ()
+    | kid :: rest ->
+      Vec.push y.kids kid;
+      Vec.push y.parents parent;
+      push_kids parent rest
+  in
+  let rec push_rows w q = function
+    | [] -> ()
+    | (row, weight) :: rest ->
+      (* Rows are only produced by Emit, which routes to the coordinator
+         first — so they land here, at the coordinator itself. *)
+      assert (w.id = q.coordinator);
+      Vec.push q.rows row;
+      y.row_weight <- Weight.add y.row_weight weight;
+      y.n_rows <- y.n_rows + 1;
+      push_rows w q rest
+  in
+  (* Execute stage: the fused Batch_exec chain over the whole group when
+     fusion is on and the step is fusable, the scalar interpreter per
+     element otherwise. Either way [y] ends up holding the group's
+     children, rows, finished weight and data / memo volume. *)
+  let execute w q g =
+    Vec.clear y.kids;
+    Vec.clear y.parents;
+    y.finished <- Weight.zero;
+    y.row_weight <- Weight.zero;
+    y.n_rows <- 0;
+    y.edges <- 0;
+    y.reads <- 0;
+    y.memo_ops <- 0;
+    y.memo_hits <- 0;
+    y.memo_misses <- 0;
+    if batched && Batch_exec.fusable q.program g.g_step then begin
+      let travs = Vec.to_array g.g_travs in
+      let o =
+        Batch_exec.run ~graph ~scratch:(Lazy.force w.scratch) ~prng:w.prng ~program:q.program
+          ~step:g.g_step travs
+      in
+      Batch_exec.iter_spawns o (fun ~parent kid ->
+          Vec.push y.kids kid;
+          Vec.push y.parents travs.(parent).Traverser.vertex);
+      y.finished <- o.Batch_exec.finished;
+      y.edges <- o.Batch_exec.edges_scanned;
+      y.reads <- o.Batch_exec.prop_reads
+    end
+    else
+      for i = 0 to Vec.length g.g_travs - 1 do
+        let trav = Vec.get g.g_travs i in
+        let o =
+          Exec.exec ~graph ~memo:w.memo ~prng:w.prng ~qid:q.qid ~program:q.program ~scan:w.scan
+            trav
+        in
+        push_kids trav.Traverser.vertex o.Exec.spawns;
+        push_rows w q o.Exec.rows;
+        y.finished <- Weight.add y.finished o.Exec.finished;
+        y.edges <- y.edges + o.Exec.edges_scanned;
+        y.reads <- y.reads + o.Exec.prop_reads;
+        y.memo_ops <- y.memo_ops + o.Exec.memo_ops;
+        y.memo_hits <- y.memo_hits + o.Exec.memo_hits;
+        y.memo_misses <- y.memo_misses + o.Exec.memo_misses
+      done
+  in
   let rec wake w =
     if not w.awake then begin
       w.awake <- true;
@@ -618,15 +761,10 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         ~bytes:(payload_bytes payload) payload
   (* Route a traverser about to execute [step_idx]. *)
   and route q (trav : Traverser.t) =
-    let step = Program.step q.program trav.step in
-    let centralized =
-      match options.flavor, step.Step.op with
-      | Gaia_like, (Step.Dedup _ | Step.Visit _ | Step.Join _ | Step.Aggregate _) -> true
-      | _ -> false
-    in
-    if centralized then 0
+    let op = (Program.step q.program trav.step).Step.op in
+    if centralized op then 0
     else begin
-      match Step.routing step.Step.op with
+      match Step.routing op with
       | Step.By_coordinator -> q.coordinator
       | Step.By_vertex -> Partition.owner partition trav.vertex
       | Step.By_key e -> begin
@@ -635,32 +773,15 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         | v -> Value.hash v mod n_workers
       end
     end
-  and dispatch_trav ~at ~src ?src_vertex ?(cz = -1) q trav =
+  (* The per-traverser wire format: one P_trav to the worker that owns
+     the traverser's next step. A profiled remote hop may trigger a
+     refinement round. *)
+  and dispatch ~at ~src ~src_vertex ~cz q trav =
     if obs_on then incr inflight;
     let dst = route q trav in
-    let step = Program.step q.program trav.step in
-    let kind =
-      match step.Step.op with
-      | Step.Emit _ -> Metrics.Result_msg
-      | _ -> Metrics.Traverser_msg
-    in
-    let cost = send ~at ~src ~dst ~kind (P_trav { qid = q.qid; trav; cz }) in
-    (* Traffic profiling: every remote dispatch whose target is decided
-       by a vertex's owner is an edge of the workload's communication
-       graph — the signal the adaptive repartitioner minimizes. *)
-    if (traffic_on || adaptive_on) && dst <> src then begin
-      match src_vertex with
-      | None -> cost
-      | Some u -> begin
-        match routed_vertex q trav with
-        | None -> cost
-        | Some v ->
-          let bytes = 8 + Traverser.bytes trav in
-          Pstm_obs.Traffic.record obs_traffic ~src:u ~dst:v ~bytes;
-          Pstm_obs.Traffic.record profile ~src:u ~dst:v ~bytes;
-          if adaptive_on then Sim_time.add cost (maybe_adapt ~at ~src ~cz ()) else cost
-      end
-    end
+    let cost = send ~at ~src ~dst ~kind:(msg_kind q trav) (P_trav { qid = q.qid; trav; cz }) in
+    if dst <> src && profile_hop ~src_vertex q trav && adaptive_on then
+      Sim_time.add cost (maybe_adapt ~at ~src ~cz)
     else cost
   (* Refinement round, triggered lazily off the remote-dispatch path once
      enough fresh traffic has been profiled and the interval elapsed.
@@ -671,7 +792,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
      the old owner get forwarded on arrival, and arrivals at the new
      owner park until the entries land, so no memo state is ever read
      half-moved and Theorem 1's weight conservation is untouched. *)
-  and maybe_adapt ~at ~src ?(cz = -1) () =
+  and maybe_adapt ~at ~src ~cz =
     let ao = options.adaptive in
     if
       Pstm_obs.Traffic.total_count profile - !profiled_at_round >= ao.min_traffic
@@ -713,14 +834,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   (* ---- Progress tracking ---------------------------------------------- *)
   and tracker_receive ~at ?(cz = -1) w q phase weight =
     Metrics.count_tracker_update metrics;
-    let cz =
-      if not cz_on then -1
-      else begin
-        let r = Pstm_obs.Causal.node causal ~qid:q.qid ~name:"tracker" ~ts:at in
-        Pstm_obs.Causal.edge causal ~src:cz ~dst:r Pstm_obs.Causal.Tracker;
-        r
-      end
-    in
+    let cz = cz_hop ~qid:q.qid ~name:"tracker" ~ts:at ~src:cz Pstm_obs.Causal.Tracker in
     if not (Weight.is_zero weight) then tracker_event "receive" ~qid:q.qid ~phase;
     if obs_on then begin
       let acc = Weight.add (Progress.accumulated q.trackers.(phase)) weight in
@@ -822,9 +936,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
                 | None -> -1
                 | Some src ->
                   Hashtbl.remove w.cz_coalesce (qid, phase);
-                  let f = Pstm_obs.Causal.node causal ~qid ~name:"progress-flush" ~ts:at in
-                  Pstm_obs.Causal.edge causal ~src ~dst:f Pstm_obs.Causal.Tracker;
-                  f
+                  cz_hop ~qid ~name:"progress-flush" ~ts:at ~src Pstm_obs.Causal.Tracker
               end
             in
             if hier_on then begin
@@ -863,9 +975,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
                 | None -> -1
                 | Some src ->
                   Hashtbl.remove w.cz_delegate (qid, phase);
-                  let f = Pstm_obs.Causal.node causal ~qid ~name:"delegate-flush" ~ts:at in
-                  Pstm_obs.Causal.edge causal ~src ~dst:f Pstm_obs.Causal.Tracker;
-                  f
+                  cz_hop ~qid ~name:"delegate-flush" ~ts:at ~src Pstm_obs.Causal.Tracker
               end
             in
             match delegate_parent ~coordinator:q.coordinator w.id with
@@ -900,12 +1010,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       in
       q.combine_expected <- Array.length responders;
       let cz =
-        if not cz_on then -1
-        else begin
-          let p = Pstm_obs.Causal.node causal ~qid:q.qid ~name:"phase-complete" ~ts:at in
-          Pstm_obs.Causal.edge causal ~src:cz ~dst:p Pstm_obs.Causal.Tracker;
-          p
-        end
+        cz_hop ~qid:q.qid ~name:"phase-complete" ~ts:at ~src:cz Pstm_obs.Causal.Tracker
       in
       let cost = ref Sim_time.zero in
       Array.iter
@@ -924,9 +1029,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     if cz_on then begin
       (* Terminal node: the walk back from here along binding edges is the
          query's critical path, and its segments sum to the latency. *)
-      let z = Pstm_obs.Causal.node causal ~qid:q.qid ~name:"release" ~ts:released_at in
-      Pstm_obs.Causal.edge causal ~src:cz ~dst:z Pstm_obs.Causal.Tracker;
-      Pstm_obs.Causal.set_release causal ~qid:q.qid z
+      Pstm_obs.Causal.set_release causal ~qid:q.qid
+        (cz_hop ~qid:q.qid ~name:"release" ~ts:released_at ~src:cz Pstm_obs.Causal.Tracker)
     end;
     if obs_on then
       Pstm_obs.Trace.instant trace ~tid:(Engine.query_track q.qid) ~name:"complete" ~ts:at
@@ -950,130 +1054,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   (* ---- Task execution --------------------------------------------------- *)
   and process w ~at payload =
     match payload with
-    | P_trav { qid; trav; cz } -> begin
-      if obs_on then decr inflight;
-      match Hashtbl.find_opt queries qid with
-      | None -> Sim_time.zero
-      | Some q when not q.active -> Sim_time.zero
-      | Some q -> begin
-        match (if adaptive_on then stateful_key_vertex q trav else None) with
-        | Some v when Partition.owner partition v <> w.id ->
-          (* The vertex migrated while this traverser was in flight:
-             chase the new owner. The traverser is forwarded wholesale,
-             so its progression weight is conserved bit for bit. *)
-          Metrics.count_forwarded metrics;
-          mig_event "forward" v;
-          if obs_on then incr inflight;
-          let cz =
-            if not cz_on then -1
-            else begin
-              let f = Pstm_obs.Causal.node causal ~qid ~name:"forward" ~ts:at in
-              Pstm_obs.Causal.edge causal ~src:cz ~dst:f Pstm_obs.Causal.Queue;
-              f
-            end
-          in
-          send ~at ~src:w.id ~dst:(Partition.owner partition v) ~kind:Metrics.Traverser_msg
-            (P_trav { qid; trav; cz })
-        | Some v when Hashtbl.mem migrating v ->
-          (* We are the new owner but the memo entries are still in
-             flight: park the traverser until P_migrate_data lands, so
-             dedup / visit / join state is never consulted half-moved.
-             The context parks with it; the stash wait reads as Queue. *)
-          Metrics.count_stashed metrics;
-          mig_event "stash" v;
-          let stash = Hashtbl.find migrating v in
-          stash := P_trav { qid; trav; cz } :: !stash;
-          Sim_time.zero
-        | _ ->
-        if obs_on && Bitset.add_if_absent q.touched w.id then
-          Pstm_obs.Trace.instant trace ~tid:(Engine.query_track qid) ~name:"first_touch" ~ts:at
-            ~args:[ ("worker", Pstm_obs.Trace.I w.id) ]
-            ();
-        let scan label =
-          let mine = Lazy.force w.members in
-          match label with
-          | None -> mine
-          | Some l -> Array.of_seq (Seq.filter (Graph.has_vertex_label graph ~label:l) (Array.to_seq mine))
-        in
-        Metrics.count_step metrics;
-        (* Execution node. Incoming edges, binding last: the arrival /
-           producer context first (its span is the queue wait), then —
-           when this worker has run continuously and its previous
-           execution belonged to the same query — the worker chain
-           (the span is serial compute occupancy). *)
-        let cz_exec =
-          if not cz_on then -1
-          else begin
-            let s =
-              Pstm_obs.Causal.node causal ~qid
-                ~name:(Step.op_name (Program.step q.program trav.Traverser.step).Step.op)
-                ~ts:at
-            in
-            Pstm_obs.Causal.edge causal ~src:cz ~dst:s Pstm_obs.Causal.Queue;
-            if w.cz_last_qid = qid then
-              Pstm_obs.Causal.edge causal ~src:w.cz_last ~dst:s Pstm_obs.Causal.Compute;
-            w.cz_last <- s;
-            w.cz_last_qid <- qid;
-            s
-          end
-        in
-        let outcome =
-          Exec.exec ~graph ~memo:w.memo ~prng:w.prng ~qid ~program:q.program ~scan trav
-        in
-        if check && not (Exec.conserves trav outcome) then
-          Engine.check_fail "async: query %d step %d (%s) broke weight conservation" qid
-            trav.Traverser.step
-            (Step.op_name (Program.step q.program trav.Traverser.step).Step.op);
-        Metrics.count_edges metrics outcome.Exec.edges_scanned;
-        let base_cost = exec_cost outcome in
-        if obs_on then
-          Pstm_obs.Opstats.record opstats ~step:trav.Traverser.step
-            ~out:(List.length outcome.Exec.spawns)
-            ~rows:(List.length outcome.Exec.rows)
-            ~finished:(not (Weight.is_zero outcome.Exec.finished))
-            ~edges:outcome.Exec.edges_scanned ~memo_hits:outcome.Exec.memo_hits
-            ~memo_misses:outcome.Exec.memo_misses ~busy_ns:(Sim_time.to_ns base_cost);
-        let cost = ref base_cost in
-        List.iter
-          (fun child ->
-            Metrics.count_spawn metrics;
-            cost :=
-              Sim_time.add !cost
-                (dispatch_trav ~at ~src:w.id ~src_vertex:trav.Traverser.vertex ~cz:cz_exec q
-                   child))
-          outcome.Exec.spawns;
-        (* Rows are only produced by Emit, which routes to the coordinator
-           first — so they land here, at the coordinator itself. *)
-        List.iter
-          (fun (row, weight) ->
-            assert (w.id = q.coordinator);
-            Vec.push q.rows row;
-            cost :=
-              Sim_time.add !cost
-                (tracker_receive ~at ~cz:cz_exec w q
-                   (Program.phase_of_step q.program trav.step)
-                   weight))
-          outcome.Exec.rows;
-        if not (Weight.is_zero outcome.Exec.finished) then
-          cost :=
-            Sim_time.add !cost
-              (finish_weight ~at ~cz:cz_exec w q (Program.phase_of_step q.program trav.step)
-                 outcome.Exec.finished);
-        if obs_on then
-          Pstm_obs.Trace.span trace ~tid:w.id
-            ~name:(Step.op_name (Program.step q.program trav.Traverser.step).Step.op)
-            ~ts:at ~dur:!cost
-            ~args:[ ("qid", Pstm_obs.Trace.I qid); ("step", Pstm_obs.Trace.I trav.Traverser.step) ]
-            ();
-        !cost
-      end
-    end
-    | P_trav_batch { qid; travs; cz } ->
-      (* Only the batched drain produces these, and it also consumes them;
-         if one reaches the scalar path anyway, unpack and run in order. *)
-      List.fold_left
-        (fun acc trav -> Sim_time.add acc (process w ~at (P_trav { qid; trav; cz })))
-        Sim_time.zero travs
+    | P_trav _ | P_trav_batch _ -> assert false (* run by [drain] *)
     | P_progress { qid; phase; weight; cz } -> begin
       match Hashtbl.find_opt queries qid with
       | None -> Sim_time.zero
@@ -1096,11 +1077,9 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           if not (Weight.is_zero weight) then tracker_event "delegate" ~qid ~phase;
           Metrics.count_delegate_merge metrics;
           Progress.delegate_absorb w.delegate ~qid ~phase weight;
-          if cz_on && cz >= 0 then begin
-            let d = Pstm_obs.Causal.node causal ~qid ~name:"delegate-merge" ~ts:at in
-            Pstm_obs.Causal.edge causal ~src:cz ~dst:d Pstm_obs.Causal.Tracker;
-            Hashtbl.replace w.cz_delegate (qid, phase) d
-          end;
+          if cz_on && cz >= 0 then
+            Hashtbl.replace w.cz_delegate (qid, phase)
+              (cz_hop ~qid ~name:"delegate-merge" ~ts:at ~src:cz Pstm_obs.Causal.Tracker);
           delegate_arm ~at w;
           costs.Cluster.progress_coalesce
         end
@@ -1112,16 +1091,9 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       | Some q when not q.active -> Sim_time.zero
       | Some q ->
         let partial = Memo.partial_opt w.memo ~qid ~label:agg_step in
-        let cz =
-          if not cz_on then -1
-          else begin
-            (* Collective leg: the coordinator waits for every partial, so
-               the flush and partial hops classify as Barrier. *)
-            let a = Pstm_obs.Causal.node causal ~qid ~name:"agg-flush" ~ts:at in
-            Pstm_obs.Causal.edge causal ~src:cz ~dst:a Pstm_obs.Causal.Barrier;
-            a
-          end
-        in
+        (* Collective leg: the coordinator waits for every partial, so
+           the flush and partial hops classify as Barrier. *)
+        let cz = cz_hop ~qid ~name:"agg-flush" ~ts:at ~src:cz Pstm_obs.Causal.Barrier in
         Sim_time.add (memo_op_cost ())
           (send ~at ~src:w.id ~dst:q.coordinator ~kind:Metrics.Control_msg
              (P_agg_partial { qid; agg_step; partial; cz }))
@@ -1160,17 +1132,10 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           Metrics.count_spawn metrics;
           (* The continuation enters the next phase from outside any step. *)
           Pstm_obs.Opstats.seed opstats 1;
-          let cz =
-            if not cz_on then -1
-            else begin
-              (* The combine binds to the last partial in: the barrier
-                 wait is exactly what the straggling responder cost. *)
-              let c = Pstm_obs.Causal.node causal ~qid ~name:"agg-combine" ~ts:at in
-              Pstm_obs.Causal.edge causal ~src:cz ~dst:c Pstm_obs.Causal.Barrier;
-              c
-            end
-          in
-          Sim_time.add (memo_op_cost ()) (dispatch_trav ~at ~src:w.id ~cz q cont)
+          (* The combine binds to the last partial in: the barrier
+             wait is exactly what the straggling responder cost. *)
+          let cz = cz_hop ~qid ~name:"agg-combine" ~ts:at ~src:cz Pstm_obs.Causal.Barrier in
+          Sim_time.add (memo_op_cost ()) (dispatch ~at ~src:w.id ~src_vertex:(-1) ~cz q cont)
         end
     end
     | P_cleanup { qid } ->
@@ -1184,14 +1149,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       | Some q when not q.active -> Sim_time.zero
       | Some q ->
         let instantiate = 8 * Program.n_steps q.program * costs.Cluster.operator_sched in
-        let cz =
-          if not cz_on then -1
-          else begin
-            let s = Pstm_obs.Causal.node causal ~qid ~name:"setup" ~ts:at in
-            Pstm_obs.Causal.edge causal ~src:cz ~dst:s Pstm_obs.Causal.Compute;
-            s
-          end
-        in
+        let cz = cz_hop ~qid ~name:"setup" ~ts:at ~src:cz Pstm_obs.Causal.Compute in
         Sim_time.add instantiate
           (send ~at ~src:w.id ~dst:q.coordinator ~kind:Metrics.Control_msg
              (P_setup_ack { qid; cz }))
@@ -1204,14 +1162,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         q.setup_acks <- q.setup_acks - 1;
         if q.setup_acks = 0 then begin
           (* Deployment barrier: launch binds to the last ack in. *)
-          let cz =
-            if not cz_on then -1
-            else begin
-              let l = Pstm_obs.Causal.node causal ~qid ~name:"launch" ~ts:at in
-              Pstm_obs.Causal.edge causal ~src:cz ~dst:l Pstm_obs.Causal.Barrier;
-              l
-            end
-          in
+          let cz = cz_hop ~qid ~name:"launch" ~ts:at ~src:cz Pstm_obs.Causal.Barrier in
           launch_entries ~at ~cz q;
           costs.Cluster.operator_sched * Program.n_steps q.program
         end
@@ -1221,17 +1172,12 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       (* Old owner: pull the vertex's records out of the local memo (all
          queries, deterministic order) and ship them as one costed data
          message. Any traverser for the vertex still queued behind this
-         order re-routes on arrival via the forwarding path above. *)
+         order re-routes on arrival through the execution gate. *)
       let entries = Memo.extract_for_key w.memo (Value.Vertex vertex) in
       mig_event "extract" vertex;
       Metrics.count_migrated_entries metrics (List.length entries);
       let cz =
-        if not cz_on then -1
-        else begin
-          let e = Pstm_obs.Causal.node causal ~qid:(-1) ~name:"migrate-extract" ~ts:at in
-          Pstm_obs.Causal.edge causal ~src:cz ~dst:e Pstm_obs.Causal.Queue;
-          e
-        end
+        cz_hop ~qid:(-1) ~name:"migrate-extract" ~ts:at ~src:cz Pstm_obs.Causal.Queue
       in
       Sim_time.add
         (memo_op_cost () * (1 + List.length entries))
@@ -1302,279 +1248,241 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           if obs_on then incr inflight;
           deliver q.coordinator (P_trav { qid = q.qid; trav = root; cz }))
       entries
-  (* ---- Frontier batching ([Engine.Common.batched]) ---------------------
-     The quantum drains its task queue into per-(qid, step) frontier
-     groups (first-seen order) and executes each group once: fusable
-     chains run through {!Batch_exec} as CSR-range scans, everything else
-     runs the scalar interpreter with the dispatch cost amortized over
-     the batch. Staging is strictly intra-quantum — every staged group
-     executes before the quantum ends — so no weight is ever parked
+  (* ---- Staged traverser execution -------------------------------------
+     Every traverser executes through [run_group], over a group of
+     traversers sharing a (qid, step), in four stages: gate (migration
+     forward / stash), execute (see [execute]), account (conservation
+     check, cost, counters, opstats, first touch, the causal execution
+     node, the trace span) and hand off (children, rows to the tracker,
+     finished weight to the coalescer). [Engine.Common.batched] selects
+     three settings of this one path:
+     - staging: a quantum stages its traversers into per-(qid, step)
+       groups and runs them, in first-seen order, once its budget is
+       spent; or it runs each traverser as it pops, a group of one that
+       pays one step dispatch per traverser;
+     - fusion: fusable chains run as Batch_exec CSR-range scans, or not;
+     - wire format: one P_trav_batch per (destination, kind) bucket, or
+       one P_trav per child.
+     Staging is strictly intra-quantum, so no weight is ever parked
      across quanta and termination detection is untouched. *)
-  and drain_batched w local budget =
-    (* Each group carries the distinct causal contexts of the payloads
-       that fed it (consecutive-dedup: a batch contributes one context
-       for all its elements), so the batch node can record every arrival
-       it coalesced. *)
-    let groups : (int * int, Traverser.t Vec.t * int Vec.t) Hashtbl.t = Hashtbl.create 8 in
-    let order = ref [] in
-    let stage ~cz qid (trav : Traverser.t) =
-      if obs_on then decr inflight;
-      let key = (qid, trav.Traverser.step) in
-      match Hashtbl.find_opt groups key with
-      | Some (bucket, czs) ->
-        Vec.push bucket trav;
-        if cz >= 0 && (Vec.length czs = 0 || Vec.get czs (Vec.length czs - 1) <> cz) then
-          Vec.push czs cz
-      | None ->
-        let bucket = Vec.create ~dummy:trav in
-        let czs = Vec.create ~dummy:(-1) in
-        Vec.push bucket trav;
-        if cz >= 0 then Vec.push czs cz;
-        Hashtbl.add groups key (bucket, czs);
-        order := key :: !order
+  and take w local ~qid ~cz trav =
+    if obs_on then decr inflight;
+    let g =
+      if not batched then begin
+        Vec.clear solo.g_travs;
+        Vec.clear solo.g_czs;
+        solo
+      end
+      else begin
+        let key = (qid, trav.Traverser.step) in
+        match Hashtbl.find_opt staged_at key with
+        | Some g -> g
+        | None ->
+          if !n_staged = Vec.length staged then Vec.push staged (group ());
+          let g = Vec.get staged !n_staged in
+          incr n_staged;
+          Hashtbl.add staged_at key g;
+          g
+      end
     in
+    g.g_qid <- qid;
+    g.g_step <- trav.Traverser.step;
+    Vec.push g.g_travs trav;
+    Vec.push g.g_czs cz;
+    if not batched then
+      local := Sim_time.add !local (fault_scale w.id (run_group w ~at:!local solo))
+  and drain w local =
+    let budget = ref options.quantum in
     while !budget > 0 && not (Queue.is_empty w.tasks) do
       match Queue.pop w.tasks with
       | P_trav { qid; trav; cz } ->
         decr budget;
-        stage ~cz qid trav
+        take w local ~qid ~cz trav
       | P_trav_batch { qid; travs; cz } ->
-        (* Each element charges the budget: a batch is cheaper to execute,
-           not free to schedule. *)
+        (* Each element charges the budget: a batch is cheaper to
+           execute, not free to schedule. *)
         List.iter
           (fun trav ->
             decr budget;
-            stage ~cz qid trav)
+            take w local ~qid ~cz trav)
           travs
       | payload ->
         decr budget;
         local := Sim_time.add !local (fault_scale w.id (process w ~at:!local payload))
     done;
-    List.iter
-      (fun (qid, step_idx) ->
-        let bucket, czs = Hashtbl.find groups (qid, step_idx) in
-        let travs = Vec.to_array bucket in
-        local :=
-          Sim_time.add !local
-            (fault_scale w.id (exec_batch w ~at:!local ~qid ~step_idx ~czs travs)))
-      (List.rev !order)
-  and exec_batch w ~at ~qid ~step_idx ~czs travs_all =
-    ignore (czs : int Vec.t);
-    match Hashtbl.find_opt queries qid with
+    for i = 0 to !n_staged - 1 do
+      let g = Vec.get staged i in
+      local := Sim_time.add !local (fault_scale w.id (run_group w ~at:!local g));
+      Vec.clear g.g_travs;
+      Vec.clear g.g_czs
+    done;
+    n_staged := 0;
+    Hashtbl.clear staged_at
+  and run_group w ~at g =
+    match Hashtbl.find_opt queries g.g_qid with
     | None -> Sim_time.zero
     | Some q when not q.active -> Sim_time.zero
     | Some q ->
-      (* One execution node per frontier group, created before the
-         migration gate so forwarded / stashed elements inherit it.
-         Incoming: every coalesced context (Queue) first, the worker
-         chain (Compute) last when it binds. *)
-      let cz_b =
-        if not cz_on then -1
-        else begin
-          let s =
-            Pstm_obs.Causal.node causal ~qid
-              ~name:(Step.op_name (Program.step q.program step_idx).Step.op)
-              ~ts:at
-          in
-          Vec.iter
-            (fun c -> Pstm_obs.Causal.edge causal ~src:c ~dst:s Pstm_obs.Causal.Queue)
-            czs;
-          if w.cz_last_qid = qid then
-            Pstm_obs.Causal.edge causal ~src:w.cz_last ~dst:s Pstm_obs.Causal.Compute;
-          w.cz_last <- s;
-          w.cz_last_qid <- qid;
-          s
-        end
-      in
-      let cost = ref Sim_time.zero in
-      (* The migration gate reruns at execution time: the owner table may
-         have flipped while the group sat staged, and a stale execution
-         of a stateful step would read half-moved memo state. *)
-      let runnable =
-        if not adaptive_on then travs_all
-        else
-          Array.of_list
-            (List.filter
-               (fun trav ->
-                 match stateful_key_vertex q trav with
-                 | Some v when Partition.owner partition v <> w.id ->
-                   Metrics.count_forwarded metrics;
-                   mig_event "forward" v;
-                   if obs_on then incr inflight;
-                   cost :=
-                     Sim_time.add !cost
-                       (send ~at ~src:w.id ~dst:(Partition.owner partition v)
-                          ~kind:Metrics.Traverser_msg (P_trav { qid; trav; cz = cz_b }));
-                   false
-                 | Some v when Hashtbl.mem migrating v ->
-                   Metrics.count_stashed metrics;
-                   mig_event "stash" v;
-                   let stash = Hashtbl.find migrating v in
-                   stash := P_trav { qid; trav; cz = cz_b } :: !stash;
-                   false
-                 | _ -> true)
-               (Array.to_list travs_all))
-      in
-      let n = Array.length runnable in
-      if n = 0 then !cost
+      let gated = if adaptive_on then gate w ~at q g else Sim_time.zero in
+      let n = Vec.length g.g_travs in
+      if n = 0 then gated
       else begin
+        execute w q g;
+        (* Account. *)
+        let qid = q.qid and step = g.g_step in
+        let op = Step.op_name (Program.step q.program step).Step.op in
+        if check then begin
+          (* Theorem 1 over the group: inflow = children + rows + finished. *)
+          let add acc (t : Traverser.t) = Weight.add acc t.Traverser.weight in
+          let inflow = Vec.fold add Weight.zero g.g_travs in
+          let outflow = Vec.fold add (Weight.add y.finished y.row_weight) y.kids in
+          if not (Weight.equal inflow outflow) then
+            Engine.check_fail "async: query %d step %d (%s) broke weight conservation" qid step op
+        end;
         if obs_on && Bitset.add_if_absent q.touched w.id then
           Pstm_obs.Trace.instant trace ~tid:(Engine.query_track qid) ~name:"first_touch" ~ts:at
             ~args:[ ("worker", Pstm_obs.Trace.I w.id) ]
             ();
-        Metrics.count_batch metrics ~traversers:n;
+        if batched then Metrics.count_batch metrics ~traversers:n;
         for _ = 1 to n do
           Metrics.count_step metrics
         done;
-        (* Execute: fused chain over the whole frontier, or the scalar
-           interpreter per element with the dispatch amortized. Children
-           are paired with their parent's vertex for traffic profiling. *)
-        let spawns : (int * Traverser.t) Vec.t = Vec.create ~dummy:(0, runnable.(0)) in
-        let rows = ref [] in
-        let finished = ref Weight.zero in
-        let edges = ref 0 in
-        let reads = ref 0 in
-        let memo_ops = ref 0 in
-        let memo_hits = ref 0 in
-        let memo_misses = ref 0 in
-        if Batch_exec.fusable q.program step_idx then begin
-          let o =
-            Batch_exec.run ~graph ~scratch:(Lazy.force w.scratch) ~prng:w.prng
-              ~program:q.program ~step:step_idx runnable
-          in
-          if check && not (Batch_exec.conserves runnable o) then
-            Engine.check_fail "async: query %d batch at step %d (%s) broke weight conservation"
-              qid step_idx
-              (Step.op_name (Program.step q.program step_idx).Step.op);
-          Batch_exec.iter_spawns o (fun ~parent child ->
-              Vec.push spawns (runnable.(parent).Traverser.vertex, child));
-          finished := o.Batch_exec.finished;
-          edges := o.Batch_exec.edges_scanned;
-          reads := o.Batch_exec.prop_reads
-        end
-        else begin
-          let scan label =
-            let mine = Lazy.force w.members in
-            match label with
-            | None -> mine
-            | Some l ->
-              Array.of_seq
-                (Seq.filter (Graph.has_vertex_label graph ~label:l) (Array.to_seq mine))
-          in
-          Array.iter
-            (fun (trav : Traverser.t) ->
-              let o = Exec.exec ~graph ~memo:w.memo ~prng:w.prng ~qid ~program:q.program ~scan trav in
-              if check && not (Exec.conserves trav o) then
-                Engine.check_fail "async: query %d step %d (%s) broke weight conservation" qid
-                  trav.Traverser.step
-                  (Step.op_name (Program.step q.program trav.Traverser.step).Step.op);
-              List.iter (fun c -> Vec.push spawns (trav.Traverser.vertex, c)) o.Exec.spawns;
-              rows := List.rev_append o.Exec.rows !rows;
-              finished := Weight.add !finished o.Exec.finished;
-              edges := !edges + o.Exec.edges_scanned;
-              reads := !reads + o.Exec.prop_reads;
-              memo_ops := !memo_ops + o.Exec.memo_ops;
-              memo_hits := !memo_hits + o.Exec.memo_hits;
-              memo_misses := !memo_misses + o.Exec.memo_misses)
-            runnable;
-          rows := List.rev !rows
-        end;
-        Metrics.count_edges metrics !edges;
-        (* Per-batch cost: ONE dispatch plus the data/memo volume — the
-           amortization the batching exists for. *)
-        let data = (!edges * costs.Cluster.per_edge) + (!reads * costs.Cluster.per_property) in
-        let data = if options.shared_state then data + (data / 2) else data in
-        let base_cost =
-          costs.Cluster.step_dispatch + shared_step_penalty () + data
-          + (!memo_ops * memo_op_cost ())
-        in
-        let base_cost = if swapping then base_cost * options.swap_penalty else base_cost in
+        Metrics.count_edges metrics y.edges;
+        Metrics.count_memo_ops metrics y.memo_ops;
+        let base = step_cost y in
         if obs_on then
-          Pstm_obs.Opstats.record opstats ~step:step_idx ~out:(Vec.length spawns)
-            ~rows:(List.length !rows)
-            ~finished:(not (Weight.is_zero !finished))
-            ~edges:!edges ~memo_hits:!memo_hits ~memo_misses:!memo_misses
-            ~busy_ns:(Sim_time.to_ns base_cost);
-        cost := Sim_time.add !cost base_cost;
-        (* Coalesced dispatch: group children by (destination, kind) and
-           ship one P_trav_batch per group. *)
-        let buckets : (int * Metrics.msg_kind, (int * Traverser.t) Vec.t) Hashtbl.t =
-          Hashtbl.create 8
+          Pstm_obs.Opstats.record opstats ~step ~out:(Vec.length y.kids) ~rows:y.n_rows
+            ~finished:(not (Weight.is_zero y.finished))
+            ~edges:y.edges ~memo_hits:y.memo_hits ~memo_misses:y.memo_misses
+            ~busy_ns:(Sim_time.to_ns base);
+        (* Execution node. Incoming edges, binding last: each distinct
+           arrival / producer context that fed the group (its span is the
+           queue wait), then — when this worker has run continuously and
+           its previous execution belonged to the same query — the worker
+           chain (the span is serial compute occupancy). *)
+        let cz =
+          if not cz_on then -1
+          else begin
+            let s = Pstm_obs.Causal.node causal ~qid ~name:op ~ts:at in
+            let last = ref (-1) in
+            for i = 0 to n - 1 do
+              let c = Vec.get g.g_czs i in
+              if c >= 0 && c <> !last then begin
+                Pstm_obs.Causal.edge causal ~src:c ~dst:s Pstm_obs.Causal.Queue;
+                last := c
+              end
+            done;
+            if w.cz_last_qid = qid then
+              Pstm_obs.Causal.edge causal ~src:w.cz_last ~dst:s Pstm_obs.Causal.Compute;
+            w.cz_last <- s;
+            w.cz_last_qid <- qid;
+            s
+          end
         in
-        let bucket_order = ref [] in
-        Vec.iter
-          (fun (parent_vertex, (child : Traverser.t)) ->
-            Metrics.count_spawn metrics;
-            let dst = route q child in
-            let kind =
-              match (Program.step q.program child.Traverser.step).Step.op with
-              | Step.Emit _ -> Metrics.Result_msg
-              | _ -> Metrics.Traverser_msg
-            in
-            let key = (dst, kind) in
-            match Hashtbl.find_opt buckets key with
-            | Some b -> Vec.push b (parent_vertex, child)
-            | None ->
-              let b = Vec.create ~dummy:(parent_vertex, child) in
-              Vec.push b (parent_vertex, child);
-              Hashtbl.add buckets key b;
-              bucket_order := key :: !bucket_order)
-          spawns;
-        List.iter
-          (fun (dst, kind) ->
-            let children = Hashtbl.find buckets (dst, kind) in
-            if obs_on then inflight := !inflight + Vec.length children;
-            if dst <> w.id then Metrics.count_coalesced_msg metrics;
-            let travs = List.map snd (Vec.to_list children) in
-            cost :=
-              Sim_time.add !cost
-                (send ~at ~src:w.id ~dst ~kind (P_trav_batch { qid; travs; cz = cz_b }));
-            if (traffic_on || adaptive_on) && dst <> w.id then
-              Vec.iter
-                (fun (parent_vertex, child) ->
-                  match routed_vertex q child with
-                  | None -> ()
-                  | Some v ->
-                    let bytes = 8 + Traverser.bytes child in
-                    Pstm_obs.Traffic.record obs_traffic ~src:parent_vertex ~dst:v ~bytes;
-                    Pstm_obs.Traffic.record profile ~src:parent_vertex ~dst:v ~bytes)
-                children)
-          (List.rev !bucket_order);
-        if adaptive_on then cost := Sim_time.add !cost (maybe_adapt ~at ~src:w.id ~cz:cz_b ());
-        (* Rows land here at the coordinator (Emit routes there first);
-           their weight reaches the tracker as one per-batch merge. *)
-        if !rows <> [] then begin
-          assert (w.id = q.coordinator);
-          let row_weight = ref Weight.zero in
-          List.iter
-            (fun (row, weight) ->
-              Vec.push q.rows row;
-              row_weight := Weight.add !row_weight weight)
-            !rows;
-          cost :=
-            Sim_time.add !cost
-              (tracker_receive ~at ~cz:cz_b w q
-                 (Program.phase_of_step q.program step_idx)
-                 !row_weight)
+        (* Hand off. Rows reach the tracker as one merged weight; Emit
+           yields exactly one row, so a group of one delivers per row. *)
+        let shipped = if batched then ship_batches w ~at q ~cz else ship_each w ~at q ~cz in
+        let cost = Sim_time.add (Sim_time.add gated base) shipped in
+        let phase = Program.phase_of_step q.program step in
+        let cost =
+          if y.n_rows = 0 then cost
+          else Sim_time.add cost (tracker_receive ~at ~cz w q phase y.row_weight)
+        in
+        let cost =
+          if Weight.is_zero y.finished then cost
+          else Sim_time.add cost (finish_weight ~at ~cz w q phase y.finished)
+        in
+        if obs_on then begin
+          let args = [ ("qid", Pstm_obs.Trace.I qid); ("step", Pstm_obs.Trace.I step) ] in
+          let name, args =
+            if batched then ("batch:" ^ op, args @ [ ("size", Pstm_obs.Trace.I n) ]) else (op, args)
+          in
+          Pstm_obs.Trace.span trace ~tid:w.id ~name ~ts:at ~dur:cost ~args ()
         end;
-        if not (Weight.is_zero !finished) then
-          cost :=
-            Sim_time.add !cost
-              (finish_weight ~at ~cz:cz_b w q (Program.phase_of_step q.program step_idx)
-                 !finished);
-        if obs_on then
-          Pstm_obs.Trace.span trace ~tid:w.id
-            ~name:("batch:" ^ Step.op_name (Program.step q.program step_idx).Step.op)
-            ~ts:at ~dur:!cost
-            ~args:
-              [
-                ("qid", Pstm_obs.Trace.I qid);
-                ("step", Pstm_obs.Trace.I step_idx);
-                ("size", Pstm_obs.Trace.I n);
-              ]
-            ();
-        !cost
+        cost
       end
+  (* Gate: rerun at execution time, since the owner table may flip while
+     a traverser sits queued or staged. A stateful step keyed by a vertex
+     that migrated away chases the new owner, forwarded wholesale so its
+     weight is conserved bit for bit; one whose memo entries are still in
+     flight to this worker parks until P_migrate_data lands, so dedup /
+     visit / join state is never consulted half-moved. The context parks
+     with it; the stash wait reads as Queue. Gated traversers leave the
+     group; returns the forwarding cost. *)
+  and gate w ~at q g =
+    let cost = ref Sim_time.zero in
+    let kept = ref 0 in
+    for i = 0 to Vec.length g.g_travs - 1 do
+      let trav = Vec.get g.g_travs i and cz = Vec.get g.g_czs i in
+      match stateful_key_vertex q trav with
+      | Some v when Partition.owner partition v <> w.id ->
+        Metrics.count_forwarded metrics;
+        mig_event "forward" v;
+        if obs_on then incr inflight;
+        let cz = cz_hop ~qid:q.qid ~name:"forward" ~ts:at ~src:cz Pstm_obs.Causal.Queue in
+        cost :=
+          Sim_time.add !cost
+            (send ~at ~src:w.id ~dst:(Partition.owner partition v) ~kind:Metrics.Traverser_msg
+               (P_trav { qid = q.qid; trav; cz }))
+      | Some v when Hashtbl.mem migrating v ->
+        Metrics.count_stashed metrics;
+        mig_event "stash" v;
+        let stash = Hashtbl.find migrating v in
+        stash := P_trav { qid = q.qid; trav; cz } :: !stash
+      | _ ->
+        Vec.set g.g_travs !kept trav;
+        Vec.set g.g_czs !kept cz;
+        incr kept
+    done;
+    Vec.truncate g.g_travs !kept;
+    Vec.truncate g.g_czs !kept;
+    !cost
+  (* P_trav wire: one message per child, in execution order. *)
+  and ship_each w ~at q ~cz =
+    let cost = ref Sim_time.zero in
+    for i = 0 to Vec.length y.kids - 1 do
+      Metrics.count_spawn metrics;
+      cost :=
+        Sim_time.add !cost
+          (dispatch ~at ~src:w.id ~src_vertex:(Vec.get y.parents i) ~cz q (Vec.get y.kids i))
+    done;
+    !cost
+  (* P_trav_batch wire: children grouped by (destination, kind), one
+     coalesced message per bucket in first-seen order, and at most one
+     refinement round per group. *)
+  and ship_batches w ~at q ~cz =
+    let n = Vec.length y.kids in
+    for i = 0 to n - 1 do
+      let kid = Vec.get y.kids i in
+      Metrics.count_spawn metrics;
+      let dst = route q kid in
+      let key = (2 * dst) + Bool.to_int (msg_kind q kid = Metrics.Result_msg) in
+      if bucket_size.(key) = 0 then Vec.push bucket_keys key;
+      bucket_size.(key) <- bucket_size.(key) + 1;
+      Vec.push kid_keys key;
+      if dst <> w.id then ignore (profile_hop ~src_vertex:(Vec.get y.parents i) q kid : bool)
+    done;
+    for i = n - 1 downto 0 do
+      let key = Vec.get kid_keys i in
+      bucket_travs.(key) <- Vec.get y.kids i :: bucket_travs.(key)
+    done;
+    let cost = ref Sim_time.zero in
+    for b = 0 to Vec.length bucket_keys - 1 do
+      let key = Vec.get bucket_keys b in
+      let dst = key / 2 in
+      let kind = if key land 1 = 1 then Metrics.Result_msg else Metrics.Traverser_msg in
+      if obs_on then inflight := !inflight + bucket_size.(key);
+      if dst <> w.id then Metrics.count_coalesced_msg metrics;
+      cost :=
+        Sim_time.add !cost
+          (send ~at ~src:w.id ~dst ~kind
+             (P_trav_batch { qid = q.qid; travs = bucket_travs.(key); cz }));
+      bucket_size.(key) <- 0;
+      bucket_travs.(key) <- []
+    done;
+    Vec.clear kid_keys;
+    Vec.clear bucket_keys;
+    if adaptive_on then Sim_time.add !cost (maybe_adapt ~at ~src:w.id ~cz) else !cost
   and quantum w =
     (* [awake] stays true while the quantum runs: self-sends and deferred
        events need no extra wakeup, and the tail of this function either
@@ -1608,14 +1516,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       local :=
         Sim_time.add !local
           (fault_scale w.id (costs.Cluster.operator_sched * !active_op_count));
-    let budget = ref options.quantum in
-    if batched then drain_batched w local budget
-    else
-      while !budget > 0 && not (Queue.is_empty w.tasks) do
-        decr budget;
-        let payload = Queue.pop w.tasks in
-        local := Sim_time.add !local (fault_scale w.id (process w ~at:!local payload))
-      done;
+    drain w local;
     (* Coalesced weights ship when the worker idles or once enough have
        merged locally to justify a message (§IV-A: they ride along with
        buffer flushes, not with every death). *)

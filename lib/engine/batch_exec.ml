@@ -22,8 +22,8 @@
 
      sum(parent weights) = sum(leaf weights) + rows + finished
 
-   holds bit for bit — the engines' [~check:true] sanitizer asserts it
-   per batch via {!conserves}. The split uses different PRNG draws than
+   holds bit for bit — the async engine's [~check:true] sanitizer
+   asserts it per executed group. The split uses different PRNG draws than
    the scalar order would, so batched runs are weight-*conserving* but
    not weight-*identical* to unbatched runs; results and invariants
    match, packet traces differ.
@@ -385,14 +385,3 @@ let run ~graph ~scratch ~prng ~program ~step (travs : Traverser.t array) =
   if has_set_reg || Graph.n_vertices graph > vmask then
     run_entries ~graph ~scratch ~prng ~program ~chain_steps ~exit_step travs
   else run_packed ~graph ~scratch ~prng ~program ~chain_steps ~exit_step travs
-
-(* Theorem 1 at batch granularity, for the sanitizer. *)
-let conserves (travs : Traverser.t array) outcome =
-  let inflow =
-    Array.fold_left (fun acc (t : Traverser.t) -> Weight.add acc t.Traverser.weight) Weight.zero travs
-  in
-  let shares =
-    match outcome.spawns with Packed { shares; _ } | Entries { shares; _ } -> shares
-  in
-  let outflow = Vec.fold (fun acc w -> Weight.add acc w) outcome.finished shares in
-  Weight.equal inflow outflow

@@ -5,7 +5,7 @@
     maximal fusable chain breadth-first: CSR-range scans over the frontier
     with a bitset memo for register-free filter verdicts. Weight is split
     per-batch over each parent's surviving leaves, so Theorem 1 holds
-    exactly ({!conserves} asserts it). *)
+    exactly (the async engine's sanitizer asserts it per group). *)
 
 (** Per-worker reusable scratch state (bitset verdict memo). *)
 type scratch
@@ -52,6 +52,3 @@ val run :
   step:int ->
   Traverser.t array ->
   outcome
-
-(** Batch-granularity weight conservation: inflow = spawns + finished. *)
-val conserves : Traverser.t array -> outcome -> bool

@@ -158,7 +158,7 @@ let count_flush t = t.flushes <- t.flushes + 1
 let count_step t = t.steps <- t.steps + 1
 let count_edges t n = t.edges_scanned <- t.edges_scanned + n
 let count_spawn t = t.spawned <- t.spawned + 1
-let count_memo_op t = t.memo_ops <- t.memo_ops + 1
+let count_memo_ops t n = t.memo_ops <- t.memo_ops + n
 let count_superstep t = t.supersteps <- t.supersteps + 1
 let count_tracker_update t = t.tracker_updates <- t.tracker_updates + 1
 let count_busy t ns = t.busy_ns <- t.busy_ns + ns

@@ -21,7 +21,7 @@ val count_flush : t -> unit
 val count_step : t -> unit
 val count_edges : t -> int -> unit
 val count_spawn : t -> unit
-val count_memo_op : t -> unit
+val count_memo_ops : t -> int -> unit
 val count_superstep : t -> unit
 val count_tracker_update : t -> unit
 val count_busy : t -> int -> unit

@@ -18,10 +18,13 @@ let length t = t.len
 
 let is_empty t = t.len = 0
 
-let clear t =
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Vec.truncate";
   (* Drop references so the GC can reclaim elements. *)
-  Array.fill t.data 0 t.len t.dummy;
-  t.len <- 0
+  Array.fill t.data n (t.len - n) t.dummy;
+  t.len <- n
+
+let clear t = truncate t 0
 
 let reset t =
   t.data <- [||];

@@ -13,6 +13,10 @@ val is_empty : 'a t -> bool
 (** Remove all elements, keeping capacity. *)
 val clear : 'a t -> unit
 
+(** [truncate t n] drops every element from index [n] on, keeping
+    capacity. *)
+val truncate : 'a t -> int -> unit
+
 (** Remove all elements and release the backing store. *)
 val reset : 'a t -> unit
 

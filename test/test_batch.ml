@@ -6,7 +6,8 @@
    - batched runs survive the whole fault matrix and still agree with
      the oracle;
    - batch metrics are populated when batching is on and exactly zero
-     when it is off (the off path is the untouched scalar path);
+     when it is off (traversers then run one at a time through the same
+     staged path, as groups of one);
    - a plan-cache hit skips re-verification and binds a program that is
      structurally identical to a cold compile of the concrete query. *)
 

@@ -1,6 +1,7 @@
 (* LDBC query correctness: every IC and IS query must produce the same
-   result on the reference interpreter, the asynchronous engine and the
-   BSP engine (row multisets; emission order is engine-specific). *)
+   result on the reference interpreter, the asynchronous engine (with
+   and without frontier batching) and the BSP engine (row multisets;
+   emission order is engine-specific). *)
 
 open Pstm_engine
 open Pstm_ldbc
@@ -18,16 +19,27 @@ let check_query name make () =
   let prng = Prng.create 77 in
   let program = make data prng in
   let expected = show_rows (Local_engine.run data.Snb_gen.graph program) in
-  let async_report =
-    Async_engine.run ~cluster_config ~channel_config:Channel.default_config
-      ~graph:data.Snb_gen.graph
-      [| Engine.submit program |]
-  in
-  Alcotest.(check bool) (name ^ " async completed") true (Engine.all_completed async_report);
-  Alcotest.(check string)
-    (name ^ " async rows")
-    expected
-    (show_rows async_report.Engine.queries.(0).Engine.rows);
+  List.iter
+    (fun batched ->
+      let label = Fmt.str "%s async (batched=%b)" name batched in
+      let async_report =
+        Async_engine.run
+          ~common:(Engine.Common.with_batched batched Engine.Common.default)
+          ~cluster_config ~channel_config:Channel.default_config ~graph:data.Snb_gen.graph
+          [| Engine.submit program |]
+      in
+      Alcotest.(check bool) (label ^ " completed") true (Engine.all_completed async_report);
+      Alcotest.(check string)
+        (label ^ " rows")
+        expected
+        (show_rows async_report.Engine.queries.(0).Engine.rows);
+      (* Every plan probes or updates a memo (index lookup, dedup, join,
+         aggregate), and each executed group counts its memo operations. *)
+      Alcotest.(check bool)
+        (label ^ " memo ops counted")
+        true
+        (Metrics.memo_ops async_report.Engine.metrics > 0))
+    [ false; true ];
   let bsp_report =
     Bsp_engine.run ~cluster_config ~graph:data.Snb_gen.graph [| Engine.submit program |]
   in

@@ -1,8 +1,10 @@
 (* Adaptive repartitioning: refinement unit tests, and the engine's
    online migration protocol under the runtime sanitizer — weight
    conservation and memo emptiness must hold through mid-query vertex
-   migration, answers must match the oracle, and the machinery must be
-   fully inert when the strategy is static. *)
+   migration with and without frontier batching (both settings share
+   one forward / stash gate), answers must match the oracle, causal
+   attribution must stay exact, and the machinery must be fully inert
+   when the strategy is static. *)
 
 open Pstm_engine
 open Pstm_query
@@ -111,12 +113,17 @@ let wave_submissions graph ~starts ~waves ~hops =
       let at = Sim_time.us (i * 10) in
       Engine.submit ~at (khop graph ~start:starts.(i mod n) ~hops))
 
-let run_adaptive ?(check = false) ?(options = aggressive_adaptive) graph subs =
+let run_adaptive ?(check = false) ?(batched = false) ?(obs = Pstm_obs.Recorder.disabled)
+    ?(options = aggressive_adaptive) graph subs =
   Async_engine.run ~options
-    ~common:{ Engine.Common.default with Engine.Common.check }
+    ~common:{ Engine.Common.default with Engine.Common.check; batched; obs }
     ~cluster_config:migration_cluster ~channel_config:Channel.default_config ~graph subs
 
-let test_migration_sanitized () =
+(* Traversers raced a migration: the shared gate forwarded or parked some. *)
+let check_gate_engaged m =
+  Alcotest.(check bool) "forwards or stashes" true (Metrics.forwarded m + Metrics.stashed m > 0)
+
+let test_migration_sanitized ~batched () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
   let starts = [| 1; 2; 3; 5 |] in
   let subs = wave_submissions graph ~starts ~waves:4 ~hops:2 in
@@ -124,11 +131,12 @@ let test_migration_sanitized () =
      detection, query termination and memo emptiness — a migration that
      loses a traverser, double-delivers, or orphans a memo entry raises
      Check_violation here. *)
-  let report = run_adaptive ~check:true graph subs in
+  let report = run_adaptive ~check:true ~batched graph subs in
   Alcotest.(check bool) "all queries complete" true (Engine.all_completed report);
   let m = report.Engine.metrics in
   Alcotest.(check bool) "migrations happened" true (Metrics.migrations m > 0);
   Alcotest.(check bool) "memo entries re-homed" true (Metrics.migrated_entries m > 0);
+  check_gate_engaged m;
   (* Every wave of the same start answers exactly what the oracle says,
      before and after its start vertex moved. *)
   Array.iteri
@@ -140,11 +148,12 @@ let test_migration_sanitized () =
       Alcotest.(check string) "rows match oracle" expected (show_rows q.Engine.rows))
     report.Engine.queries
 
-let test_migration_deterministic () =
+let test_migration_deterministic ~batched () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
   let subs = wave_submissions graph ~starts:[| 1; 2; 3; 5 |] ~waves:3 ~hops:2 in
   let fingerprint () =
-    let r = run_adaptive graph subs in
+    let r = run_adaptive ~check:true ~batched graph subs in
+    check_gate_engaged r.Engine.metrics;
     let m = r.Engine.metrics in
     ( Array.map Engine.latency_ms r.Engine.queries,
       Fmt.str "%a" (Fmt.list ~sep:(Fmt.any ";") Fmt.string)
@@ -156,6 +165,27 @@ let test_migration_deterministic () =
         Metrics.message_bytes m Metrics.Traverser_msg ) )
   in
   Alcotest.(check bool) "same seed, same run" true (fingerprint () = fingerprint ())
+
+(* Forwarded and parked traversers keep their causal chains: with
+   tracing on, every query's critical path still partitions its latency
+   exactly. *)
+let test_migration_causal_exact () =
+  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
+  let subs = wave_submissions graph ~starts:[| 1; 2; 3; 5 |] ~waves:4 ~hops:2 in
+  let obs = Pstm_obs.Recorder.create ~causal:true () in
+  let report = run_adaptive ~check:true ~obs graph subs in
+  check_gate_engaged report.Engine.metrics;
+  let causal = Pstm_obs.Recorder.causal obs in
+  Array.iter
+    (fun (q : Engine.query_report) ->
+      match (Pstm_obs.Causal.attribution causal ~qid:q.Engine.qid, Engine.latency q) with
+      | Some attr, Some latency ->
+        Alcotest.(check int)
+          (Fmt.str "query %d: segments partition the latency exactly" q.Engine.qid)
+          (Sim_time.to_ns latency)
+          (Sim_time.to_ns (Pstm_obs.Causal.attribution_total attr))
+      | _ -> Alcotest.failf "query %d: no complete causal path" q.Engine.qid)
+    report.Engine.queries
 
 let test_static_strategy_inert () =
   (* With a static strategy the adaptive knobs must be dead weight: the
@@ -238,8 +268,14 @@ let () =
         ] );
       ( "migration",
         [
-          Alcotest.test_case "sanitized mid-query migration" `Quick test_migration_sanitized;
-          Alcotest.test_case "deterministic" `Quick test_migration_deterministic;
+          Alcotest.test_case "sanitized mid-query migration" `Quick
+            (test_migration_sanitized ~batched:false);
+          Alcotest.test_case "sanitized mid-query migration, batched" `Quick
+            (test_migration_sanitized ~batched:true);
+          Alcotest.test_case "deterministic" `Quick (test_migration_deterministic ~batched:false);
+          Alcotest.test_case "deterministic, batched" `Quick
+            (test_migration_deterministic ~batched:true);
+          Alcotest.test_case "causal attribution exact" `Quick test_migration_causal_exact;
           Alcotest.test_case "static strategy inert" `Quick test_static_strategy_inert;
           Alcotest.test_case "warm start" `Quick test_warm_start_assignment;
         ] );

@@ -299,7 +299,7 @@ let test_metrics_counters () =
   Metrics.count_step m;
   Metrics.count_edges m 7;
   Metrics.count_spawn m;
-  Metrics.count_memo_op m;
+  Metrics.count_memo_ops m 3;
   Metrics.count_superstep m;
   Metrics.count_tracker_update m;
   Metrics.count_busy m 99;
