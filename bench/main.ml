@@ -52,9 +52,7 @@ let experiments =
       Bench_khop.smoke;
     smoke "mc-smoke" "Smoke: schedule exploration + protocol mutation catching" Bench_mc.smoke;
     figure "serve" "Service layer: open-loop load, admission control vs baseline" Bench_serve.run;
-    figure "scale" "Fig 9 extension: flat vs hierarchical tracking at 8-256 nodes" Bench_scale.run;
-    smoke "scale-smoke" "Smoke: hierarchical progress tracking over every registry engine"
-      Bench_scale.smoke;
+    figure "scale" "Fig 9 extension: flat progress tracking at 8-256 nodes" Bench_scale.run;
     smoke "serve-smoke" "Smoke: the query service over every registry engine, sanitizer on"
       Bench_serve.smoke;
     figure "micro" "Microbenchmarks" Bench_micro.run;

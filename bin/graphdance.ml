@@ -72,15 +72,6 @@ let batched_arg =
   in
   Arg.(value & flag & info [ "batched" ] ~doc)
 
-let fanout_arg =
-  let doc =
-    "Hierarchical progress tracking: arrange workers into a $(docv)-ary delegate tree per \
-     query, so coalesced finished weights climb toward the coordinator one merged message \
-     per hop instead of all landing on it directly. 0 (the default) keeps the paper's flat \
-     tracker. Only the async flavors honor the flag."
-  in
-  Arg.(value & opt int 0 & info [ "tracker-fanout" ] ~docv:"FANOUT" ~doc)
-
 (* --- Commands --- *)
 
 let datasets_cmd =
@@ -116,8 +107,8 @@ let compile_query graph text =
 
 (* Resolve an engine name against a registry built for the requested
    topology. *)
-let resolve_engine ?tracker_fanout ~config name =
-  let registry = Registry.make ~cluster_config:config ?tracker_fanout () in
+let resolve_engine ~config name =
+  let registry = Registry.make ~cluster_config:config () in
   match Registry.find ~registry name with
   | Some e -> Ok e
   | None ->
@@ -125,13 +116,12 @@ let resolve_engine ?tracker_fanout ~config name =
       (Fmt.str "unknown engine %S (available: %s, or async)" name
          (String.concat ", " (Registry.names ~registry ())))
 
-let run_query dataset text engine nodes workers batched fanout =
+let run_query dataset text engine nodes workers batched =
   let ( let* ) = Result.bind in
   let* graph = load_graph dataset in
   let* program = compile_query graph text in
   let config = { Cluster.default_config with Cluster.n_nodes = nodes; workers_per_node = workers } in
-  let tracker_fanout = if fanout > 0 then Some fanout else None in
-  let* (module E : Engine.S) = resolve_engine ?tracker_fanout ~config engine in
+  let* (module E : Engine.S) = resolve_engine ~config engine in
   let common = Engine.Common.with_batched batched Engine.Common.default in
   let report = E.run ~common ~graph [| Engine.submit program |] in
   let q = report.Engine.queries.(0) in
@@ -149,10 +139,6 @@ let run_query dataset text engine nodes workers batched fanout =
      let m = report.Engine.metrics in
      Fmt.pr "-- batching: %d batch(es), %d traverser(s) batched, %d coalesced message(s)@."
        (Metrics.batches m) (Metrics.batched_traversers m) (Metrics.coalesced_msgs m));
-  (if fanout > 0 then
-     let m = report.Engine.metrics in
-     Fmt.pr "-- tracking: %d delegate merge(s), %d forwarded up-tree, %d root receipt(s)@."
-       (Metrics.delegate_merges m) (Metrics.delegate_forwards m) (Metrics.tracker_updates m));
   Ok ()
 
 let to_exit = function
@@ -162,14 +148,13 @@ let to_exit = function
     1
 
 let query_cmd =
-  let run dataset text engine nodes workers batched fanout =
-    to_exit (run_query dataset text engine nodes workers batched fanout)
+  let run dataset text engine nodes workers batched =
+    to_exit (run_query dataset text engine nodes workers batched)
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a Gremlin query on a simulated cluster")
     Term.(
-      const run $ dataset_arg $ query_arg $ engine_arg $ nodes_arg $ workers_arg $ batched_arg
-      $ fanout_arg)
+      const run $ dataset_arg $ query_arg $ engine_arg $ nodes_arg $ workers_arg $ batched_arg)
 
 let explain_cmd =
   let run dataset text =
@@ -862,7 +847,7 @@ let serve_cmd =
     Arg.(value & flag & info [ "check" ] ~doc)
   in
   let run dataset text engine nodes workers rate duration slo tenants no_admission patience
-      seed check fanout =
+      seed check =
     to_exit
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
@@ -870,8 +855,7 @@ let serve_cmd =
        let config =
          { Cluster.default_config with Cluster.n_nodes = nodes; workers_per_node = workers }
        in
-       let tracker_fanout = if fanout > 0 then Some fanout else None in
-       let* engine = resolve_engine ?tracker_fanout ~config engine in
+       let* engine = resolve_engine ~config engine in
        if tenants < 1 then Error "serve: --tenants must be at least 1"
        else begin
          let ms_time v = Sim_time.of_float_ns (v *. 1e6) in
@@ -927,7 +911,7 @@ let serve_cmd =
     Term.(
       const run $ dataset_arg $ query_arg $ engine_arg $ nodes_arg $ workers_arg $ rate_arg
       $ duration_arg $ slo_arg $ tenants_arg $ no_admission_arg $ patience_arg $ seed_arg
-      $ check_arg $ fanout_arg)
+      $ check_arg)
 
 let () =
   let info =

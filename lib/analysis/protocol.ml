@@ -324,18 +324,12 @@ let migration_spec =
    the coordinator: the tracker registers at query launch, accumulates
    finished-weight receipts, completes exactly when Theorem 1's sum
    closes, and is released exactly once; a deadline may time it out from
-   any live state. Under hierarchical tracking a "delegate" merge — an
-   interior worker absorbing a subtree's coalesced weight on its way to
-   the root — is only legal while the tracker is open: a merge after
-   completion means some weight was double-counted, and a merge after
-   release or timeout means the tree kept shipping weight for a query
-   the coordinator already reclaimed. The delegate hop therefore extends
-   register -> receive -> complete -> release without weakening it. *)
+   any live state. *)
 let tracker_spec =
   {
     sp_name = "tracker";
     states = [ "start"; "open"; "complete"; "released"; "timedout" ];
-    msgs = [ "register"; "receive"; "delegate"; "complete"; "release"; "timeout" ];
+    msgs = [ "register"; "receive"; "complete"; "release"; "timeout" ];
     initial = "start";
     terminals = [ "released"; "timedout" ];
     trans =
@@ -343,7 +337,6 @@ let tracker_spec =
         ("start", "register", "open");
         ("start", "timeout", "timedout"); (* deadline before launch *)
         ("open", "receive", "open");
-        ("open", "delegate", "open");
         ("open", "complete", "complete");
         ("open", "timeout", "timedout");
         ("complete", "release", "released");
@@ -352,29 +345,25 @@ let tracker_spec =
     rejects =
       [
         ("start", "receive", "weight receipt before the tracker registered");
-        ("start", "delegate", "delegate merge before the tracker registered");
         ("start", "complete", "completion before the tracker registered");
         ("start", "release", "release before the tracker registered");
         ("open", "register", "tracker registered twice");
         ("open", "release", "release before Theorem 1's conservation sum closed");
         ("complete", "register", "tracker registered twice");
         ("complete", "receive", "weight receipt after completion: some weight was double-counted");
-        ("complete", "delegate", "delegate merge after completion: subtree weight double-counted");
         ("complete", "complete", "completed twice");
         ("released", "register", "tracker registered twice");
         ("released", "receive", "weight receipt after release");
-        ("released", "delegate", "delegate merge after release");
         ("released", "complete", "completion after release");
         ("released", "release", "released twice");
         ("released", "timeout", "timeout after release");
         ("timedout", "register", "tracker registered after timing out");
         ("timedout", "receive", "weight receipt after timing out");
-        ("timedout", "delegate", "delegate merge after timing out");
         ("timedout", "complete", "completion after timing out");
         ("timedout", "release", "release after timing out");
         ("timedout", "timeout", "timed out twice");
       ];
-    emits = [ ("open", "receive"); ("open", "delegate") ];
+    emits = [ ("open", "receive") ];
   }
 
 let all_specs = [ channel_spec; migration_spec; tracker_spec ]

@@ -1,18 +1,13 @@
 (* Distributed progress tracking (§IV-A).
 
-   Three tiers: the per-phase [tracker] living on the query coordinator,
+   Two tiers: the per-phase [tracker] living on the query coordinator,
    which accumulates finished weights and fires exactly when they sum back
-   to the root weight; the per-worker [coalescer], which implements
+   to the root weight; and the per-worker [coalescer], which implements
    weight coalescing — finished weights are merged locally (one integer
-   addition each) and shipped upward only when the worker flushes its
-   message buffers, slashing the tracker's message load (Figure 11); and
-   the optional per-worker [delegate], the interior tier of hierarchical
-   tracking — it merges the already-coalesced weights of an entire
-   subtree of workers and ships one message per (query, phase) to its
-   parent, so the root tracker absorbs O(fanout) messages per flush epoch
-   instead of O(workers). Because every tier only ever *adds* weights and
-   each weight travels exactly one path to the root, the conservation sum
-   of Theorem 1 is preserved through any tree shape. *)
+   addition each) and shipped straight to the coordinator only when the
+   worker flushes its message buffers, slashing the tracker's message
+   load (Figure 11). Because both tiers only ever *add* weights, the
+   conservation sum of Theorem 1 is preserved. *)
 
 type tracker = {
   target : Weight.t;
@@ -98,51 +93,11 @@ let additions c = c.additions
    linger as keyed state for the rest of the run. [pending_adds] is left
    alone — it is only a flush heuristic, and resetting it here would
    change when unrelated queries flush. *)
-let discard_keys tbl ~qid =
+let discard_query c ~qid =
   let doomed =
     (* det-ok: fold order is erased by the sort on the int pairs below *)
-    Hashtbl.fold (fun (q, p) _ acc -> if q = qid then (q, p) :: acc else acc) tbl []
+    Hashtbl.fold (fun (q, p) _ acc -> if q = qid then (q, p) :: acc else acc) c.pending []
     |> List.sort (fun (q1, p1) (q2, p2) ->
            match Int.compare q1 q2 with 0 -> Int.compare p1 p2 | c -> c)
   in
-  List.iter (Hashtbl.remove tbl) doomed
-
-let discard_query c ~qid = discard_keys c.pending ~qid
-
-(* --- Subtree delegate (hierarchical tracking's interior tier) --- *)
-
-(* Same merge-then-drain discipline as the coalescer, but fed by whole
-   subtrees rather than local task completions, and with its own receipt
-   accounting so the per-tier load split is observable. *)
-type delegate = {
-  d_pending : (int * int, Weight.t) Hashtbl.t; (* (query, phase) -> merged subtree weight *)
-  mutable merges : int; (* subtree weights absorbed *)
-  mutable forwards : int; (* merged messages shipped upward *)
-}
-
-let delegate () = { d_pending = Hashtbl.create 8; merges = 0; forwards = 0 }
-
-let delegate_absorb d ~qid ~phase w =
-  d.merges <- d.merges + 1;
-  let key = (qid, phase) in
-  let acc = Option.value ~default:Weight.zero (Hashtbl.find_opt d.d_pending key) in
-  Hashtbl.replace d.d_pending key (Weight.add acc w)
-
-let delegate_is_empty d = Hashtbl.length d.d_pending = 0
-
-let delegate_drain d =
-  (* det-ok: the collected triples are sorted below before shipping *)
-  let out = Hashtbl.fold (fun (qid, phase) w acc -> (qid, phase, w) :: acc) d.d_pending [] in
-  Hashtbl.reset d.d_pending;
-  d.forwards <- d.forwards + List.length out;
-  List.sort
-    (fun (q1, p1, _) (q2, p2, _) ->
-      match Int.compare q1 q2 with
-      | 0 -> Int.compare p1 p2
-      | c -> c)
-    out
-
-let delegate_discard_query d ~qid = discard_keys d.d_pending ~qid
-
-let delegate_merges d = d.merges
-let delegate_forwards d = d.forwards
+  List.iter (Hashtbl.remove c.pending) doomed

@@ -51,25 +51,3 @@ val additions : coalescer -> int
 (** Drop any weight still parked for a cancelled or timed-out query; its
     weight will never reach a tracker. *)
 val discard_query : coalescer -> qid:int -> unit
-
-(** Subtree delegate: the interior tier of hierarchical progress
-    tracking. Merges the coalesced weights of a whole worker subtree and
-    ships one message per (query, phase) toward the root tracker. *)
-type delegate
-
-val delegate : unit -> delegate
-val delegate_absorb : delegate -> qid:int -> phase:int -> Weight.t -> unit
-val delegate_is_empty : delegate -> bool
-
-(** Remove all merged subtree weights as [(qid, phase, weight)] triples
-    in a deterministic order, counting one forward per triple. *)
-val delegate_drain : delegate -> (int * int * Weight.t) list
-
-(** Drop parked subtree weight for a terminated query. *)
-val delegate_discard_query : delegate -> qid:int -> unit
-
-(** Subtree weights absorbed / merged messages shipped upward (the
-    per-tier load split of the Fig 9 extension). *)
-val delegate_merges : delegate -> int
-
-val delegate_forwards : delegate -> int

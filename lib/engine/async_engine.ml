@@ -73,19 +73,6 @@ type options = {
   partition : Partition.strategy; (* the H of the partitioned graph model *)
   adaptive : adaptive_options; (* online repartitioning (Adaptive only) *)
   initial_assignment : int array option; (* warm-start owner table (Adaptive only) *)
-  tracker_fanout : int option;
-      (* hierarchical progress tracking: workers form a [fanout]-ary
-         delegate tree rooted at each query's coordinator, and coalesced
-         weights climb the tree one merged message per hop instead of
-         all landing on the coordinator. [None] (the default) keeps the
-         paper's flat design. *)
-  delegate_hold : Sim_time.t;
-      (* hierarchical tracking only: how long a delegate accumulates
-         subtree weight before shipping it one hop up. The hold window is
-         what makes the tree pay off — without it every flush epoch
-         forwards immediately and each weight just takes depth hops
-         instead of one. Termination detection lags by at most
-         depth x hold per phase. *)
 }
 
 let default_options =
@@ -99,8 +86,6 @@ let default_options =
     partition = Partition.Hash;
     adaptive = default_adaptive;
     initial_assignment = None;
-    tracker_fanout = None;
-    delegate_hold = Sim_time.us 16;
   }
 
 (* Every payload that can sit on a query's causal chain carries a causal
@@ -119,15 +104,6 @@ type payload =
        delivery (ack / retransmit / dedup) treats the batch like any
        other payload and conservation is untouched. *)
   | P_progress of { qid : int; phase : int; weight : Weight.t; mutable cz : int }
-  | P_progress_up of { qid : int; phase : int; weight : Weight.t; mutable cz : int }
-    (* Hierarchical tracking: a subtree's merged finished weight climbing
-       one hop toward the root tracker. Same wire shape as [P_progress];
-       the distinct constructor routes it through the delegate tier
-       instead of straight into the tracker. *)
-  | P_delegate_flush
-    (* Hierarchical tracking: the hold-window timer. A worker self-posts
-       this when its delegate first absorbs weight; processing it drains
-       the delegate one hop up the tree. Never crosses the channel. *)
   | P_agg_flush of { qid : int; agg_step : int; mutable cz : int }
   | P_agg_partial of { qid : int; agg_step : int; partial : Aggregate.t option; mutable cz : int }
   | P_cleanup of { qid : int }
@@ -145,8 +121,7 @@ let payload_bytes = function
     (* One header amortized over the batch; elements pay only their own
        serialized size, not a per-message frame. *)
     List.fold_left (fun acc t -> acc + Traverser.bytes t) 16 travs
-  | P_progress _ | P_progress_up _ -> 8 + Weight.bytes + 8
-  | P_delegate_flush -> 0 (* local self-task, never serialized *)
+  | P_progress _ -> 8 + Weight.bytes + 8
   | P_agg_flush _ -> 16
   | P_agg_partial { partial; _ } ->
     16 + (match partial with None -> 0 | Some p -> Aggregate.bytes p)
@@ -182,7 +157,6 @@ type worker = {
   memo : Memo.t; (* private, or node-shared under [shared_state] *)
   tasks : payload Queue.t;
   coalescer : Progress.coalescer;
-  delegate : Progress.delegate; (* subtree merge tier (hierarchical tracking) *)
   prng : Prng.t;
   mutable busy_until : Sim_time.t;
   mutable busy_total : Sim_time.t; (* accumulated CPU time *)
@@ -200,12 +174,6 @@ type worker = {
      finished weight to the coalescer since its last drain; the flushed
      progress message inherits it, so coalescer dwell is attributable. *)
   cz_coalesce : (int * int, int) Hashtbl.t;
-  (* Same discipline for the delegate tier: the causal node of the last
-     subtree merge per (qid, phase), inherited by the upward message. *)
-  cz_delegate : (int * int, int) Hashtbl.t;
-  (* A hold-window flush is pending ([P_delegate_flush] scheduled);
-     absorbing into a non-empty window must not arm a second timer. *)
-  mutable delegate_armed : bool;
 }
 
 let no_trav = Traverser.make ~vertex:0 ~step:0 ~weight:Weight.zero ~n_registers:0
@@ -417,7 +385,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
              else Memo.create ());
           tasks = Queue.create ();
           coalescer = Progress.coalescer ();
-          delegate = Progress.delegate ();
           prng = Prng.split seed_prng;
           busy_until = Sim_time.zero;
           busy_total = Sim_time.zero;
@@ -425,8 +392,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           cz_last = -1;
           cz_last_qid = -1;
           cz_coalesce = Hashtbl.create 4;
-          cz_delegate = Hashtbl.create 4;
-          delegate_armed = false;
           scan =
             (fun label ->
               let mine = Lazy.force members in
@@ -584,7 +549,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | P_trav ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive" r.cz
     | P_trav_batch ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-batch" r.cz
     | P_progress ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-progress" r.cz
-    | P_progress_up ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-progress-up" r.cz
     | P_agg_flush ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-agg" r.cz
     | P_agg_partial ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-partial" r.cz
     | P_setup ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-setup" r.cz
@@ -592,33 +556,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | P_migrate ({ vertex = _; _ } as r) -> r.cz <- arrive ~qid:(-1) ~name:"arrive-migrate" r.cz
     | P_migrate_data ({ vertex = _; _ } as r) ->
       r.cz <- arrive ~qid:(-1) ~name:"arrive-mdata" r.cz
-    | P_cleanup _ | P_delegate_flush -> ()
-  in
-  (* --- Hierarchical progress tracking ---------------------------------
-     Workers form a [fanout]-ary tree per query, laid out heap-style in
-     coordinator-relative rank order: worker [w]'s rank is its offset
-     from the coordinator modulo [n_workers], rank 0 is the root (the
-     coordinator itself, so the root tier stays sharded across workers
-     by qid), and rank r's parent is rank (r-1)/fanout.
-
-     Each delegate accumulates its subtree's weight for a hold window
-     ([options.delegate_hold]) before shipping one merged message per
-     (qid, phase) up the tree. The window is load-bearing: flush epochs
-     are much shorter than the hold, so many of them (own coalescer
-     drains plus child deliveries) merge into a single upward message —
-     without it, every weight would take depth hops instead of one and
-     the tree would *add* traffic. The timer is a self-posted
-     [P_delegate_flush] task, so a sleeping worker still drains its
-     delegate and termination cannot wedge; detection lags by at most
-     depth x hold per phase. *)
-  let hier_on = options.tracker_fanout <> None in
-  let delegate_parent ~coordinator wid =
-    match options.tracker_fanout with
-    | None -> None
-    | Some f ->
-      let f = max 1 f in
-      let rank = (wid - coordinator + n_workers) mod n_workers in
-      if rank = 0 then None else Some ((((rank - 1) / f) + coordinator) mod n_workers)
+    | P_cleanup _ -> ()
   in
   let msg_kind q (trav : Traverser.t) =
     match (Program.step q.program trav.Traverser.step).Step.op with
@@ -894,27 +832,9 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         send ~at ~src:w.id ~dst:q.coordinator ~kind:Metrics.Progress_msg
           (P_progress { qid = q.qid; phase; weight; cz })
     end
-  (* Start the hold window: the first absorb into an empty window posts
-     the flush task [delegate_hold] in the future; later absorbs ride
-     the same window. The task is self-queued (not sent), so it costs
-     nothing on the wire and wakes the worker if it went to sleep. *)
-  and delegate_arm ~at w =
-    if not w.delegate_armed then begin
-      w.delegate_armed <- true;
-      Event_queue.schedule_at events
-        ~time:(Sim_time.add at options.delegate_hold)
-        ~tag:(Cluster.worker_tag cluster w.id)
-        (fun () ->
-          w.delegate_armed <- false;
-          Queue.add P_delegate_flush w.tasks;
-          wake w)
-    end
   and flush_progress ~at w =
     let cost = ref Sim_time.zero in
-    (* Tier 1: locally coalesced weights. Flat tracking ships them
-       straight to the coordinator; hierarchical tracking folds them
-       into this worker's delegate accumulator first, so they climb the
-       tree merged with whatever its subtree already delivered. *)
+    (* Locally coalesced weights ship straight to the coordinator. *)
     if not (Progress.is_empty w.coalescer) then
       List.iter
         (fun (qid, phase, weight) ->
@@ -939,14 +859,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
                   cz_hop ~qid ~name:"progress-flush" ~ts:at ~src Pstm_obs.Causal.Tracker
               end
             in
-            if hier_on then begin
-              Metrics.count_delegate_merge metrics;
-              Progress.delegate_absorb w.delegate ~qid ~phase weight;
-              if cz >= 0 then Hashtbl.replace w.cz_delegate (qid, phase) cz;
-              delegate_arm ~at w;
-              cost := Sim_time.add !cost costs.Cluster.progress_coalesce
-            end
-            else if q.coordinator = w.id then
+            if q.coordinator = w.id then
               cost := Sim_time.add !cost (tracker_receive ~at ~cz w q phase weight)
             else
               cost :=
@@ -954,39 +867,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
                   (send ~at ~src:w.id ~dst:q.coordinator ~kind:Metrics.Progress_msg
                      (P_progress { qid; phase; weight; cz })))
         (Progress.drain w.coalescer);
-    !cost
-  (* Tier 2 (hierarchical only), run when the hold-window timer's
-     [P_delegate_flush] task fires: merged subtree weights go one hop up
-     the delegate tree — into the tracker at the root, or as a single
-     [P_progress_up] per (qid, phase) otherwise. *)
-  and flush_delegate ~at w =
-    let cost = ref Sim_time.zero in
-    if hier_on && not (Progress.delegate_is_empty w.delegate) then
-      List.iter
-        (fun (qid, phase, weight) ->
-          match Hashtbl.find_opt queries qid with
-          | None -> if cz_on then Hashtbl.remove w.cz_delegate (qid, phase)
-          | Some q when not q.active -> if cz_on then Hashtbl.remove w.cz_delegate (qid, phase)
-          | Some q ->
-            let cz =
-              if not cz_on then -1
-              else begin
-                match Hashtbl.find_opt w.cz_delegate (qid, phase) with
-                | None -> -1
-                | Some src ->
-                  Hashtbl.remove w.cz_delegate (qid, phase);
-                  cz_hop ~qid ~name:"delegate-flush" ~ts:at ~src Pstm_obs.Causal.Tracker
-              end
-            in
-            match delegate_parent ~coordinator:q.coordinator w.id with
-            | None -> cost := Sim_time.add !cost (tracker_receive ~at ~cz w q phase weight)
-            | Some parent ->
-              Metrics.count_delegate_forward metrics;
-              cost :=
-                Sim_time.add !cost
-                  (send ~at ~src:w.id ~dst:parent ~kind:Metrics.Progress_msg
-                     (P_progress_up { qid; phase; weight; cz })))
-        (Progress.delegate_drain w.delegate);
     !cost
   (* ---- Phase transitions ----------------------------------------------- *)
   and phase_complete ~at ?(cz = -1) w q phase =
@@ -1064,27 +944,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       | Some q when not q.active -> Sim_time.zero
       | Some q -> tracker_receive ~at ~cz w q phase weight
     end
-    | P_progress_up { qid; phase; weight; cz } -> begin
-      match Hashtbl.find_opt queries qid with
-      | None -> Sim_time.zero
-      | Some q when not q.active -> Sim_time.zero (* dropped, like straggling P_progress *)
-      | Some q ->
-        if q.coordinator = w.id then tracker_receive ~at ~cz w q phase weight
-        else begin
-          (* Interior delegate: absorb the subtree's merged weight; it
-             ships one hop further up when this worker's hold window
-             closes. *)
-          if not (Weight.is_zero weight) then tracker_event "delegate" ~qid ~phase;
-          Metrics.count_delegate_merge metrics;
-          Progress.delegate_absorb w.delegate ~qid ~phase weight;
-          if cz_on && cz >= 0 then
-            Hashtbl.replace w.cz_delegate (qid, phase)
-              (cz_hop ~qid ~name:"delegate-merge" ~ts:at ~src:cz Pstm_obs.Causal.Tracker);
-          delegate_arm ~at w;
-          costs.Cluster.progress_coalesce
-        end
-    end
-    | P_delegate_flush -> flush_delegate ~at w
     | P_agg_flush { qid; agg_step; cz } -> begin
       match Hashtbl.find_opt queries qid with
       | None -> Sim_time.zero
@@ -1351,7 +1210,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         Metrics.count_memo_ops metrics y.memo_ops;
         let base = step_cost y in
         if obs_on then
-          Pstm_obs.Opstats.record opstats ~step ~out:(Vec.length y.kids) ~rows:y.n_rows
+          Pstm_obs.Opstats.record opstats ~step ~n ~out:(Vec.length y.kids) ~rows:y.n_rows
             ~finished:(not (Weight.is_zero y.finished))
             ~edges:y.edges ~memo_hits:y.memo_hits ~memo_misses:y.memo_misses
             ~busy_ns:(Sim_time.to_ns base);
@@ -1582,11 +1441,9 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       Array.iter
         (fun w ->
           Progress.discard_query w.coalescer ~qid;
-          Progress.delegate_discard_query w.delegate ~qid;
           if cz_on then
             for phase = 0 to Program.n_phases q.program - 1 do
-              Hashtbl.remove w.cz_coalesce (qid, phase);
-              Hashtbl.remove w.cz_delegate (qid, phase)
+              Hashtbl.remove w.cz_coalesce (qid, phase)
             done)
         workers;
       if obs_on then
@@ -1738,7 +1595,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
               | Some why -> Engine.check_fail "async: %s" why
             end)
           [ mon_channel; mon_migration; mon_tracker ];
-        (* No weight may be stranded mid-tree and no causal bookkeeping
+        (* No weight may be stranded in a coalescer and no causal bookkeeping
            may outlive its query: parked state here means some
            (qid, phase) escaped both the flush path and the scoped
            reclaim at its terminal transition. *)
@@ -1747,15 +1604,9 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             if not (Progress.is_empty w.coalescer) then
               Engine.check_fail "async: worker %d holds unflushed coalesced weight at finish"
                 w.id;
-            if not (Progress.delegate_is_empty w.delegate) then
-              Engine.check_fail "async: worker %d holds undelivered delegate weight at finish"
-                w.id;
             let n = Hashtbl.length w.cz_coalesce in
             if n > 0 then
-              Engine.check_fail "async: worker %d strands %d coalescer causal entries" w.id n;
-            let n = Hashtbl.length w.cz_delegate in
-            if n > 0 then
-              Engine.check_fail "async: worker %d strands %d delegate causal entries" w.id n)
+              Engine.check_fail "async: worker %d strands %d coalescer causal entries" w.id n)
           workers
       end;
       Array.iter

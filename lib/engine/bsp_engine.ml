@@ -276,7 +276,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
           Metrics.count_edges metrics outcome.Exec.edges_scanned;
           let step_cost = interpretation_scale * Exec.cost costs outcome in
           if obs_on then
-            Pstm_obs.Opstats.record opstats ~step:trav.Traverser.step
+            Pstm_obs.Opstats.record opstats ~step:trav.Traverser.step ~n:1
               ~out:(List.length outcome.Exec.spawns)
               ~rows:(List.length outcome.Exec.rows)
               ~finished:(not (Weight.is_zero outcome.Exec.finished))

@@ -54,7 +54,7 @@ let run ?(common = Engine.Common.default) graph program =
       let t = Queue.pop queue in
       let outcome = Exec.exec ~graph ~memo ~prng ~qid ~program ~scan t in
       if obs_on then
-        Pstm_obs.Opstats.record opstats ~step:t.Traverser.step
+        Pstm_obs.Opstats.record opstats ~step:t.Traverser.step ~n:1
           ~out:(List.length outcome.Exec.spawns)
           ~rows:(List.length outcome.Exec.rows)
           ~finished:(not (Weight.is_zero outcome.Exec.finished))

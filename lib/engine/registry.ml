@@ -89,14 +89,13 @@ let local_start ?common ~graph () =
   }
 
 let make ?(cluster_config = Cluster.default_config)
-    ?(channel_config = Channel.default_config) ?tracker_fanout () :
+    ?(channel_config = Channel.default_config) () :
     (string * (module Engine.S)) list =
   let async_flavor flavor : (module Engine.S) =
     (module struct
       let name = Async_engine.flavor_name flavor
 
-      let options =
-        { Async_engine.default_options with Async_engine.flavor; tracker_fanout }
+      let options = { Async_engine.default_options with Async_engine.flavor }
 
       let run ?common ~graph submissions =
         Async_engine.run ~options ?common ~cluster_config ~channel_config ~graph submissions

@@ -4,15 +4,10 @@
 
 (** Build a registry with the given topology baked into each engine.
     Entries: ["graphdance"], ["banyan-like"], ["gaia-like"], ["bsp"],
-    ["tigergraph-role"], ["single-node"], ["local"].
-
-    [tracker_fanout] turns on hierarchical progress tracking in the
-    async flavors (see {!Async_engine.options}); the other engines
-    ignore it. *)
+    ["tigergraph-role"], ["single-node"], ["local"]. *)
 val make :
   ?cluster_config:Cluster.config ->
   ?channel_config:Channel.config ->
-  ?tracker_fanout:int ->
   unit ->
   (string * (module Engine.S)) list
 

@@ -57,8 +57,6 @@ let metrics_json (m : Metrics.t) =
       ("plan_hits", Json.Int (Metrics.plan_hits m));
       ("plan_misses", Json.Int (Metrics.plan_misses m));
       ("plan_verifications", Json.Int (Metrics.plan_verifications m));
-      ("delegate_merges", Json.Int (Metrics.delegate_merges m));
-      ("delegate_forwards", Json.Int (Metrics.delegate_forwards m));
       ("trace_dropped", Json.Int (Metrics.trace_dropped m));
     ]
 

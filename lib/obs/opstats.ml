@@ -17,7 +17,7 @@ type t = {
   mutable t_in : int array; (* traversers executed at step i *)
   mutable t_out : int array; (* traversers spawned by step i *)
   mutable rows : int array;
-  mutable finished : int array; (* traversers retired at step i *)
+  mutable finished : int array; (* executions at step i that retired weight *)
   mutable edges : int array;
   mutable hits : int array;
   mutable misses : int array;
@@ -76,10 +76,10 @@ let ensure t step =
   end;
   if step >= t.n then t.n <- step + 1
 
-let record t ~step ~out ~rows ~finished ~edges ~memo_hits ~memo_misses ~busy_ns =
+let record t ~step ~n ~out ~rows ~finished ~edges ~memo_hits ~memo_misses ~busy_ns =
   if t.enabled && step >= 0 then begin
     ensure t step;
-    t.t_in.(step) <- t.t_in.(step) + 1;
+    t.t_in.(step) <- t.t_in.(step) + n;
     t.t_out.(step) <- t.t_out.(step) + out;
     t.rows.(step) <- t.rows.(step) + rows;
     t.finished.(step) <- t.finished.(step) + (if finished then 1 else 0);

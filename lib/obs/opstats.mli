@@ -9,12 +9,17 @@ val disabled : t
 val create : unit -> t
 val enabled : t -> bool
 
-(** Record one traverser executed at [step]: [out] spawned continuations,
-    [rows] result rows, whether the traverser retired, [edges] scanned,
-    memo hits/misses, and simulated busy time. *)
+(** Record one execution of [n] traversers at [step] (a scalar engine
+    executes one traverser at a time; a batched engine a whole group):
+    [out] spawned continuations, [rows] result rows, whether the
+    execution retired finished weight, [edges] scanned, memo hits/misses,
+    and simulated busy time. Traversers in count per traverser ([n]);
+    "finished" / "retired" counts per execution, so it is the number of
+    finished-weight hand-offs to progress tracking. *)
 val record :
   t ->
   step:int ->
+  n:int ->
   out:int ->
   rows:int ->
   finished:bool ->

@@ -41,8 +41,6 @@ val count_coalesced_msg : t -> unit
 val count_plan_hit : t -> unit
 val count_plan_miss : t -> unit
 val count_plan_verification : t -> unit
-val count_delegate_merge : t -> unit
-val count_delegate_forward : t -> unit
 
 (** Fold plan-cache statistics in bulk; used to mirror
     [Pstm_query.Plan_cache.stats] (which cannot depend on this library)
@@ -99,10 +97,9 @@ val plan_hits : t -> int
 val plan_misses : t -> int
 val plan_verifications : t -> int
 
-(** Hierarchical-tracking tier counters; all zero when fanout is unset.
-    [delegate_merges] counts subtree weights absorbed at interior
-    delegates, [delegate_forwards] the merged messages they ship upward;
-    root-tier receipts are {!tracker_updates}. *)
+(** Always 0: progress tracking is flat, so there is no delegate tier.
+    Kept only for bench/perf, which reads them; they go with its next
+    change. *)
 val delegate_merges : t -> int
 
 val delegate_forwards : t -> int
@@ -116,9 +113,6 @@ val migration_seen : t -> bool
 
 (** Whether any batching counter is non-zero. *)
 val batching_seen : t -> bool
-
-(** Whether any delegate-tier counter is non-zero. *)
-val hierarchy_seen : t -> bool
 
 (** Whether any plan-cache counter is non-zero. *)
 val plan_cache_seen : t -> bool

@@ -323,6 +323,32 @@ let test_wc_off_sends_more_progress () =
   in
   Alcotest.(check bool) "coalescing reduces tracker messages" true (progress false > progress true)
 
+(* Flat progress tracking far past the paper's 8-node testbed: at 64
+   nodes every worker's coalesced weight still lands on the coordinator,
+   and the sanitizer (weight conservation, empty coalescers at finish)
+   must hold while every query completes with the oracle's rows. *)
+let test_flat_tracking_at_scale () =
+  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
+  let khop start =
+    Compile.compile ~name:"khop3" graph
+      Dsl.(v_lookup ~key:"id" (int start) |> repeat ~dir:Graph.Out ~times:3 () |> count |> build)
+  in
+  let programs = List.map khop [ 1; 17; 63 ] in
+  let report =
+    Async_engine.run
+      ~common:{ Engine.Common.default with Engine.Common.check = true }
+      ~cluster_config:{ Cluster.default_config with Cluster.n_nodes = 64; workers_per_node = 2 }
+      ~channel_config:Channel.default_config ~graph
+      (Array.of_list (List.map Engine.submit programs))
+  in
+  Alcotest.(check bool) "all complete" true (Engine.all_completed report);
+  List.iteri
+    (fun i program ->
+      Alcotest.(check string) "oracle rows"
+        (show_rows (Local_engine.run graph program))
+        (show_rows report.Engine.queries.(i).Engine.rows))
+    programs
+
 let () =
   Alcotest.run "engines"
     [
@@ -342,5 +368,7 @@ let () =
           Alcotest.test_case "single node" `Quick test_single_node_engine;
           Alcotest.test_case "worker busy reported" `Quick test_worker_busy_reported;
           Alcotest.test_case "wc off sends more progress" `Quick test_wc_off_sends_more_progress;
+          Alcotest.test_case "flat tracking at scale, sanitizer on" `Quick
+            test_flat_tracking_at_scale;
         ] );
     ]

@@ -72,13 +72,14 @@ let khop_program_at graph ~start hops =
 
 let khop_program graph hops = khop_program_at graph ~start:0 hops
 
-let traced_run () =
+let traced_run ?(batched = false) () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
   let program = khop_program graph 2 in
   let obs = Recorder.create () in
   let report =
     Async_engine.run
-      ~common:(Engine.Common.with_obs obs Engine.Common.default)
+      ~common:
+        (Engine.Common.with_batched batched (Engine.Common.with_obs obs Engine.Common.default))
       ~cluster_config:small_cluster
       ~channel_config:Channel.default_config ~graph
       [| Engine.submit program |]
@@ -106,12 +107,12 @@ let test_opstats_accounting () =
   let s = Opstats.create () in
   Opstats.seed s 2;
   (* Step 0 fans 2 seeds out into 3; step 1 retires all 3 with rows. *)
-  Opstats.record s ~step:0 ~out:2 ~rows:0 ~finished:false ~edges:4 ~memo_hits:1
+  Opstats.record s ~step:0 ~n:1 ~out:2 ~rows:0 ~finished:false ~edges:4 ~memo_hits:1
     ~memo_misses:0 ~busy_ns:100;
-  Opstats.record s ~step:0 ~out:1 ~rows:0 ~finished:false ~edges:2 ~memo_hits:0
+  Opstats.record s ~step:0 ~n:1 ~out:1 ~rows:0 ~finished:false ~edges:2 ~memo_hits:0
     ~memo_misses:1 ~busy_ns:50;
   for _ = 1 to 3 do
-    Opstats.record s ~step:1 ~out:0 ~rows:1 ~finished:true ~edges:0 ~memo_hits:0
+    Opstats.record s ~step:1 ~n:1 ~out:0 ~rows:1 ~finished:true ~edges:0 ~memo_hits:0
       ~memo_misses:0 ~busy_ns:10
   done;
   Alcotest.(check int) "steps" 2 (Opstats.n_steps s);
@@ -120,15 +121,22 @@ let test_opstats_accounting () =
   Alcotest.(check int) "finished" 3 (Opstats.total_finished s);
   Alcotest.(check bool) "conserves" true (Opstats.conserves s);
   (* One unexplained traverser breaks conservation. *)
-  Opstats.record s ~step:1 ~out:0 ~rows:0 ~finished:true ~edges:0 ~memo_hits:0
+  Opstats.record s ~step:1 ~n:1 ~out:0 ~rows:0 ~finished:true ~edges:0 ~memo_hits:0
     ~memo_misses:0 ~busy_ns:1;
   Alcotest.(check bool) "extra input detected" false (Opstats.conserves s)
 
+(* Scalar and batched alike: a batched group of n traversers counts n
+   in, so the totals match the engine's executed steps. *)
 let test_opstats_engine_conservation () =
-  let obs, _ = traced_run () in
-  let s = Recorder.opstats obs in
-  Alcotest.(check bool) "engine recorded steps" true (Opstats.total_in s > 0);
-  Alcotest.(check bool) "total in = seeds + total out" true (Opstats.conserves s)
+  List.iter
+    (fun batched ->
+      let obs, report = traced_run ~batched () in
+      let s = Recorder.opstats obs in
+      let name what = Printf.sprintf "%s (batched=%b)" what batched in
+      Alcotest.(check int) (name "total in = executed steps")
+        (Metrics.steps report.Engine.metrics) (Opstats.total_in s);
+      Alcotest.(check bool) (name "total in = seeds + total out") true (Opstats.conserves s))
+    [ false; true ]
 
 (* --- Flight recorder --- *)
 
