@@ -24,13 +24,13 @@ let scenario ~label ~spec graph ~config ~start =
       label;
       (if Engine.is_completed q then "yes" else "TIMEOUT");
       ms (Engine.latency_ms q);
-      string_of_int (Metrics.packets m);
-      string_of_int (Metrics.fault_drops m);
-      string_of_int (Metrics.fault_dups m);
-      string_of_int (Metrics.fault_delays m);
-      string_of_int (Metrics.retransmits m);
-      string_of_int (Metrics.dup_dropped m);
-      string_of_int (Metrics.abandoned m);
+      string_of_int Metrics.(get m Counter.packets);
+      string_of_int Metrics.(get m Counter.fault_drops);
+      string_of_int Metrics.(get m Counter.fault_dups);
+      string_of_int Metrics.(get m Counter.fault_delays);
+      string_of_int Metrics.(get m Counter.retransmits);
+      string_of_int Metrics.(get m Counter.dup_dropped);
+      string_of_int Metrics.(get m Counter.abandoned);
     ] )
 
 let run () =

@@ -25,10 +25,10 @@ let cell graph ~starts ~hops ~nodes ~batched =
             graph ~hops ~start
         in
         let m = report.Engine.metrics in
-        steps := !steps + Metrics.steps m;
+        steps := !steps + Metrics.(get m Counter.steps);
         sim_s := !sim_s +. Sim_time.to_s report.Engine.makespan;
-        batches := !batches + Metrics.batches m;
-        coalesced := !coalesced + Metrics.coalesced_msgs m;
+        batches := !batches + Metrics.(get m Counter.batches);
+        coalesced := !coalesced + Metrics.(get m Counter.coalesced_msgs);
         Engine.latency_ms report.Engine.queries.(0))
       starts
   in
@@ -141,7 +141,7 @@ let smoke () =
   if rows report.Engine.queries.(0).Engine.rows <> rows scalar.Engine.queries.(0).Engine.rows then
     failwith "batch smoke: batched rows diverge from scalar rows";
   let m = report.Engine.metrics in
-  if Metrics.batches m = 0 then failwith "batch smoke: no batches recorded";
+  if Metrics.(get m Counter.batches) = 0 then failwith "batch smoke: no batches recorded";
   let s = Plan_cache.stats cache in
   Metrics.add_plan_stats m ~hits:s.Plan_cache.hits ~misses:s.Plan_cache.misses
     ~verifications:s.Plan_cache.verifications;
@@ -150,11 +150,12 @@ let smoke () =
     [
       [
         ms (Engine.latency_ms report.Engine.queries.(0));
-        string_of_int (Metrics.batches m);
-        Printf.sprintf "%.1f" (fi (Metrics.batched_traversers m) /. fi (Metrics.batches m));
-        string_of_int (Metrics.coalesced_msgs m);
-        string_of_int (Metrics.plan_hits m);
-        string_of_int (Metrics.plan_verifications m);
+        string_of_int Metrics.(get m Counter.batches);
+        Printf.sprintf "%.1f"
+          (fi Metrics.(get m Counter.batched_traversers) /. fi Metrics.(get m Counter.batches));
+        string_of_int Metrics.(get m Counter.coalesced_msgs);
+        string_of_int Metrics.(get m Counter.plan_hits);
+        string_of_int Metrics.(get m Counter.plan_verifications);
       ];
     ];
   record_report ~label:"batch-smoke" report

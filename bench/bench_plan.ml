@@ -38,8 +38,8 @@ let run () =
             [
               Pstm_query.Planner.plan_name plan;
               ms (Engine.mean_latency_ms report);
-              string_of_int (Pstm_sim.Metrics.steps report.Engine.metrics);
-              string_of_int (Pstm_sim.Metrics.spawned report.Engine.metrics);
+              string_of_int Pstm_sim.Metrics.(get report.Engine.metrics Counter.steps);
+              string_of_int Pstm_sim.Metrics.(get report.Engine.metrics Counter.spawned);
               (if plan = chosen then "<- chosen" else "");
             ])
       plans

@@ -58,8 +58,8 @@ let row ~label ~baseline report =
     ms (Engine.p99_latency_ms report);
     string_of_int bytes;
     reduction;
-    string_of_int (Metrics.migrations m);
-    string_of_int (Metrics.forwarded m);
+    string_of_int Metrics.(get m Counter.migrations);
+    string_of_int Metrics.(get m Counter.forwarded);
   ]
 
 let run_dataset ~name dataset =
@@ -150,11 +150,7 @@ let smoke () =
       Async_engine.default_options with
       Async_engine.partition = Partition.Adaptive;
       adaptive =
-        {
-          Async_engine.default_adaptive with
-          Async_engine.refine_interval = Sim_time.us 5;
-          min_traffic = 16;
-        };
+        { Async_engine.refine_interval = Sim_time.us 5; min_traffic = 16 };
     }
   in
   let common = { Engine.Common.default with Engine.Common.check = true } in
@@ -166,10 +162,10 @@ let smoke () =
       [
         string_of_int (Array.length report.Engine.queries);
         ms (Engine.p99_latency_ms report);
-        string_of_int (Metrics.migrations m);
-        string_of_int (Metrics.migrated_entries m);
-        string_of_int (Metrics.forwarded m);
-        string_of_int (Metrics.stashed m);
+        string_of_int Metrics.(get m Counter.migrations);
+        string_of_int Metrics.(get m Counter.migrated_entries);
+        string_of_int Metrics.(get m Counter.forwarded);
+        string_of_int Metrics.(get m Counter.stashed);
       ];
     ];
   record_report ~label:"repartition-smoke" report

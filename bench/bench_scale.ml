@@ -31,8 +31,8 @@ let cell graph ~starts ~hops ~nodes ~workers =
   let sim_s = Sim_time.to_s report.Engine.makespan in
   {
     c_makespan_ms = Sim_time.to_ms report.Engine.makespan;
-    c_tps = fi (Metrics.steps m) /. sim_s;
-    c_root_rx = Metrics.tracker_updates m;
+    c_tps = fi Metrics.(get m Counter.steps) /. sim_s;
+    c_root_rx = Metrics.(get m Counter.tracker_updates);
     c_progress_msgs = Metrics.messages m Metrics.Progress_msg;
   }
 

@@ -44,7 +44,7 @@ let table1 () =
     let accessed =
       Float.min 100.0
         (100.0
-        *. fi (Pstm_sim.Metrics.steps metrics + Pstm_sim.Metrics.edges_scanned metrics)
+        *. fi Pstm_sim.Metrics.(get metrics Counter.steps + get metrics Counter.edges_scanned)
         /. total_data)
     in
     let stages = Program.n_steps program in

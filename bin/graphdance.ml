@@ -138,7 +138,9 @@ let run_query dataset text engine nodes workers batched =
   (if batched then
      let m = report.Engine.metrics in
      Fmt.pr "-- batching: %d batch(es), %d traverser(s) batched, %d coalesced message(s)@."
-       (Metrics.batches m) (Metrics.batched_traversers m) (Metrics.coalesced_msgs m));
+       Metrics.(get m Counter.batches)
+       Metrics.(get m Counter.batched_traversers)
+       Metrics.(get m Counter.coalesced_msgs));
   Ok ()
 
 let to_exit = function
@@ -473,9 +475,10 @@ let chaos_cmd =
        Fmt.pr
          "faults: drops=%d dups=%d delays=%d | recovery: retransmits=%d dedup-discards=%d \
           acks=%d abandoned=%d@."
-         (Metrics.fault_drops m) (Metrics.fault_dups m) (Metrics.fault_delays m)
-         (Metrics.retransmits m) (Metrics.dup_dropped m) (Metrics.acks m)
-         (Metrics.abandoned m);
+         Metrics.(get m Counter.fault_drops) Metrics.(get m Counter.fault_dups)
+         Metrics.(get m Counter.fault_delays) Metrics.(get m Counter.retransmits)
+         Metrics.(get m Counter.dup_dropped) Metrics.(get m Counter.acks)
+         Metrics.(get m Counter.abandoned);
        (* A completed query under an active sanitizer is the whole point:
           faults hit, recovery absorbed them, invariants held. *)
        match Engine.completed_at q with
@@ -733,7 +736,8 @@ let repartition_cmd =
             %d, forwarded %d@."
            label bytes
            (100.0 *. (float_of_int bytes /. Float.max (float_of_int (remote_bytes hash)) 1.0 -. 1.0))
-           (Engine.p99_latency_ms r) (Metrics.migrations m) (Metrics.forwarded m)
+           (Engine.p99_latency_ms r) Metrics.(get m Counter.migrations)
+           Metrics.(get m Counter.forwarded)
        in
        report_line "hash:" hash;
        report_line "adaptive-warm:" warm;

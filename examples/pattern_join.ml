@@ -60,6 +60,6 @@ let () =
         let q = report.Engine.queries.(0) in
         Fmt.pr "%-20s %d rows, %.3f ms simulated, %d traverser steps%s@."
           (Planner.plan_name plan) (List.length q.Engine.rows) (Engine.latency_ms q)
-          (Metrics.steps report.Engine.metrics)
+          Metrics.(get report.Engine.metrics Counter.steps)
           (if plan = chosen then "   <- chosen" else ""))
     [ Planner.Bidirectional; Planner.Expand_left; Planner.Expand_right ]

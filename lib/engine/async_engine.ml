@@ -45,31 +45,25 @@ let flavor_name = function
 type adaptive_options = {
   refine_interval : Sim_time.t; (* min sim-time between refinement rounds *)
   min_traffic : int; (* profiled remote hops before a round may trigger *)
-  max_imbalance : float; (* per-partition size cap, max over mean *)
-  max_heat_imbalance : float; (* per-partition profiled-traffic cap *)
-  max_moves : int; (* vertex moves per refinement round *)
 }
 
 (* A round needs a substantial fresh profile before it may fire:
    refining on a few hundred early observations chases noise — thousands
    of vertices migrate toward a local optimum of a sample that does not
    resemble the workload, and the next round drags them back. *)
-let default_adaptive =
-  {
-    refine_interval = Sim_time.us 50;
-    min_traffic = 4096;
-    max_imbalance = 1.1;
-    max_heat_imbalance = 1.5;
-    max_moves = 1024;
-  }
+let default_adaptive = { refine_interval = Sim_time.us 50; min_traffic = 4096 }
+
+(* Refinement caps: per-partition size and profiled traffic over their
+   means, and vertex moves per round. *)
+let max_imbalance = 1.1
+let max_heat_imbalance = 1.5
+let max_moves = 1024
 
 type options = {
   flavor : flavor;
   weight_coalescing : bool;
   shared_state : bool;
-  quantum : int; (* tasks per worker scheduling quantum *)
   memory_capacity : int option; (* per-node memory, for the single-node study *)
-  swap_penalty : int; (* data-access multiplier when the graph exceeds memory *)
   partition : Partition.strategy; (* the H of the partitioned graph model *)
   adaptive : adaptive_options; (* online repartitioning (Adaptive only) *)
   initial_assignment : int array option; (* warm-start owner table (Adaptive only) *)
@@ -80,13 +74,17 @@ let default_options =
     flavor = Graphdance;
     weight_coalescing = true;
     shared_state = false;
-    quantum = 64;
     memory_capacity = None;
-    swap_penalty = 40;
     partition = Partition.Hash;
     adaptive = default_adaptive;
     initial_assignment = None;
   }
+
+(* Tasks per worker scheduling quantum. *)
+let quantum_tasks = 64
+
+(* Data-access multiplier when the graph exceeds [memory_capacity]. *)
+let swap_penalty = 60
 
 (* Every payload that can sit on a query's causal chain carries a causal
    context [cz]: the id of the {!Pstm_obs.Causal} DAG node that produced
@@ -142,7 +140,6 @@ type query_state = {
   mutable launched : bool; (* the submit event ran (trackers registered) *)
   trackers : Progress.tracker array; (* one per phase *)
   touched : Bitset.t; (* workers that executed a traverser (first-touch) *)
-  fl_weight : Pstm_obs.Flight.handle array; (* per-phase weight trajectory *)
   mutable combine_step : int; (* aggregate step being combined, or -1 *)
   mutable combine_expected : int;
   mutable combine_received : int;
@@ -318,7 +315,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
      recorder's own enabled flag), so the disabled path costs one branch. *)
   let obs_on = Pstm_obs.Recorder.enabled obs in
   let trace = Pstm_obs.Recorder.trace obs in
-  let flight = Pstm_obs.Recorder.flight obs in
   let opstats = Pstm_obs.Recorder.opstats obs in
   (* Causal tracing (EXPLAIN LATENCY): every hand-off registers a DAG
      node; the producing context rides the payload's [cz] field. All
@@ -334,8 +330,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       n
     end
   in
-  let inflight = ref 0 in
-  (* dispatched but not yet executed traversers *)
   (* Service callback: fired once per query at its terminal transition
      (completion, per-query timeout, or scoped cancellation). *)
   let on_terminal : (int -> Engine.outcome -> unit) ref = ref (fun _ _ -> ()) in
@@ -403,14 +397,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           scratch = lazy (Batch_exec.scratch ~graph);
         })
   in
-  (* Flight-recorder series handles, resolved once (lookup is linear). *)
-  let fl_queue =
-    Array.init n_workers (fun i -> Pstm_obs.Flight.series flight (Printf.sprintf "worker%d.queue" i))
-  in
-  let fl_memo =
-    Array.init n_workers (fun i -> Pstm_obs.Flight.series flight (Printf.sprintf "worker%d.memo" i))
-  in
-  let fl_inflight = Pstm_obs.Flight.series flight "inflight" in
   let queries : (int, query_state) Hashtbl.t = Hashtbl.create 64 in
   let query qid =
     match Hashtbl.find_opt queries qid with
@@ -525,7 +511,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     in
     (* Memory thrashing faults the whole access path, not just the data
        columns (§V-A3: GraphScope on SF1000). *)
-    if swapping then base * options.swap_penalty else base
+    if swapping then base * swap_penalty else base
   in
   (* --- Channel and routing -------------------------------------------- *)
   let channel_ref = ref None in
@@ -715,7 +701,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
      the traverser's next step. A profiled remote hop may trigger a
      refinement round. *)
   and dispatch ~at ~src ~src_vertex ~cz q trav =
-    if obs_on then incr inflight;
     let dst = route q trav in
     let cost = send ~at ~src ~dst ~kind:(msg_kind q trav) (P_trav { qid = q.qid; trav; cz }) in
     if dst <> src && profile_hop ~src_vertex q trav && adaptive_on then
@@ -743,9 +728,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       in
       let assignment = Partition.to_assignment partition in
       let moves, _stats =
-        Repartition.refine ~max_imbalance:ao.max_imbalance
-          ~max_heat_imbalance:ao.max_heat_imbalance ~max_moves:ao.max_moves
-          ~n_parts:n_workers ~assignment edges
+        Repartition.refine ~max_imbalance ~max_heat_imbalance ~max_moves ~n_parts:n_workers
+          ~assignment edges
       in
       let cost = ref Sim_time.zero in
       List.iter
@@ -759,7 +743,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             Partition.set_owner partition vertex new_owner;
             Hashtbl.add migrating vertex (ref []);
             mig_event "order" vertex;
-            Metrics.count_migration metrics;
+            Metrics.(incr metrics Counter.migrations);
             cost :=
               Sim_time.add !cost
                 (send ~at ~src ~dst:old_owner ~kind:Metrics.Control_msg
@@ -771,7 +755,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     else Sim_time.zero
   (* ---- Progress tracking ---------------------------------------------- *)
   and tracker_receive ~at ?(cz = -1) w q phase weight =
-    Metrics.count_tracker_update metrics;
+    Metrics.(incr metrics Counter.tracker_updates);
     let cz = cz_hop ~qid:q.qid ~name:"tracker" ~ts:at ~src:cz Pstm_obs.Causal.Tracker in
     if not (Weight.is_zero weight) then tracker_event "receive" ~qid:q.qid ~phase;
     if obs_on then begin
@@ -784,8 +768,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             ("receipts", Pstm_obs.Trace.I (Progress.receipts q.trackers.(phase) + 1));
             ("accumulated", Pstm_obs.Trace.I (acc :> int));
           ]
-        ();
-      Pstm_obs.Flight.sample flight q.fl_weight.(phase) ~time:at (float_of_int (acc :> int))
+        ()
     end;
     (* Sanitizer: the tracker fires exactly when finished weights sum back
        to the root. Weight arriving afterwards means some share was
@@ -988,7 +971,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
                  ~n_registers:(Program.n_registers q.program))
               reg value
           in
-          Metrics.count_spawn metrics;
+          Metrics.(incr metrics Counter.spawned);
           (* The continuation enters the next phase from outside any step. *)
           Pstm_obs.Opstats.seed opstats 1;
           (* The combine binds to the last partial in: the barrier
@@ -1034,7 +1017,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
          order re-routes on arrival through the execution gate. *)
       let entries = Memo.extract_for_key w.memo (Value.Vertex vertex) in
       mig_event "extract" vertex;
-      Metrics.count_migrated_entries metrics (List.length entries);
+      Metrics.(add metrics Counter.migrated_entries (List.length entries));
       let cz =
         cz_hop ~qid:(-1) ~name:"migrate-extract" ~ts:at ~src:cz Pstm_obs.Causal.Queue
       in
@@ -1060,7 +1043,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         if mutation <> Some Mutation.Drop_stash_drain then
           List.iter
             (fun p ->
-              if obs_on then incr inflight;
               (* Each parked traverser resumes through a drain node. The
                  install context comes in first (for DAG completeness);
                  the traverser's own parked context binds last, so the
@@ -1095,7 +1077,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
              its own partition. *)
           let seeds = Weight.split seed_prng shares.(i) ~n:n_workers in
           Pstm_obs.Opstats.seed opstats n_workers;
-          if obs_on then inflight := !inflight + n_workers;
           Array.iteri
             (fun dst seed ->
               ignore
@@ -1104,7 +1085,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             seeds
         | _ ->
           Pstm_obs.Opstats.seed opstats 1;
-          if obs_on then incr inflight;
           deliver q.coordinator (P_trav { qid = q.qid; trav = root; cz }))
       entries
   (* ---- Staged traverser execution -------------------------------------
@@ -1125,7 +1105,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
      Staging is strictly intra-quantum, so no weight is ever parked
      across quanta and termination detection is untouched. *)
   and take w local ~qid ~cz trav =
-    if obs_on then decr inflight;
     let g =
       if not batched then begin
         Vec.clear solo.g_travs;
@@ -1151,7 +1130,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     if not batched then
       local := Sim_time.add !local (fault_scale w.id (run_group w ~at:!local solo))
   and drain w local =
-    let budget = ref options.quantum in
+    let budget = ref quantum_tasks in
     while !budget > 0 && not (Queue.is_empty w.tasks) do
       match Queue.pop w.tasks with
       | P_trav { qid; trav; cz } ->
@@ -1203,11 +1182,9 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             ~args:[ ("worker", Pstm_obs.Trace.I w.id) ]
             ();
         if batched then Metrics.count_batch metrics ~traversers:n;
-        for _ = 1 to n do
-          Metrics.count_step metrics
-        done;
-        Metrics.count_edges metrics y.edges;
-        Metrics.count_memo_ops metrics y.memo_ops;
+        Metrics.(add metrics Counter.steps n);
+        Metrics.(add metrics Counter.edges_scanned y.edges);
+        Metrics.(add metrics Counter.memo_ops y.memo_ops);
         let base = step_cost y in
         if obs_on then
           Pstm_obs.Opstats.record opstats ~step ~n ~out:(Vec.length y.kids) ~rows:y.n_rows
@@ -1275,16 +1252,15 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       let trav = Vec.get g.g_travs i and cz = Vec.get g.g_czs i in
       match stateful_key_vertex q trav with
       | Some v when Partition.owner partition v <> w.id ->
-        Metrics.count_forwarded metrics;
+        Metrics.(incr metrics Counter.forwarded);
         mig_event "forward" v;
-        if obs_on then incr inflight;
         let cz = cz_hop ~qid:q.qid ~name:"forward" ~ts:at ~src:cz Pstm_obs.Causal.Queue in
         cost :=
           Sim_time.add !cost
             (send ~at ~src:w.id ~dst:(Partition.owner partition v) ~kind:Metrics.Traverser_msg
                (P_trav { qid = q.qid; trav; cz }))
       | Some v when Hashtbl.mem migrating v ->
-        Metrics.count_stashed metrics;
+        Metrics.(incr metrics Counter.stashed);
         mig_event "stash" v;
         let stash = Hashtbl.find migrating v in
         stash := P_trav { qid = q.qid; trav; cz } :: !stash
@@ -1300,7 +1276,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   and ship_each w ~at q ~cz =
     let cost = ref Sim_time.zero in
     for i = 0 to Vec.length y.kids - 1 do
-      Metrics.count_spawn metrics;
+      Metrics.(incr metrics Counter.spawned);
       cost :=
         Sim_time.add !cost
           (dispatch ~at ~src:w.id ~src_vertex:(Vec.get y.parents i) ~cz q (Vec.get y.kids i))
@@ -1313,7 +1289,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     let n = Vec.length y.kids in
     for i = 0 to n - 1 do
       let kid = Vec.get y.kids i in
-      Metrics.count_spawn metrics;
+      Metrics.(incr metrics Counter.spawned);
       let dst = route q kid in
       let key = (2 * dst) + Bool.to_int (msg_kind q kid = Metrics.Result_msg) in
       if bucket_size.(key) = 0 then Vec.push bucket_keys key;
@@ -1330,8 +1306,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       let key = Vec.get bucket_keys b in
       let dst = key / 2 in
       let kind = if key land 1 = 1 then Metrics.Result_msg else Metrics.Traverser_msg in
-      if obs_on then inflight := !inflight + bucket_size.(key);
-      if dst <> w.id then Metrics.count_coalesced_msg metrics;
+      if dst <> w.id then Metrics.(incr metrics Counter.coalesced_msgs);
       cost :=
         Sim_time.add !cost
           (send ~at ~src:w.id ~dst ~kind
@@ -1363,13 +1338,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       w.cz_last_qid <- -1
     end;
     let local = ref quantum_start in
-    if obs_on then begin
-      Pstm_obs.Flight.sample flight fl_queue.(w.id) ~time:quantum_start
-        (float_of_int (Queue.length w.tasks));
-      Pstm_obs.Flight.sample flight fl_memo.(w.id) ~time:quantum_start
-        (float_of_int (Memo.live_entries w.memo));
-      Pstm_obs.Flight.sample flight fl_inflight ~time:quantum_start (float_of_int !inflight)
-    end;
     (* Dataflow flavors poll every live operator instance each quantum. *)
     if options.flavor <> Graphdance && !active_op_count > 0 then
       local :=
@@ -1404,7 +1372,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     if obs_on && Sim_time.compare consumed Sim_time.zero > 0 then
       Pstm_obs.Trace.span trace ~cat:"sched" ~tid:w.id ~name:"quantum" ~ts:quantum_start
         ~dur:consumed ();
-    Metrics.count_busy metrics consumed;
+    Metrics.(add metrics Counter.busy_ns consumed);
     w.busy_total <- Sim_time.add w.busy_total consumed;
     w.busy_until <- !local
   in
@@ -1471,9 +1439,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         trackers =
           Array.init (Program.n_phases program) (fun _ -> Progress.tracker ~target:Weight.root);
         touched = Bitset.create n_workers;
-        fl_weight =
-          Array.init (Program.n_phases program) (fun phase ->
-              Pstm_obs.Flight.series flight (Printf.sprintf "q%d.phase%d.weight" qid phase));
         combine_step = -1;
         combine_expected = 0;
         combine_received = 0;
@@ -1554,7 +1519,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
        the coordinator reclaims their state so nothing wedges the tracker
        or leaks memo entries into the next run. The loop walks qids in
        order (not the hashtable) to stay deterministic. *)
-    let abandoned = Metrics.abandoned metrics > 0 in
+    let abandoned = Metrics.(get metrics Counter.abandoned) > 0 in
     if deadline <> None || abandoned then
       for qid = 0 to n_queries - 1 do
         let q = query qid in
@@ -1619,7 +1584,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     end;
     (* Surface ring truncation: a trace that silently dropped events would
        otherwise read as a complete record. *)
-    if obs_on then Metrics.set_trace_dropped metrics (Pstm_obs.Trace.dropped trace);
+    if obs_on then Metrics.(set metrics Counter.trace_dropped (Pstm_obs.Trace.dropped trace));
     let reports =
       Array.init n_queries (fun qid ->
           let q = query qid in
@@ -1656,9 +1621,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     sh_drive = drive;
     sh_finish = finish;
   }
-
-let start ?options ?common ~cluster_config ~channel_config ~graph () =
-  create ?options ?common ~cluster_config ~channel_config ~graph ()
 
 let run ?options ?common ~cluster_config ~channel_config ~graph
     (submissions : Engine.submission array) =

@@ -69,7 +69,6 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   let cluster = Cluster.create cluster_config in
   let obs_on = Pstm_obs.Recorder.enabled obs in
   let trace = Pstm_obs.Recorder.trace obs in
-  let flight = Pstm_obs.Recorder.flight obs in
   let opstats = Pstm_obs.Recorder.opstats obs in
   let metrics = Cluster.metrics cluster in
   let costs = Cluster.costs cluster in
@@ -95,13 +94,6 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
     done
   in
   let on_terminal : (int -> Engine.outcome -> unit) ref = ref (fun _ _ -> ()) in
-  let fl_frontier =
-    Array.init n_workers (fun i -> Pstm_obs.Flight.series flight (Printf.sprintf "worker%d.queue" i))
-  in
-  let fl_memo =
-    Array.init n_workers (fun i -> Pstm_obs.Flight.series flight (Printf.sprintf "worker%d.memo" i))
-  in
-  let fl_live = Pstm_obs.Flight.series flight "inflight" in
   let clock = ref Sim_time.zero in
   (* Caller events (service layer arrivals / cancellations / timers),
      kept sorted by (time, insertion seq) for determinism and fired at
@@ -231,19 +223,8 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   let busy_total = Array.make n_workers Sim_time.zero in
   let superstep_idx = ref 0 in
   let superstep () =
-    Metrics.count_superstep metrics;
+    Metrics.(incr metrics Counter.supersteps);
     let clock0 = !clock in
-    if obs_on then begin
-      let live = ref 0 in
-      iter_queries (fun q -> live := !live + q.live);
-      Pstm_obs.Flight.sample flight fl_live ~time:clock0 (float_of_int !live);
-      for w = 0 to n_workers - 1 do
-        Pstm_obs.Flight.sample flight fl_frontier.(w) ~time:clock0
-          (float_of_int (Queue.length frontier.(w)));
-        Pstm_obs.Flight.sample flight fl_memo.(w) ~time:clock0
-          (float_of_int (Memo.live_entries memos.(w)))
-      done
-    end;
     let msg_bytes = Array.make_matrix n_nodes n_nodes 0 in
     let compute = Array.make n_workers (scheduling_overhead ()) in
     for w = 0 to n_workers - 1 do
@@ -267,13 +248,13 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
               ~ts:clock0
               ~args:[ ("worker", Pstm_obs.Trace.I w) ]
               ();
-          Metrics.count_step metrics;
+          Metrics.(incr metrics Counter.steps);
           let outcome = Exec.exec ~graph ~memo ~prng ~qid:t_qid ~program:q.program ~scan trav in
           if check && not (Exec.conserves trav outcome) then
             Engine.check_fail "bsp: query %d step %d (%s) broke weight conservation" t_qid
               trav.Traverser.step
               (Step.op_name (Program.step q.program trav.Traverser.step).Step.op);
-          Metrics.count_edges metrics outcome.Exec.edges_scanned;
+          Metrics.(add metrics Counter.edges_scanned outcome.Exec.edges_scanned);
           let step_cost = interpretation_scale * Exec.cost costs outcome in
           if obs_on then
             Pstm_obs.Opstats.record opstats ~step:trav.Traverser.step ~n:1
@@ -285,7 +266,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
           elapsed := Sim_time.add !elapsed step_cost;
           List.iter
             (fun child ->
-              Metrics.count_spawn metrics;
+              Metrics.(incr metrics Counter.spawned);
               q.live <- q.live + 1;
               let dst = route q child in
               if dst = w then
@@ -301,7 +282,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
                 Metrics.count_message metrics kind bytes;
                 let sn = Cluster.node_of_worker cluster w in
                 let dn = Cluster.node_of_worker cluster dst in
-                if sn = dn then Metrics.count_local_message metrics
+                if sn = dn then Metrics.(incr metrics Counter.local_messages)
                 else msg_bytes.(sn).(dn) <- msg_bytes.(sn).(dn) + bytes;
                 Queue.add { t_qid; trav = child } next_frontier.(dst)
               end)
@@ -338,7 +319,8 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
       let serialization = ref Sim_time.zero in
       for dst = 0 to n_nodes - 1 do
         if msg_bytes.(src).(dst) > 0 then begin
-          Metrics.count_packet metrics msg_bytes.(src).(dst);
+          Metrics.(incr metrics Counter.packets);
+          Metrics.(add metrics Counter.packet_bytes msg_bytes.(src).(dst));
           serialization :=
             Sim_time.add !serialization (Netmodel.nic_occupancy net ~bytes:msg_bytes.(src).(dst))
         end
@@ -513,7 +495,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
     end;
     (* Surface ring truncation: a trace that silently dropped events would
        otherwise read as a complete record. *)
-    if obs_on then Metrics.set_trace_dropped metrics (Pstm_obs.Trace.dropped trace);
+    if obs_on then Metrics.(set metrics Counter.trace_dropped (Pstm_obs.Trace.dropped trace));
     let reports =
       Array.init !next_qid (fun qid ->
           let q = query qid in
@@ -532,7 +514,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
       queries = reports;
       makespan = !clock;
       metrics;
-      events = Metrics.supersteps metrics;
+      events = Metrics.(get metrics Counter.supersteps);
       worker_busy = busy_total;
     }
   in
@@ -546,9 +528,6 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
     sh_drive = drive;
     sh_finish = finish;
   }
-
-let start ?profile ?common ~cluster_config ~graph () =
-  create ?profile ?common ~cluster_config ~graph ()
 
 let run ?profile ?common ~cluster_config ~graph (submissions : Engine.submission array) =
   Engine.run_via_start

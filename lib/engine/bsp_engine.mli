@@ -12,8 +12,8 @@ val profile_name : profile -> string
     conservation; termination and memo emptiness when no deadline
     applies); violations raise {!Engine.Check_violation}. [common.obs]
     attaches a query-scoped recorder (per-worker compute and
-    superstep/barrier spans, per-query instants, frontier-depth flight
-    series, per-step operator stats). Of [common.faults], only the
+    superstep/barrier spans, per-query instants, per-step operator
+    stats). Of [common.faults], only the
     schedule-driven faults apply: stragglers stretch a node's compute
     and pauses stall the barrier; the bulk exchange is closed-form, so
     the per-packet drop/duplicate/delay verdicts have no effect. *)
@@ -31,14 +31,6 @@ val run :
     granularity: the first barrier whose clock passes the event time.
     [run] is [create] + submit-all + drive + finish. *)
 val create :
-  ?profile:profile ->
-  ?common:Engine.Common.t ->
-  cluster_config:Cluster.config ->
-  graph:Graph.t ->
-  unit ->
-  Engine.service_handle
-
-val start :
   ?profile:profile ->
   ?common:Engine.Common.t ->
   cluster_config:Cluster.config ->

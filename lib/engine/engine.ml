@@ -39,7 +39,7 @@ let submit ?(at = Sim_time.zero) ?(tenant = 0) ?(priority = 0) ?deadline program
 
 module Common = struct
   type t = {
-    obs : Pstm_obs.Recorder.t; (* trace/flight/opstats sink *)
+    obs : Pstm_obs.Recorder.t; (* trace/opstats/traffic/causal sink *)
     check : bool; (* dynamic sanitizer (Check_violation on failure) *)
     deadline : Sim_time.t option; (* stop the run at this simulated time *)
     seed : int; (* placement / tie-break randomness *)
@@ -67,11 +67,7 @@ module Common = struct
   let with_obs obs t = { t with obs }
   let with_check check t = { t with check }
   let with_deadline deadline t = { t with deadline }
-  let with_seed seed t = { t with seed }
-  let with_faults faults t = { t with faults }
   let with_batched batched t = { t with batched }
-  let with_chooser chooser t = { t with chooser }
-  let with_mutation mutation t = { t with mutation }
 end
 
 (* How a query's life ended. This replaces the old

@@ -30,11 +30,7 @@ let cluster_config ~workers ~(base : Cluster.config) =
   }
 
 let options ~memory_capacity =
-  {
-    Async_engine.default_options with
-    Async_engine.memory_capacity = Some memory_capacity;
-    swap_penalty = 60;
-  }
+  { Async_engine.default_options with Async_engine.memory_capacity = Some memory_capacity }
 
 let run ?common ?(memory_capacity = 384 * 1024 * 1024) ~workers ~base_config ~graph
     submissions =

@@ -103,11 +103,7 @@ let aggressive_adaptive =
     Async_engine.default_options with
     Async_engine.partition = Partition.Adaptive;
     adaptive =
-      {
-        Async_engine.default_adaptive with
-        Async_engine.refine_interval = Sim_time.us 5;
-        min_traffic = 16;
-      };
+      { Async_engine.refine_interval = Sim_time.us 5; min_traffic = 16 };
   }
 
 let migration_scenario =

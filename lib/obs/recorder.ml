@@ -1,12 +1,12 @@
-(* Bundle of the three per-run collectors, threaded through engines as a
-   single optional argument. The disabled bundle is a shared singleton
-   whose components are each the no-op variant, so an engine can hold a
-   recorder unconditionally and the per-step cost when observability is
-   off is one flag check. *)
+(* Bundle of the four per-run collectors (trace, operator stats, traffic
+   profile, causal DAG), threaded through engines as a single optional
+   argument. The disabled bundle is a shared singleton whose components
+   are each the no-op variant, so an engine can hold a recorder
+   unconditionally and the per-step cost when observability is off is
+   one flag check. *)
 
 type t = {
   trace : Trace.t;
-  flight : Flight.t;
   opstats : Opstats.t;
   traffic : Traffic.t;
   causal : Causal.t;
@@ -16,7 +16,6 @@ type t = {
 let disabled =
   {
     trace = Trace.disabled;
-    flight = Flight.disabled;
     opstats = Opstats.disabled;
     traffic = Traffic.disabled;
     causal = Causal.disabled;
@@ -25,11 +24,10 @@ let disabled =
 
 (* Causal tracing stays off by default even when the rest of the bundle
    is on: context threading allocates a DAG node per hand-off, which the
-   span/flight consumers don't need to pay for. *)
-let create ?trace_capacity ?flight_capacity ?(causal = false) ?causal_capacity () =
+   span consumers don't need to pay for. *)
+let create ?trace_capacity ?(causal = false) ?causal_capacity () =
   {
     trace = Trace.create ?capacity:trace_capacity ();
-    flight = Flight.create ?capacity:flight_capacity ();
     opstats = Opstats.create ();
     traffic = Traffic.create ();
     causal = (if causal then Causal.create ?capacity:causal_capacity () else Causal.disabled);
@@ -38,7 +36,6 @@ let create ?trace_capacity ?flight_capacity ?(causal = false) ?causal_capacity (
 
 let enabled t = t.enabled
 let trace t = t.trace
-let flight t = t.flight
 let opstats t = t.opstats
 let traffic t = t.traffic
 let causal t = t.causal

@@ -1,5 +1,5 @@
-(** Per-run observability bundle: trace + flight recorder + operator
-    stats, passed to engines as one optional argument. *)
+(** Per-run observability bundle: trace + operator stats + traffic
+    profile + causal DAG, passed to engines as one optional argument. *)
 
 type t
 
@@ -8,12 +8,10 @@ val disabled : t
 
 (** [causal] (default false) additionally threads causal contexts through
     every engine hand-off into a {!Causal.t} DAG for EXPLAIN LATENCY. *)
-val create :
-  ?trace_capacity:int -> ?flight_capacity:int -> ?causal:bool -> ?causal_capacity:int -> unit -> t
+val create : ?trace_capacity:int -> ?causal:bool -> ?causal_capacity:int -> unit -> t
 
 val enabled : t -> bool
 val trace : t -> Trace.t
-val flight : t -> Flight.t
 val opstats : t -> Opstats.t
 val traffic : t -> Traffic.t
 val causal : t -> Causal.t

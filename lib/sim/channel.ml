@@ -156,13 +156,13 @@ let rec transmit t r ~at ~attempt pkt =
         else if attempt >= r.max_retries then begin
           (* Permanently lost: the sender stops; affected queries
              degrade to TIMEOUT instead of wedging the simulation. *)
-          Metrics.count_abandoned metrics;
+          Metrics.(incr metrics Counter.abandoned);
           Cluster.emit_protocol t.cluster Cluster.Pkt_abandon ~src:pkt.p_src ~dst:pkt.p_dst
             ~seq:pkt.p_seq;
           Hashtbl.remove r.outstanding.(pkt.p_src).(pkt.p_dst) pkt.p_seq
         end
         else begin
-          Metrics.count_retransmit metrics;
+          Metrics.(incr metrics Counter.retransmits);
           Cluster.emit_protocol t.cluster Cluster.Pkt_retransmit ~src:pkt.p_src ~dst:pkt.p_dst
             ~seq:pkt.p_seq;
           transmit t r ~at:(Event_queue.now events) ~attempt:(attempt + 1) pkt
@@ -194,12 +194,12 @@ and receive_data t r ~retx pkt =
     t.delivering_retx <- false
   end
   else begin
-    Metrics.count_dup_dropped metrics;
+    Metrics.(incr metrics Counter.dup_dropped);
     Cluster.emit_protocol t.cluster Cluster.Pkt_dup ~src:pkt.p_src ~dst:pkt.p_dst ~seq:pkt.p_seq
   end;
   (* Always ack — including duplicates, so a lost ack cannot cause an
      endless retransmit of an already-delivered packet. *)
-  Metrics.count_ack metrics;
+  Metrics.(incr metrics Counter.acks);
   Cluster.send_packet t.cluster
     ~at:(Cluster.now t.cluster)
     ~src_node:pkt.p_dst ~dst_node:pkt.p_src ~bytes:ack_bytes
@@ -223,7 +223,7 @@ let emit_packet t ~at ~src_node ~dst_node messages bytes =
 
 (* Tier-2 entry: either open/extend an NLC window or emit immediately. *)
 let to_combiner t ~at ~src_node ~dst_node messages bytes =
-  Metrics.count_flush (Cluster.metrics t.cluster);
+  Metrics.(incr (Cluster.metrics t.cluster) Counter.flushes);
   if t.config.nlc then begin
     let pending = t.pending.(src_node).(dst_node) in
     Vec.append ~into:pending messages;
@@ -293,7 +293,7 @@ let send t ~at ~src_worker ~dst_worker ~kind ~bytes payload =
     end
     else begin
       (* No batching: the message is its own packet and pays a syscall. *)
-      Metrics.count_flush metrics;
+      Metrics.(incr metrics Counter.flushes);
       let src_node = Cluster.node_of_worker t.cluster src_worker in
       let singleton = Vec.of_array ~dummy:message [| message |] in
       emit_packet t ~at ~src_node ~dst_node singleton bytes;

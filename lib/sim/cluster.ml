@@ -149,7 +149,8 @@ let send_packet t ~at ~src_node ~dst_node ~bytes arrive =
   let start = max at t.nic_busy.(src_node) in
   let occupancy = Netmodel.nic_occupancy t.config.net ~bytes in
   t.nic_busy.(src_node) <- Sim_time.add start occupancy;
-  Metrics.count_packet t.metrics bytes;
+  Metrics.(incr t.metrics Counter.packets);
+  Metrics.(add t.metrics Counter.packet_bytes bytes);
   let arrival = Sim_time.add (Sim_time.add start occupancy) t.config.net.Netmodel.wire_latency in
   (match t.on_packet with
   | None -> ()
@@ -162,11 +163,11 @@ let send_packet t ~at ~src_node ~dst_node ~bytes arrive =
        wire); what varies is whether — and when — the receiver side runs.
        A paused destination defers processing to its release time. *)
     let verdict = Faults.packet_verdict f in
-    if verdict.Faults.dropped then Metrics.count_fault_drop t.metrics
+    if verdict.Faults.dropped then Metrics.(incr t.metrics Counter.fault_drops)
     else begin
       let arrival =
         if Sim_time.compare verdict.Faults.extra_delay Sim_time.zero > 0 then begin
-          Metrics.count_fault_delay t.metrics;
+          Metrics.(incr t.metrics Counter.fault_delays);
           Sim_time.add arrival verdict.Faults.extra_delay
         end
         else arrival
@@ -174,7 +175,7 @@ let send_packet t ~at ~src_node ~dst_node ~bytes arrive =
       let arrival = Faults.release f ~node:dst_node ~at:arrival in
       Event_queue.schedule_at ~tag t.events ~time:arrival arrive;
       if verdict.Faults.duplicated then begin
-        Metrics.count_fault_dup t.metrics;
+        Metrics.(incr t.metrics Counter.fault_dups);
         (* The ghost copy trails by one wire latency; receivers dedup by
            sequence number, so it only costs a discarded arrival. *)
         Event_queue.schedule_at ~tag t.events
@@ -186,6 +187,6 @@ let send_packet t ~at ~src_node ~dst_node ~bytes arrive =
 (* Same-node shared-memory handoff (the §IV-B shortcut). *)
 let send_local ?tag t ~at arrive =
   let at = max at (now t) in
-  Metrics.count_local_message t.metrics;
+  Metrics.(incr t.metrics Counter.local_messages);
   let arrival = Sim_time.add at t.config.net.Netmodel.shm_latency in
   Event_queue.schedule_at ?tag t.events ~time:arrival arrive

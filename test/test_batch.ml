@@ -143,7 +143,7 @@ let batched_deterministic =
           let r = run_async graph program in
           ( Engine.latency_ms r.Engine.queries.(0),
             show_rows r.Engine.queries.(0).Engine.rows,
-            Metrics.batches r.Engine.metrics )
+            Metrics.(get r.Engine.metrics Counter.batches) )
         in
         run () = run ())
 
@@ -209,11 +209,12 @@ let test_batch_metrics_populated () =
   let program = khop_program graph 3 in
   let report = run_async graph program in
   let m = report.Engine.metrics in
-  Alcotest.(check bool) "batches recorded" true (Metrics.batches m > 0);
+  Alcotest.(check bool) "batches recorded" true (Metrics.(get m Counter.batches) > 0);
   Alcotest.(check bool) "each batch holds >= 1 traverser" true
-    (Metrics.batched_traversers m >= Metrics.batches m);
-  Alcotest.(check bool) "remote sends were coalesced" true (Metrics.coalesced_msgs m > 0);
-  Alcotest.(check int) "histogram counts every batch" (Metrics.batches m)
+    (Metrics.(get m Counter.batched_traversers) >= Metrics.(get m Counter.batches));
+  Alcotest.(check bool) "remote sends were coalesced" true
+    (Metrics.(get m Counter.coalesced_msgs) > 0);
+  Alcotest.(check int) "histogram counts every batch" Metrics.(get m Counter.batches)
     (Histogram.count (Metrics.batch_sizes m))
 
 let test_batching_off_is_scalar_path () =
@@ -225,9 +226,9 @@ let test_batching_off_is_scalar_path () =
   in
   let m = report.Engine.metrics in
   Alcotest.(check string) "rows" expected (show_rows report.Engine.queries.(0).Engine.rows);
-  Alcotest.(check int) "no batches" 0 (Metrics.batches m);
-  Alcotest.(check int) "no batched traversers" 0 (Metrics.batched_traversers m);
-  Alcotest.(check int) "no coalesced messages" 0 (Metrics.coalesced_msgs m);
+  Alcotest.(check int) "no batches" 0 Metrics.(get m Counter.batches);
+  Alcotest.(check int) "no batched traversers" 0 Metrics.(get m Counter.batched_traversers);
+  Alcotest.(check int) "no coalesced messages" 0 Metrics.(get m Counter.coalesced_msgs);
   (* Explicit off equals the default record: the flag defaults to false,
      so existing callers are untouched. *)
   Alcotest.(check bool) "default is unbatched" false Engine.Common.default.Engine.Common.batched
@@ -292,12 +293,16 @@ let plan_cache_equals_cold_compile =
 let test_plan_stats_mirrored_into_metrics () =
   let m = Metrics.create () in
   Metrics.add_plan_stats m ~hits:3 ~misses:2 ~verifications:2;
-  Alcotest.(check int) "hits" 3 (Metrics.plan_hits m);
-  Alcotest.(check int) "misses" 2 (Metrics.plan_misses m);
-  Alcotest.(check int) "verifications" 2 (Metrics.plan_verifications m);
-  Alcotest.(check bool) "pp gates on presence" true (Metrics.plan_cache_seen m);
+  Alcotest.(check int) "hits" 3 Metrics.(get m Counter.plan_hits);
+  Alcotest.(check int) "misses" 2 Metrics.(get m Counter.plan_misses);
+  Alcotest.(check int) "verifications" 2 Metrics.(get m Counter.plan_verifications);
+  (* pp shows exactly the counters that fired. *)
+  Alcotest.(check string) "pp shows non-zero counters"
+    "traverser=0/0B progress=0/0B control=0/0B result=0/0B plan_hits=3 plan_misses=2 \
+     plan_verifications=2"
+    (Fmt.str "%a" Metrics.pp m);
   Metrics.reset m;
-  Alcotest.(check int) "reset clears" 0 (Metrics.plan_hits m)
+  Alcotest.(check int) "reset clears" 0 Metrics.(get m Counter.plan_hits)
 
 let () =
   Alcotest.run "batch"

@@ -294,7 +294,7 @@ let test_single_node_engine () =
   in
   Alcotest.(check string) "rows" expected (show_rows report.Engine.queries.(0).Engine.rows);
   Alcotest.(check int) "no network packets on one node" 0
-    (Metrics.packets report.Engine.metrics)
+    Metrics.(get report.Engine.metrics Counter.packets)
 
 let test_worker_busy_reported () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in

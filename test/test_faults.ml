@@ -79,8 +79,10 @@ let fingerprint (r : Engine.report) =
            (match Engine.completed_at q with None -> "T" | Some c -> string_of_int (Sim_time.to_ns c))))
     r.Engine.queries
     (show_rows r.Engine.queries.(0).Engine.rows)
-    (Metrics.fault_drops m) (Metrics.fault_dups m) (Metrics.fault_delays m)
-    (Metrics.retransmits m) (Metrics.dup_dropped m) (Metrics.acks m) (Metrics.abandoned m)
+    Metrics.(get m Counter.fault_drops) Metrics.(get m Counter.fault_dups)
+    Metrics.(get m Counter.fault_delays) Metrics.(get m Counter.retransmits)
+    Metrics.(get m Counter.dup_dropped) Metrics.(get m Counter.acks)
+    Metrics.(get m Counter.abandoned)
 
 let test_same_seed_byte_identical () =
   let graph = fixture_graph () in
@@ -162,13 +164,15 @@ let test_recovery_engages () =
   let program = khop_program graph 3 in
   let dropped = run_async { Faults.none with Faults.drop = 0.2 } graph program in
   let dm = dropped.Engine.metrics in
-  Alcotest.(check bool) "drops were injected" true (Metrics.fault_drops dm > 0);
-  Alcotest.(check bool) "retransmits recovered the drops" true (Metrics.retransmits dm > 0);
-  Alcotest.(check bool) "acks flowed" true (Metrics.acks dm > 0);
+  Alcotest.(check bool) "drops were injected" true (Metrics.(get dm Counter.fault_drops) > 0);
+  Alcotest.(check bool) "retransmits recovered the drops" true
+    (Metrics.(get dm Counter.retransmits) > 0);
+  Alcotest.(check bool) "acks flowed" true (Metrics.(get dm Counter.acks) > 0);
   let duplicated = run_async { Faults.none with Faults.duplicate = 0.3 } graph program in
   let um = duplicated.Engine.metrics in
-  Alcotest.(check bool) "duplicates were injected" true (Metrics.fault_dups um > 0);
-  Alcotest.(check bool) "dedup window discarded the copies" true (Metrics.dup_dropped um > 0)
+  Alcotest.(check bool) "duplicates were injected" true (Metrics.(get um Counter.fault_dups) > 0);
+  Alcotest.(check bool) "dedup window discarded the copies" true
+    (Metrics.(get um Counter.dup_dropped) > 0)
 
 let test_zero_rate_spec_still_exact () =
   (* A fault plane with all-zero rates exercises the reliable channel
@@ -181,10 +185,10 @@ let test_zero_rate_spec_still_exact () =
   Alcotest.(check string) "rows exact" expected
     (show_rows report.Engine.queries.(0).Engine.rows);
   let m = report.Engine.metrics in
-  Alcotest.(check int) "no drops" 0 (Metrics.fault_drops m);
-  Alcotest.(check int) "no dups" 0 (Metrics.fault_dups m);
-  Alcotest.(check int) "no retransmits" 0 (Metrics.retransmits m);
-  Alcotest.(check bool) "acks still flow" true (Metrics.acks m > 0)
+  Alcotest.(check int) "no drops" 0 Metrics.(get m Counter.fault_drops);
+  Alcotest.(check int) "no dups" 0 Metrics.(get m Counter.fault_dups);
+  Alcotest.(check int) "no retransmits" 0 Metrics.(get m Counter.retransmits);
+  Alcotest.(check bool) "acks still flow" true (Metrics.(get m Counter.acks) > 0)
 
 let test_mixed_ldbc_run_survives_faults () =
   (* The LDBC driver path with a fault plane threaded through [common]:

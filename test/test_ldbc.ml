@@ -38,7 +38,7 @@ let check_query name make () =
       Alcotest.(check bool)
         (label ^ " memo ops counted")
         true
-        (Metrics.memo_ops async_report.Engine.metrics > 0))
+        (Metrics.(get async_report.Engine.metrics Counter.memo_ops) > 0))
     [ false; true ];
   let bsp_report =
     Bsp_engine.run ~cluster_config ~graph:data.Snb_gen.graph [| Engine.submit program |]

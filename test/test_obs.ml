@@ -1,13 +1,13 @@
 (* lib/obs unit tests: deterministic JSON, trace recorder semantics
    (disabled path, ring bounding, span nesting), byte-identical trace
-   export across same-seed engine runs, operator-stats conservation,
-   flight-recorder decimation, and histogram percentile edge cases. *)
+   export across same-seed engine runs, operator-stats conservation
+   (also under faults + migration), the metrics JSON key order, and
+   histogram percentile edge cases. *)
 
 open Pstm_engine
 open Pstm_query
 module Json = Pstm_obs.Json
 module Trace = Pstm_obs.Trace
-module Flight = Pstm_obs.Flight
 module Opstats = Pstm_obs.Opstats
 module Recorder = Pstm_obs.Recorder
 
@@ -134,31 +134,15 @@ let test_opstats_engine_conservation () =
       let s = Recorder.opstats obs in
       let name what = Printf.sprintf "%s (batched=%b)" what batched in
       Alcotest.(check int) (name "total in = executed steps")
-        (Metrics.steps report.Engine.metrics) (Opstats.total_in s);
+        Metrics.(get report.Engine.metrics Counter.steps) (Opstats.total_in s);
       Alcotest.(check bool) (name "total in = seeds + total out") true (Opstats.conserves s))
     [ false; true ]
 
-(* --- Flight recorder --- *)
-
-let test_flight_decimation () =
-  let f = Flight.create ~capacity:8 () in
-  let h = Flight.series f "q.weight" in
-  for i = 0 to 999 do
-    Flight.sample f h ~time:(i * 10) (float_of_int i)
-  done;
-  Alcotest.(check bool) "bounded" true (Flight.points h <= 8);
-  Alcotest.(check int) "all offers counted" 1000 (Flight.seen h);
-  Alcotest.(check int) "find-or-create is stable" 1
-    (let h' = Flight.series f "q.weight" in
-     ignore (Flight.seen h');
-     Flight.n_series f)
-
-(* Flight recorder through a hostile run: drop faults force retransmits
-   and aggressive adaptive knobs force mid-query migration, yet every
-   retained series must stay monotone in sim-time and the operator
-   counts must still conserve (no traverser lost or double-counted
+(* A hostile run: drop faults force retransmits and aggressive adaptive
+   knobs force mid-query migration, yet every query completes and the
+   operator counts still conserve (no traverser lost or double-counted
    across a retransmitted delivery or a vertex move). *)
-let test_flight_faults_migration () =
+let test_opstats_faults_migration () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
   let khop start = khop_program_at graph ~start 2 in
   let subs =
@@ -170,11 +154,7 @@ let test_flight_faults_migration () =
       Async_engine.default_options with
       Async_engine.partition = Partition.Adaptive;
       adaptive =
-        {
-          Async_engine.default_adaptive with
-          Async_engine.refine_interval = Sim_time.us 5;
-          min_traffic = 16;
-        };
+        { Async_engine.refine_interval = Sim_time.us 5; min_traffic = 16 };
     }
   in
   let obs = Recorder.create () in
@@ -192,34 +172,8 @@ let test_flight_faults_migration () =
   in
   Alcotest.(check bool) "all queries complete" true (Engine.all_completed report);
   let m = report.Engine.metrics in
-  Alcotest.(check bool) "retransmits engaged" true (Metrics.retransmits m > 0);
-  Alcotest.(check bool) "migrations happened" true (Metrics.migrations m > 0);
-  let flight = Recorder.flight obs in
-  Alcotest.(check bool) "series recorded" true (Flight.n_series flight > 0);
-  (* Every engine-recorded series samples against the simulated clock in
-     event order; decimation keeps a subsequence, so retained timestamps
-     must be nondecreasing. The engine names worker queue/memo series
-     and per-phase weight trajectories; walk them all. *)
-  let monotone h =
-    let rec ok = function
-      | (t0, _) :: ((t1, _) :: _ as rest) -> Sim_time.compare t0 t1 <= 0 && ok rest
-      | _ -> true
-    in
-    ok (Flight.samples h)
-  in
-  for w = 0 to 7 do
-    Alcotest.(check bool)
-      (Printf.sprintf "worker%d.queue monotone" w)
-      true
-      (monotone (Flight.series flight (Printf.sprintf "worker%d.queue" w)));
-    Alcotest.(check bool)
-      (Printf.sprintf "worker%d.memo monotone" w)
-      true
-      (monotone (Flight.series flight (Printf.sprintf "worker%d.memo" w)))
-  done;
-  Alcotest.(check bool) "inflight monotone" true (monotone (Flight.series flight "inflight"));
-  Alcotest.(check bool) "weight trajectory monotone" true
-    (monotone (Flight.series flight "q0.phase0.weight"));
+  Alcotest.(check bool) "retransmits engaged" true (Metrics.(get m Counter.retransmits) > 0);
+  Alcotest.(check bool) "migrations happened" true (Metrics.(get m Counter.migrations) > 0);
   (* Conservation across retransmit + migration: every traverser that
      entered a step is either forwarded, spawned or retired. *)
   Alcotest.(check bool) "opstats conserve under faults + migration" true
@@ -239,14 +193,28 @@ let test_trace_dropped_surfaced () =
   let dropped = Trace.dropped (Recorder.trace obs) in
   Alcotest.(check bool) "tiny ring dropped events" true (dropped > 0);
   Alcotest.(check int) "drop count mirrored into metrics" dropped
-    (Metrics.trace_dropped report.Engine.metrics)
+    Metrics.(get report.Engine.metrics Counter.trace_dropped)
 
-let test_flight_disabled_noop () =
-  let f = Flight.disabled in
-  let h = Flight.series f "x" in
-  Flight.sample f h ~time:0 1.0;
-  Alcotest.(check int) "no series" 0 (Flight.n_series f);
-  Alcotest.(check int) "no points" 0 (Flight.points h)
+(* --- Metrics export --- *)
+
+(* Readers of [bench --json] key on these names, in this order. *)
+let test_metrics_json_keys () =
+  let keys =
+    match Pstm_obs.Export.metrics_json (Metrics.create ()) with
+    | Json.Obj fields -> List.map fst fields
+    | _ -> Alcotest.fail "metrics_json is not an object"
+  in
+  Alcotest.(check (list string))
+    "key order"
+    [
+      "messages"; "message_bytes"; "total_messages"; "local_messages"; "packets"; "packet_bytes";
+      "flushes"; "steps"; "edges_scanned"; "spawned"; "memo_ops"; "supersteps"; "tracker_updates";
+      "busy_ns"; "fault_drops"; "fault_dups"; "fault_delays"; "retransmits"; "dup_dropped"; "acks";
+      "abandoned"; "migrations"; "migrated_entries"; "forwarded"; "stashed"; "batches";
+      "batched_traversers"; "coalesced_msgs"; "batch_sizes"; "plan_hits"; "plan_misses";
+      "plan_verifications"; "trace_dropped";
+    ]
+    keys
 
 (* --- Histogram percentile edge cases --- *)
 
@@ -296,12 +264,8 @@ let () =
         [
           Alcotest.test_case "accounting" `Quick test_opstats_accounting;
           Alcotest.test_case "engine conservation" `Quick test_opstats_engine_conservation;
+          Alcotest.test_case "faults + migration" `Quick test_opstats_faults_migration;
         ] );
-      ( "flight",
-        [
-          Alcotest.test_case "decimation" `Quick test_flight_decimation;
-          Alcotest.test_case "disabled no-op" `Quick test_flight_disabled_noop;
-          Alcotest.test_case "faults + migration" `Quick test_flight_faults_migration;
-        ] );
+      ("export", [ Alcotest.test_case "metrics json keys" `Quick test_metrics_json_keys ]);
       ("histogram", [ Alcotest.test_case "percentile edges" `Quick test_histogram_edges ]);
     ]

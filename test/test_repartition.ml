@@ -98,11 +98,7 @@ let aggressive_adaptive =
     Async_engine.default_options with
     Async_engine.partition = Partition.Adaptive;
     adaptive =
-      {
-        Async_engine.default_adaptive with
-        Async_engine.refine_interval = Sim_time.us 5;
-        min_traffic = 16;
-      };
+      { Async_engine.refine_interval = Sim_time.us 5; min_traffic = 16 };
   }
 
 (* Repeated waves over a few start vertices: migration happens during the
@@ -121,7 +117,8 @@ let run_adaptive ?(check = false) ?(batched = false) ?(obs = Pstm_obs.Recorder.d
 
 (* Traversers raced a migration: the shared gate forwarded or parked some. *)
 let check_gate_engaged m =
-  Alcotest.(check bool) "forwards or stashes" true (Metrics.forwarded m + Metrics.stashed m > 0)
+  Alcotest.(check bool) "forwards or stashes" true
+    (Metrics.(get m Counter.forwarded + get m Counter.stashed) > 0)
 
 let test_migration_sanitized ~batched () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
@@ -134,8 +131,8 @@ let test_migration_sanitized ~batched () =
   let report = run_adaptive ~check:true ~batched graph subs in
   Alcotest.(check bool) "all queries complete" true (Engine.all_completed report);
   let m = report.Engine.metrics in
-  Alcotest.(check bool) "migrations happened" true (Metrics.migrations m > 0);
-  Alcotest.(check bool) "memo entries re-homed" true (Metrics.migrated_entries m > 0);
+  Alcotest.(check bool) "migrations happened" true (Metrics.(get m Counter.migrations) > 0);
+  Alcotest.(check bool) "memo entries re-homed" true (Metrics.(get m Counter.migrated_entries) > 0);
   check_gate_engaged m;
   (* Every wave of the same start answers exactly what the oracle says,
      before and after its start vertex moved. *)
@@ -158,10 +155,10 @@ let test_migration_deterministic ~batched () =
     ( Array.map Engine.latency_ms r.Engine.queries,
       Fmt.str "%a" (Fmt.list ~sep:(Fmt.any ";") Fmt.string)
         (Array.to_list (Array.map (fun q -> show_rows q.Engine.rows) r.Engine.queries)),
-      ( Metrics.migrations m,
-        Metrics.migrated_entries m,
-        Metrics.forwarded m,
-        Metrics.stashed m,
+      ( Metrics.(get m Counter.migrations),
+        Metrics.(get m Counter.migrated_entries),
+        Metrics.(get m Counter.forwarded),
+        Metrics.(get m Counter.stashed),
         Metrics.message_bytes m Metrics.Traverser_msg ) )
   in
   Alcotest.(check bool) "same seed, same run" true (fingerprint () = fingerprint ())
@@ -198,8 +195,8 @@ let test_static_strategy_inert () =
         ~channel_config:Channel.default_config ~graph subs
     in
     let m = r.Engine.metrics in
-    Alcotest.(check int) "no migrations" 0 (Metrics.migrations m);
-    Alcotest.(check int) "no forwards" 0 (Metrics.forwarded m);
+    Alcotest.(check int) "no migrations" 0 Metrics.(get m Counter.migrations);
+    Alcotest.(check int) "no forwards" 0 Metrics.(get m Counter.forwarded);
     ( Array.map Engine.latency_ms r.Engine.queries,
       Array.map (fun (q : Engine.query_report) -> show_rows q.Engine.rows) r.Engine.queries,
       Metrics.message_bytes m Metrics.Traverser_msg )
@@ -251,7 +248,8 @@ let test_warm_start_assignment () =
       graph subs
   in
   Alcotest.(check bool) "all complete" true (Engine.all_completed warm);
-  Alcotest.(check int) "online rounds disabled" 0 (Metrics.migrations warm.Engine.metrics);
+  Alcotest.(check int) "online rounds disabled" 0
+    Metrics.(get warm.Engine.metrics Counter.migrations);
   let bytes r = Metrics.message_bytes r.Engine.metrics Metrics.Traverser_msg in
   Alcotest.(check bool) "remote traffic reduced" true (bytes warm < bytes hash)
 

@@ -186,8 +186,9 @@ let test_channel_same_node_is_local () =
   ignore (Channel.send chan ~at:0 ~src_worker:0 ~dst_worker:1 ~kind:Metrics.Control_msg ~bytes:16 7);
   Event_queue.run_to_completion (Cluster.events cluster);
   Alcotest.(check int) "delivered" 1 (List.length !received);
-  Alcotest.(check int) "no packets" 0 (Metrics.packets (Cluster.metrics cluster));
-  Alcotest.(check int) "counted local" 1 (Metrics.local_messages (Cluster.metrics cluster))
+  Alcotest.(check int) "no packets" 0 Metrics.(get (Cluster.metrics cluster) Counter.packets);
+  Alcotest.(check int) "counted local" 1
+    Metrics.(get (Cluster.metrics cluster) Counter.local_messages)
 
 let test_channel_threshold_flush () =
   let config = { Channel.default_config with Channel.flush_bytes = 100; nlc = false } in
@@ -199,7 +200,7 @@ let test_channel_threshold_flush () =
   done;
   Event_queue.run_to_completion (Cluster.events cluster);
   Alcotest.(check int) "delivered on threshold" 3 (List.length !received);
-  Alcotest.(check int) "single packet" 1 (Metrics.packets (Cluster.metrics cluster))
+  Alcotest.(check int) "single packet" 1 Metrics.(get (Cluster.metrics cluster) Counter.packets)
 
 let test_channel_no_batching_packet_per_message () =
   let cluster, chan, received = make_channel ~config:Channel.no_batching ~n_nodes:2 ~workers:1 () in
@@ -208,7 +209,8 @@ let test_channel_no_batching_packet_per_message () =
   done;
   Event_queue.run_to_completion (Cluster.events cluster);
   Alcotest.(check int) "delivered" 10 (List.length !received);
-  Alcotest.(check int) "one packet per message" 10 (Metrics.packets (Cluster.metrics cluster))
+  Alcotest.(check int) "one packet per message" 10
+    Metrics.(get (Cluster.metrics cluster) Counter.packets)
 
 let test_channel_nlc_combines () =
   (* Two workers on node 0 each flush to node 1 within one NLC window:
@@ -220,7 +222,8 @@ let test_channel_nlc_combines () =
   ignore (Channel.flush_worker chan ~at:0 ~worker:1);
   Event_queue.run_to_completion (Cluster.events cluster);
   Alcotest.(check int) "delivered" 2 (List.length !received);
-  Alcotest.(check int) "one combined packet" 1 (Metrics.packets (Cluster.metrics cluster))
+  Alcotest.(check int) "one combined packet" 1
+    Metrics.(get (Cluster.metrics cluster) Counter.packets)
 
 let channel_random_traffic =
   QCheck.Test.make ~name:"channel delivers arbitrary traffic exactly once" ~count:50
@@ -294,33 +297,31 @@ let test_metrics_counters () =
         (Printf.sprintf "pp shows %s" expected)
         true (contains rendered expected))
     Metrics.all_kinds;
-  Metrics.count_packet m 128;
-  Metrics.count_flush m;
-  Metrics.count_step m;
-  Metrics.count_edges m 7;
-  Metrics.count_spawn m;
-  Metrics.count_memo_ops m 3;
-  Metrics.count_superstep m;
-  Metrics.count_tracker_update m;
-  Metrics.count_busy m 99;
-  Metrics.count_local_message m;
+  (* Round trip every declared counter: each one counts on its own, and
+     reset clears it along with the per-kind counts and the histogram. *)
+  List.iteri
+    (fun i c ->
+      let key = Metrics.Counter.key c in
+      Alcotest.(check bool) (key ^ " documented") true (Metrics.Counter.doc c <> "");
+      Alcotest.(check int) (key ^ " starts at 0") 0 (Metrics.get m c);
+      Metrics.incr m c;
+      Metrics.add m c i;
+      Alcotest.(check int) (key ^ " counts") (i + 1) (Metrics.get m c))
+    Metrics.Counter.all;
+  let keys = List.map Metrics.Counter.key Metrics.Counter.all in
+  Alcotest.(check int) "keys unique" (List.length keys)
+    (List.length (List.sort_uniq String.compare keys));
+  Metrics.count_batch m ~traversers:5;
   Metrics.reset m;
+  List.iter
+    (fun c -> Alcotest.(check int) ("reset " ^ Metrics.Counter.key c) 0 (Metrics.get m c))
+    Metrics.Counter.all;
   Alcotest.(check int) "reset messages" 0 (Metrics.total_messages m);
   List.iter
     (fun kind ->
       Alcotest.(check int) "reset kind bytes" 0 (Metrics.message_bytes m kind))
     Metrics.all_kinds;
-  Alcotest.(check int) "reset packets" 0 (Metrics.packets m);
-  Alcotest.(check int) "reset packet bytes" 0 (Metrics.packet_bytes m);
-  Alcotest.(check int) "reset flushes" 0 (Metrics.flushes m);
-  Alcotest.(check int) "reset steps" 0 (Metrics.steps m);
-  Alcotest.(check int) "reset edges" 0 (Metrics.edges_scanned m);
-  Alcotest.(check int) "reset spawned" 0 (Metrics.spawned m);
-  Alcotest.(check int) "reset memo ops" 0 (Metrics.memo_ops m);
-  Alcotest.(check int) "reset supersteps" 0 (Metrics.supersteps m);
-  Alcotest.(check int) "reset tracker updates" 0 (Metrics.tracker_updates m);
-  Alcotest.(check int) "reset busy" 0 (Metrics.busy_ns m);
-  Alcotest.(check int) "reset local" 0 (Metrics.local_messages m)
+  Alcotest.(check int) "reset batch sizes" 0 (Histogram.count (Metrics.batch_sizes m))
 
 let () =
   Alcotest.run "sim"
