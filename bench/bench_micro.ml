@@ -62,7 +62,7 @@ let structure_tests () =
 
 (* Fused frontier chain vs the scalar interpreter: the same
    Expand -> Filter chain over the same frontier, one [Batch_exec.run]
-   vs one [Exec.exec] dispatch per traverser per step. This is the
+   vs one [Exec.run] dispatch per traverser per step. This is the
    amortization the async engine's batched mode buys per (partition,
    step) group; the acceptance bar for the PR is a >= 2x speedup. *)
 let fused_vs_scalar () =
@@ -120,15 +120,17 @@ let fused_vs_scalar () =
     let memo = Pstm_core.Memo.create () in
     let prng = Pstm_util.Prng.create 11 in
     let scan _ = [||] in
+    let sink = Exec.sink () in
     time (fun () ->
         let queue = Queue.create () in
         Array.iter (fun t -> Queue.add t queue) frontier;
         while not (Queue.is_empty queue) do
           let t = Queue.pop queue in
-          let o = Exec.exec ~graph ~memo ~prng ~qid:0 ~program ~scan t in
-          List.iter
+          Exec.clear sink;
+          Exec.run sink ~graph ~memo ~prng ~qid:0 ~program ~scan t;
+          Vec.iter
             (fun (c : Traverser.t) -> if c.Traverser.step <> exit_step then Queue.add c queue)
-            o.Exec.spawns
+            sink.Exec.spawns
         done)
   in
   let batched_s =

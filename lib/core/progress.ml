@@ -47,44 +47,96 @@ let receipts t = t.receipts
 let accumulated t = t.acc
 let target t = t.target
 
-(* --- Worker-local weight coalescing --- *)
+(* --- Worker-local weight coalescing ---
+
+   The merged weights live in parallel arrays kept sorted by (qid, phase):
+   a worker has only a handful of live keys, so a binary search plus the
+   rare insertion shift beats hashing, and merging a weight allocates
+   nothing. The sorted order is also the deterministic shipping order. *)
 
 type coalescer = {
-  pending : (int * int, Weight.t) Hashtbl.t; (* (query, phase) -> merged weight *)
+  mutable qids : int array;
+  mutable phases : int array;
+  mutable weights : Weight.t array;
+  mutable len : int; (* live entries: the prefix [0, len) *)
   mutable additions : int; (* total weight additions performed locally *)
   mutable pending_adds : int; (* additions since the last drain *)
+  mutable draining : bool; (* a [drain] callback is running *)
 }
 
-let coalescer () = { pending = Hashtbl.create 8; additions = 0; pending_adds = 0 }
+let coalescer () =
+  {
+    qids = Array.make 8 0;
+    phases = Array.make 8 0;
+    weights = Array.make 8 Weight.zero;
+    len = 0;
+    additions = 0;
+    pending_adds = 0;
+    draining = false;
+  }
+
+let not_draining c fn =
+  if c.draining then invalid_arg ("Progress." ^ fn ^ ": coalescer re-entered from a drain callback")
+
+(* First index whose key is >= (qid, phase). *)
+let search c ~qid ~phase =
+  let lo = ref 0 and hi = ref c.len in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let q = c.qids.(mid) in
+    if q < qid || (q = qid && c.phases.(mid) < phase) then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let grow c =
+  let cap = 2 * Array.length c.qids in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 c.len;
+    b
+  in
+  c.qids <- extend c.qids 0;
+  c.phases <- extend c.phases 0;
+  c.weights <- extend c.weights Weight.zero
 
 let coalesce c ~qid ~phase w =
+  not_draining c "coalesce";
   c.additions <- c.additions + 1;
   c.pending_adds <- c.pending_adds + 1;
-  let key = (qid, phase) in
-  let acc = Option.value ~default:Weight.zero (Hashtbl.find_opt c.pending key) in
-  Hashtbl.replace c.pending key (Weight.add acc w)
+  let i = search c ~qid ~phase in
+  if i < c.len && c.qids.(i) = qid && c.phases.(i) = phase then
+    c.weights.(i) <- Weight.add c.weights.(i) w
+  else begin
+    if c.len = Array.length c.qids then grow c;
+    let tail = c.len - i in
+    Array.blit c.qids i c.qids (i + 1) tail;
+    Array.blit c.phases i c.phases (i + 1) tail;
+    Array.blit c.weights i c.weights (i + 1) tail;
+    c.qids.(i) <- qid;
+    c.phases.(i) <- phase;
+    c.weights.(i) <- w;
+    c.len <- c.len + 1
+  end
 
-let is_empty c = Hashtbl.length c.pending = 0
+let is_empty c = c.len = 0
 
 (* How many finished weights are merged but not yet shipped; workers flush
    when idle or when this passes their batching threshold, mirroring the
    "ship with the next buffer flush" rule of §IV-A. *)
 let pending_additions c = c.pending_adds
 
-(* Remove and return all merged weights, ready to be sent to trackers. *)
-let drain c =
-  (* det-ok: the collected triples are sorted below before shipping *)
-  let out = Hashtbl.fold (fun (qid, phase) w acc -> (qid, phase, w) :: acc) c.pending [] in
-  Hashtbl.reset c.pending;
-  c.pending_adds <- 0;
-  (* Deterministic shipping order: (qid, phase) is a unique key, so the
-     weight never participates in the comparison. *)
-  List.sort
-    (fun (q1, p1, _) (q2, p2, _) ->
-      match Int.compare q1 q2 with
-      | 0 -> Int.compare p1 p2
-      | c -> c)
-    out
+(* Hand every merged weight to [f] in ascending (qid, phase) order and
+   empty the coalescer. Entries whose weights summed to zero still ship:
+   the tracker counts the receipt. *)
+let drain c f =
+  not_draining c "drain";
+  c.draining <- true;
+  for i = 0 to c.len - 1 do
+    f c.qids.(i) c.phases.(i) c.weights.(i)
+  done;
+  c.draining <- false;
+  c.len <- 0;
+  c.pending_adds <- 0
 
 let additions c = c.additions
 
@@ -94,10 +146,14 @@ let additions c = c.additions
    alone — it is only a flush heuristic, and resetting it here would
    change when unrelated queries flush. *)
 let discard_query c ~qid =
-  let doomed =
-    (* det-ok: fold order is erased by the sort on the int pairs below *)
-    Hashtbl.fold (fun (q, p) _ acc -> if q = qid then (q, p) :: acc else acc) c.pending []
-    |> List.sort (fun (q1, p1) (q2, p2) ->
-           match Int.compare q1 q2 with 0 -> Int.compare p1 p2 | c -> c)
-  in
-  List.iter (Hashtbl.remove c.pending) doomed
+  not_draining c "discard_query";
+  let kept = ref 0 in
+  for i = 0 to c.len - 1 do
+    if c.qids.(i) <> qid then begin
+      c.qids.(!kept) <- c.qids.(i);
+      c.phases.(!kept) <- c.phases.(i);
+      c.weights.(!kept) <- c.weights.(i);
+      incr kept
+    end
+  done;
+  c.len <- !kept

@@ -41,9 +41,11 @@ val is_empty : coalescer -> bool
 (** Finished weights merged since the last {!drain}. *)
 val pending_additions : coalescer -> int
 
-(** Remove all merged weights as [(qid, phase, weight)] triples in a
-    deterministic order. *)
-val drain : coalescer -> (int * int * Weight.t) list
+(** [drain c f] calls [f qid phase weight] once per merged weight, in
+    ascending [(qid, phase)] order, then empties the coalescer. Weights
+    that summed to zero still drain. [f] must not touch [c] (raises
+    [Invalid_argument]). *)
+val drain : coalescer -> (int -> int -> Weight.t -> unit) -> unit
 
 (** Total local weight additions (each costs one integer add). *)
 val additions : coalescer -> int

@@ -187,20 +187,6 @@ type group = {
 let group () =
   { g_qid = -1; g_step = -1; g_travs = Vec.create ~dummy:no_trav; g_czs = Vec.create ~dummy:(-1) }
 
-(* What executing one group produced, summed over its elements. *)
-type yield = {
-  kids : Traverser.t Vec.t; (* children, in execution order *)
-  parents : int Vec.t; (* each child's parent vertex, for traffic profiling *)
-  mutable finished : Weight.t;
-  mutable row_weight : Weight.t;
-  mutable n_rows : int;
-  mutable edges : int;
-  mutable reads : int;
-  mutable memo_ops : int;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
-}
-
 (* Build an open engine session ({!Engine.service_handle}): all state is
    captured in the returned closures, so [run] below is a thin
    submit-all/drive/finish wrapper and the service layer can drive the
@@ -397,9 +383,13 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           scratch = lazy (Batch_exec.scratch ~graph);
         })
   in
-  let queries : (int, query_state) Hashtbl.t = Hashtbl.create 64 in
+  (* Indexed by qid: qids are dense (handed out by [next_qid]) and never
+     removed, and each entry's [Some] is built once, at submission, so a
+     lookup allocates nothing. *)
+  let queries : query_state option Vec.t = Vec.create ~dummy:None in
+  let find_query qid = if qid >= 0 && qid < Vec.length queries then Vec.get queries qid else None in
   let query qid =
-    match Hashtbl.find_opt queries qid with
+    match find_query qid with
     | Some q -> q
     | None -> invalid_arg (Fmt.str "Async_engine: unknown query %d" qid)
   in
@@ -502,12 +492,15 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   in
   (* CPU time of executing one group: one step dispatch, so a group of
      one pays it per traverser, plus the group's data and memo volume. *)
-  let step_cost (y : yield) =
-    let data = (y.edges * costs.Cluster.per_edge) + (y.reads * costs.Cluster.per_property) in
+  let step_cost (sink : Exec.sink) =
+    let data =
+      (sink.Exec.edges_scanned * costs.Cluster.per_edge)
+      + (sink.Exec.prop_reads * costs.Cluster.per_property)
+    in
     let data = if options.shared_state then data + (data / 2) else data in
     let base =
       costs.Cluster.step_dispatch + shared_step_penalty () + data
-      + (y.memo_ops * memo_op_cost ())
+      + (sink.Exec.memo_ops * memo_op_cost ())
     in
     (* Memory thrashing faults the whole access path, not just the data
        columns (§V-A3: GraphScope on SF1000). *)
@@ -574,58 +567,22 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let staged = Vec.create ~dummy:solo in (* this quantum's groups, first-seen order *)
   let n_staged = ref 0 in
   let staged_at : (int * int, group) Hashtbl.t = Hashtbl.create 16 in
-  let y =
-    {
-      kids = Vec.create ~dummy:no_trav;
-      parents = Vec.create ~dummy:0;
-      finished = Weight.zero;
-      row_weight = Weight.zero;
-      n_rows = 0;
-      edges = 0;
-      reads = 0;
-      memo_ops = 0;
-      memo_hits = 0;
-      memo_misses = 0;
-    }
-  in
+  (* What executing the current group produced, summed over its
+     elements, and each child's parent vertex (for traffic profiling). *)
+  let sink = Exec.sink () in
+  let parents = Vec.create ~dummy:0 in
   (* Batch-wire buckets, keyed 2 x destination + 1 for result messages. *)
   let kid_keys = Vec.create ~dummy:0 in
   let bucket_keys = Vec.create ~dummy:0 in (* first-seen order *)
   let bucket_size = Array.make (2 * n_workers) 0 in
   let bucket_travs = Array.make (2 * n_workers) [] in
-  let rec push_kids parent = function
-    | [] -> ()
-    | kid :: rest ->
-      Vec.push y.kids kid;
-      Vec.push y.parents parent;
-      push_kids parent rest
-  in
-  let rec push_rows w q = function
-    | [] -> ()
-    | (row, weight) :: rest ->
-      (* Rows are only produced by Emit, which routes to the coordinator
-         first — so they land here, at the coordinator itself. *)
-      assert (w.id = q.coordinator);
-      Vec.push q.rows row;
-      y.row_weight <- Weight.add y.row_weight weight;
-      y.n_rows <- y.n_rows + 1;
-      push_rows w q rest
-  in
   (* Execute stage: the fused Batch_exec chain over the whole group when
      fusion is on and the step is fusable, the scalar interpreter per
-     element otherwise. Either way [y] ends up holding the group's
+     element otherwise. Either way [sink] ends up holding the group's
      children, rows, finished weight and data / memo volume. *)
   let execute w q g =
-    Vec.clear y.kids;
-    Vec.clear y.parents;
-    y.finished <- Weight.zero;
-    y.row_weight <- Weight.zero;
-    y.n_rows <- 0;
-    y.edges <- 0;
-    y.reads <- 0;
-    y.memo_ops <- 0;
-    y.memo_hits <- 0;
-    y.memo_misses <- 0;
+    Exec.clear sink;
+    Vec.clear parents;
     if batched && Batch_exec.fusable q.program g.g_step then begin
       let travs = Vec.to_array g.g_travs in
       let o =
@@ -633,28 +590,28 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           ~step:g.g_step travs
       in
       Batch_exec.iter_spawns o (fun ~parent kid ->
-          Vec.push y.kids kid;
-          Vec.push y.parents travs.(parent).Traverser.vertex);
-      y.finished <- o.Batch_exec.finished;
-      y.edges <- o.Batch_exec.edges_scanned;
-      y.reads <- o.Batch_exec.prop_reads
+          Vec.push sink.Exec.spawns kid;
+          Vec.push parents travs.(parent).Traverser.vertex);
+      sink.finished <- o.Batch_exec.finished;
+      sink.edges_scanned <- o.Batch_exec.edges_scanned;
+      sink.prop_reads <- o.Batch_exec.prop_reads
     end
-    else
+    else begin
       for i = 0 to Vec.length g.g_travs - 1 do
         let trav = Vec.get g.g_travs i in
-        let o =
-          Exec.exec ~graph ~memo:w.memo ~prng:w.prng ~qid:q.qid ~program:q.program ~scan:w.scan
-            trav
-        in
-        push_kids trav.Traverser.vertex o.Exec.spawns;
-        push_rows w q o.Exec.rows;
-        y.finished <- Weight.add y.finished o.Exec.finished;
-        y.edges <- y.edges + o.Exec.edges_scanned;
-        y.reads <- y.reads + o.Exec.prop_reads;
-        y.memo_ops <- y.memo_ops + o.Exec.memo_ops;
-        y.memo_hits <- y.memo_hits + o.Exec.memo_hits;
-        y.memo_misses <- y.memo_misses + o.Exec.memo_misses
-      done
+        Exec.run sink ~graph ~memo:w.memo ~prng:w.prng ~qid:q.qid ~program:q.program ~scan:w.scan
+          trav;
+        for _ = Vec.length parents to Vec.length sink.spawns - 1 do
+          Vec.push parents trav.Traverser.vertex
+        done
+      done;
+      if not (Vec.is_empty sink.rows) then begin
+        (* Rows are only produced by Emit, which routes to the coordinator
+           first — so they land here, at the coordinator itself. *)
+        assert (w.id = q.coordinator);
+        Vec.append ~into:q.rows sink.rows
+      end
+    end
   in
   let rec wake w =
     if not w.awake then begin
@@ -819,9 +776,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     let cost = ref Sim_time.zero in
     (* Locally coalesced weights ship straight to the coordinator. *)
     if not (Progress.is_empty w.coalescer) then
-      List.iter
-        (fun (qid, phase, weight) ->
-          match Hashtbl.find_opt queries qid with
+      Progress.drain w.coalescer (fun qid phase weight ->
+          match find_query qid with
           | None -> if cz_on then Hashtbl.remove w.cz_coalesce (qid, phase)
           | Some q when not q.active ->
             (* Cancelled: the weight is reclaimed, not tracked — and its
@@ -848,8 +804,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
               cost :=
                 Sim_time.add !cost
                   (send ~at ~src:w.id ~dst:q.coordinator ~kind:Metrics.Progress_msg
-                     (P_progress { qid; phase; weight; cz })))
-        (Progress.drain w.coalescer);
+                     (P_progress { qid; phase; weight; cz })));
     !cost
   (* ---- Phase transitions ----------------------------------------------- *)
   and phase_complete ~at ?(cz = -1) w q phase =
@@ -919,7 +874,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     match payload with
     | P_trav _ | P_trav_batch _ -> assert false (* run by [drain] *)
     | P_progress { qid; phase; weight; cz } -> begin
-      match Hashtbl.find_opt queries qid with
+      match find_query qid with
       | None -> Sim_time.zero
       (* A cancelled / timed-out query's straggling weight is dropped:
          its trackers are already released (timeout), so feeding them
@@ -928,7 +883,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       | Some q -> tracker_receive ~at ~cz w q phase weight
     end
     | P_agg_flush { qid; agg_step; cz } -> begin
-      match Hashtbl.find_opt queries qid with
+      match find_query qid with
       | None -> Sim_time.zero
       | Some q when not q.active -> Sim_time.zero
       | Some q ->
@@ -941,7 +896,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
              (P_agg_partial { qid; agg_step; partial; cz }))
     end
     | P_agg_partial { qid; agg_step; partial; cz } -> begin
-      match Hashtbl.find_opt queries qid with
+      match find_query qid with
       | None -> Sim_time.zero
       | Some q when not q.active -> Sim_time.zero
       | Some q ->
@@ -986,7 +941,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | P_setup { qid; cz } -> begin
       (* Dataflow flavors instantiate every operator of the query's plan
          (plus its channels) in this worker before execution can start. *)
-      match Hashtbl.find_opt queries qid with
+      match find_query qid with
       | None -> Sim_time.zero
       | Some q when not q.active -> Sim_time.zero
       | Some q ->
@@ -997,7 +952,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
              (P_setup_ack { qid; cz }))
     end
     | P_setup_ack { qid; cz } -> begin
-      match Hashtbl.find_opt queries qid with
+      match find_query qid with
       | None -> Sim_time.zero
       | Some q when not q.active -> Sim_time.zero
       | Some q ->
@@ -1032,7 +987,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
          traversers in arrival order. *)
       List.iter
         (fun (qid, label, entry) ->
-          match Hashtbl.find_opt queries qid with
+          match find_query qid with
           | Some q when q.active -> Memo.set w.memo ~qid ~label (Value.Vertex vertex) entry
           | Some _ | None -> ())
         entries;
@@ -1157,7 +1112,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     n_staged := 0;
     Hashtbl.clear staged_at
   and run_group w ~at g =
-    match Hashtbl.find_opt queries g.g_qid with
+    match find_query g.g_qid with
     | None -> Sim_time.zero
     | Some q when not q.active -> Sim_time.zero
     | Some q ->
@@ -1173,7 +1128,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           (* Theorem 1 over the group: inflow = children + rows + finished. *)
           let add acc (t : Traverser.t) = Weight.add acc t.Traverser.weight in
           let inflow = Vec.fold add Weight.zero g.g_travs in
-          let outflow = Vec.fold add (Weight.add y.finished y.row_weight) y.kids in
+          let outflow = Vec.fold add (Weight.add sink.finished sink.row_weight) sink.spawns in
           if not (Weight.equal inflow outflow) then
             Engine.check_fail "async: query %d step %d (%s) broke weight conservation" qid step op
         end;
@@ -1183,13 +1138,14 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             ();
         if batched then Metrics.count_batch metrics ~traversers:n;
         Metrics.(add metrics Counter.steps n);
-        Metrics.(add metrics Counter.edges_scanned y.edges);
-        Metrics.(add metrics Counter.memo_ops y.memo_ops);
-        let base = step_cost y in
+        Metrics.(add metrics Counter.edges_scanned sink.Exec.edges_scanned);
+        Metrics.(add metrics Counter.memo_ops sink.Exec.memo_ops);
+        let base = step_cost sink in
         if obs_on then
-          Pstm_obs.Opstats.record opstats ~step ~n ~out:(Vec.length y.kids) ~rows:y.n_rows
-            ~finished:(not (Weight.is_zero y.finished))
-            ~edges:y.edges ~memo_hits:y.memo_hits ~memo_misses:y.memo_misses
+          Pstm_obs.Opstats.record opstats ~step ~n ~out:(Vec.length sink.spawns)
+            ~rows:(Vec.length sink.rows)
+            ~finished:(not (Weight.is_zero sink.finished))
+            ~edges:sink.edges_scanned ~memo_hits:sink.memo_hits ~memo_misses:sink.memo_misses
             ~busy_ns:(Sim_time.to_ns base);
         (* Execution node. Incoming edges, binding last: each distinct
            arrival / producer context that fed the group (its span is the
@@ -1221,12 +1177,12 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         let cost = Sim_time.add (Sim_time.add gated base) shipped in
         let phase = Program.phase_of_step q.program step in
         let cost =
-          if y.n_rows = 0 then cost
-          else Sim_time.add cost (tracker_receive ~at ~cz w q phase y.row_weight)
+          if Vec.is_empty sink.rows then cost
+          else Sim_time.add cost (tracker_receive ~at ~cz w q phase sink.row_weight)
         in
         let cost =
-          if Weight.is_zero y.finished then cost
-          else Sim_time.add cost (finish_weight ~at ~cz w q phase y.finished)
+          if Weight.is_zero sink.finished then cost
+          else Sim_time.add cost (finish_weight ~at ~cz w q phase sink.finished)
         in
         if obs_on then begin
           let args = [ ("qid", Pstm_obs.Trace.I qid); ("step", Pstm_obs.Trace.I step) ] in
@@ -1275,31 +1231,32 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   (* P_trav wire: one message per child, in execution order. *)
   and ship_each w ~at q ~cz =
     let cost = ref Sim_time.zero in
-    for i = 0 to Vec.length y.kids - 1 do
+    for i = 0 to Vec.length sink.Exec.spawns - 1 do
       Metrics.(incr metrics Counter.spawned);
       cost :=
         Sim_time.add !cost
-          (dispatch ~at ~src:w.id ~src_vertex:(Vec.get y.parents i) ~cz q (Vec.get y.kids i))
+          (dispatch ~at ~src:w.id ~src_vertex:(Vec.get parents i) ~cz q
+             (Vec.get sink.Exec.spawns i))
     done;
     !cost
   (* P_trav_batch wire: children grouped by (destination, kind), one
      coalesced message per bucket in first-seen order, and at most one
      refinement round per group. *)
   and ship_batches w ~at q ~cz =
-    let n = Vec.length y.kids in
+    let n = Vec.length sink.Exec.spawns in
     for i = 0 to n - 1 do
-      let kid = Vec.get y.kids i in
+      let kid = Vec.get sink.Exec.spawns i in
       Metrics.(incr metrics Counter.spawned);
       let dst = route q kid in
       let key = (2 * dst) + Bool.to_int (msg_kind q kid = Metrics.Result_msg) in
       if bucket_size.(key) = 0 then Vec.push bucket_keys key;
       bucket_size.(key) <- bucket_size.(key) + 1;
       Vec.push kid_keys key;
-      if dst <> w.id then ignore (profile_hop ~src_vertex:(Vec.get y.parents i) q kid : bool)
+      if dst <> w.id then ignore (profile_hop ~src_vertex:(Vec.get parents i) q kid : bool)
     done;
     for i = n - 1 downto 0 do
       let key = Vec.get kid_keys i in
-      bucket_travs.(key) <- Vec.get y.kids i :: bucket_travs.(key)
+      bucket_travs.(key) <- Vec.get sink.Exec.spawns i :: bucket_travs.(key)
     done;
     let cost = ref Sim_time.zero in
     for b = 0 to Vec.length bucket_keys - 1 do
@@ -1448,7 +1405,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         setup_acks = 0;
       }
     in
-    Hashtbl.add queries qid q;
+    assert (Vec.length queries = qid);
+    Vec.push queries (Some q);
     (* A submission whose arrival is already in the past (a service
        dispatching a queued query) launches immediately; latency still
        measures from [s.at], so queue wait counts against the SLO. *)

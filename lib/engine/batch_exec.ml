@@ -1,6 +1,6 @@
 (* Frontier-batched execution of fusable step chains.
 
-   The scalar interpreter ([Exec.exec]) pays one dispatch per traverser
+   The scalar interpreter ([Exec.run]) pays one dispatch per traverser
    per step. When many traversers are resident at the same (partition,
    step) — the common case for frontier-shaped traversals — the engine
    can instead run them as one batch: a maximal chain of side-effect-free

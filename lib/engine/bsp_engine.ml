@@ -222,6 +222,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   in
   let busy_total = Array.make n_workers Sim_time.zero in
   let superstep_idx = ref 0 in
+  let sink = Exec.sink () in
   let superstep () =
     Metrics.(incr metrics Counter.supersteps);
     let clock0 = !clock in
@@ -249,22 +250,22 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
               ~args:[ ("worker", Pstm_obs.Trace.I w) ]
               ();
           Metrics.(incr metrics Counter.steps);
-          let outcome = Exec.exec ~graph ~memo ~prng ~qid:t_qid ~program:q.program ~scan trav in
-          if check && not (Exec.conserves trav outcome) then
+          Exec.clear sink;
+          Exec.run sink ~graph ~memo ~prng ~qid:t_qid ~program:q.program ~scan trav;
+          if check && not (Exec.conserves trav sink) then
             Engine.check_fail "bsp: query %d step %d (%s) broke weight conservation" t_qid
               trav.Traverser.step
               (Step.op_name (Program.step q.program trav.Traverser.step).Step.op);
-          Metrics.(add metrics Counter.edges_scanned outcome.Exec.edges_scanned);
-          let step_cost = interpretation_scale * Exec.cost costs outcome in
+          Metrics.(add metrics Counter.edges_scanned sink.Exec.edges_scanned);
+          let step_cost = interpretation_scale * Exec.cost costs sink in
           if obs_on then
             Pstm_obs.Opstats.record opstats ~step:trav.Traverser.step ~n:1
-              ~out:(List.length outcome.Exec.spawns)
-              ~rows:(List.length outcome.Exec.rows)
-              ~finished:(not (Weight.is_zero outcome.Exec.finished))
-              ~edges:outcome.Exec.edges_scanned ~memo_hits:outcome.Exec.memo_hits
-              ~memo_misses:outcome.Exec.memo_misses ~busy_ns:(Sim_time.to_ns step_cost);
+              ~out:(Vec.length sink.spawns) ~rows:(Vec.length sink.rows)
+              ~finished:(not (Weight.is_zero sink.finished))
+              ~edges:sink.edges_scanned ~memo_hits:sink.memo_hits
+              ~memo_misses:sink.memo_misses ~busy_ns:(Sim_time.to_ns step_cost);
           elapsed := Sim_time.add !elapsed step_cost;
-          List.iter
+          Vec.iter
             (fun child ->
               Metrics.(incr metrics Counter.spawned);
               q.live <- q.live + 1;
@@ -286,8 +287,8 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
                 else msg_bytes.(sn).(dn) <- msg_bytes.(sn).(dn) + bytes;
                 Queue.add { t_qid; trav = child } next_frontier.(dst)
               end)
-            outcome.Exec.spawns;
-          List.iter (fun (row, _weight) -> Vec.push q.rows row) outcome.Exec.rows
+            sink.spawns;
+          Vec.append ~into:q.rows sink.rows
         end
       done;
       compute.(w) <- !elapsed;

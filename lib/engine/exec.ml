@@ -1,188 +1,271 @@
 (* Single-step interpreter shared by all engines.
 
-   [exec] runs one traverser through one step, mutating only the supplied
-   partition memo, and returns what happened: children to route, result
-   rows, and the weight that terminated here. Engines differ in *where*
-   and *when* they call this — the async engine routes children through
-   the simulated cluster, the BSP engine between supersteps, the local
-   reference engine on a plain queue — but the semantics (and hence the
-   query answers) are defined once, here.
+   [run] runs one traverser through one step, mutating only the supplied
+   partition memo, and writes what happened into a caller-owned [sink]:
+   children to route, result rows, the weight that terminated here and
+   the data / memo volume. Engines differ in *where* and *when* they call
+   this — the async engine routes children through the simulated
+   cluster, the BSP engine between supersteps, the local reference engine
+   on a plain queue — but the semantics (and hence the query answers) are
+   defined once, here.
 
-   Weight conservation invariant (property-tested in the suite):
+   The sink accumulates across calls until [clear], so an engine that
+   runs a group of traversers reads the group's sums. Each child is built
+   once, with its final weight; the expand targets and the weight shares
+   go through scratch buffers the sink keeps, so a call allocates only
+   the children it pushes (plus what the memo and graph lookups do).
+
+   Weight conservation invariant (property-tested in the suite), per
+   call:
 
      t.weight = sum of spawned weights + sum of row weights + finished. *)
 
-type outcome = {
-  spawns : Traverser.t list;
-  rows : (Value.t array * Weight.t) list;
-  finished : Weight.t;
-  edges_scanned : int;
-  prop_reads : int;
-  memo_ops : int;
-  memo_hits : int;
-  memo_misses : int;
+type scratch = {
+  targets : int Vec.t; (* a source / expand step's child vertices *)
+  mutable shares : Weight.t array; (* one weight share per child *)
+  push_target : target:int -> edge_id:int -> label:int -> unit;
 }
 
-let no_effect =
+type sink = {
+  spawns : Traverser.t Vec.t;
+  rows : Value.t array Vec.t;
+  mutable row_weight : Weight.t;
+  mutable finished : Weight.t;
+  mutable edges_scanned : int;
+  mutable prop_reads : int;
+  mutable memo_ops : int;
+  mutable memo_hits : int;
+  mutable memo_misses : int;
+  scratch : scratch;
+}
+
+let no_trav = Traverser.make ~vertex:0 ~step:0 ~weight:Weight.zero ~n_registers:0
+
+let sink () =
+  let targets = Vec.create ~dummy:0 in
   {
-    spawns = [];
-    rows = [];
+    spawns = Vec.create ~dummy:no_trav;
+    rows = Vec.create ~dummy:[||];
+    row_weight = Weight.zero;
     finished = Weight.zero;
     edges_scanned = 0;
     prop_reads = 0;
     memo_ops = 0;
     memo_hits = 0;
     memo_misses = 0;
+    scratch =
+      {
+        targets;
+        shares = Array.make 8 Weight.zero;
+        push_target = (fun ~target ~edge_id:_ ~label:_ -> Vec.push targets target);
+      };
   }
 
-(* Split [weight] over [children] (traversers built without weights). *)
-let distribute prng weight children k =
-  match children with
-  | [] -> { no_effect with finished = weight }
-  | [ child ] -> k [ Traverser.with_weight child weight ]
-  | _ ->
-    let n = List.length children in
-    let shares = Weight.split prng weight ~n in
-    k (List.mapi (fun i child -> Traverser.with_weight child shares.(i)) children)
+let clear s =
+  Vec.clear s.spawns;
+  Vec.clear s.rows;
+  s.row_weight <- Weight.zero;
+  s.finished <- Weight.zero;
+  s.edges_scanned <- 0;
+  s.prop_reads <- 0;
+  s.memo_ops <- 0;
+  s.memo_hits <- 0;
+  s.memo_misses <- 0
 
-let exec ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
+let finish s w = s.finished <- Weight.add s.finished w
+
+let count_memo s ~ops ~hits ~misses =
+  s.memo_ops <- s.memo_ops + ops;
+  s.memo_hits <- s.memo_hits + hits;
+  s.memo_misses <- s.memo_misses + misses
+
+(* Split [w] over [n >= 1] children into [sc.shares]. A lone child takes
+   [w] whole and draws nothing; [split_into] draws the same PRNG stream
+   as [Weight.split]. *)
+let split sc prng w n =
+  if Array.length sc.shares < n then
+    sc.shares <- Array.make (max n (2 * Array.length sc.shares)) Weight.zero;
+  if n = 1 then sc.shares.(0) <- w else Weight.split_into prng w sc.shares ~n
+
+let push_all targets vertices =
+  for i = 0 to Array.length vertices - 1 do
+    Vec.push targets vertices.(i)
+  done
+
+(* Spawn one child per collected target at [step], splitting [t]'s
+   weight over them, and empty the target buffer. With no target, [t]
+   finishes here instead; returns whether anything spawned. *)
+let spawn_targets s prng (t : Traverser.t) ~step =
+  let sc = s.scratch in
+  let n = Vec.length sc.targets in
+  if n = 0 then finish s t.weight
+  else begin
+    split sc prng t.weight n;
+    for i = 0 to n - 1 do
+      Vec.push s.spawns
+        (Traverser.move t ~vertex:(Vec.get sc.targets i) ~step ~weight:sc.shares.(i))
+    done;
+    Vec.clear sc.targets
+  end;
+  n > 0
+
+(* [t] moved to [step] with [weight] and the register file [regs]. *)
+let child (t : Traverser.t) ~regs ~step ~weight = { t with Traverser.regs; step; weight }
+
+(* One Join child per matching partner row, in match order, with the
+   row's payload loaded into [load_regs]. *)
+let rec spawn_matches s (t : Traverser.t) ~load_regs ~cont i = function
+  | [] -> ()
+  | (row : Value.t array) :: rest ->
+    let regs = Array.copy t.regs in
+    for j = 0 to Array.length load_regs - 1 do
+      regs.(load_regs.(j)) <- row.(j)
+    done;
+    Vec.push s.spawns (child t ~regs ~step:cont ~weight:s.scratch.shares.(i));
+    spawn_matches s t ~load_regs ~cont (i + 1) rest
+
+let eval graph (t : Traverser.t) e = Step.eval_expr graph ~vertex:t.vertex ~regs:t.regs e
+
+(* Accounting note: a step that spawns nothing records only its finished
+   weight — the memo probe, edge scan and property reads it made are not
+   counted, so neither their metrics nor their simulated CPU cost are
+   charged (a Visit that does not improve, a Join with no match, an
+   Index_lookup that misses, an Expand over no matching edge). Every
+   paper figure was generated under this accounting; changing it is a
+   model change (ROADMAP), not a refactor. The [spawn_targets] and
+   [n = 0] branches below are those sites. *)
+let run s ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
   let step = Program.step program t.step in
-  let eval e = Step.eval_expr graph ~vertex:t.vertex ~regs:t.regs e in
+  let sc = s.scratch in
   match step.Step.op with
   | Step.Index_lookup { vertex_label; key; value } ->
-    let vertices = Graph.index_lookup graph ?vertex_label ~key value in
-    let children =
-      Array.to_list
-        (Array.map (fun v -> Traverser.move t ~vertex:v ~step:step.next ~weight:Weight.zero) vertices)
-    in
-    let hit = if Array.length vertices > 0 then 1 else 0 in
-    distribute prng t.weight children (fun spawns ->
-        { no_effect with spawns; memo_ops = 1; prop_reads = 1; memo_hits = hit; memo_misses = 1 - hit })
+    push_all sc.targets (Graph.index_lookup graph ?vertex_label ~key value);
+    if spawn_targets s prng t ~step:step.next then begin
+      s.prop_reads <- s.prop_reads + 1;
+      count_memo s ~ops:1 ~hits:1 ~misses:0
+    end
   | Step.Scan { vertex_label } ->
     let vertices = scan vertex_label in
-    let children =
-      Array.to_list
-        (Array.map (fun v -> Traverser.move t ~vertex:v ~step:step.next ~weight:Weight.zero) vertices)
-    in
-    distribute prng t.weight children (fun spawns ->
-        { no_effect with spawns; edges_scanned = Array.length vertices })
+    push_all sc.targets vertices;
+    if spawn_targets s prng t ~step:step.next then
+      s.edges_scanned <- s.edges_scanned + Array.length vertices
   | Step.Expand { dir; edge_label } ->
-    let children = ref [] in
-    Graph.iter_adjacent graph ~dir ?label:edge_label t.vertex
-      (fun ~target ~edge_id:_ ~label:_ ->
-        children := Traverser.move t ~vertex:target ~step:step.next ~weight:Weight.zero :: !children);
-    let scanned = Graph.degree graph ~dir t.vertex in
-    distribute prng t.weight (List.rev !children) (fun spawns ->
-        { no_effect with spawns; edges_scanned = scanned })
+    Graph.iter_adjacent graph ~dir ?label:edge_label t.vertex sc.push_target;
+    if spawn_targets s prng t ~step:step.next then
+      s.edges_scanned <- s.edges_scanned + Graph.degree graph ~dir t.vertex
   | Step.Filter pred ->
-    let reads = Step.pred_prop_reads pred in
+    s.prop_reads <- s.prop_reads + Step.pred_prop_reads pred;
     if Step.eval_pred graph ~vertex:t.vertex ~regs:t.regs pred then
-      { no_effect with spawns = [ Traverser.at_step t step.next ]; prop_reads = reads }
-    else { no_effect with finished = t.weight; prop_reads = reads }
+      Vec.push s.spawns (Traverser.at_step t step.next)
+    else finish s t.weight
   | Step.Set_reg { reg; expr } ->
-    let t' = Traverser.set_reg t reg (eval expr) in
-    {
-      no_effect with
-      spawns = [ Traverser.at_step t' step.next ];
-      prop_reads = Step.expr_prop_reads expr;
-    }
+    let regs = Array.copy t.regs in
+    regs.(reg) <- eval graph t expr;
+    Vec.push s.spawns (child t ~regs ~step:step.next ~weight:t.weight);
+    s.prop_reads <- s.prop_reads + Step.expr_prop_reads expr
   | Step.Move_to { reg } ->
     let target = Value.vertex_exn t.regs.(reg) in
-    { no_effect with spawns = [ Traverser.move t ~vertex:target ~step:step.next ~weight:t.weight ] }
+    Vec.push s.spawns (Traverser.move t ~vertex:target ~step:step.next ~weight:t.weight)
   | Step.Dedup { by } ->
-    let key = eval by in
-    let fresh = Memo.add_if_absent memo ~qid ~label:t.step key in
-    let reads = Step.expr_prop_reads by in
-    if fresh then
-      {
-        no_effect with
-        spawns = [ Traverser.at_step t step.next ];
-        prop_reads = reads;
-        memo_ops = 1;
-        memo_misses = 1;
-      }
-    else { no_effect with finished = t.weight; prop_reads = reads; memo_ops = 1; memo_hits = 1 }
+    let fresh = Memo.add_if_absent memo ~qid ~label:t.step (eval graph t by) in
+    s.prop_reads <- s.prop_reads + Step.expr_prop_reads by;
+    if fresh then begin
+      Vec.push s.spawns (Traverser.at_step t step.next);
+      count_memo s ~ops:1 ~hits:0 ~misses:1
+    end
+    else begin
+      finish s t.weight;
+      count_memo s ~ops:1 ~hits:1 ~misses:0
+    end
   | Step.Visit { dist_reg; max_hops; cont; emit_improved } ->
     let d = Value.to_int_exn t.regs.(dist_reg) in
-    let loop_child () =
-      Traverser.at_step (Traverser.set_reg t dist_reg (Value.Int (d + 1))) step.next
+    let visit = Memo.min_int_update memo ~qid ~label:t.step (Value.Vertex t.vertex) d in
+    (* First visit: continue, and loop on while hops remain. Improved:
+       under asynchronous order a vertex can be first reached through a
+       longer path; when the continuation aggregates distances (min /
+       max), improvements must re-emit or the result would be stale.
+       Set-semantics continuations keep the exactly-once emission. *)
+    let emit =
+      match visit with
+      | Memo.First_visit -> true
+      | Memo.Improved -> emit_improved
+      | Memo.Not_improved -> false
     in
-    let outcome = Memo.min_int_update memo ~qid ~label:t.step (Value.Vertex t.vertex) d in
-    let children =
-      match outcome with
-      | Memo.First_visit ->
-        let cont_child = Traverser.at_step t cont in
-        if d < max_hops then [ cont_child; loop_child () ] else [ cont_child ]
-      | Memo.Improved ->
-        (* Under asynchronous order a vertex can be first reached through a
-           longer path; when the continuation aggregates distances (min /
-           max), improvements must re-emit or the result would be stale.
-           Set-semantics continuations keep the exactly-once emission. *)
-        let base = if d < max_hops then [ loop_child () ] else [] in
-        if emit_improved then Traverser.at_step t cont :: base else base
-      | Memo.Not_improved -> []
-    in
-    let hit = match outcome with Memo.First_visit -> 0 | Memo.Improved | Memo.Not_improved -> 1 in
-    distribute prng t.weight children (fun spawns ->
-        { no_effect with spawns; memo_ops = 1; memo_hits = hit; memo_misses = 1 - hit })
+    let loop = d < max_hops && visit <> Memo.Not_improved in
+    let hit = if visit = Memo.First_visit then 0 else 1 in
+    let n = Bool.to_int emit + Bool.to_int loop in
+    if n = 0 then finish s t.weight (* uncounted: see the note on [run] *)
+    else begin
+      split sc prng t.weight n;
+      if emit then
+        Vec.push s.spawns (child t ~regs:t.regs ~step:cont ~weight:sc.shares.(0));
+      if loop then begin
+        let regs = Array.copy t.regs in
+        regs.(dist_reg) <- Value.Int (d + 1);
+        Vec.push s.spawns (child t ~regs ~step:step.next ~weight:sc.shares.(n - 1))
+      end;
+      count_memo s ~ops:1 ~hits:hit ~misses:(1 - hit)
+    end
   | Step.Join { key; store; load_regs; cont; _ } ->
-    let key_value = eval key in
-    let payload = Array.map eval store in
+    let key_value = eval graph t key in
+    let n_store = Array.length store in
+    let payload =
+      if n_store = 0 then [||]
+      else begin
+        let p = Array.make n_store (eval graph t store.(0)) in
+        for i = 1 to n_store - 1 do
+          p.(i) <- eval graph t store.(i)
+        done;
+        p
+      end
+    in
     let partner = Program.join_partner program t.step in
     Memo.rows_add memo ~qid ~label:t.step key_value payload;
     let matches = Memo.rows_get memo ~qid ~label:partner key_value in
-    let children =
-      List.map
-        (fun row ->
-          let pairs = List.mapi (fun i reg -> (reg, row.(i))) (Array.to_list load_regs) in
-          Traverser.at_step (Traverser.set_regs t pairs) cont)
-        matches
-    in
-    let reads = Step.expr_prop_reads key + Array.fold_left (fun a e -> a + Step.expr_prop_reads e) 0 store in
-    let n_matches = List.length matches in
-    distribute prng t.weight children (fun spawns ->
-        {
-          no_effect with
-          spawns;
-          prop_reads = reads;
-          memo_ops = 2;
-          memo_hits = n_matches;
-          memo_misses = (if n_matches = 0 then 1 else 0);
-        })
+    let n = List.length matches in
+    if n = 0 then finish s t.weight (* uncounted: see the note on [run] *)
+    else begin
+      split sc prng t.weight n;
+      spawn_matches s t ~load_regs ~cont 0 matches;
+      let reads = ref (Step.expr_prop_reads key) in
+      for i = 0 to n_store - 1 do
+        reads := !reads + Step.expr_prop_reads store.(i)
+      done;
+      s.prop_reads <- s.prop_reads + !reads;
+      count_memo s ~ops:2 ~hits:n ~misses:0
+    end
   | Step.Aggregate { agg; reg = _ } ->
     let partial = Memo.partial memo ~qid ~label:t.step agg in
     Aggregate.accumulate agg partial graph ~vertex:t.vertex ~regs:t.regs;
-    {
-      no_effect with
-      finished = t.weight;
-      prop_reads = Step.agg_prop_reads agg;
-      memo_ops = 1;
-    }
+    finish s t.weight;
+    s.prop_reads <- s.prop_reads + Step.agg_prop_reads agg;
+    s.memo_ops <- s.memo_ops + 1
   | Step.Emit exprs ->
-    let row = Array.map eval exprs in
-    {
-      no_effect with
-      rows = [ (row, t.weight) ];
-      prop_reads = Array.fold_left (fun a e -> a + Step.expr_prop_reads e) 0 exprs;
-    }
+    let n = Array.length exprs in
+    let row = if n = 0 then [||] else Array.make n Value.Null in
+    let reads = ref 0 in
+    for i = 0 to n - 1 do
+      row.(i) <- eval graph t exprs.(i);
+      reads := !reads + Step.expr_prop_reads exprs.(i)
+    done;
+    Vec.push s.rows row;
+    s.row_weight <- Weight.add s.row_weight t.weight;
+    s.prop_reads <- s.prop_reads + !reads
 
-(* The header's conservation identity as a runtime predicate, for the
-   engines' sanitizer (check) mode. *)
-let conserves (t : Traverser.t) outcome =
+(* The header's conservation identity as a runtime predicate over
+   everything in the sink, for the engines' sanitizer (check) mode:
+   callers [clear] the sink before each [run] they check. *)
+let conserves (t : Traverser.t) s =
+  let total = Weight.add s.finished s.row_weight in
   let total =
-    List.fold_left
-      (fun acc (c : Traverser.t) -> Weight.add acc c.Traverser.weight)
-      outcome.finished outcome.spawns
+    Vec.fold (fun acc (c : Traverser.t) -> Weight.add acc c.Traverser.weight) total s.spawns
   in
-  let total = List.fold_left (fun acc (_, w) -> Weight.add acc w) total outcome.rows in
   Weight.equal total t.Traverser.weight
 
-(* CPU time of one [exec] outcome under a cluster cost table. *)
-let cost (costs : Cluster.costs) outcome =
-  let open Sim_time in
-  add costs.Cluster.step_dispatch
-    (add
-       (outcome.edges_scanned * costs.Cluster.per_edge)
-       (add
-          (outcome.prop_reads * costs.Cluster.per_property)
-          (outcome.memo_ops * costs.Cluster.memo_op)))
+(* CPU time of the sink's work under a cluster cost table: one step
+   dispatch plus its data and memo volume. *)
+let cost (costs : Cluster.costs) s =
+  Sim_time.add costs.Cluster.step_dispatch
+    ((s.edges_scanned * costs.Cluster.per_edge)
+    + (s.prop_reads * costs.Cluster.per_property)
+    + (s.memo_ops * costs.Cluster.memo_op))

@@ -1,23 +1,38 @@
 (** Single-step interpreter: the shared operational semantics of PSTM
-    steps. Engines differ only in where and when they call {!exec}. *)
+    steps. Engines differ only in where and when they call {!run}. *)
 
-type outcome = {
-  spawns : Traverser.t list; (** children, to be routed by the caller *)
-  rows : (Value.t array * Weight.t) list; (** emitted result rows *)
-  finished : Weight.t; (** weight that terminated at this step *)
-  edges_scanned : int;
-  prop_reads : int;
-  memo_ops : int;
-  memo_hits : int;  (** memo probes answered from existing state *)
-  memo_misses : int;  (** memo probes that created or missed state *)
+(** Reusable buffers of a sink (expand targets, weight shares). *)
+type scratch
+
+(** What executed steps produced, accumulated over every {!run} since the
+    last {!clear}. The caller owns the sink and reuses it: {!run} only
+    pushes and adds, so a call allocates just the children it spawns. *)
+type sink = {
+  spawns : Traverser.t Vec.t; (** children in spawn order, to be routed by the caller *)
+  rows : Value.t array Vec.t; (** emitted result rows *)
+  mutable row_weight : Weight.t; (** summed weight of [rows] *)
+  mutable finished : Weight.t; (** weight that terminated at these steps *)
+  mutable edges_scanned : int;
+  mutable prop_reads : int;
+  mutable memo_ops : int;
+  mutable memo_hits : int;  (** memo probes answered from existing state *)
+  mutable memo_misses : int;  (** memo probes that created or missed state *)
+  scratch : scratch;
 }
 
+val sink : unit -> sink
+
+(** Empty the sink: no spawns or rows, zero weights and counts. *)
+val clear : sink -> unit
+
 (** Execute one traverser through its current step against the partition
-    memo of the worker it is on. [scan] supplies the vertex domain of Scan
-    sources (the whole graph for the reference engine, the partition
-    members for distributed workers). Maintains weight conservation:
-    input weight = spawned + row + finished weights. *)
-val exec :
+    memo of the worker it is on, adding the result to the sink. [scan]
+    supplies the vertex domain of Scan sources (the whole graph for the
+    reference engine, the partition members for distributed workers).
+    Maintains weight conservation: input weight = spawned + row +
+    finished weights added by this call. *)
+val run :
+  sink ->
   graph:Graph.t ->
   memo:Memo.t ->
   prng:Prng.t ->
@@ -25,12 +40,14 @@ val exec :
   program:Program.t ->
   scan:(int option -> int array) ->
   Traverser.t ->
-  outcome
+  unit
 
-(** Does the outcome conserve the input traverser's weight
-    (spawned + rows + finished = input)? Used by the engines' sanitizer
-    ([~check:true]) mode. *)
-val conserves : Traverser.t -> outcome -> bool
+(** Does the sink's whole content conserve the traverser's weight
+    (spawned + rows + finished = input)? Clear the sink before the
+    {!run} to check. Used by the engines' sanitizer ([~check:true])
+    mode. *)
+val conserves : Traverser.t -> sink -> bool
 
-(** CPU time of an outcome under a cluster cost table. *)
-val cost : Cluster.costs -> outcome -> Sim_time.t
+(** CPU time of the sink's work under a cluster cost table: one step
+    dispatch plus its data and memo volume. *)
+val cost : Cluster.costs -> sink -> Sim_time.t

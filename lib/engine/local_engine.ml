@@ -20,6 +20,7 @@ let run ?(common = Engine.Common.default) graph program =
   let prng = Prng.create 1 in
   let qid = 0 in
   let rows = ref [] in
+  let sink = Exec.sink () in
   let scan label =
     let out = Vec.create ~dummy:0 in
     (match label with
@@ -52,26 +53,22 @@ let run ?(common = Engine.Common.default) graph program =
     let queue = queues.(phase) in
     while not (Queue.is_empty queue) do
       let t = Queue.pop queue in
-      let outcome = Exec.exec ~graph ~memo ~prng ~qid ~program ~scan t in
+      Exec.clear sink;
+      Exec.run sink ~graph ~memo ~prng ~qid ~program ~scan t;
       if obs_on then
         Pstm_obs.Opstats.record opstats ~step:t.Traverser.step ~n:1
-          ~out:(List.length outcome.Exec.spawns)
-          ~rows:(List.length outcome.Exec.rows)
-          ~finished:(not (Weight.is_zero outcome.Exec.finished))
-          ~edges:outcome.Exec.edges_scanned ~memo_hits:outcome.Exec.memo_hits
-          ~memo_misses:outcome.Exec.memo_misses ~busy_ns:0;
+          ~out:(Vec.length sink.Exec.spawns) ~rows:(Vec.length sink.rows)
+          ~finished:(not (Weight.is_zero sink.finished))
+          ~edges:sink.edges_scanned ~memo_hits:sink.memo_hits ~memo_misses:sink.memo_misses
+          ~busy_ns:0;
       if check then begin
-        if not (Exec.conserves t outcome) then
+        if not (Exec.conserves t sink) then
           Engine.check_fail "local: step %d (%s) broke weight conservation" t.Traverser.step
             (Step.op_name (Program.step program t.Traverser.step).Step.op);
-        drained.(phase) <-
-          List.fold_left
-            (fun acc (_, w) -> Weight.add acc w)
-            (Weight.add drained.(phase) outcome.Exec.finished)
-            outcome.Exec.rows
+        drained.(phase) <- Weight.add drained.(phase) (Weight.add sink.finished sink.row_weight)
       end;
-      List.iter push outcome.Exec.spawns;
-      List.iter (fun (row, _w) -> rows := row :: !rows) outcome.Exec.rows
+      Vec.iter push sink.spawns;
+      Vec.iter (fun row -> rows := row :: !rows) sink.rows
     done;
     if check && not (Weight.equal seeded.(phase) drained.(phase)) then
       Engine.check_fail "local: phase %d weight ledger broken: seeded %a, drained %a" phase

@@ -221,7 +221,10 @@ let emit_packet t ~at ~src_node ~dst_node messages bytes =
     Cluster.emit_protocol t.cluster Cluster.Pkt_send ~src:src_node ~dst:dst_node ~seq;
     transmit t r ~at ~attempt:0 pkt
 
-(* Tier-2 entry: either open/extend an NLC window or emit immediately. *)
+(* Tier-2 entry: either open/extend an NLC window or emit immediately.
+   [messages] is the caller's tier-1 buffer, which it clears afterwards:
+   the window appends it to the pending vector and copies that once into
+   the packet when it fires; without NLC the packet is one copy of it. *)
 let to_combiner t ~at ~src_node ~dst_node messages bytes =
   Metrics.(incr (Cluster.metrics t.cluster) Counter.flushes);
   if t.config.nlc then begin
@@ -238,15 +241,15 @@ let to_combiner t ~at ~src_node ~dst_node messages bytes =
           t.window_open.(src_node).(dst_node) <- false;
           let batch = t.pending.(src_node).(dst_node) in
           if not (Vec.is_empty batch) then begin
-            let copy = Vec.of_array ~dummy:(Vec.get batch 0) (Vec.to_array batch) in
+            let packet = Vec.copy batch in
             let batch_bytes = t.pending_bytes.(src_node).(dst_node) in
             Vec.clear batch;
             t.pending_bytes.(src_node).(dst_node) <- 0;
-            emit_packet t ~at:fire_at ~src_node ~dst_node copy batch_bytes
+            emit_packet t ~at:fire_at ~src_node ~dst_node packet batch_bytes
           end)
     end
   end
-  else emit_packet t ~at ~src_node ~dst_node messages bytes
+  else emit_packet t ~at ~src_node ~dst_node (Vec.copy messages) bytes
 
 let delivering_retransmitted t = t.delivering_retx
 
@@ -257,12 +260,11 @@ let flush_buffer t ~at ~worker ~dst_node =
   let buffer = t.buffers.(worker).(dst_node) in
   if Vec.is_empty buffer then Sim_time.zero
   else begin
-    let messages = Vec.of_array ~dummy:(Vec.get buffer 0) (Vec.to_array buffer) in
     let bytes = t.buffer_bytes.(worker).(dst_node) in
+    let src_node = Cluster.node_of_worker t.cluster worker in
+    to_combiner t ~at ~src_node ~dst_node buffer bytes;
     Vec.clear buffer;
     t.buffer_bytes.(worker).(dst_node) <- 0;
-    let src_node = Cluster.node_of_worker t.cluster worker in
-    to_combiner t ~at ~src_node ~dst_node messages bytes;
     (costs t).Cluster.flush_handoff
   end
 
@@ -295,7 +297,7 @@ let send t ~at ~src_worker ~dst_worker ~kind ~bytes payload =
       (* No batching: the message is its own packet and pays a syscall. *)
       Metrics.(incr metrics Counter.flushes);
       let src_node = Cluster.node_of_worker t.cluster src_worker in
-      let singleton = Vec.of_array ~dummy:message [| message |] in
+      let singleton = Vec.make ~dummy:message 1 message in
       emit_packet t ~at ~src_node ~dst_node singleton bytes;
       (costs t).Cluster.direct_send
     end

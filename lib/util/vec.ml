@@ -86,6 +86,8 @@ let exists p t =
 
 let to_array t = Array.sub t.data 0 t.len
 
+let copy t = { data = Array.sub t.data 0 t.len; len = t.len; dummy = t.dummy }
+
 let to_list t = Array.to_list (to_array t)
 
 let of_array ~dummy arr =

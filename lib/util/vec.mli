@@ -34,6 +34,10 @@ val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val exists : ('a -> bool) -> 'a t -> bool
 val to_array : 'a t -> 'a array
 val to_list : 'a t -> 'a list
+
+(** A new vector holding the same elements, with exactly their
+    capacity (one array copy). *)
+val copy : 'a t -> 'a t
 val of_array : dummy:'a -> 'a array -> 'a t
 
 (** [append ~into src] pushes all of [src] onto [into]. *)

@@ -74,6 +74,11 @@ let test_tracker_completes_exactly_once () =
   Alcotest.(check bool) "is_complete" true (Progress.is_complete t);
   Alcotest.(check int) "receipts counted" 5 (Progress.receipts t)
 
+let drained c =
+  let out = ref [] in
+  Progress.drain c (fun qid phase w -> out := (qid, phase, w) :: !out);
+  List.rev !out
+
 let test_coalescer_merges () =
   let c = Progress.coalescer () in
   let prng = Prng.create 9 in
@@ -82,13 +87,72 @@ let test_coalescer_merges () =
   Progress.coalesce c ~qid:1 ~phase:0 w2;
   Progress.coalesce c ~qid:2 ~phase:1 w3;
   Alcotest.(check int) "pending additions" 3 (Progress.pending_additions c);
-  (match Progress.drain c with
+  (match drained c with
   | [ (1, 0, merged); (2, 1, w3') ] ->
     Alcotest.(check bool) "merged weight" true (Weight.equal merged (Weight.add w1 w2));
     Alcotest.(check bool) "other query kept apart" true (Weight.equal w3 w3')
   | other -> Alcotest.fail (Fmt.str "unexpected drain of %d entries" (List.length other)));
   Alcotest.(check bool) "empty after drain" true (Progress.is_empty c);
   Alcotest.(check int) "pending reset" 0 (Progress.pending_additions c)
+
+(* Keys arrive interleaved and out of order; the drain ships them in
+   ascending (qid, phase) order with each key's sum, zero sums included. *)
+let test_coalescer_drain_order () =
+  let c = Progress.coalescer () in
+  let prng = Prng.create 10 in
+  let keys = [ (7, 1); (2, 0); (7, 0); (3, 2); (2, 3); (3, 0); (11, 0); (2, 1); (5, 0) ] in
+  let sums = Hashtbl.create 16 in
+  for round = 1 to 3 do
+    List.iter
+      (fun (qid, phase) ->
+        let w = Weight.random prng in
+        Progress.coalesce c ~qid ~phase w;
+        let acc = Option.value ~default:Weight.zero (Hashtbl.find_opt sums (qid, phase)) in
+        Hashtbl.replace sums (qid, phase) (Weight.add acc w))
+      (if round = 2 then List.rev keys else keys)
+  done;
+  (* A key whose weights cancel out. *)
+  let w = Weight.random prng in
+  Progress.coalesce c ~qid:4 ~phase:1 w;
+  Progress.coalesce c ~qid:4 ~phase:1 (Weight.sub Weight.zero w);
+  Hashtbl.replace sums (4, 1) Weight.zero;
+  let got = drained c in
+  let expected = List.sort compare (List.of_seq (Hashtbl.to_seq_keys sums)) in
+  Alcotest.(check (list (pair int int)))
+    "ascending (qid, phase)" expected
+    (List.map (fun (q, p, _) -> (q, p)) got);
+  List.iter
+    (fun (q, p, w) ->
+      Alcotest.(check bool)
+        (Fmt.str "sum of (%d, %d)" q p)
+        true
+        (Weight.equal w (Hashtbl.find sums (q, p))))
+    got;
+  Alcotest.(check bool) "zero-sum entry drains" true
+    (List.exists (fun (q, p, w) -> q = 4 && p = 1 && Weight.is_zero w) got);
+  Alcotest.(check int) "additions" (3 * List.length keys + 2) (Progress.additions c);
+  Alcotest.(check bool) "empty after drain" true (Progress.is_empty c)
+
+let test_coalescer_discard_query () =
+  let c = Progress.coalescer () in
+  let one = Weight.random (Prng.create 12) in
+  List.iter
+    (fun (qid, phase) -> Progress.coalesce c ~qid ~phase one)
+    [ (3, 0); (1, 0); (3, 2); (2, 1); (3, 1); (4, 0) ];
+  Progress.discard_query c ~qid:3;
+  Alcotest.(check int) "pending additions untouched" 6 (Progress.pending_additions c);
+  Alcotest.(check (list (pair int int)))
+    "only qid 3 removed" [ (1, 0); (2, 1); (4, 0) ]
+    (List.map (fun (q, p, _) -> (q, p)) (drained c));
+  Progress.discard_query c ~qid:9;
+  Alcotest.(check bool) "discarding on empty" true (Progress.is_empty c)
+
+let test_coalescer_no_reentry () =
+  let c = Progress.coalescer () in
+  Progress.coalesce c ~qid:0 ~phase:0 Weight.root;
+  Alcotest.check_raises "coalesce from a drain callback"
+    (Invalid_argument "Progress.coalesce: coalescer re-entered from a drain callback")
+    (fun () -> Progress.drain c (fun qid phase w -> Progress.coalesce c ~qid ~phase w))
 
 (* --- Traverser --- *)
 
@@ -361,6 +425,9 @@ let () =
         [
           Alcotest.test_case "tracker completes once" `Quick test_tracker_completes_exactly_once;
           Alcotest.test_case "coalescer merges" `Quick test_coalescer_merges;
+          Alcotest.test_case "coalescer drain order" `Quick test_coalescer_drain_order;
+          Alcotest.test_case "coalescer discard query" `Quick test_coalescer_discard_query;
+          Alcotest.test_case "coalescer no re-entry" `Quick test_coalescer_no_reentry;
         ] );
       ("traverser", [ Alcotest.test_case "copy on write" `Quick test_traverser_copy_on_write ]);
       ( "memo",

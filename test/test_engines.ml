@@ -161,9 +161,10 @@ let exec_conserves_weight =
       | exception Compile.Error _ -> QCheck.assume_fail ()
       | program ->
         (* Drive the program on a plain queue, checking the invariant on
-           every single exec call. *)
+           every single Exec.run call, each into a cleared sink. *)
         let memo = Memo.create () in
         let prng = Prng.create seed in
+        let sink = Exec.sink () in
         let scan label =
           let out = ref [] in
           (match label with
@@ -184,18 +185,60 @@ let exec_conserves_weight =
         while (not (Queue.is_empty queue)) && !budget > 0 do
           decr budget;
           let t = Queue.pop queue in
-          let o = Exec.exec ~graph ~memo ~prng ~qid:0 ~program ~scan t in
+          Exec.clear sink;
+          Exec.run sink ~graph ~memo ~prng ~qid:0 ~program ~scan t;
           let total =
-            List.fold_left
+            Vec.fold
               (fun acc (c : Traverser.t) -> Weight.add acc c.Traverser.weight)
-              o.Exec.finished o.Exec.spawns
+              (Weight.add sink.Exec.finished sink.Exec.row_weight)
+              sink.Exec.spawns
           in
-          let total = List.fold_left (fun acc (_, w) -> Weight.add acc w) total o.Exec.rows in
           if not (Weight.equal total t.Traverser.weight) then ok := false;
           (* Only follow same-phase spawns; aggregates end phases. *)
-          List.iter (fun c -> Queue.add c queue) o.Exec.spawns
+          Vec.iter (fun c -> Queue.add c queue) sink.Exec.spawns
         done;
         !ok)
+
+(* Allocation guard for the scalar interpreter: once the sink's buffers
+   have grown, a call allocates only the children it spawns (a traverser
+   record is 5 words), plus a small constant for the PRNG state and the
+   graph lookups. [Gc.minor_words] is exact in native code. *)
+let test_exec_allocation () =
+  let n = 20 in
+  let graph = graph_of ~n:(n + 1) ~edges:(List.init n (fun i -> (0, i + 1, true))) in
+  let step op next = { Step.op; next } in
+  let program =
+    Program.make ~name:"alloc"
+      ~steps:
+        [|
+          step (Step.Scan { vertex_label = None }) 1;
+          step (Step.Expand { dir = Graph.Out; edge_label = None }) 2;
+          step (Step.Filter Step.True) 3;
+          step (Step.Emit [||]) (-1);
+        |]
+      ~n_registers:0 ~entries:[| 0 |]
+  in
+  let memo = Memo.create () and prng = Prng.create 3 and sink = Exec.sink () in
+  let scan _ = [||] in
+  let words_of trav =
+    Exec.clear sink;
+    let before = Gc.minor_words () in
+    Exec.run sink ~graph ~memo ~prng ~qid:0 ~program ~scan trav;
+    let after = Gc.minor_words () in
+    int_of_float (after -. before)
+  in
+  let trav step = Traverser.make ~vertex:0 ~step ~weight:Weight.root ~n_registers:0 in
+  let expand = trav 1 and filter = trav 2 in
+  ignore (words_of expand : int);
+  ignore (words_of filter : int);
+  let expand_words = words_of expand in
+  Alcotest.(check int) "expand spawns every edge" n (Vec.length sink.Exec.spawns);
+  if expand_words > (5 * n) + 16 then
+    Alcotest.failf "expand with %d children allocated %d words (bound %d)" n expand_words
+      ((5 * n) + 16);
+  let filter_words = words_of filter in
+  Alcotest.(check int) "filter passes" 1 (Vec.length sink.Exec.spawns);
+  if filter_words > 5 then Alcotest.failf "passing filter allocated %d words (bound 5)" filter_words
 
 (* Determinism: identical runs give identical reports. *)
 let runs_deterministic =
@@ -363,6 +406,7 @@ let () =
         [
           Alcotest.test_case "concurrent queries" `Quick test_concurrent_queries_complete;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_times_out;
+          Alcotest.test_case "exec allocation" `Quick test_exec_allocation;
           Alcotest.test_case "bsp profiles agree" `Quick test_bsp_profiles_same_rows;
           Alcotest.test_case "tigergraph profile slower" `Quick test_tigergraph_profile_slower;
           Alcotest.test_case "single node" `Quick test_single_node_engine;
