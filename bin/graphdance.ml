@@ -10,6 +10,7 @@
      mc       [-m MUTANT]     explore event interleavings; conformance + mutant catching
      repartition -d DS -q ... profile a workload, refine the owner table, compare
      ldbc     -d snb-s        run one pass of the LDBC IC/IS queries
+     serve    -d DS [-q ...]  open-loop multi-tenant service with admission control
      verify   -d DS [-q ...]  static-verify one query, or the LDBC suite
 
    Queries run on the simulated cluster; reported latency is simulated
@@ -64,6 +65,32 @@ let workers_arg =
   let doc = "Worker threads per node (one graph partition each)." in
   Arg.(value & opt int 16 & info [ "workers" ] ~doc)
 
+let cluster_arg =
+  let config n_nodes workers_per_node =
+    { Cluster.default_config with Cluster.n_nodes; workers_per_node }
+  in
+  Term.(const config $ nodes_arg $ workers_arg)
+
+let rec parse_all parse = function
+  | [] -> Ok []
+  | x :: rest ->
+    Result.bind (parse x) (fun v -> Result.map (fun vs -> v :: vs) (parse_all parse rest))
+
+let slow_arg =
+  let doc = "Straggler node as NODE:FACTOR (e.g. 0:3.0); repeatable." in
+  let parse s =
+    match String.split_on_char ':' s with
+    | [ node; factor ] -> begin
+      match (int_of_string_opt node, float_of_string_opt factor) with
+      | Some n, Some f -> Ok (n, f)
+      | _ -> Error (Fmt.str "bad --slow %S (expected NODE:FACTOR)" s)
+    end
+    | _ -> Error (Fmt.str "bad --slow %S (expected NODE:FACTOR)" s)
+  in
+  Term.(
+    const (parse_all parse)
+    $ Arg.(value & opt_all string [] & info [ "slow" ] ~docv:"NODE:FACTOR" ~doc))
+
 let batched_arg =
   let doc =
     "Enable frontier-batched execution: fusable Expand/Filter chains run as CSR-range \
@@ -116,11 +143,10 @@ let resolve_engine ~config name =
       (Fmt.str "unknown engine %S (available: %s, or async)" name
          (String.concat ", " (Registry.names ~registry ())))
 
-let run_query dataset text engine nodes workers batched =
+let run_query dataset text engine config batched =
   let ( let* ) = Result.bind in
   let* graph = load_graph dataset in
   let* program = compile_query graph text in
-  let config = { Cluster.default_config with Cluster.n_nodes = nodes; workers_per_node = workers } in
   let* (module E : Engine.S) = resolve_engine ~config engine in
   let common = Engine.Common.with_batched batched Engine.Common.default in
   let report = E.run ~common ~graph [| Engine.submit program |] in
@@ -150,13 +176,12 @@ let to_exit = function
     1
 
 let query_cmd =
-  let run dataset text engine nodes workers batched =
-    to_exit (run_query dataset text engine nodes workers batched)
+  let run dataset text engine config batched =
+    to_exit (run_query dataset text engine config batched)
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a Gremlin query on a simulated cluster")
-    Term.(
-      const run $ dataset_arg $ query_arg $ engine_arg $ nodes_arg $ workers_arg $ batched_arg)
+    Term.(const run $ dataset_arg $ query_arg $ engine_arg $ cluster_arg $ batched_arg)
 
 let explain_cmd =
   let run dataset text =
@@ -235,14 +260,11 @@ let trace_cmd =
     Arg.(value & opt (enum [ ("async", `Async); ("bsp", `Bsp) ]) `Async
          & info [ "e"; "engine" ] ~doc)
   in
-  let run dataset text engine nodes workers trace_out =
+  let run dataset text engine config trace_out =
     to_exit
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
        let* program = compile_query graph text in
-       let config =
-         { Cluster.default_config with Cluster.n_nodes = nodes; workers_per_node = workers }
-       in
        let obs = Pstm_obs.Recorder.create () in
        let common = Engine.Common.with_obs obs Engine.Common.default in
        let report =
@@ -272,8 +294,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run a query with tracing: operator stats table plus a Chrome trace-event file")
     Term.(
-      const run $ dataset_arg $ query_arg $ trace_engine_arg $ nodes_arg $ workers_arg
-      $ trace_out_arg)
+      const run $ dataset_arg $ query_arg $ trace_engine_arg $ cluster_arg $ trace_out_arg)
 
 let why_cmd =
   let json_arg =
@@ -284,34 +305,12 @@ let why_cmd =
     let doc = "Show the N longest critical-path segments." in
     Arg.(value & opt int 10 & info [ "segments" ] ~docv:"N" ~doc)
   in
-  let slow_arg =
-    let doc = "Inject a straggler node as NODE:FACTOR (e.g. 0:8.0); repeatable." in
-    Arg.(value & opt_all string [] & info [ "slow" ] ~docv:"NODE:FACTOR" ~doc)
-  in
-  let run dataset text nodes workers batched slow json segments =
+  let run dataset text config batched slow_nodes json segments =
     to_exit
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
        let* program = compile_query graph text in
-       let parse_slow s =
-         match String.split_on_char ':' s with
-         | [ node; factor ] -> begin
-           match (int_of_string_opt node, float_of_string_opt factor) with
-           | Some n, Some f -> Ok (n, f)
-           | _ -> Error (Fmt.str "bad --slow %S (expected NODE:FACTOR)" s)
-         end
-         | _ -> Error (Fmt.str "bad --slow %S (expected NODE:FACTOR)" s)
-       in
-       let rec parse_all = function
-         | [] -> Ok []
-         | x :: rest ->
-           Result.bind (parse_slow x) (fun v ->
-               Result.map (fun vs -> v :: vs) (parse_all rest))
-       in
-       let* slow_nodes = parse_all slow in
-       let config =
-         { Cluster.default_config with Cluster.n_nodes = nodes; workers_per_node = workers }
-       in
+       let* slow_nodes = slow_nodes in
        let obs = Pstm_obs.Recorder.create ~causal:true () in
        let faults =
          if slow_nodes = [] then None else Some { Faults.none with Faults.slow_nodes }
@@ -359,8 +358,8 @@ let why_cmd =
           extraction over the hand-off DAG, attributed to compute / queue-wait / network / \
           retransmit-recovery / barrier / tracker-coordination")
     Term.(
-      const run $ dataset_arg $ query_arg $ nodes_arg $ workers_arg $ batched_arg $ slow_arg
-      $ json_arg $ segments_arg)
+      const run $ dataset_arg $ query_arg $ cluster_arg $ batched_arg $ slow_arg $ json_arg
+      $ segments_arg)
 
 let chaos_cmd =
   let drop_arg =
@@ -379,10 +378,6 @@ let chaos_cmd =
     let doc = "Delay-spike magnitude in simulated microseconds." in
     Arg.(value & opt int 200 & info [ "delay-us" ] ~docv:"US" ~doc)
   in
-  let slow_arg =
-    let doc = "Straggler node as NODE:FACTOR (e.g. 0:3.0); repeatable." in
-    Arg.(value & opt_all string [] & info [ "slow" ] ~docv:"NODE:FACTOR" ~doc)
-  in
   let pause_arg =
     let doc = "Pause window as NODE:FROM_US:DUR_US (e.g. 1:100:500); repeatable." in
     Arg.(value & opt_all string [] & info [ "pause" ] ~docv:"NODE:FROM_US:DUR_US" ~doc)
@@ -395,15 +390,6 @@ let chaos_cmd =
     let doc = "Optional deadline in simulated milliseconds; queries past it report TIMEOUT." in
     Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
   in
-  let parse_slow s =
-    match String.split_on_char ':' s with
-    | [ node; factor ] -> begin
-      match (int_of_string_opt node, float_of_string_opt factor) with
-      | Some n, Some f -> Ok (n, f)
-      | _ -> Error (Fmt.str "bad --slow %S (expected NODE:FACTOR)" s)
-    end
-    | _ -> Error (Fmt.str "bad --slow %S (expected NODE:FACTOR)" s)
-  in
   let parse_pause s =
     match String.split_on_char ':' s with
     | [ node; from_us; dur_us ] -> begin
@@ -414,22 +400,14 @@ let chaos_cmd =
     end
     | _ -> Error (Fmt.str "bad --pause %S (expected NODE:FROM_US:DUR_US)" s)
   in
-  let rec parse_all parse = function
-    | [] -> Ok []
-    | x :: rest ->
-      Result.bind (parse x) (fun v -> Result.map (fun vs -> v :: vs) (parse_all parse rest))
-  in
-  let run dataset text engine nodes workers batched drop dup delay_prob delay_us slow pauses
-      seed deadline_ms =
+  let run dataset text engine config batched drop dup delay_prob delay_us slow_nodes pauses seed
+      deadline_ms =
     to_exit
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
        let* program = compile_query graph text in
-       let* slow_nodes = parse_all parse_slow slow in
+       let* slow_nodes = slow_nodes in
        let* pauses = parse_all parse_pause pauses in
-       let config =
-         { Cluster.default_config with Cluster.n_nodes = nodes; workers_per_node = workers }
-       in
        let* (module E : Engine.S) = resolve_engine ~config engine in
        let spec =
          {
@@ -492,8 +470,8 @@ let chaos_cmd =
          "Run a query under injected faults (drop/duplicate/delay, stragglers, pauses) with \
           the sanitizer on, and check results against the reference oracle")
     Term.(
-      const run $ dataset_arg $ query_arg $ engine_arg $ nodes_arg $ workers_arg $ batched_arg
-      $ drop_arg $ dup_arg $ delay_prob_arg $ delay_us_arg $ slow_arg $ pause_arg $ seed_arg
+      const run $ dataset_arg $ query_arg $ engine_arg $ cluster_arg $ batched_arg $ drop_arg
+      $ dup_arg $ delay_prob_arg $ delay_us_arg $ slow_arg $ pause_arg $ seed_arg
       $ deadline_ms_arg)
 
 let mc_cmd =
@@ -655,16 +633,13 @@ let repartition_cmd =
     let doc = "Per-partition vertex-count cap for refinement, as a factor of the mean." in
     Arg.(value & opt float 1.1 & info [ "max-imbalance" ] ~docv:"F" ~doc)
   in
-  let run dataset text nodes workers repeats max_imbalance =
+  let run dataset text config repeats max_imbalance =
     to_exit
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
        let* program = compile_query graph text in
        if repeats < 1 then invalid_arg "--repeats must be at least 1";
-       let config =
-         { Cluster.default_config with Cluster.n_nodes = nodes; workers_per_node = workers }
-       in
-       let n_parts = nodes * workers in
+       let n_parts = config.Cluster.n_nodes * config.Cluster.workers_per_node in
        let subs =
          Array.init repeats (fun i -> Engine.submit ~at:(Sim_time.us (i * 20)) program)
        in
@@ -715,19 +690,9 @@ let repartition_cmd =
          stats.Repartition.imbalance_after;
        let refined = Array.copy assignment in
        List.iter (fun m -> refined.(m.Repartition.vertex) <- m.Repartition.dst) moves;
-       let adaptive partition =
-         { Async_engine.default_options with Async_engine.partition }
-       in
-       let warm =
-         run_with
-           {
-             (adaptive Partition.Adaptive) with
-             Async_engine.initial_assignment = Some refined;
-             adaptive =
-               { Async_engine.default_adaptive with Async_engine.min_traffic = max_int };
-           }
-       in
-       let cold = run_with (adaptive Partition.Adaptive) in
+       let strategy partition = { Async_engine.default_options with Async_engine.partition } in
+       let warm = run_with (strategy (Partition.Table refined)) in
+       let cold = run_with (strategy Partition.Adaptive) in
        let report_line label (r : Engine.report) =
          let m = r.Engine.metrics in
          let bytes = remote_bytes r in
@@ -750,8 +715,7 @@ let repartition_cmd =
          "Profile a query workload's cross-partition traffic, refine the owner table, and \
           compare hash vs adaptive partitioning")
     Term.(
-      const run $ dataset_arg $ query_arg $ nodes_arg $ workers_arg $ repeats_arg
-      $ max_imbalance_arg)
+      const run $ dataset_arg $ query_arg $ cluster_arg $ repeats_arg $ max_imbalance_arg)
 
 let ldbc_cmd =
   let per_query_arg =
@@ -762,14 +726,11 @@ let ldbc_cmd =
     let doc = "Runs per query under --per-query." in
     Arg.(value & opt int 5 & info [ "repeats" ] ~docv:"N" ~doc)
   in
-  let run dataset nodes workers per_query repeats =
+  let run dataset config per_query repeats =
     to_exit
       (match List.assoc_opt dataset dataset_presets with
       | Some (`Snb scale) ->
         let data = Pstm_ldbc.Snb_gen.load scale in
-        let config =
-          { Cluster.default_config with Cluster.n_nodes = nodes; workers_per_node = workers }
-        in
         let prng = Prng.create 7 in
         let run_once program =
           Async_engine.run ~cluster_config:config ~channel_config:Channel.default_config
@@ -805,7 +766,7 @@ let ldbc_cmd =
   in
   Cmd.v
     (Cmd.info "ldbc" ~doc:"Run one pass of the LDBC IC and IS queries")
-    Term.(const run $ dataset_arg $ nodes_arg $ workers_arg $ per_query_arg $ repeats_arg)
+    Term.(const run $ dataset_arg $ cluster_arg $ per_query_arg $ repeats_arg)
 
 (* --- serve: open-loop multi-tenant service ----------------------------- *)
 
@@ -850,22 +811,19 @@ let serve_cmd =
     let doc = "Run with the sanitizer on (tracker/memo leak detection under cancellation)." in
     Arg.(value & flag & info [ "check" ] ~doc)
   in
-  let run dataset text engine nodes workers rate duration slo tenants no_admission patience
-      seed check =
+  let run dataset text engine config rate duration slo tenants no_admission patience seed
+      check =
     to_exit
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
        let* program = compile_query graph text in
-       let config =
-         { Cluster.default_config with Cluster.n_nodes = nodes; workers_per_node = workers }
-       in
        let* engine = resolve_engine ~config engine in
        if tenants < 1 then Error "serve: --tenants must be at least 1"
        else begin
          let ms_time v = Sim_time.of_float_ns (v *. 1e6) in
          let patience = Option.map ms_time patience in
          let service_config =
-           Service.config ~max_inflight:(2 * nodes) ~slo:(ms_time slo)
+           Service.config ~max_inflight:(2 * config.Cluster.n_nodes) ~slo:(ms_time slo)
              ~admission:(not no_admission) ~headroom:1.5 ~seed ~horizon:(ms_time duration)
              (Array.init tenants (fun k ->
                   Service.tenant
@@ -913,8 +871,8 @@ let serve_cmd =
          "Run an open-loop multi-tenant query service: weighted-fair scheduling, admission \
           control with load shedding, scoped cancellation")
     Term.(
-      const run $ dataset_arg $ query_arg $ engine_arg $ nodes_arg $ workers_arg $ rate_arg
-      $ duration_arg $ slo_arg $ tenants_arg $ no_admission_arg $ patience_arg $ seed_arg
+      const run $ dataset_arg $ query_arg $ engine_arg $ cluster_arg $ rate_arg $ duration_arg
+      $ slo_arg $ tenants_arg $ no_admission_arg $ patience_arg $ seed_arg
       $ check_arg)
 
 let () =

@@ -3,7 +3,7 @@
    The DES normally collapses the scheduling freedom of a real
    asynchronous cluster into one canonical order: ties at a timestamp fire
    in insertion order. Every entry now carries a dependence tag (directed
-   link / node / worker, from [Cluster]), and [Event_queue.set_chooser]
+   link / worker, from [Cluster]), and [Event_queue.set_chooser]
    lets us pick which tied entry fires first — so one engine run under one
    chooser is one admissible schedule, and this module enumerates them.
 

@@ -185,8 +185,6 @@ type monitor = {
 
 let monitor compiled = { compiled; instances = Hashtbl.create 64 }
 
-let spec_name m = m.compiled.c_name
-
 let step m ~key ~msg =
   let c = m.compiled in
   let state = match Hashtbl.find_opt m.instances key with Some st -> st | None -> c.c_initial in

@@ -51,8 +51,6 @@ type monitor
 
 val monitor : compiled -> monitor
 
-val spec_name : monitor -> string
-
 (** Feed one observed message to one instance. [None] means conformant;
     [Some why] is a violation description. Instances are created lazily
     in the initial state. *)

@@ -52,12 +52,15 @@ let target t = t.target
    The merged weights live in parallel arrays kept sorted by (qid, phase):
    a worker has only a handful of live keys, so a binary search plus the
    rare insertion shift beats hashing, and merging a weight allocates
-   nothing. The sorted order is also the deterministic shipping order. *)
+   nothing. The sorted order is also the deterministic shipping order.
+   Each entry also keeps the tag of its last contributor (the engines'
+   causal context), so the tag lives and dies with its weight. *)
 
 type coalescer = {
   mutable qids : int array;
   mutable phases : int array;
   mutable weights : Weight.t array;
+  mutable tags : int array;
   mutable len : int; (* live entries: the prefix [0, len) *)
   mutable additions : int; (* total weight additions performed locally *)
   mutable pending_adds : int; (* additions since the last drain *)
@@ -69,6 +72,7 @@ let coalescer () =
     qids = Array.make 8 0;
     phases = Array.make 8 0;
     weights = Array.make 8 Weight.zero;
+    tags = Array.make 8 0;
     len = 0;
     additions = 0;
     pending_adds = 0;
@@ -97,24 +101,29 @@ let grow c =
   in
   c.qids <- extend c.qids 0;
   c.phases <- extend c.phases 0;
-  c.weights <- extend c.weights Weight.zero
+  c.weights <- extend c.weights Weight.zero;
+  c.tags <- extend c.tags 0
 
-let coalesce c ~qid ~phase w =
+let coalesce c ~qid ~phase ~tag w =
   not_draining c "coalesce";
   c.additions <- c.additions + 1;
   c.pending_adds <- c.pending_adds + 1;
   let i = search c ~qid ~phase in
-  if i < c.len && c.qids.(i) = qid && c.phases.(i) = phase then
-    c.weights.(i) <- Weight.add c.weights.(i) w
+  if i < c.len && c.qids.(i) = qid && c.phases.(i) = phase then begin
+    c.weights.(i) <- Weight.add c.weights.(i) w;
+    c.tags.(i) <- tag
+  end
   else begin
     if c.len = Array.length c.qids then grow c;
     let tail = c.len - i in
     Array.blit c.qids i c.qids (i + 1) tail;
     Array.blit c.phases i c.phases (i + 1) tail;
     Array.blit c.weights i c.weights (i + 1) tail;
+    Array.blit c.tags i c.tags (i + 1) tail;
     c.qids.(i) <- qid;
     c.phases.(i) <- phase;
     c.weights.(i) <- w;
+    c.tags.(i) <- tag;
     c.len <- c.len + 1
   end
 
@@ -125,14 +134,14 @@ let is_empty c = c.len = 0
    "ship with the next buffer flush" rule of §IV-A. *)
 let pending_additions c = c.pending_adds
 
-(* Hand every merged weight to [f] in ascending (qid, phase) order and
-   empty the coalescer. Entries whose weights summed to zero still ship:
-   the tracker counts the receipt. *)
+(* Hand every merged weight and its tag to [f] in ascending (qid, phase)
+   order and empty the coalescer. Entries whose weights summed to zero
+   still ship: the tracker counts the receipt. *)
 let drain c f =
   not_draining c "drain";
   c.draining <- true;
   for i = 0 to c.len - 1 do
-    f c.qids.(i) c.phases.(i) c.weights.(i)
+    f c.qids.(i) c.phases.(i) c.tags.(i) c.weights.(i)
   done;
   c.draining <- false;
   c.len <- 0;
@@ -153,6 +162,7 @@ let discard_query c ~qid =
       c.qids.(!kept) <- c.qids.(i);
       c.phases.(!kept) <- c.phases.(i);
       c.weights.(!kept) <- c.weights.(i);
+      c.tags.(!kept) <- c.tags.(i);
       incr kept
     end
   done;

@@ -35,21 +35,25 @@ val target : tracker -> Weight.t
 type coalescer
 
 val coalescer : unit -> coalescer
-val coalesce : coalescer -> qid:int -> phase:int -> Weight.t -> unit
+
+(** Merge a finished weight into the [(qid, phase)] entry. The entry keeps
+    the [tag] of its last contributor (the async engine's causal context). *)
+val coalesce : coalescer -> qid:int -> phase:int -> tag:int -> Weight.t -> unit
+
 val is_empty : coalescer -> bool
 
 (** Finished weights merged since the last {!drain}. *)
 val pending_additions : coalescer -> int
 
-(** [drain c f] calls [f qid phase weight] once per merged weight, in
+(** [drain c f] calls [f qid phase tag weight] once per merged weight, in
     ascending [(qid, phase)] order, then empties the coalescer. Weights
     that summed to zero still drain. [f] must not touch [c] (raises
     [Invalid_argument]). *)
-val drain : coalescer -> (int -> int -> Weight.t -> unit) -> unit
+val drain : coalescer -> (int -> int -> int -> Weight.t -> unit) -> unit
 
 (** Total local weight additions (each costs one integer add). *)
 val additions : coalescer -> int
 
-(** Drop any weight still parked for a cancelled or timed-out query; its
-    weight will never reach a tracker. *)
+(** Drop any weight (and tag) still parked for a cancelled or timed-out
+    query; its weight will never reach a tracker. *)
 val discard_query : coalescer -> qid:int -> unit

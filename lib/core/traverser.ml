@@ -16,8 +16,6 @@ type t = {
 let make ~vertex ~step ~weight ~n_registers =
   { vertex; step; weight; regs = Array.make n_registers Value.Null }
 
-let with_regs t regs = { t with regs }
-
 let move t ~vertex ~step ~weight = { t with vertex; step; weight }
 
 let at_step t step = { t with step }

@@ -8,7 +8,6 @@ type t = {
 }
 
 val make : vertex:int -> step:int -> weight:Weight.t -> n_registers:int -> t
-val with_regs : t -> Value.t array -> t
 val move : t -> vertex:int -> step:int -> weight:Weight.t -> t
 val at_step : t -> int -> t
 val with_weight : t -> Weight.t -> t

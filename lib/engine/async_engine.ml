@@ -66,7 +66,6 @@ type options = {
   memory_capacity : int option; (* per-node memory, for the single-node study *)
   partition : Partition.strategy; (* the H of the partitioned graph model *)
   adaptive : adaptive_options; (* online repartitioning (Adaptive only) *)
-  initial_assignment : int array option; (* warm-start owner table (Adaptive only) *)
 }
 
 let default_options =
@@ -77,7 +76,6 @@ let default_options =
     memory_capacity = None;
     partition = Partition.Hash;
     adaptive = default_adaptive;
-    initial_assignment = None;
   }
 
 (* Tasks per worker scheduling quantum. *)
@@ -167,10 +165,6 @@ type worker = {
      execution — worker occupancy — rather than its own queue wait. *)
   mutable cz_last : int;
   mutable cz_last_qid : int;
-  (* Per-(qid, phase) causal node of the last execution that contributed
-     finished weight to the coalescer since its last drain; the flushed
-     progress message inherits it, so coalescer dwell is attributable. *)
-  cz_coalesce : (int * int, int) Hashtbl.t;
 }
 
 let no_trav = Traverser.make ~vertex:0 ~step:0 ~weight:Weight.zero ~n_registers:0
@@ -227,75 +221,55 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | None -> time
     | Some f -> Faults.release f ~node:(Cluster.node_of_worker cluster w) ~at:time
   in
-  (* Protocol conformance monitors: compiled from the declarative state
+  (* Protocol conformance monitors, compiled from the declarative state
      machines in [Pstm_analysis.Protocol] and fed from the channel's
      protocol hook (reliable delivery), the migration path and the
-     tracker lifecycle. They exist only under [check]; otherwise every
-     hook stays [None] and the production path is untouched. *)
-  let mon_channel, mon_migration, mon_tracker =
-    if check then
-      ( Some (Protocol.monitor (Lazy.force Protocol.channel)),
-        Some (Protocol.monitor (Lazy.force Protocol.migration)),
-        Some (Protocol.monitor (Lazy.force Protocol.tracker)) )
-    else (None, None, None)
+     tracker lifecycle. A feed returns the violation an event causes;
+     without [check] it is a no-op and no monitor exists. *)
+  let monitors = ref [] in
+  let monitor spec =
+    if not check then fun ~key:_ _ -> None
+    else begin
+      let compiled = Lazy.force spec in
+      let mon = Protocol.monitor compiled in
+      monitors := mon :: !monitors;
+      fun ~key name -> Protocol.step mon ~key ~msg:(Protocol.msg compiled name)
+    end
   in
-  (match mon_channel with
-  | None -> ()
-  | Some mon ->
-    let compiled = Lazy.force Protocol.channel in
-    let m_send = Protocol.msg compiled "send" in
-    let m_retransmit = Protocol.msg compiled "retransmit" in
-    let m_deliver = Protocol.msg compiled "deliver" in
-    let m_dup = Protocol.msg compiled "dup" in
-    let m_ack = Protocol.msg compiled "ack" in
-    let m_abandon = Protocol.msg compiled "abandon" in
+  let channel_monitor = monitor Protocol.channel in
+  let migration_monitor = monitor Protocol.migration in
+  let tracker_monitor = monitor Protocol.tracker in
+  if check then begin
     let n_nodes = Cluster.n_nodes cluster in
     Cluster.set_protocol_hook cluster
       (Some
-         (fun ev ->
-           let msg =
-             match ev.Cluster.pkt_ev with
-             | Cluster.Pkt_send -> m_send
-             | Cluster.Pkt_retransmit -> m_retransmit
-             | Cluster.Pkt_deliver -> m_deliver
-             | Cluster.Pkt_dup -> m_dup
-             | Cluster.Pkt_ack -> m_ack
-             | Cluster.Pkt_abandon -> m_abandon
+         (fun { Cluster.pkt_ev; ev_src; ev_dst; ev_seq } ->
+           let name =
+             match pkt_ev with
+             | Cluster.Pkt_send -> "send"
+             | Cluster.Pkt_retransmit -> "retransmit"
+             | Cluster.Pkt_deliver -> "deliver"
+             | Cluster.Pkt_dup -> "dup"
+             | Cluster.Pkt_ack -> "ack"
+             | Cluster.Pkt_abandon -> "abandon"
            in
            (* One instance per (link, seq); per-link sequence numbers stay
               far below 2^24 in any run we simulate. *)
-           let key =
-             (((ev.Cluster.ev_src * n_nodes) + ev.Cluster.ev_dst) lsl 24)
-             lor (ev.Cluster.ev_seq land 0xFFFFFF)
-           in
-           match Protocol.step mon ~key ~msg with
+           let key = (((ev_src * n_nodes) + ev_dst) lsl 24) lor (ev_seq land 0xFFFFFF) in
+           match channel_monitor ~key name with
            | None -> ()
            | Some why ->
-             Engine.check_fail "async: link %d->%d seq %d: %s" ev.Cluster.ev_src
-               ev.Cluster.ev_dst ev.Cluster.ev_seq why)));
+             Engine.check_fail "async: link %d->%d seq %d: %s" ev_src ev_dst ev_seq why))
+  end;
   let mig_event name vertex =
-    match mon_migration with
+    match migration_monitor ~key:vertex name with
     | None -> ()
-    | Some mon -> begin
-      match
-        Protocol.step mon ~key:vertex ~msg:(Protocol.msg (Lazy.force Protocol.migration) name)
-      with
-      | None -> ()
-      | Some why -> Engine.check_fail "async: migration of vertex %d: %s" vertex why
-    end
+    | Some why -> Engine.check_fail "async: migration of vertex %d: %s" vertex why
   in
   let tracker_event name ~qid ~phase =
-    match mon_tracker with
+    match tracker_monitor ~key:((qid * 1024) + phase) name with
     | None -> ()
-    | Some mon -> begin
-      match
-        Protocol.step mon
-          ~key:((qid * 1024) + phase)
-          ~msg:(Protocol.msg (Lazy.force Protocol.tracker) name)
-      with
-      | None -> ()
-      | Some why -> Engine.check_fail "async: tracker of query %d phase %d: %s" qid phase why
-    end
+    | Some why -> Engine.check_fail "async: tracker of query %d phase %d: %s" qid phase why
   in
   (* Observability: every emission site is guarded by [obs_on] (or the
      recorder's own enabled flag), so the disabled path costs one branch. *)
@@ -342,8 +316,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let workers_per_node = cluster_config.Cluster.workers_per_node in
   let adaptive_on = options.partition = Partition.Adaptive in
   let partition =
-    Partition.create ~strategy:options.partition ?assignment:options.initial_assignment
-      ~n_parts:n_workers ~n_vertices:(Graph.n_vertices graph) ()
+    Partition.create ~strategy:options.partition ~n_parts:n_workers
+      ~n_vertices:(Graph.n_vertices graph) ()
   in
   let seed_prng = Prng.create common.Engine.Common.seed in
   (* Node-shared memos for the non-partitioned ablation. *)
@@ -371,15 +345,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           awake = false;
           cz_last = -1;
           cz_last_qid = -1;
-          cz_coalesce = Hashtbl.create 4;
-          scan =
-            (fun label ->
-              let mine = Lazy.force members in
-              match label with
-              | None -> mine
-              | Some l ->
-                Array.of_seq
-                  (Seq.filter (Graph.has_vertex_label graph ~label:l) (Array.to_seq mine)));
+          scan = Exec.partition_scan graph members;
           scratch = lazy (Batch_exec.scratch ~graph);
         })
   in
@@ -392,6 +358,11 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     match find_query qid with
     | Some q -> q
     | None -> invalid_arg (Fmt.str "Async_engine: unknown query %d" qid)
+  in
+  (* The stored [Some q] while [q] is live; [None] once it completed, was
+     cancelled or timed out, so its stragglers are dropped. *)
+  let live_query qid =
+    match find_query qid with Some q as live when q.active -> live | _ -> None
   in
   (* Total live operator instances; the dataflow flavors pay a scheduling
      tax proportional to this every quantum. *)
@@ -537,11 +508,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       r.cz <- arrive ~qid:(-1) ~name:"arrive-mdata" r.cz
     | P_cleanup _ -> ()
   in
-  let msg_kind q (trav : Traverser.t) =
-    match (Program.step q.program trav.Traverser.step).Step.op with
-    | Step.Emit _ -> Metrics.Result_msg
-    | _ -> Metrics.Traverser_msg
-  in
   (* Traffic profiling: every remote dispatch whose target is decided by
      a vertex's owner is an edge of the workload's communication graph —
      the signal the adaptive repartitioner minimizes. [src_vertex] is
@@ -640,26 +606,18 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     else
       Channel.send (channel ()) ~at ~src_worker:src ~dst_worker:dst ~kind
         ~bytes:(payload_bytes payload) payload
-  (* Route a traverser about to execute [step_idx]. *)
+  (* h_psi ({!Exec.route}), except that Gaia runs its stateful steps on
+     worker 0. *)
   and route q (trav : Traverser.t) =
-    let op = (Program.step q.program trav.step).Step.op in
-    if centralized op then 0
-    else begin
-      match Step.routing op with
-      | Step.By_coordinator -> q.coordinator
-      | Step.By_vertex -> Partition.owner partition trav.vertex
-      | Step.By_key e -> begin
-        match Step.eval_expr graph ~vertex:trav.vertex ~regs:trav.regs e with
-        | Value.Vertex v -> Partition.owner partition v
-        | v -> Value.hash v mod n_workers
-      end
-    end
+    if centralized (Program.step q.program trav.step).Step.op then 0
+    else Exec.route ~graph ~partition ~coordinator:q.coordinator q.program trav
   (* The per-traverser wire format: one P_trav to the worker that owns
      the traverser's next step. A profiled remote hop may trigger a
      refinement round. *)
   and dispatch ~at ~src ~src_vertex ~cz q trav =
     let dst = route q trav in
-    let cost = send ~at ~src ~dst ~kind:(msg_kind q trav) (P_trav { qid = q.qid; trav; cz }) in
+    let kind = Exec.msg_kind q.program trav in
+    let cost = send ~at ~src ~dst ~kind (P_trav { qid = q.qid; trav; cz }) in
     if dst <> src && profile_hop ~src_vertex q trav && adaptive_on then
       Sim_time.add cost (maybe_adapt ~at ~src ~cz)
     else cost
@@ -754,11 +712,10 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     else begin
       let coalescing = options.weight_coalescing || options.flavor <> Graphdance in
       if coalescing then begin
-        Progress.coalesce w.coalescer ~qid:q.qid ~phase weight;
         (* The coalescer merges weights from many executions; the flushed
            message inherits the context of the *last* contributor, which
            is the one the tracker was actually waiting on. *)
-        if cz_on then Hashtbl.replace w.cz_coalesce (q.qid, phase) cz;
+        Progress.coalesce w.coalescer ~qid:q.qid ~phase ~tag:cz weight;
         (* The "slightly higher per-traverser progress tracking overhead"
            of §V-B: the weight addition plus the local hash merge. The
            dataflow flavors track progress per operator scope instead and
@@ -776,28 +733,15 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     let cost = ref Sim_time.zero in
     (* Locally coalesced weights ship straight to the coordinator. *)
     if not (Progress.is_empty w.coalescer) then
-      Progress.drain w.coalescer (fun qid phase weight ->
-          match find_query qid with
-          | None -> if cz_on then Hashtbl.remove w.cz_coalesce (qid, phase)
-          | Some q when not q.active ->
-            (* Cancelled: the weight is reclaimed, not tracked — and its
-               parked causal entry goes with it, or the (qid, phase) key
-               would outlive the query for the rest of the run. *)
-            if cz_on then Hashtbl.remove w.cz_coalesce (qid, phase)
+      Progress.drain w.coalescer (fun qid phase tag weight ->
+          (* A cancelled query's weight is reclaimed, not tracked. *)
+          match live_query qid with
+          | None -> ()
           | Some q ->
             (* Coalescer dwell shows up as a Tracker segment: the flush
                node sits between the last contributing execution and the
                tracker receive (local) or the progress message (remote). *)
-            let cz =
-              if not cz_on then -1
-              else begin
-                match Hashtbl.find_opt w.cz_coalesce (qid, phase) with
-                | None -> -1
-                | Some src ->
-                  Hashtbl.remove w.cz_coalesce (qid, phase);
-                  cz_hop ~qid ~name:"progress-flush" ~ts:at ~src Pstm_obs.Causal.Tracker
-              end
-            in
+            let cz = cz_hop ~qid ~name:"progress-flush" ~ts:at ~src:tag Pstm_obs.Causal.Tracker in
             if q.coordinator = w.id then
               cost := Sim_time.add !cost (tracker_receive ~at ~cz w q phase weight)
             else
@@ -874,18 +818,16 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     match payload with
     | P_trav _ | P_trav_batch _ -> assert false (* run by [drain] *)
     | P_progress { qid; phase; weight; cz } -> begin
-      match find_query qid with
-      | None -> Sim_time.zero
       (* A cancelled / timed-out query's straggling weight is dropped:
          its trackers are already released (timeout), so feeding them
          would re-trigger completion machinery on a dead query. *)
-      | Some q when not q.active -> Sim_time.zero
+      match live_query qid with
+      | None -> Sim_time.zero
       | Some q -> tracker_receive ~at ~cz w q phase weight
     end
     | P_agg_flush { qid; agg_step; cz } -> begin
-      match find_query qid with
+      match live_query qid with
       | None -> Sim_time.zero
-      | Some q when not q.active -> Sim_time.zero
       | Some q ->
         let partial = Memo.partial_opt w.memo ~qid ~label:agg_step in
         (* Collective leg: the coordinator waits for every partial, so
@@ -896,9 +838,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
              (P_agg_partial { qid; agg_step; partial; cz }))
     end
     | P_agg_partial { qid; agg_step; partial; cz } -> begin
-      match find_query qid with
+      match live_query qid with
       | None -> Sim_time.zero
-      | Some q when not q.active -> Sim_time.zero
       | Some q ->
         assert (q.combine_step = agg_step);
         (match partial, q.combine_acc with
@@ -909,23 +850,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         if q.combine_received < q.combine_expected then memo_op_cost ()
         else begin
           (* All partials in: finalize and start the next phase. *)
-          let step = Program.step q.program agg_step in
-          let agg, reg =
-            match step.Step.op with
-            | Step.Aggregate { agg; reg } -> (agg, reg)
-            | _ -> assert false
-          in
-          let value =
-            Aggregate.finalize
-              (match q.combine_acc with Some acc -> acc | None -> Aggregate.create agg)
-          in
           q.combine_step <- -1;
-          let cont =
-            Traverser.set_reg
-              (Traverser.make ~vertex:0 ~step:step.Step.next ~weight:Weight.root
-                 ~n_registers:(Program.n_registers q.program))
-              reg value
-          in
+          let cont = Exec.continuation q.program ~agg_step q.combine_acc in
           Metrics.(incr metrics Counter.spawned);
           (* The continuation enters the next phase from outside any step. *)
           Pstm_obs.Opstats.seed opstats 1;
@@ -941,9 +867,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | P_setup { qid; cz } -> begin
       (* Dataflow flavors instantiate every operator of the query's plan
          (plus its channels) in this worker before execution can start. *)
-      match find_query qid with
+      match live_query qid with
       | None -> Sim_time.zero
-      | Some q when not q.active -> Sim_time.zero
       | Some q ->
         let instantiate = 8 * Program.n_steps q.program * costs.Cluster.operator_sched in
         let cz = cz_hop ~qid ~name:"setup" ~ts:at ~src:cz Pstm_obs.Causal.Compute in
@@ -952,9 +877,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
              (P_setup_ack { qid; cz }))
     end
     | P_setup_ack { qid; cz } -> begin
-      match find_query qid with
+      match live_query qid with
       | None -> Sim_time.zero
-      | Some q when not q.active -> Sim_time.zero
       | Some q ->
         q.setup_acks <- q.setup_acks - 1;
         if q.setup_acks = 0 then begin
@@ -987,9 +911,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
          traversers in arrival order. *)
       List.iter
         (fun (qid, label, entry) ->
-          match find_query qid with
-          | Some q when q.active -> Memo.set w.memo ~qid ~label (Value.Vertex vertex) entry
-          | Some _ | None -> ())
+          if Option.is_some (live_query qid) then
+            Memo.set w.memo ~qid ~label (Value.Vertex vertex) entry)
         entries;
       mig_event "install" vertex;
       (match Hashtbl.find_opt migrating vertex with
@@ -1112,9 +1035,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     n_staged := 0;
     Hashtbl.clear staged_at
   and run_group w ~at g =
-    match find_query g.g_qid with
+    match live_query g.g_qid with
     | None -> Sim_time.zero
-    | Some q when not q.active -> Sim_time.zero
     | Some q ->
       let gated = if adaptive_on then gate w ~at q g else Sim_time.zero in
       let n = Vec.length g.g_travs in
@@ -1248,7 +1170,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       let kid = Vec.get sink.Exec.spawns i in
       Metrics.(incr metrics Counter.spawned);
       let dst = route q kid in
-      let key = (2 * dst) + Bool.to_int (msg_kind q kid = Metrics.Result_msg) in
+      let key = (2 * dst) + Bool.to_int (Exec.msg_kind q.program kid = Metrics.Result_msg) in
       if bucket_size.(key) = 0 then Vec.push bucket_keys key;
       bucket_size.(key) <- bucket_size.(key) + 1;
       Vec.push kid_keys key;
@@ -1356,20 +1278,12 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             if not (Progress.is_complete tr) then tracker_event "timeout" ~qid ~phase)
           q.trackers
       end;
-      Array.iter (fun w -> Memo.clear_query w.memo qid) workers;
       (* The scoped reclaim also covers progress bookkeeping: weight
-         merged but not yet flushed will never reach a tracker, and the
-         (qid, phase) causal entries parked beside it would otherwise
-         strand in the worker hashtables for the rest of the run — the
-         drain path only reclaims them when a flush happens to visit the
-         dead query. *)
+         merged but not yet flushed will never reach a tracker. *)
       Array.iter
         (fun w ->
-          Progress.discard_query w.coalescer ~qid;
-          if cz_on then
-            for phase = 0 to Program.n_phases q.program - 1 do
-              Hashtbl.remove w.cz_coalesce (qid, phase)
-            done)
+          Memo.clear_query w.memo qid;
+          Progress.discard_query w.coalescer ~qid)
         workers;
       if obs_on then
         Pstm_obs.Trace.instant trace ~tid:(Engine.query_track qid)
@@ -1510,26 +1424,18 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
            state: packets acked, migrations installed, trackers released. *)
         List.iter
           (fun mon ->
-            match mon with
+            match Protocol.finish mon with
             | None -> ()
-            | Some mon -> begin
-              match Protocol.finish mon with
-              | None -> ()
-              | Some why -> Engine.check_fail "async: %s" why
-            end)
-          [ mon_channel; mon_migration; mon_tracker ];
-        (* No weight may be stranded in a coalescer and no causal bookkeeping
-           may outlive its query: parked state here means some
-           (qid, phase) escaped both the flush path and the scoped
-           reclaim at its terminal transition. *)
+            | Some why -> Engine.check_fail "async: %s" why)
+          (List.rev !monitors);
+        (* No weight may be stranded in a coalescer: parked weight here
+           means some (qid, phase) escaped both the flush path and the
+           scoped reclaim at its terminal transition. *)
         Array.iter
           (fun w ->
             if not (Progress.is_empty w.coalescer) then
               Engine.check_fail "async: worker %d holds unflushed coalesced weight at finish"
-                w.id;
-            let n = Hashtbl.length w.cz_coalesce in
-            if n > 0 then
-              Engine.check_fail "async: worker %d strands %d coalescer causal entries" w.id n)
+                w.id)
           workers
       end;
       Array.iter

@@ -38,9 +38,6 @@ type options = {
   partition : Partition.strategy; (** the H of the partitioned graph model *)
   adaptive : adaptive_options;
       (** online-repartitioning knobs, read only under [Partition.Adaptive] *)
-  initial_assignment : int array option;
-      (** warm-start vertex→partition map for [Partition.Adaptive] (e.g. a
-          refinement computed offline from a profiled run) *)
 }
 
 val default_options : options

@@ -16,10 +16,11 @@
    Multiple in-flight queries share supersteps; a query arriving between
    barriers waits for the next one, which is also faithful to synchronous
    engines. Timing is closed-form per superstep (max compute + bulk
-   transfer + barrier), so no event queue is needed — which means the
-   service surface (submit/cancel/at) runs at barrier granularity: a
+   transfer + barrier), so only caller events sit in an event queue, and
+   the service surface (submit/cancel/at) runs at barrier granularity: a
    caller event scheduled for time [t] fires at the first barrier whose
-   clock is past [t], exactly like a query arriving between barriers. *)
+   clock is at or past [t], exactly like a query arriving between
+   barriers. *)
 
 type query_state = {
   qid : int;
@@ -78,7 +79,9 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   let partition = Partition.create ~n_parts:n_workers ~n_vertices:(Graph.n_vertices graph) () in
   let prng = Prng.create 0x6c9 in
   let memos = Array.init n_workers (fun _ -> Memo.create ()) in
-  let members = Array.init n_workers (fun w -> lazy (Partition.members partition w)) in
+  let scans =
+    Array.init n_workers (fun w -> Exec.partition_scan graph (lazy (Partition.members partition w)))
+  in
   let frontier = Array.init n_workers (fun _ -> Queue.create ()) in
   let next_frontier = Array.init n_workers (fun _ -> Queue.create ()) in
   let queries : (int, query_state) Hashtbl.t = Hashtbl.create 64 in
@@ -95,44 +98,12 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   in
   let on_terminal : (int -> Engine.outcome -> unit) ref = ref (fun _ _ -> ()) in
   let clock = ref Sim_time.zero in
-  (* Caller events (service layer arrivals / cancellations / timers),
-     kept sorted by (time, insertion seq) for determinism and fired at
-     barrier granularity. *)
-  let sv_seq = ref 0 in
-  let sv_events : (Sim_time.t * int * (unit -> unit)) list ref = ref [] in
-  let sv_add t f =
-    let t = max t !clock in
-    let e = (t, !sv_seq, f) in
-    incr sv_seq;
-    let rec ins = function
-      | [] -> [ e ]
-      | ((t', _, _) as hd) :: tl ->
-        if Sim_time.compare t t' < 0 then e :: hd :: tl else hd :: ins tl
-    in
-    sv_events := ins !sv_events
-  in
-  let fire_service () =
-    let rec go () =
-      match !sv_events with
-      | (t, _, f) :: tl when Sim_time.compare t !clock <= 0 ->
-        sv_events := tl;
-        f ();
-        go ()
-      | _ -> ()
-    in
-    go ()
-  in
-  let route q (trav : Traverser.t) =
-    let step = Program.step q.program trav.step in
-    match Step.routing step.Step.op with
-    | Step.By_coordinator -> q.coordinator
-    | Step.By_vertex -> Partition.owner partition trav.vertex
-    | Step.By_key e -> begin
-      match Step.eval_expr graph ~vertex:trav.vertex ~regs:trav.regs e with
-      | Value.Vertex v -> Partition.owner partition v
-      | v -> Value.hash v mod n_workers
-    end
-  in
+  (* Caller events (service layer arrivals / cancellations / timers) fire
+     at barrier granularity, in (time, insertion) order. *)
+  let timers = Event_queue.create () in
+  let sv_add t f = Event_queue.schedule_at timers ~time:(max t !clock) f in
+  let fire_service () = Event_queue.run_until timers ~time:!clock in
+  let route q trav = Exec.route ~graph ~partition ~coordinator:q.coordinator q.program trav in
   (* Scoped termination: the query stops consuming supersteps (its
      remaining frontier tasks are skipped on pop) and its memo entries
      are reclaimed immediately, so the end-of-run memo-emptiness
@@ -193,7 +164,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
       match !acc with None -> acc := Some t | Some t' -> acc := Some (min t t')
     in
     iter_queries (fun q -> if (not q.started) && q.outcome = None then consider q.submitted);
-    (match !sv_events with [] -> () | (t, _, _) :: _ -> consider t);
+    Option.iter consider (Event_queue.next_time timers);
     !acc
   in
   let frontiers_empty () = Array.for_all Queue.is_empty frontier in
@@ -230,12 +201,6 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
     let compute = Array.make n_workers (scheduling_overhead ()) in
     for w = 0 to n_workers - 1 do
       let memo = memos.(w) in
-      let scan label =
-        let mine = Lazy.force members.(w) in
-        match label with
-        | None -> mine
-        | Some l -> Array.of_seq (Seq.filter (Graph.has_vertex_label graph ~label:l) (Array.to_seq mine))
-      in
       let elapsed = ref compute.(w) in
       while not (Queue.is_empty frontier.(w)) do
         let { t_qid; trav } = Queue.pop frontier.(w) in
@@ -251,7 +216,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
               ();
           Metrics.(incr metrics Counter.steps);
           Exec.clear sink;
-          Exec.run sink ~graph ~memo ~prng ~qid:t_qid ~program:q.program ~scan trav;
+          Exec.run sink ~graph ~memo ~prng ~qid:t_qid ~program:q.program ~scan:scans.(w) trav;
           if check && not (Exec.conserves trav sink) then
             Engine.check_fail "bsp: query %d step %d (%s) broke weight conservation" t_qid
               trav.Traverser.step
@@ -274,13 +239,8 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
                 (* Same worker: keep chaining inside this superstep. *)
                 Queue.add { t_qid; trav = child } frontier.(w)
               else begin
-                let kind =
-                  match (Program.step q.program child.Traverser.step).Step.op with
-                  | Step.Emit _ -> Metrics.Result_msg
-                  | _ -> Metrics.Traverser_msg
-                in
                 let bytes = 8 + Traverser.bytes child in
-                Metrics.count_message metrics kind bytes;
+                Metrics.count_message metrics (Exec.msg_kind q.program child) bytes;
                 let sn = Cluster.node_of_worker cluster w in
                 let dn = Cluster.node_of_worker cluster dst in
                 if sn = dn then Metrics.(incr metrics Counter.local_messages)
@@ -366,26 +326,16 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
         if q.started && q.outcome = None && q.live = 0 then begin
           match Program.agg_of_phase q.program q.phase with
           | Some agg_step ->
-            let step = Program.step q.program agg_step in
-            let agg, reg =
-              match step.Step.op with
-              | Step.Aggregate { agg; reg } -> (agg, reg)
-              | _ -> assert false
-            in
-            let acc = Aggregate.create agg in
+            let acc = ref None in
             Array.iter
               (fun memo ->
                 Metrics.count_message metrics Metrics.Control_msg 16;
-                match Memo.partial_opt memo ~qid:q.qid ~label:agg_step with
-                | Some p -> Aggregate.merge ~into:acc p
-                | None -> ())
+                match (Memo.partial_opt memo ~qid:q.qid ~label:agg_step, !acc) with
+                | None, _ -> ()
+                | Some p, None -> acc := Some p
+                | Some p, Some into -> Aggregate.merge ~into p)
               memos;
-            let cont =
-              Traverser.set_reg
-                (Traverser.make ~vertex:0 ~step:step.Step.next ~weight:Weight.root
-                   ~n_registers:(Program.n_registers q.program))
-                reg (Aggregate.finalize acc)
-            in
+            let cont = Exec.continuation q.program ~agg_step !acc in
             if obs_on then
               Pstm_obs.Trace.instant trace ~tid:(Engine.query_track q.qid) ~name:"phase_complete"
                 ~ts:!clock

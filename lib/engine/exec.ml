@@ -262,6 +262,40 @@ let conserves (t : Traverser.t) s =
   in
   Weight.equal total t.Traverser.weight
 
+let route ~graph ~partition ~coordinator program (t : Traverser.t) =
+  match Step.routing (Program.step program t.step).Step.op with
+  | Step.By_coordinator -> coordinator
+  | Step.By_vertex -> Partition.owner partition t.vertex
+  | Step.By_key e -> begin
+    match Step.eval_expr graph ~vertex:t.vertex ~regs:t.regs e with
+    | Value.Vertex v -> Partition.owner partition v
+    | v -> Value.hash v mod Partition.n_parts partition
+  end
+
+let msg_kind program (t : Traverser.t) =
+  match (Program.step program t.step).Step.op with
+  | Step.Emit _ -> Metrics.Result_msg
+  | _ -> Metrics.Traverser_msg
+
+let partition_scan graph members label =
+  let mine = Lazy.force members in
+  match label with
+  | None -> mine
+  | Some l -> Array.of_seq (Seq.filter (Graph.has_vertex_label graph ~label:l) (Array.to_seq mine))
+
+let continuation program ~agg_step partial =
+  let step = Program.step program agg_step in
+  let agg, reg =
+    match step.Step.op with
+    | Step.Aggregate { agg; reg } -> (agg, reg)
+    | _ -> invalid_arg "Exec.continuation: not an aggregate step"
+  in
+  let partial = match partial with Some p -> p | None -> Aggregate.create agg in
+  Traverser.set_reg
+    (Traverser.make ~vertex:0 ~step:step.Step.next ~weight:Weight.root
+       ~n_registers:(Program.n_registers program))
+    reg (Aggregate.finalize partial)
+
 (* CPU time of the sink's work under a cluster cost table: one step
    dispatch plus its data and memo volume. *)
 let cost (costs : Cluster.costs) s =

@@ -48,6 +48,26 @@ val run :
     mode. *)
 val conserves : Traverser.t -> sink -> bool
 
+(** The routing function h_psi (§III-A): the worker that runs the
+    traverser's current step — the owner of its vertex or of its key's
+    vertex, the key's hash over the workers, or [coordinator]. *)
+val route :
+  graph:Graph.t -> partition:Partition.t -> coordinator:int -> Program.t -> Traverser.t -> int
+
+(** The message kind a traverser travels as: a result when its current
+    step is Emit. *)
+val msg_kind : Program.t -> Traverser.t -> Metrics.msg_kind
+
+(** The Scan domain of a partition with the (lazily computed) [members]:
+    all of them, or those with the requested vertex label. Pass it
+    partially applied as {!run}'s [scan]. *)
+val partition_scan : Graph.t -> int array Lazy.t -> int option -> int array
+
+(** The root traverser that opens the phase after the aggregate at
+    [agg_step] (§III-C): its register holds the finalized combined
+    partial, or the empty aggregate's value when no partial exists. *)
+val continuation : Program.t -> agg_step:int -> Aggregate.t option -> Traverser.t
+
 (** CPU time of the sink's work under a cluster cost table: one step
     dispatch plus its data and memo volume. *)
 val cost : Cluster.costs -> sink -> Sim_time.t

@@ -21,13 +21,8 @@ let run ?(common = Engine.Common.default) graph program =
   let qid = 0 in
   let rows = ref [] in
   let sink = Exec.sink () in
-  let scan label =
-    let out = Vec.create ~dummy:0 in
-    (match label with
-    | None -> Graph.iter_vertices graph (Vec.push out)
-    | Some l -> Graph.iter_vertices_with_label graph l (Vec.push out));
-    Vec.to_array out
-  in
+  (* One partition that owns the whole graph. *)
+  let scan = Exec.partition_scan graph (lazy (Array.init (Graph.n_vertices graph) Fun.id)) in
   let n_phases = Program.n_phases program in
   let queues = Array.init n_phases (fun _ -> Queue.create ()) in
   let push (t : Traverser.t) = Queue.add t queues.(Program.phase_of_step program t.step) in
@@ -76,24 +71,6 @@ let run ?(common = Engine.Common.default) graph program =
     match Program.agg_of_phase program phase with
     | None -> ()
     | Some agg_step ->
-      let step = Program.step program agg_step in
-      let agg, reg =
-        match step.Step.op with
-        | Step.Aggregate { agg; reg } -> (agg, reg)
-        | _ -> assert false
-      in
-      let partial =
-        match Memo.partial_opt memo ~qid ~label:agg_step with
-        | Some p -> p
-        | None -> Aggregate.create agg (* no input traversers: empty aggregate *)
-      in
-      let value = Aggregate.finalize partial in
-      let cont =
-        Traverser.set_reg
-          (Traverser.make ~vertex:0 ~step:step.Step.next ~weight:Weight.root
-             ~n_registers:(Program.n_registers program))
-          reg value
-      in
-      seed cont
+      seed (Exec.continuation program ~agg_step (Memo.partial_opt memo ~qid ~label:agg_step))
   done;
   List.rev !rows

@@ -24,7 +24,6 @@ let slice t v = (t.offsets.(v), t.offsets.(v + 1))
 
 let target_at t pos = t.targets.(pos)
 let label_at t pos = t.labels.(pos)
-let edge_id_at t pos = t.edge_ids.(pos)
 
 let fold_neighbors_range t ?label ~lo ~hi ~init ~f =
   let acc = ref init in
@@ -51,12 +50,6 @@ let iter_neighbors t ?label v f =
       if t.labels.(pos) = l then
         f ~target:t.targets.(pos) ~edge_id:t.edge_ids.(pos) ~label:l
     done
-
-let fold_neighbors t ?label v ~init ~f =
-  let acc = ref init in
-  iter_neighbors t ?label v (fun ~target ~edge_id ~label ->
-      acc := f !acc ~target ~edge_id ~label);
-  !acc
 
 let neighbors t ?label v =
   let out = Vec.create ~dummy:0 in

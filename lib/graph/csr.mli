@@ -13,12 +13,11 @@ val slice : t -> int -> int * int
 
 val target_at : t -> int -> int
 val label_at : t -> int -> int
-val edge_id_at : t -> int -> int
 
 (** Fold over positions in [lo, hi), optionally restricted to one edge
-    label. Unlike {!fold_neighbors}, the callback receives only the
-    position; callers read columns via the [*_at] accessors, avoiding
-    per-edge tuple/closure allocation on the batch hot path. *)
+    label. The callback receives only the position; callers read columns
+    via the [*_at] accessors, avoiding per-edge tuple/closure allocation
+    on the batch hot path. *)
 val fold_neighbors_range :
   t -> ?label:int -> lo:int -> hi:int -> init:'acc -> f:('acc -> pos:int -> 'acc) -> 'acc
 
@@ -26,14 +25,6 @@ val fold_neighbors_range :
     label. [edge_id] is the global edge id, valid in both directions. *)
 val iter_neighbors :
   t -> ?label:int -> int -> (target:int -> edge_id:int -> label:int -> unit) -> unit
-
-val fold_neighbors :
-  t ->
-  ?label:int ->
-  int ->
-  init:'acc ->
-  f:('acc -> target:int -> edge_id:int -> label:int -> 'acc) ->
-  'acc
 
 (** Materialized neighbor array (allocates; prefer the iterators). *)
 val neighbors : t -> ?label:int -> int -> int array

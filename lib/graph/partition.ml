@@ -9,21 +9,23 @@
    the same hash) that the engine may rewrite at runtime: the adaptive
    repartitioner moves vertices toward the partitions they exchange the
    most traversal traffic with (Loom-style), so H becomes a function of
-   the observed workload instead of the vertex id alone. *)
+   the observed workload instead of the vertex id alone. [Table] is a
+   fixed explicit table, e.g. a refinement computed offline. *)
 
 type strategy =
   | Hash (* owner v = mix(v) mod n_parts; spreads hubs and frontiers *)
   | Mod (* owner v = v mod n_parts; kept as an ablation (hub clustering) *)
   | Block (* owner v = v / ceil(n/n_parts); contiguous ranges *)
   | Adaptive (* explicit assignment table, rewritable at runtime *)
+  | Table of int array (* fixed explicit assignment table *)
 
 type t = {
   strategy : strategy;
   n_parts : int;
   n_vertices : int;
   block_size : int;
-  assignment : int array; (* per-vertex owner; only populated for Adaptive *)
-  sizes : int array; (* per-partition vertex count; only for Adaptive *)
+  assignment : int array; (* per-vertex owner; only for Adaptive and Table *)
+  sizes : int array; (* per-partition vertex count; only for Adaptive and Table *)
 }
 
 (* Fibonacci-style multiplicative mixer: cheap and avalanching enough to
@@ -32,30 +34,25 @@ let mix v =
   let h = v * 0x9E3779B97F4A7C1 in
   (h lxor (h lsr 29)) land max_int
 
-let create ?(strategy = Hash) ?assignment ~n_parts ~n_vertices () =
+let create ?(strategy = Hash) ~n_parts ~n_vertices () =
   if n_parts <= 0 then invalid_arg "Partition.create: n_parts must be positive";
   if n_vertices < 0 then invalid_arg "Partition.create: negative n_vertices";
   let block_size = max 1 ((n_vertices + n_parts - 1) / n_parts) in
+  let with_sizes assignment =
+    let sizes = Array.make n_parts 0 in
+    Array.iter (fun p -> sizes.(p) <- sizes.(p) + 1) assignment;
+    (assignment, sizes)
+  in
   let assignment, sizes =
     match strategy with
-    | Hash | Mod | Block ->
-      if assignment <> None then
-        invalid_arg "Partition.create: explicit assignment requires the Adaptive strategy";
-      ([||], [||])
-    | Adaptive ->
-      let assignment =
-        match assignment with
-        | None -> Array.init n_vertices (fun v -> mix v mod n_parts)
-        | Some a ->
-          if Array.length a <> n_vertices then
-            invalid_arg "Partition.create: assignment length must equal n_vertices";
-          if not (Array.for_all (fun p -> p >= 0 && p < n_parts) a) then
-            invalid_arg "Partition.create: assignment entry out of range";
-          Array.copy a
-      in
-      let sizes = Array.make n_parts 0 in
-      Array.iter (fun p -> sizes.(p) <- sizes.(p) + 1) assignment;
-      (assignment, sizes)
+    | Hash | Mod | Block -> ([||], [||])
+    | Adaptive -> with_sizes (Array.init n_vertices (fun v -> mix v mod n_parts))
+    | Table a ->
+      if Array.length a <> n_vertices then
+        invalid_arg "Partition.create: table length must equal n_vertices";
+      if not (Array.for_all (fun p -> p >= 0 && p < n_parts) a) then
+        invalid_arg "Partition.create: table entry out of range";
+      with_sizes (Array.copy a)
   in
   { strategy; n_parts; n_vertices; block_size; assignment; sizes }
 
@@ -66,7 +63,7 @@ let owner t v =
   | Hash -> mix v mod t.n_parts
   | Mod -> v mod t.n_parts
   | Block -> min (t.n_parts - 1) (v / t.block_size)
-  | Adaptive -> t.assignment.(v)
+  | Adaptive | Table _ -> t.assignment.(v)
 
 (* Rewrite a vertex's owner (adaptive repartitioning only). Size counters
    track the move so [imbalance] stays O(n_parts). *)
@@ -105,7 +102,7 @@ let members t p =
     for v = lo to hi - 1 do
       Vec.push out v
     done
-  | Adaptive ->
+  | Adaptive | Table _ ->
     for v = 0 to t.n_vertices - 1 do
       if t.assignment.(v) = p then Vec.push out v
     done);
@@ -113,7 +110,7 @@ let members t p =
 
 let size_of t p =
   match t.strategy with
-  | Adaptive ->
+  | Adaptive | Table _ ->
     if p < 0 || p >= t.n_parts then invalid_arg "Partition.size_of: bad partition";
     t.sizes.(p)
   | Hash | Mod | Block -> Array.length (members t p)

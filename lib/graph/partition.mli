@@ -6,14 +6,15 @@ type strategy =
   | Mod (** [v mod n_parts] — ablation; clusters generator hubs *)
   | Block (** contiguous ranges — ablation *)
   | Adaptive (** explicit per-vertex table, rewritable at runtime *)
+  | Table of int array
+      (** fixed per-vertex table (copied at {!create}), e.g. a refinement
+          computed offline from a profiled run *)
 
 type t
 
-(** [assignment] seeds the explicit table of an [Adaptive] partition (it
-    is copied); omitted, Adaptive starts from the Hash placement. Passing
-    it with a static strategy is an error. *)
-val create :
-  ?strategy:strategy -> ?assignment:int array -> n_parts:int -> n_vertices:int -> unit -> t
+(** [Adaptive] starts from the Hash placement. A [Table] must have one
+    in-range entry per vertex. *)
+val create : ?strategy:strategy -> n_parts:int -> n_vertices:int -> unit -> t
 
 val n_parts : t -> int
 

@@ -20,8 +20,6 @@ let create ~size = { size; columns = Hashtbl.create 16 }
 
 let size t = t.size
 
-let has_key t key = Hashtbl.mem t.columns key
-
 let keys t =
   (* det-ok: keys sorted so callers see a stable enumeration *)
   List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.columns [])

@@ -13,7 +13,6 @@ val create : size:int -> t
 (** Number of rows (vertices or edges). *)
 val size : t -> int
 
-val has_key : t -> int -> bool
 val keys : t -> int list
 
 (** [get t ~key id] is the value at row [id], or [Null] when absent. *)

@@ -62,9 +62,4 @@ let edge_label_exn t name = I.find_exn t.edge_labels name
 let property_key_exn t name = I.find_exn t.property_keys name
 
 let vertex_label_name t id = I.name t.vertex_labels id
-let edge_label_name t id = I.name t.edge_labels id
-let property_key_name t id = I.name t.property_keys id
-
 let vertex_label_count t = I.count t.vertex_labels
-let edge_label_count t = I.count t.edge_labels
-let property_key_count t = I.count t.property_keys

@@ -26,8 +26,4 @@ val edge_label_exn : t -> string -> int
 val property_key_exn : t -> string -> int
 
 val vertex_label_name : t -> int -> string
-val edge_label_name : t -> int -> string
-val property_key_name : t -> int -> string
 val vertex_label_count : t -> int
-val edge_label_count : t -> int
-val property_key_count : t -> int

@@ -96,13 +96,6 @@ let to_float_exn v =
   | Some f -> f
   | None -> invalid_arg (Fmt.str "Value.to_float_exn: %a" pp v)
 
-let to_bool = function
-  | Bool b -> Some b
-  | Null -> Some false
-  | _ -> None
-
-let to_string_opt = function Str s -> Some s | _ -> None
-
 let vertex_exn = function
   | Vertex v -> v
   | v -> invalid_arg (Fmt.str "Value.vertex_exn: %a" pp v)
@@ -115,6 +108,3 @@ let add a b =
   | Int x, Int y -> Int (x + y)
   | (Int _ | Float _), (Int _ | Float _) -> Float (to_float_exn a +. to_float_exn b)
   | _ -> invalid_arg "Value.add: non-numeric operands"
-
-let max_v a b = if compare a b >= 0 then a else b
-let min_v a b = if compare a b <= 0 then a else b

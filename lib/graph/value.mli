@@ -28,12 +28,7 @@ val to_int : t -> int option
 val to_int_exn : t -> int
 val to_float : t -> float option
 val to_float_exn : t -> float
-val to_bool : t -> bool option
-val to_string_opt : t -> string option
 val vertex_exn : t -> int
 
 (** Numeric addition with [Null] as identity. *)
 val add : t -> t -> t
-
-val max_v : t -> t -> t
-val min_v : t -> t -> t

@@ -39,15 +39,3 @@ let metrics_json (m : Metrics.t) =
      ]
     @ List.concat_map counter Metrics.Counter.all)
 
-let summary_json (s : Stats.summary) =
-  Json.Obj
-    [
-      ("count", Json.Int s.Stats.count);
-      ("mean", Json.Float s.Stats.mean);
-      ("stddev", Json.Float s.Stats.stddev);
-      ("min", Json.Float s.Stats.min);
-      ("max", Json.Float s.Stats.max);
-      ("p50", Json.Float s.Stats.p50);
-      ("p90", Json.Float s.Stats.p90);
-      ("p99", Json.Float s.Stats.p99);
-    ]

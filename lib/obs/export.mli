@@ -1,6 +1,5 @@
-(** JSON views of simulator counters, latency histograms, and sample
-    summaries; field order fixed for byte-stable output. *)
+(** JSON views of simulator counters and latency histograms; field order
+    fixed for byte-stable output. *)
 
 val metrics_json : Metrics.t -> Json.t
 val histogram_json : Histogram.t -> Json.t
-val summary_json : Stats.summary -> Json.t

@@ -46,11 +46,6 @@ type t = {
 let create ~graph = { graph; table = Hashtbl.create 16; hits = 0; misses = 0; verifications = 0 }
 let stats t = { hits = t.hits; misses = t.misses; verifications = t.verifications }
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.verifications <- 0
-
 (* --- Parameter holes --------------------------------------------------- *)
 
 let marker i = Value.Str (Printf.sprintf "\x00param%d\x00" i)

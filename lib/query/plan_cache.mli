@@ -25,7 +25,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 (** Cached families currently resident. *)
 val size : t -> int

@@ -253,9 +253,6 @@ let to_combiner t ~at ~src_node ~dst_node messages bytes =
 
 let delivering_retransmitted t = t.delivering_retx
 
-let has_buffered t ~worker =
-  Array.exists (fun buffer -> not (Vec.is_empty buffer)) t.buffers.(worker)
-
 let flush_buffer t ~at ~worker ~dst_node =
   let buffer = t.buffers.(worker).(dst_node) in
   if Vec.is_empty buffer then Sim_time.zero

@@ -56,9 +56,6 @@ val send :
     Always false outside deliver callbacks and on fault-free runs. *)
 val delivering_retransmitted : 'a t -> bool
 
-(** Whether any tier-1 buffer of the worker holds messages. *)
-val has_buffered : 'a t -> worker:int -> bool
-
 (** Flush all tier-1 buffers of a worker (called before it sleeps);
     returns the CPU time spent. *)
 val flush_worker : 'a t -> at:Sim_time.t -> worker:int -> Sim_time.t

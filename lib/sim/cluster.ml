@@ -118,13 +118,12 @@ let emit_protocol t ev ~src ~dst ~seq =
   | Some hook -> hook { pkt_ev = ev; ev_src = src; ev_dst = dst; ev_seq = seq }
 
 (* Dependence tags for the schedule explorer: events that touch the same
-   (directed link | node | worker) commute with nothing in their class and
-   with everything outside it, so tags partition same-timestamp ties into
+   (directed link | worker) commute with nothing in their class and with
+   everything outside it, so tags partition same-timestamp ties into
    meaningful reorderings. Tag 0 is "untagged" (never reordered against
    its own class). The ranges are disjoint by construction. *)
 let link_tag t ~src_node ~dst_node = 1 + (src_node * t.config.n_nodes) + dst_node
-let node_tag t node = 1 + (t.config.n_nodes * t.config.n_nodes) + node
-let worker_tag t w = 1 + (t.config.n_nodes * (t.config.n_nodes + 1)) + w
+let worker_tag t w = 1 + (t.config.n_nodes * t.config.n_nodes) + w
 
 let config t = t.config
 let events t = t.events

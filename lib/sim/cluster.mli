@@ -76,12 +76,11 @@ val set_mutation : t -> Mutation.t option -> unit
 
 val mutation : t -> Mutation.t option
 
-(** Dependence tags for {!Event_queue} choosers. Each directed link, each
-    node and each worker gets its own class; the ranges are disjoint and
-    never 0 (the untagged class). *)
+(** Dependence tags for {!Event_queue} choosers. Each directed link and
+    each worker gets its own class; the ranges are disjoint and never 0
+    (the untagged class). *)
 val link_tag : t -> src_node:int -> dst_node:int -> int
 
-val node_tag : t -> int -> int
 val worker_tag : t -> int -> int
 
 (** Attach a fault-injection plane; [None] (the default) is the perfect

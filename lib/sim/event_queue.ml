@@ -59,6 +59,8 @@ let pending t = Heap.length t.heap
 
 let next_seq t = t.next_seq
 
+let next_time t = Option.map (fun e -> e.time) (Heap.peek t.heap)
+
 let set_chooser t chooser = t.chooser <- chooser
 
 let schedule_at ?(tag = 0) t ~time action =

@@ -32,6 +32,9 @@ val executed : t -> int
 (** Number of events still scheduled. *)
 val pending : t -> int
 
+(** Time of the earliest scheduled event, if any. *)
+val next_time : t -> Sim_time.t option
+
 (** The sequence number the next scheduled event will receive. *)
 val next_seq : t -> int
 

@@ -38,5 +38,3 @@ let wire_time t ~bytes =
 
 (* Total NIC occupancy of one packet. *)
 let nic_occupancy t ~bytes = Sim_time.add t.per_packet (wire_time t ~bytes)
-
-let packets_per_second t = 1e9 /. float_of_int (Sim_time.to_ns t.per_packet)

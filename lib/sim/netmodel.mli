@@ -18,6 +18,3 @@ val wire_time : t -> bytes:int -> Sim_time.t
 
 (** Total NIC occupancy of one packet: per-packet cost + wire time. *)
 val nic_occupancy : t -> bytes:int -> Sim_time.t
-
-(** Upper bound on packet rate implied by the per-packet cost. *)
-val packets_per_second : t -> float

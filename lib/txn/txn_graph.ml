@@ -113,8 +113,6 @@ type snapshot = {
 
 let snapshot store ~node = { snap_store = store; snap_ts = Txn_manager.read_timestamp store.manager ~node }
 
-let snapshot_ts s = s.snap_ts
-
 let neighbors s ~src =
   let out = Vec.create ~dummy:(0, 0) in
   Tel.scan s.snap_store.tel ~src ~ts:s.snap_ts (fun ~dst ~label -> Vec.push out (dst, label));

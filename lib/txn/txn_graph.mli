@@ -30,8 +30,6 @@ type snapshot
 (** Snapshot at the LCT copy of [node] — no manager round trip. *)
 val snapshot : t -> node:int -> snapshot
 
-val snapshot_ts : snapshot -> int
-
 (** Visible [(dst, edge-label)] pairs. *)
 val neighbors : snapshot -> src:int -> (int * int) array
 

@@ -63,10 +63,6 @@ let summarize samples =
     }
   end
 
-let pp_summary ppf s =
-  Fmt.pf ppf "n=%d mean=%.3f p50=%.3f p99=%.3f min=%.3f max=%.3f" s.count s.mean s.p50 s.p99
-    s.min s.max
-
 (* Geometric mean of ratios, used when averaging speedups across queries. *)
 let geomean samples =
   let n = Array.length samples in

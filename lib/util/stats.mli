@@ -18,7 +18,6 @@ val stddev : float array -> float
 val percentile : float array -> float -> float
 
 val summarize : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit
 
 (** Geometric mean, for averaging speedup ratios. *)
 val geomean : float array -> float

@@ -172,17 +172,14 @@ let share attr cat =
 
 let test_straggler_blamed () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
-  (* Pin every vertex on partition 0 (worker 0 of node 0) and freeze the
-     repartitioner, then make node 0 a 40x straggler. Query 0's
+  (* Pin every vertex on partition 0 (worker 0 of node 0) with a fixed
+     table, then make node 0 a 40x straggler. Query 0's
      coordinator also lands on worker 0, so the whole serial chain runs
      on the straggler: the critical path must blame Compute. *)
   let options =
     {
       Async_engine.default_options with
-      Async_engine.partition = Partition.Adaptive;
-      initial_assignment = Some (Array.make (Graph.n_vertices graph) 0);
-      adaptive =
-        { Async_engine.default_adaptive with Async_engine.min_traffic = max_int };
+      Async_engine.partition = Partition.Table (Array.make (Graph.n_vertices graph) 0);
     }
   in
   let faults = { Faults.none with Faults.slow_nodes = [ (0, 40.0) ] } in

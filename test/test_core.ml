@@ -76,16 +76,16 @@ let test_tracker_completes_exactly_once () =
 
 let drained c =
   let out = ref [] in
-  Progress.drain c (fun qid phase w -> out := (qid, phase, w) :: !out);
+  Progress.drain c (fun qid phase _tag w -> out := (qid, phase, w) :: !out);
   List.rev !out
 
 let test_coalescer_merges () =
   let c = Progress.coalescer () in
   let prng = Prng.create 9 in
   let w1 = Weight.random prng and w2 = Weight.random prng and w3 = Weight.random prng in
-  Progress.coalesce c ~qid:1 ~phase:0 w1;
-  Progress.coalesce c ~qid:1 ~phase:0 w2;
-  Progress.coalesce c ~qid:2 ~phase:1 w3;
+  Progress.coalesce c ~qid:1 ~phase:0 ~tag:0 w1;
+  Progress.coalesce c ~qid:1 ~phase:0 ~tag:0 w2;
+  Progress.coalesce c ~qid:2 ~phase:1 ~tag:0 w3;
   Alcotest.(check int) "pending additions" 3 (Progress.pending_additions c);
   (match drained c with
   | [ (1, 0, merged); (2, 1, w3') ] ->
@@ -106,15 +106,15 @@ let test_coalescer_drain_order () =
     List.iter
       (fun (qid, phase) ->
         let w = Weight.random prng in
-        Progress.coalesce c ~qid ~phase w;
+        Progress.coalesce c ~qid ~phase ~tag:0 w;
         let acc = Option.value ~default:Weight.zero (Hashtbl.find_opt sums (qid, phase)) in
         Hashtbl.replace sums (qid, phase) (Weight.add acc w))
       (if round = 2 then List.rev keys else keys)
   done;
   (* A key whose weights cancel out. *)
   let w = Weight.random prng in
-  Progress.coalesce c ~qid:4 ~phase:1 w;
-  Progress.coalesce c ~qid:4 ~phase:1 (Weight.sub Weight.zero w);
+  Progress.coalesce c ~qid:4 ~phase:1 ~tag:0 w;
+  Progress.coalesce c ~qid:4 ~phase:1 ~tag:0 (Weight.sub Weight.zero w);
   Hashtbl.replace sums (4, 1) Weight.zero;
   let got = drained c in
   let expected = List.sort compare (List.of_seq (Hashtbl.to_seq_keys sums)) in
@@ -137,7 +137,7 @@ let test_coalescer_discard_query () =
   let c = Progress.coalescer () in
   let one = Weight.random (Prng.create 12) in
   List.iter
-    (fun (qid, phase) -> Progress.coalesce c ~qid ~phase one)
+    (fun (qid, phase) -> Progress.coalesce c ~qid ~phase ~tag:0 one)
     [ (3, 0); (1, 0); (3, 2); (2, 1); (3, 1); (4, 0) ];
   Progress.discard_query c ~qid:3;
   Alcotest.(check int) "pending additions untouched" 6 (Progress.pending_additions c);
@@ -147,12 +147,35 @@ let test_coalescer_discard_query () =
   Progress.discard_query c ~qid:9;
   Alcotest.(check bool) "discarding on empty" true (Progress.is_empty c)
 
+(* Each entry keeps its last contributor's tag. Tags move with their
+   entries when an insertion shifts them, leave with them on
+   [discard_query], and reach [drain] in (qid, phase) order. *)
+let test_coalescer_tags () =
+  let c = Progress.coalescer () in
+  let one = Weight.random (Prng.create 13) in
+  let merge qid phase tag = Progress.coalesce c ~qid ~phase ~tag one in
+  merge 5 0 50;
+  merge 5 0 51;
+  merge 3 1 31;
+  merge 5 1 52;
+  merge 1 0 10;
+  merge 3 1 32;
+  merge 3 0 30;
+  merge 2 0 20;
+  Progress.discard_query c ~qid:2;
+  let tags = ref [] in
+  Progress.drain c (fun qid phase tag _ -> tags := ((qid, phase), tag) :: !tags);
+  Alcotest.(check (list (pair (pair int int) int)))
+    "last tag per entry, in (qid, phase) order"
+    [ ((1, 0), 10); ((3, 0), 30); ((3, 1), 32); ((5, 0), 51); ((5, 1), 52) ]
+    (List.rev !tags)
+
 let test_coalescer_no_reentry () =
   let c = Progress.coalescer () in
-  Progress.coalesce c ~qid:0 ~phase:0 Weight.root;
+  Progress.coalesce c ~qid:0 ~phase:0 ~tag:0 Weight.root;
   Alcotest.check_raises "coalesce from a drain callback"
     (Invalid_argument "Progress.coalesce: coalescer re-entered from a drain callback")
-    (fun () -> Progress.drain c (fun qid phase w -> Progress.coalesce c ~qid ~phase w))
+    (fun () -> Progress.drain c (fun qid phase tag w -> Progress.coalesce c ~qid ~phase ~tag w))
 
 (* --- Traverser --- *)
 
@@ -427,6 +450,7 @@ let () =
           Alcotest.test_case "coalescer merges" `Quick test_coalescer_merges;
           Alcotest.test_case "coalescer drain order" `Quick test_coalescer_drain_order;
           Alcotest.test_case "coalescer discard query" `Quick test_coalescer_discard_query;
+          Alcotest.test_case "coalescer tags" `Quick test_coalescer_tags;
           Alcotest.test_case "coalescer no re-entry" `Quick test_coalescer_no_reentry;
         ] );
       ("traverser", [ Alcotest.test_case "copy on write" `Quick test_traverser_copy_on_write ]);

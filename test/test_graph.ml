@@ -131,7 +131,13 @@ let partition_covers =
               (Partition.members p part)
           done;
           n_vertices = 0 || Array.for_all (Int.equal 1) seen)
-        [ Partition.Hash; Partition.Mod; Partition.Block; Partition.Adaptive ])
+        [
+          Partition.Hash;
+          Partition.Mod;
+          Partition.Block;
+          Partition.Adaptive;
+          Partition.Table (Array.init n_vertices (fun v -> v * 7 mod n_parts));
+        ])
 
 let test_partition_imbalance () =
   let p = Partition.create ~n_parts:4 ~n_vertices:1000 () in
@@ -163,17 +169,27 @@ let test_partition_adaptive () =
   Alcotest.(check bool) "member of new partition" true
     (Array.mem 5 (Partition.members p dst));
   Alcotest.(check int) "snapshot agrees" dst (Partition.to_assignment p).(5);
-  (* Seeding from an explicit table is honored (and copied). *)
+  (* A fixed table is honored (and copied), and cannot be rewritten. *)
   let assignment = Array.init 16 (fun v -> v mod 4) in
-  let seeded =
-    Partition.create ~strategy:Partition.Adaptive ~assignment ~n_parts:4 ~n_vertices:16 ()
+  let table =
+    Partition.create ~strategy:(Partition.Table assignment) ~n_parts:4 ~n_vertices:16 ()
   in
   assignment.(0) <- 3;
-  Alcotest.(check int) "seeded table copied" 0 (Partition.owner seeded 0);
-  Alcotest.(check bool) "set_owner on static is an error" true
-    (match Partition.set_owner hash 5 0 with
-    | () -> false
-    | exception Invalid_argument _ -> true)
+  Alcotest.(check int) "table copied" 0 (Partition.owner table 0);
+  List.iter
+    (fun (name, p) ->
+      Alcotest.(check bool) ("set_owner on " ^ name ^ " is an error") true
+        (match Partition.set_owner p 5 0 with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ ("static", hash); ("table", table) ];
+  List.iter
+    (fun (name, bad) ->
+      Alcotest.(check bool) (name ^ " rejected") true
+        (match Partition.create ~strategy:(Partition.Table bad) ~n_parts:4 ~n_vertices:16 () with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ ("short table", Array.make 15 0); ("out-of-range entry", Array.make 16 4) ]
 
 (* --- Builder / Graph --- *)
 

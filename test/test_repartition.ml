@@ -208,9 +208,9 @@ let test_static_strategy_inert () =
     (fingerprint Async_engine.default_options = fingerprint hash_aggressive)
 
 let test_warm_start_assignment () =
-  (* A warm start installs the refined table up front: with online rounds
-     disabled there are no migrations, yet the remote traffic drops
-     relative to hash on the same submissions. *)
+  (* A warm start installs the refined table up front as a fixed table:
+     there are no migrations, yet the remote traffic drops relative to
+     hash on the same submissions. *)
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
   let subs = wave_submissions graph ~starts:[| 1; 2; 3; 5 |] ~waves:3 ~hops:2 in
   let n_parts = migration_cluster.Cluster.n_nodes * migration_cluster.Cluster.workers_per_node in
@@ -239,16 +239,11 @@ let test_warm_start_assignment () =
   let warm =
     run_adaptive ~check:true
       ~options:
-        {
-          aggressive_adaptive with
-          Async_engine.initial_assignment = Some refined;
-          adaptive =
-            { Async_engine.default_adaptive with Async_engine.min_traffic = max_int };
-        }
+        { Async_engine.default_options with Async_engine.partition = Partition.Table refined }
       graph subs
   in
   Alcotest.(check bool) "all complete" true (Engine.all_completed warm);
-  Alcotest.(check int) "online rounds disabled" 0
+  Alcotest.(check int) "no online rounds" 0
     Metrics.(get warm.Engine.metrics Counter.migrations);
   let bytes r = Metrics.message_bytes r.Engine.metrics Metrics.Traverser_msg in
   Alcotest.(check bool) "remote traffic reduced" true (bytes warm < bytes hash)

@@ -167,10 +167,11 @@ let test_cancel_mid_flight_clean () =
   | _ -> Alcotest.fail "terminal callback did not fire exactly once with Cancelled")
 
 (* Regression: a cancelled query used to strand its pending causal
-   coalescer bindings in the per-worker [cz_coalesce] table. The
-   sanitizer now asserts that table empty at finish, so this run —
-   causal tracing on, cancellation landing mid-flight — fails loudly if
-   the cleanup regresses. *)
+   coalescer bindings in a per-worker side table. The causal tag now
+   lives in the coalescer entry beside its weight, and the sanitizer
+   asserts every coalescer empty at finish, so this run — causal tracing
+   on, cancellation landing mid-flight — fails loudly if the scoped
+   reclaim regresses. *)
 let test_cancel_strands_no_causal_state () =
   let graph = fixture_graph () in
   let program = khop graph 3 in
@@ -243,6 +244,40 @@ let test_cancellation_all_engines () =
   (* The local oracle completes instantly and can never be caught by a
      patience timer; the slower engines must have abandoned queries. *)
   if !total_cancelled = 0 then Alcotest.fail "no engine exercised abandonment"
+
+(* --- BSP timers ---------------------------------------------------------- *)
+
+(* The BSP engine runs caller timers at barrier granularity. A 3-hop
+   query completes at a barrier [c]; timers due 1 ns earlier, between the
+   previous barrier and [c], fire at [c] and read it as the clock, and
+   timers due at one instant fire in insertion order. A timer due at 0
+   fires as the drive starts. *)
+let test_bsp_timers_fire_at_barriers () =
+  let graph = fixture_graph () in
+  let program = khop graph 3 in
+  let (module E : Engine.S) = Registry.find_exn ~registry "bsp" in
+  let completion report =
+    match Engine.completed_at report.Engine.queries.(0) with
+    | Some c -> c
+    | None -> Alcotest.fail "fixture query did not complete"
+  in
+  let c = completion (E.run ~graph [| Engine.submit program |]) in
+  let h = E.start ~graph () in
+  let fired = ref [] in
+  let timer name at =
+    h.Engine.sh_at at (fun () -> fired := (name, h.Engine.sh_now ()) :: !fired)
+  in
+  ignore (h.Engine.sh_submit (Engine.submit program) : int);
+  let due = Sim_time.diff c 1 in
+  timer "a" due;
+  timer "start" Sim_time.zero;
+  timer "b" due;
+  h.Engine.sh_drive ~until:None;
+  Alcotest.(check int) "timers do not move the barrier" c (completion (h.Engine.sh_finish ()));
+  Alcotest.(check (list (pair string int)))
+    "fired in (time, insertion) order at barrier clocks"
+    [ ("start", Sim_time.zero); ("a", c); ("b", c) ]
+    (List.rev !fired)
 
 (* --- Shedding ----------------------------------------------------------- *)
 
@@ -349,6 +384,8 @@ let () =
           Alcotest.test_case "per-query deadline" `Quick test_per_query_deadline;
           Alcotest.test_case "every engine, via patience" `Quick test_cancellation_all_engines;
         ] );
+      ( "timers",
+        [ Alcotest.test_case "bsp fires at barriers" `Quick test_bsp_timers_fire_at_barriers ] );
       ( "admission",
         [
           Alcotest.test_case "shed consumes no engine events" `Quick
