@@ -1,6 +1,7 @@
 (* Wall-clock microbenchmarks (Bechamel) of the hot primitives underneath
    the simulator's cost model: weight arithmetic, memo operations, top-k
-   accumulation, CSR adjacency scans and single-step execution. *)
+   accumulation, CSR adjacency scans and single-step execution. Each
+   reports time and minor-heap words per operation. *)
 
 open Bechamel
 open Toolkit
@@ -18,21 +19,33 @@ let weight_tests () =
       (Staged.stage (fun () -> ignore (Pstm_util.Prng.next_int64 prng)));
   ]
 
+(* Memo probes on both key paths: vertex keys (the int-keyed table) and
+   [Value.Int] keys (the generic table), at 2k, 20k and 200k distinct keys
+   in one (query, label). Every key is inserted before timing, so each
+   probe is a hit, as a Visit or Dedup step in steady state; keys are
+   built outside the timed call and cycle through a random sequence. *)
 let memo_tests () =
-  let memo = Pstm_core.Memo.create () in
-  let prng = Pstm_util.Prng.create 2 in
+  let sweep ~key ~op n =
+    let memo = Pstm_core.Memo.create () in
+    for k = 0 to n - 1 do
+      op memo (key k)
+    done;
+    let prng = Pstm_util.Prng.create n in
+    let keys = Array.init 65_536 (fun _ -> key (Pstm_util.Prng.int prng n)) and i = ref 0 in
+    Staged.stage (fun () ->
+        i := (!i + 1) land 65_535;
+        op memo keys.(!i))
+  in
+  let min_dist memo v =
+    ignore (Pstm_core.Memo.min_int_update memo ~qid:0 ~label:2 v 3 : Pstm_core.Memo.visit_outcome)
+  in
+  let dedup memo key = ignore (Pstm_core.Memo.add_if_absent memo ~qid:0 ~label:1 key : bool) in
+  let sizes = [ 2_000; 20_000; 200_000 ] in
   [
-    Test.make ~name:"memo-dedup-probe"
-      (Staged.stage (fun () ->
-           ignore
-             (Pstm_core.Memo.add_if_absent memo ~qid:0 ~label:1
-                (Value.Int (Pstm_util.Prng.int prng 100_000)))));
-    Test.make ~name:"memo-min-dist"
-      (Staged.stage (fun () ->
-           ignore
-             (Pstm_core.Memo.min_int_update memo ~qid:0 ~label:2
-                (Value.Vertex (Pstm_util.Prng.int prng 100_000))
-                (Pstm_util.Prng.int prng 8))));
+    Test.make_indexed ~name:"memo-min-dist" ~args:sizes (sweep ~key:Fun.id ~op:min_dist);
+    Test.make_indexed ~name:"memo-dedup-vertex" ~args:sizes
+      (sweep ~key:(fun k -> Value.Vertex k) ~op:dedup);
+    Test.make_indexed ~name:"memo-dedup-int" ~args:sizes (sweep ~key:(fun k -> Value.Int k) ~op:dedup);
   ]
 
 let structure_tests () =
@@ -155,21 +168,25 @@ let run () =
      taken after it in the same process. *)
   Printf.printf "\n== Frontier batching: fused chain vs scalar interpreter ==\n";
   fused_vs_scalar ();
-  Printf.printf "\n== Microbenchmarks (wall clock, Bechamel OLS ns/op) ==\n";
+  Printf.printf "\n== Microbenchmarks (wall clock, Bechamel OLS per op) ==\n";
   let tests = weight_tests () @ memo_tests () @ structure_tests () in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |]
   in
-  let instances = Instance.[ monotonic_clock ] in
+  let instances = Instance.[ monotonic_clock; minor_allocated ] in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~stabilize:false () in
   List.iter
     (fun test ->
       let results = Benchmark.all cfg instances test in
-      let stats = Analyze.all ols (List.hd instances) results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] -> Printf.printf "  %-20s %10.1f ns/op\n" name ns
-          | _ -> Printf.printf "  %-20s (no estimate)\n" name)
-        stats)
+      let per_op instance =
+        let stats = Analyze.all ols instance results in
+        fun name ->
+          match Analyze.OLS.estimates (Hashtbl.find stats name) with
+          | Some [ x ] -> Printf.sprintf "%10.1f" x
+          | _ -> Printf.sprintf "%10s" "-"
+      in
+      let ns = per_op Instance.monotonic_clock and words = per_op Instance.minor_allocated in
+      List.iter
+        (fun name -> Printf.printf "  %-26s %s ns/op %s words/op\n" name (ns name) (words name))
+        (Test.names test))
     tests

@@ -8,68 +8,222 @@
    terminates, as the model prescribes.
 
    Keys within a query are (label, value) pairs, where the label is a
-   user- or compiler-chosen discriminator (Distance, Seen, JoinA#3, ...)
-   and the value is an arbitrary property value. Entries hold either a
-   scalar, a partitionable partial aggregate, or the row lists of a
-   double-pipelined join side. *)
+   compiler-chosen discriminator (the step index of a Visit, Dedup, Join
+   side or Aggregate) and the value is an arbitrary property value.
+   Entries hold either a scalar, a partitionable partial aggregate, or the
+   row lists of a double-pipelined join side.
+
+   Layout: each (query, label) owns one [store] with three typed parts.
+   Vertex keys — nearly all of them: Visit distances, Dedup flags, most
+   join buckets — live in an int-keyed open-addressing table (linear
+   probing, [-1] marks an empty slot, backward-shift deletion), so a probe
+   hashes one int and allocates nothing. The Null key, under which an
+   Aggregate step keeps its partial, has a slot of its own. Every other
+   key goes to a generic [Hashtbl.Make] table, created on first use. *)
 
 type entry =
   | Scalar of Value.t
   | Partial of Aggregate.t
   | Rows of Value.t array list
 
-module Key = struct
-  type t = int * Value.t (* label, key value *)
+(* Marks an empty slot and a missing record; compared with [==] only. *)
+let absent = Scalar (Value.Str "absent")
 
-  let equal (l1, v1) (l2, v2) = l1 = l2 && Value.equal v1 v2
-  let hash (l, v) = (l * 31) + Value.hash v
-end
+(* Dedup keeps presence only. *)
+let seen = Scalar Value.Null
 
-module Table = Hashtbl.Make (Key)
+module Table = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+type store = {
+  mutable keys : int array; (* vertex ids; capacity 0 or a power of two *)
+  mutable vals : entry array; (* [absent] where [keys] holds -1 *)
+  mutable size : int;
+  mutable shift : int; (* 63 - log2 capacity: [home] keeps the top bits *)
+  mutable null_key : entry; (* the Value.Null-keyed record, or [absent] *)
+  mutable generic : entry Table.t option; (* every other key *)
+}
+
+type query = {
+  qid : int;
+  mutable stores : store array; (* indexed by label *)
+}
 
 type t = {
-  queries : (int, entry Table.t) Hashtbl.t; (* query id -> its records *)
-  mutable ops : int; (* probe/update count, for CPU accounting *)
-  mutable peak_entries : int;
+  queries : (int, query) Hashtbl.t;
+  mutable last : query; (* the last query touched: consecutive steps mostly share it *)
   mutable live_entries : int;
 }
 
-let create () = { queries = Hashtbl.create 8; ops = 0; peak_entries = 0; live_entries = 0 }
+(* Never returned by [query]; stands for "no query cached". *)
+let nil = { qid = min_int; stores = [||] }
 
-let ops t = t.ops
-let peak_entries t = t.peak_entries
+let create () = { queries = Hashtbl.create 8; last = nil; live_entries = 0 }
 let live_entries t = t.live_entries
 
-let table t ~qid =
-  match Hashtbl.find_opt t.queries qid with
-  | Some table -> table
+let query t qid =
+  let q = t.last in
+  if q.qid = qid && q != nil then q
+  else begin
+    let q =
+      match Hashtbl.find t.queries qid with
+      | q -> q
+      | exception Not_found ->
+        let q = { qid; stores = [||] } in
+        Hashtbl.add t.queries qid q;
+        q
+    in
+    t.last <- q;
+    q
+  end
+
+let new_store () =
+  { keys = [||]; vals = [||]; size = 0; shift = 63; null_key = absent; generic = None }
+
+let store t ~qid ~label =
+  let q = query t qid in
+  let n = Array.length q.stores in
+  if label >= n then
+    q.stores <- Array.init (label + 1) (fun l -> if l < n then q.stores.(l) else new_store ());
+  q.stores.(label)
+
+(* --- The vertex table --- *)
+
+(* Multiplicative hashing on the top bits. Partitions split vertices by
+   the low bits of a different mixer, so the ids one memo sees share
+   those bits and must not decide the slot. *)
+let home s v = (v * 0x4F1BBCDCBFA53E0B) lsr s.shift
+
+let rec probe keys mask v i =
+  let k = keys.(i) in
+  if k = v then i else if k < 0 then -1 else probe keys mask v ((i + 1) land mask)
+
+(* Slot of vertex [v], or -1. *)
+let index s v = if s.size = 0 then -1 else probe s.keys (Array.length s.keys - 1) v (home s v)
+
+let rec free_slot keys mask i = if keys.(i) < 0 then i else free_slot keys mask ((i + 1) land mask)
+
+let place s v e =
+  let i = free_slot s.keys (Array.length s.keys - 1) (home s v) in
+  s.keys.(i) <- v;
+  s.vals.(i) <- e
+
+let grow s =
+  let keys = s.keys and vals = s.vals in
+  let capacity = max 8 (2 * Array.length keys) in
+  s.keys <- Array.make capacity (-1);
+  s.vals <- Array.make capacity absent;
+  s.shift <- (if Array.length keys = 0 then 60 else s.shift - 1);
+  Array.iteri (fun i v -> if v >= 0 then place s v vals.(i)) keys
+
+(* Insert absent vertex [v], keeping the load at most 3/4. *)
+let insert s v e =
+  if (s.size + 1) * 4 > Array.length s.keys * 3 then grow s;
+  place s v e;
+  s.size <- s.size + 1
+
+(* Empty slot [i], then walk its probe run and move back every key whose
+   home does not lie cyclically after the hole, so no run has a gap. *)
+let remove_at s i =
+  let keys = s.keys and vals = s.vals in
+  let mask = Array.length keys - 1 in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while keys.(!j) >= 0 do
+    let v = keys.(!j) in
+    if (!j - home s v) land mask >= (!j - !hole) land mask then begin
+      keys.(!hole) <- v;
+      vals.(!hole) <- vals.(!j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  keys.(!hole) <- -1;
+  vals.(!hole) <- absent;
+  s.size <- s.size - 1
+
+(* --- Any key --- *)
+
+(* The record under [key], or [absent]. *)
+let find s key =
+  match key with
+  | Value.Vertex v when v >= 0 ->
+    let i = index s v in
+    if i < 0 then absent else s.vals.(i)
+  | Value.Null -> s.null_key
+  | _ -> (
+    match s.generic with
+    | None -> absent
+    | Some g -> ( match Table.find g key with e -> e | exception Not_found -> absent))
+
+let generic s =
+  match s.generic with
+  | Some g -> g
   | None ->
-    let table = Table.create 64 in
-    Hashtbl.add t.queries qid table;
-    table
+    let g = Table.create 16 in
+    s.generic <- Some g;
+    g
 
-let grew t =
+(* Add a record under [key], which must be absent. *)
+let add t s key e =
   t.live_entries <- t.live_entries + 1;
-  if t.live_entries > t.peak_entries then t.peak_entries <- t.live_entries
+  match key with
+  | Value.Vertex v when v >= 0 -> insert s v e
+  | Value.Null -> s.null_key <- e
+  | _ -> Table.add (generic s) key e
 
-let find_opt t ~qid ~label key =
-  t.ops <- t.ops + 1;
-  Table.find_opt (table t ~qid) (label, key)
+(* Overwrite the record under [key], which must be present. *)
+let replace s key e =
+  match key with
+  | Value.Vertex v when v >= 0 -> s.vals.(index s v) <- e
+  | Value.Null -> s.null_key <- e
+  | _ -> Table.replace (generic s) key e
+
+(* Remove and return the record under [key], or [absent]. *)
+let remove s key =
+  match key with
+  | Value.Vertex v when v >= 0 ->
+    let i = index s v in
+    if i < 0 then absent
+    else begin
+      let e = s.vals.(i) in
+      remove_at s i;
+      e
+    end
+  | Value.Null ->
+    let e = s.null_key in
+    s.null_key <- absent;
+    e
+  | _ -> (
+    match s.generic with
+    | None -> absent
+    | Some g -> (
+      match Table.find g key with
+      | e ->
+        Table.remove g key;
+        e
+      | exception Not_found -> absent))
+
+let store_length s =
+  s.size
+  + Bool.to_int (s.null_key != absent)
+  + match s.generic with None -> 0 | Some g -> Table.length g
+
+(* --- Operations --- *)
 
 let set t ~qid ~label key entry =
-  t.ops <- t.ops + 1;
-  let table = table t ~qid in
-  if not (Table.mem table (label, key)) then grew t;
-  Table.replace table (label, key) entry
+  let s = store t ~qid ~label in
+  if find s key == absent then add t s key entry else replace s key entry
 
 (* Test-and-set for deduplication: true iff the key was absent. *)
 let add_if_absent t ~qid ~label key =
-  t.ops <- t.ops + 1;
-  let table = table t ~qid in
-  if Table.mem table (label, key) then false
+  let s = store t ~qid ~label in
+  if find s key != absent then false
   else begin
-    grew t;
-    Table.replace table (label, key) (Scalar Value.Null);
+    add t s key seen;
     true
   end
 
@@ -79,56 +233,52 @@ type visit_outcome =
   | Improved
   | Not_improved
 
-let min_int_update t ~qid ~label key d =
-  t.ops <- t.ops + 1;
-  let table = table t ~qid in
-  match Table.find_opt table (label, key) with
-  | None ->
-    grew t;
-    Table.replace table (label, key) (Scalar (Value.Int d));
+let min_int_update t ~qid ~label vertex d =
+  if vertex < 0 then invalid_arg "Memo.min_int_update: negative vertex";
+  let s = store t ~qid ~label in
+  let i = index s vertex in
+  if i < 0 then begin
+    insert s vertex (Scalar (Value.Int d));
+    t.live_entries <- t.live_entries + 1;
     First_visit
-  | Some (Scalar (Value.Int best)) when d < best ->
-    Table.replace table (label, key) (Scalar (Value.Int d));
-    Improved
-  | Some _ -> Not_improved
+  end
+  else
+    match s.vals.(i) with
+    | Scalar (Value.Int best) when d < best ->
+      s.vals.(i) <- Scalar (Value.Int d);
+      Improved
+    | _ -> Not_improved
 
 (* Fetch-or-create the partial aggregate of step [label]. *)
 let partial t ~qid ~label agg =
-  t.ops <- t.ops + 1;
-  let table = table t ~qid in
-  match Table.find_opt table (label, Value.Null) with
-  | Some (Partial p) -> p
-  | Some _ -> invalid_arg "Memo.partial: label holds a non-aggregate entry"
-  | None ->
-    grew t;
+  let s = store t ~qid ~label in
+  match s.null_key with
+  | Partial p -> p
+  | e when e == absent ->
     let p = Aggregate.create agg in
-    Table.replace table (label, Value.Null) (Partial p);
+    add t s Value.Null (Partial p);
     p
+  | _ -> invalid_arg "Memo.partial: label holds a non-aggregate entry"
 
 let partial_opt t ~qid ~label =
-  t.ops <- t.ops + 1;
-  match Table.find_opt (table t ~qid) (label, Value.Null) with
-  | Some (Partial p) -> Some p
-  | Some _ -> invalid_arg "Memo.partial_opt: label holds a non-aggregate entry"
-  | None -> None
+  match (store t ~qid ~label).null_key with
+  | Partial p -> Some p
+  | e when e == absent -> None
+  | _ -> invalid_arg "Memo.partial_opt: label holds a non-aggregate entry"
 
 (* Append a row to a join side's bucket and return the opposite bucket. *)
 let rows_add t ~qid ~label key row =
-  t.ops <- t.ops + 1;
-  let table = table t ~qid in
-  match Table.find_opt table (label, key) with
-  | Some (Rows rows) -> Table.replace table (label, key) (Rows (row :: rows))
-  | Some _ -> invalid_arg "Memo.rows_add: label holds a non-rows entry"
-  | None ->
-    grew t;
-    Table.replace table (label, key) (Rows [ row ])
+  let s = store t ~qid ~label in
+  match find s key with
+  | Rows rows -> replace s key (Rows (row :: rows))
+  | e when e == absent -> add t s key (Rows [ row ])
+  | _ -> invalid_arg "Memo.rows_add: label holds a non-rows entry"
 
 let rows_get t ~qid ~label key =
-  t.ops <- t.ops + 1;
-  match Table.find_opt (table t ~qid) (label, key) with
-  | Some (Rows rows) -> rows
-  | Some _ -> invalid_arg "Memo.rows_get: label holds a non-rows entry"
-  | None -> []
+  match find (store t ~qid ~label) key with
+  | Rows rows -> rows
+  | e when e == absent -> []
+  | _ -> invalid_arg "Memo.rows_get: label holds a non-rows entry"
 
 (* Wire size of an entry, for costing migration messages. *)
 let entry_bytes = function
@@ -140,38 +290,33 @@ let entry_bytes = function
       16 rows
 
 (* Remove and return every record keyed by [key] — any label, any query —
-   for re-homing when the key's vertex migrates to another partition.
-   Aggregate partials are keyed by Value.Null, so they never match a
-   vertex key and stay put (they are pulled from all workers anyway).
-   Output is sorted by (qid, label): the order entries serialize into a
-   migration message must not depend on hash-bucket layout. *)
+   for re-homing when the key's vertex migrates to another partition: one
+   lookup per (query, label). Aggregate partials are keyed by Value.Null,
+   so they never match a vertex key and stay put (they are pulled from all
+   workers anyway). Output is sorted by (qid, label): the order entries
+   serialize into a migration message must not depend on table layout. *)
 let extract_for_key t key =
   (* det-ok: the qids are sorted right below *)
   let qids = Hashtbl.fold (fun qid _ acc -> qid :: acc) t.queries [] in
-  let qids = List.sort Int.compare qids in
-  List.concat_map
+  let out = ref [] in
+  List.iter
     (fun qid ->
-      let table = Hashtbl.find t.queries qid in
-      let matches =
-        Table.fold
-          (fun (label, k) entry acc ->
-            if Value.equal k key then (label, entry) :: acc else acc)
-          table []
-      in
-      let matches = List.sort (fun (l1, _) (l2, _) -> Int.compare l1 l2) matches in
-      t.ops <- t.ops + 1 + List.length matches;
-      List.iter
-        (fun (label, _) ->
-          Table.remove table (label, key);
-          t.live_entries <- t.live_entries - 1)
-        matches;
-      List.map (fun (label, entry) -> (qid, label, entry)) matches)
-    qids
+      Array.iteri
+        (fun label s ->
+          let e = remove s key in
+          if e != absent then begin
+            t.live_entries <- t.live_entries - 1;
+            out := (qid, label, e) :: !out
+          end)
+        (Hashtbl.find t.queries qid).stores)
+    (List.sort Int.compare qids);
+  List.rev !out
 
 (* Drop a terminated query's records (automatic clearing of §III-B). *)
 let clear_query t qid =
   match Hashtbl.find_opt t.queries qid with
   | None -> ()
-  | Some table ->
-    t.live_entries <- t.live_entries - Table.length table;
-    Hashtbl.remove t.queries qid
+  | Some q ->
+    t.live_entries <- t.live_entries - Array.fold_left (fun n s -> n + store_length s) 0 q.stores;
+    Hashtbl.remove t.queries qid;
+    if t.last == q then t.last <- nil

@@ -2,7 +2,8 @@
 
     Records are scoped to the creating query and dropped wholesale when it
     terminates. Only the owning worker accesses a memo, so operations are
-    synchronization-free. *)
+    synchronization-free. Labels are step indices, so non-negative; vertex
+    keys are stored unboxed, in an int-keyed table per (query, label). *)
 
 type entry =
   | Scalar of Value.t
@@ -13,12 +14,7 @@ type t
 
 val create : unit -> t
 
-(** Cumulative probe/update count (for CPU-time accounting). *)
-val ops : t -> int
-
-val peak_entries : t -> int
 val live_entries : t -> int
-val find_opt : t -> qid:int -> label:int -> Value.t -> entry option
 val set : t -> qid:int -> label:int -> Value.t -> entry -> unit
 
 (** Deduplication test-and-set: [true] iff the key was absent. *)
@@ -29,8 +25,9 @@ type visit_outcome =
   | Improved
   | Not_improved
 
-(** Record [d] as the distance of [key] if it improves the stored one. *)
-val min_int_update : t -> qid:int -> label:int -> Value.t -> int -> visit_outcome
+(** Record [d] as the distance of vertex [v] (keyed [Value.Vertex v]) if it
+    improves the stored one. *)
+val min_int_update : t -> qid:int -> label:int -> int -> int -> visit_outcome
 
 (** Fetch-or-create the partial aggregate stored under [label]. *)
 val partial : t -> qid:int -> label:int -> Step.agg -> Aggregate.t
@@ -47,8 +44,9 @@ val entry_bytes : entry -> int
 
 (** Remove and return every record keyed by [key] (any label, any query),
     as [(qid, label, entry)] sorted by (qid, label) — the re-homing side
-    of vertex migration. Aggregate partials (keyed by [Value.Null]) never
-    match a vertex key and stay put. *)
+    of vertex migration, at one lookup per (query, label). Aggregate
+    partials (keyed by [Value.Null]) never match a vertex key and stay
+    put. *)
 val extract_for_key : t -> Value.t -> (int * int * entry) list
 
 (** Drop every record of a terminated query. *)

@@ -179,7 +179,7 @@ let run s ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
     end
   | Step.Visit { dist_reg; max_hops; cont; emit_improved } ->
     let d = Value.to_int_exn t.regs.(dist_reg) in
-    let visit = Memo.min_int_update memo ~qid ~label:t.step (Value.Vertex t.vertex) d in
+    let visit = Memo.min_int_update memo ~qid ~label:t.step t.vertex d in
     (* First visit: continue, and loop on while hops remain. Improved:
        under asynchronous order a vertex can be first reached through a
        longer path; when the continuation aggregates distances (min /

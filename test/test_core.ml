@@ -203,7 +203,7 @@ let test_memo_dedup () =
 
 let test_memo_min_dist () =
   let m = Memo.create () in
-  let v = Value.Vertex 7 in
+  let v = 7 in
   Alcotest.(check bool) "first visit" true (Memo.min_int_update m ~qid:0 ~label:2 v 5 = Memo.First_visit);
   Alcotest.(check bool) "improvement" true (Memo.min_int_update m ~qid:0 ~label:2 v 3 = Memo.Improved);
   Alcotest.(check bool) "equal not improved" true
@@ -224,12 +224,221 @@ let test_memo_accounting () =
   ignore (Memo.add_if_absent m ~qid:0 ~label:0 (Value.Int 1));
   ignore (Memo.add_if_absent m ~qid:0 ~label:0 (Value.Int 2));
   ignore (Memo.add_if_absent m ~qid:0 ~label:0 (Value.Int 2));
-  Alcotest.(check int) "ops counted" 3 (Memo.ops m);
   Alcotest.(check int) "live entries" 2 (Memo.live_entries m);
-  Alcotest.(check int) "peak" 2 (Memo.peak_entries m);
   Memo.clear_query m 0;
-  Alcotest.(check int) "live after clear" 0 (Memo.live_entries m);
-  Alcotest.(check int) "peak sticky" 2 (Memo.peak_entries m)
+  Alcotest.(check int) "live after clear" 0 (Memo.live_entries m)
+
+(* Model-based test: random op sequences against a reference [Map] keyed by
+   (qid, label, key). Keys mix vertices, ints, strings and Null; vertex ids
+   come from a small dense pool and from multiples of 16 (ids that all share
+   a home slot under an unmixed modulo hash), so the per-label tables fill
+   to their load limit, probe runs wrap past the end of the slot array, and
+   extraction must close the gaps it leaves. *)
+module Memo_model = struct
+  module Key = struct
+    type t = int * int * Value.t
+
+    let compare (q1, l1, k1) (q2, l2, k2) =
+      match Int.compare q1 q2 with
+      | 0 -> ( match Int.compare l1 l2 with 0 -> Value.compare k1 k2 | c -> c)
+      | c -> c
+  end
+
+  module M = Map.Make (Key)
+
+  type op =
+    | Add of int * int * Value.t
+    | Min of int * int * int * int
+    | Rows_add of int * int * Value.t * int
+    | Rows_get of int * int * Value.t
+    | Partial of int * int
+    | Partial_opt of int * int
+    | Set of int * int * Value.t * int
+    | Extract of Value.t
+    | Clear of int
+
+  let pp_op ppf = function
+    | Add (q, l, k) -> Fmt.pf ppf "add_if_absent q%d l%d %a" q l Value.pp k
+    | Min (q, l, v, d) -> Fmt.pf ppf "min_int_update q%d l%d v%d %d" q l v d
+    | Rows_add (q, l, k, r) -> Fmt.pf ppf "rows_add q%d l%d %a %d" q l Value.pp k r
+    | Rows_get (q, l, k) -> Fmt.pf ppf "rows_get q%d l%d %a" q l Value.pp k
+    | Partial (q, l) -> Fmt.pf ppf "partial q%d l%d" q l
+    | Partial_opt (q, l) -> Fmt.pf ppf "partial_opt q%d l%d" q l
+    | Set (q, l, k, e) -> Fmt.pf ppf "set q%d l%d %a %d" q l Value.pp k e
+    | Extract k -> Fmt.pf ppf "extract_for_key %a" Value.pp k
+    | Clear q -> Fmt.pf ppf "clear_query q%d" q
+
+  let gen =
+    let open QCheck.Gen in
+    let vertex = oneof [ int_range 0 11; map (fun k -> 16 * k) (int_range 0 11) ] in
+    let key =
+      frequency
+        [
+          (5, map (fun v -> Value.Vertex v) vertex);
+          (2, map (fun i -> Value.Int i) (int_range 0 4));
+          (1, map (fun s -> Value.Str s) (oneofl [ "a"; "b" ]));
+          (1, return Value.Null);
+        ]
+    in
+    let qid = int_range 0 2 and label = int_range 0 3 in
+    let op =
+      frequency
+        [
+          (6, map3 (fun q l k -> Add (q, l, k)) qid label key);
+          (6, map3 (fun (q, l) v d -> Min (q, l, v, d)) (pair qid label) vertex (int_range 0 5));
+          (3, map3 (fun (q, l) k r -> Rows_add (q, l, k, r)) (pair qid label) key small_nat);
+          (2, map3 (fun q l k -> Rows_get (q, l, k)) qid label key);
+          (1, map2 (fun q l -> Partial (q, l)) qid label);
+          (1, map2 (fun q l -> Partial_opt (q, l)) qid label);
+          (2, map3 (fun (q, l) k e -> Set (q, l, k, e)) (pair qid label) key (int_range 0 5));
+          (2, map (fun k -> Extract k) key);
+          (1, map (fun q -> Clear q) qid);
+        ]
+    in
+    list_size (int_range 1 300) op
+
+  let arbitrary = QCheck.make ~print:(Fmt.str "%a" (Fmt.Dump.list pp_op)) gen
+
+  let entry_equal a b =
+    match (a, b) with
+    | Memo.Scalar x, Memo.Scalar y -> Value.equal x y
+    | Memo.Partial x, Memo.Partial y -> x == y
+    | Memo.Rows x, Memo.Rows y -> List.equal (Array.for_all2 Value.equal) x y
+    | _ -> false
+
+  let outcome f = match f () with x -> Ok x | exception Invalid_argument _ -> Error ()
+
+  (* Runs one op on both sides; false iff the memo disagrees with the model. *)
+  let step memo model op =
+    let find q l k = M.find_opt (q, l, k) !model in
+    let put q l k e = model := M.add (q, l, k) e !model in
+    let agrees eq expected actual =
+      match (expected, outcome actual) with
+      | Ok x, Ok y -> eq x y
+      | Error (), Error () -> true
+      | _ -> false
+    in
+    match op with
+    | Add (q, l, k) ->
+      let expected =
+        match find q l k with
+        | Some _ -> Ok false
+        | None ->
+          put q l k (Memo.Scalar Value.Null);
+          Ok true
+      in
+      agrees Bool.equal expected (fun () -> Memo.add_if_absent memo ~qid:q ~label:l k)
+    | Min (q, l, v, d) ->
+      let k = Value.Vertex v in
+      let expected =
+        match find q l k with
+        | None ->
+          put q l k (Memo.Scalar (Value.Int d));
+          Ok Memo.First_visit
+        | Some (Memo.Scalar (Value.Int best)) when d < best ->
+          put q l k (Memo.Scalar (Value.Int d));
+          Ok Memo.Improved
+        | Some _ -> Ok Memo.Not_improved
+      in
+      agrees ( = ) expected (fun () -> Memo.min_int_update memo ~qid:q ~label:l v d)
+    | Rows_add (q, l, k, r) ->
+      let row = [| Value.Int r |] in
+      let expected =
+        match find q l k with
+        | Some (Memo.Rows rows) ->
+          put q l k (Memo.Rows (row :: rows));
+          Ok ()
+        | Some _ -> Error ()
+        | None ->
+          put q l k (Memo.Rows [ row ]);
+          Ok ()
+      in
+      agrees ( = ) expected (fun () -> Memo.rows_add memo ~qid:q ~label:l k row)
+    | Rows_get (q, l, k) ->
+      let expected =
+        match find q l k with
+        | Some (Memo.Rows rows) -> Ok rows
+        | Some _ -> Error ()
+        | None -> Ok []
+      in
+      agrees
+        (List.equal (Array.for_all2 Value.equal))
+        expected
+        (fun () -> Memo.rows_get memo ~qid:q ~label:l k)
+    | Partial (q, l) -> (
+      match (find q l Value.Null, outcome (fun () -> Memo.partial memo ~qid:q ~label:l Step.Count)) with
+      | Some (Memo.Partial p), Ok p' -> p == p'
+      | Some _, Error () -> true
+      | None, Ok p' ->
+        put q l Value.Null (Memo.Partial p');
+        true
+      | _ -> false)
+    | Partial_opt (q, l) ->
+      let expected =
+        match find q l Value.Null with
+        | Some (Memo.Partial p) -> Ok (Some p)
+        | Some _ -> Error ()
+        | None -> Ok None
+      in
+      agrees (Option.equal ( == )) expected (fun () -> Memo.partial_opt memo ~qid:q ~label:l)
+    | Set (q, l, k, e) ->
+      let entry =
+        match e mod 3 with
+        | 0 -> Memo.Scalar (Value.Int e)
+        | 1 -> Memo.Rows [ [| Value.Int e |] ]
+        | _ -> Memo.Partial (Aggregate.create Step.Count)
+      in
+      put q l k entry;
+      agrees ( = ) (Ok ()) (fun () -> Memo.set memo ~qid:q ~label:l k entry)
+    | Extract k ->
+      (* M.bindings is ordered by (qid, label, key): the order the memo
+         must produce. *)
+      let expected =
+        M.bindings !model
+        |> List.filter_map (fun ((q, l, k'), e) ->
+               if Value.equal k k' then Some (q, l, e) else None)
+      in
+      List.iter (fun (q, l, _) -> model := M.remove (q, l, k) !model) expected;
+      let actual = Memo.extract_for_key memo k in
+      List.equal (fun (q, l, e) (q', l', e') -> q = q' && l = l' && entry_equal e e') expected actual
+      && Memo.extract_for_key memo k = []
+    | Clear q ->
+      model := M.filter (fun (q', _, _) _ -> q' <> q) !model;
+      Memo.clear_query memo q;
+      true
+
+  let test =
+    QCheck.Test.make ~name:"memo matches a map model" ~count:300 arbitrary (fun ops ->
+        let memo = Memo.create () and model = ref M.empty in
+        List.for_all
+          (fun op ->
+            let ok = step memo model op in
+            if not ok then QCheck.Test.fail_reportf "%a disagrees with the model" pp_op op;
+            if Memo.live_entries memo <> M.cardinal !model then
+              QCheck.Test.fail_reportf "after %a: live_entries %d, model %d" pp_op op
+                (Memo.live_entries memo) (M.cardinal !model);
+            true)
+          ops)
+end
+
+(* Allocation guard for the hot probes: once a vertex table has grown, a
+   Visit or Dedup hit on a key built outside the loop allocates nothing.
+   Measured: 0 words for the 2 000 probes (the bound leaves room for the
+   boxed floats [Gc.minor_words] itself returns). *)
+let test_memo_hits_allocate_nothing () =
+  let m = Memo.create () in
+  for v = 0 to 999 do
+    ignore (Memo.min_int_update m ~qid:0 ~label:1 v 3 : Memo.visit_outcome);
+    ignore (Memo.add_if_absent m ~qid:0 ~label:2 (Value.Vertex v) : bool)
+  done;
+  let key = Value.Vertex 500 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Memo.min_int_update m ~qid:0 ~label:1 500 3 : Memo.visit_outcome);
+    ignore (Memo.add_if_absent m ~qid:0 ~label:2 key : bool)
+  done;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  if words > 8 then Alcotest.failf "2000 memo hits allocated %d words (bound 8)" words
 
 (* --- Aggregate --- *)
 
@@ -460,6 +669,8 @@ let () =
           Alcotest.test_case "min dist" `Quick test_memo_min_dist;
           Alcotest.test_case "rows" `Quick test_memo_rows;
           Alcotest.test_case "accounting" `Quick test_memo_accounting;
+          Alcotest.test_case "hits allocate nothing" `Quick test_memo_hits_allocate_nothing;
+          qcheck Memo_model.test;
         ] );
       ( "aggregate",
         [
