@@ -1,7 +1,7 @@
 (* Wall-clock microbenchmarks (Bechamel) of the hot primitives underneath
-   the simulator's cost model: weight arithmetic, memo operations, top-k
-   accumulation, CSR adjacency scans and single-step execution. Each
-   reports time and minor-heap words per operation. *)
+   the simulator's cost model: weight arithmetic, memo operations, the
+   event queue, top-k accumulation, CSR adjacency scans and single-step
+   execution. Each reports time and minor-heap words per operation. *)
 
 open Bechamel
 open Toolkit
@@ -46,6 +46,29 @@ let memo_tests () =
     Test.make_indexed ~name:"memo-dedup-vertex" ~args:sizes
       (sweep ~key:(fun k -> Value.Vertex k) ~op:dedup);
     Test.make_indexed ~name:"memo-dedup-int" ~args:sizes (sweep ~key:(fun k -> Value.Int k) ~op:dedup);
+  ]
+
+(* Event-queue push+pop at a steady depth of 100, 10k and 100k pending
+   events: the queue is prefilled to the depth, then each op schedules
+   one prebuilt thunk at a random offset past [now] and fires the
+   earliest event, so the depth stays put. Offsets are drawn before
+   timing and cycle through a fixed sequence. *)
+let event_queue_tests () =
+  let at_depth depth =
+    let q = Event_queue.create () in
+    let prng = Pstm_util.Prng.create depth in
+    let offsets = Array.init 65_536 (fun _ -> Pstm_util.Prng.int prng 10_000) and i = ref 0 in
+    let thunk () = () in
+    for k = 0 to depth - 1 do
+      Event_queue.schedule_at q ~time:offsets.(k land 65_535) ~tag:0 thunk
+    done;
+    Staged.stage (fun () ->
+        i := (!i + 1) land 65_535;
+        Event_queue.schedule_at q ~time:(Event_queue.now q + offsets.(!i)) ~tag:0 thunk;
+        ignore (Event_queue.step q : bool))
+  in
+  [
+    Test.make_indexed ~name:"event-queue-push-pop" ~args:[ 100; 10_000; 100_000 ] at_depth;
   ]
 
 let structure_tests () =
@@ -169,7 +192,7 @@ let run () =
   Printf.printf "\n== Frontier batching: fused chain vs scalar interpreter ==\n";
   fused_vs_scalar ();
   Printf.printf "\n== Microbenchmarks (wall clock, Bechamel OLS per op) ==\n";
-  let tests = weight_tests () @ memo_tests () @ structure_tests () in
+  let tests = weight_tests () @ memo_tests () @ event_queue_tests () @ structure_tests () in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |]
   in

@@ -64,7 +64,7 @@ type coalescer = {
   mutable len : int; (* live entries: the prefix [0, len) *)
   mutable additions : int; (* total weight additions performed locally *)
   mutable pending_adds : int; (* additions since the last drain *)
-  mutable draining : bool; (* a [drain] callback is running *)
+  mutable draining : bool; (* between [drain_begin] and [drain_end] *)
 }
 
 let coalescer () =
@@ -80,7 +80,7 @@ let coalescer () =
   }
 
 let not_draining c fn =
-  if c.draining then invalid_arg ("Progress." ^ fn ^ ": coalescer re-entered from a drain callback")
+  if c.draining then invalid_arg ("Progress." ^ fn ^ ": coalescer re-entered during a drain")
 
 (* First index whose key is >= (qid, phase). *)
 let search c ~qid ~phase =
@@ -134,15 +134,21 @@ let is_empty c = c.len = 0
    "ship with the next buffer flush" rule of §IV-A. *)
 let pending_additions c = c.pending_adds
 
-(* Hand every merged weight and its tag to [f] in ascending (qid, phase)
-   order and empty the coalescer. Entries whose weights summed to zero
-   still ship: the tracker counts the receipt. *)
-let drain c f =
-  not_draining c "drain";
+(* Draining hands every merged weight and its tag over in ascending
+   (qid, phase) order and empties the coalescer. Entries whose weights
+   summed to zero still ship: the tracker counts the receipt. The caller
+   reads the entries by index, so a drain builds no callback closure. *)
+let drain_begin c =
+  not_draining c "drain_begin";
   c.draining <- true;
-  for i = 0 to c.len - 1 do
-    f c.qids.(i) c.phases.(i) c.tags.(i) c.weights.(i)
-  done;
+  c.len
+
+let qid_at c i = c.qids.(i)
+let phase_at c i = c.phases.(i)
+let tag_at c i = c.tags.(i)
+let weight_at c i = c.weights.(i)
+
+let drain_end c =
   c.draining <- false;
   c.len <- 0;
   c.pending_adds <- 0

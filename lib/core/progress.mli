@@ -42,14 +42,23 @@ val coalesce : coalescer -> qid:int -> phase:int -> tag:int -> Weight.t -> unit
 
 val is_empty : coalescer -> bool
 
-(** Finished weights merged since the last {!drain}. *)
+(** Finished weights merged since the last {!drain_end}. *)
 val pending_additions : coalescer -> int
 
-(** [drain c f] calls [f qid phase tag weight] once per merged weight, in
-    ascending [(qid, phase)] order, then empties the coalescer. Weights
-    that summed to zero still drain. [f] must not touch [c] (raises
-    [Invalid_argument]). *)
-val drain : coalescer -> (int -> int -> int -> Weight.t -> unit) -> unit
+(** Drain the coalescer: [let n = drain_begin c in] read entries
+    [0, n) with {!qid_at}, {!phase_at}, {!tag_at} and {!weight_at}, in
+    ascending [(qid, phase)] order, then call {!drain_end}. Weights that
+    summed to zero still drain. Until {!drain_end}, any call that
+    changes [c] raises [Invalid_argument]. *)
+val drain_begin : coalescer -> int
+
+val qid_at : coalescer -> int -> int
+val phase_at : coalescer -> int -> int
+val tag_at : coalescer -> int -> int
+val weight_at : coalescer -> int -> Weight.t
+
+(** Empty the coalescer and end the drain started by {!drain_begin}. *)
+val drain_end : coalescer -> unit
 
 (** Total local weight additions (each costs one integer add). *)
 val additions : coalescer -> int

@@ -150,7 +150,7 @@ type query_state = {
 type worker = {
   id : int;
   memo : Memo.t; (* private, or node-shared under [shared_state] *)
-  tasks : payload Queue.t;
+  tasks : payload Ring.t;
   coalescer : Progress.coalescer;
   prng : Prng.t;
   mutable busy_until : Sim_time.t;
@@ -337,7 +337,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           memo =
             (if options.shared_state then node_memos.(Cluster.node_of_worker cluster id)
              else Memo.create ());
-          tasks = Queue.create ();
+          tasks = Ring.create ~dummy:(P_cleanup { qid = -1 });
           coalescer = Progress.coalescer ();
           prng = Prng.split seed_prng;
           busy_until = Sim_time.zero;
@@ -579,19 +579,22 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       end
     end
   in
+  (* One prebuilt [quantum w] thunk per worker, filled in once [quantum]
+     is defined, so scheduling a quantum allocates nothing. *)
+  let quantum_thunks = Array.make n_workers ignore in
   let rec wake w =
     if not w.awake then begin
       w.awake <- true;
       let time = max (Cluster.now cluster) w.busy_until in
       let time = fault_release w.id time in
-      Event_queue.schedule_at events ~time ~tag:(Cluster.worker_tag cluster w.id) (fun () ->
-          quantum w)
+      Event_queue.schedule_at events ~time ~tag:(Cluster.worker_tag cluster w.id)
+        quantum_thunks.(w.id)
     end
   (* ---- Message / task processing ------------------------------------- *)
   and deliver dst payload =
     if cz_on then cz_arrive_payload payload;
     let w = workers.(dst) in
-    Queue.add payload w.tasks;
+    Ring.push w.tasks payload;
     wake w
   and send ~at ~src ~dst ~kind payload =
     if src = dst then begin
@@ -599,7 +602,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
          is a no-op while the worker's own quantum is running, but matters
          when the sender is the submission path or a network-thread
          event acting on the worker's behalf. *)
-      Queue.add payload workers.(dst).tasks;
+      Ring.push workers.(dst).tasks payload;
       wake workers.(dst);
       Sim_time.zero
     end
@@ -730,25 +733,33 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           (P_progress { qid = q.qid; phase; weight; cz })
     end
   and flush_progress ~at w =
+    let c = w.coalescer in
     let cost = ref Sim_time.zero in
     (* Locally coalesced weights ship straight to the coordinator. *)
-    if not (Progress.is_empty w.coalescer) then
-      Progress.drain w.coalescer (fun qid phase tag weight ->
-          (* A cancelled query's weight is reclaimed, not tracked. *)
-          match live_query qid with
-          | None -> ()
-          | Some q ->
-            (* Coalescer dwell shows up as a Tracker segment: the flush
-               node sits between the last contributing execution and the
-               tracker receive (local) or the progress message (remote). *)
-            let cz = cz_hop ~qid ~name:"progress-flush" ~ts:at ~src:tag Pstm_obs.Causal.Tracker in
-            if q.coordinator = w.id then
-              cost := Sim_time.add !cost (tracker_receive ~at ~cz w q phase weight)
-            else
-              cost :=
-                Sim_time.add !cost
-                  (send ~at ~src:w.id ~dst:q.coordinator ~kind:Metrics.Progress_msg
-                     (P_progress { qid; phase; weight; cz })));
+    if not (Progress.is_empty c) then begin
+      for i = 0 to Progress.drain_begin c - 1 do
+        let qid = Progress.qid_at c i in
+        (* A cancelled query's weight is reclaimed, not tracked. *)
+        match live_query qid with
+        | None -> ()
+        | Some q ->
+          let phase = Progress.phase_at c i and weight = Progress.weight_at c i in
+          (* Coalescer dwell shows up as a Tracker segment: the flush
+             node sits between the last contributing execution and the
+             tracker receive (local) or the progress message (remote). *)
+          let cz =
+            cz_hop ~qid ~name:"progress-flush" ~ts:at ~src:(Progress.tag_at c i)
+              Pstm_obs.Causal.Tracker
+          in
+          cost :=
+            Sim_time.add !cost
+              (if q.coordinator = w.id then tracker_receive ~at ~cz w q phase weight
+               else
+                 send ~at ~src:w.id ~dst:q.coordinator ~kind:Metrics.Progress_msg
+                   (P_progress { qid; phase; weight; cz }))
+      done;
+      Progress.drain_end c
+    end;
     !cost
   (* ---- Phase transitions ----------------------------------------------- *)
   and phase_complete ~at ?(cz = -1) w q phase =
@@ -935,7 +946,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
                    r.cz <- d
                  | _ -> ()
                end);
-              Queue.add p w.tasks)
+              Ring.push w.tasks p)
             (List.rev !stash)
       | None -> ());
       memo_op_cost () * (1 + List.length entries)
@@ -1009,8 +1020,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       local := Sim_time.add !local (fault_scale w.id (run_group w ~at:!local solo))
   and drain w local =
     let budget = ref quantum_tasks in
-    while !budget > 0 && not (Queue.is_empty w.tasks) do
-      match Queue.pop w.tasks with
+    while !budget > 0 && not (Ring.is_empty w.tasks) do
+      match Ring.pop w.tasks with
       | P_trav { qid; trav; cz } ->
         decr budget;
         take w local ~qid ~cz trav
@@ -1207,7 +1218,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       (* Paused node: the whole quantum defers to the window's end.
          [awake] stays true so no duplicate quantum gets scheduled. *)
       Event_queue.schedule_at events ~time:released ~tag:(Cluster.worker_tag cluster w.id)
-        (fun () -> quantum w)
+        quantum_thunks.(w.id)
     else run_quantum w quantum_start
   and run_quantum w quantum_start =
     (* An idle gap breaks the worker chain: the next execution's wait is
@@ -1226,14 +1237,14 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     (* Coalesced weights ship when the worker idles or once enough have
        merged locally to justify a message (§IV-A: they ride along with
        buffer flushes, not with every death). *)
-    if Queue.is_empty w.tasks || Progress.pending_additions w.coalescer >= 256 then begin
+    if Ring.is_empty w.tasks || Progress.pending_additions w.coalescer >= 256 then begin
       let flush_at = !local in
       let flush_cost = fault_scale w.id (flush_progress ~at:flush_at w) in
       if obs_on && Sim_time.compare flush_cost Sim_time.zero > 0 then
         Pstm_obs.Trace.span trace ~tid:w.id ~name:"flush_progress" ~ts:flush_at ~dur:flush_cost ();
       local := Sim_time.add !local flush_cost
     end;
-    if Queue.is_empty w.tasks then begin
+    if Ring.is_empty w.tasks then begin
       (* Out of work: flush the tier-1 buffers before sleeping (§IV-B). *)
       w.awake <- false;
       let flush_at = !local in
@@ -1245,7 +1256,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     else begin
       w.awake <- true;
       Event_queue.schedule_at events ~time:!local ~tag:(Cluster.worker_tag cluster w.id)
-        (fun () -> quantum w)
+        quantum_thunks.(w.id)
     end;
     let consumed = Sim_time.diff !local quantum_start in
     if obs_on && Sim_time.compare consumed Sim_time.zero > 0 then
@@ -1255,6 +1266,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     w.busy_total <- Sim_time.add w.busy_total consumed;
     w.busy_until <- !local
   in
+  Array.iter (fun w -> quantum_thunks.(w.id) <- (fun () -> quantum w)) workers;
   channel_ref :=
     Some (Channel.create cluster channel_config ~dummy:(P_cleanup { qid = -1 }) ~deliver);
   (* --- Scoped cancellation ---------------------------------------------
@@ -1325,7 +1337,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
        dispatching a queued query) launches immediately; latency still
        measures from [s.at], so queue wait counts against the SLO. *)
     let launch_at = max (Event_queue.now events) s.Engine.at in
-    Event_queue.schedule_at events ~time:launch_at (fun () ->
+    Event_queue.schedule_at events ~time:launch_at ~tag:0 (fun () ->
         if q.outcome <> None then () (* cancelled before it ever launched *)
         else begin
           q.launched <- true;
@@ -1372,7 +1384,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       (* The query's own latency budget: past [at + d] it is cut off as
          Timed_out — the scoped form of the run-level deadline. *)
       let t = max launch_at (Sim_time.add s.Engine.at d) in
-      Event_queue.schedule_at events ~time:t (fun () -> terminate ~at:t qid Engine.Timed_out));
+      Event_queue.schedule_at events ~time:t ~tag:0 (fun () ->
+          terminate ~at:t qid Engine.Timed_out));
     qid
   in
   (* --- Drive / finish --------------------------------------------------- *)
@@ -1477,9 +1490,10 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     sh_cancel =
       (fun ~qid ~at ->
         let t = max at (Event_queue.now events) in
-        Event_queue.schedule_at events ~time:t (fun () -> terminate ~at:t qid Engine.Cancelled));
+        Event_queue.schedule_at events ~time:t ~tag:0 (fun () ->
+            terminate ~at:t qid Engine.Cancelled));
     sh_at =
-      (fun t f -> Event_queue.schedule_at events ~time:(max t (Event_queue.now events)) f);
+      (fun t f -> Event_queue.schedule_at events ~time:(max t (Event_queue.now events)) ~tag:0 f);
     sh_now = (fun () -> Event_queue.now events);
     sh_on_terminal = (fun f -> on_terminal := f);
     sh_drive = drive;

@@ -101,7 +101,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   (* Caller events (service layer arrivals / cancellations / timers) fire
      at barrier granularity, in (time, insertion) order. *)
   let timers = Event_queue.create () in
-  let sv_add t f = Event_queue.schedule_at timers ~time:(max t !clock) f in
+  let sv_add t f = Event_queue.schedule_at timers ~time:(max t !clock) ~tag:0 f in
   let fire_service () = Event_queue.run_until timers ~time:!clock in
   let route q trav = Exec.route ~graph ~partition ~coordinator:q.coordinator q.program trav in
   (* Scoped termination: the query stops consuming supersteps (its

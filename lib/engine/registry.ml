@@ -44,7 +44,7 @@ let local_start ?common ~graph () =
         rows = [];
       };
     let at = max sub.Engine.at (Event_queue.now events) in
-    Event_queue.schedule_at events ~time:at (fun () ->
+    Event_queue.schedule_at events ~time:at ~tag:0 (fun () ->
         let q = query qid in
         if q.Engine.outcome = Engine.Timed_out then begin
           let rows = Local_engine.run ?common graph sub.Engine.program in
@@ -60,8 +60,9 @@ let local_start ?common ~graph () =
     sh_cancel =
       (fun ~qid ~at ->
         let t = max at (Event_queue.now events) in
-        Event_queue.schedule_at events ~time:t (fun () -> set_outcome qid Engine.Cancelled));
-    sh_at = (fun t f -> Event_queue.schedule_at events ~time:(max t (Event_queue.now events)) f);
+        Event_queue.schedule_at events ~time:t ~tag:0 (fun () -> set_outcome qid Engine.Cancelled));
+    sh_at =
+      (fun t f -> Event_queue.schedule_at events ~time:(max t (Event_queue.now events)) ~tag:0 f);
     sh_now = (fun () -> Event_queue.now events);
     sh_on_terminal = (fun f -> on_terminal := f);
     sh_drive =

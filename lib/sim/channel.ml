@@ -27,10 +27,15 @@ let default_config = { tlc = true; nlc = true; flush_bytes = 8192; nlc_window = 
 let no_batching = { default_config with tlc = false; nlc = false }
 let tlc_only = { default_config with nlc = false }
 
-type 'a message = {
-  dst_worker : int;
-  payload : 'a;
-  bytes : int;
+(* A batch of messages: two parallel lanes, destination worker and
+   payload. A batch moves between owners instead of being copied: a
+   worker's tier-1 slot, the link's tier-2 pending slot, the packet in
+   flight, and back to the channel's free list once delivered. Empty
+   slots hold the channel's one shared [empty] sentinel, which is never
+   written. *)
+type 'a batch = {
+  dsts : int Vec.t;
+  payloads : 'a Vec.t;
 }
 
 (* --- Reliable delivery (active only under a fault plane) -------------
@@ -51,7 +56,7 @@ type 'a packet = {
   p_src : int;
   p_dst : int;
   p_seq : int;
-  p_messages : 'a message Vec.t;
+  p_messages : 'a batch;
   p_bytes : int;
 }
 
@@ -72,11 +77,15 @@ type 'a t = {
   cluster : Cluster.t;
   config : config;
   deliver : int -> 'a -> unit; (* dst worker, payload; runs at arrival time *)
-  buffers : 'a message Vec.t array array; (* tier 1: [worker].(dst_node) *)
+  dummy : 'a;
+  empty : 'a batch; (* the shared empty-slot sentinel *)
+  free : 'a batch Vec.t; (* cleared batches ready for reuse *)
+  buffers : 'a batch array array; (* tier 1: [worker].(dst_node) *)
   buffer_bytes : int array array;
-  pending : 'a message Vec.t array array; (* tier 2: [src_node].(dst_node) *)
+  pending : 'a batch array array; (* tier 2: [src_node].(dst_node) *)
   pending_bytes : int array array;
-  window_open : bool array array;
+  fire_at : int array array; (* [src_node].(dst_node): open NLC window's fire time, or -1 *)
+  fire : (unit -> unit) array array; (* one window-fire thunk per link *)
   reliable : 'a reliable option;
   (* True exactly while [deliver] runs for a packet whose delivering copy
      was a retransmission (attempt > 0). Observers (the causal tracer)
@@ -85,50 +94,28 @@ type 'a t = {
   mutable delivering_retx : bool;
 }
 
-let create cluster config ~dummy ~deliver =
-  let n_workers = Cluster.n_workers cluster in
-  let n_nodes = Cluster.n_nodes cluster in
-  let dummy_message = { dst_worker = -1; payload = dummy; bytes = 0 } in
-  let buffer_matrix rows =
-    Array.init rows (fun _ -> Array.init n_nodes (fun _ -> Vec.create ~dummy:dummy_message))
-  in
-  let reliable =
-    match Cluster.faults cluster with
-    | None -> None
-    | Some faults ->
-      let spec = Faults.spec faults in
-      let table () = Array.init n_nodes (fun _ -> Array.init n_nodes (fun _ -> Hashtbl.create 16)) in
-      Some
-        {
-          timeout = spec.Faults.retry_timeout;
-          max_retries = spec.Faults.max_retries;
-          next_seq = Array.make_matrix n_nodes n_nodes 0;
-          outstanding = table ();
-          recv_low = Array.make_matrix n_nodes n_nodes 0;
-          recv_seen = table ();
-        }
-  in
-  {
-    cluster;
-    config;
-    deliver;
-    buffers = buffer_matrix n_workers;
-    buffer_bytes = Array.make_matrix n_workers n_nodes 0;
-    pending = buffer_matrix n_nodes;
-    pending_bytes = Array.make_matrix n_nodes n_nodes 0;
-    window_open = Array.make_matrix n_nodes n_nodes false;
-    reliable;
-    delivering_retx = false;
-  }
-
 let config t = t.config
 
 let costs t = Cluster.costs t.cluster
 
-(* Hand a list of messages to the destination node: charge per-message
-   receive cost is the engine's business; here we just run [deliver] for
-   each at arrival order. *)
-let deliver_all t messages = Vec.iter (fun m -> t.deliver m.dst_worker m.payload) messages
+let take_batch t =
+  if Vec.is_empty t.free then
+    { dsts = Vec.create ~dummy:(-1); payloads = Vec.create ~dummy:t.dummy }
+  else Vec.pop t.free
+
+let recycle t batch =
+  Vec.clear batch.dsts;
+  Vec.clear batch.payloads;
+  Vec.push t.free batch
+
+let is_empty batch = Vec.is_empty batch.dsts
+
+(* Hand a batch to the destination node in arrival order: charging a
+   per-message receive cost is the engine's business. *)
+let deliver_all t batch =
+  for i = 0 to Vec.length batch.dsts - 1 do
+    t.deliver (Vec.get batch.dsts i) (Vec.get batch.payloads i)
+  done
 
 (* Exponential backoff, capped so a long outage retries every few ms
    instead of going silent. *)
@@ -208,11 +195,15 @@ and receive_data t r ~retx pkt =
         ~seq:pkt.p_seq;
       Hashtbl.remove r.outstanding.(pkt.p_src).(pkt.p_dst) pkt.p_seq)
 
+(* The packet owns [messages] from here on. Unreliable packets hand the
+   batch back to the free list once delivered; reliable ones keep it for
+   retransmission and never recycle it. *)
 let emit_packet t ~at ~src_node ~dst_node messages bytes =
   match t.reliable with
   | None ->
     Cluster.send_packet t.cluster ~at ~src_node ~dst_node ~bytes (fun () ->
-        deliver_all t messages)
+        deliver_all t messages;
+        recycle t messages)
   | Some r ->
     let seq = r.next_seq.(src_node).(dst_node) in
     r.next_seq.(src_node).(dst_node) <- seq + 1;
@@ -221,47 +212,100 @@ let emit_packet t ~at ~src_node ~dst_node messages bytes =
     Cluster.emit_protocol t.cluster Cluster.Pkt_send ~src:src_node ~dst:dst_node ~seq;
     transmit t r ~at ~attempt:0 pkt
 
+(* The NLC window of one link closes: the pending batch moves into the
+   packet and the slot goes back to the sentinel. *)
+let fire_window t ~src_node ~dst_node =
+  let fire_at = t.fire_at.(src_node).(dst_node) in
+  t.fire_at.(src_node).(dst_node) <- -1;
+  let batch = t.pending.(src_node).(dst_node) in
+  if not (is_empty batch) then begin
+    let batch_bytes = t.pending_bytes.(src_node).(dst_node) in
+    t.pending.(src_node).(dst_node) <- t.empty;
+    t.pending_bytes.(src_node).(dst_node) <- 0;
+    emit_packet t ~at:fire_at ~src_node ~dst_node batch batch_bytes
+  end
+
+let create cluster config ~dummy ~deliver =
+  let n_workers = Cluster.n_workers cluster in
+  let n_nodes = Cluster.n_nodes cluster in
+  let empty = { dsts = Vec.create ~dummy:(-1); payloads = Vec.create ~dummy } in
+  let reliable =
+    match Cluster.faults cluster with
+    | None -> None
+    | Some faults ->
+      let spec = Faults.spec faults in
+      let table () = Array.init n_nodes (fun _ -> Array.init n_nodes (fun _ -> Hashtbl.create 16)) in
+      Some
+        {
+          timeout = spec.Faults.retry_timeout;
+          max_retries = spec.Faults.max_retries;
+          next_seq = Array.make_matrix n_nodes n_nodes 0;
+          outstanding = table ();
+          recv_low = Array.make_matrix n_nodes n_nodes 0;
+          recv_seen = table ();
+        }
+  in
+  let t =
+    {
+      cluster;
+      config;
+      deliver;
+      dummy;
+      empty;
+      free = Vec.create ~dummy:empty;
+      buffers = Array.make_matrix n_workers n_nodes empty;
+      buffer_bytes = Array.make_matrix n_workers n_nodes 0;
+      pending = Array.make_matrix n_nodes n_nodes empty;
+      pending_bytes = Array.make_matrix n_nodes n_nodes 0;
+      fire_at = Array.make_matrix n_nodes n_nodes (-1);
+      fire = Array.make_matrix n_nodes n_nodes ignore;
+      reliable;
+      delivering_retx = false;
+    }
+  in
+  for src_node = 0 to n_nodes - 1 do
+    for dst_node = 0 to n_nodes - 1 do
+      t.fire.(src_node).(dst_node) <- (fun () -> fire_window t ~src_node ~dst_node)
+    done
+  done;
+  t
+
 (* Tier-2 entry: either open/extend an NLC window or emit immediately.
-   [messages] is the caller's tier-1 buffer, which it clears afterwards:
-   the window appends it to the pending vector and copies that once into
-   the packet when it fires; without NLC the packet is one copy of it. *)
+   [messages] is a tier-1 buffer the caller has given up. It becomes the
+   link's pending batch if that slot is empty, or is appended there and
+   recycled; without NLC it becomes the packet. *)
 let to_combiner t ~at ~src_node ~dst_node messages bytes =
   Metrics.(incr (Cluster.metrics t.cluster) Counter.flushes);
   if t.config.nlc then begin
     let pending = t.pending.(src_node).(dst_node) in
-    Vec.append ~into:pending messages;
+    if is_empty pending then t.pending.(src_node).(dst_node) <- messages
+    else begin
+      Vec.append ~into:pending.dsts messages.dsts;
+      Vec.append ~into:pending.payloads messages.payloads;
+      recycle t messages
+    end;
     t.pending_bytes.(src_node).(dst_node) <- t.pending_bytes.(src_node).(dst_node) + bytes;
-    if not t.window_open.(src_node).(dst_node) then begin
-      t.window_open.(src_node).(dst_node) <- true;
+    if t.fire_at.(src_node).(dst_node) < 0 then begin
       let fire_at = Sim_time.add (max at (Cluster.now t.cluster)) t.config.nlc_window in
-      Event_queue.schedule_at (Cluster.events t.cluster)
+      t.fire_at.(src_node).(dst_node) <- fire_at;
+      Event_queue.schedule_at (Cluster.events t.cluster) ~time:fire_at
         ~tag:(Cluster.link_tag t.cluster ~src_node ~dst_node)
-        ~time:fire_at
-        (fun () ->
-          t.window_open.(src_node).(dst_node) <- false;
-          let batch = t.pending.(src_node).(dst_node) in
-          if not (Vec.is_empty batch) then begin
-            let packet = Vec.copy batch in
-            let batch_bytes = t.pending_bytes.(src_node).(dst_node) in
-            Vec.clear batch;
-            t.pending_bytes.(src_node).(dst_node) <- 0;
-            emit_packet t ~at:fire_at ~src_node ~dst_node packet batch_bytes
-          end)
+        t.fire.(src_node).(dst_node)
     end
   end
-  else emit_packet t ~at ~src_node ~dst_node (Vec.copy messages) bytes
+  else emit_packet t ~at ~src_node ~dst_node messages bytes
 
 let delivering_retransmitted t = t.delivering_retx
 
 let flush_buffer t ~at ~worker ~dst_node =
   let buffer = t.buffers.(worker).(dst_node) in
-  if Vec.is_empty buffer then Sim_time.zero
+  if is_empty buffer then Sim_time.zero
   else begin
     let bytes = t.buffer_bytes.(worker).(dst_node) in
     let src_node = Cluster.node_of_worker t.cluster worker in
-    to_combiner t ~at ~src_node ~dst_node buffer bytes;
-    Vec.clear buffer;
+    t.buffers.(worker).(dst_node) <- t.empty;
     t.buffer_bytes.(worker).(dst_node) <- 0;
+    to_combiner t ~at ~src_node ~dst_node buffer bytes;
     (costs t).Cluster.flush_handoff
   end
 
@@ -271,19 +315,26 @@ let send t ~at ~src_worker ~dst_worker ~kind ~bytes payload =
   if Cluster.same_node t.cluster src_worker dst_worker then begin
     (* Shared-memory shortcut: no NIC, no batching. *)
     Metrics.count_message metrics kind bytes;
-    Cluster.send_local t.cluster
+    Cluster.send_local t.cluster ~at
       ~tag:(Cluster.worker_tag t.cluster dst_worker)
-      ~at
       (fun () -> t.deliver dst_worker payload);
     (costs t).Cluster.buffer_append
   end
   else begin
     Metrics.count_message metrics kind bytes;
     let dst_node = Cluster.node_of_worker t.cluster dst_worker in
-    let message = { dst_worker; payload; bytes } in
     if t.config.tlc then begin
-      let buffer = t.buffers.(src_worker).(dst_node) in
-      Vec.push buffer message;
+      let buffer =
+        let b = t.buffers.(src_worker).(dst_node) in
+        if b != t.empty then b
+        else begin
+          let b = take_batch t in
+          t.buffers.(src_worker).(dst_node) <- b;
+          b
+        end
+      in
+      Vec.push buffer.dsts dst_worker;
+      Vec.push buffer.payloads payload;
       t.buffer_bytes.(src_worker).(dst_node) <- t.buffer_bytes.(src_worker).(dst_node) + bytes;
       let append_cost = (costs t).Cluster.buffer_append in
       if t.buffer_bytes.(src_worker).(dst_node) >= t.config.flush_bytes then
@@ -294,7 +345,9 @@ let send t ~at ~src_worker ~dst_worker ~kind ~bytes payload =
       (* No batching: the message is its own packet and pays a syscall. *)
       Metrics.(incr metrics Counter.flushes);
       let src_node = Cluster.node_of_worker t.cluster src_worker in
-      let singleton = Vec.make ~dummy:message 1 message in
+      let singleton = take_batch t in
+      Vec.push singleton.dsts dst_worker;
+      Vec.push singleton.payloads payload;
       emit_packet t ~at ~src_node ~dst_node singleton bytes;
       (costs t).Cluster.direct_send
     end
@@ -304,7 +357,7 @@ let send t ~at ~src_worker ~dst_worker ~kind ~bytes payload =
    §IV-B ("if there are no more traversers ready ... flush all buffers"). *)
 let flush_worker t ~at ~worker =
   let total = ref Sim_time.zero in
-  Array.iteri
-    (fun dst_node _ -> total := Sim_time.add !total (flush_buffer t ~at ~worker ~dst_node))
-    t.buffers.(worker);
+  for dst_node = 0 to Cluster.n_nodes t.cluster - 1 do
+    total := Sim_time.add !total (flush_buffer t ~at ~worker ~dst_node)
+  done;
   !total

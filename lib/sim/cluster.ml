@@ -16,7 +16,6 @@ type costs = {
   buffer_append : Sim_time.t; (* tier-1 append under TLC *)
   flush_handoff : Sim_time.t; (* worker-to-network-thread synchronization *)
   direct_send : Sim_time.t; (* per-message syscall without TLC *)
-  recv_message : Sim_time.t; (* deserialize one incoming message *)
   latch : Sim_time.t; (* base latch cost in the non-partitioned model *)
   barrier : Sim_time.t; (* BSP global barrier fixed cost *)
   operator_sched : Sim_time.t; (* dataflow per-operator scheduling overhead *)
@@ -33,7 +32,6 @@ let default_costs =
     buffer_append = Sim_time.ns 18;
     flush_handoff = Sim_time.ns 350;
     direct_send = Sim_time.ns 1_800;
-    recv_message = Sim_time.ns 25;
     latch = Sim_time.ns 110;
     barrier = Sim_time.us 40;
     operator_sched = Sim_time.ns 90;
@@ -156,7 +154,7 @@ let send_packet t ~at ~src_node ~dst_node ~bytes arrive =
   | Some hook -> hook { src_node; dst_node; bytes; nic_start = start; arrival });
   let tag = link_tag t ~src_node ~dst_node in
   match t.faults with
-  | None -> Event_queue.schedule_at ~tag t.events ~time:arrival arrive
+  | None -> Event_queue.schedule_at t.events ~time:arrival ~tag arrive
   | Some f ->
     (* The sender always pays NIC serialization (the loss is on the
        wire); what varies is whether — and when — the receiver side runs.
@@ -172,7 +170,7 @@ let send_packet t ~at ~src_node ~dst_node ~bytes arrive =
         else arrival
       in
       let arrival = Faults.release f ~node:dst_node ~at:arrival in
-      Event_queue.schedule_at ~tag t.events ~time:arrival arrive;
+      Event_queue.schedule_at t.events ~time:arrival ~tag arrive;
       if verdict.Faults.duplicated then begin
         Metrics.(incr t.metrics Counter.fault_dups);
         (* The ghost copy trails by one wire latency; receivers dedup by
@@ -184,8 +182,8 @@ let send_packet t ~at ~src_node ~dst_node ~bytes arrive =
     end
 
 (* Same-node shared-memory handoff (the §IV-B shortcut). *)
-let send_local ?tag t ~at arrive =
+let send_local t ~at ~tag arrive =
   let at = max at (now t) in
   Metrics.(incr t.metrics Counter.local_messages);
   let arrival = Sim_time.add at t.config.net.Netmodel.shm_latency in
-  Event_queue.schedule_at ?tag t.events ~time:arrival arrive
+  Event_queue.schedule_at t.events ~time:arrival ~tag arrive

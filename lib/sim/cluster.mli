@@ -10,7 +10,6 @@ type costs = {
   buffer_append : Sim_time.t;
   flush_handoff : Sim_time.t;
   direct_send : Sim_time.t;
-  recv_message : Sim_time.t;
   latch : Sim_time.t;
   barrier : Sim_time.t;
   operator_sched : Sim_time.t;
@@ -110,4 +109,4 @@ val send_packet :
 
 (** Same-node shared-memory handoff. [tag] labels the arrival's
     dependence class for choosers. *)
-val send_local : ?tag:int -> t -> at:Sim_time.t -> (unit -> unit) -> unit
+val send_local : t -> at:Sim_time.t -> tag:int -> (unit -> unit) -> unit

@@ -1,10 +1,15 @@
 (* Discrete-event scheduler.
 
-   A binary heap of (time, sequence, thunk); the insertion sequence number
-   is the explicit tie-break key: events scheduled at equal times fire in
+   A binary min-heap on (time, seq); the insertion sequence number is the
+   explicit tie-break key: events scheduled at equal times fire in
    schedule order, which makes whole-cluster simulations fully
    deterministic. Engines drive the simulation by scheduling closures and
    calling [run_to_completion].
+
+   The heap is struct-of-arrays: slot [i] is ([times.(i)], [seqs.(i)],
+   [tags.(i)], [actions.(i)]). There is no entry record, the tag is a
+   plain int, and [step] reads the root in place, so scheduling and
+   firing a prebuilt thunk allocates nothing once the arrays have grown.
 
    Same-timestamp ties are the only scheduling freedom a real asynchronous
    cluster has that the DES normally collapses; [set_chooser] re-opens it.
@@ -14,13 +19,6 @@
    untouched — their sequence numbers are preserved, so declining to
    reorder reproduces the default schedule exactly. *)
 
-type entry = {
-  time : Sim_time.t;
-  seq : int;
-  tag : int;
-  action : unit -> unit;
-}
-
 type choice = {
   c_seq : int;
   c_tag : int;
@@ -29,22 +27,24 @@ type choice = {
 type chooser = choice array -> int
 
 type t = {
-  heap : entry Heap.t;
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable tags : int array;
+  mutable actions : (unit -> unit) array;
+  mutable len : int;
   mutable now : Sim_time.t;
   mutable next_seq : int;
   mutable executed : int;
   mutable chooser : chooser option;
 }
 
-let dummy_entry = { time = 0; seq = 0; tag = 0; action = ignore }
-
-let compare_entry a b =
-  let c = Sim_time.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.seq b.seq
-
 let create () =
   {
-    heap = Heap.create ~cmp:compare_entry ~dummy:dummy_entry;
+    times = [||];
+    seqs = [||];
+    tags = [||];
+    actions = [||];
+    len = 0;
     now = 0;
     next_seq = 0;
     executed = 0;
@@ -55,85 +55,153 @@ let now t = t.now
 
 let executed t = t.executed
 
-let pending t = Heap.length t.heap
+let pending t = t.len
 
 let next_seq t = t.next_seq
 
-let next_time t = Option.map (fun e -> e.time) (Heap.peek t.heap)
+let next_time t = if t.len = 0 then None else Some t.times.(0)
 
 let set_chooser t chooser = t.chooser <- chooser
 
-let schedule_at ?(tag = 0) t ~time action =
+let grow t =
+  let cap = max 8 (2 * Array.length t.times) in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.tags <- extend t.tags 0;
+  t.actions <- extend t.actions ignore
+
+let[@inline] before (time_a : int) (seq_a : int) time_b seq_b =
+  time_a < time_b || (time_a = time_b && seq_a < seq_b)
+
+let[@inline] move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.tags.(dst) <- t.tags.(src);
+  t.actions.(dst) <- t.actions.(src)
+
+(* Insert with an explicit seq: fresh from [schedule_at], or the entry's
+   own seq when the chooser path pushes an unpicked entry back. *)
+let push t ~time ~seq ~tag action =
+  if t.len = Array.length t.times then grow t;
+  let i = ref t.len in
+  t.len <- t.len + 1;
+  while
+    !i > 0
+    &&
+    let parent = (!i - 1) / 2 in
+    before time seq t.times.(parent) t.seqs.(parent)
+  do
+    let parent = (!i - 1) / 2 in
+    move t ~src:parent ~dst:!i;
+    i := parent
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.tags.(!i) <- tag;
+  t.actions.(!i) <- action
+
+(* Drop the root: the last slot sifts down from the top. *)
+let remove_root t =
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then begin
+    let time = t.times.(n) and seq = t.seqs.(n) in
+    let tag = t.tags.(n) and action = t.actions.(n) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && before t.times.(r) t.seqs.(r) t.times.(l) t.seqs.(l) then r else l
+        in
+        if before t.times.(c) t.seqs.(c) time seq then begin
+          move t ~src:c ~dst:!i;
+          i := c
+        end
+        else continue := false
+      end
+    done;
+    t.times.(!i) <- time;
+    t.seqs.(!i) <- seq;
+    t.tags.(!i) <- tag;
+    t.actions.(!i) <- action
+  end;
+  t.actions.(n) <- ignore
+
+let schedule_at t ~time ~tag action =
   if Sim_time.compare time t.now < 0 then
     invalid_arg
       (Fmt.str "Event_queue.schedule_at: time %a is in the past (now %a)" Sim_time.pp time
          Sim_time.pp t.now);
-  Heap.push t.heap { time; seq = t.next_seq; tag; action };
+  push t ~time ~seq:t.next_seq ~tag action;
   t.next_seq <- t.next_seq + 1
 
-let schedule_after ?tag t ~delay action = schedule_at ?tag t ~time:(Sim_time.add t.now delay) action
+let schedule_after t ~delay ~tag action = schedule_at t ~time:(Sim_time.add t.now delay) ~tag action
 
-let exec t entry =
-  t.now <- entry.time;
+let fire t ~time action =
+  t.now <- time;
   t.executed <- t.executed + 1;
-  entry.action ()
+  action ()
+
+(* Chooser path: pop the tied batch (successive pops at one timestamp
+   arrive in ascending seq, so it is already in insertion order), let the
+   chooser pick, and push the rest back with their own seqs. *)
+let step_choosing t choose =
+  let time = t.times.(0) in
+  let seqs = Vec.create ~dummy:0 and tags = Vec.create ~dummy:0 in
+  let actions = Vec.create ~dummy:ignore in
+  while t.len > 0 && t.times.(0) = time do
+    Vec.push seqs t.seqs.(0);
+    Vec.push tags t.tags.(0);
+    Vec.push actions t.actions.(0);
+    remove_root t
+  done;
+  let n = Vec.length seqs in
+  let pick =
+    if n = 1 then 0
+    else
+      let choices = Array.init n (fun i -> { c_seq = Vec.get seqs i; c_tag = Vec.get tags i }) in
+      let pick = choose choices in
+      if pick < 0 || pick >= n then 0 else pick
+  in
+  for i = 0 to n - 1 do
+    if i <> pick then push t ~time ~seq:(Vec.get seqs i) ~tag:(Vec.get tags i) (Vec.get actions i)
+  done;
+  fire t ~time (Vec.get actions pick)
 
 let step t =
-  match Heap.pop_opt t.heap with
-  | None -> false
-  | Some entry -> begin
-    match t.chooser with
+  if t.len = 0 then false
+  else begin
+    (match t.chooser with
     | None ->
-      exec t entry;
-      true
-    | Some choose ->
-      (* Successive pops at one timestamp arrive in ascending seq, so the
-         tied batch is already in insertion order. *)
-      let tied = ref [ entry ] in
-      let n = ref 1 in
-      let more = ref true in
-      while !more do
-        match Heap.peek t.heap with
-        | Some e when Sim_time.compare e.time entry.time = 0 ->
-          ignore (Heap.pop_opt t.heap);
-          tied := e :: !tied;
-          incr n
-        | _ -> more := false
-      done;
-      if !n = 1 then begin
-        exec t entry;
-        true
-      end
-      else begin
-        let batch = Array.make !n dummy_entry in
-        List.iteri (fun i e -> batch.(!n - 1 - i) <- e) !tied;
-        let choices = Array.map (fun e -> { c_seq = e.seq; c_tag = e.tag }) batch in
-        let pick = choose choices in
-        let pick = if pick < 0 || pick >= !n then 0 else pick in
-        Array.iteri (fun i e -> if i <> pick then Heap.push t.heap e) batch;
-        exec t batch.(pick);
-        true
-      end
+      let time = t.times.(0) and action = t.actions.(0) in
+      remove_root t;
+      fire t ~time action
+    | Some choose -> step_choosing t choose);
+    true
   end
 
 (* Runs until the queue drains. [max_events] guards against engines that
-   accidentally schedule forever. *)
+   accidentally schedule forever: it raises only when events are still
+   pending after [max_events] have run. *)
 let run_to_completion ?(max_events = 2_000_000_000) t =
   let budget = ref max_events in
-  while step t do
+  while t.len > 0 do
+    if !budget <= 0 then failwith "Event_queue.run_to_completion: event budget exhausted";
     decr budget;
-    if !budget <= 0 then failwith "Event_queue.run_to_completion: event budget exhausted"
+    ignore (step t : bool)
   done
 
 let run_until t ~time =
-  let continue = ref true in
-  while
-    !continue
-    &&
-    match Heap.peek t.heap with
-    | Some entry when Sim_time.compare entry.time time <= 0 -> true
-    | _ -> false
-  do
-    continue := step t
+  while t.len > 0 && Sim_time.compare t.times.(0) time <= 0 do
+    ignore (step t : bool)
   done;
   if Sim_time.compare t.now time < 0 then t.now <- time

@@ -47,15 +47,18 @@ val set_chooser : t -> chooser option -> unit
 
 (** Schedule a closure; raises if [time] is before [now]. Events at equal
     times fire in schedule order. [tag] labels the event's dependence
-    class for choosers; it does not affect default ordering. *)
-val schedule_at : ?tag:int -> t -> time:Sim_time.t -> (unit -> unit) -> unit
+    class for choosers (0 = untagged); it does not affect default
+    ordering. Scheduling a prebuilt closure allocates nothing once the
+    queue has grown to its working depth. *)
+val schedule_at : t -> time:Sim_time.t -> tag:int -> (unit -> unit) -> unit
 
-val schedule_after : ?tag:int -> t -> delay:Sim_time.t -> (unit -> unit) -> unit
+val schedule_after : t -> delay:Sim_time.t -> tag:int -> (unit -> unit) -> unit
 
 (** Execute the next event; [false] when the queue is empty. *)
 val step : t -> bool
 
-(** Drain the queue; raises if [max_events] is exceeded. *)
+(** Drain the queue; raises if events are still pending after
+    [max_events] have run. *)
 val run_to_completion : ?max_events:int -> t -> unit
 
 (** Run all events up to and including [time], then set the clock there. *)

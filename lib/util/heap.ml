@@ -1,8 +1,8 @@
 (* Binary min-heap over an explicit ordering.
 
-   Used by the discrete-event queue (million-event simulations) and by the
-   bounded top-k selector, so it avoids closures in the hot path by taking
-   the comparison at creation time. *)
+   Used by the bounded top-k selector; it avoids closures in the hot path
+   by taking the comparison at creation time. (The discrete-event queue
+   keeps its own struct-of-arrays heap on int keys.) *)
 
 type 'a t = {
   cmp : 'a -> 'a -> int;

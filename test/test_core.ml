@@ -75,9 +75,12 @@ let test_tracker_completes_exactly_once () =
   Alcotest.(check int) "receipts counted" 5 (Progress.receipts t)
 
 let drained c =
-  let out = ref [] in
-  Progress.drain c (fun qid phase _tag w -> out := (qid, phase, w) :: !out);
-  List.rev !out
+  let n = Progress.drain_begin c in
+  let out =
+    List.init n (fun i -> (Progress.qid_at c i, Progress.phase_at c i, Progress.weight_at c i))
+  in
+  Progress.drain_end c;
+  out
 
 let test_coalescer_merges () =
   let c = Progress.coalescer () in
@@ -149,7 +152,7 @@ let test_coalescer_discard_query () =
 
 (* Each entry keeps its last contributor's tag. Tags move with their
    entries when an insertion shifts them, leave with them on
-   [discard_query], and reach [drain] in (qid, phase) order. *)
+   [discard_query], and reach the drain in (qid, phase) order. *)
 let test_coalescer_tags () =
   let c = Progress.coalescer () in
   let one = Weight.random (Prng.create 13) in
@@ -163,19 +166,23 @@ let test_coalescer_tags () =
   merge 3 0 30;
   merge 2 0 20;
   Progress.discard_query c ~qid:2;
-  let tags = ref [] in
-  Progress.drain c (fun qid phase tag _ -> tags := ((qid, phase), tag) :: !tags);
+  let n = Progress.drain_begin c in
+  let tags =
+    List.init n (fun i -> ((Progress.qid_at c i, Progress.phase_at c i), Progress.tag_at c i))
+  in
+  Progress.drain_end c;
   Alcotest.(check (list (pair (pair int int) int)))
     "last tag per entry, in (qid, phase) order"
     [ ((1, 0), 10); ((3, 0), 30); ((3, 1), 32); ((5, 0), 51); ((5, 1), 52) ]
-    (List.rev !tags)
+    tags
 
 let test_coalescer_no_reentry () =
   let c = Progress.coalescer () in
   Progress.coalesce c ~qid:0 ~phase:0 ~tag:0 Weight.root;
-  Alcotest.check_raises "coalesce from a drain callback"
-    (Invalid_argument "Progress.coalesce: coalescer re-entered from a drain callback")
-    (fun () -> Progress.drain c (fun qid phase tag w -> Progress.coalesce c ~qid ~phase ~tag w))
+  ignore (Progress.drain_begin c : int);
+  Alcotest.check_raises "coalesce during a drain"
+    (Invalid_argument "Progress.coalesce: coalescer re-entered during a drain")
+    (fun () -> Progress.coalesce c ~qid:0 ~phase:0 ~tag:0 Weight.root)
 
 (* --- Traverser --- *)
 

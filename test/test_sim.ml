@@ -17,9 +17,9 @@ let test_time_conversions () =
 let test_event_order () =
   let q = Event_queue.create () in
   let log = ref [] in
-  Event_queue.schedule_at q ~time:30 (fun () -> log := 3 :: !log);
-  Event_queue.schedule_at q ~time:10 (fun () -> log := 1 :: !log);
-  Event_queue.schedule_at q ~time:20 (fun () -> log := 2 :: !log);
+  Event_queue.schedule_at q ~time:30 ~tag:0 (fun () -> log := 3 :: !log);
+  Event_queue.schedule_at q ~time:10 ~tag:0 (fun () -> log := 1 :: !log);
+  Event_queue.schedule_at q ~time:20 ~tag:0 (fun () -> log := 2 :: !log);
   Event_queue.run_to_completion q;
   Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log);
   Alcotest.(check int) "clock at last event" 30 (Event_queue.now q)
@@ -28,7 +28,7 @@ let test_event_tie_break_fifo () =
   let q = Event_queue.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    Event_queue.schedule_at q ~time:7 (fun () -> log := i :: !log)
+    Event_queue.schedule_at q ~time:7 ~tag:0 (fun () -> log := i :: !log)
   done;
   Event_queue.run_to_completion q;
   Alcotest.(check (list int)) "fifo at equal times" [ 1; 2; 3; 4; 5 ] (List.rev !log)
@@ -58,7 +58,7 @@ let test_event_chooser_permutes_ties () =
   let q = Event_queue.create () in
   let log = ref [] in
   for i = 1 to 3 do
-    Event_queue.schedule_at q ~time:7 (fun () -> log := i :: !log)
+    Event_queue.schedule_at q ~time:7 ~tag:0 (fun () -> log := i :: !log)
   done;
   Event_queue.set_chooser q (Some (fun _ -> 99));
   Event_queue.run_to_completion q;
@@ -67,14 +67,14 @@ let test_event_chooser_permutes_ties () =
 let test_event_seq_monotonic () =
   let q = Event_queue.create () in
   let a = Event_queue.next_seq q in
-  Event_queue.schedule_at q ~time:1 ignore;
+  Event_queue.schedule_at q ~time:1 ~tag:0 ignore;
   let b = Event_queue.next_seq q in
   Alcotest.(check bool) "insertion seq advances" true (b > a)
 
 let test_event_cascade () =
   let q = Event_queue.create () in
   let count = ref 0 in
-  let rec step n = if n > 0 then Event_queue.schedule_after q ~delay:5 (fun () ->
+  let rec step n = if n > 0 then Event_queue.schedule_after q ~delay:5 ~tag:0 (fun () ->
       incr count;
       step (n - 1))
   in
@@ -85,18 +85,20 @@ let test_event_cascade () =
 
 let test_event_past_rejected () =
   let q = Event_queue.create () in
-  Event_queue.schedule_at q ~time:10 ignore;
+  Event_queue.schedule_at q ~time:10 ~tag:0 ignore;
   ignore (Event_queue.step q);
   Alcotest.(check bool) "raises on past" true
     (try
-       Event_queue.schedule_at q ~time:5 ignore;
+       Event_queue.schedule_at q ~time:5 ~tag:0 ignore;
        false
      with Invalid_argument _ -> true)
 
 let test_event_run_until () =
   let q = Event_queue.create () in
   let fired = ref [] in
-  List.iter (fun t -> Event_queue.schedule_at q ~time:t (fun () -> fired := t :: !fired)) [ 5; 15; 25 ];
+  List.iter
+    (fun t -> Event_queue.schedule_at q ~time:t ~tag:0 (fun () -> fired := t :: !fired))
+    [ 5; 15; 25 ];
   Event_queue.run_until q ~time:15;
   Alcotest.(check (list int)) "only up to 15" [ 5; 15 ] (List.rev !fired);
   Alcotest.(check int) "clock moved" 15 (Event_queue.now q);
@@ -104,13 +106,81 @@ let test_event_run_until () =
 
 let test_event_budget () =
   let q = Event_queue.create () in
-  let rec forever () = Event_queue.schedule_after q ~delay:1 forever in
+  let rec forever () = Event_queue.schedule_after q ~delay:1 ~tag:0 forever in
   forever ();
   Alcotest.(check bool) "budget enforced" true
     (try
        Event_queue.run_to_completion ~max_events:100 q;
        false
      with Failure _ -> true)
+
+(* The budget counts events run, not loop turns: exactly [n] events
+   drain under [~max_events:n], and one more raises. *)
+let test_event_budget_exact () =
+  let queue_of n =
+    let q = Event_queue.create () in
+    for i = 1 to n do
+      Event_queue.schedule_at q ~time:i ~tag:0 ignore
+    done;
+    q
+  in
+  let q = queue_of 2 in
+  Event_queue.run_to_completion ~max_events:2 q;
+  Alcotest.(check int) "n events ran" 2 (Event_queue.executed q);
+  let q = queue_of 3 in
+  Alcotest.(check bool) "n + 1 events raise" true
+    (try
+       Event_queue.run_to_completion ~max_events:2 q;
+       false
+     with Failure _ -> true);
+  Alcotest.(check int) "stopped after n" 2 (Event_queue.executed q)
+
+(* Once the heap arrays have grown, scheduling and stepping a prebuilt
+   thunk allocates nothing. Measured: 0 words for 1 000 events. *)
+let test_event_queue_allocates_nothing () =
+  let q = Event_queue.create () in
+  let thunk () = () in
+  let burst () =
+    for i = 1 to 1000 do
+      Event_queue.schedule_at q ~time:(Event_queue.now q + (i mod 7)) ~tag:(i land 3) thunk
+    done;
+    while Event_queue.step q do
+      ()
+    done
+  in
+  burst ();
+  let before = Gc.minor_words () in
+  burst ();
+  let words = int_of_float (Gc.minor_words () -. before) in
+  if words > 0 then Alcotest.failf "1000 events allocated %d words (bound 0)" words
+
+(* --- Ring --- *)
+
+(* The ring buffer against [Stdlib.Queue], across growth (the capacity
+   starts at 8) and wrap-around (pops move the head). *)
+let ring_matches_queue =
+  QCheck.Test.make ~name:"ring buffer matches Stdlib.Queue" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(list (option int))
+        Gen.(list_size (int_range 0 300) (frequency [ (3, map Option.some nat); (2, return None) ])))
+    (fun ops ->
+      let r = Ring.create ~dummy:(-1) and q = Queue.create () in
+      List.for_all
+        (fun op ->
+          let same_front =
+            match op with
+            | Some x ->
+              Ring.push r x;
+              Queue.add x q;
+              true
+            | None -> (
+              match Queue.take_opt q with
+              | Some x -> Ring.pop r = x
+              | None -> ( try ignore (Ring.pop r); false with Invalid_argument _ -> true))
+          in
+          same_front && Ring.length r = Queue.length q && Ring.is_empty r = Queue.is_empty q)
+        ops)
 
 (* --- Netmodel --- *)
 
@@ -225,6 +295,38 @@ let test_channel_nlc_combines () =
   Alcotest.(check int) "one combined packet" 1
     Metrics.(get (Cluster.metrics cluster) Counter.packets)
 
+(* Allocation guard for the channel path: once a TLC+NLC channel without
+   faults is warm (its batches, free list and event-queue arrays have
+   grown), 1 000 cross-node messages through [send], [flush_worker] and
+   [run_to_completion] allocate only per packet, not per message: the
+   arrival closure of the one packet they make. Measured: 7 words for
+   1 000 messages; the bound allows 0.05 words per message. *)
+let test_channel_allocation () =
+  let cluster =
+    Cluster.create { Cluster.default_config with Cluster.n_nodes = 2; workers_per_node = 1 }
+  in
+  let delivered = ref 0 in
+  let chan =
+    Channel.create cluster Channel.default_config ~dummy:(-1) ~deliver:(fun _ _ -> incr delivered)
+  in
+  let round () =
+    let at = Cluster.now cluster in
+    for i = 1 to 1000 do
+      ignore
+        (Channel.send chan ~at ~src_worker:0 ~dst_worker:1 ~kind:Metrics.Traverser_msg ~bytes:40 i
+          : Sim_time.t)
+    done;
+    ignore (Channel.flush_worker chan ~at ~worker:0 : Sim_time.t);
+    Event_queue.run_to_completion (Cluster.events cluster)
+  in
+  round ();
+  round ();
+  let before = Gc.minor_words () in
+  round ();
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check int) "all delivered" 3000 !delivered;
+  if words > 50 then Alcotest.failf "1000 messages allocated %d words (bound 50)" words
+
 let channel_random_traffic =
   QCheck.Test.make ~name:"channel delivers arbitrary traffic exactly once" ~count:50
     QCheck.(list (pair (int_range 0 7) (int_range 0 7)))
@@ -251,9 +353,149 @@ let event_order_random =
     (fun times ->
       let q = Event_queue.create () in
       let log = ref [] in
-      List.iter (fun t -> Event_queue.schedule_at q ~time:t (fun () -> log := t :: !log)) times;
+      List.iter
+        (fun t -> Event_queue.schedule_at q ~time:t ~tag:0 (fun () -> log := t :: !log))
+        times;
       Event_queue.run_to_completion q;
       List.rev !log = List.sort compare times)
+
+(* Model-based check of the event queue: random interleavings of
+   [schedule_at] (with ties and tags), [step] and [run_until] against a
+   reference that keeps every pending event as a (time, seq, tag, id)
+   list. After each operation the queue must agree with the reference on
+   [now], [pending], [next_time] and the ids fired so far. With a chooser,
+   the reference also checks that each tied batch is presented as the
+   reference's tied set in seq order, and it applies the same pick. *)
+type eq_op =
+  | Sched of int * int (* delay from now (0 makes ties), tag *)
+  | Step
+  | Until of int (* delay from now *)
+
+let eq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun d tag -> Sched (d, tag)) (int_range 0 4) (int_range 0 3));
+        (3, return Step);
+        (1, map (fun d -> Until d) (int_range 0 6));
+      ])
+
+let pp_eq_op = function
+  | Sched (d, tag) -> Printf.sprintf "sched +%d tag %d" d tag
+  | Step -> "step"
+  | Until d -> Printf.sprintf "until +%d" d
+
+let eq_model_matches ~with_chooser (ops, picks) =
+  let q = Event_queue.create () in
+  let fired = ref [] in
+  (* The chooser cycles through [picks] (out-of-range values included)
+     and records what it was shown. *)
+  let picks = Array.of_list (if picks = [] then [ 0 ] else picks) in
+  let shown = Queue.create () in
+  let n_calls = ref 0 in
+  if with_chooser then
+    Event_queue.set_chooser q
+      (Some
+         (fun choices ->
+           Queue.add choices shown;
+           let p = picks.(!n_calls mod Array.length picks) in
+           incr n_calls;
+           p));
+  (* Reference state. *)
+  let now = ref 0 and next_seq = ref 0 and next_id = ref 0 in
+  let pending = ref [] (* (time, seq, tag, id), unordered *) in
+  let expected_fired = ref [] in
+  let ref_calls = ref 0 in
+  let expect what cond = if not cond then QCheck.Test.fail_reportf "%s" what in
+  let ref_step () =
+    match List.sort compare !pending with
+    | [] -> false
+    | ((t0, _, _, _) :: _) as sorted ->
+      let tied = List.filter (fun (t, _, _, _) -> t = t0) sorted in
+      let n = List.length tied in
+      let pick =
+        if with_chooser && n >= 2 then begin
+          let p = picks.(!ref_calls mod Array.length picks) in
+          incr ref_calls;
+          let presented =
+            match Queue.take_opt shown with
+            | None -> []
+            | Some choices ->
+              Array.to_list
+                (Array.map (fun c -> (c.Event_queue.c_seq, c.Event_queue.c_tag)) choices)
+          in
+          expect "tied set presented in seq order"
+            (presented = List.map (fun (_, s, tag, _) -> (s, tag)) tied);
+          if p < 0 || p >= n then 0 else p
+        end
+        else 0
+      in
+      let ((t, _, _, id) as e) = List.nth tied pick in
+      pending := List.filter (fun x -> x <> e) !pending;
+      now := t;
+      expected_fired := id :: !expected_fired;
+      true
+  in
+  let check_state label =
+    expect (label ^ ": now") (Event_queue.now q = !now);
+    expect (label ^ ": pending") (Event_queue.pending q = List.length !pending);
+    let ref_next =
+      match List.sort compare !pending with [] -> None | (t, _, _, _) :: _ -> Some t
+    in
+    expect (label ^ ": next_time") (Event_queue.next_time q = ref_next);
+    expect (label ^ ": fired order") (!fired = !expected_fired);
+    expect (label ^ ": chooser calls") (Queue.is_empty shown)
+  in
+  List.iter
+    (fun op ->
+      (match op with
+        | Sched (d, tag) ->
+          let id = !next_id in
+          incr next_id;
+          let time = !now + d in
+          Event_queue.schedule_at q ~tag ~time (fun () -> fired := id :: !fired);
+          pending := (time, !next_seq, tag, id) :: !pending;
+          incr next_seq
+        | Step ->
+          let got = Event_queue.step q in
+          let want = ref_step () in
+          expect "step result" (got = want)
+        | Until d ->
+          let time = !now + d in
+          Event_queue.run_until q ~time;
+          while
+            match List.sort compare !pending with
+            | (t, _, _, _) :: _ when t <= time -> ref_step ()
+            | _ -> false
+          do
+            ()
+          done;
+          if !now < time then now := time);
+      check_state (pp_eq_op op))
+    ops;
+  (* Drain what is left. *)
+  Event_queue.run_to_completion q;
+  while ref_step () do
+    ()
+  done;
+  check_state "drain";
+  true
+
+let eq_model_arb =
+  QCheck.make
+    ~print:(fun (ops, picks) ->
+      String.concat "; " (List.map pp_eq_op ops)
+      ^ " | picks " ^ String.concat "," (List.map string_of_int picks))
+    QCheck.Gen.(
+      pair (list_size (int_range 0 120) eq_op_gen) (list_size (int_range 1 8) (int_range (-1) 5)))
+
+let event_queue_model =
+  QCheck.Test.make ~name:"event queue matches a sorted-list model" ~count:300 eq_model_arb
+    (eq_model_matches ~with_chooser:false)
+
+let event_queue_model_chooser =
+  QCheck.Test.make ~name:"event queue with a chooser matches the model" ~count:300 eq_model_arb
+    (eq_model_matches ~with_chooser:true)
 
 (* Histogram percentiles track exact percentiles within bucket error. *)
 let histogram_tracks_exact =
@@ -337,7 +579,10 @@ let () =
           Alcotest.test_case "past rejected" `Quick test_event_past_rejected;
           Alcotest.test_case "run_until" `Quick test_event_run_until;
           Alcotest.test_case "budget" `Quick test_event_budget;
+          Alcotest.test_case "budget counts events" `Quick test_event_budget_exact;
+          Alcotest.test_case "allocates nothing" `Quick test_event_queue_allocates_nothing;
         ] );
+      ("ring", [ qcheck ring_matches_queue ]);
       ("netmodel", [ Alcotest.test_case "costs" `Quick test_netmodel_costs ]);
       ( "cluster",
         [
@@ -345,7 +590,12 @@ let () =
           Alcotest.test_case "nic serializes" `Quick test_cluster_nic_serializes;
         ] );
       ( "more-properties",
-        [ qcheck event_order_random; qcheck histogram_tracks_exact ] );
+        [
+          qcheck event_order_random;
+          qcheck histogram_tracks_exact;
+          qcheck event_queue_model;
+          qcheck event_queue_model_chooser;
+        ] );
       ( "channel",
         [
           Alcotest.test_case "delivers everything" `Quick test_channel_delivers_everything;
@@ -354,6 +604,7 @@ let () =
           Alcotest.test_case "no batching" `Quick test_channel_no_batching_packet_per_message;
           Alcotest.test_case "nlc combines" `Quick test_channel_nlc_combines;
           qcheck channel_random_traffic;
+          Alcotest.test_case "allocation per message" `Quick test_channel_allocation;
         ] );
       ("metrics", [ Alcotest.test_case "counters" `Quick test_metrics_counters ]);
     ]
