@@ -23,7 +23,8 @@ let weight_tests () =
    [Value.Int] keys (the generic table), at 2k, 20k and 200k distinct keys
    in one (query, label). Every key is inserted before timing, so each
    probe is a hit, as a Visit or Dedup step in steady state; keys are
-   built outside the timed call and cycle through a random sequence. *)
+   built outside the timed call and cycle through a random sequence. Then
+   one query's whole memo lifecycle, at 8 and 128 keys per label. *)
 let memo_tests () =
   let sweep ~key ~op n =
     let memo = Pstm_core.Memo.create () in
@@ -41,11 +42,27 @@ let memo_tests () =
   in
   let dedup memo key = ignore (Pstm_core.Memo.add_if_absent memo ~qid:0 ~label:1 key : bool) in
   let sizes = [ 2_000; 20_000; 200_000 ] in
+  (* A whole query per op, as every partition a query touches sees it: a
+     fresh qid writes [k] prebuilt vertex keys to a Dedup and a Visit
+     label, then is cleared. *)
+  let lifecycle k =
+    let memo = Pstm_core.Memo.create () in
+    let keys = Array.init k (fun v -> Value.Vertex v) and qid = ref 0 in
+    Staged.stage (fun () ->
+        incr qid;
+        let qid = !qid in
+        for v = 0 to k - 1 do
+          ignore (Pstm_core.Memo.add_if_absent memo ~qid ~label:1 keys.(v) : bool);
+          ignore (Pstm_core.Memo.min_int_update memo ~qid ~label:2 v 3 : Pstm_core.Memo.visit_outcome)
+        done;
+        Pstm_core.Memo.clear_query memo qid)
+  in
   [
     Test.make_indexed ~name:"memo-min-dist" ~args:sizes (sweep ~key:Fun.id ~op:min_dist);
     Test.make_indexed ~name:"memo-dedup-vertex" ~args:sizes
       (sweep ~key:(fun k -> Value.Vertex k) ~op:dedup);
     Test.make_indexed ~name:"memo-dedup-int" ~args:sizes (sweep ~key:(fun k -> Value.Int k) ~op:dedup);
+    Test.make_indexed ~name:"memo-query-lifecycle" ~args:[ 8; 128 ] lifecycle;
   ]
 
 (* Event-queue push+pop at a steady depth of 100, 10k and 100k pending

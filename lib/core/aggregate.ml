@@ -105,10 +105,7 @@ let bytes = function
   | Sum_st st -> Value.bytes st.total
   | Max_st st -> Value.bytes st.best
   | Min_st st -> Value.bytes st.best
-  | Topk_st st ->
-    List.fold_left
-      (fun acc (s, o) -> acc + Value.bytes s + Value.bytes o)
-      8 (Topk.to_sorted_list st.acc)
+  | Topk_st st -> Topk.fold (fun acc (s, o) -> acc + Value.bytes s + Value.bytes o) 8 st.acc
   | Collect_st st -> List.fold_left (fun acc v -> acc + Value.bytes v) 8 st.items
   | Group_st st ->
     (* det-ok: commutative sum over entries *)

@@ -19,7 +19,19 @@
    probing, [-1] marks an empty slot, backward-shift deletion), so a probe
    hashes one int and allocates nothing. The Null key, under which an
    Aggregate step keeps its partial, has a slot of its own. Every other
-   key goes to a generic [Hashtbl.Make] table, created on first use. *)
+   key goes to a generic [Hashtbl.Make] table, created on first use.
+
+   Lifecycle: a serving workload runs thousands of short queries, each
+   touching many partitions, so the set-up and tear-down of a query's
+   state must cost nothing at steady state. Live queries are found by qid
+   in another int-keyed table (not a dense qid-indexed array: qids grow
+   without bound, and each partition would pay a word for every query
+   ever issued). Only writes create state, and only the store they write:
+   the label slots of a query hold one shared, never-written [no_store]
+   until then, and a read of an absent query or label allocates nothing.
+   [clear_query] empties the query's stores and puts them, and the query
+   record with its label array, on free lists that the next query's first
+   writes draw from. *)
 
 type entry =
   | Scalar of Value.t
@@ -39,120 +51,110 @@ module Table = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
-type store = {
-  mutable keys : int array; (* vertex ids; capacity 0 or a power of two *)
-  mutable vals : entry array; (* [absent] where [keys] holds -1 *)
+(* --- Int-keyed tables --- *)
+
+(* Open addressing on non-negative int keys: a store's vertex keys and
+   the memo's qid index. *)
+type 'a itable = {
+  mutable keys : int array; (* capacity 0 or a power of two; -1 marks an empty slot *)
+  mutable vals : 'a array; (* [none] where [keys] holds -1 *)
   mutable size : int;
   mutable shift : int; (* 63 - log2 capacity: [home] keeps the top bits *)
-  mutable null_key : entry; (* the Value.Null-keyed record, or [absent] *)
-  mutable generic : entry Table.t option; (* every other key *)
+  none : 'a;
 }
 
-type query = {
-  qid : int;
-  mutable stores : store array; (* indexed by label *)
-}
-
-type t = {
-  queries : (int, query) Hashtbl.t;
-  mutable last : query; (* the last query touched: consecutive steps mostly share it *)
-  mutable live_entries : int;
-}
-
-(* Never returned by [query]; stands for "no query cached". *)
-let nil = { qid = min_int; stores = [||] }
-
-let create () = { queries = Hashtbl.create 8; last = nil; live_entries = 0 }
-let live_entries t = t.live_entries
-
-let query t qid =
-  let q = t.last in
-  if q.qid = qid && q != nil then q
-  else begin
-    let q =
-      match Hashtbl.find t.queries qid with
-      | q -> q
-      | exception Not_found ->
-        let q = { qid; stores = [||] } in
-        Hashtbl.add t.queries qid q;
-        q
-    in
-    t.last <- q;
-    q
-  end
-
-let new_store () =
-  { keys = [||]; vals = [||]; size = 0; shift = 63; null_key = absent; generic = None }
-
-let store t ~qid ~label =
-  let q = query t qid in
-  let n = Array.length q.stores in
-  if label >= n then
-    q.stores <- Array.init (label + 1) (fun l -> if l < n then q.stores.(l) else new_store ());
-  q.stores.(label)
-
-(* --- The vertex table --- *)
+let itable none = { keys = [||]; vals = [||]; size = 0; shift = 63; none }
 
 (* Multiplicative hashing on the top bits. Partitions split vertices by
    the low bits of a different mixer, so the ids one memo sees share
    those bits and must not decide the slot. *)
-let home s v = (v * 0x4F1BBCDCBFA53E0B) lsr s.shift
+let home t k = (k * 0x4F1BBCDCBFA53E0B) lsr t.shift
 
-let rec probe keys mask v i =
-  let k = keys.(i) in
-  if k = v then i else if k < 0 then -1 else probe keys mask v ((i + 1) land mask)
+let rec probe keys mask k i =
+  let k' = keys.(i) in
+  if k' = k then i else if k' < 0 then -1 else probe keys mask k ((i + 1) land mask)
 
-(* Slot of vertex [v], or -1. *)
-let index s v = if s.size = 0 then -1 else probe s.keys (Array.length s.keys - 1) v (home s v)
+(* Slot of key [k], or -1. *)
+let index t k = if t.size = 0 then -1 else probe t.keys (Array.length t.keys - 1) k (home t k)
 
 let rec free_slot keys mask i = if keys.(i) < 0 then i else free_slot keys mask ((i + 1) land mask)
 
-let place s v e =
-  let i = free_slot s.keys (Array.length s.keys - 1) (home s v) in
-  s.keys.(i) <- v;
-  s.vals.(i) <- e
+let place t k x =
+  let i = free_slot t.keys (Array.length t.keys - 1) (home t k) in
+  t.keys.(i) <- k;
+  t.vals.(i) <- x
 
-let grow s =
-  let keys = s.keys and vals = s.vals in
+let grow t =
+  let keys = t.keys and vals = t.vals in
   let capacity = max 8 (2 * Array.length keys) in
-  s.keys <- Array.make capacity (-1);
-  s.vals <- Array.make capacity absent;
-  s.shift <- (if Array.length keys = 0 then 60 else s.shift - 1);
-  Array.iteri (fun i v -> if v >= 0 then place s v vals.(i)) keys
+  t.keys <- Array.make capacity (-1);
+  t.vals <- Array.make capacity t.none;
+  t.shift <- (if Array.length keys = 0 then 60 else t.shift - 1);
+  Array.iteri (fun i k -> if k >= 0 then place t k vals.(i)) keys
 
-(* Insert absent vertex [v], keeping the load at most 3/4. *)
-let insert s v e =
-  if (s.size + 1) * 4 > Array.length s.keys * 3 then grow s;
-  place s v e;
-  s.size <- s.size + 1
+(* Insert absent key [k], keeping the load at most 3/4. *)
+let insert t k x =
+  if (t.size + 1) * 4 > Array.length t.keys * 3 then grow t;
+  place t k x;
+  t.size <- t.size + 1
 
 (* Empty slot [i], then walk its probe run and move back every key whose
    home does not lie cyclically after the hole, so no run has a gap. *)
-let remove_at s i =
-  let keys = s.keys and vals = s.vals in
+let remove_at t i =
+  let keys = t.keys and vals = t.vals in
   let mask = Array.length keys - 1 in
   let hole = ref i and j = ref ((i + 1) land mask) in
   while keys.(!j) >= 0 do
-    let v = keys.(!j) in
-    if (!j - home s v) land mask >= (!j - !hole) land mask then begin
-      keys.(!hole) <- v;
+    let k = keys.(!j) in
+    if (!j - home t k) land mask >= (!j - !hole) land mask then begin
+      keys.(!hole) <- k;
       vals.(!hole) <- vals.(!j);
       hole := !j
     end;
     j := (!j + 1) land mask
   done;
   keys.(!hole) <- -1;
-  vals.(!hole) <- absent;
-  s.size <- s.size - 1
+  vals.(!hole) <- t.none;
+  t.size <- t.size - 1
 
-(* --- Any key --- *)
+(* A pooled table keeps its arrays up to this many slots (24 keys, two
+   256-byte arrays); a larger one gives them back, so one large query
+   cannot pin memory in a partition. DESIGN.md (decision 2) explains the
+   value. *)
+let max_pooled_capacity = 32
+
+(* Empty [t] for reuse by another query ([grow] resets [shift] when it
+   starts from no arrays). *)
+let reset t =
+  if Array.length t.keys > max_pooled_capacity then begin
+    t.keys <- [||];
+    t.vals <- [||]
+  end
+  else if t.size > 0 then begin
+    Array.fill t.keys 0 (Array.length t.keys) (-1);
+    Array.fill t.vals 0 (Array.length t.vals) t.none
+  end;
+  t.size <- 0
+
+(* --- Stores --- *)
+
+type store = {
+  vertices : entry itable;
+  mutable null_key : entry; (* the Value.Null-keyed record, or [absent] *)
+  mutable generic : entry Table.t option; (* every other key *)
+}
+
+let new_store () = { vertices = itable absent; null_key = absent; generic = None }
+
+(* Stands in every label slot that has no store; never written. *)
+let no_store = new_store ()
 
 (* The record under [key], or [absent]. *)
 let find s key =
   match key with
   | Value.Vertex v when v >= 0 ->
-    let i = index s v in
-    if i < 0 then absent else s.vals.(i)
+    let i = index s.vertices v in
+    if i < 0 then absent else s.vertices.vals.(i)
   | Value.Null -> s.null_key
   | _ -> (
     match s.generic with
@@ -167,18 +169,10 @@ let generic s =
     s.generic <- Some g;
     g
 
-(* Add a record under [key], which must be absent. *)
-let add t s key e =
-  t.live_entries <- t.live_entries + 1;
-  match key with
-  | Value.Vertex v when v >= 0 -> insert s v e
-  | Value.Null -> s.null_key <- e
-  | _ -> Table.add (generic s) key e
-
 (* Overwrite the record under [key], which must be present. *)
 let replace s key e =
   match key with
-  | Value.Vertex v when v >= 0 -> s.vals.(index s v) <- e
+  | Value.Vertex v when v >= 0 -> s.vertices.vals.(index s.vertices v) <- e
   | Value.Null -> s.null_key <- e
   | _ -> Table.replace (generic s) key e
 
@@ -186,11 +180,11 @@ let replace s key e =
 let remove s key =
   match key with
   | Value.Vertex v when v >= 0 ->
-    let i = index s v in
+    let i = index s.vertices v in
     if i < 0 then absent
     else begin
-      let e = s.vals.(i) in
-      remove_at s i;
+      let e = s.vertices.vals.(i) in
+      remove_at s.vertices i;
       e
     end
   | Value.Null ->
@@ -208,9 +202,93 @@ let remove s key =
       | exception Not_found -> absent))
 
 let store_length s =
-  s.size
+  s.vertices.size
   + Bool.to_int (s.null_key != absent)
   + match s.generic with None -> 0 | Some g -> Table.length g
+
+(* --- Queries --- *)
+
+type query = {
+  mutable qid : int; (* -1 while pooled *)
+  mutable stores : store array; (* indexed by label; [no_store] where absent *)
+}
+
+(* Stands for "no query": never live, never pooled. *)
+let nil = { qid = -1; stores = [||] }
+
+type t = {
+  queries : query itable; (* the live queries, by qid *)
+  mutable last : query; (* the last query touched, or [nil]: consecutive steps mostly share it *)
+  mutable live_entries : int;
+  free_queries : query Vec.t; (* cleared, with every label slot [no_store] *)
+  free_stores : store Vec.t; (* emptied *)
+}
+
+let create () =
+  {
+    queries = itable nil;
+    last = nil;
+    live_entries = 0;
+    free_queries = Vec.create ~dummy:nil;
+    free_stores = Vec.create ~dummy:no_store;
+  }
+
+let live_entries t = t.live_entries
+
+(* The live record of [qid], or [nil]. *)
+let find_query t qid =
+  let q = t.last in
+  if q.qid = qid then q
+  else if qid < 0 then nil
+  else begin
+    let i = index t.queries qid in
+    if i < 0 then nil
+    else begin
+      let q = t.queries.vals.(i) in
+      t.last <- q;
+      q
+    end
+  end
+
+(* The store under (qid, label) for a read: [no_store] if absent. *)
+let peek t ~qid ~label =
+  let stores = (find_query t qid).stores in
+  if label < Array.length stores then stores.(label) else no_store
+
+(* The store under (qid, label) for a write, created — from the free
+   lists when they hold one — if absent. *)
+let store t ~qid ~label =
+  if qid < 0 then invalid_arg "Memo: negative qid";
+  let q =
+    match find_query t qid with
+    | q when q != nil -> q
+    | _ ->
+      let q = if Vec.is_empty t.free_queries then { qid; stores = [||] } else Vec.pop t.free_queries in
+      q.qid <- qid;
+      insert t.queries qid q;
+      t.last <- q;
+      q
+  in
+  let n = Array.length q.stores in
+  if label >= n then begin
+    let stores = Array.make (max (label + 1) (2 * n)) no_store in
+    Array.blit q.stores 0 stores 0 n;
+    q.stores <- stores
+  end;
+  match q.stores.(label) with
+  | s when s != no_store -> s
+  | _ ->
+    let s = if Vec.is_empty t.free_stores then new_store () else Vec.pop t.free_stores in
+    q.stores.(label) <- s;
+    s
+
+(* Add a record under [key], which must be absent. *)
+let add t s key e =
+  t.live_entries <- t.live_entries + 1;
+  match key with
+  | Value.Vertex v when v >= 0 -> insert s.vertices v e
+  | Value.Null -> s.null_key <- e
+  | _ -> Table.add (generic s) key e
 
 (* --- Operations --- *)
 
@@ -236,16 +314,16 @@ type visit_outcome =
 let min_int_update t ~qid ~label vertex d =
   if vertex < 0 then invalid_arg "Memo.min_int_update: negative vertex";
   let s = store t ~qid ~label in
-  let i = index s vertex in
+  let i = index s.vertices vertex in
   if i < 0 then begin
-    insert s vertex (Scalar (Value.Int d));
+    insert s.vertices vertex (Scalar (Value.Int d));
     t.live_entries <- t.live_entries + 1;
     First_visit
   end
   else
-    match s.vals.(i) with
+    match s.vertices.vals.(i) with
     | Scalar (Value.Int best) when d < best ->
-      s.vals.(i) <- Scalar (Value.Int d);
+      s.vertices.vals.(i) <- Scalar (Value.Int d);
       Improved
     | _ -> Not_improved
 
@@ -261,7 +339,7 @@ let partial t ~qid ~label agg =
   | _ -> invalid_arg "Memo.partial: label holds a non-aggregate entry"
 
 let partial_opt t ~qid ~label =
-  match (store t ~qid ~label).null_key with
+  match (peek t ~qid ~label).null_key with
   | Partial p -> Some p
   | e when e == absent -> None
   | _ -> invalid_arg "Memo.partial_opt: label holds a non-aggregate entry"
@@ -275,7 +353,7 @@ let rows_add t ~qid ~label key row =
   | _ -> invalid_arg "Memo.rows_add: label holds a non-rows entry"
 
 let rows_get t ~qid ~label key =
-  match find (store t ~qid ~label) key with
+  match find (peek t ~qid ~label) key with
   | Rows rows -> rows
   | e when e == absent -> []
   | _ -> invalid_arg "Memo.rows_get: label holds a non-rows entry"
@@ -296,27 +374,43 @@ let entry_bytes = function
    workers anyway). Output is sorted by (qid, label): the order entries
    serialize into a migration message must not depend on table layout. *)
 let extract_for_key t key =
-  (* det-ok: the qids are sorted right below *)
-  let qids = Hashtbl.fold (fun qid _ acc -> qid :: acc) t.queries [] in
+  let qids = Array.fold_left (fun acc qid -> if qid >= 0 then qid :: acc else acc) [] t.queries.keys in
   let out = ref [] in
   List.iter
     (fun qid ->
       Array.iteri
         (fun label s ->
-          let e = remove s key in
-          if e != absent then begin
-            t.live_entries <- t.live_entries - 1;
-            out := (qid, label, e) :: !out
+          if s != no_store then begin
+            let e = remove s key in
+            if e != absent then begin
+              t.live_entries <- t.live_entries - 1;
+              out := (qid, label, e) :: !out
+            end
           end)
-        (Hashtbl.find t.queries qid).stores)
+        (find_query t qid).stores)
     (List.sort Int.compare qids);
   List.rev !out
 
-(* Drop a terminated query's records (automatic clearing of §III-B). *)
+(* Drop a terminated query's records (automatic clearing of §III-B), and
+   keep its record and stores for the next query. *)
 let clear_query t qid =
-  match Hashtbl.find_opt t.queries qid with
-  | None -> ()
-  | Some q ->
-    t.live_entries <- t.live_entries - Array.fold_left (fun n s -> n + store_length s) 0 q.stores;
-    Hashtbl.remove t.queries qid;
-    if t.last == q then t.last <- nil
+  let i = if qid < 0 then -1 else index t.queries qid in
+  if i >= 0 then begin
+    let q = t.queries.vals.(i) in
+    remove_at t.queries i;
+    let stores = q.stores in
+    for label = 0 to Array.length stores - 1 do
+      let s = stores.(label) in
+      if s != no_store then begin
+        t.live_entries <- t.live_entries - store_length s;
+        reset s.vertices;
+        s.null_key <- absent;
+        (match s.generic with Some g -> Table.reset g | None -> ());
+        stores.(label) <- no_store;
+        Vec.push t.free_stores s
+      end
+    done;
+    q.qid <- -1;
+    if t.last == q then t.last <- nil;
+    Vec.push t.free_queries q
+  end

@@ -2,8 +2,11 @@
 
     Records are scoped to the creating query and dropped wholesale when it
     terminates. Only the owning worker accesses a memo, so operations are
-    synchronization-free. Labels are step indices, so non-negative; vertex
-    keys are stored unboxed, in an int-keyed table per (query, label). *)
+    synchronization-free. Query ids and labels (step indices) are
+    non-negative; vertex keys are stored unboxed, in an int-keyed table
+    per (query, label). Only writes create state: reads of an absent
+    query or label allocate nothing, and a cleared query's state is
+    recycled for later queries. *)
 
 type entry =
   | Scalar of Value.t

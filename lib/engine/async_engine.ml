@@ -322,6 +322,14 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let seed_prng = Prng.create common.Engine.Common.seed in
   (* Node-shared memos for the non-partitioned ablation. *)
   let node_memos = Array.init (Cluster.n_nodes cluster) (fun _ -> Memo.create ()) in
+  (* The workers that answer an aggregate flush: every partition, or
+     under the shared (non-partitioned) model one worker per node for
+     the node-wide memo. *)
+  let agg_responders =
+    if options.shared_state then
+      Array.init (Cluster.n_nodes cluster) (fun node -> node * workers_per_node)
+    else Array.init n_workers Fun.id
+  in
   let workers =
     Array.init n_workers (fun id ->
         let members =
@@ -770,29 +778,22 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         ();
     match Program.agg_of_phase q.program phase with
     | Some agg_step ->
-      (* Pull the per-partition partials in (§III-C). Under the shared
-         (non-partitioned) model one worker per node answers for the
-         node-wide memo. *)
+      (* Pull the per-partition partials in (§III-C). Each flush is its
+         own value: [arrive] rewrites its [cz]. *)
       q.combine_step <- agg_step;
       q.combine_received <- 0;
       q.combine_acc <- None;
-      let responders =
-        if options.shared_state then
-          Array.init (Cluster.n_nodes cluster) (fun node -> node * workers_per_node)
-        else Array.init n_workers Fun.id
-      in
-      q.combine_expected <- Array.length responders;
+      q.combine_expected <- Array.length agg_responders;
       let cz =
         cz_hop ~qid:q.qid ~name:"phase-complete" ~ts:at ~src:cz Pstm_obs.Causal.Tracker
       in
       let cost = ref Sim_time.zero in
-      Array.iter
-        (fun dst ->
-          cost :=
-            Sim_time.add !cost
-              (send ~at ~src:w.id ~dst ~kind:Metrics.Control_msg
-                 (P_agg_flush { qid = q.qid; agg_step; cz })))
-        responders;
+      for i = 0 to Array.length agg_responders - 1 do
+        cost :=
+          Sim_time.add !cost
+            (send ~at ~src:w.id ~dst:agg_responders.(i) ~kind:Metrics.Control_msg
+               (P_agg_flush { qid = q.qid; agg_step; cz }))
+      done;
       !cost
     | None -> complete_query ~at ~cz w q
   and complete_query ~at ?(cz = -1) w q =
@@ -815,12 +816,12 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         ();
     active_op_count := !active_op_count - Program.n_steps q.program;
     n_active := !n_active - 1;
-    (* Memos are query-scoped: broadcast the automatic clear of §III-B. *)
+    (* Memos are query-scoped: broadcast the automatic clear of §III-B,
+       one immutable message shared by every destination. *)
+    let cleanup = P_cleanup { qid = q.qid } in
     let cost = ref Sim_time.zero in
     for dst = 0 to n_workers - 1 do
-      cost :=
-        Sim_time.add !cost
-          (send ~at ~src:w.id ~dst ~kind:Metrics.Control_msg (P_cleanup { qid = q.qid }))
+      cost := Sim_time.add !cost (send ~at ~src:w.id ~dst ~kind:Metrics.Control_msg cleanup)
     done;
     !on_terminal q.qid (Engine.Completed released_at);
     !cost

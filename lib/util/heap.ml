@@ -90,7 +90,16 @@ let pop t =
 
 let pop_opt t = if t.len = 0 then None else Some (pop t)
 
+let copy t = { t with data = Array.sub t.data 0 t.len }
+
+let fold f acc t =
+  let acc = ref acc in
+  for i = 0 to t.len - 1 do
+    acc := f !acc t.data.(i)
+  done;
+  !acc
+
 let to_sorted_list t =
-  let copy = { t with data = Array.copy t.data } in
+  let copy = copy t in
   let rec drain acc = if is_empty copy then List.rev acc else drain (pop copy :: acc) in
   drain []

@@ -18,5 +18,11 @@ val pop : 'a t -> 'a
 
 val pop_opt : 'a t -> 'a option
 
+(** An independent heap with the same elements. *)
+val copy : 'a t -> 'a t
+
+(** Fold over the elements in heap-array order, not sorted order. *)
+val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+
 (** Non-destructive ascending drain, for tests. *)
 val to_sorted_list : 'a t -> 'a list

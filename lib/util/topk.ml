@@ -26,7 +26,16 @@ let add t x =
       Heap.push t.heap x
     end
 
-let merge ~into t = List.iter (add into) (Heap.to_sorted_list t.heap)
+(* Feed [t]'s elements to [into] in ascending order, as [to_sorted_list]
+   drains them: under ties ([cmp] equal, values not) the kept set depends
+   on the order, so heap-array order would not do. *)
+let merge ~into t =
+  let src = Heap.copy t.heap in
+  while not (Heap.is_empty src) do
+    add into (Heap.pop src)
+  done
+
+let fold f acc t = Heap.fold f acc t.heap
 
 (* Best first. *)
 let to_sorted_list t = List.rev (Heap.to_sorted_list t.heap)

@@ -13,5 +13,8 @@ val add : 'a t -> 'a -> unit
 (** Merge [t] into [into]; [t] is unchanged. *)
 val merge : into:'a t -> 'a t -> unit
 
+(** Fold over the kept elements in no particular order. *)
+val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+
 (** The current top-k, best first. *)
 val to_sorted_list : 'a t -> 'a list

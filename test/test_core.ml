@@ -240,7 +240,14 @@ let test_memo_accounting () =
    come from a small dense pool and from multiples of 16 (ids that all share
    a home slot under an unmixed modulo hash), so the per-label tables fill
    to their load limit, probe runs wrap past the end of the slot array, and
-   extraction must close the gaps it leaves. *)
+   extraction must close the gaps it leaves.
+
+   Queries are cleared and their qids reused while other queries live, so
+   later queries run on recycled records and stores; labels are first
+   touched in random order; [Fill] grows one table past the 32 slots a
+   recycled table may keep (the other ops stay below); and reads hit absent queries and labels
+   between the writes. A recycled store that still showed a record of an
+   earlier query would disagree with the model. *)
 module Memo_model = struct
   module Key = struct
     type t = int * int * Value.t
@@ -261,6 +268,7 @@ module Memo_model = struct
     | Partial of int * int
     | Partial_opt of int * int
     | Set of int * int * Value.t * int
+    | Fill of int * int * int
     | Extract of Value.t
     | Clear of int
 
@@ -272,6 +280,7 @@ module Memo_model = struct
     | Partial (q, l) -> Fmt.pf ppf "partial q%d l%d" q l
     | Partial_opt (q, l) -> Fmt.pf ppf "partial_opt q%d l%d" q l
     | Set (q, l, k, e) -> Fmt.pf ppf "set q%d l%d %a %d" q l Value.pp k e
+    | Fill (q, l, n) -> Fmt.pf ppf "add_if_absent q%d l%d v0..v%d" q l (n - 1)
     | Extract k -> Fmt.pf ppf "extract_for_key %a" Value.pp k
     | Clear q -> Fmt.pf ppf "clear_query q%d" q
 
@@ -287,10 +296,12 @@ module Memo_model = struct
           (1, return Value.Null);
         ]
     in
-    let qid = int_range 0 2 and label = int_range 0 3 in
+    let qid = frequency [ (3, int_range 0 2); (1, int_range 3 9) ]
+    and label = frequency [ (3, int_range 0 3); (1, int_range 4 9) ] in
     let op =
       frequency
         [
+          (1, map3 (fun q l n -> Fill (q, l, n)) qid label (int_range 30 200));
           (6, map3 (fun q l k -> Add (q, l, k)) qid label key);
           (6, map3 (fun (q, l) v d -> Min (q, l, v, d)) (pair qid label) vertex (int_range 0 5));
           (3, map3 (fun (q, l) k r -> Rows_add (q, l, k, r)) (pair qid label) key small_nat);
@@ -299,7 +310,7 @@ module Memo_model = struct
           (1, map2 (fun q l -> Partial_opt (q, l)) qid label);
           (2, map3 (fun (q, l) k e -> Set (q, l, k, e)) (pair qid label) key (int_range 0 5));
           (2, map (fun k -> Extract k) key);
-          (1, map (fun q -> Clear q) qid);
+          (3, map (fun q -> Clear q) qid);
         ]
     in
     list_size (int_range 1 300) op
@@ -397,6 +408,14 @@ module Memo_model = struct
       in
       put q l k entry;
       agrees ( = ) (Ok ()) (fun () -> Memo.set memo ~qid:q ~label:l k entry)
+    | Fill (q, l, n) ->
+      List.for_all
+        (fun v ->
+          let k = Value.Vertex v in
+          let expected = find q l k = None in
+          if expected then put q l k (Memo.Scalar Value.Null);
+          Memo.add_if_absent memo ~qid:q ~label:l k = expected)
+        (List.init n Fun.id)
     | Extract k ->
       (* M.bindings is ordered by (qid, label, key): the order the memo
          must produce. *)
@@ -446,6 +465,50 @@ let test_memo_hits_allocate_nothing () =
   done;
   let words = int_of_float (Gc.minor_words () -. before) in
   if words > 8 then Alcotest.failf "2000 memo hits allocated %d words (bound 8)" words
+
+(* Allocation guard for query set-up and tear-down: once one query has
+   run, each of 1 000 fresh qids writes two prebuilt vertex keys to each
+   of two labels (creating both stores) and is cleared. Measured 0 words;
+   111 000 for a memo that builds each query's record, label array and
+   stores anew. The bound leaves room for the boxed floats
+   [Gc.minor_words] itself returns. *)
+let test_memo_lifecycle_allocates_nothing () =
+  let m = Memo.create () in
+  let keys = [| Value.Vertex 3; Value.Vertex 7 |] in
+  let run qid =
+    for i = 0 to Array.length keys - 1 do
+      ignore (Memo.add_if_absent m ~qid ~label:1 keys.(i) : bool);
+      ignore (Memo.add_if_absent m ~qid ~label:4 keys.(i) : bool)
+    done;
+    Memo.clear_query m qid
+  in
+  run 0;
+  let before = Gc.minor_words () in
+  for qid = 1 to 1000 do
+    run qid
+  done;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check int) "memo empty" 0 (Memo.live_entries m);
+  if words > 8 then Alcotest.failf "1000 warm query lifecycles allocated %d words (bound 8)" words
+
+(* Allocation guard for reads that find nothing: an aggregate flush or a
+   join probe for a query this partition never saw, or for a label the
+   live query has not written. Measured 0 words for the 3 000 reads;
+   91 163 for a memo that creates the query and its stores on a read.
+   Same bound as above. *)
+let test_memo_absent_reads_allocate_nothing () =
+  let m = Memo.create () in
+  ignore (Memo.add_if_absent m ~qid:0 ~label:1 (Value.Vertex 1) : bool);
+  let key = Value.Vertex 1 in
+  let before = Gc.minor_words () in
+  for qid = 1 to 1000 do
+    ignore (Memo.partial_opt m ~qid ~label:3 : Aggregate.t option);
+    ignore (Memo.rows_get m ~qid ~label:2 key : Value.t array list);
+    ignore (Memo.partial_opt m ~qid:0 ~label:qid : Aggregate.t option)
+  done;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check int) "one live record" 1 (Memo.live_entries m);
+  if words > 8 then Alcotest.failf "3000 absent memo reads allocated %d words (bound 8)" words
 
 (* --- Aggregate --- *)
 
@@ -522,6 +585,71 @@ let test_agg_collect_limit () =
   match accumulate_ints (Step.Collect { expr = Step.Reg 0; limit = Some 2 }) [ 5; 6; 7; 8 ] with
   | Value.List l -> Alcotest.(check int) "limited" 2 (List.length l)
   | other -> Alcotest.fail (Fmt.str "unexpected %a" Value.pp other)
+
+(* Scores that tie under [Value.compare] without being equal: [Int 3]
+   and [Float 3.0] compare 0, and a string sorts after every number. *)
+let tie_score =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> Value.Int i) (int_range 0 5));
+        (4, map (fun i -> Value.Float (float_of_int i)) (int_range 0 5));
+        (1, map (fun s -> Value.Str s) (oneofl [ "a"; "bcd" ]));
+      ])
+
+let topk_of ~k xs =
+  let t = Topk.create ~k ~cmp:Value.compare ~dummy:Value.Null in
+  List.iter (Topk.add t) xs;
+  t
+
+(* [Topk.merge] keeps exactly what feeding the source's sorted list,
+   worst first, to [add] kept: under ties the kept set depends on that
+   order. Results are compared structurally, so [Int 3] for [Float 3.0]
+   is a difference. *)
+let topk_merge_matches_list_reference =
+  QCheck.Test.make ~name:"topk merge equals the list-based merge" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(triple int (list Value.to_string) (list Value.to_string))
+        Gen.(triple (int_range 0 6) (list_size (int_range 0 12) tie_score)
+               (list_size (int_range 0 12) tie_score)))
+    (fun (k, xs, ys) ->
+      let merged = topk_of ~k xs and reference = topk_of ~k xs and src = topk_of ~k ys in
+      let src_before = Topk.to_sorted_list src in
+      Topk.merge ~into:merged src;
+      List.iter (Topk.add reference) (List.rev src_before);
+      Topk.to_sorted_list merged = Topk.to_sorted_list reference
+      && Topk.to_sorted_list src = src_before)
+
+(* [Aggregate.bytes] of a top-k partial is the sum over its kept (score,
+   output) pairs that the sorted list used to give. Outputs are distinct
+   vertices, so the finalized outputs name the kept pairs. *)
+let agg_topk_bytes_matches_sorted_sum =
+  QCheck.Test.make ~name:"topk partial bytes equal the sorted-list sum" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(pair int (list Value.to_string))
+        Gen.(pair (int_range 0 6) (list_size (int_range 0 12) tie_score)))
+    (fun (k, scores) ->
+      let g = Lazy.force dummy_graph in
+      let agg = Step.Topk { k; score = Step.Reg 0; output = Step.Reg 1 } in
+      let state = Aggregate.create agg in
+      let scores = Array.of_list scores in
+      Array.iteri
+        (fun i s -> Aggregate.accumulate agg state g ~vertex:0 ~regs:[| s; Value.Vertex i |])
+        scores;
+      let expected =
+        match Aggregate.finalize state with
+        | Value.List outputs ->
+          List.fold_left
+            (fun acc o ->
+              match o with
+              | Value.Vertex i -> acc + Value.bytes scores.(i) + Value.bytes o
+              | _ -> invalid_arg "non-vertex output")
+            8 outputs
+        | _ -> invalid_arg "non-list top-k"
+      in
+      Aggregate.bytes state = expected)
 
 (* --- Program validation --- *)
 
@@ -677,6 +805,10 @@ let () =
           Alcotest.test_case "rows" `Quick test_memo_rows;
           Alcotest.test_case "accounting" `Quick test_memo_accounting;
           Alcotest.test_case "hits allocate nothing" `Quick test_memo_hits_allocate_nothing;
+          Alcotest.test_case "a warm query lifecycle allocates nothing" `Quick
+            test_memo_lifecycle_allocates_nothing;
+          Alcotest.test_case "reads of an absent query allocate nothing" `Quick
+            test_memo_absent_reads_allocate_nothing;
           qcheck Memo_model.test;
         ] );
       ( "aggregate",
@@ -688,6 +820,8 @@ let () =
           qcheck agg_sum_matches;
           qcheck agg_max_matches;
           qcheck agg_merge_equals_concat;
+          qcheck topk_merge_matches_list_reference;
+          qcheck agg_topk_bytes_matches_sorted_sum;
         ] );
       ( "program",
         [
