@@ -7,10 +7,8 @@
 #
 # Runs bench/main.exe over every paper figure and ablation listed below,
 # in order: about 9 minutes of CPU on a 2-core x86 VM. Everything it
-# prints is simulated time, except the host-clock lines filtered here:
-#   - the "[<experiment> done in <t>s cpu]" line after each experiment;
-#   - the body of khop's "Plan cache: 200 compiles of one k-hop family
-#     (wall clock)" table (its title stays, as a marker).
+# prints is simulated time, except the host-clock line filtered here:
+# the "[<experiment> done in <t>s cpu]" line after each experiment.
 # Two runs of one commit differ in nothing else.
 #
 # Too slow for `dune runtest`; the fast golden rule in test/golden/ is
@@ -27,17 +25,8 @@ dune build bench/main.exe
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
-./_build/default/bench/main.exe "${experiments[@]}" | awk '
-  /^  \[[^]]* done in [0-9.]+s cpu\]$/ { next }
-  skip > 0 { skip--; next }
-  /^== Plan cache: .*\(wall clock\) ==$/ {
-    print
-    print "  (host wall-clock table filtered by bench/golden.sh)"
-    skip = 6
-    next
-  }
-  { print }
-' >"$out"
+./_build/default/bench/main.exe "${experiments[@]}" |
+  awk '!/^  \[[^]]* done in [0-9.]+s cpu\]$/' >"$out"
 
 if [ "${1:-}" = "--update" ]; then
   cp "$out" bench_output.txt

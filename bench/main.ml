@@ -43,12 +43,12 @@ let experiments =
     figure "repartition" "Ablation: adaptive repartitioning" Bench_repartition.run;
     smoke "repartition-smoke" "Smoke: cold adaptive repartitioning with the sanitizer on"
       Bench_repartition.smoke;
-    figure "khop" "k-hop throughput: frontier batching and the plan cache" Bench_khop.run;
+    figure "khop" "k-hop throughput: frontier batching" Bench_khop.run;
     figure "critpath" "EXPLAIN LATENCY: critical-path attribution at 1/8/32 nodes"
       Bench_critpath.run;
     smoke "critpath-smoke" "Smoke: causal tracing + exact attribution across every registry engine"
       Bench_critpath.smoke;
-    smoke "batch-smoke" "Smoke: batched execution + plan-cache hit with the sanitizer on"
+    smoke "batch-smoke" "Smoke: batched execution with the sanitizer on"
       Bench_khop.smoke;
     smoke "mc-smoke" "Smoke: schedule exploration + protocol mutation catching" Bench_mc.smoke;
     figure "serve" "Service layer: open-loop load, admission control vs baseline" Bench_serve.run;

@@ -1,9 +1,10 @@
 (* The assembled property graph G = (V, E, lambda).
 
-   Immutable after construction (transactional updates live in the separate
-   [pstm_txn] substrate). Both traversal directions are materialized as CSR
-   structures sharing global edge ids, so edge properties are reachable
-   either way. A registry of hash indexes backs the IndexLookup step. *)
+   Immutable after construction (updates are priced by a cost model, not
+   applied; see [Pstm_ldbc.Updates]). Both traversal directions are
+   materialized as CSR structures sharing global edge ids, so edge
+   properties are reachable either way. A registry of hash indexes backs
+   the IndexLookup step. *)
 
 type direction =
   | Out

@@ -76,10 +76,9 @@ val max_throughput :
 type update_result = {
   per_kind : (string * Stats.summary) list;
   committed : int;
-  aborted : int;
+  aborted : int; (** always 0: updates run one at a time and never conflict *)
 }
 
-(** Run the update mix against the transactional substrate at the rate
-    implied by [tcr]. *)
-val run_updates :
-  ?n_nodes:int -> duration:Sim_time.t -> tcr:float -> seed:int -> Snb_gen.t -> update_result
+(** Run the update mix at the rate implied by [tcr], each update priced
+    by {!Updates.simulated_latency}. *)
+val run_updates : duration:Sim_time.t -> tcr:float -> seed:int -> Snb_gen.t -> update_result

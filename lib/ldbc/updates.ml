@@ -1,10 +1,12 @@
 (* LDBC SNB interactive update operations (UP), §V-A1.
 
-   Updates run against the transactional substrate (pstm_txn): each takes
-   timestamps from the centralized manager, acquires MV2PL locks, appends
-   TEL versions and commits. [simulated_latency] prices one update for the
-   mixed-workload report: a manager round trip for the timestamp, the
-   lock/append work, and the commit round trip. *)
+   Updates are priced, not executed. No read ever sees an update's
+   writes, and the driver runs one update at a time, so under the §IV-C
+   protocol (timestamps from a centralized manager, MV2PL locks, TEL
+   appends, commit) every update commits and none conflicts. What the
+   mixed-workload report needs is the price: [simulated_latency], a
+   manager round trip for the timestamp, the lock/append work of the
+   update's [footprint], and the commit round trip. *)
 
 type kind =
   | Add_person
@@ -27,12 +29,7 @@ let kind_name = function
   | Add_comment -> "UP-comment"
   | Add_like -> "UP-like"
 
-type outcome =
-  | Committed
-  | Aborted
-
-(* Number of vertex locks + edge appends an update performs; drives both
-   the real store mutation and the latency model. *)
+(* Number of vertex locks + edge appends an update performs. *)
 let footprint = function
   | Add_person -> (1, 2) (* new vertex, located-in + interest edges *)
   | Add_friendship -> (2, 2) (* both endpoints, knows in both directions *)
@@ -42,62 +39,20 @@ let footprint = function
   | Add_comment -> (2, 2)
   | Add_like -> (2, 1)
 
-let random_vertex store prng =
-  let n = Txn_graph.n_vertices store in
-  if n = 0 then None else Some (Prng.int prng n)
-
-(* Execute one update transaction against the store. *)
-let apply store prng kind =
-  let txn = Txn_graph.begin_update store in
-  try
-    (match kind with
-    | Add_person ->
-      let v =
-        Txn_graph.add_vertex txn ~label:Snb_schema.person
-          ~props:[ ("firstName", Value.Str "New"); ("creationDate", Value.Int Snb_gen.date_hi) ]
-          ()
-      in
-      (match random_vertex store prng with
-      | Some u when u <> v -> Txn_graph.insert_edge txn ~src:v ~label:Snb_schema.knows ~dst:u
-      | _ -> ())
-    | Add_friendship -> begin
-      match random_vertex store prng, random_vertex store prng with
-      | Some a, Some b when a <> b ->
-        Txn_graph.insert_edge txn ~src:a ~label:Snb_schema.knows ~dst:b;
-        Txn_graph.insert_edge txn ~src:b ~label:Snb_schema.knows ~dst:a
-      | _ -> ()
-    end
-    | Add_forum ->
-      ignore
-        (Txn_graph.add_vertex txn ~label:Snb_schema.forum
-           ~props:[ ("title", Value.Str "NewForum") ]
-           ())
-    | Add_membership -> begin
-      match random_vertex store prng, random_vertex store prng with
-      | Some f, Some p when f <> p ->
-        Txn_graph.insert_edge txn ~src:f ~label:Snb_schema.has_member ~dst:p
-      | _ -> ()
-    end
-    | Add_post | Add_comment ->
-      let label = if kind = Add_post then Snb_schema.post else Snb_schema.comment in
-      let m =
-        Txn_graph.add_vertex txn ~label
-          ~props:[ ("creationDate", Value.Int Snb_gen.date_hi) ]
-          ()
-      in
-      (match random_vertex store prng with
-      | Some creator when creator <> m ->
-        Txn_graph.insert_edge txn ~src:m ~label:Snb_schema.has_creator ~dst:creator
-      | _ -> ())
-    | Add_like -> begin
-      match random_vertex store prng, random_vertex store prng with
-      | Some p, Some m when p <> m ->
-        Txn_graph.insert_edge txn ~src:p ~label:Snb_schema.likes ~dst:m
-      | _ -> ()
-    end);
-    Txn_graph.commit txn;
-    Committed
-  with Txn_graph.Aborted _ -> Aborted
+(* A new vertex (person, forum, post, comment) joins the population
+   first; then each existing endpoint is one uniform draw over it, and
+   none while it is empty. [Prng.int] consumes one draw whatever its
+   bound, so the count is all the state the stream depends on. *)
+let draw_endpoints prng ~population kind =
+  let draw () = if !population > 0 then ignore (Prng.int prng !population) in
+  match kind with
+  | Add_person | Add_post | Add_comment ->
+    incr population;
+    draw ()
+  | Add_forum -> incr population
+  | Add_friendship | Add_membership | Add_like ->
+    draw ();
+    draw ()
 
 (* Simulated latency of one update: manager round trip for the timestamp,
    lock acquisitions and TEL appends, then the commit round trip. *)
@@ -109,15 +64,3 @@ let simulated_latency (net : Netmodel.t) (costs : Cluster.costs) kind =
     + (locks * Sim_time.to_ns costs.Cluster.latch)
     + (appends * Sim_time.to_ns costs.Cluster.memo_op)
     + Sim_time.to_ns costs.Cluster.step_dispatch)
-
-(* Seed a transactional store mirroring a generated SNB graph's person
-   population, for workload runs. *)
-let store_of_data (d : Snb_gen.t) ~n_nodes =
-  let store = Txn_graph.create ~n_nodes () in
-  let txn = Txn_graph.begin_update store in
-  for i = 0 to min 499 (Array.length d.Snb_gen.persons - 1) do
-    ignore
-      (Txn_graph.add_vertex txn ~label:Snb_schema.person ~props:[ ("id", Value.Int i) ] ())
-  done;
-  Txn_graph.commit txn;
-  store

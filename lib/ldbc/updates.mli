@@ -1,5 +1,5 @@
-(** LDBC SNB interactive update operations, executed against the
-    transactional substrate (pstm_txn). *)
+(** LDBC SNB interactive update operations, priced by the §IV-C cost
+    model rather than executed against a store. *)
 
 type kind =
   | Add_person
@@ -13,20 +13,16 @@ type kind =
 val all_kinds : kind list
 val kind_name : kind -> string
 
-type outcome =
-  | Committed
-  | Aborted
-
 (** [(vertex locks, edge appends)] performed by an update kind. *)
 val footprint : kind -> int * int
 
-(** Execute one update transaction (MV2PL no-wait: may abort). *)
-val apply : Txn_graph.t -> Prng.t -> kind -> outcome
+(** Consume the PRNG draws that choosing one update's endpoints takes:
+    a new person, forum, post or comment first adds one vertex to
+    [population]; then persons, posts and comments draw one existing
+    endpoint, friendships, memberships and likes two, forums none. No
+    draw is made while [population] is 0. *)
+val draw_endpoints : Prng.t -> population:int ref -> kind -> unit
 
 (** Simulated latency of one update under the §IV-C cost model: manager
     round trips, lock acquisitions, TEL appends, commit broadcast. *)
 val simulated_latency : Netmodel.t -> Cluster.costs -> kind -> Sim_time.t
-
-(** Transactional store seeded with (a subset of) a generated dataset's
-    person population. *)
-val store_of_data : Snb_gen.t -> n_nodes:int -> Txn_graph.t

@@ -72,11 +72,6 @@ module Counter = struct
   let batched_traversers = declare "batched_traversers" "traversers carried by those batches"
   let coalesced_msgs = declare "coalesced_msgs" "remote traverser-batch messages"
 
-  (* Compiled-plan cache, mirrored from Plan_cache by the harness. *)
-  let plan_hits = declare "plan_hits" "plan-cache hits"
-  let plan_misses = declare "plan_misses" "plan-cache misses"
-  let plan_verifications = declare "plan_verifications" "full verifier runs (cold compiles)"
-
   (* Mirrored from the recorder ring. *)
   let trace_dropped = declare "trace_dropped" "trace events overwritten in the bounded ring"
 
@@ -121,11 +116,6 @@ let count_batch t ~traversers =
   incr t Counter.batches;
   add t Counter.batched_traversers traversers;
   Histogram.add t.batch_sizes (float_of_int traversers)
-
-let add_plan_stats t ~hits ~misses ~verifications =
-  add t Counter.plan_hits hits;
-  add t Counter.plan_misses misses;
-  add t Counter.plan_verifications verifications
 
 let messages t kind = t.messages.(kind_index kind)
 let message_bytes t kind = t.bytes.(kind_index kind)

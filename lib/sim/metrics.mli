@@ -1,7 +1,6 @@
 (** Per-run counters: messages by kind (Figure 11), a registry of scalar
-    counters (packets, steps, supersteps, tracker load, fault, migration,
-    batching and plan-cache counts), and the traversers-per-batch
-    histogram. *)
+    counters (packets, steps, supersteps, tracker load, fault, migration
+    and batching counts), and the traversers-per-batch histogram. *)
 
 type msg_kind =
   | Traverser_msg
@@ -53,12 +52,6 @@ module Counter : sig
   val batched_traversers : t
   val coalesced_msgs : t
 
-  (** Compiled-plan cache; all zero when no cache is used. *)
-  val plan_hits : t
-
-  val plan_misses : t
-  val plan_verifications : t
-
   (** Trace events overwritten in the bounded recorder ring; zero when
       the trace is complete (or tracing is off). *)
   val trace_dropped : t
@@ -87,11 +80,6 @@ val count_message : t -> msg_kind -> int -> unit
 (** One frontier batch: bumps [batches] and [batched_traversers] and
     feeds the {!batch_sizes} histogram. *)
 val count_batch : t -> traversers:int -> unit
-
-(** Fold plan-cache statistics in bulk; used to mirror
-    [Pstm_query.Plan_cache.stats] (which cannot depend on this library)
-    into the run report. *)
-val add_plan_stats : t -> hits:int -> misses:int -> verifications:int -> unit
 
 val messages : t -> msg_kind -> int
 val message_bytes : t -> msg_kind -> int

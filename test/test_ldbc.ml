@@ -123,12 +123,42 @@ let test_throughput_helpers () =
 
 let test_update_driver () =
   let data = Lazy.force data in
-  let r = Driver.run_updates ~n_nodes:2 ~duration:(Sim_time.ms 20) ~tcr:1.0 ~seed:6 data in
+  let r = Driver.run_updates ~duration:(Sim_time.ms 20) ~tcr:1.0 ~seed:6 data in
   Alcotest.(check bool) "some updates ran" true (r.Driver.committed > 0);
   List.iter
     (fun (_, (s : Stats.summary)) ->
       Alcotest.(check bool) "update latency positive" true (s.Stats.mean > 0.0))
     r.Driver.per_kind
+
+(* The update stream pinned at a fixed seed, duration and TCR: the kind
+   sequence depends on how many PRNG draws each update consumes, so any
+   change to that count moves these numbers. Every update commits, and
+   each kind is priced exactly at its closed-form latency. *)
+let test_update_stream_pinned () =
+  let data = Lazy.force data in
+  let r = Driver.run_updates ~duration:(Sim_time.ms 200) ~tcr:0.1 ~seed:17 data in
+  Alcotest.(check int) "committed" 525 r.Driver.committed;
+  Alcotest.(check int) "aborted" 0 r.Driver.aborted;
+  Alcotest.(check (list (pair string int)))
+    "per-kind counts"
+    [
+      ("UP-person", 68);
+      ("UP-friendship", 88);
+      ("UP-forum", 75);
+      ("UP-membership", 79);
+      ("UP-post", 70);
+      ("UP-comment", 70);
+      ("UP-like", 75);
+    ]
+    (List.map (fun (name, (s : Stats.summary)) -> (name, s.Stats.count)) r.Driver.per_kind);
+  List.iter2
+    (fun kind (name, (s : Stats.summary)) ->
+      let priced = Sim_time.to_ms (Updates.simulated_latency Netmodel.default Cluster.default_costs kind) in
+      Alcotest.(check string) "kind order" (Updates.kind_name kind) name;
+      Alcotest.(check (float 0.0)) (name ^ " min") priced s.Stats.min;
+      Alcotest.(check (float 0.0)) (name ^ " max") priced s.Stats.max;
+      Alcotest.(check (float 1e-12)) (name ^ " mean") priced s.Stats.mean)
+    Updates.all_kinds r.Driver.per_kind
 
 let () =
   Alcotest.run "ldbc"
@@ -142,5 +172,6 @@ let () =
           Alcotest.test_case "mixed run" `Quick test_mixed_run_small;
           Alcotest.test_case "latency/throughput helpers" `Quick test_throughput_helpers;
           Alcotest.test_case "updates" `Quick test_update_driver;
+          Alcotest.test_case "update stream pinned" `Quick test_update_stream_pinned;
         ] );
     ]

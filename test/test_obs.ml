@@ -211,8 +211,7 @@ let test_metrics_json_keys () =
       "flushes"; "steps"; "edges_scanned"; "spawned"; "memo_ops"; "supersteps"; "tracker_updates";
       "busy_ns"; "fault_drops"; "fault_dups"; "fault_delays"; "retransmits"; "dup_dropped"; "acks";
       "abandoned"; "migrations"; "migrated_entries"; "forwarded"; "stashed"; "batches";
-      "batched_traversers"; "coalesced_msgs"; "batch_sizes"; "plan_hits"; "plan_misses";
-      "plan_verifications"; "trace_dropped";
+      "batched_traversers"; "coalesced_msgs"; "batch_sizes"; "trace_dropped";
     ]
     keys
 

@@ -565,6 +565,22 @@ let test_metrics_counters () =
     Metrics.all_kinds;
   Alcotest.(check int) "reset batch sizes" 0 (Histogram.count (Metrics.batch_sizes m))
 
+(* pp shows exactly the counters that fired, in declaration order
+   whatever the order they were written in; reset hides them again. *)
+let test_metrics_pp_fired () =
+  let fired = Metrics.create () in
+  Metrics.add fired Metrics.Counter.coalesced_msgs 2;
+  Metrics.add fired Metrics.Counter.batches 3;
+  Alcotest.(check int) "batches" 3 Metrics.(get fired Counter.batches);
+  Alcotest.(check int) "coalesced" 2 Metrics.(get fired Counter.coalesced_msgs);
+  Alcotest.(check string) "pp shows non-zero counters"
+    "traverser=0/0B progress=0/0B control=0/0B result=0/0B batches=3 coalesced_msgs=2"
+    (Fmt.str "%a" Metrics.pp fired);
+  Metrics.reset fired;
+  Alcotest.(check string) "reset clears"
+    "traverser=0/0B progress=0/0B control=0/0B result=0/0B"
+    (Fmt.str "%a" Metrics.pp fired)
+
 let () =
   Alcotest.run "sim"
     [
@@ -606,5 +622,9 @@ let () =
           qcheck channel_random_traffic;
           Alcotest.test_case "allocation per message" `Quick test_channel_allocation;
         ] );
-      ("metrics", [ Alcotest.test_case "counters" `Quick test_metrics_counters ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "counters" `Quick test_metrics_counters;
+          Alcotest.test_case "pp shows fired counters" `Quick test_metrics_pp_fired;
+        ] );
     ]
