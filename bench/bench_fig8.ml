@@ -90,9 +90,10 @@ let run_single_node () =
           let program = make data prng in
           let report =
             if single then
-              Single_node_engine.run
+              Engine.run_via_start
+                (Single_node_engine.start ~memory_capacity:capacity ~workers:32
+                   ~base_config:paper_cluster)
                 ~common:(Engine.Common.with_deadline (Some deadline) Engine.Common.default)
-                ~memory_capacity:capacity ~workers:32 ~base_config:paper_cluster
                 ~graph:data.Snb_gen.graph
                 [| Engine.submit program |]
             else

@@ -255,26 +255,16 @@ let trace_cmd =
     let doc = "Write the Chrome trace-event JSON (open in chrome://tracing or Perfetto) here." in
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
   in
-  let trace_engine_arg =
-    let doc = "Execution engine to trace: async (GraphDance) or bsp." in
-    Arg.(value & opt (enum [ ("async", `Async); ("bsp", `Bsp) ]) `Async
-         & info [ "e"; "engine" ] ~doc)
-  in
   let run dataset text engine config trace_out =
     to_exit
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
        let* program = compile_query graph text in
+       let* (module E : Engine.S) = resolve_engine ~config engine in
        let obs = Pstm_obs.Recorder.create () in
-       let common = Engine.Common.with_obs obs Engine.Common.default in
        let report =
-         match engine with
-         | `Async ->
-           Async_engine.run ~common ~cluster_config:config
-             ~channel_config:Channel.default_config ~graph
-             [| Engine.submit program |]
-         | `Bsp ->
-           Bsp_engine.run ~common ~cluster_config:config ~graph [| Engine.submit program |]
+         E.run ~common:(Engine.Common.with_obs obs Engine.Common.default) ~graph
+           [| Engine.submit program |]
        in
        let q = report.Engine.queries.(0) in
        let step_label i = Step.op_summary (Program.step program i).Step.op in
@@ -294,7 +284,7 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run a query with tracing: operator stats table plus a Chrome trace-event file")
     Term.(
-      const run $ dataset_arg $ query_arg $ trace_engine_arg $ cluster_arg $ trace_out_arg)
+      const run $ dataset_arg $ query_arg $ engine_arg $ cluster_arg $ trace_out_arg)
 
 let why_cmd =
   let json_arg =

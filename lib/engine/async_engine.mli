@@ -26,8 +26,6 @@ type adaptive_options = {
   min_traffic : int;  (** fresh profiled traversals needed to consider a round *)
 }
 
-val default_adaptive : adaptive_options
-
 type options = {
   flavor : flavor;
   weight_coalescing : bool;
@@ -46,8 +44,8 @@ val default_options : options
     simulated cluster; returns latencies, rows, and channel metrics.
 
     [common] carries the cross-cutting knobs shared by every engine
-    ({!Engine.Common}): recorder, sanitizer mode, deadline, placement
-    seed and an optional fault schedule.
+    ({!Engine.Common}): recorder, sanitizer mode, deadline and an
+    optional fault schedule.
 
     [common.check] enables the runtime sanitizer: per-exec weight
     conservation, tracker overshoot detection, and (when neither a

@@ -136,13 +136,10 @@ type spawns =
 
 type outcome = {
   spawns : spawns;
-  n_spawns : int;
   finished : Weight.t; (* weight of pruned / childless branches *)
   edges_scanned : int;
   prop_reads : int;
 }
-
-let n_spawns o = o.n_spawns
 
 let iter_spawns o f =
   match o.spawns with
@@ -283,7 +280,6 @@ let run_packed ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step
   in
   {
     spawns = Packed { leaves; shares = s.out_shares; travs; exit_step };
-    n_spawns = Vec.length leaves;
     finished;
     edges_scanned = !edges;
     prop_reads = !reads;
@@ -366,7 +362,6 @@ let run_entries ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step
   in
   {
     spawns = Entries { leaves; shares = s.out_shares; exit_step };
-    n_spawns = Vec.length leaves;
     finished;
     edges_scanned = !edges;
     prop_reads = !reads;

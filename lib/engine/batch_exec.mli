@@ -29,13 +29,10 @@ type spawns
 
 type outcome = {
   spawns : spawns;
-  n_spawns : int; (** number of surviving leaves *)
   finished : Weight.t; (** weight of pruned / childless branches *)
   edges_scanned : int;
   prop_reads : int;
 }
-
-val n_spawns : outcome -> int
 
 (** [iter_spawns o f] calls [f ~parent child] for each surviving leaf,
     in frontier order, where [parent] is the batch index of the input

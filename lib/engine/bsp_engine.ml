@@ -22,20 +22,11 @@
    clock is at or past [t], exactly like a query arriving between
    barriers. *)
 
-type query_state = {
-  qid : int;
-  program : Program.t;
-  coordinator : int;
-  tenant : int;
-  priority : int;
-  submitted : Sim_time.t;
-  deadline_at : Sim_time.t option; (* absolute: submitted + per-query budget *)
-  mutable outcome : Engine.outcome option;
+(* The engine's own per-query state, beside the lifecycle's. *)
+type ext = {
   mutable live : int; (* traversers of this query in frontiers *)
   mutable phase : int;
-  rows : Value.t array Vec.t;
   mutable started : bool;
-  touched : Bitset.t; (* workers that executed a traverser (first-touch) *)
 }
 
 type task = {
@@ -57,9 +48,7 @@ type profile =
 let profile_name = function Ablation -> "bsp-ablation" | Tigergraph_role -> "tigergraph-role"
 
 let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_config ~graph () =
-  let obs = common.Engine.Common.obs in
-  let check = common.Engine.Common.check in
-  let deadline = common.Engine.Common.deadline in
+  let { Engine.Common.obs; check; deadline; _ } = common in
   (* Fault plane: only the schedule-driven faults apply here. The bulk
      exchange is closed-form (one reliable transfer per superstep, no
      per-packet events), so drop/duplicate/delay verdicts have nothing to
@@ -84,46 +73,33 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   in
   let frontier = Array.init n_workers (fun _ -> Queue.create ()) in
   let next_frontier = Array.init n_workers (fun _ -> Queue.create ()) in
-  let queries : (int, query_state) Hashtbl.t = Hashtbl.create 64 in
-  let next_qid = ref 0 in
-  let query qid =
-    match Hashtbl.find_opt queries qid with
-    | Some q -> q
-    | None -> Fmt.invalid_arg "bsp: unknown query %d" qid
-  in
-  let iter_queries f =
-    for qid = 0 to !next_qid - 1 do
-      f (query qid)
-    done
-  in
-  let on_terminal : (int -> Engine.outcome -> unit) ref = ref (fun _ _ -> ()) in
   let clock = ref Sim_time.zero in
   (* Caller events (service layer arrivals / cancellations / timers) fire
      at barrier granularity, in (time, insertion) order. *)
   let timers = Event_queue.create () in
-  let sv_add t f = Event_queue.schedule_at timers ~time:(max t !clock) ~tag:0 f in
+  let life =
+    Lifecycle.create ~name:(profile_name profile) ~n_workers ~common
+      ~now:(fun () -> !clock)
+      ~schedule:(fun time f -> Event_queue.schedule_at timers ~time ~tag:0 f)
+      ()
+  in
   let fire_service () = Event_queue.run_until timers ~time:!clock in
-  let route q trav = Exec.route ~graph ~partition ~coordinator:q.coordinator q.program trav in
+  let route (q : ext Lifecycle.query) trav =
+    Exec.route ~graph ~partition ~coordinator:q.coordinator q.program trav
+  in
   (* Scoped termination: the query stops consuming supersteps (its
      remaining frontier tasks are skipped on pop) and its memo entries
      are reclaimed immediately, so the end-of-run memo-emptiness
      invariant holds through mid-flight cancellation. *)
-  let terminate qid outcome =
-    let q = query qid in
-    if q.outcome = None then begin
-      q.outcome <- Some outcome;
-      Array.iter (fun memo -> Memo.clear_query memo qid) memos;
-      if obs_on then
-        Pstm_obs.Trace.instant trace ~tid:(Engine.query_track qid)
-          ~name:(Engine.outcome_name outcome) ~ts:!clock ();
-      !on_terminal qid outcome
-    end
+  let end_query q outcome =
+    Lifecycle.end_query life q outcome (fun () ->
+        Array.iter (fun memo -> Memo.clear_query memo q.Lifecycle.qid) memos)
   in
   let admit_pending () =
-    iter_queries (fun q ->
-        if (not q.started) && q.outcome = None && Sim_time.compare q.submitted !clock <= 0
+    Lifecycle.iter life (fun q ->
+        if (not q.ext.started) && Lifecycle.is_live q && Sim_time.compare q.submitted !clock <= 0
         then begin
-          q.started <- true;
+          q.ext.started <- true;
           if obs_on then
             Pstm_obs.Trace.instant trace ~tid:(Engine.query_track q.qid) ~name:"submit"
               ~ts:q.submitted
@@ -140,22 +116,22 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
                 Pstm_obs.Opstats.seed opstats n_workers;
                 for w = 0 to n_workers - 1 do
                   Queue.add { t_qid = q.qid; trav = root } frontier.(w);
-                  q.live <- q.live + 1
+                  q.ext.live <- q.ext.live + 1
                 done
               | _ ->
                 Pstm_obs.Opstats.seed opstats 1;
                 Queue.add { t_qid = q.qid; trav = root } frontier.(q.coordinator);
-                q.live <- q.live + 1)
+                q.ext.live <- q.ext.live + 1)
             (Program.entries q.program)
         end)
   in
   (* Per-query latency budgets expire at barrier granularity too: the
      first barrier past [submitted + deadline] cuts the query off. *)
   let expire_deadlines () =
-    iter_queries (fun q ->
+    Lifecycle.iter life (fun q ->
         match q.deadline_at with
-        | Some t when q.outcome = None && Sim_time.compare t !clock <= 0 ->
-          terminate q.qid Engine.Timed_out
+        | Some t when Lifecycle.is_live q && Sim_time.compare t !clock <= 0 ->
+          end_query q Engine.Timed_out
         | _ -> ())
   in
   let next_wake () =
@@ -163,7 +139,8 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
     let consider t =
       match !acc with None -> acc := Some t | Some t' -> acc := Some (min t t')
     in
-    iter_queries (fun q -> if (not q.started) && q.outcome = None then consider q.submitted);
+    Lifecycle.iter life (fun q ->
+        if (not q.ext.started) && Lifecycle.is_live q then consider q.submitted);
     Option.iter consider (Event_queue.next_time timers);
     !acc
   in
@@ -182,8 +159,8 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   let scheduling_overhead () =
     let live_ops = ref 0 in
     let live_queries = ref 0 in
-    iter_queries (fun q ->
-        if q.started && q.outcome = None then begin
+    Lifecycle.iter life (fun q ->
+        if q.ext.started && Lifecycle.is_live q then begin
           live_ops := !live_ops + Program.n_steps q.program;
           incr live_queries
         end);
@@ -204,11 +181,11 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
       let elapsed = ref compute.(w) in
       while not (Queue.is_empty frontier.(w)) do
         let { t_qid; trav } = Queue.pop frontier.(w) in
-        let q = query t_qid in
-        q.live <- q.live - 1;
+        let q = Lifecycle.query life t_qid in
+        q.ext.live <- q.ext.live - 1;
         (* Tasks of a cancelled / timed-out query die here: popped but
            not executed, so a terminated query consumes no more steps. *)
-        if q.outcome = None then begin
+        if Lifecycle.is_live q then begin
           if obs_on && Bitset.add_if_absent q.touched w then
             Pstm_obs.Trace.instant trace ~tid:(Engine.query_track t_qid) ~name:"first_touch"
               ~ts:clock0
@@ -233,7 +210,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
           Vec.iter
             (fun child ->
               Metrics.(incr metrics Counter.spawned);
-              q.live <- q.live + 1;
+              q.ext.live <- q.ext.live + 1;
               let dst = route q child in
               if dst = w then
                 (* Same worker: keep chaining inside this superstep. *)
@@ -322,9 +299,9 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   (* Phase transitions happen at barriers: a query whose traversers all
      died either combines its pending aggregate or is complete. *)
   let handle_phase_boundaries () =
-    iter_queries (fun q ->
-        if q.started && q.outcome = None && q.live = 0 then begin
-          match Program.agg_of_phase q.program q.phase with
+    Lifecycle.iter life (fun q ->
+        if q.ext.started && Lifecycle.is_live q && q.ext.live = 0 then begin
+          match Program.agg_of_phase q.program q.ext.phase with
           | Some agg_step ->
             let acc = ref None in
             Array.iter
@@ -339,69 +316,33 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
             if obs_on then
               Pstm_obs.Trace.instant trace ~tid:(Engine.query_track q.qid) ~name:"phase_complete"
                 ~ts:!clock
-                ~args:[ ("phase", Pstm_obs.Trace.I q.phase) ]
+                ~args:[ ("phase", Pstm_obs.Trace.I q.ext.phase) ]
                 ();
             Pstm_obs.Opstats.seed opstats 1;
-            q.phase <- q.phase + 1;
-            q.live <- 1;
+            q.ext.phase <- q.ext.phase + 1;
+            q.ext.live <- 1;
             Queue.add { t_qid = q.qid; trav = cont } frontier.(route q cont)
-          | None ->
-            q.outcome <- Some (Engine.Completed !clock);
-            if obs_on then
-              Pstm_obs.Trace.instant trace ~tid:(Engine.query_track q.qid) ~name:"complete"
-                ~ts:!clock
-                ~args:
-                  [
-                    ("rows", Pstm_obs.Trace.I (Vec.length q.rows));
-                    ("workers_touched", Pstm_obs.Trace.I (Bitset.count q.touched));
-                  ]
-                ();
-            Array.iter (fun memo -> Memo.clear_query memo q.qid) memos;
-            !on_terminal q.qid (Engine.Completed !clock)
+          | None -> end_query q (Engine.Completed !clock)
         end)
   in
-  let submit_sub (s : Engine.submission) =
-    let qid = !next_qid in
-    incr next_qid;
-    Hashtbl.add queries qid
-      {
-        qid;
-        program = s.Engine.program;
-        coordinator = qid mod n_workers;
-        tenant = s.Engine.tenant;
-        priority = s.Engine.priority;
-        submitted = s.Engine.at;
-        deadline_at = Option.map (fun d -> Sim_time.add s.Engine.at d) s.Engine.deadline;
-        outcome = None;
-        live = 0;
-        phase = 0;
-        rows = Vec.create ~dummy:[||];
-        started = false;
-        touched = Bitset.create n_workers;
-      };
-    qid
-  in
+  let submit s = (Lifecycle.submit life s { live = 0; phase = 0; started = false }).qid in
   let drive ~until =
-    let stop =
-      match (until, deadline) with
-      | None, None -> None
-      | (None, Some t | Some t, None) -> Some t
-      | Some t, Some d -> Some (min t d)
-    in
+    let stop = Lifecycle.stop life ~until in
     let past_stop () =
       match stop with None -> false | Some d -> Sim_time.compare !clock d > 0
     in
-    fire_service ();
-    admit_pending ();
-    expire_deadlines ();
+    let barrier () =
+      fire_service ();
+      admit_pending ();
+      expire_deadlines ()
+    in
+    barrier ();
     let continue = ref true in
     while !continue do
       if past_stop () then continue := false
       else if not (frontiers_empty ()) then begin
         superstep ();
-        fire_service ();
-        admit_pending ();
-        expire_deadlines ();
+        barrier ();
         handle_phase_boundaries ()
       end
       else begin
@@ -409,9 +350,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
         match next_wake () with
         | Some t when (match stop with None -> true | Some s -> Sim_time.compare t s <= 0) ->
           clock := max !clock t;
-          fire_service ();
-          admit_pending ();
-          expire_deadlines ();
+          barrier ();
           handle_phase_boundaries ()
         | _ -> continue := false
       end
@@ -421,64 +360,16 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
     (* A run cut short by the run-level deadline leaves queries
        unfinished: they report TIMEOUT with their memos reclaimed, the
        same graceful degradation as the async engine. *)
-    if deadline <> None then
-      iter_queries (fun q ->
-          if q.outcome = None then begin
-            q.outcome <- Some Engine.Timed_out;
-            Array.iter (fun memo -> Memo.clear_query memo q.qid) memos;
-            !on_terminal q.qid Engine.Timed_out
-          end);
-    (* Sanitizer post-conditions (only when the run was not deadline-cut):
-       every query reached a terminal outcome, and query-scoped memos
-       were cleared at each terminal transition. *)
-    if check && deadline = None then begin
-      iter_queries (fun q ->
-          if q.outcome = None then
-            Engine.check_fail "bsp: query %d never terminated (live count wedged at %d)" q.qid
-              q.live);
-      Array.iteri
-        (fun w memo ->
-          let n = Memo.live_entries memo in
-          if n > 0 then
-            Engine.check_fail "bsp: worker %d holds %d memo entries after all queries completed"
-              w n)
-        memos
-    end;
-    (* Surface ring truncation: a trace that silently dropped events would
-       otherwise read as a complete record. *)
-    if obs_on then Metrics.(set metrics Counter.trace_dropped (Pstm_obs.Trace.dropped trace));
-    let reports =
-      Array.init !next_qid (fun qid ->
-          let q = query qid in
-          {
-            Engine.qid = q.qid;
-            name = Program.name q.program;
-            tenant = q.tenant;
-            priority = q.priority;
-            submitted = q.submitted;
-            outcome = (match q.outcome with Some o -> o | None -> Engine.Timed_out);
-            rows = Vec.to_list q.rows;
-          })
-    in
-    {
-      Engine.engine = profile_name profile;
-      queries = reports;
-      makespan = !clock;
-      metrics;
-      events = Metrics.(get metrics Counter.supersteps);
-      worker_busy = busy_total;
-    }
+    let cut = deadline <> None in
+    if cut then Lifecycle.sweep life;
+    Lifecycle.check_end life "bsp" ~cut
+      ~wedged:(fun q -> Fmt.str "live count wedged at %d" q.ext.live)
+      memos;
+    Lifecycle.report life ~makespan:!clock ~metrics
+      ~events:Metrics.(get metrics Counter.supersteps)
+      ~worker_busy:busy_total
   in
-  {
-    Engine.sh_name = profile_name profile;
-    sh_submit = submit_sub;
-    sh_cancel = (fun ~qid ~at -> sv_add at (fun () -> terminate qid Engine.Cancelled));
-    sh_at = sv_add;
-    sh_now = (fun () -> !clock);
-    sh_on_terminal = (fun f -> on_terminal := f);
-    sh_drive = drive;
-    sh_finish = finish;
-  }
+  Lifecycle.handle life ~submit ~terminate:end_query ~drive ~finish
 
 let run ?profile ?common ~cluster_config ~graph (submissions : Engine.submission array) =
   Engine.run_via_start

@@ -33,16 +33,15 @@ let submit ?(at = Sim_time.zero) ?(tenant = 0) ?(priority = 0) ?deadline program
 (* --- Common run options ------------------------------------------------
 
    Every engine takes the same cross-cutting knobs — tracing, sanitizer
-   mode, wall-clock deadline, placement seed and (optionally) a fault
-   schedule — so they live in one record passed as [?common] instead of
-   a copy-pasted [?obs ?check ?deadline] triple per engine. *)
+   mode, run deadline and (optionally) a fault schedule — so they live
+   in one record passed as [?common] instead of a copy-pasted
+   [?obs ?check ?deadline] triple per engine. *)
 
 module Common = struct
   type t = {
     obs : Pstm_obs.Recorder.t; (* trace/opstats/traffic/causal sink *)
     check : bool; (* dynamic sanitizer (Check_violation on failure) *)
     deadline : Sim_time.t option; (* stop the run at this simulated time *)
-    seed : int; (* placement / tie-break randomness *)
     faults : Faults.spec option; (* deterministic fault schedule *)
     batched : bool; (* frontier-batched execution (engines may ignore it) *)
     chooser : Event_queue.chooser option;
@@ -57,7 +56,6 @@ module Common = struct
       obs = Pstm_obs.Recorder.disabled;
       check = false;
       deadline = None;
-      seed = 0x5157;
       faults = None;
       batched = false;
       chooser = None;
@@ -131,7 +129,6 @@ let completed_latencies_ms r =
   Vec.to_array ls
 
 let mean_latency_ms r = Stats.mean (completed_latencies_ms r)
-let p50_latency_ms r = Stats.percentile (completed_latencies_ms r) 50.0
 let p99_latency_ms r = Stats.percentile (completed_latencies_ms r) 99.0
 
 (* Completed queries per simulated second. *)

@@ -11,9 +11,6 @@ val make :
   unit ->
   (string * (module Engine.S)) list
 
-(** [make ()] with default topology. *)
-val default : (string * (module Engine.S)) list
-
 val names : ?registry:(string * (module Engine.S)) list -> unit -> string list
 
 (** ["async"] resolves to ["graphdance"]. *)

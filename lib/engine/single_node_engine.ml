@@ -32,15 +32,6 @@ let cluster_config ~workers ~(base : Cluster.config) =
 let options ~memory_capacity =
   { Async_engine.default_options with Async_engine.memory_capacity = Some memory_capacity }
 
-let run ?common ?(memory_capacity = 384 * 1024 * 1024) ~workers ~base_config ~graph
-    submissions =
-  let report =
-    Async_engine.run ~options:(options ~memory_capacity) ?common
-      ~cluster_config:(cluster_config ~workers ~base:base_config)
-      ~channel_config:Channel.default_config ~graph submissions
-  in
-  { report with Engine.engine = "single-node" }
-
 let start ?common ?(memory_capacity = 384 * 1024 * 1024) ~workers ~base_config ~graph () =
   let h =
     Async_engine.create ~options:(options ~memory_capacity) ?common

@@ -2,17 +2,9 @@
     node with a hand-optimized-plugin cost discount and a per-node memory
     capacity that triggers swapping when the graph no longer fits. *)
 
-val run :
-  ?common:Engine.Common.t ->
-  ?memory_capacity:int ->
-  workers:int ->
-  base_config:Cluster.config ->
-  graph:Graph.t ->
-  Engine.submission array ->
-  Engine.report
-
 (** Open a service session (see {!Engine.service_handle}); the async
-    handle with the single-node topology and cost discount applied. *)
+    handle with the single-node topology and cost discount applied.
+    [Engine.run_via_start] runs a closed batch on it. *)
 val start :
   ?common:Engine.Common.t ->
   ?memory_capacity:int ->

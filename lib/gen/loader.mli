@@ -12,7 +12,5 @@ exception Parse_error of string
     directions (social-network semantics). *)
 val load : ?symmetrize:bool -> ?weight_seed:int -> string -> Graph.t
 
-val of_channel : ?symmetrize:bool -> ?weight_seed:int -> in_channel -> Graph.t
-
 (** Write the out-adjacency as a SNAP edge list. *)
 val save : Graph.t -> string -> unit

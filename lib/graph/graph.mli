@@ -66,9 +66,6 @@ val avg_degree : t -> dir:direction -> ?label:int -> unit -> float
     Backs the IndexLookup step. *)
 val index_lookup : t -> ?vertex_label:int -> key:int -> Value.t -> int array
 
-val ensure_index :
-  t -> ?vertex_label:int -> key:int -> unit -> (Value.t, int Vec.t) Hashtbl.t
-
 (** Estimated in-memory size in bytes (Table II's "raw size"). *)
 val bytes : t -> int
 

@@ -21,8 +21,6 @@ val get : t -> key:int -> int -> Value.t
 (** Fast path for integer columns. *)
 val get_int : t -> key:int -> int -> int option
 
-val set_column : t -> key:int -> column -> unit
-
 (** Build from sparse per-key (row, value) pair lists; homogeneous columns
     are specialized to unboxed arrays. *)
 val of_sparse : size:int -> (int, (int * Value.t) Vec.t) Hashtbl.t -> t

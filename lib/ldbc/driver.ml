@@ -176,8 +176,9 @@ let run_updates ~duration ~tcr ~seed data =
   let committed = ref 0 in
   let samples = Hashtbl.create 8 in
   let t = ref 0.0 in
+  let kinds = Array.of_list Updates.all_kinds in
   while int_of_float !t < Sim_time.to_ns duration do
-    let kind = Prng.pick prng (Array.of_list Updates.all_kinds) in
+    let kind = Prng.pick prng kinds in
     Updates.draw_endpoints prng ~population kind;
     incr committed;
     let latency = Sim_time.to_ms (Updates.simulated_latency net costs kind) in

@@ -122,6 +122,14 @@ let edge t ~src ~dst cat =
     t.n_edges <- t.n_edges + 1
   end
 
+let hop t ~qid ~name ~ts ~src cat =
+  if not t.enabled then -1
+  else begin
+    let n = node t ~qid ~name ~ts in
+    edge t ~src ~dst:n cat;
+    n
+  end
+
 let set_submit t ~qid id = if t.enabled && id >= 0 then Hashtbl.replace t.submits qid id
 let set_release t ~qid id = if t.enabled && id >= 0 then Hashtbl.replace t.releases qid id
 

@@ -46,6 +46,10 @@ val node : t -> qid:int -> name:string -> ts:Sim_time.t -> int
     Ignored when either endpoint is [-1]. *)
 val edge : t -> src:int -> dst:int -> category -> unit
 
+(** One hand-off: a node at [ts] bound to [src] by a [cat] edge; its id,
+    or [-1] when disabled. *)
+val hop : t -> qid:int -> name:string -> ts:Sim_time.t -> src:int -> category -> int
+
 (** Mark the query's root (submission instant) and terminal (tracker
     release) nodes. *)
 val set_submit : t -> qid:int -> int -> unit

@@ -44,7 +44,6 @@ let step s t = { t with rev_steps = s :: t.rev_steps }
 let out ?label () = step (Ast.Out label)
 let out_ label t = step (Ast.Out (Some label)) t
 let in_ label t = step (Ast.In (Some label)) t
-let both_ label t = step (Ast.Both (Some label)) t
 let has_label l = step (Ast.Has_label l)
 let has key pred = step (Ast.Has (key, pred))
 let where_neq name = step (Ast.Where_neq name)
@@ -55,12 +54,9 @@ let values key = step (Ast.Values key)
 
 let repeat ?(dir = Graph.Out) ?label ~times () = step (Ast.Repeat { dir; label; times })
 let repeat_out label ~times t = step (Ast.Repeat { dir = Graph.Out; label = Some label; times }) t
-let repeat_both label ~times t = step (Ast.Repeat { dir = Graph.Both; label = Some label; times }) t
 
 let count t = step Ast.Count t
 let sum key = step (Ast.Sum_of key)
-let max_of key = step (Ast.Max_of key)
-let min_of key = step (Ast.Min_of key)
 let group_count key = step (Ast.Group_count key)
 let top_k key k = step (Ast.Top_k { key; k })
 let limit k = step (Ast.Limit k)

@@ -42,7 +42,6 @@ val v_lookup : ?label:string -> key:string -> Value.t -> t
 val out : ?label:string -> unit -> t -> t
 val out_ : string -> t -> t
 val in_ : string -> t -> t
-val both_ : string -> t -> t
 val has_label : string -> t -> t
 val has : string -> Ast.pred -> t -> t
 val where_neq : string -> t -> t
@@ -55,11 +54,8 @@ val values : string -> t -> t
 val repeat : ?dir:Graph.direction -> ?label:string -> times:int -> unit -> t -> t
 
 val repeat_out : string -> times:int -> t -> t
-val repeat_both : string -> times:int -> t -> t
 val count : t -> t
 val sum : string -> t -> t
-val max_of : string -> t -> t
-val min_of : string -> t -> t
 val group_count : string -> t -> t
 
 (** Descending top-k by a property, ties by vertex id. *)

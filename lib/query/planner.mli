@@ -24,8 +24,6 @@ val step_fanout : Graph.t -> Ast.gstep -> float option
 (** Estimated keep-fraction of one step, when it filters. *)
 val step_selectivity : Ast.gstep -> float option
 
-val source_cardinality : Graph.t -> Ast.source -> float
-
 (** [(total intermediate traversers, final cardinality)] of a traversal. *)
 val traversal_cost : Graph.t -> Ast.traversal -> float * float
 

@@ -3,7 +3,6 @@
     dedup elimination). *)
 
 val index_lookup : Ast.traversal -> Ast.traversal option
-val label_pushdown : Ast.traversal -> Ast.traversal option
 val fuse_order_limit : Ast.gstep list -> Ast.gstep list option
 val drop_redundant_dedup : Ast.gstep list -> Ast.gstep list option
 val collapse_dedup : Ast.gstep list -> Ast.gstep list option

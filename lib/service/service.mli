@@ -96,8 +96,6 @@ val timed_out : result -> int
 val shed_rate : result -> float
 
 (** Latency aggregates over completed queries (arrival to completion). *)
-val latencies_ms : result -> float array
-
 val mean_ms : result -> float
 val p50_ms : result -> float
 val p99_ms : result -> float

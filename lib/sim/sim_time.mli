@@ -9,7 +9,6 @@ val ms : int -> t
 val s : int -> t
 val of_float_ns : float -> t
 val to_ns : t -> int
-val to_us : t -> float
 val to_ms : t -> float
 val to_s : t -> float
 val add : t -> t -> t

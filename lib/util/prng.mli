@@ -18,9 +18,6 @@ val split : t -> t
 (** Next raw 64-bit value. *)
 val next_int64 : t -> int64
 
-(** Uniform non-negative integer (62 bits). *)
-val next_int : t -> int
-
 (** [fill_int63 t out ~n] writes [n] consecutive draws into
     [out.(0 .. n-1)] as native ints — the same values as [n] successive
     [Int64.to_int (next_int64 t)] calls, without boxing each draw. *)

@@ -332,8 +332,10 @@ let test_single_node_engine () =
   let program = khop_program graph 2 in
   let expected = show_rows (Local_engine.run graph program) in
   let report =
-    Single_node_engine.run ~workers:4 ~base_config:Cluster.default_config ~graph
-      [| Engine.submit program |]
+    Engine.run_via_start
+      (fun ?common ~graph () ->
+        Single_node_engine.start ?common ~workers:4 ~base_config:Cluster.default_config ~graph ())
+      ~graph [| Engine.submit program |]
   in
   Alcotest.(check string) "rows" expected (show_rows report.Engine.queries.(0).Engine.rows);
   Alcotest.(check int) "no network packets on one node" 0

@@ -1,0 +1,266 @@
+(* Unit tests of the async engine's seams — vertex migration, the
+   progress tier and the query lifecycle — driven directly, outside any
+   simulation: no cluster, no event queue, sends captured in a list. *)
+
+open Pstm_engine
+open Pstm_query
+
+let graph =
+  lazy
+    (let b = Builder.create () in
+     for i = 0 to 7 do
+       ignore (Builder.add_vertex b ~label:"v" ~props:[ ("id", Value.Int i) ] ())
+     done;
+     for i = 0 to 7 do
+       ignore (Builder.add_edge b ~src:i ~label:"link" ~dst:((i + 1) mod 8) ())
+     done;
+     Builder.build b)
+
+let program () =
+  Compile.compile ~name:"seam" (Lazy.force graph)
+    Dsl.(v_lookup ~key:"id" (int 1) |> out_ "link" |> dedup |> build)
+
+let costs = Cluster.default_costs
+
+(* A send stub that records every message and charges 1ns. *)
+let outbox () =
+  let sent = ref [] in
+  let send ~at:_ ~src:_ ~dst ~kind:_ p =
+    sent := (dst, p) :: !sent;
+    Sim_time.ns 1
+  in
+  (sent, send)
+
+(* --- Migration --- *)
+
+let dedup_step program =
+  let rec find i =
+    match (Program.step program i).Step.op with Step.Dedup _ -> i | _ -> find (i + 1)
+  in
+  find 0
+
+let migration () =
+  let graph = Lazy.force graph in
+  let partition =
+    Partition.create ~strategy:Partition.Adaptive ~n_parts:4 ~n_vertices:(Graph.n_vertices graph) ()
+  in
+  let cost = Cost_model.create ~costs ~shared_state:false ~workers_per_node:4 ~swapping:false in
+  let sent, send = outbox () in
+  let mig =
+    Migration.create ~graph ~partition ~adaptive:true ~refine_interval:(Sim_time.us 1)
+      ~min_traffic:1 ~cost ~metrics:(Metrics.create ()) ~live:(fun _ -> true) ~send ()
+  in
+  (partition, sent, mig)
+
+let group travs =
+  let n = List.length travs in
+  (Vec.of_array ~dummy:(List.hd travs) (Array.of_list travs), Vec.make ~dummy:(-1) n (-1))
+
+let test_gate () =
+  let program = program () in
+  let step = dedup_step program in
+  let partition, sent, mig = migration () in
+  let n_registers = Program.n_registers program in
+  let trav v = Traverser.make ~vertex:v ~step ~weight:Weight.root ~n_registers in
+  let owner = Partition.owner partition 3 in
+  let gate ~w travs =
+    let travs, czs = group travs in
+    ignore (Migration.gate mig ~at:Sim_time.zero ~w ~qid:0 program travs czs : Sim_time.t);
+    Vec.length travs
+  in
+  Alcotest.(check int) "owner runs it" 1 (gate ~w:owner [ trav 3 ]);
+  Alcotest.(check int) "nothing sent" 0 (List.length !sent);
+  let dst = (owner + 1) mod 4 in
+  ignore (Migration.migrate mig ~at:Sim_time.zero ~src:owner ~cz:(-1) ~vertex:3 ~dst : Sim_time.t);
+  (match !sent with
+  | [ (o, Payload.P_migrate { vertex = 3; dst = d; _ }) ] ->
+    Alcotest.(check int) "order goes to the old owner" owner o;
+    Alcotest.(check int) "toward the new owner" dst d
+  | _ -> Alcotest.fail "expected one migration order");
+  sent := [];
+  Alcotest.(check int) "old owner forwards" 0 (gate ~w:owner [ trav 3 ]);
+  (match !sent with
+  | [ (d, Payload.P_trav { trav = t; _ }) ] ->
+    Alcotest.(check int) "to the new owner" dst d;
+    Alcotest.(check int) "the same traverser" 3 t.Traverser.vertex
+  | _ -> Alcotest.fail "expected one forward");
+  sent := [];
+  Alcotest.(check int) "new owner stashes" 0 (gate ~w:dst [ trav 3 ]);
+  Alcotest.(check int) "a stash sends nothing" 0 (List.length !sent);
+  Alcotest.(check int) "other vertices run" 1 (gate ~w:(Partition.owner partition 5) [ trav 5 ])
+
+let test_migrates_once () =
+  let partition, sent, mig = migration () in
+  let owner = Partition.owner partition 2 in
+  let move dst = Migration.migrate mig ~at:Sim_time.zero ~src:0 ~cz:(-1) ~vertex:2 ~dst in
+  let first = (owner + 1) mod 4 in
+  Alcotest.(check bool) "first order costs" true (Sim_time.compare (move first) Sim_time.zero > 0);
+  Alcotest.(check int) "in flight: no second move" 0 (Sim_time.to_ns (move ((owner + 2) mod 4)));
+  let tasks = Ring.create ~dummy:(Payload.P_cleanup { qid = -1 }) in
+  ignore
+    (Migration.handle mig ~at:Sim_time.zero ~w:first (Memo.create ()) tasks
+       (Payload.P_migrate_data { vertex = 2; entries = []; cz = -1 })
+      : Sim_time.t);
+  Alcotest.(check int) "installed: still no second move" 0 (Sim_time.to_ns (move owner));
+  Alcotest.(check int) "owner stays" first (Partition.owner partition 2);
+  Alcotest.(check int) "one order sent" 1 (List.length !sent)
+
+let test_stash_drains_in_order () =
+  let program = program () in
+  let step = dedup_step program in
+  let partition, _, mig = migration () in
+  let dst = (Partition.owner partition 4 + 1) mod 4 in
+  ignore (Migration.migrate mig ~at:Sim_time.zero ~src:0 ~cz:(-1) ~vertex:4 ~dst : Sim_time.t);
+  let weights = Weight.split (Prng.create 3) Weight.root ~n:3 in
+  let travs =
+    Array.to_list
+      (Array.map
+         (fun weight ->
+           Traverser.make ~vertex:4 ~step ~weight ~n_registers:(Program.n_registers program))
+         weights)
+  in
+  List.iter
+    (fun t ->
+      let travs, czs = group [ t ] in
+      ignore (Migration.gate mig ~at:Sim_time.zero ~w:dst ~qid:0 program travs czs : Sim_time.t))
+    travs;
+  let tasks = Ring.create ~dummy:(Payload.P_cleanup { qid = -1 }) in
+  ignore
+    (Migration.handle mig ~at:Sim_time.zero ~w:dst (Memo.create ()) tasks
+       (Payload.P_migrate_data { vertex = 4; entries = []; cz = -1 })
+      : Sim_time.t);
+  let drained = ref [] in
+  while not (Ring.is_empty tasks) do
+    match Ring.pop tasks with
+    | Payload.P_trav { trav; _ } -> drained := trav.Traverser.weight :: !drained
+    | _ -> Alcotest.fail "only traversers drain"
+  done;
+  Alcotest.(check int) "every parked traverser" 3 (List.length !drained);
+  Alcotest.(check bool) "in arrival order" true
+    (List.for_all2 Weight.equal (Array.to_list weights) (List.rev !drained))
+
+(* --- Progress tier --- *)
+
+let lifecycle () =
+  Lifecycle.create ~name:"seams" ~n_workers:2 ~now:(fun () -> Sim_time.zero)
+    ~schedule:(fun _ f -> f ())
+    ()
+
+let tier ?(completed = ref 0) life =
+  let sent, send = outbox () in
+  let tier =
+    Progress_tier.create ~costs ~metrics:(Metrics.create ()) ~n_workers:2 ~coalescing:true
+      ~per_traverser:true ~responders:[| 0; 1 |] ~live:(Lifecycle.live life) ~send
+      ~complete:(fun ~at:_ ~cz:_ ~w:_ _ ->
+        incr completed;
+        Sim_time.zero)
+      ()
+  in
+  (sent, tier)
+
+let submit life =
+  let program = program () in
+  Lifecycle.submit life (Engine.submit program) (Progress_tier.state program)
+
+let progress_weights sent =
+  List.filter_map
+    (function _, Payload.P_progress { qid; weight; _ } -> Some (qid, weight) | _ -> None)
+    !sent
+
+let test_flush_conserves () =
+  let life = lifecycle () in
+  let completed = ref 0 in
+  let sent, tier = tier ~completed life in
+  let local = submit life in
+  let remote = submit life in
+  (* [local] is coordinated by worker 0, [remote] by worker 1. *)
+  let shares = Weight.split (Prng.create 11) Weight.root ~n:4 in
+  Array.iter
+    (fun w ->
+      let finish q = Progress_tier.finish_weight tier ~at:Sim_time.zero ~cz:(-1) ~w:0 q 0 w in
+      ignore (finish remote : Sim_time.t);
+      ignore (finish local : Sim_time.t))
+    shares;
+  Alcotest.(check int) "nothing before the flush" 0 (List.length !sent);
+  ignore (Progress_tier.flush tier ~at:Sim_time.zero ~w:0 : Sim_time.t);
+  (match progress_weights sent with
+  | [ (qid, w) ] ->
+    Alcotest.(check int) "one message, to the remote query" remote.Lifecycle.qid qid;
+    Alcotest.(check bool) "carrying the coalesced weight" true (Weight.equal w Weight.root)
+  | l -> Alcotest.failf "expected one progress message, got %d" (List.length l));
+  Alcotest.(check int) "the local tracker saw the root: query done" 1 !completed;
+  Alcotest.(check int) "a second flush is empty" 0
+    (Sim_time.to_ns (Progress_tier.flush tier ~at:Sim_time.zero ~w:0))
+
+let test_cancelled_weight_dropped () =
+  let life = lifecycle () in
+  let sent, tier = tier life in
+  let _ = submit life in
+  (* Coordinated by worker 1, finished on worker 0: the weight must ship. *)
+  let q = submit life in
+  let finish () =
+    ignore
+      (Progress_tier.finish_weight tier ~at:Sim_time.zero ~cz:(-1) ~w:0 q 0
+         (Weight.split (Prng.create 5) Weight.root ~n:2).(0)
+        : Sim_time.t)
+  in
+  finish ();
+  Lifecycle.end_query life q Engine.Cancelled (fun () -> Progress_tier.cancel tier q);
+  ignore (Progress_tier.flush tier ~at:Sim_time.zero ~w:0 : Sim_time.t);
+  finish ();
+  ignore (Progress_tier.flush tier ~at:Sim_time.zero ~w:0 : Sim_time.t);
+  Alcotest.(check int) "no weight of a cancelled query ships" 0
+    (List.length (progress_weights sent));
+  Progress_tier.check_drained tier
+
+(* --- Lifecycle --- *)
+
+let test_terminal_once () =
+  let life = lifecycle () in
+  let fired = ref [] in
+  let h =
+    Lifecycle.handle life
+      ~submit:(fun s -> (Lifecycle.submit life s ()).Lifecycle.qid)
+      ~terminate:(fun q o -> Lifecycle.end_query life q o ignore)
+      ~drive:(fun ~until:_ -> ())
+      ~finish:(fun () ->
+        Lifecycle.report life ~makespan:Sim_time.zero ~metrics:(Metrics.create ()) ~events:0
+          ~worker_busy:[||])
+  in
+  h.Engine.sh_on_terminal (fun qid o -> fired := (qid, o) :: !fired);
+  let program = program () in
+  let a = h.Engine.sh_submit (Engine.submit program) in
+  let b = h.Engine.sh_submit (Engine.submit program) in
+  let releases = ref 0 in
+  let q = Lifecycle.query life a in
+  Lifecycle.end_query life q (Engine.Completed (Sim_time.us 3)) (fun () -> incr releases);
+  Lifecycle.end_query life q Engine.Timed_out (fun () -> incr releases);
+  h.Engine.sh_cancel ~qid:a ~at:Sim_time.zero;
+  h.Engine.sh_cancel ~qid:b ~at:Sim_time.zero;
+  h.Engine.sh_cancel ~qid:b ~at:Sim_time.zero;
+  Lifecycle.sweep life;
+  Alcotest.(check int) "release ran once" 1 !releases;
+  Alcotest.(check int) "one callback per query" 2 (List.length !fired);
+  let r = h.Engine.sh_finish () in
+  Alcotest.(check string) "first transition wins" "completed"
+    (Engine.outcome_name r.Engine.queries.(a).Engine.outcome);
+  Alcotest.(check string) "cancelled once" "cancelled"
+    (Engine.outcome_name r.Engine.queries.(b).Engine.outcome)
+
+let () =
+  Alcotest.run "seams"
+    [
+      ( "migration",
+        [
+          Alcotest.test_case "gate runs, forwards or stashes" `Quick test_gate;
+          Alcotest.test_case "a vertex migrates at most once" `Quick test_migrates_once;
+          Alcotest.test_case "stash drains in arrival order" `Quick test_stash_drains_in_order;
+        ] );
+      ( "progress",
+        [
+          Alcotest.test_case "flush conserves coalesced weight" `Quick test_flush_conserves;
+          Alcotest.test_case "cancelled weight is dropped" `Quick test_cancelled_weight_dropped;
+        ] );
+      ( "lifecycle",
+        [ Alcotest.test_case "terminal transition fires once" `Quick test_terminal_once ] );
+    ]
