@@ -33,27 +33,36 @@ let create (agg : Step.agg) =
   | Group_count _ -> Group_st { counts = Hashtbl.create 16 }
 
 (* Fold one traverser into the partial state. The expressions of [agg]
-   are evaluated in the traverser's context. *)
+   are evaluated in the traverser's context, each by a direct
+   [Step.eval_expr] call: a local [eval] closure over the context would
+   be allocated on every call. *)
 let accumulate (agg : Step.agg) t graph ~vertex ~regs =
-  let eval e = Step.eval_expr graph ~vertex ~regs e in
   match agg, t with
   | Count, Count_st st -> st.n <- st.n + 1
-  | Sum e, Sum_st st -> st.total <- Value.add st.total (eval e)
+  | Sum e, Sum_st st -> st.total <- Value.add st.total (Step.eval_expr graph ~vertex ~regs e)
   | Max e, Max_st st ->
-    let v = eval e in
+    let v = Step.eval_expr graph ~vertex ~regs e in
     if Value.is_null st.best || Value.compare v st.best > 0 then st.best <- v
   | Min e, Min_st st ->
-    let v = eval e in
+    let v = Step.eval_expr graph ~vertex ~regs e in
     if Value.is_null st.best || Value.compare v st.best < 0 then st.best <- v
-  | Topk { score; output; _ }, Topk_st st -> Topk.add st.acc (eval score, eval output)
+  | Topk { score; output; _ }, Topk_st st ->
+    (* The (score, output) pair is built only if [Topk.add] may keep it:
+       [topk_cmp] compares scores first, so against a full heap a score
+       below the worst kept one loses whatever its output. *)
+    let s = Step.eval_expr graph ~vertex ~regs score in
+    if
+      (not (Topk.is_full st.acc))
+      || (st.k > 0 && Value.compare s (fst (Topk.worst st.acc)) >= 0)
+    then Topk.add st.acc (s, Step.eval_expr graph ~vertex ~regs output)
   | Collect { expr; limit }, Collect_st st ->
     let keep = match limit with None -> true | Some l -> st.n < l in
     if keep then begin
-      st.items <- eval expr :: st.items;
+      st.items <- Step.eval_expr graph ~vertex ~regs expr :: st.items;
       st.n <- st.n + 1
     end
   | Group_count e, Group_st st ->
-    let key = eval e in
+    let key = Step.eval_expr graph ~vertex ~regs e in
     let n = Option.value ~default:0 (Hashtbl.find_opt st.counts key) in
     Hashtbl.replace st.counts key (n + 1)
   | _ -> invalid_arg "Aggregate.accumulate: state does not match aggregation"

@@ -44,6 +44,11 @@ let absent = Scalar (Value.Str "absent")
 (* Dedup keeps presence only. *)
 let seen = Scalar Value.Null
 
+(* A Visit record: the distance itself sits unboxed in the vertex
+   table's int lane, and the entry is built only when the record leaves
+   the memo ({!extract_for_key}). Compared with [==] only. *)
+let dist = Scalar (Value.Str "dist")
+
 module Table = Hashtbl.Make (struct
   type t = Value.t
 
@@ -58,12 +63,13 @@ end)
 type 'a itable = {
   mutable keys : int array; (* capacity 0 or a power of two; -1 marks an empty slot *)
   mutable vals : 'a array; (* [none] where [keys] holds -1 *)
+  mutable ints : int array; (* an unboxed int beside each value: [dist]'s distance *)
   mutable size : int;
   mutable shift : int; (* 63 - log2 capacity: [home] keeps the top bits *)
   none : 'a;
 }
 
-let itable none = { keys = [||]; vals = [||]; size = 0; shift = 63; none }
+let itable none = { keys = [||]; vals = [||]; ints = [||]; size = 0; shift = 63; none }
 
 (* Multiplicative hashing on the top bits. Partitions split vertices by
    the low bits of a different mixer, so the ids one memo sees share
@@ -79,29 +85,31 @@ let index t k = if t.size = 0 then -1 else probe t.keys (Array.length t.keys - 1
 
 let rec free_slot keys mask i = if keys.(i) < 0 then i else free_slot keys mask ((i + 1) land mask)
 
-let place t k x =
+let place t k x n =
   let i = free_slot t.keys (Array.length t.keys - 1) (home t k) in
   t.keys.(i) <- k;
-  t.vals.(i) <- x
+  t.vals.(i) <- x;
+  t.ints.(i) <- n
 
 let grow t =
-  let keys = t.keys and vals = t.vals in
+  let keys = t.keys and vals = t.vals and ints = t.ints in
   let capacity = max 8 (2 * Array.length keys) in
   t.keys <- Array.make capacity (-1);
   t.vals <- Array.make capacity t.none;
+  t.ints <- Array.make capacity 0;
   t.shift <- (if Array.length keys = 0 then 60 else t.shift - 1);
-  Array.iteri (fun i k -> if k >= 0 then place t k vals.(i)) keys
+  Array.iteri (fun i k -> if k >= 0 then place t k vals.(i) ints.(i)) keys
 
 (* Insert absent key [k], keeping the load at most 3/4. *)
-let insert t k x =
+let insert t k x n =
   if (t.size + 1) * 4 > Array.length t.keys * 3 then grow t;
-  place t k x;
+  place t k x n;
   t.size <- t.size + 1
 
 (* Empty slot [i], then walk its probe run and move back every key whose
    home does not lie cyclically after the hole, so no run has a gap. *)
 let remove_at t i =
-  let keys = t.keys and vals = t.vals in
+  let keys = t.keys and vals = t.vals and ints = t.ints in
   let mask = Array.length keys - 1 in
   let hole = ref i and j = ref ((i + 1) land mask) in
   while keys.(!j) >= 0 do
@@ -109,6 +117,7 @@ let remove_at t i =
     if (!j - home t k) land mask >= (!j - !hole) land mask then begin
       keys.(!hole) <- k;
       vals.(!hole) <- vals.(!j);
+      ints.(!hole) <- ints.(!j);
       hole := !j
     end;
     j := (!j + 1) land mask
@@ -128,7 +137,8 @@ let max_pooled_capacity = 32
 let reset t =
   if Array.length t.keys > max_pooled_capacity then begin
     t.keys <- [||];
-    t.vals <- [||]
+    t.vals <- [||];
+    t.ints <- [||]
   end
   else if t.size > 0 then begin
     Array.fill t.keys 0 (Array.length t.keys) (-1);
@@ -176,7 +186,8 @@ let replace s key e =
   | Value.Null -> s.null_key <- e
   | _ -> Table.replace (generic s) key e
 
-(* Remove and return the record under [key], or [absent]. *)
+(* Remove and return the record under [key], or [absent]. A Visit
+   record becomes a boxed entry here. *)
 let remove s key =
   match key with
   | Value.Vertex v when v >= 0 ->
@@ -184,6 +195,7 @@ let remove s key =
     if i < 0 then absent
     else begin
       let e = s.vertices.vals.(i) in
+      let e = if e == dist then Scalar (Value.Int s.vertices.ints.(i)) else e in
       remove_at s.vertices i;
       e
     end
@@ -265,7 +277,7 @@ let store t ~qid ~label =
     | _ ->
       let q = if Vec.is_empty t.free_queries then { qid; stores = [||] } else Vec.pop t.free_queries in
       q.qid <- qid;
-      insert t.queries qid q;
+      insert t.queries qid q 0;
       t.last <- q;
       q
   in
@@ -286,7 +298,7 @@ let store t ~qid ~label =
 let add t s key e =
   t.live_entries <- t.live_entries + 1;
   match key with
-  | Value.Vertex v when v >= 0 -> insert s.vertices v e
+  | Value.Vertex v when v >= 0 -> insert s.vertices v e 0
   | Value.Null -> s.null_key <- e
   | _ -> Table.add (generic s) key e
 
@@ -314,18 +326,28 @@ type visit_outcome =
 let min_int_update t ~qid ~label vertex d =
   if vertex < 0 then invalid_arg "Memo.min_int_update: negative vertex";
   let s = store t ~qid ~label in
-  let i = index s.vertices vertex in
+  let v = s.vertices in
+  let i = index v vertex in
   if i < 0 then begin
-    insert s.vertices vertex (Scalar (Value.Int d));
+    insert v vertex dist d;
     t.live_entries <- t.live_entries + 1;
     First_visit
   end
-  else
-    match s.vertices.vals.(i) with
-    | Scalar (Value.Int best) when d < best ->
-      s.vertices.vals.(i) <- Scalar (Value.Int d);
+  else begin
+    let best =
+      (* A record installed by a migration arrives boxed. *)
+      match v.vals.(i) with
+      | e when e == dist -> v.ints.(i)
+      | Scalar (Value.Int best) -> best
+      | _ -> min_int
+    in
+    if d < best then begin
+      v.vals.(i) <- dist;
+      v.ints.(i) <- d;
       Improved
-    | _ -> Not_improved
+    end
+    else Not_improved
+  end
 
 (* Fetch-or-create the partial aggregate of step [label]. *)
 let partial t ~qid ~label agg =

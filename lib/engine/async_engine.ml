@@ -83,7 +83,7 @@ let seed = 0x5157
 type worker = {
   id : int;
   memo : Memo.t; (* private, or node-shared under [shared_state] *)
-  tasks : Payload.t Ring.t;
+  tasks : int Ring.t; (* message handles *)
   prng : Prng.t;
   mutable busy_until : Sim_time.t;
   mutable busy_total : Sim_time.t; (* accumulated CPU time *)
@@ -98,20 +98,6 @@ type worker = {
   mutable cz_last : int;
   mutable cz_last_qid : int;
 }
-
-let no_trav = Traverser.make ~vertex:0 ~step:0 ~weight:Weight.zero ~n_registers:0
-
-(* The unit every traverser executes in: traversers sharing a (qid,
-   step), each with the causal context it arrived under. *)
-type group = {
-  mutable g_qid : int;
-  mutable g_step : int;
-  g_travs : Traverser.t Vec.t;
-  g_czs : int Vec.t;
-}
-
-let group () =
-  { g_qid = -1; g_step = -1; g_travs = Vec.create ~dummy:no_trav; g_czs = Vec.create ~dummy:(-1) }
 
 (* Build an open engine session ({!Engine.service_handle}); [run] below
    is the submit-all/drive/finish wrapper over it. *)
@@ -250,7 +236,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           memo =
             (if options.shared_state then node_memos.(Cluster.node_of_worker cluster id)
              else Memo.create ());
-          tasks = Ring.create ~dummy:(P_cleanup { qid = -1 });
+          tasks = Ring.create ~dummy:(-1);
           prng = Prng.split seed_prng;
           busy_until = Sim_time.zero;
           busy_total = Sim_time.zero;
@@ -268,7 +254,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         | Some capacity -> Graph.bytes graph > capacity * Cluster.n_nodes cluster
         | None -> false)
   in
-  (* --- Channel and routing -------------------------------------------- *)
+  (* --- Messages, channel and routing ------------------------------------ *)
+  let slab = Payload.slab () in
   let channel_ref = ref None in
   let channel () = Option.get !channel_ref in
   (* One prebuilt [quantum w] thunk per worker, filled in once [quantum]
@@ -283,34 +270,33 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         quantum_thunks.(w.id)
     end
   in
-  let deliver dst payload =
+  let deliver dst h =
     if cz_on then
-      Payload.arrive causal ~ts:(Cluster.now cluster)
+      Payload.arrive slab causal ~ts:(Cluster.now cluster)
         (if Channel.delivering_retransmitted (channel ()) then Pstm_obs.Causal.Retransmit
          else Pstm_obs.Causal.Network)
-        payload;
+        h;
     let w = workers.(dst) in
-    Ring.push w.tasks payload;
+    Ring.push w.tasks h;
     wake w
   in
-  let send ~at ~src ~dst ~kind payload =
+  let send ~at ~src ~dst ~kind h =
     if src = dst then begin
       (* Same worker: a plain queue push, no messaging machinery (and no
          causal hop: the consumer binds straight to the producer). The
          wake is a no-op while the worker's own quantum is running, but
          matters when the sender is the submission path or a
          network-thread event acting on the worker's behalf. *)
-      Ring.push workers.(dst).tasks payload;
+      Ring.push workers.(dst).tasks h;
       wake workers.(dst);
       Sim_time.zero
     end
     else
       Channel.send (channel ()) ~at ~src_worker:src ~dst_worker:dst ~kind
-        ~bytes:(Payload.bytes payload) payload
+        ~bytes:(Payload.bytes slab h) h
   in
   (* A query's last phase completed. Memos are query-scoped: broadcast
-     the automatic clear of §III-B, one immutable message shared by every
-     destination. *)
+     the automatic clear of §III-B, one message per destination. *)
   let complete ~at ~cz ~w (q : Progress_tier.q) =
     let qid = q.qid in
     let released = max at (Cluster.now cluster) in
@@ -323,9 +309,11 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             (Pstm_obs.Causal.hop causal ~qid ~name:"release" ~ts:released ~src:cz
                Pstm_obs.Causal.Tracker);
         Cost_model.retire model q.program;
-        let cleanup = P_cleanup { qid } in
         for dst = 0 to n_workers - 1 do
-          cost := Sim_time.add !cost (send ~at ~src:w ~dst ~kind:Metrics.Control_msg cleanup)
+          cost :=
+            Sim_time.add !cost
+              (send ~at ~src:w ~dst ~kind:Metrics.Control_msg
+                 (Payload.msg slab ~qid ~cz:(-1) P_cleanup))
         done);
     !cost
   in
@@ -333,7 +321,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     Progress_tier.create ~costs ~metrics ~n_workers
       ~coalescing:(options.weight_coalescing || options.flavor <> Graphdance)
       ~per_traverser:(options.flavor = Graphdance) ~responders:agg_responders ~check ?mutation ~obs
-      ~on_event:tracker_event ~live:(Lifecycle.live life) ~send ~complete ()
+      ~on_event:tracker_event ~live:(Lifecycle.live life) ~slab ~send ~complete ()
   in
   let centralized op =
     match (options.flavor, op) with
@@ -344,7 +332,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let mig =
     Migration.create ~graph ~partition ~adaptive:adaptive_on
       ~refine_interval:options.adaptive.refine_interval ~min_traffic:options.adaptive.min_traffic
-      ~centralized ~cost:model ~metrics ~obs ?mutation ~on_event:mig_event ~live:is_live ~send ()
+      ~centralized ~cost:model ~metrics ~obs ?mutation ~on_event:mig_event ~live:is_live ~slab
+      ~send ()
   in
   (* h_psi ({!Exec.route}), except that Gaia runs its stateful steps on
      worker 0. *)
@@ -358,7 +347,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let dispatch ~at ~src ~src_vertex ~cz (q : Progress_tier.q) trav =
     let dst = route q trav in
     let kind = Exec.msg_kind q.program trav in
-    let cost = send ~at ~src ~dst ~kind (P_trav { qid = q.qid; trav; cz }) in
+    let cost = send ~at ~src ~dst ~kind (Payload.trav slab ~qid:q.qid ~cz trav) in
     if dst <> src && Migration.profile_hop mig ~src_vertex q.program trav then
       Sim_time.add cost (Migration.maybe_adapt mig ~at ~src ~cz)
     else cost
@@ -382,22 +371,21 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             (fun dst seed ->
               ignore
                 (send ~at ~src:q.coordinator ~dst ~kind:Metrics.Control_msg
-                   (P_trav { qid = q.qid; trav = Traverser.with_weight root seed; cz })))
+                   (Payload.trav slab ~qid:q.qid ~cz (Traverser.with_weight root seed))))
             seeds
         | _ ->
           Pstm_obs.Opstats.seed opstats 1;
-          deliver q.coordinator (P_trav { qid = q.qid; trav = root; cz }))
+          deliver q.coordinator (Payload.trav slab ~qid:q.qid ~cz root))
       entries
   in
   (* ---- Task execution --------------------------------------------------- *)
-  (* A message for a live query. *)
-  let control w ~at (q : Progress_tier.q) = function
-    | P_progress { phase; weight; cz; _ } ->
-      Progress_tier.receive tier ~at ~cz ~w:w.id q phase weight
-    | P_agg_flush { agg_step; cz; _ } ->
+  (* A message for a live query, consumed under context [cz]. *)
+  let control w ~at ~cz (q : Progress_tier.q) = function
+    | P_progress { phase; weight } -> Progress_tier.receive tier ~at ~cz ~w:w.id q phase weight
+    | P_agg_flush { agg_step } ->
       Sim_time.add (Cost_model.memo_op model)
         (Progress_tier.respond tier ~at ~w:w.id w.memo q ~agg_step ~cz)
-    | P_agg_partial { agg_step; partial; cz; _ } -> begin
+    | P_agg_partial { agg_step; partial } -> begin
       match Progress_tier.combine q ~agg_step partial with
       | None -> Cost_model.memo_op model
       | Some cont ->
@@ -413,7 +401,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         Sim_time.add (Cost_model.memo_op model)
           (dispatch ~at ~src:w.id ~src_vertex:(-1) ~cz q cont)
     end
-    | P_setup { cz; _ } ->
+    | P_setup ->
       (* Dataflow flavors instantiate every operator of the query's plan
          (plus its channels) in this worker before execution can start. *)
       let instantiate = 8 * Program.n_steps q.program * costs.Cluster.operator_sched in
@@ -422,8 +410,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       in
       Sim_time.add instantiate
         (send ~at ~src:w.id ~dst:q.coordinator ~kind:Metrics.Control_msg
-           (P_setup_ack { qid = q.qid; cz }))
-    | P_setup_ack { cz; _ } ->
+           (Payload.msg slab ~qid:q.qid ~cz P_setup_ack))
+    | P_setup_ack ->
       q.ext.setup_acks <- q.ext.setup_acks - 1;
       if q.ext.setup_acks = 0 then begin
         (* Deployment barrier: launch binds to the last ack in. *)
@@ -437,19 +425,15 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       else costs.Cluster.operator_sched
     | _ -> assert false
   in
-  let process w ~at = function
-    | P_trav _ | P_trav_batch _ -> assert false (* run by [drain] *)
-    | P_cleanup { qid } ->
+  let process w ~at ~qid ~cz = function
+    | P_trav | P_trav_batch _ -> assert false (* run by [drain] *)
+    | P_cleanup ->
       Memo.clear_query w.memo qid;
       Cost_model.memo_op model
-    | (P_migrate _ | P_migrate_data _) as p -> Migration.handle mig ~at ~w:w.id w.memo w.tasks p
-    | ( P_progress { qid; _ }
-      | P_agg_flush { qid; _ }
-      | P_agg_partial { qid; _ }
-      | P_setup { qid; _ }
-      | P_setup_ack { qid; _ } ) as p -> begin
+    | (P_migrate _ | P_migrate_data _) as p -> Migration.handle mig ~at ~w:w.id w.memo w.tasks ~cz p
+    | (P_progress _ | P_agg_flush _ | P_agg_partial _ | P_setup | P_setup_ack) as p -> begin
       (* A cancelled / timed-out query's stragglers are dropped. *)
-      match Lifecycle.live life qid with None -> Sim_time.zero | Some q -> control w ~at q p
+      match Lifecycle.live life qid with None -> Sim_time.zero | Some q -> control w ~at ~cz q p
     end
   in
   (* ---- Staged traverser execution -------------------------------------
@@ -473,10 +457,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
      The engine is single-threaded and no group's execution nests inside
      another's, so one set of accumulators serves every worker, reused
      from group to group: a group of one allocates nothing here. *)
-  let solo = group () in (* the group of one, when staging is off *)
-  let staged = Vec.create ~dummy:solo in (* this quantum's groups, first-seen order *)
-  let n_staged = ref 0 in
-  let staged_at : (int * int, group) Hashtbl.t = Hashtbl.create 16 in
+  let solo = Staging.group () in (* the group of one, when staging is off *)
+  let staged = Staging.create () in
   (* What executing the current group produced, summed over its
      elements, and each child's parent vertex (for traffic profiling). *)
   let sink = Exec.sink () in
@@ -485,19 +467,19 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let kid_keys = Vec.create ~dummy:0 in
   let bucket_keys = Vec.create ~dummy:0 in (* first-seen order *)
   let bucket_size = Array.make (2 * n_workers) 0 in
-  let bucket_travs = Array.make (2 * n_workers) [] in
+  let bucket_travs = Array.make (2 * n_workers) [||] in
   (* Execute stage: the fused Batch_exec chain over the whole group when
      fusion is on and the step is fusable, the scalar interpreter per
      element otherwise. Either way [sink] ends up holding the group's
      children, rows, finished weight and data / memo volume. *)
-  let execute w (q : Progress_tier.q) g =
+  let execute w (q : Progress_tier.q) (g : Staging.group) =
     Exec.clear sink;
     Vec.clear parents;
-    if batched && Batch_exec.fusable q.program g.g_step then begin
-      let travs = Vec.to_array g.g_travs in
+    if batched && Batch_exec.fusable q.program g.step then begin
+      let travs = Vec.to_array g.travs in
       let o =
         Batch_exec.run ~graph ~scratch:(Lazy.force w.scratch) ~prng:w.prng ~program:q.program
-          ~step:g.g_step travs
+          ~step:g.step travs
       in
       Batch_exec.iter_spawns o (fun ~parent kid ->
           Vec.push sink.Exec.spawns kid;
@@ -507,8 +489,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       sink.prop_reads <- o.Batch_exec.prop_reads
     end
     else begin
-      for i = 0 to Vec.length g.g_travs - 1 do
-        let trav = Vec.get g.g_travs i in
+      for i = 0 to Vec.length g.travs - 1 do
+        let trav = Vec.get g.travs i in
         Exec.run sink ~graph ~memo:w.memo ~prng:w.prng ~qid:q.qid ~program:q.program ~scan:w.scan
           trav;
         for _ = Vec.length parents to Vec.length sink.spawns - 1 do
@@ -551,9 +533,17 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       if dst <> w.id then
         ignore (Migration.profile_hop mig ~src_vertex:(Vec.get parents i) q.program kid : bool)
     done;
-    for i = n - 1 downto 0 do
+    (* Each bucket's array, filled in execution order; [bucket_size]
+       counts the slots filled so far. *)
+    for b = 0 to Vec.length bucket_keys - 1 do
+      let key = Vec.get bucket_keys b in
+      bucket_travs.(key) <- Array.make bucket_size.(key) Payload.no_trav;
+      bucket_size.(key) <- 0
+    done;
+    for i = 0 to n - 1 do
       let key = Vec.get kid_keys i in
-      bucket_travs.(key) <- Vec.get sink.Exec.spawns i :: bucket_travs.(key)
+      bucket_travs.(key).(bucket_size.(key)) <- Vec.get sink.Exec.spawns i;
+      bucket_size.(key) <- bucket_size.(key) + 1
     done;
     let cost = ref Sim_time.zero in
     for b = 0 to Vec.length bucket_keys - 1 do
@@ -564,30 +554,30 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       cost :=
         Sim_time.add !cost
           (send ~at ~src:w.id ~dst ~kind
-             (P_trav_batch { qid = q.qid; travs = bucket_travs.(key); cz }));
+             (Payload.msg slab ~qid:q.qid ~cz (P_trav_batch bucket_travs.(key))));
       bucket_size.(key) <- 0;
-      bucket_travs.(key) <- []
+      bucket_travs.(key) <- [||]
     done;
     Vec.clear kid_keys;
     Vec.clear bucket_keys;
     Sim_time.add !cost (Migration.maybe_adapt mig ~at ~src:w.id ~cz)
   in
-  let run_group w ~at g =
-    match Lifecycle.live life g.g_qid with
+  let run_group w ~at (g : Staging.group) =
+    match Lifecycle.live life g.qid with
     | None -> Sim_time.zero
     | Some q ->
-      let gated = Migration.gate mig ~at ~w:w.id ~qid:q.qid q.program g.g_travs g.g_czs in
-      let n = Vec.length g.g_travs in
+      let gated = Migration.gate mig ~at ~w:w.id ~qid:q.qid q.program g.travs g.czs in
+      let n = Vec.length g.travs in
       if n = 0 then gated
       else begin
         execute w q g;
         (* Account. *)
-        let qid = q.qid and step = g.g_step in
+        let qid = q.qid and step = g.step in
         let op = Step.op_name (Program.step q.program step).Step.op in
         if check then begin
           (* Theorem 1 over the group: inflow = children + rows + finished. *)
           let add acc (t : Traverser.t) = Weight.add acc t.Traverser.weight in
-          let inflow = Vec.fold add Weight.zero g.g_travs in
+          let inflow = Vec.fold add Weight.zero g.travs in
           let outflow = Vec.fold add (Weight.add sink.finished sink.row_weight) sink.spawns in
           if not (Weight.equal inflow outflow) then
             Engine.check_fail "async: query %d step %d (%s) broke weight conservation" qid step op
@@ -618,7 +608,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
             let s = Pstm_obs.Causal.node causal ~qid ~name:op ~ts:at in
             let last = ref (-1) in
             for i = 0 to n - 1 do
-              let c = Vec.get g.g_czs i in
+              let c = Vec.get g.czs i in
               if c >= 0 && c <> !last then begin
                 Pstm_obs.Causal.edge causal ~src:c ~dst:s Pstm_obs.Causal.Queue;
                 last := c
@@ -660,58 +650,40 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   in
   (* ---- Worker scheduling loop ------------------------------------------- *)
   let take w local ~qid ~cz trav =
-    let g =
-      if not batched then begin
-        Vec.clear solo.g_travs;
-        Vec.clear solo.g_czs;
-        solo
-      end
-      else begin
-        let key = (qid, trav.Traverser.step) in
-        match Hashtbl.find_opt staged_at key with
-        | Some g -> g
-        | None ->
-          if !n_staged = Vec.length staged then Vec.push staged (group ());
-          let g = Vec.get staged !n_staged in
-          incr n_staged;
-          Hashtbl.add staged_at key g;
-          g
-      end
-    in
-    g.g_qid <- qid;
-    g.g_step <- trav.Traverser.step;
-    Vec.push g.g_travs trav;
-    Vec.push g.g_czs cz;
-    if not batched then
+    if batched then Staging.add staged ~qid ~cz trav
+    else begin
+      Staging.single solo ~qid ~cz trav;
       local := Sim_time.add !local (fault_scale w.id (run_group w ~at:!local solo))
+    end
   in
+  (* Consuming a message: read its lanes and release its slot, then run
+     it. *)
   let drain w local =
     let budget = ref quantum_tasks in
     while !budget > 0 && not (Ring.is_empty w.tasks) do
-      match Ring.pop w.tasks with
-      | P_trav { qid; trav; cz } ->
+      let h = Ring.pop w.tasks in
+      let qid = Payload.qid slab h and cz = Payload.cz slab h in
+      let payload = Payload.payload slab h and trav = Payload.traverser slab h in
+      Payload.release slab h;
+      match payload with
+      | P_trav ->
         decr budget;
         take w local ~qid ~cz trav
-      | P_trav_batch { qid; travs; cz } ->
+      | P_trav_batch travs ->
         (* Each element charges the budget: a batch is cheaper to
            execute, not free to schedule. *)
-        List.iter
-          (fun trav ->
-            decr budget;
-            take w local ~qid ~cz trav)
-          travs
+        for i = 0 to Array.length travs - 1 do
+          decr budget;
+          take w local ~qid ~cz travs.(i)
+        done
       | payload ->
         decr budget;
-        local := Sim_time.add !local (fault_scale w.id (process w ~at:!local payload))
+        local := Sim_time.add !local (fault_scale w.id (process w ~at:!local ~qid ~cz payload))
     done;
-    for i = 0 to !n_staged - 1 do
-      let g = Vec.get staged i in
-      local := Sim_time.add !local (fault_scale w.id (run_group w ~at:!local g));
-      Vec.clear g.g_travs;
-      Vec.clear g.g_czs
+    for i = 0 to Staging.length staged - 1 do
+      local := Sim_time.add !local (fault_scale w.id (run_group w ~at:!local (Staging.get staged i)))
     done;
-    n_staged := 0;
-    Hashtbl.clear staged_at
+    Staging.clear staged
   in
   let run_quantum w quantum_start =
     (* An idle gap breaks the worker chain: the next execution's wait is
@@ -772,8 +744,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     else run_quantum w quantum_start
   in
   Array.iter (fun w -> quantum_thunks.(w.id) <- (fun () -> quantum w)) workers;
-  channel_ref :=
-    Some (Channel.create cluster channel_config ~dummy:(P_cleanup { qid = -1 }) ~deliver);
+  channel_ref := Some (Channel.create cluster channel_config ~deliver);
   (* --- Submission, cancellation and finish ------------------------------- *)
   let launch at (q : Progress_tier.q) =
     if obs_on then
@@ -806,7 +777,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
          scaling. *)
       q.ext.setup_acks <- n_workers;
       for dst = 0 to n_workers - 1 do
-        deliver dst (P_setup { qid = q.qid; cz })
+        deliver dst (Payload.msg slab ~qid:q.qid ~cz P_setup)
       done
   in
   (* Scoped reclaim at a cancellation or timeout: in-flight traversers die
@@ -839,7 +810,12 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     Lifecycle.check_end life "async" ~cut
       ~wedged:(fun _ -> "weight lost or tracker wedged")
       (Array.map (fun w -> w.memo) workers);
-    if check && not cut then Progress_tier.check_drained tier;
+    if check && not cut then begin
+      Progress_tier.check_drained tier;
+      (* Every message was consumed, so every slot is free. *)
+      let n = Payload.in_use slab in
+      if n > 0 then Engine.check_fail "async: %d message slots still in use at finish" n
+    end;
     Lifecycle.report life ~makespan:(Cluster.now cluster) ~metrics
       ~events:(Event_queue.executed events)
       ~worker_busy:(Array.map (fun w -> w.busy_total) workers)

@@ -96,9 +96,8 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
         Array.iter (fun memo -> Memo.clear_query memo q.Lifecycle.qid) memos)
   in
   let admit_pending () =
-    Lifecycle.iter life (fun q ->
-        if (not q.ext.started) && Lifecycle.is_live q && Sim_time.compare q.submitted !clock <= 0
-        then begin
+    Lifecycle.iter_live life (fun q ->
+        if (not q.ext.started) && Sim_time.compare q.submitted !clock <= 0 then begin
           q.ext.started <- true;
           if obs_on then
             Pstm_obs.Trace.instant trace ~tid:(Engine.query_track q.qid) ~name:"submit"
@@ -128,9 +127,9 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   (* Per-query latency budgets expire at barrier granularity too: the
      first barrier past [submitted + deadline] cuts the query off. *)
   let expire_deadlines () =
-    Lifecycle.iter life (fun q ->
+    Lifecycle.iter_live life (fun q ->
         match q.deadline_at with
-        | Some t when Lifecycle.is_live q && Sim_time.compare t !clock <= 0 ->
+        | Some t when Sim_time.compare t !clock <= 0 ->
           end_query q Engine.Timed_out
         | _ -> ())
   in
@@ -139,8 +138,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
     let consider t =
       match !acc with None -> acc := Some t | Some t' -> acc := Some (min t t')
     in
-    Lifecycle.iter life (fun q ->
-        if (not q.ext.started) && Lifecycle.is_live q then consider q.submitted);
+    Lifecycle.iter_live life (fun q -> if not q.ext.started then consider q.submitted);
     Option.iter consider (Event_queue.next_time timers);
     !acc
   in
@@ -159,8 +157,8 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   let scheduling_overhead () =
     let live_ops = ref 0 in
     let live_queries = ref 0 in
-    Lifecycle.iter life (fun q ->
-        if q.ext.started && Lifecycle.is_live q then begin
+    Lifecycle.iter_live life (fun q ->
+        if q.ext.started then begin
           live_ops := !live_ops + Program.n_steps q.program;
           incr live_queries
         end);
@@ -299,8 +297,8 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
   (* Phase transitions happen at barriers: a query whose traversers all
      died either combines its pending aggregate or is complete. *)
   let handle_phase_boundaries () =
-    Lifecycle.iter life (fun q ->
-        if q.ext.started && Lifecycle.is_live q && q.ext.live = 0 then begin
+    Lifecycle.iter_live life (fun q ->
+        if q.ext.started && q.ext.live = 0 then begin
           match Program.agg_of_phase q.program q.ext.phase with
           | Some agg_step ->
             let acc = ref None in

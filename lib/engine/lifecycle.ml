@@ -28,6 +28,10 @@ type 'a t = {
   (* Indexed by qid: qids are dense and never removed, and each entry's
      [Some] is built once, at submission, so a lookup allocates nothing. *)
   queries : 'a query option Vec.t;
+  (* The queries not yet terminal, in qid order (the same [Some]s);
+     ended ones drop out at the next [iter_live] walk. A session that
+     never walks it (async, oracle) lets it grow like [queries]. *)
+  live_set : 'a query option Vec.t;
   mutable monitors : Protocol.monitor list;
   mutable terminate : 'a query -> Engine.outcome -> unit;
   mutable on_terminal : int -> Engine.outcome -> unit;
@@ -36,7 +40,8 @@ type 'a t = {
 let create ~name ~n_workers ?(common = Engine.Common.default) ~now ~schedule () =
   let obs = common.Engine.Common.obs in
   { name; n_workers; now; schedule; common; obs_on = Pstm_obs.Recorder.enabled obs;
-    trace = Pstm_obs.Recorder.trace obs; queries = Vec.create ~dummy:None; monitors = [];
+    trace = Pstm_obs.Recorder.trace obs; queries = Vec.create ~dummy:None;
+    live_set = Vec.create ~dummy:None; monitors = [];
     terminate = (fun _ _ -> ()); on_terminal = (fun _ _ -> ()) }
 
 let find t qid = if qid >= 0 && qid < Vec.length t.queries then Vec.get t.queries qid else None
@@ -51,6 +56,28 @@ let iter t f =
   for qid = 0 to Vec.length t.queries - 1 do
     f (query t qid)
   done
+
+(* Walk the live set in qid order, calling [f] on each query still live
+   when reached, and compact the set. Queries [f] submits are kept for
+   the next walk, not visited. *)
+let iter_live t f =
+  let n = Vec.length t.live_set in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    match Vec.get t.live_set i with
+    | Some q as entry when is_live q ->
+      f q;
+      if is_live q then begin
+        Vec.set t.live_set !kept entry;
+        incr kept
+      end
+    | _ -> ()
+  done;
+  let m = Vec.length t.live_set in
+  for i = n to m - 1 do
+    Vec.set t.live_set (!kept + i - n) (Vec.get t.live_set i)
+  done;
+  Vec.truncate t.live_set (!kept + m - n)
 
 let at t time f = t.schedule (max time (t.now ())) f
 
@@ -71,7 +98,9 @@ let submit ?launch t (s : Engine.submission) ext =
       ext;
     }
   in
-  Vec.push t.queries (Some q);
+  let entry = Some q in
+  Vec.push t.queries entry;
+  Vec.push t.live_set entry;
   Option.iter
     (fun launch ->
       (* A submission whose arrival is already in the past (a service

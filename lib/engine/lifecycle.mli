@@ -42,7 +42,14 @@ val query : 'a t -> int -> 'a query
 val live : 'a t -> int -> 'a query option
 
 val is_live : 'a query -> bool
+
+(** Every query ever submitted, in qid order. *)
 val iter : 'a t -> ('a query -> unit) -> unit
+
+(** The queries still live, in qid order: [f] runs on each one live when
+    the walk reaches it, and the walk costs O(live + recently ended), not
+    O(submitted). Queries [f] submits are not visited. *)
+val iter_live : 'a t -> ('a query -> unit) -> unit
 
 (** The terminal transition. While [q] is live: record [outcome], trace
     it at [at] (default now), run [release] (the engine's reclaim) and

@@ -41,10 +41,12 @@ type t = {
   mutation : Mutation.t option;
   on_event : string -> int -> unit;
   live : int -> bool;
+  slab : slab;
   send : send;
   (* Vertices whose memo entries are in flight to their new owner; the
-     stash parks traversers that arrive at the new owner early. *)
-  migrating : (int, Payload.t list ref) Hashtbl.t;
+     stash parks traversers that arrive at the new owner early, as
+     message handles, newest first. *)
+  migrating : (int, int list ref) Hashtbl.t;
   (* Each vertex migrates at most once per run: successive rounds refine
      against an evolving profile, and letting them re-home the same
      vertices chases every intermediate local optimum — the migration
@@ -56,11 +58,11 @@ type t = {
 
 let create ~graph ~partition ~adaptive ~refine_interval ~min_traffic
     ?(centralized = fun _ -> false) ~cost ~metrics ?(obs = Recorder.disabled) ?mutation
-    ?(on_event = fun _ _ -> ()) ~live ~send () =
+    ?(on_event = fun _ _ -> ()) ~live ~slab ~send () =
   let profile = if adaptive then Traffic.create () else Traffic.disabled in
   { graph; partition; adaptive; refine_interval; min_traffic; centralized; cost; metrics;
     obs_traffic = Recorder.traffic obs; profile; causal = Recorder.causal obs; mutation;
-    on_event; live; send; migrating = Hashtbl.create 64; migrated_ever = Hashtbl.create 64;
+    on_event; live; slab; send; migrating = Hashtbl.create 64; migrated_ever = Hashtbl.create 64;
     next_round = Sim_time.zero; profiled_at_round = 0 }
 
 let key_vertex t (trav : Traverser.t) e =
@@ -127,7 +129,8 @@ let migrate t ~at ~src ~cz ~vertex ~dst =
     Hashtbl.add t.migrating vertex (ref []);
     t.on_event "order" vertex;
     Metrics.(incr t.metrics Counter.migrations);
-    t.send ~at ~src ~dst:old_owner ~kind:Metrics.Control_msg (P_migrate { vertex; dst; cz })
+    t.send ~at ~src ~dst:old_owner ~kind:Metrics.Control_msg
+      (msg t.slab ~qid:(-1) ~cz (P_migrate { vertex; dst }))
   end
 
 let maybe_adapt t ~at ~src ~cz =
@@ -173,12 +176,12 @@ let gate t ~at ~w ~qid program travs czs =
         cost :=
           Sim_time.add !cost
             (t.send ~at ~src:w ~dst:(Partition.owner t.partition v) ~kind:Metrics.Traverser_msg
-               (P_trav { qid; trav; cz }))
+               (Payload.trav t.slab ~qid ~cz trav))
       | Some v when Hashtbl.mem t.migrating v ->
         Metrics.(incr t.metrics Counter.stashed);
         t.on_event "stash" v;
         let stash = Hashtbl.find t.migrating v in
-        stash := P_trav { qid; trav; cz } :: !stash
+        stash := Payload.trav t.slab ~qid ~cz trav :: !stash
       | _ ->
         Vec.set travs !kept trav;
         Vec.set czs !kept cz;
@@ -195,17 +198,19 @@ let gate t ~at ~w ~qid program travs czs =
    re-routes on arrival through the gate. New owner: install the records
    — entries of queries that ended while the message was in flight are
    dropped (their cleanup already passed) — then release the parked
-   traversers in arrival order. *)
-let handle t ~at ~w memo tasks = function
-  | P_migrate { vertex; dst; cz } ->
+   traversers in arrival order. The message's slot is already released;
+   [cz] is its context. *)
+let handle t ~at ~w memo tasks ~cz = function
+  | P_migrate { vertex; dst } ->
     let entries = Memo.extract_for_key memo (Value.Vertex vertex) in
     t.on_event "extract" vertex;
     Metrics.(add t.metrics Counter.migrated_entries (List.length entries));
     let cz = Causal.hop t.causal ~qid:(-1) ~name:"migrate-extract" ~ts:at ~src:cz Causal.Queue in
     Sim_time.add
       (Cost_model.memo_op t.cost * (1 + List.length entries))
-      (t.send ~at ~src:w ~dst ~kind:Metrics.Control_msg (P_migrate_data { vertex; entries; cz }))
-  | P_migrate_data { vertex; entries; cz } ->
+      (t.send ~at ~src:w ~dst ~kind:Metrics.Control_msg
+         (msg t.slab ~qid:(-1) ~cz (P_migrate_data { vertex; entries })))
+  | P_migrate_data { vertex; entries } ->
     List.iter
       (fun (qid, label, entry) ->
         if t.live qid then Memo.set memo ~qid ~label (Value.Vertex vertex) entry)
@@ -216,22 +221,20 @@ let handle t ~at ~w memo tasks = function
       Hashtbl.remove t.migrating vertex;
       if t.mutation <> Some Mutation.Drop_stash_drain then
         List.iter
-          (fun p ->
+          (fun h ->
             (* Each parked traverser resumes through a drain node. The
                install context comes in first (for DAG completeness); the
                traverser's own parked context binds last, so the walk
                stays within its query and the whole stash wait reads as
                Queue. *)
-            (if Causal.enabled t.causal then begin
-               match p with
-               | P_trav ({ qid; _ } as r) when r.cz >= 0 ->
-                 let d = Causal.node t.causal ~qid ~name:"stash-drain" ~ts:at in
-                 Causal.edge t.causal ~src:cz ~dst:d Causal.Queue;
-                 Causal.edge t.causal ~src:r.cz ~dst:d Causal.Queue;
-                 r.cz <- d
-               | _ -> ()
-             end);
-            Ring.push tasks p)
+            let parked = Payload.cz t.slab h in
+            if Causal.enabled t.causal && parked >= 0 then begin
+              let d = Causal.node t.causal ~qid:(Payload.qid t.slab h) ~name:"stash-drain" ~ts:at in
+              Causal.edge t.causal ~src:cz ~dst:d Causal.Queue;
+              Causal.edge t.causal ~src:parked ~dst:d Causal.Queue;
+              Payload.set_cz t.slab h d
+            end;
+            Ring.push tasks h)
           (List.rev !stash)
     | None -> ());
     Cost_model.memo_op t.cost * (1 + List.length entries)

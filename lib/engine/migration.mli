@@ -7,7 +7,8 @@ type t
 
 (** [adaptive] turns rounds and the gate on. [centralized op]: the step
     runs on worker 0 (GAIA's stateful operators). [on_event name vertex]
-    feeds the migration monitor; [live qid]: the query still runs. *)
+    feeds the migration monitor; [live qid]: the query still runs.
+    Messages are built in [slab]. *)
 val create :
   graph:Graph.t ->
   partition:Partition.t ->
@@ -21,6 +22,7 @@ val create :
   ?mutation:Mutation.t ->
   ?on_event:(string -> int -> unit) ->
   live:(int -> bool) ->
+  slab:Payload.slab ->
   send:Payload.send ->
   unit ->
   t
@@ -41,7 +43,9 @@ val gate :
   t -> at:Sim_time.t -> w:int -> qid:int -> Program.t -> Traverser.t Vec.t -> int Vec.t ->
   Sim_time.t
 
-(** A migration message at [w]: the old owner ships the vertex's entries
-    from [memo]; the new owner installs them, then drains the stash onto
-    [tasks] in arrival order. *)
-val handle : t -> at:Sim_time.t -> w:int -> Memo.t -> Payload.t Ring.t -> Payload.t -> Sim_time.t
+(** A migration payload consumed at [w] under context [cz]: the old
+    owner ships the vertex's entries from [memo]; the new owner installs
+    them, then drains the stashed message handles onto [tasks] in arrival
+    order. *)
+val handle :
+  t -> at:Sim_time.t -> w:int -> Memo.t -> int Ring.t -> cz:int -> Payload.t -> Sim_time.t

@@ -1,72 +1,161 @@
 (* The async engine's messages between workers, shared by the engine and
    the seams that build them ({!Progress_tier}, {!Migration}).
 
-   Every payload that can sit on a query's causal chain carries a causal
-   context [cz]: the id of the {!Pstm_obs.Causal} DAG node that produced
-   it (-1 when causal tracing is off). The field is mutable because
-   delivery rewrites it to the arrival node, so the consumer's edge
-   covers only the queue wait, not the network hop again. [cz] is pure
-   metadata: [bytes] ignores it, so the simulated byte counts and costs
-   are untouched whether tracing is on or off. *)
+   A message in flight is an int handle into the engine's one message
+   slab: parallel lanes indexed by handle — the message's query (-1 for
+   migration messages), its causal context [cz], the traverser of a
+   one-traverser message, and its payload — plus a free list. Channel
+   batches, the workers' task rings, same-node hand-offs and the
+   migration stash all carry handles, so a traverser travels without a
+   message box around it. A slot is released exactly once, by the worker
+   that consumes the message; under the sanitizer an uncut run must end
+   with every slot free.
+
+   [cz] is the id of the {!Pstm_obs.Causal} DAG node that produced the
+   message (-1 when causal tracing is off). Delivery rewrites it, in its
+   lane, to the arrival node, so the consumer's edge covers only the
+   queue wait, not the network hop again. It is pure metadata: [bytes]
+   ignores it, so the simulated byte counts and costs are the same
+   whether tracing is on or off. Payloads themselves are immutable, so
+   one value can back many messages (a cleanup broadcast, a flush to
+   every responder). *)
 
 type t =
-  | P_trav of { qid : int; trav : Traverser.t; mutable cz : int }
-  | P_trav_batch of { qid : int; travs : Traverser.t list; mutable cz : int }
+  | P_trav (* one traverser, in the slot's traverser lane *)
+  | P_trav_batch of Traverser.t array
     (* Frontier batching ([Engine.Common.batched]): one coalesced message
        per (destination, kind) bucket instead of one packet per traverser.
        Each traverser still carries its own step and weight, so reliable
        delivery (ack / retransmit / dedup) treats the batch like any
        other payload and conservation is untouched. *)
-  | P_progress of { qid : int; phase : int; weight : Weight.t; mutable cz : int }
-  | P_agg_flush of { qid : int; agg_step : int; mutable cz : int }
-  | P_agg_partial of { qid : int; agg_step : int; partial : Aggregate.t option; mutable cz : int }
-  | P_cleanup of { qid : int }
-  | P_setup of { qid : int; mutable cz : int } (* dataflow flavors: instantiate operators *)
-  | P_setup_ack of { qid : int; mutable cz : int }
+  | P_progress of { phase : int; weight : Weight.t }
+  | P_agg_flush of { agg_step : int }
+  | P_agg_partial of { agg_step : int; partial : Aggregate.t option }
+  | P_cleanup
+  | P_setup (* dataflow flavors: instantiate operators *)
+  | P_setup_ack
   (* Vertex migration (adaptive repartitioning). The order goes to the
      old owner, which extracts the vertex's memo entries and ships them
      to the new owner as one costed data message. *)
-  | P_migrate of { vertex : int; dst : int; mutable cz : int }
-  | P_migrate_data of { vertex : int; entries : (int * int * Memo.entry) list; mutable cz : int }
+  | P_migrate of { vertex : int; dst : int }
+  | P_migrate_data of { vertex : int; entries : (int * int * Memo.entry) list }
 
-(* The engine's send: a same-worker push or a channel message; returns
-   the sender's CPU cost. *)
-type send = at:Sim_time.t -> src:int -> dst:int -> kind:Metrics.msg_kind -> t -> Sim_time.t
+let no_trav = Traverser.make ~vertex:0 ~step:0 ~weight:Weight.zero ~n_registers:0
 
-let bytes = function
-  | P_trav { trav; _ } -> 8 + Traverser.bytes trav
-  | P_trav_batch { travs; _ } ->
+(* The slab grows by chunks of [chunk] slots and never copies: a run
+   whose frontier floods the channels holds over a million messages at
+   once (khop-scale64 in bench/perf), and doubling flat lanes would
+   allocate, and keep alive while copying, twice that. Handle [h] lives
+   at [lane.(h lsr chunk_bits).(h land chunk_mask)]. *)
+let chunk_bits = 10
+let chunk = 1 lsl chunk_bits
+let chunk_mask = chunk - 1
+
+(* The qid lane of a free slot; its [cz] lane links the free list. *)
+let free_qid = min_int
+
+type slab = {
+  mutable qids : int array array;
+  mutable czs : int array array;
+  mutable travs : Traverser.t array array; (* [no_trav] unless the payload is [P_trav] *)
+  mutable payloads : t array array;
+  mutable free : int; (* the first free slot, or -1 *)
+  mutable in_use : int;
+}
+
+let slab () = { qids = [||]; czs = [||]; travs = [||]; payloads = [||]; free = -1; in_use = 0 }
+
+(* Add one chunk, its slots linked onto the (empty) free list lowest
+   handle first. *)
+let grow s =
+  let c = Array.length s.qids in
+  let add lanes lane = Array.append lanes [| lane |] in
+  s.qids <- add s.qids (Array.make chunk free_qid);
+  let first = c lsl chunk_bits in
+  s.czs <- add s.czs (Array.init chunk (fun i -> if i = chunk_mask then -1 else first + i + 1));
+  s.travs <- add s.travs (Array.make chunk no_trav);
+  s.payloads <- add s.payloads (Array.make chunk P_cleanup);
+  s.free <- first
+
+let acquire s ~qid ~cz payload trav =
+  if s.free < 0 then grow s;
+  let h = s.free in
+  let c = h lsr chunk_bits and i = h land chunk_mask in
+  let czs = s.czs.(c) in
+  s.free <- czs.(i);
+  s.in_use <- s.in_use + 1;
+  s.qids.(c).(i) <- qid;
+  czs.(i) <- cz;
+  s.payloads.(c).(i) <- payload;
+  s.travs.(c).(i) <- trav;
+  h
+
+(* A one-traverser message / any other message; returns its handle. *)
+let trav s ~qid ~cz trav = acquire s ~qid ~cz P_trav trav
+let msg s ~qid ~cz payload = acquire s ~qid ~cz payload no_trav
+
+let qid s h = s.qids.(h lsr chunk_bits).(h land chunk_mask)
+let cz s h = s.czs.(h lsr chunk_bits).(h land chunk_mask)
+let set_cz s h cz = s.czs.(h lsr chunk_bits).(h land chunk_mask) <- cz
+let traverser s h = s.travs.(h lsr chunk_bits).(h land chunk_mask)
+let payload s h = s.payloads.(h lsr chunk_bits).(h land chunk_mask)
+
+let release s h =
+  let c = h lsr chunk_bits and i = h land chunk_mask in
+  let qids = s.qids.(c) in
+  if qids.(i) = free_qid then invalid_arg "Payload.release: slot already free";
+  qids.(i) <- free_qid;
+  s.travs.(c).(i) <- no_trav;
+  s.payloads.(c).(i) <- P_cleanup;
+  s.czs.(c).(i) <- s.free;
+  s.free <- h;
+  s.in_use <- s.in_use - 1
+
+(* Slots acquired and not yet released. *)
+let in_use s = s.in_use
+
+(* The engine's send: a same-worker push or a channel message of the
+   handle; returns the sender's CPU cost. *)
+type send = at:Sim_time.t -> src:int -> dst:int -> kind:Metrics.msg_kind -> int -> Sim_time.t
+
+let bytes s h =
+  match payload s h with
+  | P_trav -> 8 + Traverser.bytes (traverser s h)
+  | P_trav_batch travs ->
     (* One header amortized over the batch; elements pay only their own
        serialized size, not a per-message frame. *)
-    List.fold_left (fun acc t -> acc + Traverser.bytes t) 16 travs
+    Array.fold_left (fun acc t -> acc + Traverser.bytes t) 16 travs
   | P_progress _ -> 8 + Weight.bytes + 8
   | P_agg_flush _ -> 16
   | P_agg_partial { partial; _ } ->
     16 + (match partial with None -> 0 | Some p -> Aggregate.bytes p)
-  | P_cleanup _ -> 8
-  | P_setup _ | P_setup_ack _ -> 16
+  | P_cleanup -> 8
+  | P_setup | P_setup_ack -> 16
   | P_migrate _ -> 16
   | P_migrate_data { entries; _ } ->
     List.fold_left (fun acc (_, _, e) -> acc + 16 + Memo.entry_bytes e) 16 entries
 
-(* Arrival interception: when a context-carrying payload lands on a
-   worker's queue, register an arrival node at the delivery instant [ts]
-   and rewrite the payload's [cz] to it, so the consumer's edge covers
-   only the queue wait from here on. [hop] is Network, or Retransmit
-   when the reliable channel is delivering a retransmitted copy — that
-   edge *is* the recovery stall. *)
-let arrive causal ~ts hop p =
-  let arrive ~qid ~name cz =
-    if cz < 0 then -1 else Pstm_obs.Causal.hop causal ~qid ~name ~ts ~src:cz hop
-  in
-  match p with
-  | P_trav ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive" r.cz
-  | P_trav_batch ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-batch" r.cz
-  | P_progress ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-progress" r.cz
-  | P_agg_flush ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-agg" r.cz
-  | P_agg_partial ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-partial" r.cz
-  | P_setup ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-setup" r.cz
-  | P_setup_ack ({ qid; _ } as r) -> r.cz <- arrive ~qid ~name:"arrive-ack" r.cz
-  | P_migrate r -> r.cz <- arrive ~qid:(-1) ~name:"arrive-migrate" r.cz
-  | P_migrate_data r -> r.cz <- arrive ~qid:(-1) ~name:"arrive-mdata" r.cz
-  | P_cleanup _ -> ()
+(* Arrival interception: when a message lands on a worker's queue,
+   register an arrival node at the delivery instant [ts] and rewrite the
+   message's [cz] to it, so the consumer's edge covers only the queue
+   wait from here on. [hop] is Network, or Retransmit when the reliable
+   channel is delivering a retransmitted copy — that edge *is* the
+   recovery stall. Cleanups are sent without a context (-1). *)
+let arrive s causal ~ts hop h =
+  let src = cz s h in
+  if src >= 0 then begin
+    let name =
+      match payload s h with
+      | P_trav -> "arrive"
+      | P_trav_batch _ -> "arrive-batch"
+      | P_progress _ -> "arrive-progress"
+      | P_agg_flush _ -> "arrive-agg"
+      | P_agg_partial _ -> "arrive-partial"
+      | P_setup -> "arrive-setup"
+      | P_setup_ack -> "arrive-ack"
+      | P_migrate _ -> "arrive-migrate"
+      | P_migrate_data _ -> "arrive-mdata"
+      | P_cleanup -> "arrive-cleanup"
+    in
+    set_cz s h (Pstm_obs.Causal.hop causal ~qid:(qid s h) ~name ~ts ~src hop)
+  end

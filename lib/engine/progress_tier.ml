@@ -39,17 +39,18 @@ type t = {
   causal : Pstm_obs.Causal.t;
   on_event : string -> qid:int -> phase:int -> unit;
   live : int -> q option;
+  slab : slab;
   send : send;
   complete : at:Sim_time.t -> cz:int -> w:int -> q -> Sim_time.t;
 }
 
 let create ~costs ~metrics ~n_workers ~coalescing ~per_traverser ~responders ?(check = false)
     ?mutation ?(obs = Pstm_obs.Recorder.disabled) ?(on_event = fun _ ~qid:_ ~phase:_ -> ()) ~live
-    ~send ~complete () =
+    ~slab ~send ~complete () =
   let coalescers = Array.init n_workers (fun _ -> Progress.coalescer ()) in
   let trace = Pstm_obs.Recorder.trace obs and causal = Pstm_obs.Recorder.causal obs in
   { costs; metrics; coalescers; coalescing; per_traverser; responders; check; mutation;
-    obs_on = Pstm_obs.Recorder.enabled obs; trace; causal; on_event; live; send; complete }
+    obs_on = Pstm_obs.Recorder.enabled obs; trace; causal; on_event; live; slab; send; complete }
 
 let launch t (q : q) =
   q.ext.launched <- true;
@@ -108,19 +109,20 @@ and phase_complete t ~at ~cz ~w q phase =
       ();
   match Program.agg_of_phase q.program phase with
   | Some agg_step ->
-    (* Pull the per-partition partials in (§III-C). Each flush is its
-       own value: [arrive] rewrites its [cz]. *)
+    (* Pull the per-partition partials in (§III-C): one flush payload,
+       one message per responder. *)
     q.ext.combine_step <- agg_step;
     q.ext.combine_received <- 0;
     q.ext.combine_acc <- None;
     q.ext.combine_expected <- Array.length t.responders;
     let cz = hop t ~qid:q.qid ~name:"phase-complete" ~ts:at ~src:cz Pstm_obs.Causal.Tracker in
+    let flush = P_agg_flush { agg_step } in
     let cost = ref Sim_time.zero in
     for i = 0 to Array.length t.responders - 1 do
       cost :=
         Sim_time.add !cost
           (t.send ~at ~src:w ~dst:t.responders.(i) ~kind:Metrics.Control_msg
-             (P_agg_flush { qid = q.qid; agg_step; cz }))
+             (msg t.slab ~qid:q.qid ~cz flush))
     done;
     !cost
   | None -> t.complete ~at ~cz ~w q
@@ -131,7 +133,7 @@ let report t ~at ~cz ~w (q : q) phase weight =
   if q.coordinator = w then receive t ~at ~cz ~w q phase weight
   else
     t.send ~at ~src:w ~dst:q.coordinator ~kind:Metrics.Progress_msg
-      (P_progress { qid = q.qid; phase; weight; cz })
+      (msg t.slab ~qid:q.qid ~cz (P_progress { phase; weight }))
 
 let finish_weight t ~at ~cz ~w (q : q) phase weight =
   if Weight.is_zero weight then Sim_time.zero
@@ -186,7 +188,7 @@ let respond t ~at ~w memo (q : q) ~agg_step ~cz =
   let partial = Memo.partial_opt memo ~qid:q.qid ~label:agg_step in
   let cz = hop t ~qid:q.qid ~name:"agg-flush" ~ts:at ~src:cz Pstm_obs.Causal.Barrier in
   t.send ~at ~src:w ~dst:q.coordinator ~kind:Metrics.Control_msg
-    (P_agg_partial { qid = q.qid; agg_step; partial; cz })
+    (msg t.slab ~qid:q.qid ~cz (P_agg_partial { agg_step; partial }))
 
 let combine (q : q) ~agg_step partial =
   let s = q.ext in

@@ -23,7 +23,8 @@ type t
 (** [coalescing]: finished weights merge per worker until a flush, each
     merge charged when [per_traverser]. [responders] answer aggregate
     flushes; [on_event] feeds the tracker monitor; [live] finds a live
-    query; [complete] ends one whose last phase completed. *)
+    query; messages are built in [slab]; [complete] ends one whose last
+    phase completed. *)
 val create :
   costs:Cluster.costs ->
   metrics:Metrics.t ->
@@ -36,6 +37,7 @@ val create :
   ?obs:Pstm_obs.Recorder.t ->
   ?on_event:(string -> qid:int -> phase:int -> unit) ->
   live:(int -> q option) ->
+  slab:Payload.slab ->
   send:Payload.send ->
   complete:(at:Sim_time.t -> cz:int -> w:int -> q -> Sim_time.t) ->
   unit ->

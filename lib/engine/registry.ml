@@ -65,8 +65,9 @@ let make ?(cluster_config = Cluster.default_config)
     ("bsp", bsp Bsp_engine.Ablation);
     ("tigergraph-role", bsp Bsp_engine.Tigergraph_role);
     ( "single-node",
-      engine "single-node" (fun ?common ~graph () ->
-          Single_node_engine.start ?common ~workers ~base_config:cluster_config ~graph ()) );
+      engine "single-node"
+        (Single_node_engine.start ~memory_capacity:Single_node_engine.default_memory_capacity
+           ~workers ~base_config:cluster_config) );
     ("local", engine "local" local_start);
   ]
 

@@ -32,7 +32,10 @@ let cluster_config ~workers ~(base : Cluster.config) =
 let options ~memory_capacity =
   { Async_engine.default_options with Async_engine.memory_capacity = Some memory_capacity }
 
-let start ?common ?(memory_capacity = 384 * 1024 * 1024) ~workers ~base_config ~graph () =
+(* One machine's DRAM in the Fig 8 study. *)
+let default_memory_capacity = 384 * 1024 * 1024
+
+let start ~memory_capacity ~workers ~base_config ?common ~graph () =
   let h =
     Async_engine.create ~options:(options ~memory_capacity) ?common
       ~cluster_config:(cluster_config ~workers ~base:base_config)

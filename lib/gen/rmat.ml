@@ -23,11 +23,11 @@ let n_vertices params = 1 lsl params.scale
 let sample_edge params prng =
   let src = ref 0 and dst = ref 0 in
   for _level = 1 to params.scale do
-    let noise () = 0.9 +. Prng.float prng 0.2 in
-    let a = params.a *. noise () in
-    let b = params.b *. noise () in
-    let c = params.c *. noise () in
-    let d = (1.0 -. params.a -. params.b -. params.c) *. noise () in
+    (* Four noise draws in a fixed order: a, b, c, then d. *)
+    let a = params.a *. (0.9 +. Prng.float prng 0.2) in
+    let b = params.b *. (0.9 +. Prng.float prng 0.2) in
+    let c = params.c *. (0.9 +. Prng.float prng 0.2) in
+    let d = (1.0 -. params.a -. params.b -. params.c) *. (0.9 +. Prng.float prng 0.2) in
     let total = a +. b +. c +. d in
     let u = Prng.float prng total in
     src := !src lsl 1;

@@ -24,21 +24,22 @@ let keys t =
   (* det-ok: keys sorted so callers see a stable enumeration *)
   List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.columns [])
 
+(* Column lookups use [Hashtbl.find], not [find_opt]: a read must not
+   allocate an option just to find its column. *)
 let get t ~key id =
   if id < 0 || id >= t.size then invalid_arg "Props.get: row out of range";
-  match Hashtbl.find_opt t.columns key with
-  | None -> Value.Null
-  | Some (Ints (data, valid)) -> if Bitset.mem valid id then Value.Int data.(id) else Value.Null
-  | Some (Floats (data, valid)) ->
-    if Bitset.mem valid id then Value.Float data.(id) else Value.Null
-  | Some (Strs (data, valid)) -> if Bitset.mem valid id then Value.Str data.(id) else Value.Null
-  | Some (Mixed data) -> data.(id)
+  match Hashtbl.find t.columns key with
+  | exception Not_found -> Value.Null
+  | Ints (data, valid) -> if Bitset.mem valid id then Value.Int data.(id) else Value.Null
+  | Floats (data, valid) -> if Bitset.mem valid id then Value.Float data.(id) else Value.Null
+  | Strs (data, valid) -> if Bitset.mem valid id then Value.Str data.(id) else Value.Null
+  | Mixed data -> data.(id)
 
 let get_int t ~key id =
-  match Hashtbl.find_opt t.columns key with
-  | Some (Ints (data, valid)) when Bitset.mem valid id -> Some data.(id)
-  | Some _ -> Value.to_int (get t ~key id)
-  | None -> None
+  match Hashtbl.find t.columns key with
+  | exception Not_found -> None
+  | Ints (data, valid) when Bitset.mem valid id -> Some data.(id)
+  | _ -> Value.to_int (get t ~key id)
 
 (* Materialize a column from sparse (row, value) pairs. The column is
    specialized when every present value has the same primitive shape. *)

@@ -28,14 +28,14 @@ let no_batching = { default_config with tlc = false; nlc = false }
 let tlc_only = { default_config with nlc = false }
 
 (* A batch of messages: two parallel lanes, destination worker and
-   payload. A batch moves between owners instead of being copied: a
+   message handle (the engine's slab slot). A batch moves between owners instead of being copied: a
    worker's tier-1 slot, the link's tier-2 pending slot, the packet in
    flight, and back to the channel's free list once delivered. Empty
    slots hold the channel's one shared [empty] sentinel, which is never
    written. *)
-type 'a batch = {
+type batch = {
   dsts : int Vec.t;
-  payloads : 'a Vec.t;
+  payloads : int Vec.t;
 }
 
 (* --- Reliable delivery (active only under a fault plane) -------------
@@ -52,19 +52,19 @@ type 'a batch = {
    double-counted. Without faults none of this state exists and the
    send path is byte-identical to the unreliable build. *)
 
-type 'a packet = {
+type packet = {
   p_src : int;
   p_dst : int;
   p_seq : int;
-  p_messages : 'a batch;
+  p_messages : batch;
   p_bytes : int;
 }
 
-type 'a reliable = {
+type reliable = {
   timeout : Sim_time.t; (* base ack timeout *)
   max_retries : int;
   next_seq : int array array; (* [src_node].(dst_node) *)
-  outstanding : (int, 'a packet) Hashtbl.t array array; (* [src].(dst): unacked seqs *)
+  outstanding : (int, packet) Hashtbl.t array array; (* [src].(dst): unacked seqs *)
   recv_low : int array array; (* [dst].(src): all seqs below are delivered *)
   recv_seen : (int, unit) Hashtbl.t array array; (* [dst].(src): delivered >= low *)
 }
@@ -73,20 +73,19 @@ let seq_header_bytes = 8
 let ack_bytes = 16
 let max_backoff_doublings = 6
 
-type 'a t = {
+type t = {
   cluster : Cluster.t;
   config : config;
-  deliver : int -> 'a -> unit; (* dst worker, payload; runs at arrival time *)
-  dummy : 'a;
-  empty : 'a batch; (* the shared empty-slot sentinel *)
-  free : 'a batch Vec.t; (* cleared batches ready for reuse *)
-  buffers : 'a batch array array; (* tier 1: [worker].(dst_node) *)
+  deliver : int -> int -> unit; (* dst worker, message; runs at arrival time *)
+  empty : batch; (* the shared empty-slot sentinel *)
+  free : batch Vec.t; (* cleared batches ready for reuse *)
+  buffers : batch array array; (* tier 1: [worker].(dst_node) *)
   buffer_bytes : int array array;
-  pending : 'a batch array array; (* tier 2: [src_node].(dst_node) *)
+  pending : batch array array; (* tier 2: [src_node].(dst_node) *)
   pending_bytes : int array array;
   fire_at : int array array; (* [src_node].(dst_node): open NLC window's fire time, or -1 *)
   fire : (unit -> unit) array array; (* one window-fire thunk per link *)
-  reliable : 'a reliable option;
+  reliable : reliable option;
   (* True exactly while [deliver] runs for a packet whose delivering copy
      was a retransmission (attempt > 0). Observers (the causal tracer)
      read it from inside the deliver callback to classify the hop as
@@ -100,7 +99,7 @@ let costs t = Cluster.costs t.cluster
 
 let take_batch t =
   if Vec.is_empty t.free then
-    { dsts = Vec.create ~dummy:(-1); payloads = Vec.create ~dummy:t.dummy }
+    { dsts = Vec.create ~dummy:(-1); payloads = Vec.create ~dummy:(-1) }
   else Vec.pop t.free
 
 let recycle t batch =
@@ -225,10 +224,10 @@ let fire_window t ~src_node ~dst_node =
     emit_packet t ~at:fire_at ~src_node ~dst_node batch batch_bytes
   end
 
-let create cluster config ~dummy ~deliver =
+let create cluster config ~deliver =
   let n_workers = Cluster.n_workers cluster in
   let n_nodes = Cluster.n_nodes cluster in
-  let empty = { dsts = Vec.create ~dummy:(-1); payloads = Vec.create ~dummy } in
+  let empty = { dsts = Vec.create ~dummy:(-1); payloads = Vec.create ~dummy:(-1) } in
   let reliable =
     match Cluster.faults cluster with
     | None -> None
@@ -250,7 +249,6 @@ let create cluster config ~dummy ~deliver =
       cluster;
       config;
       deliver;
-      dummy;
       empty;
       free = Vec.create ~dummy:empty;
       buffers = Array.make_matrix n_workers n_nodes empty;

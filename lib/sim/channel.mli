@@ -30,32 +30,33 @@ val no_batching : config
 (** Thread-level combining without node-level combining. *)
 val tlc_only : config
 
-type 'a t
+(** Messages are ints: the engine's handles into its message slab. *)
+type t
 
-(** [create cluster config ~dummy ~deliver] — [deliver dst_worker payload]
-    runs at simulated arrival time for every message. *)
-val create : Cluster.t -> config -> dummy:'a -> deliver:(int -> 'a -> unit) -> 'a t
+(** [create cluster config ~deliver] — [deliver dst_worker message] runs
+    at simulated arrival time for every message. *)
+val create : Cluster.t -> config -> deliver:(int -> int -> unit) -> t
 
-val config : 'a t -> config
+val config : t -> config
 
 (** Send one message at logical time [at]; returns the CPU time the
     sending worker spent (append, flush hand-off or syscall). *)
 val send :
-  'a t ->
+  t ->
   at:Sim_time.t ->
   src_worker:int ->
   dst_worker:int ->
   kind:Metrics.msg_kind ->
   bytes:int ->
-  'a ->
+  int ->
   Sim_time.t
 
 (** True exactly while [deliver] runs for a packet whose delivering copy
     was a retransmission; the causal tracer reads this from inside the
     deliver callback to classify the hop as retransmit-recovery time.
     Always false outside deliver callbacks and on fault-free runs. *)
-val delivering_retransmitted : 'a t -> bool
+val delivering_retransmitted : t -> bool
 
 (** Flush all tier-1 buffers of a worker (called before it sleeps);
     returns the CPU time spent. *)
-val flush_worker : 'a t -> at:Sim_time.t -> worker:int -> Sim_time.t
+val flush_worker : t -> at:Sim_time.t -> worker:int -> Sim_time.t

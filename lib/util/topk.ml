@@ -26,6 +26,9 @@ let add t x =
       Heap.push t.heap x
     end
 
+let is_full t = Heap.length t.heap >= t.k
+let worst t = Heap.peek_exn t.heap
+
 (* Feed [t]'s elements to [into] in ascending order, as [to_sorted_list]
    drains them: under ties ([cmp] equal, values not) the kept set depends
    on the order, so heap-array order would not do. *)

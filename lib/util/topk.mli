@@ -10,6 +10,14 @@ val create : k:int -> cmp:('a -> 'a -> int) -> dummy:'a -> 'a t
 val length : 'a t -> int
 val add : 'a t -> 'a -> unit
 
+(** [k] elements are kept, so {!add} keeps a new one only if it beats
+    {!worst}. *)
+val is_full : 'a t -> bool
+
+(** The kept element the next one {!add} keeps would displace; raises
+    when nothing is kept. *)
+val worst : 'a t -> 'a
+
 (** Merge [t] into [into]; [t] is unchanged. *)
 val merge : into:'a t -> 'a t -> unit
 

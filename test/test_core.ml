@@ -466,6 +466,34 @@ let test_memo_hits_allocate_nothing () =
   let words = int_of_float (Gc.minor_words () -. before) in
   if words > 8 then Alcotest.failf "2000 memo hits allocated %d words (bound 8)" words
 
+(* Allocation guard for Visit writes: a first visit and an improvement
+   keep the distance unboxed beside the vertex table. Each of 100 warm
+   queries visits 20 vertices and improves each once (tables within the
+   pool's cap). Measured 0 words for the 4 000 writes; 16 000 when each
+   stored a boxed [Scalar (Int d)]. A record that leaves the memo reads
+   back boxed. *)
+let test_memo_visit_writes_allocate_nothing () =
+  let m = Memo.create () in
+  let run qid =
+    for v = 0 to 19 do
+      ignore (Memo.min_int_update m ~qid ~label:1 v 50 : Memo.visit_outcome);
+      ignore (Memo.min_int_update m ~qid ~label:1 v 40 : Memo.visit_outcome)
+    done
+  in
+  run 0;
+  Memo.clear_query m 0;
+  let before = Gc.minor_words () in
+  for qid = 1 to 100 do
+    run qid;
+    Memo.clear_query m qid
+  done;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  if words > 8 then Alcotest.failf "4000 visit writes allocated %d words (bound 8)" words;
+  run 101;
+  match Memo.extract_for_key m (Value.Vertex 7) with
+  | [ (101, 1, Memo.Scalar (Value.Int 40)) ] -> ()
+  | _ -> Alcotest.fail "the extracted Visit record is not (101, 1, Int 40)"
+
 (* Allocation guard for query set-up and tear-down: once one query has
    run, each of 1 000 fresh qids writes two prebuilt vertex keys to each
    of two labels (creating both stores) and is cleared. Measured 0 words;
@@ -805,6 +833,8 @@ let () =
           Alcotest.test_case "rows" `Quick test_memo_rows;
           Alcotest.test_case "accounting" `Quick test_memo_accounting;
           Alcotest.test_case "hits allocate nothing" `Quick test_memo_hits_allocate_nothing;
+          Alcotest.test_case "visit writes allocate nothing" `Quick
+            test_memo_visit_writes_allocate_nothing;
           Alcotest.test_case "a warm query lifecycle allocates nothing" `Quick
             test_memo_lifecycle_allocates_nothing;
           Alcotest.test_case "reads of an absent query allocate nothing" `Quick

@@ -327,19 +327,108 @@ let test_tigergraph_profile_slower () =
   Alcotest.(check bool) "interpretation costs" true
     (latency Bsp_engine.Tigergraph_role > latency Bsp_engine.Ablation)
 
+(* BSP admission, pinned: which barrier admits each query, and in what
+   order queries start, time out and complete. Queries arrive out of qid
+   order, share arrival instants, and one carries a deadline it misses. *)
+let test_bsp_admission_order () =
+  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
+  let obs = Pstm_obs.Recorder.create () in
+  let submissions =
+    [|
+      Engine.submit ~at:(Sim_time.us 40) (khop_program graph 3);
+      Engine.submit (khop_program graph 2);
+      Engine.submit ~at:(Sim_time.us 40) (khop_program graph 1);
+      Engine.submit ~at:(Sim_time.us 5) ~deadline:(Sim_time.us 1) (khop_program graph 3);
+      Engine.submit (khop_program graph 3);
+      Engine.submit ~at:(Sim_time.us 90) (khop_program graph 2);
+    |]
+  in
+  let report =
+    Bsp_engine.run ~common:{ Engine.Common.default with Engine.Common.obs }
+      ~cluster_config:small_cluster ~graph submissions
+  in
+  let order = ref [] in
+  Pstm_obs.Trace.iter
+    (fun (e : Pstm_obs.Trace.event) ->
+      if e.Pstm_obs.Trace.tid >= Engine.query_track 0 && e.Pstm_obs.Trace.name <> "first_touch"
+      then
+        order :=
+          Fmt.str "%s:%d@%d" e.Pstm_obs.Trace.name
+            (e.Pstm_obs.Trace.tid - Engine.query_track 0)
+            (Sim_time.to_ns e.Pstm_obs.Trace.ts)
+          :: !order)
+    (Pstm_obs.Recorder.trace obs);
+  Alcotest.(check (list string)) "query instants in order"
+    [
+      "submit:1@0"; "submit:4@0"; "submit:0@40000"; "submit:2@40000"; "submit:3@5000";
+      "timed_out:3@48801"; "submit:5@90000"; "phase_complete:1@419442"; "phase_complete:2@419442";
+      "phase_complete:0@495907"; "complete:1@495907"; "complete:2@495907";
+      "phase_complete:4@495907"; "complete:0@572277"; "complete:4@572277";
+      "phase_complete:5@572277"; "complete:5@616877";
+    ]
+    (List.rev !order);
+  Alcotest.(check int) "makespan" 616877 (Sim_time.to_ns report.Engine.makespan)
+
 let test_single_node_engine () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
   let program = khop_program graph 2 in
   let expected = show_rows (Local_engine.run graph program) in
   let report =
     Engine.run_via_start
-      (fun ?common ~graph () ->
-        Single_node_engine.start ?common ~workers:4 ~base_config:Cluster.default_config ~graph ())
+      (Single_node_engine.start ~memory_capacity:Single_node_engine.default_memory_capacity
+         ~workers:4 ~base_config:Cluster.default_config)
       ~graph [| Engine.submit program |]
   in
   Alcotest.(check string) "rows" expected (show_rows report.Engine.queries.(0).Engine.rows);
   Alcotest.(check int) "no network packets on one node" 0
     Metrics.(get report.Engine.metrics Counter.packets)
+
+(* Allocation guard for the message path: in a warm session (the query
+   ran once already, so rings, slab, channel batches and memo pools have
+   grown), a scalar 3-hop run allocates about one traverser per
+   traverser message. A child here is a record (5 words) plus, when its
+   loop counter moves, a register file and a boxed int. Measured about
+   13 words per message; 19-20 when each message was boxed. The batched
+   run stages without allocating: about 10 words per step, against 18
+   with a tuple-keyed staging table and list buckets. [sh_finish] serves as a
+   probe of the session's live counters (the sanitizer is off). *)
+let test_warm_run_allocation () =
+  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
+  let program =
+    Compile.compile ~name:"khop3" graph
+      Dsl.(v_lookup ~key:"id" (int 1) |> repeat ~dir:Graph.Out ~times:3 () |> count |> build)
+  in
+  let measure ~batched =
+    let h =
+      Async_engine.create
+        ~common:{ Engine.Common.default with Engine.Common.batched }
+        ~cluster_config:{ Cluster.default_config with Cluster.n_nodes = 4; workers_per_node = 1 }
+        ~channel_config:Channel.default_config ~graph ()
+    in
+    let run () =
+      ignore (h.Engine.sh_submit (Engine.submit ~at:(h.Engine.sh_now ()) program) : int);
+      h.Engine.sh_drive ~until:None
+    in
+    let counts () =
+      let m = (h.Engine.sh_finish ()).Engine.metrics in
+      ( Metrics.messages m Metrics.Traverser_msg + Metrics.messages m Metrics.Result_msg,
+        Metrics.(get m Counter.steps) )
+    in
+    run ();
+    run ();
+    let msgs0, steps0 = counts () in
+    let before = Gc.minor_words () in
+    run ();
+    let words = Gc.minor_words () -. before in
+    let msgs, steps = counts () in
+    (words /. float_of_int (msgs - msgs0), words /. float_of_int (steps - steps0))
+  in
+  let per_msg, _ = measure ~batched:false in
+  if per_msg > 16.0 then
+    Alcotest.failf "warm scalar run: %.1f words per traverser message (bound 16)" per_msg;
+  let _, per_step = measure ~batched:true in
+  if per_step > 13.0 then
+    Alcotest.failf "warm batched run: %.1f words per step (bound 13)" per_step
 
 let test_worker_busy_reported () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
@@ -411,7 +500,10 @@ let () =
           Alcotest.test_case "exec allocation" `Quick test_exec_allocation;
           Alcotest.test_case "bsp profiles agree" `Quick test_bsp_profiles_same_rows;
           Alcotest.test_case "tigergraph profile slower" `Quick test_tigergraph_profile_slower;
+          Alcotest.test_case "bsp admission order" `Quick test_bsp_admission_order;
           Alcotest.test_case "single node" `Quick test_single_node_engine;
+          Alcotest.test_case "warm runs allocate about one traverser per message" `Quick
+            test_warm_run_allocation;
           Alcotest.test_case "worker busy reported" `Quick test_worker_busy_reported;
           Alcotest.test_case "wc off sends more progress" `Quick test_wc_off_sends_more_progress;
           Alcotest.test_case "flat tracking at scale, sanitizer on" `Quick

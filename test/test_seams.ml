@@ -5,6 +5,8 @@
 open Pstm_engine
 open Pstm_query
 
+let qcheck = QCheck_alcotest.to_alcotest
+
 let graph =
   lazy
     (let b = Builder.create () in
@@ -22,14 +24,20 @@ let program () =
 
 let costs = Cluster.default_costs
 
-(* A send stub that records every message and charges 1ns. *)
+(* Every fixture builds its messages here; none is consumed. *)
+let slab = Payload.slab ()
+
+(* A send stub that records every message (destination, handle) and
+   charges 1ns. *)
 let outbox () =
   let sent = ref [] in
-  let send ~at:_ ~src:_ ~dst ~kind:_ p =
-    sent := (dst, p) :: !sent;
+  let send ~at:_ ~src:_ ~dst ~kind:_ h =
+    sent := (dst, h) :: !sent;
     Sim_time.ns 1
   in
   (sent, send)
+
+let payloads sent = List.map (fun (dst, h) -> (dst, Payload.payload slab h)) !sent
 
 (* --- Migration --- *)
 
@@ -48,7 +56,7 @@ let migration () =
   let sent, send = outbox () in
   let mig =
     Migration.create ~graph ~partition ~adaptive:true ~refine_interval:(Sim_time.us 1)
-      ~min_traffic:1 ~cost ~metrics:(Metrics.create ()) ~live:(fun _ -> true) ~send ()
+      ~min_traffic:1 ~cost ~metrics:(Metrics.create ()) ~live:(fun _ -> true) ~slab ~send ()
   in
   (partition, sent, mig)
 
@@ -72,17 +80,17 @@ let test_gate () =
   Alcotest.(check int) "nothing sent" 0 (List.length !sent);
   let dst = (owner + 1) mod 4 in
   ignore (Migration.migrate mig ~at:Sim_time.zero ~src:owner ~cz:(-1) ~vertex:3 ~dst : Sim_time.t);
-  (match !sent with
-  | [ (o, Payload.P_migrate { vertex = 3; dst = d; _ }) ] ->
+  (match payloads sent with
+  | [ (o, Payload.P_migrate { vertex = 3; dst = d }) ] ->
     Alcotest.(check int) "order goes to the old owner" owner o;
     Alcotest.(check int) "toward the new owner" dst d
   | _ -> Alcotest.fail "expected one migration order");
   sent := [];
   Alcotest.(check int) "old owner forwards" 0 (gate ~w:owner [ trav 3 ]);
   (match !sent with
-  | [ (d, Payload.P_trav { trav = t; _ }) ] ->
+  | [ (d, h) ] when Payload.payload slab h = Payload.P_trav ->
     Alcotest.(check int) "to the new owner" dst d;
-    Alcotest.(check int) "the same traverser" 3 t.Traverser.vertex
+    Alcotest.(check int) "the same traverser" 3 (Payload.traverser slab h).Traverser.vertex
   | _ -> Alcotest.fail "expected one forward");
   sent := [];
   Alcotest.(check int) "new owner stashes" 0 (gate ~w:dst [ trav 3 ]);
@@ -96,10 +104,10 @@ let test_migrates_once () =
   let first = (owner + 1) mod 4 in
   Alcotest.(check bool) "first order costs" true (Sim_time.compare (move first) Sim_time.zero > 0);
   Alcotest.(check int) "in flight: no second move" 0 (Sim_time.to_ns (move ((owner + 2) mod 4)));
-  let tasks = Ring.create ~dummy:(Payload.P_cleanup { qid = -1 }) in
+  let tasks = Ring.create ~dummy:(-1) in
   ignore
-    (Migration.handle mig ~at:Sim_time.zero ~w:first (Memo.create ()) tasks
-       (Payload.P_migrate_data { vertex = 2; entries = []; cz = -1 })
+    (Migration.handle mig ~at:Sim_time.zero ~w:first (Memo.create ()) tasks ~cz:(-1)
+       (Payload.P_migrate_data { vertex = 2; entries = [] })
       : Sim_time.t);
   Alcotest.(check int) "installed: still no second move" 0 (Sim_time.to_ns (move owner));
   Alcotest.(check int) "owner stays" first (Partition.owner partition 2);
@@ -124,15 +132,16 @@ let test_stash_drains_in_order () =
       let travs, czs = group [ t ] in
       ignore (Migration.gate mig ~at:Sim_time.zero ~w:dst ~qid:0 program travs czs : Sim_time.t))
     travs;
-  let tasks = Ring.create ~dummy:(Payload.P_cleanup { qid = -1 }) in
+  let tasks = Ring.create ~dummy:(-1) in
   ignore
-    (Migration.handle mig ~at:Sim_time.zero ~w:dst (Memo.create ()) tasks
-       (Payload.P_migrate_data { vertex = 4; entries = []; cz = -1 })
+    (Migration.handle mig ~at:Sim_time.zero ~w:dst (Memo.create ()) tasks ~cz:(-1)
+       (Payload.P_migrate_data { vertex = 4; entries = [] })
       : Sim_time.t);
   let drained = ref [] in
   while not (Ring.is_empty tasks) do
-    match Ring.pop tasks with
-    | Payload.P_trav { trav; _ } -> drained := trav.Traverser.weight :: !drained
+    let h = Ring.pop tasks in
+    match Payload.payload slab h with
+    | Payload.P_trav -> drained := (Payload.traverser slab h).Traverser.weight :: !drained
     | _ -> Alcotest.fail "only traversers drain"
   done;
   Alcotest.(check int) "every parked traverser" 3 (List.length !drained);
@@ -150,7 +159,7 @@ let tier ?(completed = ref 0) life =
   let sent, send = outbox () in
   let tier =
     Progress_tier.create ~costs ~metrics:(Metrics.create ()) ~n_workers:2 ~coalescing:true
-      ~per_traverser:true ~responders:[| 0; 1 |] ~live:(Lifecycle.live life) ~send
+      ~per_traverser:true ~responders:[| 0; 1 |] ~live:(Lifecycle.live life) ~slab ~send
       ~complete:(fun ~at:_ ~cz:_ ~w:_ _ ->
         incr completed;
         Sim_time.zero)
@@ -164,7 +173,10 @@ let submit life =
 
 let progress_weights sent =
   List.filter_map
-    (function _, Payload.P_progress { qid; weight; _ } -> Some (qid, weight) | _ -> None)
+    (fun (_, h) ->
+      match Payload.payload slab h with
+      | Payload.P_progress { weight; _ } -> Some (Payload.qid slab h, weight)
+      | _ -> None)
     !sent
 
 let test_flush_conserves () =
@@ -247,6 +259,154 @@ let test_terminal_once () =
   Alcotest.(check string) "cancelled once" "cancelled"
     (Engine.outcome_name r.Engine.queries.(b).Engine.outcome)
 
+(* --- Message slab --- *)
+
+module IM = Map.Make (Int)
+
+type slab_op =
+  | Trav of int * int * int (* qid, cz, vertex *)
+  | Msg of int * int * int (* qid, cz, cleanup / flush step *)
+  | Release of int (* the nth live handle, modulo *)
+  | Set_cz of int * int
+
+let pp_slab_op ppf = function
+  | Trav (q, c, v) -> Fmt.pf ppf "trav(%d,%d,%d)" q c v
+  | Msg (q, c, k) -> Fmt.pf ppf "msg(%d,%d,%d)" q c k
+  | Release n -> Fmt.pf ppf "release %d" n
+  | Set_cz (n, c) -> Fmt.pf ppf "set_cz %d %d" n c
+
+let slab_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map3 (fun q c v -> Trav (q, c, v)) (int_range (-1) 5) (int_range (-1) 50) small_nat);
+        (2, map3 (fun q c k -> Msg (q, c, k)) (int_range (-1) 5) (int_range (-1) 50) (int_bound 3));
+        (5, map (fun n -> Release n) small_nat);
+        (1, map2 (fun n c -> Set_cz (n, c)) small_nat (int_range (-1) 50));
+      ])
+
+(* What the model expects in a live slot: qid, cz, and the traverser's
+   vertex or the payload. *)
+type slot = { s_qid : int; s_cz : int; s_vertex : int; s_payload : Payload.t }
+
+let payload_of k = if k = 0 then Payload.P_cleanup else Payload.P_agg_flush { agg_step = k }
+
+(* The slab against a map from live handle to its lanes, after every op
+   of a random sequence long enough to grow past one chunk: live handles
+   are distinct, every lane reads back what was written, [in_use] is the
+   map's size, and releasing a free slot is refused. *)
+let slab_matches_model =
+  QCheck.Test.make ~name:"slab matches a map model" ~count:100
+    (QCheck.make
+       ~print:(fun ops -> Fmt.str "%a" (Fmt.list ~sep:Fmt.sp pp_slab_op) ops)
+       QCheck.Gen.(list_size (int_range 0 3000) slab_op))
+    (fun ops ->
+      let s = Payload.slab () in
+      let model = ref IM.empty in
+      let nth n = fst (List.nth (IM.bindings !model) (n mod IM.cardinal !model)) in
+      let add h slot =
+        if IM.mem h !model then QCheck.Test.fail_reportf "handle %d handed out twice" h;
+        model := IM.add h slot !model
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Trav (qid, cz, v) ->
+            let t = Traverser.make ~vertex:v ~step:1 ~weight:Weight.root ~n_registers:0 in
+            add (Payload.trav s ~qid ~cz t)
+              { s_qid = qid; s_cz = cz; s_vertex = v; s_payload = Payload.P_trav }
+          | Msg (qid, cz, k) ->
+            add
+              (Payload.msg s ~qid ~cz (payload_of k))
+              { s_qid = qid; s_cz = cz; s_vertex = 0; s_payload = payload_of k }
+          | Release n when not (IM.is_empty !model) ->
+            let h = nth n in
+            Payload.release s h;
+            model := IM.remove h !model;
+            (match Payload.release s h with
+            | () -> QCheck.Test.fail_reportf "slot %d released twice" h
+            | exception Invalid_argument _ -> ())
+          | Set_cz (n, cz) when not (IM.is_empty !model) ->
+            let h = nth n in
+            Payload.set_cz s h cz;
+            model := IM.add h { (IM.find h !model) with s_cz = cz } !model
+          | Release _ | Set_cz _ -> ());
+          if Payload.in_use s <> IM.cardinal !model then
+            QCheck.Test.fail_reportf "after %a: %d in use, model %d" pp_slab_op op
+              (Payload.in_use s) (IM.cardinal !model))
+        ops;
+      IM.iter
+        (fun h slot ->
+          let ok =
+            Payload.qid s h = slot.s_qid
+            && Payload.cz s h = slot.s_cz
+            && Payload.payload s h = slot.s_payload
+            && (Payload.traverser s h).Traverser.vertex = slot.s_vertex
+          in
+          if not ok then QCheck.Test.fail_reportf "slot %d disagrees with the model" h)
+        !model;
+      true)
+
+(* --- Staging --- *)
+
+(* Traversers of two queries over three steps, interleaved: each lands in
+   its (qid, step) group, groups open in first-seen order, and arrival
+   order and contexts hold within a group. *)
+let test_staging_groups () =
+  let st = Staging.create () in
+  let trav v step = Traverser.make ~vertex:v ~step ~weight:Weight.root ~n_registers:0 in
+  let stage () =
+    List.iteri
+      (fun i (qid, step) -> Staging.add st ~qid ~cz:(10 + i) (trav i step))
+      [ (0, 1); (1, 1); (0, 2); (0, 1); (1, 1); (0, 3); (0, 2) ]
+  in
+  let groups () =
+    List.init (Staging.length st) (fun i ->
+        let g = Staging.get st i in
+        ( (g.Staging.qid, g.Staging.step),
+          List.map (fun t -> t.Traverser.vertex) (Vec.to_list g.Staging.travs),
+          Vec.to_list g.Staging.czs ))
+  in
+  let want =
+    [
+      ((0, 1), [ 0; 3 ], [ 10; 13 ]);
+      ((1, 1), [ 1; 4 ], [ 11; 14 ]);
+      ((0, 2), [ 2; 6 ], [ 12; 16 ]);
+      ((0, 3), [ 5 ], [ 15 ]);
+    ]
+  in
+  let pp = Alcotest.(list (triple (pair int int) (list int) (list int))) in
+  stage ();
+  Alcotest.check pp "first quantum" want (groups ());
+  Staging.clear st;
+  Alcotest.(check int) "cleared" 0 (Staging.length st);
+  stage ();
+  Alcotest.check pp "reused groups" want (groups ())
+
+(* Allocation guard: once a quantum has opened its groups, staging
+   allocates nothing per traverser. 1 000 quanta of 64 traversers over 8
+   (qid, step) groups: measured 0 words; a table keyed by (qid, step)
+   tuples allocates a key and an option per traverser. *)
+let test_staging_allocates_nothing () =
+  let st = Staging.create () in
+  let travs =
+    Array.init 64 (fun i ->
+        Traverser.make ~vertex:i ~step:(i mod 4) ~weight:Weight.root ~n_registers:0)
+  in
+  let quantum () =
+    for i = 0 to Array.length travs - 1 do
+      Staging.add st ~qid:(i mod 2) ~cz:i travs.(i)
+    done;
+    Staging.clear st
+  in
+  quantum ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    quantum ()
+  done;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  if words > 8 then Alcotest.failf "64 000 staged traversers allocated %d words (bound 8)" words
+
 let () =
   Alcotest.run "seams"
     [
@@ -263,4 +423,11 @@ let () =
         ] );
       ( "lifecycle",
         [ Alcotest.test_case "terminal transition fires once" `Quick test_terminal_once ] );
+      ("slab", [ qcheck slab_matches_model ]);
+      ( "staging",
+        [
+          Alcotest.test_case "groups in first-seen order" `Quick test_staging_groups;
+          Alcotest.test_case "warm staging allocates nothing" `Quick
+            test_staging_allocates_nothing;
+        ] );
     ]

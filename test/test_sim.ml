@@ -231,7 +231,7 @@ let make_channel ?(config = Channel.default_config) ~n_nodes ~workers () =
   in
   let received = ref [] in
   let chan =
-    Channel.create cluster config ~dummy:(-1) ~deliver:(fun dst payload ->
+    Channel.create cluster config ~deliver:(fun dst payload ->
         received := (dst, payload, Cluster.now cluster) :: !received)
   in
   (cluster, chan, received)
@@ -307,7 +307,7 @@ let test_channel_allocation () =
   in
   let delivered = ref 0 in
   let chan =
-    Channel.create cluster Channel.default_config ~dummy:(-1) ~deliver:(fun _ _ -> incr delivered)
+    Channel.create cluster Channel.default_config ~deliver:(fun _ _ -> incr delivered)
   in
   let round () =
     let at = Cluster.now cluster in
