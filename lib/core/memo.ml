@@ -317,6 +317,17 @@ let add_if_absent t ~qid ~label key =
     true
   end
 
+(* [add_if_absent] of the key [Value.Vertex v], without boxing it. *)
+let add_vertex_if_absent t ~qid ~label v =
+  if v < 0 then invalid_arg "Memo.add_vertex_if_absent: negative vertex";
+  let s = store t ~qid ~label in
+  if index s.vertices v >= 0 then false
+  else begin
+    insert s.vertices v seen 0;
+    t.live_entries <- t.live_entries + 1;
+    true
+  end
+
 (* Minimum-distance update for the Visit step. *)
 type visit_outcome =
   | First_visit

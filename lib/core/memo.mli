@@ -23,6 +23,9 @@ val set : t -> qid:int -> label:int -> Value.t -> entry -> unit
 (** Deduplication test-and-set: [true] iff the key was absent. *)
 val add_if_absent : t -> qid:int -> label:int -> Value.t -> bool
 
+(** [add_if_absent] keyed [Value.Vertex v], without boxing the key. *)
+val add_vertex_if_absent : t -> qid:int -> label:int -> int -> bool
+
 type visit_outcome =
   | First_visit
   | Improved

@@ -17,6 +17,7 @@ type t = {
   n_phases : int;
   agg_of_phase : int option array; (* the Aggregate step closing each phase *)
   join_partner : int array; (* for Join steps, the opposite side's index *)
+  routing : Step.routing array; (* each step's h_psi, built once here, not per dispatch *)
 }
 
 exception Invalid of string
@@ -187,7 +188,8 @@ let make ~name ~steps ~n_registers ~entries =
   if agg_of_phase.(n_phases - 1) <> None then
     invalid "final phase ends in an aggregate with nowhere to continue";
   let join_partner = check_join_pairing steps phase_of_step in
-  { name; steps; n_registers; entries; phase_of_step; n_phases; agg_of_phase; join_partner }
+  let routing = Array.map (fun step -> Step.routing step.Step.op) steps in
+  { name; steps; n_registers; entries; phase_of_step; n_phases; agg_of_phase; join_partner; routing }
 
 let name t = t.name
 let steps t = t.steps
@@ -198,6 +200,7 @@ let entries t = t.entries
 let n_phases t = t.n_phases
 let phase_of_step t i = t.phase_of_step.(i)
 let agg_of_phase t p = t.agg_of_phase.(p)
+let routing t i = t.routing.(i)
 
 let join_partner t i =
   let p = t.join_partner.(i) in

@@ -28,6 +28,9 @@ val phase_of_step : t -> int -> int
 (** The Aggregate step closing a phase, or [None] for the final phase. *)
 val agg_of_phase : t -> int -> int option
 
+(** [Step.routing] of step [i], computed once by {!make}. *)
+val routing : t -> int -> Step.routing
+
 (** The opposite side of a Join step; raises on non-join steps. *)
 val join_partner : t -> int -> int
 

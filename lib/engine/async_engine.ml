@@ -812,9 +812,12 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       (Array.map (fun w -> w.memo) workers);
     if check && not cut then begin
       Progress_tier.check_drained tier;
-      (* Every message was consumed, so every slot is free. *)
+      (* Every message was consumed, so every slot is free, and every
+         tier-1 buffer was flushed and every NLC window fired. *)
       let n = Payload.in_use slab in
-      if n > 0 then Engine.check_fail "async: %d message slots still in use at finish" n
+      if n > 0 then Engine.check_fail "async: %d message slots still in use at finish" n;
+      let n = Channel.held (channel ()) in
+      if n > 0 then Engine.check_fail "async: %d messages still held in channel tiers at finish" n
     end;
     Lifecycle.report life ~makespan:(Cluster.now cluster) ~metrics
       ~events:(Event_queue.executed events)

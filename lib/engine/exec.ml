@@ -167,7 +167,11 @@ let run s ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
     let target = Value.vertex_exn t.regs.(reg) in
     Vec.push s.spawns (Traverser.move t ~vertex:target ~step:step.next ~weight:t.weight)
   | Step.Dedup { by } ->
-    let fresh = Memo.add_if_absent memo ~qid ~label:t.step (eval graph t by) in
+    let fresh =
+      match by with
+      | Step.Vertex_id -> Memo.add_vertex_if_absent memo ~qid ~label:t.step t.vertex
+      | _ -> Memo.add_if_absent memo ~qid ~label:t.step (eval graph t by)
+    in
     s.prop_reads <- s.prop_reads + Step.expr_prop_reads by;
     if fresh then begin
       Vec.push s.spawns (Traverser.at_step t step.next);
@@ -263,9 +267,9 @@ let conserves (t : Traverser.t) s =
   Weight.equal total t.Traverser.weight
 
 let route ~graph ~partition ~coordinator program (t : Traverser.t) =
-  match Step.routing (Program.step program t.step).Step.op with
+  match Program.routing program t.step with
   | Step.By_coordinator -> coordinator
-  | Step.By_vertex -> Partition.owner partition t.vertex
+  | Step.By_vertex | Step.By_key Step.Vertex_id -> Partition.owner partition t.vertex
   | Step.By_key e -> begin
     match Step.eval_expr graph ~vertex:t.vertex ~regs:t.regs e with
     | Value.Vertex v -> Partition.owner partition v

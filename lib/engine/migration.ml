@@ -78,7 +78,7 @@ let routed_vertex t program (trav : Traverser.t) =
   let op = (Program.step program trav.Traverser.step).Step.op in
   if t.centralized op then None
   else begin
-    match Step.routing op with
+    match Program.routing program trav.Traverser.step with
     | Step.By_coordinator -> None
     | Step.By_vertex -> Some trav.Traverser.vertex
     | Step.By_key e -> key_vertex t trav e

@@ -42,15 +42,6 @@ type t =
 
 let no_trav = Traverser.make ~vertex:0 ~step:0 ~weight:Weight.zero ~n_registers:0
 
-(* The slab grows by chunks of [chunk] slots and never copies: a run
-   whose frontier floods the channels holds over a million messages at
-   once (khop-scale64 in bench/perf), and doubling flat lanes would
-   allocate, and keep alive while copying, twice that. Handle [h] lives
-   at [lane.(h lsr chunk_bits).(h land chunk_mask)]. *)
-let chunk_bits = 10
-let chunk = 1 lsl chunk_bits
-let chunk_mask = chunk - 1
-
 (* The qid lane of a free slot; its [cz] lane links the free list. *)
 let free_qid = min_int
 
@@ -65,22 +56,26 @@ type slab = {
 
 let slab () = { qids = [||]; czs = [||]; travs = [||]; payloads = [||]; free = -1; in_use = 0 }
 
-(* Add one chunk, its slots linked onto the (empty) free list lowest
-   handle first. *)
+(* Add one chunk to every lane ({!Chunks}: a flooding run holds over a
+   million messages at once, and doubling flat lanes would keep two
+   copies alive while they grow), its slots linked onto the (empty) free
+   list lowest handle first. *)
 let grow s =
-  let c = Array.length s.qids in
-  let add lanes lane = Array.append lanes [| lane |] in
-  s.qids <- add s.qids (Array.make chunk free_qid);
-  let first = c lsl chunk_bits in
-  s.czs <- add s.czs (Array.init chunk (fun i -> if i = chunk_mask then -1 else first + i + 1));
-  s.travs <- add s.travs (Array.make chunk no_trav);
-  s.payloads <- add s.payloads (Array.make chunk P_cleanup);
+  let first = Chunks.capacity s.qids in
+  s.qids <- Chunks.add s.qids free_qid;
+  s.czs <- Chunks.add s.czs (-1);
+  let links = s.czs.(first lsr Chunks.bits) in
+  for i = 0 to Chunks.mask - 1 do
+    links.(i) <- first + i + 1
+  done;
+  s.travs <- Chunks.add s.travs no_trav;
+  s.payloads <- Chunks.add s.payloads P_cleanup;
   s.free <- first
 
 let acquire s ~qid ~cz payload trav =
   if s.free < 0 then grow s;
   let h = s.free in
-  let c = h lsr chunk_bits and i = h land chunk_mask in
+  let c = h lsr Chunks.bits and i = h land Chunks.mask in
   let czs = s.czs.(c) in
   s.free <- czs.(i);
   s.in_use <- s.in_use + 1;
@@ -94,14 +89,14 @@ let acquire s ~qid ~cz payload trav =
 let trav s ~qid ~cz trav = acquire s ~qid ~cz P_trav trav
 let msg s ~qid ~cz payload = acquire s ~qid ~cz payload no_trav
 
-let qid s h = s.qids.(h lsr chunk_bits).(h land chunk_mask)
-let cz s h = s.czs.(h lsr chunk_bits).(h land chunk_mask)
-let set_cz s h cz = s.czs.(h lsr chunk_bits).(h land chunk_mask) <- cz
-let traverser s h = s.travs.(h lsr chunk_bits).(h land chunk_mask)
-let payload s h = s.payloads.(h lsr chunk_bits).(h land chunk_mask)
+let qid s h = s.qids.(h lsr Chunks.bits).(h land Chunks.mask)
+let cz s h = s.czs.(h lsr Chunks.bits).(h land Chunks.mask)
+let set_cz s h cz = s.czs.(h lsr Chunks.bits).(h land Chunks.mask) <- cz
+let traverser s h = s.travs.(h lsr Chunks.bits).(h land Chunks.mask)
+let payload s h = s.payloads.(h lsr Chunks.bits).(h land Chunks.mask)
 
 let release s h =
-  let c = h lsr chunk_bits and i = h land chunk_mask in
+  let c = h lsr Chunks.bits and i = h land Chunks.mask in
   let qids = s.qids.(c) in
   if qids.(i) = free_qid then invalid_arg "Payload.release: slot already free";
   qids.(i) <- free_qid;

@@ -27,16 +27,15 @@ let default_config = { tlc = true; nlc = true; flush_bytes = 8192; nlc_window = 
 let no_batching = { default_config with tlc = false; nlc = false }
 let tlc_only = { default_config with nlc = false }
 
-(* A batch of messages: two parallel lanes, destination worker and
-   message handle (the engine's slab slot). A batch moves between owners instead of being copied: a
-   worker's tier-1 slot, the link's tier-2 pending slot, the packet in
-   flight, and back to the channel's free list once delivered. Empty
-   slots hold the channel's one shared [empty] sentinel, which is never
-   written. *)
-type batch = {
-  dsts : int Vec.t;
-  payloads : int Vec.t;
-}
+(* Messages are int handles (the engine's slab slots), and a message
+   in flight is its own list cell: two channel lanes indexed by handle
+   ({!Chunks}) hold the next message of its chain (-1 ends it) and its
+   destination worker. A chain moves between owners by its (head, tail)
+   pair, never copied: a worker's tier-1 buffer, the link's tier-2
+   pending chain (a flushed buffer is spliced onto its tail in O(1)),
+   then an unreliable packet, which is just its head handle. Each
+   handle is in at most one chain at a time, because the engine sends a
+   message once and consumes it once. *)
 
 (* --- Reliable delivery (active only under a fault plane) -------------
 
@@ -56,7 +55,10 @@ type packet = {
   p_src : int;
   p_dst : int;
   p_seq : int;
-  p_messages : batch;
+  p_messages : int array;
+      (* (destination worker, handle) pairs in delivery order, copied from
+         the chain at emit: retransmissions walk them again after the
+         handles have been consumed and reused *)
   p_bytes : int;
 }
 
@@ -77,14 +79,22 @@ type t = {
   cluster : Cluster.t;
   config : config;
   deliver : int -> int -> unit; (* dst worker, message; runs at arrival time *)
-  empty : batch; (* the shared empty-slot sentinel *)
-  free : batch Vec.t; (* cleared batches ready for reuse *)
-  buffers : batch array array; (* tier 1: [worker].(dst_node) *)
+  mutable next : int array array; (* by handle: the chain's next message, or -1 *)
+  mutable dst : int array array; (* by handle: destination worker *)
+  heads : int array array; (* tier 1: [worker].(dst_node) chain, -1 when empty *)
+  tails : int array array;
   buffer_bytes : int array array;
-  pending : batch array array; (* tier 2: [src_node].(dst_node) *)
+  pending_heads : int array array; (* tier 2: [src_node].(dst_node) chain *)
+  pending_tails : int array array;
   pending_bytes : int array array;
   fire_at : int array array; (* [src_node].(dst_node): open NLC window's fire time, or -1 *)
-  fire : (unit -> unit) array array; (* one window-fire thunk per link *)
+  (* The three prebuilt event actions, each fired on an int argument:
+     a packet's arrival on its chain's head, a same-node hand-off on its
+     handle, an NLC window's close on its link, [src_node * n_nodes +
+     dst_node]. Set once by [create]. *)
+  mutable arrive : int -> unit;
+  mutable arrive_local : int -> unit;
+  mutable fire : int -> unit;
   reliable : reliable option;
   (* True exactly while [deliver] runs for a packet whose delivering copy
      was a retransmission (attempt > 0). Observers (the causal tracer)
@@ -97,23 +107,48 @@ let config t = t.config
 
 let costs t = Cluster.costs t.cluster
 
-let take_batch t =
-  if Vec.is_empty t.free then
-    { dsts = Vec.create ~dummy:(-1); payloads = Vec.create ~dummy:(-1) }
-  else Vec.pop t.free
+let[@inline] get (lane : int array array) h = lane.(h lsr Chunks.bits).(h land Chunks.mask)
+let[@inline] set (lane : int array array) h v = lane.(h lsr Chunks.bits).(h land Chunks.mask) <- v
 
-let recycle t batch =
-  Vec.clear batch.dsts;
-  Vec.clear batch.payloads;
-  Vec.push t.free batch
+(* Grow the lanes to cover handle [h]. *)
+let reserve t h =
+  while h >= Chunks.capacity t.next do
+    t.next <- Chunks.add t.next (-1);
+    t.dst <- Chunks.add t.dst (-1)
+  done
 
-let is_empty batch = Vec.is_empty batch.dsts
+(* Hand a chain to the destination node in order: charging a
+   per-message receive cost is the engine's business. Each link is read
+   before its message is handed over. *)
+let deliver_chain t head =
+  let h = ref head in
+  while !h >= 0 do
+    let m = !h in
+    h := get t.next m;
+    t.deliver (get t.dst m) m
+  done
 
-(* Hand a batch to the destination node in arrival order: charging a
-   per-message receive cost is the engine's business. *)
-let deliver_all t batch =
-  for i = 0 to Vec.length batch.dsts - 1 do
-    t.deliver (Vec.get batch.dsts i) (Vec.get batch.payloads i)
+let chain_length t head =
+  let n = ref 0 and h = ref head in
+  while !h >= 0 do
+    incr n;
+    h := get t.next !h
+  done;
+  !n
+
+let pairs_of_chain t head =
+  let pairs = Array.make (2 * chain_length t head) 0 in
+  let h = ref head in
+  for i = 0 to (Array.length pairs / 2) - 1 do
+    pairs.(2 * i) <- get t.dst !h;
+    pairs.((2 * i) + 1) <- !h;
+    h := get t.next !h
+  done;
+  pairs
+
+let deliver_pairs t pairs =
+  for i = 0 to (Array.length pairs / 2) - 1 do
+    t.deliver pairs.(2 * i) pairs.((2 * i) + 1)
   done
 
 (* Exponential backoff, capped so a long outage retries every few ms
@@ -126,7 +161,8 @@ let rec transmit t r ~at ~attempt pkt =
   let at = max at (Cluster.now t.cluster) in
   Cluster.send_packet t.cluster ~at ~src_node:pkt.p_src ~dst_node:pkt.p_dst
     ~bytes:(pkt.p_bytes + seq_header_bytes)
-    (fun () -> receive_data t r ~retx:(attempt > 0) pkt);
+    (fun _ -> receive_data t r ~retx:(attempt > 0) pkt)
+    0;
   (* Arm the ack timer: on expiry, retransmit iff still unacked. The
      timer shares the link's dependence class — whether it fires before
      or after a same-time ack arrival is a real protocol race. *)
@@ -176,7 +212,7 @@ and receive_data t r ~retx pkt =
     Cluster.emit_protocol t.cluster Cluster.Pkt_deliver ~src:pkt.p_src ~dst:pkt.p_dst
       ~seq:pkt.p_seq;
     t.delivering_retx <- retx;
-    deliver_all t pkt.p_messages;
+    deliver_pairs t pkt.p_messages;
     t.delivering_retx <- false
   end
   else begin
@@ -189,45 +225,48 @@ and receive_data t r ~retx pkt =
   Cluster.send_packet t.cluster
     ~at:(Cluster.now t.cluster)
     ~src_node:pkt.p_dst ~dst_node:pkt.p_src ~bytes:ack_bytes
-    (fun () ->
+    (fun _ ->
       Cluster.emit_protocol t.cluster Cluster.Pkt_ack ~src:pkt.p_src ~dst:pkt.p_dst
         ~seq:pkt.p_seq;
       Hashtbl.remove r.outstanding.(pkt.p_src).(pkt.p_dst) pkt.p_seq)
+    0
 
-(* The packet owns [messages] from here on. Unreliable packets hand the
-   batch back to the free list once delivered; reliable ones keep it for
-   retransmission and never recycle it. *)
-let emit_packet t ~at ~src_node ~dst_node messages bytes =
+(* The packet owns the chain from [head] on. An unreliable packet is
+   its head: the arrival event walks the chain. A reliable one copies
+   the chain into its (destination, handle) pairs. *)
+let emit_packet t ~at ~src_node ~dst_node head bytes =
   match t.reliable with
-  | None ->
-    Cluster.send_packet t.cluster ~at ~src_node ~dst_node ~bytes (fun () ->
-        deliver_all t messages;
-        recycle t messages)
+  | None -> Cluster.send_packet t.cluster ~at ~src_node ~dst_node ~bytes t.arrive head
   | Some r ->
     let seq = r.next_seq.(src_node).(dst_node) in
     r.next_seq.(src_node).(dst_node) <- seq + 1;
-    let pkt = { p_src = src_node; p_dst = dst_node; p_seq = seq; p_messages = messages; p_bytes = bytes } in
+    let pkt =
+      { p_src = src_node; p_dst = dst_node; p_seq = seq; p_messages = pairs_of_chain t head;
+        p_bytes = bytes }
+    in
     Hashtbl.replace r.outstanding.(src_node).(dst_node) seq pkt;
     Cluster.emit_protocol t.cluster Cluster.Pkt_send ~src:src_node ~dst:dst_node ~seq;
     transmit t r ~at ~attempt:0 pkt
 
-(* The NLC window of one link closes: the pending batch moves into the
-   packet and the slot goes back to the sentinel. *)
-let fire_window t ~src_node ~dst_node =
+(* The NLC window of link [src_node * n_nodes + dst_node] closes: the
+   pending chain becomes the packet. *)
+let fire_window t link =
+  let n_nodes = Cluster.n_nodes t.cluster in
+  let src_node = link / n_nodes and dst_node = link mod n_nodes in
   let fire_at = t.fire_at.(src_node).(dst_node) in
   t.fire_at.(src_node).(dst_node) <- -1;
-  let batch = t.pending.(src_node).(dst_node) in
-  if not (is_empty batch) then begin
-    let batch_bytes = t.pending_bytes.(src_node).(dst_node) in
-    t.pending.(src_node).(dst_node) <- t.empty;
+  let head = t.pending_heads.(src_node).(dst_node) in
+  if head >= 0 then begin
+    let bytes = t.pending_bytes.(src_node).(dst_node) in
+    t.pending_heads.(src_node).(dst_node) <- -1;
+    t.pending_tails.(src_node).(dst_node) <- -1;
     t.pending_bytes.(src_node).(dst_node) <- 0;
-    emit_packet t ~at:fire_at ~src_node ~dst_node batch batch_bytes
+    emit_packet t ~at:fire_at ~src_node ~dst_node head bytes
   end
 
 let create cluster config ~deliver =
   let n_workers = Cluster.n_workers cluster in
   let n_nodes = Cluster.n_nodes cluster in
-  let empty = { dsts = Vec.create ~dummy:(-1); payloads = Vec.create ~dummy:(-1) } in
   let reliable =
     match Cluster.faults cluster with
     | None -> None
@@ -244,95 +283,88 @@ let create cluster config ~deliver =
           recv_seen = table ();
         }
   in
+  let unset (_ : int) = () in
   let t =
     {
       cluster;
       config;
       deliver;
-      empty;
-      free = Vec.create ~dummy:empty;
-      buffers = Array.make_matrix n_workers n_nodes empty;
+      next = [||];
+      dst = [||];
+      heads = Array.make_matrix n_workers n_nodes (-1);
+      tails = Array.make_matrix n_workers n_nodes (-1);
       buffer_bytes = Array.make_matrix n_workers n_nodes 0;
-      pending = Array.make_matrix n_nodes n_nodes empty;
+      pending_heads = Array.make_matrix n_nodes n_nodes (-1);
+      pending_tails = Array.make_matrix n_nodes n_nodes (-1);
       pending_bytes = Array.make_matrix n_nodes n_nodes 0;
       fire_at = Array.make_matrix n_nodes n_nodes (-1);
-      fire = Array.make_matrix n_nodes n_nodes ignore;
+      arrive = unset;
+      arrive_local = unset;
+      fire = unset;
       reliable;
       delivering_retx = false;
     }
   in
-  for src_node = 0 to n_nodes - 1 do
-    for dst_node = 0 to n_nodes - 1 do
-      t.fire.(src_node).(dst_node) <- (fun () -> fire_window t ~src_node ~dst_node)
-    done
-  done;
+  t.arrive <- deliver_chain t;
+  t.arrive_local <- (fun h -> t.deliver (get t.dst h) h);
+  t.fire <- fire_window t;
   t
 
 (* Tier-2 entry: either open/extend an NLC window or emit immediately.
-   [messages] is a tier-1 buffer the caller has given up. It becomes the
-   link's pending batch if that slot is empty, or is appended there and
-   recycled; without NLC it becomes the packet. *)
-let to_combiner t ~at ~src_node ~dst_node messages bytes =
+   The chain [head .. tail] is a tier-1 buffer the caller has given up.
+   It is spliced onto the link's pending chain; without NLC it becomes
+   the packet. *)
+let to_combiner t ~at ~src_node ~dst_node ~head ~tail bytes =
   Metrics.(incr (Cluster.metrics t.cluster) Counter.flushes);
   if t.config.nlc then begin
-    let pending = t.pending.(src_node).(dst_node) in
-    if is_empty pending then t.pending.(src_node).(dst_node) <- messages
-    else begin
-      Vec.append ~into:pending.dsts messages.dsts;
-      Vec.append ~into:pending.payloads messages.payloads;
-      recycle t messages
-    end;
+    let last = t.pending_tails.(src_node).(dst_node) in
+    if last < 0 then t.pending_heads.(src_node).(dst_node) <- head else set t.next last head;
+    t.pending_tails.(src_node).(dst_node) <- tail;
     t.pending_bytes.(src_node).(dst_node) <- t.pending_bytes.(src_node).(dst_node) + bytes;
     if t.fire_at.(src_node).(dst_node) < 0 then begin
       let fire_at = Sim_time.add (max at (Cluster.now t.cluster)) t.config.nlc_window in
       t.fire_at.(src_node).(dst_node) <- fire_at;
-      Event_queue.schedule_at (Cluster.events t.cluster) ~time:fire_at
+      Event_queue.schedule_call (Cluster.events t.cluster) ~time:fire_at
         ~tag:(Cluster.link_tag t.cluster ~src_node ~dst_node)
-        t.fire.(src_node).(dst_node)
+        t.fire
+        ((src_node * Cluster.n_nodes t.cluster) + dst_node)
     end
   end
-  else emit_packet t ~at ~src_node ~dst_node messages bytes
+  else emit_packet t ~at ~src_node ~dst_node head bytes
 
 let delivering_retransmitted t = t.delivering_retx
 
 let flush_buffer t ~at ~worker ~dst_node =
-  let buffer = t.buffers.(worker).(dst_node) in
-  if is_empty buffer then Sim_time.zero
+  let head = t.heads.(worker).(dst_node) in
+  if head < 0 then Sim_time.zero
   else begin
-    let bytes = t.buffer_bytes.(worker).(dst_node) in
+    let tail = t.tails.(worker).(dst_node) and bytes = t.buffer_bytes.(worker).(dst_node) in
     let src_node = Cluster.node_of_worker t.cluster worker in
-    t.buffers.(worker).(dst_node) <- t.empty;
+    t.heads.(worker).(dst_node) <- -1;
+    t.tails.(worker).(dst_node) <- -1;
     t.buffer_bytes.(worker).(dst_node) <- 0;
-    to_combiner t ~at ~src_node ~dst_node buffer bytes;
+    to_combiner t ~at ~src_node ~dst_node ~head ~tail bytes;
     (costs t).Cluster.flush_handoff
   end
 
 (* Send one message; returns the sender's CPU cost. *)
-let send t ~at ~src_worker ~dst_worker ~kind ~bytes payload =
+let send t ~at ~src_worker ~dst_worker ~kind ~bytes h =
   let metrics = Cluster.metrics t.cluster in
+  Metrics.count_message metrics kind bytes;
+  reserve t h;
+  set t.dst h dst_worker;
   if Cluster.same_node t.cluster src_worker dst_worker then begin
     (* Shared-memory shortcut: no NIC, no batching. *)
-    Metrics.count_message metrics kind bytes;
-    Cluster.send_local t.cluster ~at
-      ~tag:(Cluster.worker_tag t.cluster dst_worker)
-      (fun () -> t.deliver dst_worker payload);
+    Cluster.send_local t.cluster ~at ~tag:(Cluster.worker_tag t.cluster dst_worker) t.arrive_local h;
     (costs t).Cluster.buffer_append
   end
   else begin
-    Metrics.count_message metrics kind bytes;
+    set t.next h (-1);
     let dst_node = Cluster.node_of_worker t.cluster dst_worker in
     if t.config.tlc then begin
-      let buffer =
-        let b = t.buffers.(src_worker).(dst_node) in
-        if b != t.empty then b
-        else begin
-          let b = take_batch t in
-          t.buffers.(src_worker).(dst_node) <- b;
-          b
-        end
-      in
-      Vec.push buffer.dsts dst_worker;
-      Vec.push buffer.payloads payload;
+      let last = t.tails.(src_worker).(dst_node) in
+      if last < 0 then t.heads.(src_worker).(dst_node) <- h else set t.next last h;
+      t.tails.(src_worker).(dst_node) <- h;
       t.buffer_bytes.(src_worker).(dst_node) <- t.buffer_bytes.(src_worker).(dst_node) + bytes;
       let append_cost = (costs t).Cluster.buffer_append in
       if t.buffer_bytes.(src_worker).(dst_node) >= t.config.flush_bytes then
@@ -342,11 +374,7 @@ let send t ~at ~src_worker ~dst_worker ~kind ~bytes payload =
     else begin
       (* No batching: the message is its own packet and pays a syscall. *)
       Metrics.(incr metrics Counter.flushes);
-      let src_node = Cluster.node_of_worker t.cluster src_worker in
-      let singleton = take_batch t in
-      Vec.push singleton.dsts dst_worker;
-      Vec.push singleton.payloads payload;
-      emit_packet t ~at ~src_node ~dst_node singleton bytes;
+      emit_packet t ~at ~src_node:(Cluster.node_of_worker t.cluster src_worker) ~dst_node h bytes;
       (costs t).Cluster.direct_send
     end
   end
@@ -359,3 +387,11 @@ let flush_worker t ~at ~worker =
     total := Sim_time.add !total (flush_buffer t ~at ~worker ~dst_node)
   done;
   !total
+
+(* Messages still in a tier-1 buffer or an NLC pending chain. *)
+let held t =
+  let n = ref 0 in
+  let count heads = Array.iter (Array.iter (fun head -> n := !n + chain_length t head)) heads in
+  count t.heads;
+  count t.pending_heads;
+  !n

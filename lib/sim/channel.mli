@@ -30,7 +30,9 @@ val no_batching : config
 (** Thread-level combining without node-level combining. *)
 val tlc_only : config
 
-(** Messages are ints: the engine's handles into its message slab. *)
+(** Messages are ints: the engine's handles into its message slab. They
+    must be dense (the channel keeps two lanes indexed by handle), and a
+    handle must not be sent again before it is delivered. *)
 type t
 
 (** [create cluster config ~deliver] — [deliver dst_worker message] runs
@@ -60,3 +62,8 @@ val delivering_retransmitted : t -> bool
 (** Flush all tier-1 buffers of a worker (called before it sleeps);
     returns the CPU time spent. *)
 val flush_worker : t -> at:Sim_time.t -> worker:int -> Sim_time.t
+
+(** Messages still held in a tier-1 buffer or a tier-2 (NLC) pending
+    chain. Zero once every worker has flushed and every window has
+    fired; the engine's sanitizer checks it at finish. *)
+val held : t -> int

@@ -137,10 +137,10 @@ let now t = Event_queue.now t.events
 let workers_of_node t node =
   Array.init t.config.workers_per_node (fun i -> (node * t.config.workers_per_node) + i)
 
-(* Serialize a packet through the source node's NIC and invoke [arrive] at
-   the destination-side arrival time. [at] is the logical hand-off time
-   (>= now modulo in-quantum skew, which we clamp). *)
-let send_packet t ~at ~src_node ~dst_node ~bytes arrive =
+(* Serialize a packet through the source node's NIC and call [arrive arg]
+   at the destination-side arrival time. [at] is the logical hand-off
+   time (>= now modulo in-quantum skew, which we clamp). *)
+let send_packet t ~at ~src_node ~dst_node ~bytes arrive arg =
   assert (src_node <> dst_node);
   let at = max at (now t) in
   let start = max at t.nic_busy.(src_node) in
@@ -154,7 +154,7 @@ let send_packet t ~at ~src_node ~dst_node ~bytes arrive =
   | Some hook -> hook { src_node; dst_node; bytes; nic_start = start; arrival });
   let tag = link_tag t ~src_node ~dst_node in
   match t.faults with
-  | None -> Event_queue.schedule_at t.events ~time:arrival ~tag arrive
+  | None -> Event_queue.schedule_call t.events ~time:arrival ~tag arrive arg
   | Some f ->
     (* The sender always pays NIC serialization (the loss is on the
        wire); what varies is whether — and when — the receiver side runs.
@@ -170,20 +170,20 @@ let send_packet t ~at ~src_node ~dst_node ~bytes arrive =
         else arrival
       in
       let arrival = Faults.release f ~node:dst_node ~at:arrival in
-      Event_queue.schedule_at t.events ~time:arrival ~tag arrive;
+      Event_queue.schedule_call t.events ~time:arrival ~tag arrive arg;
       if verdict.Faults.duplicated then begin
         Metrics.(incr t.metrics Counter.fault_dups);
         (* The ghost copy trails by one wire latency; receivers dedup by
            sequence number, so it only costs a discarded arrival. *)
-        Event_queue.schedule_at ~tag t.events
+        Event_queue.schedule_call ~tag t.events
           ~time:(Sim_time.add arrival t.config.net.Netmodel.wire_latency)
-          arrive
+          arrive arg
       end
     end
 
 (* Same-node shared-memory handoff (the §IV-B shortcut). *)
-let send_local t ~at ~tag arrive =
+let send_local t ~at ~tag arrive arg =
   let at = max at (now t) in
   Metrics.(incr t.metrics Counter.local_messages);
   let arrival = Sim_time.add at t.config.net.Netmodel.shm_latency in
-  Event_queue.schedule_at t.events ~time:arrival ~tag arrive
+  Event_queue.schedule_call t.events ~time:arrival ~tag arrive arg

@@ -102,11 +102,14 @@ val same_node : t -> int -> int -> bool
 val now : t -> Sim_time.t
 val workers_of_node : t -> int -> int array
 
-(** Serialize a packet through the source NIC; [arrive] fires at the
-    destination at the computed arrival time. *)
+(** [send_packet t ~at ~src_node ~dst_node ~bytes arrive arg] serializes
+    a packet through the source NIC; [arrive arg] runs at the destination
+    at the computed arrival time (twice if the fault plane duplicates
+    it, never if it drops it). A prebuilt [arrive] makes the send
+    allocation-free ({!Event_queue.schedule_call}). *)
 val send_packet :
-  t -> at:Sim_time.t -> src_node:int -> dst_node:int -> bytes:int -> (unit -> unit) -> unit
+  t -> at:Sim_time.t -> src_node:int -> dst_node:int -> bytes:int -> (int -> unit) -> int -> unit
 
-(** Same-node shared-memory handoff. [tag] labels the arrival's
-    dependence class for choosers. *)
-val send_local : t -> at:Sim_time.t -> tag:int -> (unit -> unit) -> unit
+(** Same-node shared-memory handoff of [arrive arg]. [tag] labels the
+    arrival's dependence class for choosers. *)
+val send_local : t -> at:Sim_time.t -> tag:int -> (int -> unit) -> int -> unit

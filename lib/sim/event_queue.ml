@@ -7,9 +7,15 @@
    calling [run_to_completion].
 
    The heap is struct-of-arrays: slot [i] is ([times.(i)], [seqs.(i)],
-   [tags.(i)], [actions.(i)]). There is no entry record, the tag is a
-   plain int, and [step] reads the root in place, so scheduling and
-   firing a prebuilt thunk allocates nothing once the arrays have grown.
+   [tags.(i)], [thunks.(i)], [calls.(i)], [args.(i)]). An entry is either
+   a unit thunk ([schedule_at]; its call is [no_call]) or a call of an
+   [int -> unit] action on its int argument ([schedule_call]; its thunk
+   is [ignore]). The argument lets one prebuilt action serve every
+   entry — a packet's arrival fires the channel's one delivery action on
+   the packet's first message handle — where a thunk would be a fresh
+   closure per entry. There is no entry record, the tag is a plain int,
+   and [step] reads the root in place, so scheduling and firing either
+   kind allocates nothing once the arrays have grown.
 
    Same-timestamp ties are the only scheduling freedom a real asynchronous
    cluster has that the DES normally collapses; [set_chooser] re-opens it.
@@ -26,11 +32,16 @@ type choice = {
 
 type chooser = choice array -> int
 
+(* The call of a thunk entry; never fired. *)
+let no_call (_ : int) = ()
+
 type t = {
   mutable times : int array;
   mutable seqs : int array;
   mutable tags : int array;
-  mutable actions : (unit -> unit) array;
+  mutable thunks : (unit -> unit) array;
+  mutable calls : (int -> unit) array;
+  mutable args : int array;
   mutable len : int;
   mutable now : Sim_time.t;
   mutable next_seq : int;
@@ -43,7 +54,9 @@ let create () =
     times = [||];
     seqs = [||];
     tags = [||];
-    actions = [||];
+    thunks = [||];
+    calls = [||];
+    args = [||];
     len = 0;
     now = 0;
     next_seq = 0;
@@ -73,7 +86,9 @@ let grow t =
   t.times <- extend t.times 0;
   t.seqs <- extend t.seqs 0;
   t.tags <- extend t.tags 0;
-  t.actions <- extend t.actions ignore
+  t.thunks <- extend t.thunks ignore;
+  t.calls <- extend t.calls no_call;
+  t.args <- extend t.args 0
 
 let[@inline] before (time_a : int) (seq_a : int) time_b seq_b =
   time_a < time_b || (time_a = time_b && seq_a < seq_b)
@@ -82,11 +97,14 @@ let[@inline] move t ~src ~dst =
   t.times.(dst) <- t.times.(src);
   t.seqs.(dst) <- t.seqs.(src);
   t.tags.(dst) <- t.tags.(src);
-  t.actions.(dst) <- t.actions.(src)
+  t.thunks.(dst) <- t.thunks.(src);
+  t.calls.(dst) <- t.calls.(src);
+  t.args.(dst) <- t.args.(src)
 
-(* Insert with an explicit seq: fresh from [schedule_at], or the entry's
-   own seq when the chooser path pushes an unpicked entry back. *)
-let push t ~time ~seq ~tag action =
+(* Insert with an explicit seq: fresh from [schedule_at] /
+   [schedule_call], or the entry's own seq when the chooser path pushes
+   an unpicked entry back. *)
+let push t ~time ~seq ~tag thunk call arg =
   if t.len = Array.length t.times then grow t;
   let i = ref t.len in
   t.len <- t.len + 1;
@@ -103,7 +121,9 @@ let push t ~time ~seq ~tag action =
   t.times.(!i) <- time;
   t.seqs.(!i) <- seq;
   t.tags.(!i) <- tag;
-  t.actions.(!i) <- action
+  t.thunks.(!i) <- thunk;
+  t.calls.(!i) <- call;
+  t.args.(!i) <- arg
 
 (* Drop the root: the last slot sifts down from the top. *)
 let remove_root t =
@@ -111,7 +131,8 @@ let remove_root t =
   t.len <- n;
   if n > 0 then begin
     let time = t.times.(n) and seq = t.seqs.(n) in
-    let tag = t.tags.(n) and action = t.actions.(n) in
+    let tag = t.tags.(n) and thunk = t.thunks.(n) in
+    let call = t.calls.(n) and arg = t.args.(n) in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
@@ -132,24 +153,30 @@ let remove_root t =
     t.times.(!i) <- time;
     t.seqs.(!i) <- seq;
     t.tags.(!i) <- tag;
-    t.actions.(!i) <- action
+    t.thunks.(!i) <- thunk;
+    t.calls.(!i) <- call;
+    t.args.(!i) <- arg
   end;
-  t.actions.(n) <- ignore
+  t.thunks.(n) <- ignore;
+  t.calls.(n) <- no_call
 
-let schedule_at t ~time ~tag action =
+let schedule t ~time ~tag thunk call arg =
   if Sim_time.compare time t.now < 0 then
     invalid_arg
-      (Fmt.str "Event_queue.schedule_at: time %a is in the past (now %a)" Sim_time.pp time
+      (Fmt.str "Event_queue.schedule: time %a is in the past (now %a)" Sim_time.pp time
          Sim_time.pp t.now);
-  push t ~time ~seq:t.next_seq ~tag action;
+  push t ~time ~seq:t.next_seq ~tag thunk call arg;
   t.next_seq <- t.next_seq + 1
+
+let schedule_at t ~time ~tag thunk = schedule t ~time ~tag thunk no_call 0
+let schedule_call t ~time ~tag call arg = schedule t ~time ~tag ignore call arg
 
 let schedule_after t ~delay ~tag action = schedule_at t ~time:(Sim_time.add t.now delay) ~tag action
 
-let fire t ~time action =
+let fire t ~time thunk call arg =
   t.now <- time;
   t.executed <- t.executed + 1;
-  action ()
+  if call == no_call then thunk () else call arg
 
 (* Chooser path: pop the tied batch (successive pops at one timestamp
    arrive in ascending seq, so it is already in insertion order), let the
@@ -157,11 +184,14 @@ let fire t ~time action =
 let step_choosing t choose =
   let time = t.times.(0) in
   let seqs = Vec.create ~dummy:0 and tags = Vec.create ~dummy:0 in
-  let actions = Vec.create ~dummy:ignore in
+  let thunks = Vec.create ~dummy:ignore and calls = Vec.create ~dummy:no_call in
+  let args = Vec.create ~dummy:0 in
   while t.len > 0 && t.times.(0) = time do
     Vec.push seqs t.seqs.(0);
     Vec.push tags t.tags.(0);
-    Vec.push actions t.actions.(0);
+    Vec.push thunks t.thunks.(0);
+    Vec.push calls t.calls.(0);
+    Vec.push args t.args.(0);
     remove_root t
   done;
   let n = Vec.length seqs in
@@ -173,18 +203,21 @@ let step_choosing t choose =
       if pick < 0 || pick >= n then 0 else pick
   in
   for i = 0 to n - 1 do
-    if i <> pick then push t ~time ~seq:(Vec.get seqs i) ~tag:(Vec.get tags i) (Vec.get actions i)
+    if i <> pick then
+      push t ~time ~seq:(Vec.get seqs i) ~tag:(Vec.get tags i) (Vec.get thunks i)
+        (Vec.get calls i) (Vec.get args i)
   done;
-  fire t ~time (Vec.get actions pick)
+  fire t ~time (Vec.get thunks pick) (Vec.get calls pick) (Vec.get args pick)
 
 let step t =
   if t.len = 0 then false
   else begin
     (match t.chooser with
     | None ->
-      let time = t.times.(0) and action = t.actions.(0) in
+      let time = t.times.(0) and thunk = t.thunks.(0) in
+      let call = t.calls.(0) and arg = t.args.(0) in
       remove_root t;
-      fire t ~time action
+      fire t ~time thunk call arg
     | Some choose -> step_choosing t choose);
     true
   end

@@ -52,6 +52,12 @@ val set_chooser : t -> chooser option -> unit
     queue has grown to its working depth. *)
 val schedule_at : t -> time:Sim_time.t -> tag:int -> (unit -> unit) -> unit
 
+(** [schedule_call t ~time ~tag f arg] schedules [f arg], exactly like
+    [schedule_at] schedules a thunk: same checks, same sequence numbers,
+    same ordering. One prebuilt [f] can serve every entry, each with its
+    own [arg], so no closure is built per event. *)
+val schedule_call : t -> time:Sim_time.t -> tag:int -> (int -> unit) -> int -> unit
+
 val schedule_after : t -> delay:Sim_time.t -> tag:int -> (unit -> unit) -> unit
 
 (** Execute the next event; [false] when the queue is empty. *)

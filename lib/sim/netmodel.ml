@@ -31,10 +31,11 @@ let with_bandwidth t gbps =
   if gbps <= 0.0 then invalid_arg "Netmodel.with_bandwidth";
   { t with bandwidth_gbps = gbps }
 
-(* Time the payload occupies the wire. *)
+(* Time the payload occupies the wire: [Sim_time.of_float_ns], written
+   out so the quotient is never boxed (this runs once per packet). *)
 let wire_time t ~bytes =
   let bits = float_of_int ((bytes + t.packet_header_bytes) * 8) in
-  Sim_time.of_float_ns (bits /. t.bandwidth_gbps)
+  int_of_float (Float.round (bits /. t.bandwidth_gbps))
 
 (* Total NIC occupancy of one packet. *)
 let nic_occupancy t ~bytes = Sim_time.add t.per_packet (wire_time t ~bytes)

@@ -262,6 +262,7 @@ module Memo_model = struct
 
   type op =
     | Add of int * int * Value.t
+    | Add_vertex of int * int * int
     | Min of int * int * int * int
     | Rows_add of int * int * Value.t * int
     | Rows_get of int * int * Value.t
@@ -274,6 +275,7 @@ module Memo_model = struct
 
   let pp_op ppf = function
     | Add (q, l, k) -> Fmt.pf ppf "add_if_absent q%d l%d %a" q l Value.pp k
+    | Add_vertex (q, l, v) -> Fmt.pf ppf "add_vertex_if_absent q%d l%d v%d" q l v
     | Min (q, l, v, d) -> Fmt.pf ppf "min_int_update q%d l%d v%d %d" q l v d
     | Rows_add (q, l, k, r) -> Fmt.pf ppf "rows_add q%d l%d %a %d" q l Value.pp k r
     | Rows_get (q, l, k) -> Fmt.pf ppf "rows_get q%d l%d %a" q l Value.pp k
@@ -303,6 +305,7 @@ module Memo_model = struct
         [
           (1, map3 (fun q l n -> Fill (q, l, n)) qid label (int_range 30 200));
           (6, map3 (fun q l k -> Add (q, l, k)) qid label key);
+          (3, map3 (fun q l v -> Add_vertex (q, l, v)) qid label vertex);
           (6, map3 (fun (q, l) v d -> Min (q, l, v, d)) (pair qid label) vertex (int_range 0 5));
           (3, map3 (fun (q, l) k r -> Rows_add (q, l, k, r)) (pair qid label) key small_nat);
           (2, map3 (fun q l k -> Rows_get (q, l, k)) qid label key);
@@ -346,6 +349,11 @@ module Memo_model = struct
           Ok true
       in
       agrees Bool.equal expected (fun () -> Memo.add_if_absent memo ~qid:q ~label:l k)
+    | Add_vertex (q, l, v) ->
+      let k = Value.Vertex v in
+      let expected = find q l k = None in
+      if expected then put q l k (Memo.Scalar Value.Null);
+      Memo.add_vertex_if_absent memo ~qid:q ~label:l v = expected
     | Min (q, l, v, d) ->
       let k = Value.Vertex v in
       let expected =

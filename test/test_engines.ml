@@ -383,52 +383,70 @@ let test_single_node_engine () =
   Alcotest.(check int) "no network packets on one node" 0
     Metrics.(get report.Engine.metrics Counter.packets)
 
+(* Words allocated per traverser message and per step by a third run of
+   [program] in one warm async session on tiny (4 nodes, 1 worker each).
+   [sh_finish] serves as a probe of the session's live counters (the
+   sanitizer is off). *)
+let warm_words ~batched program =
+  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
+  let h =
+    Async_engine.create
+      ~common:{ Engine.Common.default with Engine.Common.batched }
+      ~cluster_config:{ Cluster.default_config with Cluster.n_nodes = 4; workers_per_node = 1 }
+      ~channel_config:Channel.default_config ~graph ()
+  in
+  let run () =
+    ignore (h.Engine.sh_submit (Engine.submit ~at:(h.Engine.sh_now ()) (program graph)) : int);
+    h.Engine.sh_drive ~until:None
+  in
+  let counts () =
+    let m = (h.Engine.sh_finish ()).Engine.metrics in
+    ( Metrics.messages m Metrics.Traverser_msg + Metrics.messages m Metrics.Result_msg,
+      Metrics.(get m Counter.steps) )
+  in
+  run ();
+  run ();
+  let msgs0, steps0 = counts () in
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  let msgs, steps = counts () in
+  (words /. float_of_int (msgs - msgs0), words /. float_of_int (steps - steps0))
+
 (* Allocation guard for the message path: in a warm session (the query
-   ran once already, so rings, slab, channel batches and memo pools have
+   ran once already, so rings, slab, channel lanes and memo pools have
    grown), a scalar 3-hop run allocates about one traverser per
    traverser message. A child here is a record (5 words) plus, when its
    loop counter moves, a register file and a boxed int. Measured about
    13 words per message; 19-20 when each message was boxed. The batched
    run stages without allocating: about 10 words per step, against 18
-   with a tuple-keyed staging table and list buckets. [sh_finish] serves as a
-   probe of the session's live counters (the sanitizer is off). *)
+   with a tuple-keyed staging table and list buckets. *)
 let test_warm_run_allocation () =
-  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
-  let program =
+  let program graph =
     Compile.compile ~name:"khop3" graph
       Dsl.(v_lookup ~key:"id" (int 1) |> repeat ~dir:Graph.Out ~times:3 () |> count |> build)
   in
-  let measure ~batched =
-    let h =
-      Async_engine.create
-        ~common:{ Engine.Common.default with Engine.Common.batched }
-        ~cluster_config:{ Cluster.default_config with Cluster.n_nodes = 4; workers_per_node = 1 }
-        ~channel_config:Channel.default_config ~graph ()
-    in
-    let run () =
-      ignore (h.Engine.sh_submit (Engine.submit ~at:(h.Engine.sh_now ()) program) : int);
-      h.Engine.sh_drive ~until:None
-    in
-    let counts () =
-      let m = (h.Engine.sh_finish ()).Engine.metrics in
-      ( Metrics.messages m Metrics.Traverser_msg + Metrics.messages m Metrics.Result_msg,
-        Metrics.(get m Counter.steps) )
-    in
-    run ();
-    run ();
-    let msgs0, steps0 = counts () in
-    let before = Gc.minor_words () in
-    run ();
-    let words = Gc.minor_words () -. before in
-    let msgs, steps = counts () in
-    (words /. float_of_int (msgs - msgs0), words /. float_of_int (steps - steps0))
-  in
-  let per_msg, _ = measure ~batched:false in
+  let per_msg, _ = warm_words ~batched:false program in
   if per_msg > 16.0 then
     Alcotest.failf "warm scalar run: %.1f words per traverser message (bound 16)" per_msg;
-  let _, per_step = measure ~batched:true in
+  let _, per_step = warm_words ~batched:true program in
   if per_step > 13.0 then
     Alcotest.failf "warm batched run: %.1f words per step (bound 13)" per_step
+
+(* Allocation guard for routing: a Dedup step keyed by the vertex routes
+   and tests its memo without boxing the key, and no step builds its
+   routing at dispatch. A warm scalar run measured 6.1 words per step,
+   nearly all of it the 5-word child records; 8.6 when each Dedup
+   dispatch built a [By_key] and boxed a [Value.Vertex] twice. *)
+let test_warm_dedup_allocation () =
+  let program graph =
+    Compile.compile ~name:"dedup2" graph
+      Dsl.(v_lookup ~key:"id" (int 1) |> out_ "link" |> dedup |> out_ "link" |> dedup
+           |> out_ "link" |> count |> build)
+  in
+  let _, per_step = warm_words ~batched:false program in
+  if per_step > 7.0 then
+    Alcotest.failf "warm dedup run: %.1f words per step (bound 7)" per_step
 
 let test_worker_busy_reported () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
@@ -504,6 +522,8 @@ let () =
           Alcotest.test_case "single node" `Quick test_single_node_engine;
           Alcotest.test_case "warm runs allocate about one traverser per message" `Quick
             test_warm_run_allocation;
+          Alcotest.test_case "warm dedup routing allocates no key" `Quick
+            test_warm_dedup_allocation;
           Alcotest.test_case "worker busy reported" `Quick test_worker_busy_reported;
           Alcotest.test_case "wc off sends more progress" `Quick test_wc_off_sends_more_progress;
           Alcotest.test_case "flat tracking at scale, sanitizer on" `Quick
