@@ -1,7 +1,8 @@
 (* Wall-clock microbenchmarks (Bechamel) of the hot primitives underneath
    the simulator's cost model: weight arithmetic, memo operations, the
    event queue, top-k accumulation, CSR adjacency scans and single-step
-   execution. Each reports time and minor-heap words per operation. *)
+   execution. Each reports time and minor-heap words per operation; the
+   message-slab flood, timed by its own loop, counts both heaps. *)
 
 open Bechamel
 open Toolkit
@@ -202,12 +203,46 @@ let fused_vs_scalar () =
   Printf.printf "  %-20s %10.1f ns/traverser\n" "chain-batched" (per batched_s);
   Printf.printf "  %-20s %10.2fx\n" "fused-speedup" (scalar_s /. batched_s)
 
+(* The message slab under a flood, as a flooding 4-hop fills it before
+   its first message is consumed: acquire N one-traverser handles on a
+   fresh slab, then release them all. One op is one acquire and its
+   release. Words count both heaps (minor + major - promoted): a slab's
+   chunks are too large for the minor heap. *)
+let slab_flood () =
+  let open Pstm_engine in
+  let trav = Traverser.make ~vertex:0 ~step:1 ~weight:Weight.root ~n_registers:0 in
+  let heap_words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  List.iter
+    (fun n ->
+      let reps = 2_000_000 / n in
+      let handles = Array.make n 0 in
+      Gc.minor ();
+      let w0 = heap_words () and t0 = Sys.time () in
+      for _ = 1 to reps do
+        let slab = Payload.slab () in
+        for i = 0 to n - 1 do
+          handles.(i) <- Payload.trav slab ~qid:0 ~cz:(-1) trav
+        done;
+        Array.iter (Payload.release slab) handles
+      done;
+      let ops = float_of_int (reps * n) in
+      Printf.printf "  %-26s %10.1f ns/op %10.2f words/op\n"
+        (Printf.sprintf "message-slab-flood:%d" n)
+        ((Sys.time () -. t0) *. 1e9 /. ops)
+        ((heap_words () -. w0) /. ops))
+    [ 100_000; 1_000_000 ]
+
 let run () =
   (* The fused-vs-scalar comparison runs first: Bechamel's allocation
      churn leaves the heap in a state that distorts Sys.time measurements
      taken after it in the same process. *)
   Printf.printf "\n== Frontier batching: fused chain vs scalar interpreter ==\n";
   fused_vs_scalar ();
+  Printf.printf "\n== Message slab flood (fresh slab: acquire N, then release N) ==\n";
+  slab_flood ();
   Printf.printf "\n== Microbenchmarks (wall clock, Bechamel OLS per op) ==\n";
   let tests = weight_tests () @ memo_tests () @ event_queue_tests () @ structure_tests () in
   let ols =

@@ -2,9 +2,10 @@
    the seams that build them ({!Progress_tier}, {!Migration}).
 
    A message in flight is an int handle into the engine's one message
-   slab: parallel lanes indexed by handle — the message's query (-1 for
-   migration messages), its causal context [cz], the traverser of a
-   one-traverser message, and its payload — plus a free list. Channel
+   slab: three parallel {!Chunks} lanes indexed by handle — one int lane
+   packing the message's query (-1 for migration messages) with its
+   causal context [cz], the traverser of a one-traverser message, and
+   its payload — plus a free list threaded through the int lane. Channel
    batches, the workers' task rings, same-node hand-offs and the
    migration stash all carry handles, so a traverser travels without a
    message box around it. A slot is released exactly once, by the worker
@@ -42,67 +43,67 @@ type t =
 
 let no_trav = Traverser.make ~vertex:0 ~step:0 ~weight:Weight.zero ~n_registers:0
 
-(* The qid lane of a free slot; its [cz] lane links the free list. *)
-let free_qid = min_int
+(* A slot's id word packs two fields into one int lane: the message's
+   qid in the high 31 bits and, in the low 32, [cz + 1] for a live slot
+   or the next free slot + 1 for a free one (0 ends the free list).
+   Qids range over [-1, 2^30) (-1 for migration messages); [free_qid]
+   marks a free slot, so a double release is refused. Causal ids range
+   over [-1, 2^32 - 1) and handles over [0, 2^32 - 1). *)
+let low = 0xFFFF_FFFF
+let free_qid = -1 lsl 30
+let[@inline] id_word qid low32 = (qid lsl 32) lor low32
 
 type slab = {
-  mutable qids : int array array;
-  mutable czs : int array array;
-  mutable travs : Traverser.t array array; (* [no_trav] unless the payload is [P_trav] *)
-  mutable payloads : t array array;
+  ids : int Chunks.t;
+  travs : Traverser.t Chunks.t; (* [no_trav] unless the payload is [P_trav] *)
+  payloads : t Chunks.t;
   mutable free : int; (* the first free slot, or -1 *)
   mutable in_use : int;
 }
 
-let slab () = { qids = [||]; czs = [||]; travs = [||]; payloads = [||]; free = -1; in_use = 0 }
+let slab () =
+  { ids = Chunks.create (); travs = Chunks.create (); payloads = Chunks.create (); free = -1;
+    in_use = 0 }
 
 (* Add one chunk to every lane ({!Chunks}: a flooding run holds over a
    million messages at once, and doubling flat lanes would keep two
    copies alive while they grow), its slots linked onto the (empty) free
    list lowest handle first. *)
 let grow s =
-  let first = Chunks.capacity s.qids in
-  s.qids <- Chunks.add s.qids free_qid;
-  s.czs <- Chunks.add s.czs (-1);
-  let links = s.czs.(first lsr Chunks.bits) in
-  for i = 0 to Chunks.mask - 1 do
-    links.(i) <- first + i + 1
+  let first = Chunks.capacity s.ids in
+  Chunks.grow s.ids (id_word free_qid 0);
+  for h = first to Chunks.capacity s.ids - 2 do
+    Chunks.set s.ids h (id_word free_qid (h + 2))
   done;
-  s.travs <- Chunks.add s.travs no_trav;
-  s.payloads <- Chunks.add s.payloads P_cleanup;
+  Chunks.grow s.travs no_trav;
+  Chunks.grow s.payloads P_cleanup;
   s.free <- first
 
 let acquire s ~qid ~cz payload trav =
   if s.free < 0 then grow s;
   let h = s.free in
-  let c = h lsr Chunks.bits and i = h land Chunks.mask in
-  let czs = s.czs.(c) in
-  s.free <- czs.(i);
+  s.free <- (Chunks.get s.ids h land low) - 1;
   s.in_use <- s.in_use + 1;
-  s.qids.(c).(i) <- qid;
-  czs.(i) <- cz;
-  s.payloads.(c).(i) <- payload;
-  s.travs.(c).(i) <- trav;
+  Chunks.set s.ids h (id_word qid (cz + 1));
+  Chunks.set s.payloads h payload;
+  Chunks.set s.travs h trav;
   h
 
 (* A one-traverser message / any other message; returns its handle. *)
 let trav s ~qid ~cz trav = acquire s ~qid ~cz P_trav trav
 let msg s ~qid ~cz payload = acquire s ~qid ~cz payload no_trav
 
-let qid s h = s.qids.(h lsr Chunks.bits).(h land Chunks.mask)
-let cz s h = s.czs.(h lsr Chunks.bits).(h land Chunks.mask)
-let set_cz s h cz = s.czs.(h lsr Chunks.bits).(h land Chunks.mask) <- cz
-let traverser s h = s.travs.(h lsr Chunks.bits).(h land Chunks.mask)
-let payload s h = s.payloads.(h lsr Chunks.bits).(h land Chunks.mask)
+let qid s h = Chunks.get s.ids h asr 32
+let cz s h = (Chunks.get s.ids h land low) - 1
+let set_cz s h cz = Chunks.set s.ids h (Chunks.get s.ids h land lnot low lor (cz + 1))
+let traverser s h = Chunks.get s.travs h
+let payload s h = Chunks.get s.payloads h
 
 let release s h =
-  let c = h lsr Chunks.bits and i = h land Chunks.mask in
-  let qids = s.qids.(c) in
-  if qids.(i) = free_qid then invalid_arg "Payload.release: slot already free";
-  qids.(i) <- free_qid;
-  s.travs.(c).(i) <- no_trav;
-  s.payloads.(c).(i) <- P_cleanup;
-  s.czs.(c).(i) <- s.free;
+  if qid s h = free_qid then invalid_arg "Payload.release: slot already free";
+  Chunks.set s.ids h (id_word free_qid (s.free + 1));
+  Chunks.set s.travs h no_trav;
+  Chunks.set s.payloads h P_cleanup;
   s.free <- h;
   s.in_use <- s.in_use - 1
 

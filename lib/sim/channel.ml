@@ -28,9 +28,9 @@ let no_batching = { default_config with tlc = false; nlc = false }
 let tlc_only = { default_config with nlc = false }
 
 (* Messages are int handles (the engine's slab slots), and a message
-   in flight is its own list cell: two channel lanes indexed by handle
-   ({!Chunks}) hold the next message of its chain (-1 ends it) and its
-   destination worker. A chain moves between owners by its (head, tail)
+   in flight is its own list cell: one link lane indexed by handle
+   ({!Chunks}) holds its destination worker and the next message of its
+   chain (-1 ends it). A chain moves between owners by its (head, tail)
    pair, never copied: a worker's tier-1 buffer, the link's tier-2
    pending chain (a flushed buffer is spliced onto its tail in O(1)),
    then an unreliable packet, which is just its head handle. Each
@@ -79,8 +79,7 @@ type t = {
   cluster : Cluster.t;
   config : config;
   deliver : int -> int -> unit; (* dst worker, message; runs at arrival time *)
-  mutable next : int array array; (* by handle: the chain's next message, or -1 *)
-  mutable dst : int array array; (* by handle: destination worker *)
+  links : int Chunks.t; (* by handle: destination worker and next message *)
   heads : int array array; (* tier 1: [worker].(dst_node) chain, -1 when empty *)
   tails : int array array;
   buffer_bytes : int array array;
@@ -107,14 +106,19 @@ let config t = t.config
 
 let costs t = Cluster.costs t.cluster
 
-let[@inline] get (lane : int array array) h = lane.(h lsr Chunks.bits).(h land Chunks.mask)
-let[@inline] set (lane : int array array) h v = lane.(h lsr Chunks.bits).(h land Chunks.mask) <- v
+(* A message's link word packs its destination worker into the high 31
+   bits and the next handle + 1 into the low 32 (0 ends the chain).
+   Workers range over [0, 2^30), handles over [0, 2^32 - 1). *)
+let low = 0xFFFF_FFFF
+let[@inline] dst t h = Chunks.get t.links h lsr 32
+let[@inline] next t h = (Chunks.get t.links h land low) - 1
+let set_next t h next =
+  Chunks.set t.links h (Chunks.get t.links h land lnot low lor (next + 1))
 
-(* Grow the lanes to cover handle [h]. *)
+(* Grow the lane to cover handle [h]. *)
 let reserve t h =
-  while h >= Chunks.capacity t.next do
-    t.next <- Chunks.add t.next (-1);
-    t.dst <- Chunks.add t.dst (-1)
+  while h >= Chunks.capacity t.links do
+    Chunks.grow t.links 0
   done
 
 (* Hand a chain to the destination node in order: charging a
@@ -124,15 +128,15 @@ let deliver_chain t head =
   let h = ref head in
   while !h >= 0 do
     let m = !h in
-    h := get t.next m;
-    t.deliver (get t.dst m) m
+    h := next t m;
+    t.deliver (dst t m) m
   done
 
 let chain_length t head =
   let n = ref 0 and h = ref head in
   while !h >= 0 do
     incr n;
-    h := get t.next !h
+    h := next t !h
   done;
   !n
 
@@ -140,9 +144,9 @@ let pairs_of_chain t head =
   let pairs = Array.make (2 * chain_length t head) 0 in
   let h = ref head in
   for i = 0 to (Array.length pairs / 2) - 1 do
-    pairs.(2 * i) <- get t.dst !h;
+    pairs.(2 * i) <- dst t !h;
     pairs.((2 * i) + 1) <- !h;
-    h := get t.next !h
+    h := next t !h
   done;
   pairs
 
@@ -289,8 +293,7 @@ let create cluster config ~deliver =
       cluster;
       config;
       deliver;
-      next = [||];
-      dst = [||];
+      links = Chunks.create ();
       heads = Array.make_matrix n_workers n_nodes (-1);
       tails = Array.make_matrix n_workers n_nodes (-1);
       buffer_bytes = Array.make_matrix n_workers n_nodes 0;
@@ -306,7 +309,7 @@ let create cluster config ~deliver =
     }
   in
   t.arrive <- deliver_chain t;
-  t.arrive_local <- (fun h -> t.deliver (get t.dst h) h);
+  t.arrive_local <- (fun h -> t.deliver (dst t h) h);
   t.fire <- fire_window t;
   t
 
@@ -318,7 +321,7 @@ let to_combiner t ~at ~src_node ~dst_node ~head ~tail bytes =
   Metrics.(incr (Cluster.metrics t.cluster) Counter.flushes);
   if t.config.nlc then begin
     let last = t.pending_tails.(src_node).(dst_node) in
-    if last < 0 then t.pending_heads.(src_node).(dst_node) <- head else set t.next last head;
+    if last < 0 then t.pending_heads.(src_node).(dst_node) <- head else set_next t last head;
     t.pending_tails.(src_node).(dst_node) <- tail;
     t.pending_bytes.(src_node).(dst_node) <- t.pending_bytes.(src_node).(dst_node) + bytes;
     if t.fire_at.(src_node).(dst_node) < 0 then begin
@@ -352,18 +355,18 @@ let send t ~at ~src_worker ~dst_worker ~kind ~bytes h =
   let metrics = Cluster.metrics t.cluster in
   Metrics.count_message metrics kind bytes;
   reserve t h;
-  set t.dst h dst_worker;
+  (* The message ends its chain until another is linked after it. *)
+  Chunks.set t.links h (dst_worker lsl 32);
   if Cluster.same_node t.cluster src_worker dst_worker then begin
     (* Shared-memory shortcut: no NIC, no batching. *)
     Cluster.send_local t.cluster ~at ~tag:(Cluster.worker_tag t.cluster dst_worker) t.arrive_local h;
     (costs t).Cluster.buffer_append
   end
   else begin
-    set t.next h (-1);
     let dst_node = Cluster.node_of_worker t.cluster dst_worker in
     if t.config.tlc then begin
       let last = t.tails.(src_worker).(dst_node) in
-      if last < 0 then t.heads.(src_worker).(dst_node) <- h else set t.next last h;
+      if last < 0 then t.heads.(src_worker).(dst_node) <- h else set_next t last h;
       t.tails.(src_worker).(dst_node) <- h;
       t.buffer_bytes.(src_worker).(dst_node) <- t.buffer_bytes.(src_worker).(dst_node) + bytes;
       let append_cost = (costs t).Cluster.buffer_append in

@@ -31,7 +31,7 @@ val no_batching : config
 val tlc_only : config
 
 (** Messages are ints: the engine's handles into its message slab. They
-    must be dense (the channel keeps two lanes indexed by handle), and a
+    must be dense (the channel keeps a lane indexed by handle), and a
     handle must not be sent again before it is delivered. *)
 type t
 

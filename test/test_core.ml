@@ -466,6 +466,7 @@ let test_memo_hits_allocate_nothing () =
     ignore (Memo.add_if_absent m ~qid:0 ~label:2 (Value.Vertex v) : bool)
   done;
   let key = Value.Vertex 500 in
+  Gc.minor ();
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
     ignore (Memo.min_int_update m ~qid:0 ~label:1 500 3 : Memo.visit_outcome);
@@ -490,6 +491,7 @@ let test_memo_visit_writes_allocate_nothing () =
   in
   run 0;
   Memo.clear_query m 0;
+  Gc.minor ();
   let before = Gc.minor_words () in
   for qid = 1 to 100 do
     run qid;
@@ -519,6 +521,7 @@ let test_memo_lifecycle_allocates_nothing () =
     Memo.clear_query m qid
   in
   run 0;
+  Gc.minor ();
   let before = Gc.minor_words () in
   for qid = 1 to 1000 do
     run qid
@@ -536,6 +539,7 @@ let test_memo_absent_reads_allocate_nothing () =
   let m = Memo.create () in
   ignore (Memo.add_if_absent m ~qid:0 ~label:1 (Value.Vertex 1) : bool);
   let key = Value.Vertex 1 in
+  Gc.minor ();
   let before = Gc.minor_words () in
   for qid = 1 to 1000 do
     ignore (Memo.partial_opt m ~qid ~label:3 : Aggregate.t option);

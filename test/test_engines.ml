@@ -407,6 +407,7 @@ let warm_words ~batched program =
   run ();
   run ();
   let msgs0, steps0 = counts () in
+  Gc.minor ();
   let before = Gc.minor_words () in
   run ();
   let words = Gc.minor_words () -. before in

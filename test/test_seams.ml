@@ -275,14 +275,36 @@ let pp_slab_op ppf = function
   | Release n -> Fmt.pf ppf "release %d" n
   | Set_cz (n, c) -> Fmt.pf ppf "set_cz %d %d" n c
 
+(* Qids and causal ids share one packed word per slot: draw mostly small
+   values, but also each field's extremes — qid -1 (migration messages)
+   and qids up to 2^30 - 1, cz -1 and causal ids from 2^24 up to
+   2^32 - 2. *)
+let slab_qid =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range (-1) 5);
+        (1, int_range (1 lsl 24) ((1 lsl 30) - 1));
+        (1, oneofl [ -1; (1 lsl 30) - 1 ]);
+      ])
+
+let slab_cz =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range (-1) 50);
+        (1, int_range (1 lsl 24) ((1 lsl 32) - 2));
+        (1, oneofl [ -1; (1 lsl 32) - 2 ]);
+      ])
+
 let slab_op =
   QCheck.Gen.(
     frequency
       [
-        (4, map3 (fun q c v -> Trav (q, c, v)) (int_range (-1) 5) (int_range (-1) 50) small_nat);
-        (2, map3 (fun q c k -> Msg (q, c, k)) (int_range (-1) 5) (int_range (-1) 50) (int_bound 3));
+        (4, map3 (fun q c v -> Trav (q, c, v)) slab_qid slab_cz small_nat);
+        (2, map3 (fun q c k -> Msg (q, c, k)) slab_qid slab_cz (int_bound 3));
         (5, map (fun n -> Release n) small_nat);
-        (1, map2 (fun n c -> Set_cz (n, c)) small_nat (int_range (-1) 50));
+        (2, map2 (fun n c -> Set_cz (n, c)) small_nat slab_cz);
       ])
 
 (* What the model expects in a live slot: qid, cz, and the traverser's
@@ -293,8 +315,9 @@ let payload_of k = if k = 0 then Payload.P_cleanup else Payload.P_agg_flush { ag
 
 (* The slab against a map from live handle to its lanes, after every op
    of a random sequence long enough to grow past one chunk: live handles
-   are distinct, every lane reads back what was written, [in_use] is the
-   map's size, and releasing a free slot is refused. *)
+   are distinct, every lane reads back what was written (a qid and a
+   [cz] packed into one word, [set_cz] leaving the qid alone), [in_use]
+   is the map's size, and releasing a free slot is refused. *)
 let slab_matches_model =
   QCheck.Test.make ~name:"slab matches a map model" ~count:100
     (QCheck.make
