@@ -179,24 +179,34 @@ let fused_vs_scalar () =
         let queue = Queue.create () in
         Array.iter (fun t -> Queue.add t queue) frontier;
         while not (Queue.is_empty queue) do
-          let t = Queue.pop queue in
+          let (t : Traverser.t) = Queue.pop queue in
           Exec.clear sink;
-          Exec.run sink ~graph ~memo ~prng ~qid:0 ~program ~scan t;
-          Vec.iter
-            (fun (c : Traverser.t) -> if c.Traverser.step <> exit_step then Queue.add c queue)
-            sink.Exec.spawns
+          Exec.run sink ~graph ~memo ~prng ~qid:0 ~program ~scan ~vertex:t.vertex ~step:t.step
+            ~weight:t.weight ~regs:t.regs;
+          let spawns = sink.Exec.spawns in
+          for i = 0 to Travs.length spawns - 1 do
+            if Travs.step spawns i <> exit_step then Queue.add (Travs.get spawns i) queue
+          done
         done)
   in
   let batched_s =
     let scratch = Batch_exec.scratch ~graph in
     let prng = Pstm_util.Prng.create 11 in
+    let group = Travs.create () in
+    Array.iter
+      (fun (t : Traverser.t) ->
+        Travs.push group ~vertex:t.vertex ~step:t.step ~weight:t.weight ~regs:t.regs)
+      frontier;
     (* Consume the spawns like the engine does, so the comparison covers
-       materializing the surviving traversers, not just the sweep. *)
-    let sink = ref 0 in
+       reading the surviving traversers' lanes, not just the sweep. *)
+    let sink = Exec.sink () in
+    let total = ref 0 in
     time (fun () ->
-        let o = Batch_exec.run ~graph ~scratch ~prng ~program ~step:start frontier in
-        Batch_exec.iter_spawns o (fun ~parent:_ (c : Traverser.t) ->
-            sink := !sink + c.Traverser.vertex))
+        Exec.clear sink;
+        Batch_exec.run ~graph ~scratch ~prng ~program ~step:start group sink;
+        for i = 0 to Travs.length sink.Exec.spawns - 1 do
+          total := !total + Travs.vertex sink.Exec.spawns i
+        done)
   in
   let per t = t /. float_of_int iters *. 1e9 /. float_of_int (Array.length frontier) in
   Printf.printf "  %-20s %10.1f ns/traverser\n" "chain-scalar" (per scalar_s);
@@ -210,7 +220,6 @@ let fused_vs_scalar () =
    chunks are too large for the minor heap. *)
 let slab_flood () =
   let open Pstm_engine in
-  let trav = Traverser.make ~vertex:0 ~step:1 ~weight:Weight.root ~n_registers:0 in
   let heap_words () =
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
@@ -224,7 +233,8 @@ let slab_flood () =
       for _ = 1 to reps do
         let slab = Payload.slab () in
         for i = 0 to n - 1 do
-          handles.(i) <- Payload.trav slab ~qid:0 ~cz:(-1) trav
+          handles.(i) <-
+            Payload.trav slab ~qid:0 ~cz:(-1) ~vertex:i ~step:1 ~weight:Weight.root ~regs:[||]
         done;
         Array.iter (Payload.release slab) handles
       done;

@@ -4,7 +4,8 @@
    execute, [regs] the local-variable file (pi) and [weight] the
    progression weight used for termination detection. Registers are
    copy-on-write: spawning shares the parent's array unless the child
-   writes. *)
+   writes. The engines' hot paths keep traversers as lanes ({!Travs});
+   the record serves the engines that queue them. *)
 
 type t = {
   vertex : int;
@@ -16,26 +17,16 @@ type t = {
 let make ~vertex ~step ~weight ~n_registers =
   { vertex; step; weight; regs = Array.make n_registers Value.Null }
 
-let move t ~vertex ~step ~weight = { t with vertex; step; weight }
-
-let at_step t step = { t with step }
-
-let with_weight t weight = { t with weight }
-
 let set_reg t reg value =
   let regs = Array.copy t.regs in
   regs.(reg) <- value;
   { t with regs }
 
-(* Write several registers at once (join payload loading) with one copy. *)
-let set_regs t pairs =
-  let regs = Array.copy t.regs in
-  List.iter (fun (reg, value) -> regs.(reg) <- value) pairs;
-  { t with regs }
-
 (* Estimated serialized size when the traverser migrates to another
    partition: vertex + step + weight + register payload. *)
-let bytes t = 20 + Array.fold_left (fun acc v -> acc + Value.bytes v) 0 t.regs
+let wire_bytes regs = 20 + Array.fold_left (fun acc v -> acc + Value.bytes v) 0 regs
+
+let bytes t = wire_bytes t.regs
 
 let pp ppf t =
   Fmt.pf ppf "t(v=%d psi=%d %a [%a])" t.vertex t.step Weight.pp t.weight

@@ -8,16 +8,15 @@ type t = {
 }
 
 val make : vertex:int -> step:int -> weight:Weight.t -> n_registers:int -> t
-val move : t -> vertex:int -> step:int -> weight:Weight.t -> t
-val at_step : t -> int -> t
-val with_weight : t -> Weight.t -> t
 
 (** Functional register write (copies the file). *)
 val set_reg : t -> int -> Value.t -> t
 
-val set_regs : t -> (int * Value.t) list -> t
+(** Estimated serialized size of a traverser with this register file,
+    for network accounting. *)
+val wire_bytes : Value.t array -> int
 
-(** Estimated serialized size for network accounting. *)
+(** [wire_bytes t.regs]. *)
 val bytes : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -337,18 +337,20 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   in
   (* h_psi ({!Exec.route}), except that Gaia runs its stateful steps on
      worker 0. *)
-  let route (q : Progress_tier.q) (trav : Traverser.t) =
-    if centralized (Program.step q.program trav.step).Step.op then 0
-    else Exec.route ~graph ~partition ~coordinator:q.coordinator q.program trav
+  let route (q : Progress_tier.q) ~vertex ~step ~regs =
+    if centralized (Program.step q.program step).Step.op then 0
+    else Exec.route ~graph ~partition ~coordinator:q.coordinator q.program ~vertex ~step ~regs
   in
   (* The per-traverser wire format: one P_trav to the worker that owns
      the traverser's next step. A profiled remote hop may trigger a
      refinement round. *)
-  let dispatch ~at ~src ~src_vertex ~cz (q : Progress_tier.q) trav =
-    let dst = route q trav in
-    let kind = Exec.msg_kind q.program trav in
-    let cost = send ~at ~src ~dst ~kind (Payload.trav slab ~qid:q.qid ~cz trav) in
-    if dst <> src && Migration.profile_hop mig ~src_vertex q.program trav then
+  let dispatch ~at ~src ~src_vertex ~cz (q : Progress_tier.q) ~vertex ~step ~weight ~regs =
+    let dst = route q ~vertex ~step ~regs in
+    let kind = Exec.msg_kind q.program step in
+    let cost =
+      send ~at ~src ~dst ~kind (Payload.trav slab ~qid:q.qid ~cz ~vertex ~step ~weight ~regs)
+    in
+    if dst <> src && Migration.profile_hop mig ~src_vertex q.program ~vertex ~step ~regs then
       Sim_time.add cost (Migration.maybe_adapt mig ~at ~src ~cz)
     else cost
   in
@@ -357,10 +359,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     let shares = Weight.split seed_prng Weight.root ~n:(Array.length entries) in
     Array.iteri
       (fun i entry ->
-        let root =
-          Traverser.make ~vertex:0 ~step:entry ~weight:shares.(i)
-            ~n_registers:(Program.n_registers q.program)
-        in
+        let regs = Array.make (Program.n_registers q.program) Value.Null in
+        let root ~weight = Payload.trav slab ~qid:q.qid ~cz ~vertex:0 ~step:entry ~weight ~regs in
         match (Program.step q.program entry).Step.op with
         | Step.Scan _ ->
           (* Scans start everywhere: one seed per worker, each scanning
@@ -370,12 +370,11 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           Array.iteri
             (fun dst seed ->
               ignore
-                (send ~at ~src:q.coordinator ~dst ~kind:Metrics.Control_msg
-                   (Payload.trav slab ~qid:q.qid ~cz (Traverser.with_weight root seed))))
+                (send ~at ~src:q.coordinator ~dst ~kind:Metrics.Control_msg (root ~weight:seed)))
             seeds
         | _ ->
           Pstm_obs.Opstats.seed opstats 1;
-          deliver q.coordinator (Payload.trav slab ~qid:q.qid ~cz root))
+          deliver q.coordinator (root ~weight:shares.(i)))
       entries
   in
   (* ---- Task execution --------------------------------------------------- *)
@@ -388,7 +387,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | P_agg_partial { agg_step; partial } -> begin
       match Progress_tier.combine q ~agg_step partial with
       | None -> Cost_model.memo_op model
-      | Some cont ->
+      | Some regs ->
         Metrics.(incr metrics Counter.spawned);
         (* The continuation enters the next phase from outside any step. *)
         Pstm_obs.Opstats.seed opstats 1;
@@ -398,8 +397,9 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           Pstm_obs.Causal.hop causal ~qid:q.qid ~name:"agg-combine" ~ts:at ~src:cz
             Pstm_obs.Causal.Barrier
         in
+        let step = (Program.step q.program agg_step).Step.next in
         Sim_time.add (Cost_model.memo_op model)
-          (dispatch ~at ~src:w.id ~src_vertex:(-1) ~cz q cont)
+          (dispatch ~at ~src:w.id ~src_vertex:(-1) ~cz q ~vertex:0 ~step ~weight:Weight.root ~regs)
     end
     | P_setup ->
       (* Dataflow flavors instantiate every operator of the query's plan
@@ -460,42 +460,31 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   let solo = Staging.group () in (* the group of one, when staging is off *)
   let staged = Staging.create () in
   (* What executing the current group produced, summed over its
-     elements, and each child's parent vertex (for traffic profiling). *)
+     elements, with each child's parent vertex (for traffic profiling). *)
   let sink = Exec.sink () in
-  let parents = Vec.create ~dummy:0 in
+  let spawns = sink.Exec.spawns in
   (* Batch-wire buckets, keyed 2 x destination + 1 for result messages. *)
   let kid_keys = Vec.create ~dummy:0 in
   let bucket_keys = Vec.create ~dummy:0 in (* first-seen order *)
   let bucket_size = Array.make (2 * n_workers) 0 in
-  let bucket_travs = Array.make (2 * n_workers) [||] in
+  let bucket_vsteps = Array.make (2 * n_workers) [||] in
+  let bucket_weights = Array.make (2 * n_workers) [||] in
+  let bucket_regs = Array.make (2 * n_workers) [||] in
   (* Execute stage: the fused Batch_exec chain over the whole group when
      fusion is on and the step is fusable, the scalar interpreter per
      element otherwise. Either way [sink] ends up holding the group's
      children, rows, finished weight and data / memo volume. *)
   let execute w (q : Progress_tier.q) (g : Staging.group) =
     Exec.clear sink;
-    Vec.clear parents;
-    if batched && Batch_exec.fusable q.program g.step then begin
-      let travs = Vec.to_array g.travs in
-      let o =
-        Batch_exec.run ~graph ~scratch:(Lazy.force w.scratch) ~prng:w.prng ~program:q.program
-          ~step:g.step travs
-      in
-      Batch_exec.iter_spawns o (fun ~parent kid ->
-          Vec.push sink.Exec.spawns kid;
-          Vec.push parents travs.(parent).Traverser.vertex);
-      sink.finished <- o.Batch_exec.finished;
-      sink.edges_scanned <- o.Batch_exec.edges_scanned;
-      sink.prop_reads <- o.Batch_exec.prop_reads
-    end
+    if batched && Batch_exec.fusable q.program g.step then
+      Batch_exec.run ~graph ~scratch:(Lazy.force w.scratch) ~prng:w.prng ~program:q.program
+        ~step:g.step g.travs sink
     else begin
-      for i = 0 to Vec.length g.travs - 1 do
-        let trav = Vec.get g.travs i in
+      let travs = g.travs in
+      for i = 0 to Travs.length travs - 1 do
         Exec.run sink ~graph ~memo:w.memo ~prng:w.prng ~qid:q.qid ~program:q.program ~scan:w.scan
-          trav;
-        for _ = Vec.length parents to Vec.length sink.spawns - 1 do
-          Vec.push parents trav.Traverser.vertex
-        done
+          ~vertex:(Travs.vertex travs i) ~step:(Travs.step travs i)
+          ~weight:(Travs.weight travs i) ~regs:(Travs.regs travs i)
       done;
       if not (Vec.is_empty sink.rows) then begin
         (* Rows are only produced by Emit, which routes to the coordinator
@@ -508,12 +497,13 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   (* P_trav wire: one message per child, in execution order. *)
   let ship_each w ~at q ~cz =
     let cost = ref Sim_time.zero in
-    for i = 0 to Vec.length sink.Exec.spawns - 1 do
+    for i = 0 to Travs.length spawns - 1 do
       Metrics.(incr metrics Counter.spawned);
       cost :=
         Sim_time.add !cost
-          (dispatch ~at ~src:w.id ~src_vertex:(Vec.get parents i) ~cz q
-             (Vec.get sink.Exec.spawns i))
+          (dispatch ~at ~src:w.id ~src_vertex:(Vec.get sink.parents i) ~cz q
+             ~vertex:(Travs.vertex spawns i) ~step:(Travs.step spawns i)
+             ~weight:(Travs.weight spawns i) ~regs:(Travs.regs spawns i))
     done;
     !cost
   in
@@ -521,29 +511,39 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
      coalesced message per bucket in first-seen order, and at most one
      refinement round per group. *)
   let ship_batches w ~at (q : Progress_tier.q) ~cz =
-    let n = Vec.length sink.Exec.spawns in
+    let n = Travs.length spawns in
     for i = 0 to n - 1 do
-      let kid = Vec.get sink.Exec.spawns i in
+      let vertex = Travs.vertex spawns i and step = Travs.step spawns i in
+      let regs = Travs.regs spawns i in
       Metrics.(incr metrics Counter.spawned);
-      let dst = route q kid in
-      let key = (2 * dst) + Bool.to_int (Exec.msg_kind q.program kid = Metrics.Result_msg) in
+      let dst = route q ~vertex ~step ~regs in
+      let key = (2 * dst) + Bool.to_int (Exec.msg_kind q.program step = Metrics.Result_msg) in
       if bucket_size.(key) = 0 then Vec.push bucket_keys key;
       bucket_size.(key) <- bucket_size.(key) + 1;
       Vec.push kid_keys key;
       if dst <> w.id then
-        ignore (Migration.profile_hop mig ~src_vertex:(Vec.get parents i) q.program kid : bool)
+        ignore
+          (Migration.profile_hop mig ~src_vertex:(Vec.get sink.parents i) q.program ~vertex ~step
+             ~regs
+            : bool)
     done;
-    (* Each bucket's array, filled in execution order; [bucket_size]
+    (* Each bucket's lanes, filled in execution order; [bucket_size]
        counts the slots filled so far. *)
     for b = 0 to Vec.length bucket_keys - 1 do
       let key = Vec.get bucket_keys b in
-      bucket_travs.(key) <- Array.make bucket_size.(key) Payload.no_trav;
+      bucket_vsteps.(key) <- Array.make bucket_size.(key) 0;
+      bucket_weights.(key) <- Array.make bucket_size.(key) Weight.zero;
+      bucket_regs.(key) <- Array.make bucket_size.(key) [||];
       bucket_size.(key) <- 0
     done;
     for i = 0 to n - 1 do
       let key = Vec.get kid_keys i in
-      bucket_travs.(key).(bucket_size.(key)) <- Vec.get sink.Exec.spawns i;
-      bucket_size.(key) <- bucket_size.(key) + 1
+      let k = bucket_size.(key) in
+      bucket_vsteps.(key).(k) <-
+        Payload.vstep ~vertex:(Travs.vertex spawns i) ~step:(Travs.step spawns i);
+      bucket_weights.(key).(k) <- Travs.weight spawns i;
+      bucket_regs.(key).(k) <- Travs.regs spawns i;
+      bucket_size.(key) <- k + 1
     done;
     let cost = ref Sim_time.zero in
     for b = 0 to Vec.length bucket_keys - 1 do
@@ -551,12 +551,14 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       let dst = key / 2 in
       let kind = if key land 1 = 1 then Metrics.Result_msg else Metrics.Traverser_msg in
       if dst <> w.id then Metrics.(incr metrics Counter.coalesced_msgs);
+      let vsteps = bucket_vsteps.(key) and weights = bucket_weights.(key) in
+      let batch = P_trav_batch { vsteps; weights; regs = bucket_regs.(key) } in
       cost :=
-        Sim_time.add !cost
-          (send ~at ~src:w.id ~dst ~kind
-             (Payload.msg slab ~qid:q.qid ~cz (P_trav_batch bucket_travs.(key))));
+        Sim_time.add !cost (send ~at ~src:w.id ~dst ~kind (Payload.msg slab ~qid:q.qid ~cz batch));
       bucket_size.(key) <- 0;
-      bucket_travs.(key) <- [||]
+      bucket_vsteps.(key) <- [||];
+      bucket_weights.(key) <- [||];
+      bucket_regs.(key) <- [||]
     done;
     Vec.clear kid_keys;
     Vec.clear bucket_keys;
@@ -567,7 +569,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | None -> Sim_time.zero
     | Some q ->
       let gated = Migration.gate mig ~at ~w:w.id ~qid:q.qid q.program g.travs g.czs in
-      let n = Vec.length g.travs in
+      let n = Travs.length g.travs in
       if n = 0 then gated
       else begin
         execute w q g;
@@ -576,10 +578,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         let op = Step.op_name (Program.step q.program step).Step.op in
         if check then begin
           (* Theorem 1 over the group: inflow = children + rows + finished. *)
-          let add acc (t : Traverser.t) = Weight.add acc t.Traverser.weight in
-          let inflow = Vec.fold add Weight.zero g.travs in
-          let outflow = Vec.fold add (Weight.add sink.finished sink.row_weight) sink.spawns in
-          if not (Weight.equal inflow outflow) then
+          if not (Exec.conserves ~weight:(Travs.total_weight g.travs) sink) then
             Engine.check_fail "async: query %d step %d (%s) broke weight conservation" qid step op
         end;
         if obs_on && Bitset.add_if_absent q.touched w.id then
@@ -592,7 +591,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         Metrics.(add metrics Counter.memo_ops sink.Exec.memo_ops);
         let base = Cost_model.step model sink in
         if obs_on then
-          Pstm_obs.Opstats.record opstats ~step ~n ~out:(Vec.length sink.spawns)
+          Pstm_obs.Opstats.record opstats ~step ~n ~out:(Travs.length spawns)
             ~rows:(Vec.length sink.rows)
             ~finished:(not (Weight.is_zero sink.finished))
             ~edges:sink.edges_scanned ~memo_hits:sink.memo_hits ~memo_misses:sink.memo_misses
@@ -649,10 +648,10 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       end
   in
   (* ---- Worker scheduling loop ------------------------------------------- *)
-  let take w local ~qid ~cz trav =
-    if batched then Staging.add staged ~qid ~cz trav
+  let take w local ~qid ~cz ~vertex ~step ~weight ~regs =
+    if batched then Staging.add staged ~qid ~cz ~vertex ~step ~weight ~regs
     else begin
-      Staging.single solo ~qid ~cz trav;
+      Staging.single solo ~qid ~cz ~vertex ~step ~weight ~regs;
       local := Sim_time.add !local (fault_scale w.id (run_group w ~at:!local solo))
     end
   in
@@ -663,20 +662,25 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     while !budget > 0 && not (Ring.is_empty w.tasks) do
       let h = Ring.pop w.tasks in
       let qid = Payload.qid slab h and cz = Payload.cz slab h in
-      let payload = Payload.payload slab h and trav = Payload.traverser slab h in
-      Payload.release slab h;
+      let payload = Payload.payload slab h in
       match payload with
       | P_trav ->
+        let vertex = Payload.vertex slab h and step = Payload.step slab h in
+        let weight = Payload.weight slab h and regs = Payload.regs slab h in
+        Payload.release slab h;
         decr budget;
-        take w local ~qid ~cz trav
-      | P_trav_batch travs ->
+        take w local ~qid ~cz ~vertex ~step ~weight ~regs
+      | P_trav_batch { vsteps; weights; regs } ->
+        Payload.release slab h;
         (* Each element charges the budget: a batch is cheaper to
            execute, not free to schedule. *)
-        for i = 0 to Array.length travs - 1 do
+        for i = 0 to Array.length vsteps - 1 do
           decr budget;
-          take w local ~qid ~cz travs.(i)
+          take w local ~qid ~cz ~vertex:(Payload.vstep_vertex vsteps.(i))
+            ~step:(Payload.vstep_step vsteps.(i)) ~weight:weights.(i) ~regs:regs.(i)
         done
       | payload ->
+        Payload.release slab h;
         decr budget;
         local := Sim_time.add !local (fault_scale w.id (process w ~at:!local ~qid ~cz payload))
     done;

@@ -7,7 +7,9 @@
    steps (Expand / Filter / Set_reg) is executed breadth-first over the
    whole frontier, sweeping CSR adjacency ranges directly via
    {!Csr.slice} / {!Csr.target_at} and memoizing register-free filter
-   verdicts per vertex in a bitset pair.
+   verdicts per vertex in a bitset pair. The batch comes in as the
+   group's traverser lanes ({!Travs}) and its leaves go out as lane
+   words in the engine's sink, so no traverser record is built.
 
    Chains without a Set_reg (the hot case) run on a packed frontier: one
    int per element, parent batch index in the high bits and vertex in
@@ -46,8 +48,8 @@ let vmask = (1 lsl vbits) - 1
 (* Reusable per-worker scratch: the bitset pair memoizing register-free
    predicate verdicts per vertex within one chain position ([undo] lists
    the touched vertices so the reset is proportional to the frontier,
-   not |V|), plus every intermediate buffer, so steady-state batches
-   allocate only their result traversers. *)
+   not |V|), plus every intermediate buffer, so steady-state batches of
+   the packed path allocate nothing. *)
 type scratch = {
   pred_seen : Bitset.t;
   pred_true : Bitset.t;
@@ -117,60 +119,19 @@ let chain program step =
   done;
   (List.rev !steps, !idx)
 
-(* Surviving leaves, unmaterialized. The executor never builds spawn
-   traversers itself: the final frontier buffer plus a parallel share
-   vector determine every spawn, and [iter_spawns] constructs each
-   traverser on demand at the consumer. This matters for large batches:
-   the frontier and share buffers are unboxed int vectors (immediate
-   stores skip the GC write barrier), whereas pushing hundreds of
-   thousands of fresh records into a reused major-heap vector would pay
-   [caml_modify] plus a promotion per element. *)
-type spawns =
-  | Packed of {
-      leaves : int Vec.t;
-      shares : Weight.t Vec.t;
-      travs : Traverser.t array;
-      exit_step : int;
-    }
-  | Entries of { leaves : entry Vec.t; shares : Weight.t Vec.t; exit_step : int }
-
-type outcome = {
-  spawns : spawns;
-  finished : Weight.t; (* weight of pruned / childless branches *)
-  edges_scanned : int;
-  prop_reads : int;
-}
-
-let iter_spawns o f =
-  match o.spawns with
-  | Packed { leaves; shares; travs; exit_step } ->
-    Vec.iteri
-      (fun i e ->
-        let parent = e lsr vbits in
-        f ~parent
-          (Traverser.move travs.(parent) ~vertex:(e land vmask) ~step:exit_step
-             ~weight:(Vec.get shares i)))
-      leaves
-  | Entries { leaves; shares; exit_step } ->
-    Vec.iteri
-      (fun i e ->
-        f ~parent:e.parent
-          { Traverser.vertex = e.vertex; step = exit_step; weight = Vec.get shares i; regs = e.regs })
-      leaves
-
 (* Split each parent's weight over its surviving leaves (a parent with
    none finishes its whole weight). The sweeps are order-preserving, so
    each parent's survivors form one contiguous run of [leaves] and
    parents appear in increasing order: one run-length walk writes the
    per-leaf shares (in leaf order) into the scratch's share vector with
    no per-parent allocation ([split_into] reuses one buffer). *)
-let settle ~prng ~(travs : Traverser.t array) ~leaves_len ~s ~parent_at =
+let settle ~prng ~travs ~leaves_len ~s ~parent_at =
   Vec.clear s.out_shares;
   let finished = ref Weight.zero in
   let next_parent = ref 0 in
   let skip_until parent =
     while !next_parent < parent do
-      finished := Weight.add !finished travs.(!next_parent).Traverser.weight;
+      finished := Weight.add !finished (Travs.weight travs !next_parent);
       incr next_parent
     done
   in
@@ -183,7 +144,7 @@ let settle ~prng ~(travs : Traverser.t array) ~leaves_len ~s ~parent_at =
       incr j
     done;
     let n = !j - !i in
-    let w = travs.(parent).Traverser.weight in
+    let w = Travs.weight travs parent in
     if n = 1 then Vec.push s.out_shares w
     else begin
       let buf = shares_buffer s n in
@@ -195,18 +156,23 @@ let settle ~prng ~(travs : Traverser.t array) ~leaves_len ~s ~parent_at =
     next_parent := parent + 1;
     i := !j
   done;
-  skip_until (Array.length travs);
+  skip_until (Travs.length travs);
   !finished
+
+(* The batch's weight and volume, added to the sink beside its leaves. *)
+let report (sink : Exec.sink) ~finished ~edges ~reads =
+  sink.finished <- Weight.add sink.finished finished;
+  sink.edges_scanned <- sink.edges_scanned + edges;
+  sink.prop_reads <- sink.prop_reads + reads
 
 (* --- Packed fast path: chains without Set_reg ------------------------- *)
 
-let run_packed ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step
-    (travs : Traverser.t array) =
+let run_packed ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step travs sink =
   let frontier = s.packed_a in
   Vec.clear frontier;
-  Array.iteri
-    (fun parent (t : Traverser.t) -> Vec.push frontier ((parent lsl vbits) lor t.Traverser.vertex))
-    travs;
+  for parent = 0 to Travs.length travs - 1 do
+    Vec.push frontier ((parent lsl vbits) lor Travs.vertex travs parent)
+  done;
   let edges = ref 0 in
   let reads = ref 0 in
   let current = ref frontier in
@@ -256,7 +222,7 @@ let run_packed ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step
               if memoizable && Bitset.mem s.pred_seen v then Bitset.mem s.pred_true v
               else begin
                 reads := !reads + reads_per_eval;
-                let regs = travs.(e lsr vbits).Traverser.regs in
+                let regs = Travs.regs travs (e lsr vbits) in
                 let r = Step.eval_pred graph ~vertex:v ~regs pred in
                 if memoizable then begin
                   Bitset.add s.pred_seen v;
@@ -278,23 +244,23 @@ let run_packed ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step
     settle ~prng ~travs ~leaves_len:(Vec.length leaves) ~s
       ~parent_at:(fun i -> Vec.get leaves i lsr vbits)
   in
-  {
-    spawns = Packed { leaves; shares = s.out_shares; travs; exit_step };
-    finished;
-    edges_scanned = !edges;
-    prop_reads = !reads;
-  }
+  for i = 0 to Vec.length leaves - 1 do
+    let e = Vec.get leaves i in
+    let parent = e lsr vbits in
+    Exec.spawn sink ~parent:(Travs.vertex travs parent) ~vertex:(e land vmask) ~step:exit_step
+      ~weight:(Vec.get s.out_shares i) ~regs:(Travs.regs travs parent)
+  done;
+  report sink ~finished ~edges:!edges ~reads:!reads
 
 (* --- Record path: chains containing Set_reg --------------------------- *)
 
-let run_entries ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step
-    (travs : Traverser.t array) =
+let run_entries ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step travs sink =
   let frontier = s.entries_a in
   Vec.clear frontier;
-  Array.iteri
-    (fun parent (t : Traverser.t) ->
-      Vec.push frontier { parent; vertex = t.Traverser.vertex; regs = t.Traverser.regs })
-    travs;
+  for parent = 0 to Travs.length travs - 1 do
+    Vec.push frontier
+      { parent; vertex = Travs.vertex travs parent; regs = Travs.regs travs parent }
+  done;
   let edges = ref 0 in
   let reads = ref 0 in
   let current = ref frontier in
@@ -360,16 +326,16 @@ let run_entries ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step
     settle ~prng ~travs ~leaves_len:(Vec.length leaves) ~s
       ~parent_at:(fun i -> (Vec.get leaves i).parent)
   in
-  {
-    spawns = Entries { leaves; shares = s.out_shares; exit_step };
-    finished;
-    edges_scanned = !edges;
-    prop_reads = !reads;
-  }
+  for i = 0 to Vec.length leaves - 1 do
+    let e = Vec.get leaves i in
+    Exec.spawn sink ~parent:(Travs.vertex travs e.parent) ~vertex:e.vertex ~step:exit_step
+      ~weight:(Vec.get s.out_shares i) ~regs:e.regs
+  done;
+  report sink ~finished ~edges:!edges ~reads:!reads
 
 (* Execute the fusable chain rooted at [step] over the whole batch.
    [travs] must all sit at [step]. *)
-let run ~graph ~scratch ~prng ~program ~step (travs : Traverser.t array) =
+let run ~graph ~scratch ~prng ~program ~step travs sink =
   let chain_steps, exit_step = chain program step in
   assert (chain_steps <> []);
   let has_set_reg =
@@ -378,5 +344,5 @@ let run ~graph ~scratch ~prng ~program ~step (travs : Traverser.t array) =
       chain_steps
   in
   if has_set_reg || Graph.n_vertices graph > vmask then
-    run_entries ~graph ~scratch ~prng ~program ~chain_steps ~exit_step travs
-  else run_packed ~graph ~scratch ~prng ~program ~chain_steps ~exit_step travs
+    run_entries ~graph ~scratch ~prng ~program ~chain_steps ~exit_step travs sink
+  else run_packed ~graph ~scratch ~prng ~program ~chain_steps ~exit_step travs sink

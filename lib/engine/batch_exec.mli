@@ -19,33 +19,19 @@ val fusable : Program.t -> int -> bool
     execution order, and the exit step surviving leaves land on. *)
 val chain : Program.t -> int -> int list * int
 
-(** Surviving leaves at the exit step, unmaterialized: traversers are
-    constructed on demand by {!iter_spawns}, so large batches never
-    push records through the GC write barrier twice. A view into the
-    scratch's reusable buffers (and the input batch array): valid until
-    the next {!run} on the same scratch — consume before executing
-    another batch. *)
-type spawns
-
-type outcome = {
-  spawns : spawns;
-  finished : Weight.t; (** weight of pruned / childless branches *)
-  edges_scanned : int;
-  prop_reads : int;
-}
-
-(** [iter_spawns o f] calls [f ~parent child] for each surviving leaf,
-    in frontier order, where [parent] is the batch index of the input
-    traverser the leaf descends from. *)
-val iter_spawns : outcome -> (parent:int -> Traverser.t -> unit) -> unit
-
-(** Run the fusable chain rooted at [step] over the whole batch. All of
-    [travs] must sit at [step], which must satisfy {!fusable}. *)
+(** Run the fusable chain rooted at [step] over the whole batch [travs],
+    all of whose elements must sit at [step], which must satisfy
+    {!fusable}. The surviving leaves at the exit step are pushed onto the
+    sink's lanes in frontier order, each with the vertex of the input
+    traverser it descends from as its parent; the finished weight of
+    pruned / childless branches and the edge and property volume are
+    added to the sink. *)
 val run :
   graph:Graph.t ->
   scratch:scratch ->
   prng:Prng.t ->
   program:Program.t ->
   step:int ->
-  Traverser.t array ->
-  outcome
+  Travs.t ->
+  Exec.sink ->
+  unit

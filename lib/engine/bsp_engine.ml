@@ -84,8 +84,9 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
       ()
   in
   let fire_service () = Event_queue.run_until timers ~time:!clock in
-  let route (q : ext Lifecycle.query) trav =
-    Exec.route ~graph ~partition ~coordinator:q.coordinator q.program trav
+  let route (q : ext Lifecycle.query) (trav : Traverser.t) =
+    Exec.route ~graph ~partition ~coordinator:q.coordinator q.program ~vertex:trav.vertex
+      ~step:trav.step ~regs:trav.regs
   in
   (* Scoped termination: the query stops consuming supersteps (its
      remaining frontier tasks are skipped on pop) and its memo entries
@@ -191,8 +192,9 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
               ();
           Metrics.(incr metrics Counter.steps);
           Exec.clear sink;
-          Exec.run sink ~graph ~memo ~prng ~qid:t_qid ~program:q.program ~scan:scans.(w) trav;
-          if check && not (Exec.conserves trav sink) then
+          Exec.run sink ~graph ~memo ~prng ~qid:t_qid ~program:q.program ~scan:scans.(w)
+            ~vertex:trav.vertex ~step:trav.step ~weight:trav.weight ~regs:trav.regs;
+          if check && not (Exec.conserves ~weight:trav.weight sink) then
             Engine.check_fail "bsp: query %d step %d (%s) broke weight conservation" t_qid
               trav.Traverser.step
               (Step.op_name (Program.step q.program trav.Traverser.step).Step.op);
@@ -200,29 +202,29 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
           let step_cost = interpretation_scale * Exec.cost costs sink in
           if obs_on then
             Pstm_obs.Opstats.record opstats ~step:trav.Traverser.step ~n:1
-              ~out:(Vec.length sink.spawns) ~rows:(Vec.length sink.rows)
+              ~out:(Travs.length sink.spawns) ~rows:(Vec.length sink.rows)
               ~finished:(not (Weight.is_zero sink.finished))
               ~edges:sink.edges_scanned ~memo_hits:sink.memo_hits
               ~memo_misses:sink.memo_misses ~busy_ns:(Sim_time.to_ns step_cost);
           elapsed := Sim_time.add !elapsed step_cost;
-          Vec.iter
-            (fun child ->
-              Metrics.(incr metrics Counter.spawned);
-              q.ext.live <- q.ext.live + 1;
-              let dst = route q child in
-              if dst = w then
-                (* Same worker: keep chaining inside this superstep. *)
-                Queue.add { t_qid; trav = child } frontier.(w)
-              else begin
-                let bytes = 8 + Traverser.bytes child in
-                Metrics.count_message metrics (Exec.msg_kind q.program child) bytes;
-                let sn = Cluster.node_of_worker cluster w in
-                let dn = Cluster.node_of_worker cluster dst in
-                if sn = dn then Metrics.(incr metrics Counter.local_messages)
-                else msg_bytes.(sn).(dn) <- msg_bytes.(sn).(dn) + bytes;
-                Queue.add { t_qid; trav = child } next_frontier.(dst)
-              end)
-            sink.spawns;
+          for i = 0 to Travs.length sink.spawns - 1 do
+            let child = Travs.get sink.spawns i in
+            Metrics.(incr metrics Counter.spawned);
+            q.ext.live <- q.ext.live + 1;
+            let dst = route q child in
+            if dst = w then
+              (* Same worker: keep chaining inside this superstep. *)
+              Queue.add { t_qid; trav = child } frontier.(w)
+            else begin
+              let bytes = 8 + Traverser.bytes child in
+              Metrics.count_message metrics (Exec.msg_kind q.program child.step) bytes;
+              let sn = Cluster.node_of_worker cluster w in
+              let dn = Cluster.node_of_worker cluster dst in
+              if sn = dn then Metrics.(incr metrics Counter.local_messages)
+              else msg_bytes.(sn).(dn) <- msg_bytes.(sn).(dn) + bytes;
+              Queue.add { t_qid; trav = child } next_frontier.(dst)
+            end
+          done;
           Vec.append ~into:q.rows sink.rows
         end
       done;
@@ -310,7 +312,10 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
                 | Some p, None -> acc := Some p
                 | Some p, Some into -> Aggregate.merge ~into p)
               memos;
-            let cont = Exec.continuation q.program ~agg_step !acc in
+            let cont =
+              { Traverser.vertex = 0; step = (Program.step q.program agg_step).Step.next;
+                weight = Weight.root; regs = Exec.continuation q.program ~agg_step !acc }
+            in
             if obs_on then
               Pstm_obs.Trace.instant trace ~tid:(Engine.query_track q.qid) ~name:"phase_complete"
                 ~ts:!clock

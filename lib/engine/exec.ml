@@ -9,16 +9,19 @@
    on a plain queue — but the semantics (and hence the query answers) are
    defined once, here.
 
-   The sink accumulates across calls until [clear], so an engine that
-   runs a group of traversers reads the group's sums. Each child is built
-   once, with its final weight; the expand targets and the weight shares
-   go through scratch buffers the sink keeps, so a call allocates only
-   the children it pushes (plus what the memo and graph lookups do).
+   A traverser comes in as its four fields and its children go out as
+   four lane words each ({!Travs}), so no traverser record is built on
+   this path. The sink accumulates across calls until [clear], so an
+   engine that runs a group of traversers reads the group's sums. The
+   expand targets and the weight shares go through scratch buffers the
+   sink keeps, so once its lanes have grown a call allocates only the
+   register files its children write (plus what the memo and graph
+   lookups do); a child that writes no register shares its parent's.
 
    Weight conservation invariant (property-tested in the suite), per
    call:
 
-     t.weight = sum of spawned weights + sum of row weights + finished. *)
+     weight = sum of spawned weights + sum of row weights + finished. *)
 
 type scratch = {
   targets : int Vec.t; (* a source / expand step's child vertices *)
@@ -27,7 +30,8 @@ type scratch = {
 }
 
 type sink = {
-  spawns : Traverser.t Vec.t;
+  spawns : Travs.t;
+  parents : int Vec.t;
   rows : Value.t array Vec.t;
   mutable row_weight : Weight.t;
   mutable finished : Weight.t;
@@ -39,12 +43,11 @@ type sink = {
   scratch : scratch;
 }
 
-let no_trav = Traverser.make ~vertex:0 ~step:0 ~weight:Weight.zero ~n_registers:0
-
 let sink () =
   let targets = Vec.create ~dummy:0 in
   {
-    spawns = Vec.create ~dummy:no_trav;
+    spawns = Travs.create ();
+    parents = Vec.create ~dummy:0;
     rows = Vec.create ~dummy:[||];
     row_weight = Weight.zero;
     finished = Weight.zero;
@@ -62,7 +65,8 @@ let sink () =
   }
 
 let clear s =
-  Vec.clear s.spawns;
+  Travs.clear s.spawns;
+  Vec.clear s.parents;
   Vec.clear s.rows;
   s.row_weight <- Weight.zero;
   s.finished <- Weight.zero;
@@ -71,6 +75,10 @@ let clear s =
   s.memo_ops <- 0;
   s.memo_hits <- 0;
   s.memo_misses <- 0
+
+let spawn s ~parent ~vertex ~step ~weight ~regs =
+  Travs.push s.spawns ~vertex ~step ~weight ~regs;
+  Vec.push s.parents parent
 
 let finish s w = s.finished <- Weight.add s.finished w
 
@@ -92,39 +100,34 @@ let push_all targets vertices =
     Vec.push targets vertices.(i)
   done
 
-(* Spawn one child per collected target at [step], splitting [t]'s
-   weight over them, and empty the target buffer. With no target, [t]
-   finishes here instead; returns whether anything spawned. *)
-let spawn_targets s prng (t : Traverser.t) ~step =
+(* Spawn one child per collected target at [step], splitting [weight]
+   over them, and empty the target buffer. With no target, the traverser
+   at [vertex] finishes here instead; returns whether anything
+   spawned. *)
+let spawn_targets s prng ~vertex ~weight ~regs ~step =
   let sc = s.scratch in
   let n = Vec.length sc.targets in
-  if n = 0 then finish s t.weight
+  if n = 0 then finish s weight
   else begin
-    split sc prng t.weight n;
+    split sc prng weight n;
     for i = 0 to n - 1 do
-      Vec.push s.spawns
-        (Traverser.move t ~vertex:(Vec.get sc.targets i) ~step ~weight:sc.shares.(i))
+      spawn s ~parent:vertex ~vertex:(Vec.get sc.targets i) ~step ~weight:sc.shares.(i) ~regs
     done;
     Vec.clear sc.targets
   end;
   n > 0
 
-(* [t] moved to [step] with [weight] and the register file [regs]. *)
-let child (t : Traverser.t) ~regs ~step ~weight = { t with Traverser.regs; step; weight }
-
 (* One Join child per matching partner row, in match order, with the
    row's payload loaded into [load_regs]. *)
-let rec spawn_matches s (t : Traverser.t) ~load_regs ~cont i = function
+let rec spawn_matches s ~vertex ~regs ~load_regs ~cont i = function
   | [] -> ()
   | (row : Value.t array) :: rest ->
-    let regs = Array.copy t.regs in
+    let child = Array.copy regs in
     for j = 0 to Array.length load_regs - 1 do
-      regs.(load_regs.(j)) <- row.(j)
+      child.(load_regs.(j)) <- row.(j)
     done;
-    Vec.push s.spawns (child t ~regs ~step:cont ~weight:s.scratch.shares.(i));
-    spawn_matches s t ~load_regs ~cont (i + 1) rest
-
-let eval graph (t : Traverser.t) e = Step.eval_expr graph ~vertex:t.vertex ~regs:t.regs e
+    spawn s ~parent:vertex ~vertex ~step:cont ~weight:s.scratch.shares.(i) ~regs:child;
+    spawn_matches s ~vertex ~regs ~load_regs ~cont (i + 1) rest
 
 (* Accounting note: a step that spawns nothing records only its finished
    weight — the memo probe, edge scan and property reads it made are not
@@ -134,56 +137,56 @@ let eval graph (t : Traverser.t) e = Step.eval_expr graph ~vertex:t.vertex ~regs
    paper figure was generated under this accounting; changing it is a
    model change (ROADMAP), not a refactor. The [spawn_targets] and
    [n = 0] branches below are those sites. *)
-let run s ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
-  let step = Program.step program t.step in
+let run s ~graph ~memo ~prng ~qid ~program ~scan ~vertex ~step:at ~weight ~regs =
+  let step = Program.step program at in
   let sc = s.scratch in
   match step.Step.op with
   | Step.Index_lookup { vertex_label; key; value } ->
     push_all sc.targets (Graph.index_lookup graph ?vertex_label ~key value);
-    if spawn_targets s prng t ~step:step.next then begin
+    if spawn_targets s prng ~vertex ~weight ~regs ~step:step.next then begin
       s.prop_reads <- s.prop_reads + 1;
       count_memo s ~ops:1 ~hits:1 ~misses:0
     end
   | Step.Scan { vertex_label } ->
     let vertices = scan vertex_label in
     push_all sc.targets vertices;
-    if spawn_targets s prng t ~step:step.next then
+    if spawn_targets s prng ~vertex ~weight ~regs ~step:step.next then
       s.edges_scanned <- s.edges_scanned + Array.length vertices
   | Step.Expand { dir; edge_label } ->
-    Graph.iter_adjacent graph ~dir ?label:edge_label t.vertex sc.push_target;
-    if spawn_targets s prng t ~step:step.next then
-      s.edges_scanned <- s.edges_scanned + Graph.degree graph ~dir t.vertex
+    Graph.iter_adjacent graph ~dir ?label:edge_label vertex sc.push_target;
+    if spawn_targets s prng ~vertex ~weight ~regs ~step:step.next then
+      s.edges_scanned <- s.edges_scanned + Graph.degree graph ~dir vertex
   | Step.Filter pred ->
     s.prop_reads <- s.prop_reads + Step.pred_prop_reads pred;
-    if Step.eval_pred graph ~vertex:t.vertex ~regs:t.regs pred then
-      Vec.push s.spawns (Traverser.at_step t step.next)
-    else finish s t.weight
+    if Step.eval_pred graph ~vertex ~regs pred then
+      spawn s ~parent:vertex ~vertex ~step:step.next ~weight ~regs
+    else finish s weight
   | Step.Set_reg { reg; expr } ->
-    let regs = Array.copy t.regs in
-    regs.(reg) <- eval graph t expr;
-    Vec.push s.spawns (child t ~regs ~step:step.next ~weight:t.weight);
+    let child = Array.copy regs in
+    child.(reg) <- Step.eval_expr graph ~vertex ~regs expr;
+    spawn s ~parent:vertex ~vertex ~step:step.next ~weight ~regs:child;
     s.prop_reads <- s.prop_reads + Step.expr_prop_reads expr
   | Step.Move_to { reg } ->
-    let target = Value.vertex_exn t.regs.(reg) in
-    Vec.push s.spawns (Traverser.move t ~vertex:target ~step:step.next ~weight:t.weight)
+    let target = Value.vertex_exn regs.(reg) in
+    spawn s ~parent:vertex ~vertex:target ~step:step.next ~weight ~regs
   | Step.Dedup { by } ->
     let fresh =
       match by with
-      | Step.Vertex_id -> Memo.add_vertex_if_absent memo ~qid ~label:t.step t.vertex
-      | _ -> Memo.add_if_absent memo ~qid ~label:t.step (eval graph t by)
+      | Step.Vertex_id -> Memo.add_vertex_if_absent memo ~qid ~label:at vertex
+      | _ -> Memo.add_if_absent memo ~qid ~label:at (Step.eval_expr graph ~vertex ~regs by)
     in
     s.prop_reads <- s.prop_reads + Step.expr_prop_reads by;
     if fresh then begin
-      Vec.push s.spawns (Traverser.at_step t step.next);
+      spawn s ~parent:vertex ~vertex ~step:step.next ~weight ~regs;
       count_memo s ~ops:1 ~hits:0 ~misses:1
     end
     else begin
-      finish s t.weight;
+      finish s weight;
       count_memo s ~ops:1 ~hits:1 ~misses:0
     end
   | Step.Visit { dist_reg; max_hops; cont; emit_improved } ->
-    let d = Value.to_int_exn t.regs.(dist_reg) in
-    let visit = Memo.min_int_update memo ~qid ~label:t.step t.vertex d in
+    let d = Value.to_int_exn regs.(dist_reg) in
+    let visit = Memo.min_int_update memo ~qid ~label:at vertex d in
     (* First visit: continue, and loop on while hops remain. Improved:
        under asynchronous order a vertex can be first reached through a
        longer path; when the continuation aggregates distances (min /
@@ -198,39 +201,38 @@ let run s ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
     let loop = d < max_hops && visit <> Memo.Not_improved in
     let hit = if visit = Memo.First_visit then 0 else 1 in
     let n = Bool.to_int emit + Bool.to_int loop in
-    if n = 0 then finish s t.weight (* uncounted: see the note on [run] *)
+    if n = 0 then finish s weight (* uncounted: see the note on [run] *)
     else begin
-      split sc prng t.weight n;
-      if emit then
-        Vec.push s.spawns (child t ~regs:t.regs ~step:cont ~weight:sc.shares.(0));
+      split sc prng weight n;
+      if emit then spawn s ~parent:vertex ~vertex ~step:cont ~weight:sc.shares.(0) ~regs;
       if loop then begin
-        let regs = Array.copy t.regs in
-        regs.(dist_reg) <- Value.Int (d + 1);
-        Vec.push s.spawns (child t ~regs ~step:step.next ~weight:sc.shares.(n - 1))
+        let child = Array.copy regs in
+        child.(dist_reg) <- Value.Int (d + 1);
+        spawn s ~parent:vertex ~vertex ~step:step.next ~weight:sc.shares.(n - 1) ~regs:child
       end;
       count_memo s ~ops:1 ~hits:hit ~misses:(1 - hit)
     end
   | Step.Join { key; store; load_regs; cont; _ } ->
-    let key_value = eval graph t key in
+    let key_value = Step.eval_expr graph ~vertex ~regs key in
     let n_store = Array.length store in
     let payload =
       if n_store = 0 then [||]
       else begin
-        let p = Array.make n_store (eval graph t store.(0)) in
+        let p = Array.make n_store (Step.eval_expr graph ~vertex ~regs store.(0)) in
         for i = 1 to n_store - 1 do
-          p.(i) <- eval graph t store.(i)
+          p.(i) <- Step.eval_expr graph ~vertex ~regs store.(i)
         done;
         p
       end
     in
-    let partner = Program.join_partner program t.step in
-    Memo.rows_add memo ~qid ~label:t.step key_value payload;
+    let partner = Program.join_partner program at in
+    Memo.rows_add memo ~qid ~label:at key_value payload;
     let matches = Memo.rows_get memo ~qid ~label:partner key_value in
     let n = List.length matches in
-    if n = 0 then finish s t.weight (* uncounted: see the note on [run] *)
+    if n = 0 then finish s weight (* uncounted: see the note on [run] *)
     else begin
-      split sc prng t.weight n;
-      spawn_matches s t ~load_regs ~cont 0 matches;
+      split sc prng weight n;
+      spawn_matches s ~vertex ~regs ~load_regs ~cont 0 matches;
       let reads = ref (Step.expr_prop_reads key) in
       for i = 0 to n_store - 1 do
         reads := !reads + Step.expr_prop_reads store.(i)
@@ -239,9 +241,9 @@ let run s ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
       count_memo s ~ops:2 ~hits:n ~misses:0
     end
   | Step.Aggregate { agg; reg = _ } ->
-    let partial = Memo.partial memo ~qid ~label:t.step agg in
-    Aggregate.accumulate agg partial graph ~vertex:t.vertex ~regs:t.regs;
-    finish s t.weight;
+    let partial = Memo.partial memo ~qid ~label:at agg in
+    Aggregate.accumulate agg partial graph ~vertex ~regs;
+    finish s weight;
     s.prop_reads <- s.prop_reads + Step.agg_prop_reads agg;
     s.memo_ops <- s.memo_ops + 1
   | Step.Emit exprs ->
@@ -249,35 +251,32 @@ let run s ~graph ~memo ~prng ~qid ~program ~scan (t : Traverser.t) =
     let row = if n = 0 then [||] else Array.make n Value.Null in
     let reads = ref 0 in
     for i = 0 to n - 1 do
-      row.(i) <- eval graph t exprs.(i);
+      row.(i) <- Step.eval_expr graph ~vertex ~regs exprs.(i);
       reads := !reads + Step.expr_prop_reads exprs.(i)
     done;
     Vec.push s.rows row;
-    s.row_weight <- Weight.add s.row_weight t.weight;
+    s.row_weight <- Weight.add s.row_weight weight;
     s.prop_reads <- s.prop_reads + !reads
 
 (* The header's conservation identity as a runtime predicate over
    everything in the sink, for the engines' sanitizer (check) mode:
    callers [clear] the sink before each [run] they check. *)
-let conserves (t : Traverser.t) s =
-  let total = Weight.add s.finished s.row_weight in
-  let total =
-    Vec.fold (fun acc (c : Traverser.t) -> Weight.add acc c.Traverser.weight) total s.spawns
-  in
-  Weight.equal total t.Traverser.weight
+let conserves ~weight s =
+  let total = Weight.add (Travs.total_weight s.spawns) (Weight.add s.finished s.row_weight) in
+  Weight.equal total weight
 
-let route ~graph ~partition ~coordinator program (t : Traverser.t) =
-  match Program.routing program t.step with
+let route ~graph ~partition ~coordinator program ~vertex ~step ~regs =
+  match Program.routing program step with
   | Step.By_coordinator -> coordinator
-  | Step.By_vertex | Step.By_key Step.Vertex_id -> Partition.owner partition t.vertex
+  | Step.By_vertex | Step.By_key Step.Vertex_id -> Partition.owner partition vertex
   | Step.By_key e -> begin
-    match Step.eval_expr graph ~vertex:t.vertex ~regs:t.regs e with
+    match Step.eval_expr graph ~vertex ~regs e with
     | Value.Vertex v -> Partition.owner partition v
     | v -> Value.hash v mod Partition.n_parts partition
   end
 
-let msg_kind program (t : Traverser.t) =
-  match (Program.step program t.step).Step.op with
+let msg_kind program step =
+  match (Program.step program step).Step.op with
   | Step.Emit _ -> Metrics.Result_msg
   | _ -> Metrics.Traverser_msg
 
@@ -295,10 +294,9 @@ let continuation program ~agg_step partial =
     | _ -> invalid_arg "Exec.continuation: not an aggregate step"
   in
   let partial = match partial with Some p -> p | None -> Aggregate.create agg in
-  Traverser.set_reg
-    (Traverser.make ~vertex:0 ~step:step.Step.next ~weight:Weight.root
-       ~n_registers:(Program.n_registers program))
-    reg (Aggregate.finalize partial)
+  let regs = Array.make (Program.n_registers program) Value.Null in
+  regs.(reg) <- Aggregate.finalize partial;
+  regs
 
 (* CPU time of the sink's work under a cluster cost table: one step
    dispatch plus its data and memo volume. *)

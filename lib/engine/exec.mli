@@ -6,9 +6,12 @@ type scratch
 
 (** What executed steps produced, accumulated over every {!run} since the
     last {!clear}. The caller owns the sink and reuses it: {!run} only
-    pushes and adds, so a call allocates just the children it spawns. *)
+    pushes and adds, and a child is four lane words, so once the sink's
+    lanes have grown a call allocates just the register files its
+    children write. *)
 type sink = {
-  spawns : Traverser.t Vec.t; (** children in spawn order, to be routed by the caller *)
+  spawns : Travs.t; (** children in spawn order, to be routed by the caller *)
+  parents : int Vec.t;  (** [parents.(i)] is the vertex spawn [i]'s parent was at *)
   rows : Value.t array Vec.t; (** emitted result rows *)
   mutable row_weight : Weight.t; (** summed weight of [rows] *)
   mutable finished : Weight.t; (** weight that terminated at these steps *)
@@ -25,12 +28,17 @@ val sink : unit -> sink
 (** Empty the sink: no spawns or rows, zero weights and counts. *)
 val clear : sink -> unit
 
-(** Execute one traverser through its current step against the partition
-    memo of the worker it is on, adding the result to the sink. [scan]
-    supplies the vertex domain of Scan sources (the whole graph for the
-    reference engine, the partition members for distributed workers).
-    Maintains weight conservation: input weight = spawned + row +
-    finished weights added by this call. *)
+(** Push one child, spawned by a traverser at vertex [parent]. *)
+val spawn :
+  sink -> parent:int -> vertex:int -> step:int -> weight:Weight.t -> regs:Value.t array -> unit
+
+(** Execute the traverser ([vertex], [step], [weight], [regs]) through
+    its current step against the partition memo of the worker it is on,
+    adding the result to the sink. [scan] supplies the vertex domain of
+    Scan sources (the whole graph for the reference engine, the partition
+    members for distributed workers). Maintains weight conservation:
+    input weight = spawned + row + finished weights added by this
+    call. *)
 val run :
   sink ->
   graph:Graph.t ->
@@ -39,34 +47,45 @@ val run :
   qid:int ->
   program:Program.t ->
   scan:(int option -> int array) ->
-  Traverser.t ->
+  vertex:int ->
+  step:int ->
+  weight:Weight.t ->
+  regs:Value.t array ->
   unit
 
-(** Does the sink's whole content conserve the traverser's weight
-    (spawned + rows + finished = input)? Clear the sink before the
-    {!run} to check. Used by the engines' sanitizer ([~check:true])
-    mode. *)
-val conserves : Traverser.t -> sink -> bool
+(** Does the sink's whole content conserve the input [weight] (spawned +
+    rows + finished = input)? Clear the sink before the {!run} to check.
+    Used by the engines' sanitizer ([~check:true]) mode. *)
+val conserves : weight:Weight.t -> sink -> bool
 
 (** The routing function h_psi (§III-A): the worker that runs the
     traverser's current step — the owner of its vertex or of its key's
     vertex, the key's hash over the workers, or [coordinator]. *)
 val route :
-  graph:Graph.t -> partition:Partition.t -> coordinator:int -> Program.t -> Traverser.t -> int
+  graph:Graph.t ->
+  partition:Partition.t ->
+  coordinator:int ->
+  Program.t ->
+  vertex:int ->
+  step:int ->
+  regs:Value.t array ->
+  int
 
-(** The message kind a traverser travels as: a result when its current
+(** The message kind a traverser at [step] travels as: a result when the
     step is Emit. *)
-val msg_kind : Program.t -> Traverser.t -> Metrics.msg_kind
+val msg_kind : Program.t -> int -> Metrics.msg_kind
 
 (** The Scan domain of a partition with the (lazily computed) [members]:
     all of them, or those with the requested vertex label. Pass it
     partially applied as {!run}'s [scan]. *)
 val partition_scan : Graph.t -> int array Lazy.t -> int option -> int array
 
-(** The root traverser that opens the phase after the aggregate at
-    [agg_step] (§III-C): its register holds the finalized combined
-    partial, or the empty aggregate's value when no partial exists. *)
-val continuation : Program.t -> agg_step:int -> Aggregate.t option -> Traverser.t
+(** The register file of the root traverser that opens the phase after
+    the aggregate at [agg_step] (§III-C), at vertex 0, the aggregate
+    step's [next] and {!Weight.root}: the aggregate's register holds the
+    finalized combined partial, or the empty aggregate's value when no
+    partial exists. *)
+val continuation : Program.t -> agg_step:int -> Aggregate.t option -> Value.t array
 
 (** CPU time of the sink's work under a cluster cost table: one step
     dispatch plus its data and memo volume. *)

@@ -49,20 +49,23 @@ let run ?(common = Engine.Common.default) graph program =
     while not (Queue.is_empty queue) do
       let t = Queue.pop queue in
       Exec.clear sink;
-      Exec.run sink ~graph ~memo ~prng ~qid ~program ~scan t;
+      Exec.run sink ~graph ~memo ~prng ~qid ~program ~scan ~vertex:t.vertex ~step:t.step
+        ~weight:t.weight ~regs:t.regs;
       if obs_on then
         Pstm_obs.Opstats.record opstats ~step:t.Traverser.step ~n:1
-          ~out:(Vec.length sink.Exec.spawns) ~rows:(Vec.length sink.rows)
+          ~out:(Travs.length sink.Exec.spawns) ~rows:(Vec.length sink.rows)
           ~finished:(not (Weight.is_zero sink.finished))
           ~edges:sink.edges_scanned ~memo_hits:sink.memo_hits ~memo_misses:sink.memo_misses
           ~busy_ns:0;
       if check then begin
-        if not (Exec.conserves t sink) then
+        if not (Exec.conserves ~weight:t.weight sink) then
           Engine.check_fail "local: step %d (%s) broke weight conservation" t.Traverser.step
             (Step.op_name (Program.step program t.Traverser.step).Step.op);
         drained.(phase) <- Weight.add drained.(phase) (Weight.add sink.finished sink.row_weight)
       end;
-      Vec.iter push sink.spawns;
+      for i = 0 to Travs.length sink.spawns - 1 do
+        push (Travs.get sink.spawns i)
+      done;
       Vec.iter (fun row -> rows := row :: !rows) sink.rows
     done;
     if check && not (Weight.equal seeded.(phase) drained.(phase)) then
@@ -71,6 +74,9 @@ let run ?(common = Engine.Common.default) graph program =
     match Program.agg_of_phase program phase with
     | None -> ()
     | Some agg_step ->
-      seed (Exec.continuation program ~agg_step (Memo.partial_opt memo ~qid ~label:agg_step))
+      seed
+        { Traverser.vertex = 0; step = (Program.step program agg_step).Step.next;
+          weight = Weight.root;
+          regs = Exec.continuation program ~agg_step (Memo.partial_opt memo ~qid ~label:agg_step) }
   done;
   List.rev !rows

@@ -65,23 +65,20 @@ let create ~graph ~partition ~adaptive ~refine_interval ~min_traffic
     on_event; live; slab; send; migrating = Hashtbl.create 64; migrated_ever = Hashtbl.create 64;
     next_round = Sim_time.zero; profiled_at_round = 0 }
 
-let key_vertex t (trav : Traverser.t) e =
-  match Step.eval_expr t.graph ~vertex:trav.Traverser.vertex ~regs:trav.Traverser.regs e with
-  | Value.Vertex v -> Some v
-  | _ -> None
+let key_vertex t ~vertex ~regs e =
+  match Step.eval_expr t.graph ~vertex ~regs e with Value.Vertex v -> Some v | _ -> None
 
 (* The vertex whose owner the dispatch target is, if any: By_vertex
    routes by the traverser's vertex, By_key by the key's vertex when the
    key is one. Coordinator-routed and hash-routed steps (and Gaia's
    centralized stateful ops) have none. *)
-let routed_vertex t program (trav : Traverser.t) =
-  let op = (Program.step program trav.Traverser.step).Step.op in
-  if t.centralized op then None
+let routed_vertex t program ~vertex ~step ~regs =
+  if t.centralized (Program.step program step).Step.op then None
   else begin
-    match Program.routing program trav.Traverser.step with
+    match Program.routing program step with
     | Step.By_coordinator -> None
-    | Step.By_vertex -> Some trav.Traverser.vertex
-    | Step.By_key e -> key_vertex t trav e
+    | Step.By_vertex -> Some vertex
+    | Step.By_key e -> key_vertex t ~vertex ~regs e
   end
 
 (* The vertex whose memo entries this traverser's step reads or writes,
@@ -90,13 +87,13 @@ let routed_vertex t program (trav : Traverser.t) =
    arrivals must chase the new owner and early arrivals must wait for
    the entries. Stateless steps (Expand, Filter, ...) execute wherever
    they land; a stale arrival there is only a locality miss. *)
-let stateful_key_vertex t program (trav : Traverser.t) =
-  let op = (Program.step program trav.Traverser.step).Step.op in
+let stateful_key_vertex t program ~vertex ~step ~regs =
+  let op = (Program.step program step).Step.op in
   if t.centralized op then None
   else begin
     match op with
-    | Step.Visit _ -> Some trav.Traverser.vertex
-    | Step.Dedup { by } | Step.Join { key = by; _ } -> key_vertex t trav by
+    | Step.Visit _ -> Some vertex
+    | Step.Dedup { by } | Step.Join { key = by; _ } -> key_vertex t ~vertex ~regs by
     | _ -> None
   end
 
@@ -104,14 +101,14 @@ let stateful_key_vertex t program (trav : Traverser.t) =
    an edge of the workload's communication graph — the signal the
    refiner minimizes. [src_vertex] is the parent's vertex, or -1 for a
    traverser no step spawned. Returns whether the hop was profiled. *)
-let profile_hop t ~src_vertex program trav =
+let profile_hop t ~src_vertex program ~vertex ~step ~regs =
   (t.adaptive || Traffic.enabled t.obs_traffic)
   && src_vertex >= 0
   &&
-  match routed_vertex t program trav with
+  match routed_vertex t program ~vertex ~step ~regs with
   | None -> false
   | Some v ->
-    let bytes = 8 + Traverser.bytes trav in
+    let bytes = 8 + Traverser.wire_bytes regs in
     Traffic.record t.obs_traffic ~src:src_vertex ~dst:v ~bytes;
     Traffic.record t.profile ~src:src_vertex ~dst:v ~bytes;
     true
@@ -166,9 +163,11 @@ let gate t ~at ~w ~qid program travs czs =
   else begin
     let cost = ref Sim_time.zero in
     let kept = ref 0 in
-    for i = 0 to Vec.length travs - 1 do
-      let trav = Vec.get travs i and cz = Vec.get czs i in
-      match stateful_key_vertex t program trav with
+    for i = 0 to Travs.length travs - 1 do
+      let vertex = Travs.vertex travs i and step = Travs.step travs i in
+      let weight = Travs.weight travs i and regs = Travs.regs travs i in
+      let cz = Vec.get czs i in
+      match stateful_key_vertex t program ~vertex ~step ~regs with
       | Some v when Partition.owner t.partition v <> w ->
         Metrics.(incr t.metrics Counter.forwarded);
         t.on_event "forward" v;
@@ -176,18 +175,18 @@ let gate t ~at ~w ~qid program travs czs =
         cost :=
           Sim_time.add !cost
             (t.send ~at ~src:w ~dst:(Partition.owner t.partition v) ~kind:Metrics.Traverser_msg
-               (Payload.trav t.slab ~qid ~cz trav))
+               (Payload.trav t.slab ~qid ~cz ~vertex ~step ~weight ~regs))
       | Some v when Hashtbl.mem t.migrating v ->
         Metrics.(incr t.metrics Counter.stashed);
         t.on_event "stash" v;
         let stash = Hashtbl.find t.migrating v in
-        stash := Payload.trav t.slab ~qid ~cz trav :: !stash
+        stash := Payload.trav t.slab ~qid ~cz ~vertex ~step ~weight ~regs :: !stash
       | _ ->
-        Vec.set travs !kept trav;
+        Travs.move travs ~src:i ~dst:!kept;
         Vec.set czs !kept cz;
         incr kept
     done;
-    Vec.truncate travs !kept;
+    Travs.truncate travs !kept;
     Vec.truncate czs !kept;
     !cost
   end

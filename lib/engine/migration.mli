@@ -28,7 +28,8 @@ val create :
   t
 
 (** Profile a remote dispatch spawned on [src_vertex] (-1: none). *)
-val profile_hop : t -> src_vertex:int -> Program.t -> Traverser.t -> bool
+val profile_hop :
+  t -> src_vertex:int -> Program.t -> vertex:int -> step:int -> regs:Value.t array -> bool
 
 (** A refinement round, once enough fresh traffic and time passed. *)
 val maybe_adapt : t -> at:Sim_time.t -> src:int -> cz:int -> Sim_time.t
@@ -40,8 +41,7 @@ val migrate : t -> at:Sim_time.t -> src:int -> cz:int -> vertex:int -> dst:int -
     stateful key moved away, stash those whose entries are in flight
     here, keep the rest (with their causal contexts) in order. *)
 val gate :
-  t -> at:Sim_time.t -> w:int -> qid:int -> Program.t -> Traverser.t Vec.t -> int Vec.t ->
-  Sim_time.t
+  t -> at:Sim_time.t -> w:int -> qid:int -> Program.t -> Travs.t -> int Vec.t -> Sim_time.t
 
 (** A migration payload consumed at [w] under context [cz]: the old
     owner ships the vertex's entries from [memo]; the new owner installs

@@ -63,8 +63,9 @@ val flush : t -> at:Sim_time.t -> w:int -> Sim_time.t
 (** Answer an aggregate flush with [w]'s partial from [memo]. *)
 val respond : t -> at:Sim_time.t -> w:int -> Memo.t -> q -> agg_step:int -> cz:int -> Sim_time.t
 
-(** Merge one partial; once all are in, the next phase's root. *)
-val combine : q -> agg_step:int -> Aggregate.t option -> Traverser.t option
+(** Merge one partial; once all are in, the register file of the next
+    phase's root ({!Exec.continuation}). *)
+val combine : q -> agg_step:int -> Aggregate.t option -> Value.t array option
 
 (** Sanitizer: raise if a coalescer still holds weight. *)
 val check_drained : t -> unit

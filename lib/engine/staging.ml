@@ -3,20 +3,22 @@
 type group = {
   mutable qid : int;
   mutable step : int;
-  travs : Traverser.t Vec.t;
+  travs : Travs.t;
   czs : int Vec.t;
 }
 
-let group () =
-  { qid = -1; step = -1; travs = Vec.create ~dummy:Payload.no_trav; czs = Vec.create ~dummy:(-1) }
+let group () = { qid = -1; step = -1; travs = Travs.create (); czs = Vec.create ~dummy:(-1) }
 
-let single g ~qid ~cz trav =
-  Vec.clear g.travs;
+let push g ~cz ~vertex ~step ~weight ~regs =
+  Travs.push g.travs ~vertex ~step ~weight ~regs;
+  Vec.push g.czs cz
+
+let single g ~qid ~cz ~vertex ~step ~weight ~regs =
+  Travs.clear g.travs;
   Vec.clear g.czs;
   g.qid <- qid;
-  g.step <- trav.Traverser.step;
-  Vec.push g.travs trav;
-  Vec.push g.czs cz
+  g.step <- step;
+  push g ~cz ~vertex ~step ~weight ~regs
 
 (* [groups.(0 .. n-1)] are staged; the rest are spares from earlier
    quanta. *)
@@ -43,10 +45,8 @@ let rec find t ~qid ~step i =
     if g.qid = qid && g.step = step then g else find t ~qid ~step (i - 1)
   end
 
-let add t ~qid ~cz trav =
-  let g = find t ~qid ~step:trav.Traverser.step (t.n - 1) in
-  Vec.push g.travs trav;
-  Vec.push g.czs cz
+let add t ~qid ~cz ~vertex ~step ~weight ~regs =
+  push (find t ~qid ~step (t.n - 1)) ~cz ~vertex ~step ~weight ~regs
 
 let length t = t.n
 let get t i = Vec.get t.groups i
@@ -54,7 +54,7 @@ let get t i = Vec.get t.groups i
 let clear t =
   for i = 0 to t.n - 1 do
     let g = Vec.get t.groups i in
-    Vec.clear g.travs;
+    Travs.clear g.travs;
     Vec.clear g.czs
   done;
   t.n <- 0

@@ -81,20 +81,25 @@ let to_int = function
   | Bool b -> Some (if b then 1 else 0)
   | _ -> None
 
-let to_int_exn v =
-  match to_int v with
-  | Some i -> i
-  | None -> invalid_arg (Fmt.str "Value.to_int_exn: %a" pp v)
+(* The [_exn] forms match the variant themselves: going through the
+   option would allocate a [Some] per call wherever [to_int] is not
+   inlined (every Visit step reads its distance register this way). *)
+let to_int_exn = function
+  | Int i -> i
+  | Vertex v -> v
+  | Edge e -> e
+  | Bool b -> if b then 1 else 0
+  | v -> invalid_arg (Fmt.str "Value.to_int_exn: %a" pp v)
 
 let to_float = function
   | Float f -> Some f
   | Int i -> Some (float_of_int i)
   | _ -> None
 
-let to_float_exn v =
-  match to_float v with
-  | Some f -> f
-  | None -> invalid_arg (Fmt.str "Value.to_float_exn: %a" pp v)
+let to_float_exn = function
+  | Float f -> f
+  | Int i -> float_of_int i
+  | v -> invalid_arg (Fmt.str "Value.to_float_exn: %a" pp v)
 
 let vertex_exn = function
   | Vertex v -> v

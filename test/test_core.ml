@@ -192,9 +192,95 @@ let test_traverser_copy_on_write () =
   Alcotest.(check bool) "parent unchanged" true (Value.is_null t.Traverser.regs.(0));
   Alcotest.(check bool) "child updated" true
     (Value.equal (Value.Int 42) t'.Traverser.regs.(0));
-  let t'' = Traverser.set_regs t' [ (0, Value.Int 1); (1, Value.Int 2) ] in
-  Alcotest.(check bool) "multi write" true (Value.equal (Value.Int 2) t''.Traverser.regs.(1));
+  let t'' = Traverser.set_reg t' 1 (Value.Int 2) in
+  Alcotest.(check bool) "second write" true (Value.equal (Value.Int 2) t''.Traverser.regs.(1));
+  Alcotest.(check bool) "first child unchanged" true (Value.is_null t'.Traverser.regs.(1));
   Alcotest.(check bool) "bytes grow with payload" true (Traverser.bytes t'' >= Traverser.bytes t)
+
+(* --- Traverser lanes --- *)
+
+type travs_op =
+  | T_push of int * int * int (* vertex, step, weight seed; regs size = seed mod 3 *)
+  | T_clear
+  | T_truncate of int (* to the nth length, modulo *)
+  | T_move of int * int (* src, dst, modulo the length *)
+
+let pp_travs_op ppf = function
+  | T_push (v, s, w) -> Fmt.pf ppf "push(%d,%d,%d)" v s w
+  | T_clear -> Fmt.pf ppf "clear"
+  | T_truncate n -> Fmt.pf ppf "truncate %d" n
+  | T_move (a, b) -> Fmt.pf ppf "move %d->%d" a b
+
+(* Lanes against a list of records, after every op of a random sequence
+   long enough to double the lanes several times (pushes dominate; a
+   clear or truncate now and then, so later pushes land in lanes that
+   already grew): the length, every element's four lanes and its record,
+   and the total weight agree with the model. *)
+let travs_matches_list_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (40, map3 (fun v s w -> T_push (v, s, w)) small_nat small_nat small_nat);
+          (1, return T_clear);
+          (1, map (fun n -> T_truncate n) small_nat);
+          (3, map2 (fun a b -> T_move (a, b)) small_nat small_nat);
+        ])
+  in
+  QCheck.Test.make ~name:"travs match a list model" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> Fmt.str "%a" (Fmt.list ~sep:Fmt.sp pp_travs_op) ops)
+       QCheck.Gen.(list_size (int_range 0 2000) op))
+    (fun ops ->
+      let t = Travs.create () in
+      let model = ref [||] in
+      List.iter
+        (fun op ->
+          let n = Array.length !model in
+          (match op with
+          | T_push (vertex, step, w) ->
+            let weight = Weight.random (Prng.create w) in
+            let regs = Array.make (w mod 3) (Value.Int vertex) in
+            Travs.push t ~vertex ~step ~weight ~regs;
+            model := Array.append !model [| { Traverser.vertex; step; weight; regs } |]
+          | T_clear ->
+            Travs.clear t;
+            model := [||]
+          | T_truncate k ->
+            let k = k mod (n + 1) in
+            Travs.truncate t k;
+            model := Array.sub !model 0 k
+          | T_move (a, b) when n > 0 ->
+            Travs.move t ~src:(a mod n) ~dst:(b mod n);
+            !model.(b mod n) <- !model.(a mod n)
+          | T_move _ -> ());
+          let m = !model in
+          if Travs.length t <> Array.length m then
+            QCheck.Test.fail_reportf "after %a: length %d, model %d" pp_travs_op op
+              (Travs.length t) (Array.length m);
+          Array.iteri
+            (fun i (r : Traverser.t) ->
+              let g = Travs.get t i in
+              if
+                not
+                  (Travs.vertex t i = r.vertex
+                  && Travs.step t i = r.step
+                  && Weight.equal (Travs.weight t i) r.weight
+                  && Travs.regs t i == r.regs
+                  && g.vertex = r.vertex && g.step = r.step
+                  && Weight.equal g.weight r.weight && g.regs == r.regs)
+              then QCheck.Test.fail_reportf "after %a: element %d disagrees" pp_travs_op op i)
+            m;
+          let total =
+            Array.fold_left (fun acc (r : Traverser.t) -> Weight.add acc r.weight) Weight.zero m
+          in
+          if not (Weight.equal (Travs.total_weight t) total) then
+            QCheck.Test.fail_reportf "after %a: total weight disagrees" pp_travs_op op;
+          match Travs.vertex t (Array.length m) with
+          | _ -> QCheck.Test.fail_reportf "after %a: read past the end" pp_travs_op op
+          | exception Invalid_argument _ -> ())
+        ops;
+      true)
 
 (* --- Memo --- *)
 
@@ -838,6 +924,7 @@ let () =
           Alcotest.test_case "coalescer no re-entry" `Quick test_coalescer_no_reentry;
         ] );
       ("traverser", [ Alcotest.test_case "copy on write" `Quick test_traverser_copy_on_write ]);
+      ("travs", [ qcheck travs_matches_list_model ]);
       ( "memo",
         [
           Alcotest.test_case "dedup" `Quick test_memo_dedup;

@@ -184,25 +184,28 @@ let exec_conserves_weight =
         let budget = ref 50_000 in
         while (not (Queue.is_empty queue)) && !budget > 0 do
           decr budget;
-          let t = Queue.pop queue in
+          let (t : Traverser.t) = Queue.pop queue in
           Exec.clear sink;
-          Exec.run sink ~graph ~memo ~prng ~qid:0 ~program ~scan t;
-          let total =
-            Vec.fold
-              (fun acc (c : Traverser.t) -> Weight.add acc c.Traverser.weight)
-              (Weight.add sink.Exec.finished sink.Exec.row_weight)
-              sink.Exec.spawns
-          in
-          if not (Weight.equal total t.Traverser.weight) then ok := false;
+          Exec.run sink ~graph ~memo ~prng ~qid:0 ~program ~scan ~vertex:t.vertex ~step:t.step
+            ~weight:t.weight ~regs:t.regs;
+          let spawns = sink.Exec.spawns in
+          let total = ref (Weight.add sink.Exec.finished sink.Exec.row_weight) in
+          for i = 0 to Travs.length spawns - 1 do
+            total := Weight.add !total (Travs.weight spawns i)
+          done;
+          if not (Weight.equal !total t.weight) then ok := false;
+          if Exec.conserves ~weight:t.weight sink <> Weight.equal !total t.weight then ok := false;
           (* Only follow same-phase spawns; aggregates end phases. *)
-          Vec.iter (fun c -> Queue.add c queue) sink.Exec.spawns
+          for i = 0 to Travs.length spawns - 1 do
+            Queue.add (Travs.get spawns i) queue
+          done
         done;
         !ok)
 
-(* Allocation guard for the scalar interpreter: once the sink's buffers
-   have grown, a call allocates only the children it spawns (a traverser
-   record is 5 words), plus a small constant for the PRNG state and the
-   graph lookups. [Gc.minor_words] is exact in native code. *)
+(* Allocation guard for the scalar interpreter: once the sink's lanes
+   have grown, a child costs four lane words and no allocation, so a call
+   allocates only a small constant for the PRNG state and the graph
+   lookups. [Gc.minor_words] is exact in native code. *)
 let test_exec_allocation () =
   let n = 20 in
   let graph = graph_of ~n:(n + 1) ~edges:(List.init n (fun i -> (0, i + 1, true))) in
@@ -220,25 +223,63 @@ let test_exec_allocation () =
   in
   let memo = Memo.create () and prng = Prng.create 3 and sink = Exec.sink () in
   let scan _ = [||] in
-  let words_of trav =
+  let words_of step =
     Exec.clear sink;
     let before = Gc.minor_words () in
-    Exec.run sink ~graph ~memo ~prng ~qid:0 ~program ~scan trav;
+    Exec.run sink ~graph ~memo ~prng ~qid:0 ~program ~scan ~vertex:0 ~step ~weight:Weight.root
+      ~regs:[||];
     let after = Gc.minor_words () in
     int_of_float (after -. before)
   in
-  let trav step = Traverser.make ~vertex:0 ~step ~weight:Weight.root ~n_registers:0 in
-  let expand = trav 1 and filter = trav 2 in
+  let expand = 1 and filter = 2 in
   ignore (words_of expand : int);
   ignore (words_of filter : int);
   let expand_words = words_of expand in
-  Alcotest.(check int) "expand spawns every edge" n (Vec.length sink.Exec.spawns);
+  Alcotest.(check int) "expand spawns every edge" n (Travs.length sink.Exec.spawns);
   if expand_words > (5 * n) + 16 then
     Alcotest.failf "expand with %d children allocated %d words (bound %d)" n expand_words
       ((5 * n) + 16);
   let filter_words = words_of filter in
-  Alcotest.(check int) "filter passes" 1 (Vec.length sink.Exec.spawns);
+  Alcotest.(check int) "filter passes" 1 (Travs.length sink.Exec.spawns);
   if filter_words > 5 then Alcotest.failf "passing filter allocated %d words (bound 5)" filter_words
+
+(* Allocation guard for Visit: a traverser that does not improve its
+   vertex's distance finishes with no child, reads its distance register
+   and probes the memo, and allocates nothing. Measured 0 words; 2 when
+   [Value.to_int_exn] went through the option [to_int] returns (the dev
+   build does not inline it), 5 more when the sink boxed each child. *)
+let test_visit_allocation () =
+  let graph = graph_of ~n:4 ~edges:[ (0, 1, true); (1, 2, true); (2, 3, true) ] in
+  let step op next = { Step.op; next } in
+  let program =
+    Program.make ~name:"visit"
+      ~steps:
+        [|
+          step (Step.Scan { vertex_label = None }) 1;
+          step (Step.Visit { dist_reg = 0; max_hops = 2; cont = 3; emit_improved = false }) 2;
+          step (Step.Expand { dir = Graph.Out; edge_label = None }) 1;
+          step (Step.Emit [||]) (-1);
+        |]
+      ~n_registers:1 ~entries:[| 0 |]
+  in
+  let memo = Memo.create () and prng = Prng.create 3 and sink = Exec.sink () in
+  let scan _ = [||] in
+  let regs = [| Value.Int 1 |] in
+  let visit () =
+    Exec.clear sink;
+    Exec.run sink ~graph ~memo ~prng ~qid:0 ~program ~scan ~vertex:1 ~step:1 ~weight:Weight.root
+      ~regs
+  in
+  visit ();
+  Alcotest.(check int) "a first visit spawns" 2 (Travs.length sink.Exec.spawns);
+  visit ();
+  Alcotest.(check int) "a repeat does not" 0 (Travs.length sink.Exec.spawns);
+  let before = Gc.minor_words () in
+  visit ();
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check int) "still no child" 0 (Travs.length sink.Exec.spawns);
+  if words > 0 then
+    Alcotest.failf "a Visit that does not improve allocated %d words (bound 0)" words
 
 (* Determinism: identical runs give identical reports. *)
 let runs_deterministic =
@@ -415,30 +456,32 @@ let warm_words ~batched program =
   (words /. float_of_int (msgs - msgs0), words /. float_of_int (steps - steps0))
 
 (* Allocation guard for the message path: in a warm session (the query
-   ran once already, so rings, slab, channel lanes and memo pools have
-   grown), a scalar 3-hop run allocates about one traverser per
-   traverser message. A child here is a record (5 words) plus, when its
-   loop counter moves, a register file and a boxed int. Measured about
-   13 words per message; 19-20 when each message was boxed. The batched
-   run stages without allocating: about 10 words per step, against 18
-   with a tuple-keyed staging table and list buckets. *)
+   ran once already, so rings, slab, channel lanes, sink lanes and memo
+   pools have grown), a traverser travels as lane words from the sink to
+   the slab to the staging group, and no record is built for it. What a
+   scalar 3-hop run still allocates is the register file and boxed int
+   of a child whose loop counter moves: measured 2.7 words per traverser
+   message (bound 4); 13 with a 5-word record per child, 19-20 when each
+   message was boxed as well. The batched run measured 3.9 words per
+   step (bound 6), mostly its per-bucket lane arrays; 9.8 with a record
+   per child, 18 with a tuple-keyed staging table and list buckets. *)
 let test_warm_run_allocation () =
   let program graph =
     Compile.compile ~name:"khop3" graph
       Dsl.(v_lookup ~key:"id" (int 1) |> repeat ~dir:Graph.Out ~times:3 () |> count |> build)
   in
   let per_msg, _ = warm_words ~batched:false program in
-  if per_msg > 16.0 then
-    Alcotest.failf "warm scalar run: %.1f words per traverser message (bound 16)" per_msg;
+  if per_msg > 4.0 then
+    Alcotest.failf "warm scalar run: %.1f words per traverser message (bound 4)" per_msg;
   let _, per_step = warm_words ~batched:true program in
-  if per_step > 13.0 then
-    Alcotest.failf "warm batched run: %.1f words per step (bound 13)" per_step
+  if per_step > 6.0 then
+    Alcotest.failf "warm batched run: %.1f words per step (bound 6)" per_step
 
 (* Allocation guard for routing: a Dedup step keyed by the vertex routes
    and tests its memo without boxing the key, and no step builds its
-   routing at dispatch. A warm scalar run measured 6.1 words per step,
-   nearly all of it the 5-word child records; 8.6 when each Dedup
-   dispatch built a [By_key] and boxed a [Value.Vertex] twice. *)
+   routing at dispatch. A warm scalar run measured 1.1 words per step;
+   6.1 when each child was a 5-word record, 8.6 when each Dedup dispatch
+   also built a [By_key] and boxed a [Value.Vertex] twice. *)
 let test_warm_dedup_allocation () =
   let program graph =
     Compile.compile ~name:"dedup2" graph
@@ -446,8 +489,8 @@ let test_warm_dedup_allocation () =
            |> out_ "link" |> count |> build)
   in
   let _, per_step = warm_words ~batched:false program in
-  if per_step > 7.0 then
-    Alcotest.failf "warm dedup run: %.1f words per step (bound 7)" per_step
+  if per_step > 2.0 then
+    Alcotest.failf "warm dedup run: %.1f words per step (bound 2)" per_step
 
 let test_worker_busy_reported () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
@@ -517,11 +560,13 @@ let () =
           Alcotest.test_case "concurrent queries" `Quick test_concurrent_queries_complete;
           Alcotest.test_case "deadline timeout" `Quick test_deadline_times_out;
           Alcotest.test_case "exec allocation" `Quick test_exec_allocation;
+          Alcotest.test_case "a visit that does not improve allocates nothing" `Quick
+            test_visit_allocation;
           Alcotest.test_case "bsp profiles agree" `Quick test_bsp_profiles_same_rows;
           Alcotest.test_case "tigergraph profile slower" `Quick test_tigergraph_profile_slower;
           Alcotest.test_case "bsp admission order" `Quick test_bsp_admission_order;
           Alcotest.test_case "single node" `Quick test_single_node_engine;
-          Alcotest.test_case "warm runs allocate about one traverser per message" `Quick
+          Alcotest.test_case "warm runs allocate no traverser record" `Quick
             test_warm_run_allocation;
           Alcotest.test_case "warm dedup routing allocates no key" `Quick
             test_warm_dedup_allocation;

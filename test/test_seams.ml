@@ -61,8 +61,12 @@ let migration () =
   (partition, sent, mig)
 
 let group travs =
-  let n = List.length travs in
-  (Vec.of_array ~dummy:(List.hd travs) (Array.of_list travs), Vec.make ~dummy:(-1) n (-1))
+  let g = Travs.create () in
+  List.iter
+    (fun (t : Traverser.t) ->
+      Travs.push g ~vertex:t.vertex ~step:t.step ~weight:t.weight ~regs:t.regs)
+    travs;
+  (g, Vec.make ~dummy:(-1) (List.length travs) (-1))
 
 let test_gate () =
   let program = program () in
@@ -74,7 +78,7 @@ let test_gate () =
   let gate ~w travs =
     let travs, czs = group travs in
     ignore (Migration.gate mig ~at:Sim_time.zero ~w ~qid:0 program travs czs : Sim_time.t);
-    Vec.length travs
+    Travs.length travs
   in
   Alcotest.(check int) "owner runs it" 1 (gate ~w:owner [ trav 3 ]);
   Alcotest.(check int) "nothing sent" 0 (List.length !sent);
@@ -90,7 +94,7 @@ let test_gate () =
   (match !sent with
   | [ (d, h) ] when Payload.payload slab h = Payload.P_trav ->
     Alcotest.(check int) "to the new owner" dst d;
-    Alcotest.(check int) "the same traverser" 3 (Payload.traverser slab h).Traverser.vertex
+    Alcotest.(check int) "the same traverser" 3 (Payload.vertex slab h)
   | _ -> Alcotest.fail "expected one forward");
   sent := [];
   Alcotest.(check int) "new owner stashes" 0 (gate ~w:dst [ trav 3 ]);
@@ -141,7 +145,7 @@ let test_stash_drains_in_order () =
   while not (Ring.is_empty tasks) do
     let h = Ring.pop tasks in
     match Payload.payload slab h with
-    | Payload.P_trav -> drained := (Payload.traverser slab h).Traverser.weight :: !drained
+    | Payload.P_trav -> drained := Payload.weight slab h :: !drained
     | _ -> Alcotest.fail "only traversers drain"
   done;
   Alcotest.(check int) "every parked traverser" 3 (List.length !drained);
@@ -264,13 +268,13 @@ let test_terminal_once () =
 module IM = Map.Make (Int)
 
 type slab_op =
-  | Trav of int * int * int (* qid, cz, vertex *)
+  | Trav of int * int * int * int * int (* qid, cz, vertex, step, weight seed *)
   | Msg of int * int * int (* qid, cz, cleanup / flush step *)
   | Release of int (* the nth live handle, modulo *)
   | Set_cz of int * int
 
 let pp_slab_op ppf = function
-  | Trav (q, c, v) -> Fmt.pf ppf "trav(%d,%d,%d)" q c v
+  | Trav (q, c, v, st, w) -> Fmt.pf ppf "trav(%d,%d,%d,%d,%d)" q c v st w
   | Msg (q, c, k) -> Fmt.pf ppf "msg(%d,%d,%d)" q c k
   | Release n -> Fmt.pf ppf "release %d" n
   | Set_cz (n, c) -> Fmt.pf ppf "set_cz %d %d" n c
@@ -297,27 +301,60 @@ let slab_cz =
         (1, oneofl [ -1; (1 lsl 32) - 2 ]);
       ])
 
+(* A traverser's vertex and step share one packed word too: vertices up
+   to 2^38 - 1 and steps up to 2^24 - 1. *)
+let slab_vertex =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range 0 50);
+        (1, int_range (1 lsl 31) ((1 lsl 38) - 1));
+        (1, oneofl [ 0; (1 lsl 38) - 1 ]);
+      ])
+
+let slab_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range 0 20);
+        (1, int_range (1 lsl 16) ((1 lsl 24) - 1));
+        (1, oneofl [ 0; (1 lsl 24) - 1 ]);
+      ])
+
 let slab_op =
   QCheck.Gen.(
     frequency
       [
-        (4, map3 (fun q c v -> Trav (q, c, v)) slab_qid slab_cz small_nat);
+        ( 4,
+          map3
+            (fun (q, c) (v, st) w -> Trav (q, c, v, st, w))
+            (pair slab_qid slab_cz) (pair slab_vertex slab_step) small_nat );
         (2, map3 (fun q c k -> Msg (q, c, k)) slab_qid slab_cz (int_bound 3));
         (5, map (fun n -> Release n) small_nat);
         (2, map2 (fun n c -> Set_cz (n, c)) small_nat slab_cz);
       ])
 
-(* What the model expects in a live slot: qid, cz, and the traverser's
-   vertex or the payload. *)
-type slot = { s_qid : int; s_cz : int; s_vertex : int; s_payload : Payload.t }
+(* What the model expects in a live slot: qid, cz, the payload and, for
+   a one-traverser message, its lanes (a message's register lane reads
+   empty). *)
+type slot = {
+  s_qid : int;
+  s_cz : int;
+  s_payload : Payload.t;
+  s_vertex : int;
+  s_step : int;
+  s_weight : Weight.t;
+  s_regs : Value.t array;
+}
 
 let payload_of k = if k = 0 then Payload.P_cleanup else Payload.P_agg_flush { agg_step = k }
 
 (* The slab against a map from live handle to its lanes, after every op
    of a random sequence long enough to grow past one chunk: live handles
    are distinct, every lane reads back what was written (a qid and a
-   [cz] packed into one word, [set_cz] leaving the qid alone), [in_use]
-   is the map's size, and releasing a free slot is refused. *)
+   [cz] packed into one word, [set_cz] leaving the qid alone; a vertex
+   and a step packed into another), [in_use] is the map's size, and
+   releasing a free slot is refused. *)
 let slab_matches_model =
   QCheck.Test.make ~name:"slab matches a map model" ~count:100
     (QCheck.make
@@ -334,14 +371,18 @@ let slab_matches_model =
       List.iter
         (fun op ->
           (match op with
-          | Trav (qid, cz, v) ->
-            let t = Traverser.make ~vertex:v ~step:1 ~weight:Weight.root ~n_registers:0 in
-            add (Payload.trav s ~qid ~cz t)
-              { s_qid = qid; s_cz = cz; s_vertex = v; s_payload = Payload.P_trav }
+          | Trav (qid, cz, vertex, step, w) ->
+            let weight = Weight.random (Prng.create w) in
+            let regs = Array.make (w mod 3) (Value.Int vertex) in
+            add
+              (Payload.trav s ~qid ~cz ~vertex ~step ~weight ~regs)
+              { s_qid = qid; s_cz = cz; s_payload = Payload.P_trav; s_vertex = vertex;
+                s_step = step; s_weight = weight; s_regs = regs }
           | Msg (qid, cz, k) ->
             add
               (Payload.msg s ~qid ~cz (payload_of k))
-              { s_qid = qid; s_cz = cz; s_vertex = 0; s_payload = payload_of k }
+              { s_qid = qid; s_cz = cz; s_payload = payload_of k; s_vertex = 0; s_step = 0;
+                s_weight = Weight.zero; s_regs = [||] }
           | Release n when not (IM.is_empty !model) ->
             let h = nth n in
             Payload.release s h;
@@ -364,7 +405,11 @@ let slab_matches_model =
             Payload.qid s h = slot.s_qid
             && Payload.cz s h = slot.s_cz
             && Payload.payload s h = slot.s_payload
-            && (Payload.traverser s h).Traverser.vertex = slot.s_vertex
+            && Payload.regs s h = slot.s_regs
+            && (slot.s_payload <> Payload.P_trav
+               || Payload.vertex s h = slot.s_vertex
+                  && Payload.step s h = slot.s_step
+                  && Weight.equal (Payload.weight s h) slot.s_weight)
           in
           if not ok then QCheck.Test.fail_reportf "slot %d disagrees with the model" h)
         !model;
@@ -377,17 +422,17 @@ let slab_matches_model =
    order and contexts hold within a group. *)
 let test_staging_groups () =
   let st = Staging.create () in
-  let trav v step = Traverser.make ~vertex:v ~step ~weight:Weight.root ~n_registers:0 in
   let stage () =
     List.iteri
-      (fun i (qid, step) -> Staging.add st ~qid ~cz:(10 + i) (trav i step))
+      (fun i (qid, step) ->
+        Staging.add st ~qid ~cz:(10 + i) ~vertex:i ~step ~weight:Weight.root ~regs:[||])
       [ (0, 1); (1, 1); (0, 2); (0, 1); (1, 1); (0, 3); (0, 2) ]
   in
   let groups () =
     List.init (Staging.length st) (fun i ->
         let g = Staging.get st i in
         ( (g.Staging.qid, g.Staging.step),
-          List.map (fun t -> t.Traverser.vertex) (Vec.to_list g.Staging.travs),
+          List.init (Travs.length g.Staging.travs) (Travs.vertex g.Staging.travs),
           Vec.to_list g.Staging.czs ))
   in
   let want =
@@ -412,13 +457,10 @@ let test_staging_groups () =
    tuples allocates a key and an option per traverser. *)
 let test_staging_allocates_nothing () =
   let st = Staging.create () in
-  let travs =
-    Array.init 64 (fun i ->
-        Traverser.make ~vertex:i ~step:(i mod 4) ~weight:Weight.root ~n_registers:0)
-  in
+  let regs = [| Value.Int 1 |] in
   let quantum () =
-    for i = 0 to Array.length travs - 1 do
-      Staging.add st ~qid:(i mod 2) ~cz:i travs.(i)
+    for i = 0 to 63 do
+      Staging.add st ~qid:(i mod 2) ~cz:i ~vertex:i ~step:(i mod 4) ~weight:Weight.root ~regs
     done;
     Staging.clear st
   in
