@@ -136,7 +136,7 @@ let fused_vs_scalar () =
     in
     find 0
   in
-  let exit_step = snd (Batch_exec.chain program start) in
+  let exit_step = Program.chain_exit program start in
   let n_registers = Program.n_registers program in
   let prng0 = Pstm_util.Prng.create 7 in
   (* A realistic frontier: the out-neighborhood of 256 seed vertices —
@@ -152,8 +152,7 @@ let fused_vs_scalar () =
       let v = Pstm_util.Prng.int prng0 (Graph.n_vertices graph) in
       if Graph.out_degree graph v > 0 then begin
         incr seeds;
-        let lo, hi = Csr.slice csr v in
-        for pos = lo to hi - 1 do
+        for pos = Csr.offset csr v to Csr.offset csr (v + 1) - 1 do
           vertices := Csr.target_at csr pos :: !vertices
         done
       end
@@ -163,12 +162,19 @@ let fused_vs_scalar () =
     |> Array.of_list
   in
   let iters = 20 in
+  (* CPU seconds and words allocated (minor + major - promoted) over
+     [iters] runs of [f]. *)
   let time f =
-    let t0 = Sys.time () in
+    let heap_words () =
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    Gc.minor ();
+    let w0 = heap_words () and t0 = Sys.time () in
     for _ = 1 to iters do
       f ()
     done;
-    Sys.time () -. t0
+    (Sys.time () -. t0, heap_words () -. w0)
   in
   let scalar_s =
     let memo = Pstm_core.Memo.create () in
@@ -208,10 +214,14 @@ let fused_vs_scalar () =
           total := !total + Travs.vertex sink.Exec.spawns i
         done)
   in
-  let per t = t /. float_of_int iters *. 1e9 /. float_of_int (Array.length frontier) in
-  Printf.printf "  %-20s %10.1f ns/traverser\n" "chain-scalar" (per scalar_s);
-  Printf.printf "  %-20s %10.1f ns/traverser\n" "chain-batched" (per batched_s);
-  Printf.printf "  %-20s %10.2fx\n" "fused-speedup" (scalar_s /. batched_s)
+  let per x = x /. float_of_int iters /. float_of_int (Array.length frontier) in
+  let row name (seconds, words) =
+    Printf.printf "  %-20s %10.1f ns/traverser %10.2f words/traverser\n" name
+      (per seconds *. 1e9) (per words)
+  in
+  row "chain-scalar" scalar_s;
+  row "chain-batched" batched_s;
+  Printf.printf "  %-20s %10.2fx\n" "fused-speedup" (fst scalar_s /. fst batched_s)
 
 (* The message slab under a flood, as a flooding 4-hop fills it before
    its first message is consumed: acquire N one-traverser handles on a

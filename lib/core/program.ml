@@ -18,6 +18,8 @@ type t = {
   agg_of_phase : int option array; (* the Aggregate step closing each phase *)
   join_partner : int array; (* for Join steps, the opposite side's index *)
   routing : Step.routing array; (* each step's h_psi, built once here, not per dispatch *)
+  chains : int array array; (* each step's fused chain, [||] unless it is fusable *)
+  chain_exits : int array; (* the step a chain's surviving leaves land on *)
 }
 
 exception Invalid of string
@@ -76,6 +78,19 @@ let check_registers steps n_registers =
           check_expr ctx output)
       | Step.Emit exprs -> Array.iter (check_expr ctx) exprs)
     steps
+
+(* The maximal run of fusable steps starting at [i], linked by [next], in
+   execution order. [next] always moves forward through a validated
+   program, so no cycle can occur; the walk is bounded by the step count
+   anyway. *)
+let fused_chain steps i =
+  let n = Array.length steps in
+  let rec walk idx count acc =
+    if count < n && idx >= 0 && Step.fusable steps.(idx).Step.op then
+      walk steps.(idx).Step.next (count + 1) (idx :: acc)
+    else Array.of_list (List.rev acc)
+  in
+  walk i 0 []
 
 (* Pair up the two sides of each join; returns the partner array. *)
 let check_join_pairing steps phase_of_step =
@@ -189,7 +204,15 @@ let make ~name ~steps ~n_registers ~entries =
     invalid "final phase ends in an aggregate with nowhere to continue";
   let join_partner = check_join_pairing steps phase_of_step in
   let routing = Array.map (fun step -> Step.routing step.Step.op) steps in
-  { name; steps; n_registers; entries; phase_of_step; n_phases; agg_of_phase; join_partner; routing }
+  let chains = Array.init (Array.length steps) (fused_chain steps) in
+  let chain_exits =
+    Array.mapi
+      (fun i chain ->
+        if Array.length chain = 0 then i else steps.(chain.(Array.length chain - 1)).Step.next)
+      chains
+  in
+  { name; steps; n_registers; entries; phase_of_step; n_phases; agg_of_phase; join_partner; routing;
+    chains; chain_exits }
 
 let name t = t.name
 let steps t = t.steps
@@ -201,6 +224,8 @@ let n_phases t = t.n_phases
 let phase_of_step t i = t.phase_of_step.(i)
 let agg_of_phase t p = t.agg_of_phase.(p)
 let routing t i = t.routing.(i)
+let chain t i = t.chains.(i)
+let chain_exit t i = t.chain_exits.(i)
 
 let join_partner t i =
   let p = t.join_partner.(i) in

@@ -31,6 +31,15 @@ val agg_of_phase : t -> int -> int option
 (** [Step.routing] of step [i], computed once by {!make}. *)
 val routing : t -> int -> Step.routing
 
+(** The fused chain rooted at step [i], computed once by {!make}: the
+    maximal run of {!Step.fusable} steps linked by [next], in execution
+    order, or [[||]] when step [i] is not fusable. *)
+val chain : t -> int -> int array
+
+(** The step the surviving leaves of {!chain}[ t i] land on ([i] itself
+    when the chain is empty). *)
+val chain_exit : t -> int -> int
+
 (** The opposite side of a Join step; raises on non-join steps. *)
 val join_partner : t -> int -> int
 

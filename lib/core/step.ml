@@ -41,7 +41,7 @@ let rec eval_expr graph ~vertex ~regs = function
   | Const v -> v
   | Reg r -> regs.(r)
   | Vertex_id -> Value.Vertex vertex
-  | Vertex_label -> Value.Int (Graph.vertex_label graph vertex)
+  | Vertex_label -> Value.int (Graph.vertex_label graph vertex)
   | Prop key -> Graph.vertex_prop graph ~key vertex
   | Prop_of { reg; key } -> Graph.vertex_prop graph ~key (Value.vertex_exn regs.(reg))
   | Add (a, b) -> Value.add (eval_expr graph ~vertex ~regs a) (eval_expr graph ~vertex ~regs b)
@@ -188,6 +188,11 @@ let routing = function
   | Index_lookup _ | Scan _ | Expand _ | Filter _ | Set_reg _ | Move_to _ | Visit _
   | Aggregate _ ->
     By_vertex
+
+let fusable = function
+  | Expand _ | Filter _ | Set_reg _ -> true
+  | Index_lookup _ | Scan _ | Move_to _ | Dedup _ | Visit _ | Join _ | Aggregate _ | Emit _ ->
+    false
 
 let op_name = function
   | Index_lookup _ -> "index_lookup"

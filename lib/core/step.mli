@@ -99,6 +99,12 @@ type routing =
   | By_coordinator
 
 val routing : op -> routing
+
+(** Can the op run fused in a batch chain? Expand, Filter and Set_reg
+    neither touch the partition memo nor produce rows: their only effects
+    are spawning children and finishing weight. *)
+val fusable : op -> bool
+
 val op_name : op -> string
 
 (** [op_name] plus the plan-relevant parameters, for EXPLAIN-style

@@ -380,7 +380,6 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   (* ---- Task execution --------------------------------------------------- *)
   (* A message for a live query, consumed under context [cz]. *)
   let control w ~at ~cz (q : Progress_tier.q) = function
-    | P_progress { phase; weight } -> Progress_tier.receive tier ~at ~cz ~w:w.id q phase weight
     | P_agg_flush { agg_step } ->
       Sim_time.add (Cost_model.memo_op model)
         (Progress_tier.respond tier ~at ~w:w.id w.memo q ~agg_step ~cz)
@@ -426,12 +425,12 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | _ -> assert false
   in
   let process w ~at ~qid ~cz = function
-    | P_trav | P_trav_batch _ -> assert false (* run by [drain] *)
+    | P_trav | P_trav_batch | P_progress -> assert false (* run by [drain] *)
     | P_cleanup ->
       Memo.clear_query w.memo qid;
       Cost_model.memo_op model
     | (P_migrate _ | P_migrate_data _) as p -> Migration.handle mig ~at ~w:w.id w.memo w.tasks ~cz p
-    | (P_progress _ | P_agg_flush _ | P_agg_partial _ | P_setup | P_setup_ack) as p -> begin
+    | (P_agg_flush _ | P_agg_partial _ | P_setup | P_setup_ack) as p -> begin
       (* A cancelled / timed-out query's stragglers are dropped. *)
       match Lifecycle.live life qid with None -> Sim_time.zero | Some q -> control w ~at ~cz q p
     end
@@ -463,13 +462,10 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
      elements, with each child's parent vertex (for traffic profiling). *)
   let sink = Exec.sink () in
   let spawns = sink.Exec.spawns in
-  (* Batch-wire buckets, keyed 2 x destination + 1 for result messages. *)
-  let kid_keys = Vec.create ~dummy:0 in
+  (* Batch-wire buckets, keyed 2 x destination + 1 for result messages:
+     each open bucket's batch id in the slab's batch table, or -1. *)
   let bucket_keys = Vec.create ~dummy:0 in (* first-seen order *)
-  let bucket_size = Array.make (2 * n_workers) 0 in
-  let bucket_vsteps = Array.make (2 * n_workers) [||] in
-  let bucket_weights = Array.make (2 * n_workers) [||] in
-  let bucket_regs = Array.make (2 * n_workers) [||] in
+  let bucket_batch = Array.make (2 * n_workers) (-1) in
   (* Execute stage: the fused Batch_exec chain over the whole group when
      fusion is on and the step is fusable, the scalar interpreter per
      element otherwise. Either way [sink] ends up holding the group's
@@ -509,41 +505,25 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
   in
   (* P_trav_batch wire: children grouped by (destination, kind), one
      coalesced message per bucket in first-seen order, and at most one
-     refinement round per group. *)
+     refinement round per group. Each child goes straight into its
+     bucket's pooled batch lanes, in execution order. *)
   let ship_batches w ~at (q : Progress_tier.q) ~cz =
-    let n = Travs.length spawns in
-    for i = 0 to n - 1 do
+    for i = 0 to Travs.length spawns - 1 do
       let vertex = Travs.vertex spawns i and step = Travs.step spawns i in
       let regs = Travs.regs spawns i in
       Metrics.(incr metrics Counter.spawned);
       let dst = route q ~vertex ~step ~regs in
       let key = (2 * dst) + Bool.to_int (Exec.msg_kind q.program step = Metrics.Result_msg) in
-      if bucket_size.(key) = 0 then Vec.push bucket_keys key;
-      bucket_size.(key) <- bucket_size.(key) + 1;
-      Vec.push kid_keys key;
+      if bucket_batch.(key) < 0 then begin
+        bucket_batch.(key) <- Payload.batch_open slab;
+        Vec.push bucket_keys key
+      end;
+      Payload.batch_push slab bucket_batch.(key) ~vertex ~step ~weight:(Travs.weight spawns i) ~regs;
       if dst <> w.id then
         ignore
           (Migration.profile_hop mig ~src_vertex:(Vec.get sink.parents i) q.program ~vertex ~step
              ~regs
             : bool)
-    done;
-    (* Each bucket's lanes, filled in execution order; [bucket_size]
-       counts the slots filled so far. *)
-    for b = 0 to Vec.length bucket_keys - 1 do
-      let key = Vec.get bucket_keys b in
-      bucket_vsteps.(key) <- Array.make bucket_size.(key) 0;
-      bucket_weights.(key) <- Array.make bucket_size.(key) Weight.zero;
-      bucket_regs.(key) <- Array.make bucket_size.(key) [||];
-      bucket_size.(key) <- 0
-    done;
-    for i = 0 to n - 1 do
-      let key = Vec.get kid_keys i in
-      let k = bucket_size.(key) in
-      bucket_vsteps.(key).(k) <-
-        Payload.vstep ~vertex:(Travs.vertex spawns i) ~step:(Travs.step spawns i);
-      bucket_weights.(key).(k) <- Travs.weight spawns i;
-      bucket_regs.(key).(k) <- Travs.regs spawns i;
-      bucket_size.(key) <- k + 1
     done;
     let cost = ref Sim_time.zero in
     for b = 0 to Vec.length bucket_keys - 1 do
@@ -551,16 +531,10 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       let dst = key / 2 in
       let kind = if key land 1 = 1 then Metrics.Result_msg else Metrics.Traverser_msg in
       if dst <> w.id then Metrics.(incr metrics Counter.coalesced_msgs);
-      let vsteps = bucket_vsteps.(key) and weights = bucket_weights.(key) in
-      let batch = P_trav_batch { vsteps; weights; regs = bucket_regs.(key) } in
-      cost :=
-        Sim_time.add !cost (send ~at ~src:w.id ~dst ~kind (Payload.msg slab ~qid:q.qid ~cz batch));
-      bucket_size.(key) <- 0;
-      bucket_vsteps.(key) <- [||];
-      bucket_weights.(key) <- [||];
-      bucket_regs.(key) <- [||]
+      let h = Payload.trav_batch slab ~qid:q.qid ~cz bucket_batch.(key) in
+      bucket_batch.(key) <- -1;
+      cost := Sim_time.add !cost (send ~at ~src:w.id ~dst ~kind h)
     done;
-    Vec.clear kid_keys;
     Vec.clear bucket_keys;
     Sim_time.add !cost (Migration.maybe_adapt mig ~at ~src:w.id ~cz)
   in
@@ -655,8 +629,8 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       local := Sim_time.add !local (fault_scale w.id (run_group w ~at:!local solo))
     end
   in
-  (* Consuming a message: read its lanes and release its slot, then run
-     it. *)
+  (* Consuming a message: read its lanes and release its slot (and a
+     batch's arrays once its elements are staged), then run it. *)
   let drain w local =
     let budget = ref quantum_tasks in
     while !budget > 0 && not (Ring.is_empty w.tasks) do
@@ -670,15 +644,30 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         Payload.release slab h;
         decr budget;
         take w local ~qid ~cz ~vertex ~step ~weight ~regs
-      | P_trav_batch { vsteps; weights; regs } ->
+      | P_trav_batch ->
+        let id = Payload.batch slab h in
         Payload.release slab h;
+        let vsteps = Payload.batch_vsteps slab id and weights = Payload.batch_weights slab id in
+        let regs = Payload.batch_regs slab id in
         (* Each element charges the budget: a batch is cheaper to
            execute, not free to schedule. *)
-        for i = 0 to Array.length vsteps - 1 do
+        for i = 0 to Payload.batch_length slab id - 1 do
           decr budget;
           take w local ~qid ~cz ~vertex:(Payload.vstep_vertex vsteps.(i))
             ~step:(Payload.vstep_step vsteps.(i)) ~weight:weights.(i) ~regs:regs.(i)
-        done
+        done;
+        Payload.batch_release slab id
+      | P_progress ->
+        let phase = Payload.phase slab h and weight = Payload.weight slab h in
+        Payload.release slab h;
+        decr budget;
+        (* A cancelled / timed-out query's stragglers are dropped. *)
+        let cost =
+          match Lifecycle.live life qid with
+          | None -> Sim_time.zero
+          | Some q -> Progress_tier.receive tier ~at:!local ~cz ~w:w.id q phase weight
+        in
+        local := Sim_time.add !local (fault_scale w.id cost)
       | payload ->
         Payload.release slab h;
         decr budget;
@@ -816,10 +805,13 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       (Array.map (fun w -> w.memo) workers);
     if check && not cut then begin
       Progress_tier.check_drained tier;
-      (* Every message was consumed, so every slot is free, and every
-         tier-1 buffer was flushed and every NLC window fired. *)
+      (* Every message was consumed, so every slot and every batch is
+         free, and every tier-1 buffer was flushed and every NLC window
+         fired. *)
       let n = Payload.in_use slab in
       if n > 0 then Engine.check_fail "async: %d message slots still in use at finish" n;
+      let n = Payload.batches_in_use slab in
+      if n > 0 then Engine.check_fail "async: %d message batches still in use at finish" n;
       let n = Channel.held (channel ()) in
       if n > 0 then Engine.check_fail "async: %d messages still held in channel tiers at finish" n
     end;

@@ -6,17 +6,21 @@
    can instead run them as one batch: a maximal chain of side-effect-free
    steps (Expand / Filter / Set_reg) is executed breadth-first over the
    whole frontier, sweeping CSR adjacency ranges directly via
-   {!Csr.slice} / {!Csr.target_at} and memoizing register-free filter
+   {!Csr.offset} / {!Csr.target_at} and memoizing register-free filter
    verdicts per vertex in a bitset pair. The batch comes in as the
    group's traverser lanes ({!Travs}) and its leaves go out as lane
    words in the engine's sink, so no traverser record is built.
 
-   Chains without a Set_reg (the hot case) run on a packed frontier: one
-   int per element, parent batch index in the high bits and vertex in
-   the low bits, so the whole sweep allocates nothing per element and
-   every intermediate buffer is reused from the scratch across batches.
-   Chains with a Set_reg fall back to a record frontier carrying a
-   per-element register file.
+   Each chain is computed once per (program, step) by {!Program.make}
+   ({!Program.chain}); running it is a set of plain loops, with no
+   closure and no ref that escapes. Chains without a Set_reg (the hot
+   case) run on a packed frontier: one int per element, parent batch
+   index in the high bits and vertex in the low bits. Chains with a
+   Set_reg run on a frontier of three lanes (parent index, vertex,
+   register file). Every frontier and share buffer lives in the
+   worker's scratch and is reused across batches, so once the buffers
+   have grown a packed batch allocates nothing, and a Set_reg batch only
+   the register files its Set_reg steps write.
 
    Weight handling is per-batch but exact: each parent's weight is split
    over its *surviving* leaves only (a parent with no survivors finishes
@@ -35,29 +39,40 @@
    they stay on the scalar interpreter (the engine still amortizes their
    dispatch cost per batch). *)
 
-(* Record frontier element, for Set_reg chains only. *)
-type entry = { parent : int; vertex : int; regs : Value.t array }
-
-let dummy_entry = { parent = 0; vertex = 0; regs = [||] }
-
 (* Packed frontier element: parent batch index in the high bits, vertex
    in the low [vbits]. *)
 let vbits = 31
 let vmask = (1 lsl vbits) - 1
 
+(* A Set_reg chain's frontier, as lanes: each element's parent batch
+   index, vertex and register file. *)
+type lanes = { parents : int Vec.t; vertices : int Vec.t; regs : Value.t array Vec.t }
+
+let lanes () =
+  { parents = Vec.create ~dummy:0; vertices = Vec.create ~dummy:0; regs = Vec.create ~dummy:[||] }
+
+let clear_lanes l =
+  Vec.clear l.parents;
+  Vec.clear l.vertices;
+  Vec.clear l.regs
+
+let push_lane l ~parent ~vertex ~regs =
+  Vec.push l.parents parent;
+  Vec.push l.vertices vertex;
+  Vec.push l.regs regs
+
 (* Reusable per-worker scratch: the bitset pair memoizing register-free
    predicate verdicts per vertex within one chain position ([undo] lists
    the touched vertices so the reset is proportional to the frontier,
-   not |V|), plus every intermediate buffer, so steady-state batches of
-   the packed path allocate nothing. *)
+   not |V|), plus every frontier and share buffer. *)
 type scratch = {
   pred_seen : Bitset.t;
   pred_true : Bitset.t;
   undo : int Vec.t;
   packed_a : int Vec.t; (* packed frontier double-buffer *)
   packed_b : int Vec.t;
-  entries_a : entry Vec.t; (* record frontier double-buffer *)
-  entries_b : entry Vec.t;
+  lanes_a : lanes; (* Set_reg frontier double-buffer *)
+  lanes_b : lanes;
   out_shares : Weight.t Vec.t; (* per-leaf weight shares, in leaf order *)
   mutable shares : Weight.t array; (* split buffer, grown as needed *)
 }
@@ -70,8 +85,8 @@ let scratch ~graph =
     undo = Vec.create ~dummy:0;
     packed_a = Vec.create ~dummy:0;
     packed_b = Vec.create ~dummy:0;
-    entries_a = Vec.create ~dummy:dummy_entry;
-    entries_b = Vec.create ~dummy:dummy_entry;
+    lanes_a = lanes ();
+    lanes_b = lanes ();
     out_shares = Vec.create ~dummy:Weight.zero;
     shares = Array.make 64 Weight.zero;
   }
@@ -82,65 +97,37 @@ let shares_buffer s n =
   s.shares
 
 let reset_memo s =
-  Vec.iter
-    (fun v ->
-      Bitset.remove s.pred_seen v;
-      Bitset.remove s.pred_true v)
-    s.undo;
+  for i = 0 to Vec.length s.undo - 1 do
+    let v = Vec.get s.undo i in
+    Bitset.remove s.pred_seen v;
+    Bitset.remove s.pred_true v
+  done;
   Vec.clear s.undo
 
-(* A step op is fusable when it neither touches the partition memo nor
-   produces rows: its only effects are spawning children and finishing
-   weight, both of which the per-batch split reproduces exactly. *)
-let fusable_op = function
-  | Step.Expand _ | Step.Filter _ | Step.Set_reg _ -> true
-  | Step.Index_lookup _ | Step.Scan _ | Step.Move_to _ | Step.Dedup _ | Step.Visit _
-  | Step.Join _ | Step.Aggregate _ | Step.Emit _ ->
-    false
-
-let fusable program step = fusable_op (Program.step program step).Step.op
-
-(* Maximal fusable chain starting at [step]: the run of fusable steps
-   linked by [next]. Returns the chain (in execution order) and the exit
-   step every surviving leaf lands on. Cycles cannot occur — [next]
-   always moves forward through a validated program — but the loop is
-   bounded by [n_steps] anyway. *)
-let chain program step =
-  let steps = ref [] in
-  let count = ref 0 in
-  let idx = ref step in
-  let n = Program.n_steps program in
-  let continue = ref true in
-  while !continue && !count < n && !idx >= 0 && fusable program !idx do
-    steps := !idx :: !steps;
-    incr count;
-    let next = (Program.step program !idx).Step.next in
-    if next < 0 then continue := false else idx := next
-  done;
-  (List.rev !steps, !idx)
+(* A step roots a chain when its own op is fusable ({!Step.fusable}). *)
+let fusable program step = Array.length (Program.chain program step) > 0
 
 (* Split each parent's weight over its surviving leaves (a parent with
    none finishes its whole weight). The sweeps are order-preserving, so
    each parent's survivors form one contiguous run of [leaves] and
    parents appear in increasing order: one run-length walk writes the
    per-leaf shares (in leaf order) into the scratch's share vector with
-   no per-parent allocation ([split_into] reuses one buffer). *)
-let settle ~prng ~travs ~leaves_len ~s ~parent_at =
+   no per-parent allocation ([split_into] reuses one buffer). Leaf [i]'s
+   parent is [Vec.get leaves i lsr shift]. Returns the finished weight. *)
+let settle s ~prng ~travs ~leaves ~shift =
   Vec.clear s.out_shares;
+  let n_leaves = Vec.length leaves in
   let finished = ref Weight.zero in
   let next_parent = ref 0 in
-  let skip_until parent =
+  let i = ref 0 in
+  while !i < n_leaves do
+    let parent = Vec.get leaves !i lsr shift in
     while !next_parent < parent do
       finished := Weight.add !finished (Travs.weight travs !next_parent);
       incr next_parent
-    done
-  in
-  let i = ref 0 in
-  while !i < leaves_len do
-    let parent = parent_at !i in
-    skip_until parent;
+    done;
     let j = ref (!i + 1) in
-    while !j < leaves_len && parent_at !j = parent do
+    while !j < n_leaves && Vec.get leaves !j lsr shift = parent do
       incr j
     done;
     let n = !j - !i in
@@ -156,7 +143,9 @@ let settle ~prng ~travs ~leaves_len ~s ~parent_at =
     next_parent := parent + 1;
     i := !j
   done;
-  skip_until (Travs.length travs);
+  for p = !next_parent to Travs.length travs - 1 do
+    finished := Weight.add !finished (Travs.weight travs p)
+  done;
   !finished
 
 (* The batch's weight and volume, added to the sink beside its leaves. *)
@@ -165,85 +154,84 @@ let report (sink : Exec.sink) ~finished ~edges ~reads =
   sink.edges_scanned <- sink.edges_scanned + edges;
   sink.prop_reads <- sink.prop_reads + reads
 
+(* A register-free predicate's verdict on [v], memoized per vertex in the
+   scratch's bitsets. *)
+let memo_verdict s graph ~vertex ~regs pred =
+  let r = Step.eval_pred graph ~vertex ~regs pred in
+  Bitset.add s.pred_seen vertex;
+  if r then Bitset.add s.pred_true vertex;
+  Vec.push s.undo vertex;
+  r
+
 (* --- Packed fast path: chains without Set_reg ------------------------- *)
 
-let run_packed ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step travs sink =
-  let frontier = s.packed_a in
-  Vec.clear frontier;
+(* Push every target of [v]'s adjacency slice in [csr] (those with the
+   edge label, if any) onto [out] with parent bits [pbits]. The scalar
+   interpreter charges the full adjacency range even under a label
+   restriction (every position is examined); the returned slice width
+   matches that accounting. *)
+let expand_packed out csr edge_label pbits v =
+  let lo = Csr.offset csr v and hi = Csr.offset csr (v + 1) in
+  (match edge_label with
+  | None ->
+    for pos = lo to hi - 1 do
+      Vec.push out (pbits lor Csr.target_at csr pos)
+    done
+  | Some l ->
+    for pos = lo to hi - 1 do
+      if Csr.label_at csr pos = l then Vec.push out (pbits lor Csr.target_at csr pos)
+    done);
+  hi - lo
+
+let run_packed ~graph ~scratch:s ~prng ~program ~chain ~exit_step travs sink =
+  let current = ref s.packed_a and spare = ref s.packed_b in
+  Vec.clear !current;
   for parent = 0 to Travs.length travs - 1 do
-    Vec.push frontier ((parent lsl vbits) lor Travs.vertex travs parent)
+    Vec.push !current ((parent lsl vbits) lor Travs.vertex travs parent)
   done;
-  let edges = ref 0 in
-  let reads = ref 0 in
-  let current = ref frontier in
-  let spare = ref s.packed_b in
-  List.iter
-    (fun idx ->
-      let out = !spare in
-      Vec.clear out;
-      (match (Program.step program idx).Step.op with
-      | Step.Expand { dir; edge_label } ->
-        (* The scalar interpreter charges the full adjacency range even
-           under a label restriction (every position is examined); the
-           slice width matches that accounting. *)
-        let scan csr pbits v =
-          let lo, hi = Csr.slice csr v in
-          edges := !edges + (hi - lo);
-          match edge_label with
-          | None ->
-            for pos = lo to hi - 1 do
-              Vec.push out (pbits lor Csr.target_at csr pos)
-            done
-          | Some l ->
-            for pos = lo to hi - 1 do
-              if Csr.label_at csr pos = l then Vec.push out (pbits lor Csr.target_at csr pos)
-            done
+  let edges = ref 0 and reads = ref 0 in
+  for c = 0 to Array.length chain - 1 do
+    let inp = !current and out = !spare in
+    Vec.clear out;
+    (match (Program.step program chain.(c)).Step.op with
+    | Step.Expand { dir; edge_label } ->
+      for k = 0 to Vec.length inp - 1 do
+        let e = Vec.get inp k in
+        let v = e land vmask in
+        let pbits = e lxor v in
+        match dir with
+        | Graph.Out -> edges := !edges + expand_packed out (Graph.out_csr graph) edge_label pbits v
+        | Graph.In -> edges := !edges + expand_packed out (Graph.in_csr graph) edge_label pbits v
+        | Graph.Both ->
+          edges := !edges + expand_packed out (Graph.out_csr graph) edge_label pbits v;
+          edges := !edges + expand_packed out (Graph.in_csr graph) edge_label pbits v
+      done
+    | Step.Filter pred ->
+      let reads_per_eval = Step.pred_prop_reads pred in
+      (* Register-free predicates depend only on the vertex, so one
+         verdict per distinct vertex serves the whole frontier. *)
+      let memoizable = Step.max_reg_pred pred < 0 in
+      for k = 0 to Vec.length inp - 1 do
+        let e = Vec.get inp k in
+        let v = e land vmask in
+        let verdict =
+          if memoizable && Bitset.mem s.pred_seen v then Bitset.mem s.pred_true v
+          else begin
+            reads := !reads + reads_per_eval;
+            let regs = Travs.regs travs (e lsr vbits) in
+            if memoizable then memo_verdict s graph ~vertex:v ~regs pred
+            else Step.eval_pred graph ~vertex:v ~regs pred
+          end
         in
-        Vec.iter
-          (fun e ->
-            let v = e land vmask in
-            let pbits = e lxor v in
-            match dir with
-            | Graph.Out -> scan (Graph.out_csr graph) pbits v
-            | Graph.In -> scan (Graph.in_csr graph) pbits v
-            | Graph.Both ->
-              scan (Graph.out_csr graph) pbits v;
-              scan (Graph.in_csr graph) pbits v)
-          !current
-      | Step.Filter pred ->
-        let reads_per_eval = Step.pred_prop_reads pred in
-        (* Register-free predicates depend only on the vertex, so one
-           verdict per distinct vertex serves the whole frontier. *)
-        let memoizable = Step.max_reg_pred pred < 0 in
-        Vec.iter
-          (fun e ->
-            let v = e land vmask in
-            let verdict =
-              if memoizable && Bitset.mem s.pred_seen v then Bitset.mem s.pred_true v
-              else begin
-                reads := !reads + reads_per_eval;
-                let regs = Travs.regs travs (e lsr vbits) in
-                let r = Step.eval_pred graph ~vertex:v ~regs pred in
-                if memoizable then begin
-                  Bitset.add s.pred_seen v;
-                  if r then Bitset.add s.pred_true v;
-                  Vec.push s.undo v
-                end;
-                r
-              end
-            in
-            if verdict then Vec.push out e)
-          !current;
-        if memoizable then reset_memo s
-      | _ -> assert false);
-      spare := !current;
-      current := out)
-    chain_steps;
+        if verdict then Vec.push out e
+      done;
+      if memoizable then reset_memo s
+    | _ -> assert false);
+    spare := inp;
+    current := out
+  done;
   let leaves = !current in
-  let finished =
-    settle ~prng ~travs ~leaves_len:(Vec.length leaves) ~s
-      ~parent_at:(fun i -> Vec.get leaves i lsr vbits)
-  in
+  let finished = settle s ~prng ~travs ~leaves ~shift:vbits in
   for i = 0 to Vec.length leaves - 1 do
     let e = Vec.get leaves i in
     let parent = e lsr vbits in
@@ -252,97 +240,95 @@ let run_packed ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step travs si
   done;
   report sink ~finished ~edges:!edges ~reads:!reads
 
-(* --- Record path: chains containing Set_reg --------------------------- *)
+(* --- Lanes path: chains containing Set_reg ---------------------------- *)
 
-let run_entries ~graph ~scratch:s ~prng ~program ~chain_steps ~exit_step travs sink =
-  let frontier = s.entries_a in
-  Vec.clear frontier;
+(* [expand_packed] over a lane frontier: each target inherits its
+   parent element's index and register file. *)
+let expand_lanes out csr edge_label ~parent ~regs v =
+  let lo = Csr.offset csr v and hi = Csr.offset csr (v + 1) in
+  (match edge_label with
+  | None ->
+    for pos = lo to hi - 1 do
+      push_lane out ~parent ~vertex:(Csr.target_at csr pos) ~regs
+    done
+  | Some l ->
+    for pos = lo to hi - 1 do
+      if Csr.label_at csr pos = l then push_lane out ~parent ~vertex:(Csr.target_at csr pos) ~regs
+    done);
+  hi - lo
+
+let run_lanes ~graph ~scratch:s ~prng ~program ~chain ~exit_step travs sink =
+  let current = ref s.lanes_a and spare = ref s.lanes_b in
+  clear_lanes !current;
   for parent = 0 to Travs.length travs - 1 do
-    Vec.push frontier
-      { parent; vertex = Travs.vertex travs parent; regs = Travs.regs travs parent }
+    push_lane !current ~parent ~vertex:(Travs.vertex travs parent) ~regs:(Travs.regs travs parent)
   done;
-  let edges = ref 0 in
-  let reads = ref 0 in
-  let current = ref frontier in
-  let spare = ref s.entries_b in
-  List.iter
-    (fun idx ->
-      let out = !spare in
-      Vec.clear out;
-      (match (Program.step program idx).Step.op with
-      | Step.Expand { dir; edge_label } ->
-        let scan csr e =
-          let lo, hi = Csr.slice csr e.vertex in
-          edges := !edges + (hi - lo);
-          Csr.fold_neighbors_range csr ?label:edge_label ~lo ~hi ~init:() ~f:(fun () ~pos ->
-              Vec.push out { e with vertex = Csr.target_at csr pos })
-        in
-        Vec.iter
-          (fun e ->
-            match dir with
-            | Graph.Out -> scan (Graph.out_csr graph) e
-            | Graph.In -> scan (Graph.in_csr graph) e
-            | Graph.Both ->
-              scan (Graph.out_csr graph) e;
-              scan (Graph.in_csr graph) e)
-          !current
-      | Step.Filter pred ->
-        let reads_per_eval = Step.pred_prop_reads pred in
-        let memoizable = Step.max_reg_pred pred < 0 in
-        Vec.iter
-          (fun e ->
-            let verdict =
-              if memoizable && Bitset.mem s.pred_seen e.vertex then Bitset.mem s.pred_true e.vertex
-              else begin
-                reads := !reads + reads_per_eval;
-                let r = Step.eval_pred graph ~vertex:e.vertex ~regs:e.regs pred in
-                if memoizable then begin
-                  Bitset.add s.pred_seen e.vertex;
-                  if r then Bitset.add s.pred_true e.vertex;
-                  Vec.push s.undo e.vertex
-                end;
-                r
-              end
-            in
-            if verdict then Vec.push out e)
-          !current;
-        if memoizable then reset_memo s
-      | Step.Set_reg { reg; expr } ->
-        let reads_per_eval = Step.expr_prop_reads expr in
-        Vec.iter
-          (fun e ->
+  let edges = ref 0 and reads = ref 0 in
+  for c = 0 to Array.length chain - 1 do
+    let inp = !current and out = !spare in
+    clear_lanes out;
+    (match (Program.step program chain.(c)).Step.op with
+    | Step.Expand { dir; edge_label } ->
+      for k = 0 to Vec.length inp.parents - 1 do
+        let parent = Vec.get inp.parents k and v = Vec.get inp.vertices k in
+        let regs = Vec.get inp.regs k in
+        match dir with
+        | Graph.Out ->
+          edges := !edges + expand_lanes out (Graph.out_csr graph) edge_label ~parent ~regs v
+        | Graph.In ->
+          edges := !edges + expand_lanes out (Graph.in_csr graph) edge_label ~parent ~regs v
+        | Graph.Both ->
+          edges := !edges + expand_lanes out (Graph.out_csr graph) edge_label ~parent ~regs v;
+          edges := !edges + expand_lanes out (Graph.in_csr graph) edge_label ~parent ~regs v
+      done
+    | Step.Filter pred ->
+      let reads_per_eval = Step.pred_prop_reads pred in
+      let memoizable = Step.max_reg_pred pred < 0 in
+      for k = 0 to Vec.length inp.parents - 1 do
+        let v = Vec.get inp.vertices k and regs = Vec.get inp.regs k in
+        let verdict =
+          if memoizable && Bitset.mem s.pred_seen v then Bitset.mem s.pred_true v
+          else begin
             reads := !reads + reads_per_eval;
-            let value = Step.eval_expr graph ~vertex:e.vertex ~regs:e.regs expr in
-            let regs = Array.copy e.regs in
-            regs.(reg) <- value;
-            Vec.push out { e with regs })
-          !current
-      | _ -> assert false);
-      spare := !current;
-      current := out)
-    chain_steps;
+            if memoizable then memo_verdict s graph ~vertex:v ~regs pred
+            else Step.eval_pred graph ~vertex:v ~regs pred
+          end
+        in
+        if verdict then push_lane out ~parent:(Vec.get inp.parents k) ~vertex:v ~regs
+      done;
+      if memoizable then reset_memo s
+    | Step.Set_reg { reg; expr } ->
+      reads := !reads + (Step.expr_prop_reads expr * Vec.length inp.parents);
+      for k = 0 to Vec.length inp.parents - 1 do
+        let vertex = Vec.get inp.vertices k and regs = Vec.get inp.regs k in
+        let value = Step.eval_expr graph ~vertex ~regs expr in
+        let regs = Array.copy regs in
+        regs.(reg) <- value;
+        push_lane out ~parent:(Vec.get inp.parents k) ~vertex ~regs
+      done
+    | _ -> assert false);
+    spare := inp;
+    current := out
+  done;
   let leaves = !current in
-  let finished =
-    settle ~prng ~travs ~leaves_len:(Vec.length leaves) ~s
-      ~parent_at:(fun i -> (Vec.get leaves i).parent)
-  in
-  for i = 0 to Vec.length leaves - 1 do
-    let e = Vec.get leaves i in
-    Exec.spawn sink ~parent:(Travs.vertex travs e.parent) ~vertex:e.vertex ~step:exit_step
-      ~weight:(Vec.get s.out_shares i) ~regs:e.regs
+  let finished = settle s ~prng ~travs ~leaves:leaves.parents ~shift:0 in
+  for i = 0 to Vec.length leaves.parents - 1 do
+    let parent = Vec.get leaves.parents i in
+    Exec.spawn sink ~parent:(Travs.vertex travs parent) ~vertex:(Vec.get leaves.vertices i)
+      ~step:exit_step ~weight:(Vec.get s.out_shares i) ~regs:(Vec.get leaves.regs i)
   done;
   report sink ~finished ~edges:!edges ~reads:!reads
+
+let rec has_set_reg program chain c =
+  c < Array.length chain
+  && ((match (Program.step program chain.(c)).Step.op with Step.Set_reg _ -> true | _ -> false)
+     || has_set_reg program chain (c + 1))
 
 (* Execute the fusable chain rooted at [step] over the whole batch.
    [travs] must all sit at [step]. *)
 let run ~graph ~scratch ~prng ~program ~step travs sink =
-  let chain_steps, exit_step = chain program step in
-  assert (chain_steps <> []);
-  let has_set_reg =
-    List.exists
-      (fun i -> match (Program.step program i).Step.op with Step.Set_reg _ -> true | _ -> false)
-      chain_steps
-  in
-  if has_set_reg || Graph.n_vertices graph > vmask then
-    run_entries ~graph ~scratch ~prng ~program ~chain_steps ~exit_step travs sink
-  else run_packed ~graph ~scratch ~prng ~program ~chain_steps ~exit_step travs sink
+  let chain = Program.chain program step and exit_step = Program.chain_exit program step in
+  assert (Array.length chain > 0);
+  if has_set_reg program chain 0 || Graph.n_vertices graph > vmask then
+    run_lanes ~graph ~scratch ~prng ~program ~chain ~exit_step travs sink
+  else run_packed ~graph ~scratch ~prng ~program ~chain ~exit_step travs sink

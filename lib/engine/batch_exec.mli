@@ -5,19 +5,19 @@
     maximal fusable chain breadth-first: CSR-range scans over the frontier
     with a bitset memo for register-free filter verdicts. Weight is split
     per-batch over each parent's surviving leaves, so Theorem 1 holds
-    exactly (the async engine's sanitizer asserts it per group). *)
+    exactly (the async engine's sanitizer asserts it per group). The
+    chain is {!Program.chain}, computed once per (program, step); once
+    the scratch's buffers have grown, a batch over a chain without
+    Set_reg allocates nothing. *)
 
-(** Per-worker reusable scratch state (bitset verdict memo). *)
+(** Per-worker reusable scratch state: the bitset verdict memo and the
+    frontier and weight-share buffers. *)
 type scratch
 
 val scratch : graph:Graph.t -> scratch
 
 (** Is the op at this step eligible for fusion? *)
 val fusable : Program.t -> int -> bool
-
-(** Maximal fusable chain starting at a step: the chain's step indices in
-    execution order, and the exit step surviving leaves land on. *)
-val chain : Program.t -> int -> int list * int
 
 (** Run the fusable chain rooted at [step] over the whole batch [travs],
     all of whose elements must sit at [step], which must satisfy

@@ -207,7 +207,7 @@ let run s ~graph ~memo ~prng ~qid ~program ~scan ~vertex ~step:at ~weight ~regs 
       if emit then spawn s ~parent:vertex ~vertex ~step:cont ~weight:sc.shares.(0) ~regs;
       if loop then begin
         let child = Array.copy regs in
-        child.(dist_reg) <- Value.Int (d + 1);
+        child.(dist_reg) <- Value.int (d + 1);
         spawn s ~parent:vertex ~vertex ~step:step.next ~weight:sc.shares.(n - 1) ~regs:child
       end;
       count_memo s ~ops:1 ~hits:hit ~misses:(1 - hit)

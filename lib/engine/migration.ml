@@ -65,36 +65,39 @@ let create ~graph ~partition ~adaptive ~refine_interval ~min_traffic
     on_event; live; slab; send; migrating = Hashtbl.create 64; migrated_ever = Hashtbl.create 64;
     next_round = Sim_time.zero; profiled_at_round = 0 }
 
-let key_vertex t ~vertex ~regs e =
-  match Step.eval_expr t.graph ~vertex ~regs e with Value.Vertex v -> Some v | _ -> None
+(* The vertex a key names, or -1 when the key is not a vertex. The
+   traverser's own vertex is read without boxing it. *)
+let key_vertex t ~vertex ~regs = function
+  | Step.Vertex_id -> vertex
+  | e -> ( match Step.eval_expr t.graph ~vertex ~regs e with Value.Vertex v -> v | _ -> -1)
 
-(* The vertex whose owner the dispatch target is, if any: By_vertex
+(* The vertex whose owner the dispatch target is, or -1: By_vertex
    routes by the traverser's vertex, By_key by the key's vertex when the
    key is one. Coordinator-routed and hash-routed steps (and Gaia's
    centralized stateful ops) have none. *)
 let routed_vertex t program ~vertex ~step ~regs =
-  if t.centralized (Program.step program step).Step.op then None
+  if t.centralized (Program.step program step).Step.op then -1
   else begin
     match Program.routing program step with
-    | Step.By_coordinator -> None
-    | Step.By_vertex -> Some vertex
+    | Step.By_coordinator -> -1
+    | Step.By_vertex -> vertex
     | Step.By_key e -> key_vertex t ~vertex ~regs e
   end
 
 (* The vertex whose memo entries this traverser's step reads or writes,
-   if any. Only Dedup / Visit / Join key memo records by a value — when
+   or -1. Only Dedup / Visit / Join key memo records by a value — when
    that value is a vertex, migration re-homes the records, so stale
    arrivals must chase the new owner and early arrivals must wait for
    the entries. Stateless steps (Expand, Filter, ...) execute wherever
    they land; a stale arrival there is only a locality miss. *)
 let stateful_key_vertex t program ~vertex ~step ~regs =
   let op = (Program.step program step).Step.op in
-  if t.centralized op then None
+  if t.centralized op then -1
   else begin
     match op with
-    | Step.Visit _ -> Some vertex
+    | Step.Visit _ -> vertex
     | Step.Dedup { by } | Step.Join { key = by; _ } -> key_vertex t ~vertex ~regs by
-    | _ -> None
+    | _ -> -1
   end
 
 (* Every remote dispatch whose target is decided by a vertex's owner is
@@ -105,13 +108,13 @@ let profile_hop t ~src_vertex program ~vertex ~step ~regs =
   (t.adaptive || Traffic.enabled t.obs_traffic)
   && src_vertex >= 0
   &&
-  match routed_vertex t program ~vertex ~step ~regs with
-  | None -> false
-  | Some v ->
-    let bytes = 8 + Traverser.wire_bytes regs in
-    Traffic.record t.obs_traffic ~src:src_vertex ~dst:v ~bytes;
-    Traffic.record t.profile ~src:src_vertex ~dst:v ~bytes;
-    true
+  let v = routed_vertex t program ~vertex ~step ~regs in
+  v >= 0
+  &&
+  let bytes = 8 + Traverser.wire_bytes regs in
+  Traffic.record t.obs_traffic ~src:src_vertex ~dst:v ~bytes;
+  Traffic.record t.profile ~src:src_vertex ~dst:v ~bytes;
+  true
 
 (* One migration order: [vertex] moves to [dst] and its old owner is told
    to ship the entries. A vertex whose previous migration is still in
@@ -167,8 +170,8 @@ let gate t ~at ~w ~qid program travs czs =
       let vertex = Travs.vertex travs i and step = Travs.step travs i in
       let weight = Travs.weight travs i and regs = Travs.regs travs i in
       let cz = Vec.get czs i in
-      match stateful_key_vertex t program ~vertex ~step ~regs with
-      | Some v when Partition.owner t.partition v <> w ->
+      let v = stateful_key_vertex t program ~vertex ~step ~regs in
+      if v >= 0 && Partition.owner t.partition v <> w then begin
         Metrics.(incr t.metrics Counter.forwarded);
         t.on_event "forward" v;
         let cz = Causal.hop t.causal ~qid ~name:"forward" ~ts:at ~src:cz Causal.Queue in
@@ -176,15 +179,18 @@ let gate t ~at ~w ~qid program travs czs =
           Sim_time.add !cost
             (t.send ~at ~src:w ~dst:(Partition.owner t.partition v) ~kind:Metrics.Traverser_msg
                (Payload.trav t.slab ~qid ~cz ~vertex ~step ~weight ~regs))
-      | Some v when Hashtbl.mem t.migrating v ->
+      end
+      else if v >= 0 && Hashtbl.mem t.migrating v then begin
         Metrics.(incr t.metrics Counter.stashed);
         t.on_event "stash" v;
         let stash = Hashtbl.find t.migrating v in
         stash := Payload.trav t.slab ~qid ~cz ~vertex ~step ~weight ~regs :: !stash
-      | _ ->
+      end
+      else begin
         Travs.move travs ~src:i ~dst:!kept;
         Vec.set czs !kept cz;
         incr kept
+      end
     done;
     Travs.truncate travs !kept;
     Vec.truncate czs !kept;

@@ -133,7 +133,7 @@ let report t ~at ~cz ~w (q : q) phase weight =
   if q.coordinator = w then receive t ~at ~cz ~w q phase weight
   else
     t.send ~at ~src:w ~dst:q.coordinator ~kind:Metrics.Progress_msg
-      (msg t.slab ~qid:q.qid ~cz (P_progress { phase; weight }))
+      (progress t.slab ~qid:q.qid ~cz ~phase ~weight)
 
 let finish_weight t ~at ~cz ~w (q : q) phase weight =
   if Weight.is_zero weight then Sim_time.zero

@@ -17,26 +17,12 @@ let n_edges t = Array.length t.targets
 
 let degree t v = t.offsets.(v + 1) - t.offsets.(v)
 
-(* Adjacency slice of [v] as a half-open index range into the position
-   arrays. Batch scans iterate [lo, hi) directly through the [*_at]
-   accessors, so a frontier sweep costs no per-edge closure. *)
-let slice t v = (t.offsets.(v), t.offsets.(v + 1))
-
+(* [v]'s adjacency slice is [offset v, offset (v + 1)). Batch scans
+   iterate it directly through the [*_at] accessors, so a frontier sweep
+   costs no per-edge closure and no pair. *)
+let offset t v = t.offsets.(v)
 let target_at t pos = t.targets.(pos)
 let label_at t pos = t.labels.(pos)
-
-let fold_neighbors_range t ?label ~lo ~hi ~init ~f =
-  let acc = ref init in
-  (match label with
-  | None ->
-    for pos = lo to hi - 1 do
-      acc := f !acc ~pos
-    done
-  | Some l ->
-    for pos = lo to hi - 1 do
-      if t.labels.(pos) = l then acc := f !acc ~pos
-    done);
-  !acc
 
 let iter_neighbors t ?label v f =
   let lo = t.offsets.(v) and hi = t.offsets.(v + 1) in
@@ -57,8 +43,11 @@ let neighbors t ?label v =
   Vec.to_array out
 
 let degree_with_label t label v =
-  let lo, hi = slice t v in
-  fold_neighbors_range t ~label ~lo ~hi ~init:0 ~f:(fun acc ~pos:_ -> acc + 1)
+  let n = ref 0 in
+  for pos = t.offsets.(v) to t.offsets.(v + 1) - 1 do
+    if t.labels.(pos) = label then incr n
+  done;
+  !n
 
 (* Build from parallel edge arrays. [edge_ids] gives the global id of each
    input edge; counting sort by source keeps construction linear. *)

@@ -43,8 +43,8 @@ val iter_adjacent :
 val adjacent : t -> dir:direction -> ?label:int -> int -> int array
 
 (** Direct CSR handles for one traversal direction ([Both] has no single
-    CSR). Batch frontier scans use these with {!Csr.slice} /
-    {!Csr.fold_neighbors_range} to sweep adjacency ranges closure-free. *)
+    CSR). Batch frontier scans use these with {!Csr.offset} /
+    {!Csr.target_at} to sweep adjacency ranges closure-free. *)
 val out_csr : t -> Csr.t
 
 val in_csr : t -> Csr.t

@@ -44,6 +44,9 @@ let rec compare a b =
 
 let equal a b = compare a b = 0
 
+let small_ints = Array.init 256 (fun n -> Int n)
+let int n = if n >= 0 && n < 256 then small_ints.(n) else Int n
+
 let rec hash = function
   | Null -> 0
   | Bool b -> if b then 1 else 2

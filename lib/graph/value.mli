@@ -14,6 +14,11 @@ type t =
     against each other; other constructors compare within their own kind. *)
 val compare : t -> t -> int
 
+(** [Int n], without allocating for [0 <= n < 256]: each such [n] has
+    one preallocated, shared box. Values are immutable and no code
+    compares them physically, so a shared box reads like a fresh one. *)
+val int : int -> t
+
 val equal : t -> t -> bool
 val hash : t -> int
 val pp : Format.formatter -> t -> unit

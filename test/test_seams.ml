@@ -101,6 +101,37 @@ let test_gate () =
   Alcotest.(check int) "a stash sends nothing" 0 (List.length !sent);
   Alcotest.(check int) "other vertices run" 1 (gate ~w:(Partition.owner partition 5) [ trav 5 ])
 
+(* Allocation guard for the gate under adaptive repartitioning: a warm
+   gate over a Dedup step keyed by the vertex, every traverser owned by
+   the gating worker, reads the key vertex as an int and keeps the group
+   in place. 1 000 gates of 16 traversers: measured 0 words; 4 words per
+   traverser when the key came back as a boxed [Value.Vertex] in an
+   [int option]. *)
+let test_warm_gate_allocates_nothing () =
+  let program = program () in
+  let step = dedup_step program in
+  let partition, sent, mig = migration () in
+  let n_registers = Program.n_registers program in
+  let w = Partition.owner partition 3 in
+  let mine = List.filter (fun v -> Partition.owner partition v = w) (List.init 8 Fun.id) in
+  let travs, czs =
+    group
+      (List.init 16 (fun i ->
+           let vertex = List.nth mine (i mod List.length mine) in
+           Traverser.make ~vertex ~step ~weight:Weight.root ~n_registers))
+  in
+  let gate () = ignore (Migration.gate mig ~at:Sim_time.zero ~w ~qid:0 program travs czs : Sim_time.t) in
+  gate ();
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    gate ()
+  done;
+  let words = int_of_float (Gc.minor_words () -. before) in
+  Alcotest.(check int) "every traverser kept" 16 (Travs.length travs);
+  Alcotest.(check int) "nothing sent" 0 (List.length !sent);
+  if words > 0 then Alcotest.failf "1 000 warm gates of 16 traversers allocated %d words (bound 0)" words
+
 let test_migrates_once () =
   let partition, sent, mig = migration () in
   let owner = Partition.owner partition 2 in
@@ -179,7 +210,7 @@ let progress_weights sent =
   List.filter_map
     (fun (_, h) ->
       match Payload.payload slab h with
-      | Payload.P_progress { weight; _ } -> Some (Payload.qid slab h, weight)
+      | Payload.P_progress -> Some (Payload.qid slab h, Payload.weight slab h)
       | _ -> None)
     !sent
 
@@ -415,6 +446,111 @@ let slab_matches_model =
         !model;
       true)
 
+(* --- Batch table --- *)
+
+type batch_op =
+  | Open
+  | Push of int * int (* the nth live batch, modulo; element seed *)
+  | Release_batch of int (* the nth live batch, modulo *)
+
+let pp_batch_op ppf = function
+  | Open -> Fmt.string ppf "open"
+  | Push (n, e) -> Fmt.pf ppf "push %d %d" n e
+  | Release_batch n -> Fmt.pf ppf "release %d" n
+
+(* Pushes outnumber opens, so batches grow through several size classes
+   and their arrays go back to the pool and out again. *)
+let batch_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return Open);
+        (8, map2 (fun n e -> Push (n, e)) small_nat small_nat);
+        (2, map (fun n -> Release_batch n) small_nat);
+      ])
+
+(* One element's lanes, from its seed. *)
+let element e = (e * 7, e mod 5, Weight.random (Prng.create e), Array.make (e mod 3) (Value.Int e))
+
+(* The batch table against a map from live batch id to its elements (a
+   list, newest first), after every op of a random sequence: live ids
+   are distinct and no array is handed out to two live batches, every
+   live batch reads back its elements in push order, [batches_in_use] is
+   the map's size, a released batch reads as empty, and releasing a free
+   batch is refused. Releasing every batch at the end empties the
+   table. *)
+let batches_match_model =
+  QCheck.Test.make ~name:"batch table matches a map model" ~count:100
+    (QCheck.make
+       ~print:(fun ops -> Fmt.str "%a" (Fmt.list ~sep:Fmt.sp pp_batch_op) ops)
+       QCheck.Gen.(list_size (int_range 0 2000) batch_op))
+    (fun ops ->
+      let s = Payload.slab () in
+      let model = ref IM.empty in
+      let nth n = fst (List.nth (IM.bindings !model) (n mod IM.cardinal !model)) in
+      let release id =
+        Payload.batch_release s id;
+        model := IM.remove id !model;
+        if Payload.batch_length s id <> 0 then
+          QCheck.Test.fail_reportf "released batch %d is not empty" id;
+        match Payload.batch_release s id with
+        | () -> QCheck.Test.fail_reportf "batch %d released twice" id
+        | exception Invalid_argument _ -> ()
+      in
+      let agrees id elements =
+        let elements = Array.of_list (List.rev elements) in
+        let vsteps = Payload.batch_vsteps s id and weights = Payload.batch_weights s id in
+        let regs = Payload.batch_regs s id in
+        Payload.batch_length s id = Array.length elements
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i (vertex, step, weight, r) ->
+                  Payload.vstep_vertex vsteps.(i) = vertex
+                  && Payload.vstep_step vsteps.(i) = step
+                  && Weight.equal weights.(i) weight
+                  && regs.(i) == r)
+                elements)
+      in
+      let check op =
+        if Payload.batches_in_use s <> IM.cardinal !model then
+          QCheck.Test.fail_reportf "after %a: %d in use, model %d" pp_batch_op op
+            (Payload.batches_in_use s) (IM.cardinal !model);
+        let vsteps = ref [] and weights = ref [] and regs = ref [] in
+        let fresh seen a =
+          let ok = not (List.exists (fun b -> b == a) !seen) in
+          seen := a :: !seen;
+          ok
+        in
+        IM.iter
+          (fun id elements ->
+            if not (agrees id elements) then
+              QCheck.Test.fail_reportf "after %a: batch %d disagrees with the model" pp_batch_op op
+                id;
+            let v = fresh vsteps (Payload.batch_vsteps s id) in
+            let w = fresh weights (Payload.batch_weights s id) in
+            if not (v && w && fresh regs (Payload.batch_regs s id)) then
+              QCheck.Test.fail_reportf "after %a: batch %d shares an array" pp_batch_op op id)
+          !model
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Open ->
+            let id = Payload.batch_open s in
+            if IM.mem id !model then QCheck.Test.fail_reportf "batch %d handed out twice" id;
+            model := IM.add id [] !model
+          | Push (n, e) when not (IM.is_empty !model) ->
+            let id = nth n in
+            let ((vertex, step, weight, regs) as el) = element e in
+            Payload.batch_push s id ~vertex ~step ~weight ~regs;
+            model := IM.add id (el :: IM.find id !model) !model
+          | Release_batch n when not (IM.is_empty !model) -> release (nth n)
+          | Push _ | Release_batch _ -> ());
+          check op)
+        ops;
+      IM.iter (fun id _ -> release id) !model;
+      Payload.batches_in_use s = 0)
+
 (* --- Staging --- *)
 
 (* Traversers of two queries over three steps, interleaved: each lands in
@@ -480,6 +616,8 @@ let () =
           Alcotest.test_case "gate runs, forwards or stashes" `Quick test_gate;
           Alcotest.test_case "a vertex migrates at most once" `Quick test_migrates_once;
           Alcotest.test_case "stash drains in arrival order" `Quick test_stash_drains_in_order;
+          Alcotest.test_case "a warm gate allocates nothing" `Quick
+            test_warm_gate_allocates_nothing;
         ] );
       ( "progress",
         [
@@ -488,7 +626,7 @@ let () =
         ] );
       ( "lifecycle",
         [ Alcotest.test_case "terminal transition fires once" `Quick test_terminal_once ] );
-      ("slab", [ qcheck slab_matches_model ]);
+      ("slab", [ qcheck slab_matches_model; qcheck batches_match_model ]);
       ( "staging",
         [
           Alcotest.test_case "groups in first-seen order" `Quick test_staging_groups;
