@@ -131,7 +131,7 @@ let fused_vs_scalar () =
   let start =
     let rec find i =
       if i >= Program.n_steps program then failwith "no fusable step"
-      else if Batch_exec.fusable program i then i
+      else if Batch_exec.fusable ~graph program i then i
       else find (i + 1)
     in
     find 0
@@ -163,12 +163,14 @@ let fused_vs_scalar () =
   in
   let iters = 20 in
   (* CPU seconds and words allocated (minor + major - promoted) over
-     [iters] runs of [f]. *)
+     [iters] runs of [f], after one untimed run that grows every buffer
+     [f] reuses, so neither side is charged its warm-up. *)
   let time f =
     let heap_words () =
       let minor, promoted, major = Gc.counters () in
       minor +. major -. promoted
     in
+    f ();
     Gc.minor ();
     let w0 = heap_words () and t0 = Sys.time () in
     for _ = 1 to iters do

@@ -76,27 +76,16 @@ let run_dataset ~name dataset =
   let hash =
     run_graphdance ~options:(strategy Partition.Hash) ~common ~config:repart_cluster graph subs
   in
-  let profile =
-    Array.map (fun (u, v, _count, bytes) -> (u, v, bytes))
-      (Pstm_obs.Traffic.edges (Pstm_obs.Recorder.traffic obs))
-  in
   let mod_ =
     run_graphdance ~options:(strategy Partition.Mod) ~config:repart_cluster graph subs
   in
   (* Offline refinement of the profiled Hash run: the warm-start owner
      table, plus the cut numbers for the record. *)
-  let hash_assignment =
-    Partition.to_assignment
-      (Partition.create ~strategy:Partition.Hash ~n_parts
-         ~n_vertices:(Graph.n_vertices graph) ())
+  let { Repartition.table = refined; stats; _ } =
+    Repartition.refine_profile ~max_imbalance:1.1 ~max_heat_imbalance:1.5
+      (Partition.create ~strategy:Partition.Hash ~n_parts ~n_vertices:(Graph.n_vertices graph) ())
+      (Pstm_obs.Traffic.edges (Pstm_obs.Recorder.traffic obs))
   in
-  let moves, stats =
-    Repartition.refine ~max_imbalance:1.1 ~max_heat_imbalance:1.5 ~n_parts
-      ~assignment:hash_assignment profile
-  in
-  ignore moves;
-  let refined = Array.copy hash_assignment in
-  List.iter (fun m -> refined.(m.Repartition.vertex) <- m.Repartition.dst) moves;
   let warm =
     (* Warm start: the refined table installed up front as a fixed table —
        the steady state an online run converges to, without

@@ -57,13 +57,23 @@ let engine_arg =
   in
   Arg.(value & opt string "graphdance" & info [ "e"; "engine" ] ~docv:"ENGINE" ~doc)
 
+(* A count of at least 1: anything else is a usage error where it is
+   parsed, not an exception inside the run. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Fmt.str "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let nodes_arg =
   let doc = "Simulated cluster nodes." in
-  Arg.(value & opt int 8 & info [ "nodes" ] ~doc)
+  Arg.(value & opt positive_int 8 & info [ "nodes" ] ~doc)
 
 let workers_arg =
   let doc = "Worker threads per node (one graph partition each)." in
-  Arg.(value & opt int 16 & info [ "workers" ] ~doc)
+  Arg.(value & opt positive_int 16 & info [ "workers" ] ~doc)
 
 let cluster_arg =
   let config n_nodes workers_per_node =
@@ -617,7 +627,7 @@ let mc_cmd =
 let repartition_cmd =
   let repeats_arg =
     let doc = "How many staggered submissions of the query make up the profiled workload." in
-    Arg.(value & opt int 8 & info [ "repeats" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 8 & info [ "repeats" ] ~docv:"N" ~doc)
   in
   let max_imbalance_arg =
     let doc = "Per-partition vertex-count cap for refinement, as a factor of the mean." in
@@ -628,7 +638,6 @@ let repartition_cmd =
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
        let* program = compile_query graph text in
-       if repeats < 1 then invalid_arg "--repeats must be at least 1";
        let n_parts = config.Cluster.n_nodes * config.Cluster.workers_per_node in
        let subs =
          Array.init repeats (fun i -> Engine.submit ~at:(Sim_time.us (i * 20)) program)
@@ -649,23 +658,15 @@ let repartition_cmd =
            Async_engine.default_options
        in
        let traffic = Pstm_obs.Recorder.traffic obs in
-       let profile =
-         Array.map
-           (fun (u, v, _count, bytes) -> (u, v, bytes))
-           (Pstm_obs.Traffic.edges traffic)
-       in
        Fmt.pr "profiled: %d remote hop(s), %d byte(s), %d vertex pair(s)@."
          (Pstm_obs.Traffic.total_count traffic)
          (Pstm_obs.Traffic.total_bytes traffic)
          (Pstm_obs.Traffic.distinct_edges traffic);
-       let assignment =
-         Partition.to_assignment
+       let { Repartition.table = refined; stats; _ } =
+         Repartition.refine_profile ~max_imbalance ~max_heat_imbalance:1.5
            (Partition.create ~strategy:Partition.Hash ~n_parts
               ~n_vertices:(Graph.n_vertices graph) ())
-       in
-       let moves, stats =
-         Repartition.refine ~max_imbalance ~max_heat_imbalance:1.5 ~n_parts ~assignment
-           profile
+           (Pstm_obs.Traffic.edges traffic)
        in
        Fmt.pr
          "refinement: cut %d -> %d of %d profiled byte(s) (%.1f%% cut reduction), %d \
@@ -678,8 +679,6 @@ let repartition_cmd =
                /. Float.max (float_of_int stats.Repartition.cut_before) 1.0))
          stats.Repartition.moves stats.Repartition.passes stats.Repartition.imbalance_before
          stats.Repartition.imbalance_after;
-       let refined = Array.copy assignment in
-       List.iter (fun m -> refined.(m.Repartition.vertex) <- m.Repartition.dst) moves;
        let strategy partition = { Async_engine.default_options with Async_engine.partition } in
        let warm = run_with (strategy (Partition.Table refined)) in
        let cold = run_with (strategy Partition.Adaptive) in
@@ -714,7 +713,7 @@ let ldbc_cmd =
   in
   let repeats_arg =
     let doc = "Runs per query under --per-query." in
-    Arg.(value & opt int 5 & info [ "repeats" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 5 & info [ "repeats" ] ~docv:"N" ~doc)
   in
   let run dataset config per_query repeats =
     to_exit
@@ -728,7 +727,6 @@ let ldbc_cmd =
             [| Engine.submit program |]
         in
         if per_query then begin
-          if repeats < 1 then invalid_arg "--repeats must be at least 1";
           Fmt.pr "%-5s %8s %10s %10s %10s@." "query" "runs" "mean-ms" "p99-ms" "rows";
           List.iter
             (fun (name, make) ->

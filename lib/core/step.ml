@@ -190,8 +190,9 @@ let routing = function
     By_vertex
 
 let fusable = function
-  | Expand _ | Filter _ | Set_reg _ -> true
-  | Index_lookup _ | Scan _ | Move_to _ | Dedup _ | Visit _ | Join _ | Aggregate _ | Emit _ ->
+  | Expand _ | Filter _ -> true
+  | Index_lookup _ | Scan _ | Set_reg _ | Move_to _ | Dedup _ | Visit _ | Join _ | Aggregate _
+  | Emit _ ->
     false
 
 let op_name = function

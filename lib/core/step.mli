@@ -100,9 +100,11 @@ type routing =
 
 val routing : op -> routing
 
-(** Can the op run fused in a batch chain? Expand, Filter and Set_reg
-    neither touch the partition memo nor produce rows: their only effects
-    are spawning children and finishing weight. *)
+(** Can the op run fused in a batch chain? Expand and Filter neither
+    touch the partition memo, produce rows nor write a register: their
+    only effects are spawning children that carry their parent's
+    registers and finishing weight. Set_reg runs on the scalar
+    interpreter like every other op. *)
 val fusable : op -> bool
 
 val op_name : op -> string

@@ -472,7 +472,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
      children, rows, finished weight and data / memo volume. *)
   let execute w (q : Progress_tier.q) (g : Staging.group) =
     Exec.clear sink;
-    if batched && Batch_exec.fusable q.program g.step then
+    if batched && Batch_exec.fusable ~graph q.program g.step then
       Batch_exec.run ~graph ~scratch:(Lazy.force w.scratch) ~prng:w.prng ~program:q.program
         ~step:g.step g.travs sink
     else begin

@@ -3,24 +3,21 @@
    The scalar interpreter ([Exec.run]) pays one dispatch per traverser
    per step. When many traversers are resident at the same (partition,
    step) — the common case for frontier-shaped traversals — the engine
-   can instead run them as one batch: a maximal chain of side-effect-free
-   steps (Expand / Filter / Set_reg) is executed breadth-first over the
-   whole frontier, sweeping CSR adjacency ranges directly via
-   {!Csr.offset} / {!Csr.target_at} and memoizing register-free filter
-   verdicts per vertex in a bitset pair. The batch comes in as the
-   group's traverser lanes ({!Travs}) and its leaves go out as lane
-   words in the engine's sink, so no traverser record is built.
+   can instead run them as one batch: a maximal chain of Expand / Filter
+   steps is executed breadth-first over the whole frontier, sweeping CSR
+   adjacency ranges directly via {!Csr.offset} / {!Csr.target_at} and
+   memoizing register-free filter verdicts per vertex in a bitset pair.
+   The batch comes in as the group's traverser lanes ({!Travs}) and its
+   leaves go out as lane words in the engine's sink, so no traverser
+   record is built.
 
    Each chain is computed once per (program, step) by {!Program.make}
    ({!Program.chain}); running it is a set of plain loops, with no
-   closure and no ref that escapes. Chains without a Set_reg (the hot
-   case) run on a packed frontier: one int per element, parent batch
-   index in the high bits and vertex in the low bits. Chains with a
-   Set_reg run on a frontier of three lanes (parent index, vertex,
-   register file). Every frontier and share buffer lives in the
-   worker's scratch and is reused across batches, so once the buffers
-   have grown a packed batch allocates nothing, and a Set_reg batch only
-   the register files its Set_reg steps write.
+   closure and no ref that escapes. Neither fusable op writes a
+   register, so a leaf carries its parent's register file and the
+   frontier is one packed int per element. Every frontier and share
+   buffer lives in the worker's scratch and is reused across batches, so
+   once the buffers have grown a batch allocates nothing.
 
    Weight handling is per-batch but exact: each parent's weight is split
    over its *surviving* leaves only (a parent with no survivors finishes
@@ -34,32 +31,17 @@
    not weight-*identical* to unbatched runs; results and invariants
    match, packet traces differ.
 
-   Stateful ops (Dedup, Visit, Join, Aggregate), sources and Emit are
-   never fused: their memo effects are order-sensitive per element and
-   they stay on the scalar interpreter (the engine still amortizes their
-   dispatch cost per batch). *)
+   Set_reg and the stateful ops (Dedup, Visit, Join, Aggregate), sources
+   and Emit are never fused: they stay on the scalar interpreter (the
+   engine still amortizes their dispatch cost per batch). *)
 
-(* Packed frontier element: parent batch index in the high bits, vertex
-   in the low [vbits]. *)
+(* Packed frontier element: the parent's index in the batch in the high
+   bits and the vertex in the low [vbits]. Vertex ids range over
+   [0, vmask) and parent indices over [0, 2^31); a graph with more than
+   [vmask] vertices runs its chains on the scalar interpreter
+   ({!fusable}). *)
 let vbits = 31
 let vmask = (1 lsl vbits) - 1
-
-(* A Set_reg chain's frontier, as lanes: each element's parent batch
-   index, vertex and register file. *)
-type lanes = { parents : int Vec.t; vertices : int Vec.t; regs : Value.t array Vec.t }
-
-let lanes () =
-  { parents = Vec.create ~dummy:0; vertices = Vec.create ~dummy:0; regs = Vec.create ~dummy:[||] }
-
-let clear_lanes l =
-  Vec.clear l.parents;
-  Vec.clear l.vertices;
-  Vec.clear l.regs
-
-let push_lane l ~parent ~vertex ~regs =
-  Vec.push l.parents parent;
-  Vec.push l.vertices vertex;
-  Vec.push l.regs regs
 
 (* Reusable per-worker scratch: the bitset pair memoizing register-free
    predicate verdicts per vertex within one chain position ([undo] lists
@@ -71,8 +53,6 @@ type scratch = {
   undo : int Vec.t;
   packed_a : int Vec.t; (* packed frontier double-buffer *)
   packed_b : int Vec.t;
-  lanes_a : lanes; (* Set_reg frontier double-buffer *)
-  lanes_b : lanes;
   out_shares : Weight.t Vec.t; (* per-leaf weight shares, in leaf order *)
   mutable shares : Weight.t array; (* split buffer, grown as needed *)
 }
@@ -85,8 +65,6 @@ let scratch ~graph =
     undo = Vec.create ~dummy:0;
     packed_a = Vec.create ~dummy:0;
     packed_b = Vec.create ~dummy:0;
-    lanes_a = lanes ();
-    lanes_b = lanes ();
     out_shares = Vec.create ~dummy:Weight.zero;
     shares = Array.make 64 Weight.zero;
   }
@@ -104,8 +82,10 @@ let reset_memo s =
   done;
   Vec.clear s.undo
 
-(* A step roots a chain when its own op is fusable ({!Step.fusable}). *)
-let fusable program step = Array.length (Program.chain program step) > 0
+(* A step roots a chain when its own op is fusable ({!Step.fusable}) and
+   every vertex id of the graph fits a packed element. *)
+let fusable ~graph program step =
+  Graph.n_vertices graph <= vmask && Array.length (Program.chain program step) > 0
 
 (* Split each parent's weight over its surviving leaves (a parent with
    none finishes its whole weight). The sweeps are order-preserving, so
@@ -113,21 +93,21 @@ let fusable program step = Array.length (Program.chain program step) > 0
    parents appear in increasing order: one run-length walk writes the
    per-leaf shares (in leaf order) into the scratch's share vector with
    no per-parent allocation ([split_into] reuses one buffer). Leaf [i]'s
-   parent is [Vec.get leaves i lsr shift]. Returns the finished weight. *)
-let settle s ~prng ~travs ~leaves ~shift =
+   parent is [Vec.get leaves i lsr vbits]. Returns the finished weight. *)
+let settle s ~prng ~travs ~leaves =
   Vec.clear s.out_shares;
   let n_leaves = Vec.length leaves in
   let finished = ref Weight.zero in
   let next_parent = ref 0 in
   let i = ref 0 in
   while !i < n_leaves do
-    let parent = Vec.get leaves !i lsr shift in
+    let parent = Vec.get leaves !i lsr vbits in
     while !next_parent < parent do
       finished := Weight.add !finished (Travs.weight travs !next_parent);
       incr next_parent
     done;
     let j = ref (!i + 1) in
-    while !j < n_leaves && Vec.get leaves !j lsr shift = parent do
+    while !j < n_leaves && Vec.get leaves !j lsr vbits = parent do
       incr j
     done;
     let n = !j - !i in
@@ -148,12 +128,6 @@ let settle s ~prng ~travs ~leaves ~shift =
   done;
   !finished
 
-(* The batch's weight and volume, added to the sink beside its leaves. *)
-let report (sink : Exec.sink) ~finished ~edges ~reads =
-  sink.finished <- Weight.add sink.finished finished;
-  sink.edges_scanned <- sink.edges_scanned + edges;
-  sink.prop_reads <- sink.prop_reads + reads
-
 (* A register-free predicate's verdict on [v], memoized per vertex in the
    scratch's bitsets. *)
 let memo_verdict s graph ~vertex ~regs pred =
@@ -162,8 +136,6 @@ let memo_verdict s graph ~vertex ~regs pred =
   if r then Bitset.add s.pred_true vertex;
   Vec.push s.undo vertex;
   r
-
-(* --- Packed fast path: chains without Set_reg ------------------------- *)
 
 (* Push every target of [v]'s adjacency slice in [csr] (those with the
    edge label, if any) onto [out] with parent bits [pbits]. The scalar
@@ -183,7 +155,11 @@ let expand_packed out csr edge_label pbits v =
     done);
   hi - lo
 
-let run_packed ~graph ~scratch:s ~prng ~program ~chain ~exit_step travs sink =
+(* Execute the fusable chain rooted at [step] over the whole batch.
+   [travs] must all sit at [step]. *)
+let run ~graph ~scratch:s ~prng ~program ~step travs (sink : Exec.sink) =
+  assert (fusable ~graph program step);
+  let chain = Program.chain program step and exit_step = Program.chain_exit program step in
   let current = ref s.packed_a and spare = ref s.packed_b in
   Vec.clear !current;
   for parent = 0 to Travs.length travs - 1 do
@@ -231,104 +207,13 @@ let run_packed ~graph ~scratch:s ~prng ~program ~chain ~exit_step travs sink =
     current := out
   done;
   let leaves = !current in
-  let finished = settle s ~prng ~travs ~leaves ~shift:vbits in
+  let finished = settle s ~prng ~travs ~leaves in
   for i = 0 to Vec.length leaves - 1 do
     let e = Vec.get leaves i in
     let parent = e lsr vbits in
     Exec.spawn sink ~parent:(Travs.vertex travs parent) ~vertex:(e land vmask) ~step:exit_step
       ~weight:(Vec.get s.out_shares i) ~regs:(Travs.regs travs parent)
   done;
-  report sink ~finished ~edges:!edges ~reads:!reads
-
-(* --- Lanes path: chains containing Set_reg ---------------------------- *)
-
-(* [expand_packed] over a lane frontier: each target inherits its
-   parent element's index and register file. *)
-let expand_lanes out csr edge_label ~parent ~regs v =
-  let lo = Csr.offset csr v and hi = Csr.offset csr (v + 1) in
-  (match edge_label with
-  | None ->
-    for pos = lo to hi - 1 do
-      push_lane out ~parent ~vertex:(Csr.target_at csr pos) ~regs
-    done
-  | Some l ->
-    for pos = lo to hi - 1 do
-      if Csr.label_at csr pos = l then push_lane out ~parent ~vertex:(Csr.target_at csr pos) ~regs
-    done);
-  hi - lo
-
-let run_lanes ~graph ~scratch:s ~prng ~program ~chain ~exit_step travs sink =
-  let current = ref s.lanes_a and spare = ref s.lanes_b in
-  clear_lanes !current;
-  for parent = 0 to Travs.length travs - 1 do
-    push_lane !current ~parent ~vertex:(Travs.vertex travs parent) ~regs:(Travs.regs travs parent)
-  done;
-  let edges = ref 0 and reads = ref 0 in
-  for c = 0 to Array.length chain - 1 do
-    let inp = !current and out = !spare in
-    clear_lanes out;
-    (match (Program.step program chain.(c)).Step.op with
-    | Step.Expand { dir; edge_label } ->
-      for k = 0 to Vec.length inp.parents - 1 do
-        let parent = Vec.get inp.parents k and v = Vec.get inp.vertices k in
-        let regs = Vec.get inp.regs k in
-        match dir with
-        | Graph.Out ->
-          edges := !edges + expand_lanes out (Graph.out_csr graph) edge_label ~parent ~regs v
-        | Graph.In ->
-          edges := !edges + expand_lanes out (Graph.in_csr graph) edge_label ~parent ~regs v
-        | Graph.Both ->
-          edges := !edges + expand_lanes out (Graph.out_csr graph) edge_label ~parent ~regs v;
-          edges := !edges + expand_lanes out (Graph.in_csr graph) edge_label ~parent ~regs v
-      done
-    | Step.Filter pred ->
-      let reads_per_eval = Step.pred_prop_reads pred in
-      let memoizable = Step.max_reg_pred pred < 0 in
-      for k = 0 to Vec.length inp.parents - 1 do
-        let v = Vec.get inp.vertices k and regs = Vec.get inp.regs k in
-        let verdict =
-          if memoizable && Bitset.mem s.pred_seen v then Bitset.mem s.pred_true v
-          else begin
-            reads := !reads + reads_per_eval;
-            if memoizable then memo_verdict s graph ~vertex:v ~regs pred
-            else Step.eval_pred graph ~vertex:v ~regs pred
-          end
-        in
-        if verdict then push_lane out ~parent:(Vec.get inp.parents k) ~vertex:v ~regs
-      done;
-      if memoizable then reset_memo s
-    | Step.Set_reg { reg; expr } ->
-      reads := !reads + (Step.expr_prop_reads expr * Vec.length inp.parents);
-      for k = 0 to Vec.length inp.parents - 1 do
-        let vertex = Vec.get inp.vertices k and regs = Vec.get inp.regs k in
-        let value = Step.eval_expr graph ~vertex ~regs expr in
-        let regs = Array.copy regs in
-        regs.(reg) <- value;
-        push_lane out ~parent:(Vec.get inp.parents k) ~vertex ~regs
-      done
-    | _ -> assert false);
-    spare := inp;
-    current := out
-  done;
-  let leaves = !current in
-  let finished = settle s ~prng ~travs ~leaves:leaves.parents ~shift:0 in
-  for i = 0 to Vec.length leaves.parents - 1 do
-    let parent = Vec.get leaves.parents i in
-    Exec.spawn sink ~parent:(Travs.vertex travs parent) ~vertex:(Vec.get leaves.vertices i)
-      ~step:exit_step ~weight:(Vec.get s.out_shares i) ~regs:(Vec.get leaves.regs i)
-  done;
-  report sink ~finished ~edges:!edges ~reads:!reads
-
-let rec has_set_reg program chain c =
-  c < Array.length chain
-  && ((match (Program.step program chain.(c)).Step.op with Step.Set_reg _ -> true | _ -> false)
-     || has_set_reg program chain (c + 1))
-
-(* Execute the fusable chain rooted at [step] over the whole batch.
-   [travs] must all sit at [step]. *)
-let run ~graph ~scratch ~prng ~program ~step travs sink =
-  let chain = Program.chain program step and exit_step = Program.chain_exit program step in
-  assert (Array.length chain > 0);
-  if has_set_reg program chain 0 || Graph.n_vertices graph > vmask then
-    run_lanes ~graph ~scratch ~prng ~program ~chain ~exit_step travs sink
-  else run_packed ~graph ~scratch ~prng ~program ~chain ~exit_step travs sink
+  sink.finished <- Weight.add sink.finished finished;
+  sink.edges_scanned <- sink.edges_scanned + !edges;
+  sink.prop_reads <- sink.prop_reads + !reads

@@ -141,16 +141,14 @@ let maybe_adapt t ~at ~src ~cz =
   then begin
     t.next_round <- Sim_time.add at t.refine_interval;
     t.profiled_at_round <- Traffic.total_count t.profile;
-    let edges = Array.map (fun (u, v, _count, bytes) -> (u, v, bytes)) (Traffic.edges t.profile) in
-    let moves, _stats =
-      Repartition.refine ~max_imbalance ~max_heat_imbalance ~max_moves
-        ~n_parts:(Partition.n_parts t.partition)
-        ~assignment:(Partition.to_assignment t.partition) edges
+    let { Repartition.moved; _ } =
+      Repartition.refine_profile ~max_imbalance ~max_heat_imbalance ~max_moves t.partition
+        (Traffic.edges t.profile)
     in
     List.fold_left
       (fun cost { Repartition.vertex; dst; _ } ->
         Sim_time.add cost (migrate t ~at ~src ~cz ~vertex ~dst))
-      Sim_time.zero moves
+      Sim_time.zero moved
   end
   else Sim_time.zero
 

@@ -14,9 +14,10 @@
    the skewed traffic that skewed graphs + skewed workloads produce.
    Multiple passes run until a pass stops improving (or limits hit).
 
-   Everything here is pure table manipulation: the engine applies the
-   returned moves through its migration protocol, the CLI and benches
-   use the stats to report cut reduction. *)
+   Everything here is pure table manipulation. [refine_profile] is the
+   one entry point for a profiled run: the engine applies its moves
+   through its migration protocol, the CLI and benches install its table
+   and report its stats. *)
 
 type move = {
   vertex : int;
@@ -195,3 +196,15 @@ let refine ?(max_imbalance = 1.1) ?max_heat_imbalance ?(max_passes = 8) ?(max_mo
       imbalance_after = imbalance_of ~n_vertices sizes;
       passes = !passes;
     } )
+
+type refinement = { table : int array; moved : move list; stats : stats }
+
+let refine_profile ?max_imbalance ?max_heat_imbalance ?max_moves partition profile =
+  let table = Partition.to_assignment partition in
+  let moved, stats =
+    refine ?max_imbalance ?max_heat_imbalance ?max_moves ~n_parts:(Partition.n_parts partition)
+      ~assignment:table
+      (Array.map (fun (u, v, _count, bytes) -> (u, v, bytes)) profile)
+  in
+  List.iter (fun m -> table.(m.vertex) <- m.dst) moved;
+  { table; moved; stats }

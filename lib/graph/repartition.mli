@@ -44,3 +44,21 @@ val cut_weight : assignment:int array -> (int * int * int) array -> int
 (** Max-over-mean of explicit per-partition vertex counts (1.0 when
     there is nothing to balance). *)
 val imbalance_of : n_vertices:int -> int array -> float
+
+(** A refinement of a profiled run: the refined owner table, the moves
+    that lead to it from the starting owners, and the stats. *)
+type refinement = { table : int array; moved : move list; stats : stats }
+
+(** [refine_profile partition profile] refines [partition]'s current
+    owners (e.g. a fresh Hash partition, for an offline refinement of a
+    profiled hash run) against [profile], traffic edges as
+    [(src, dst, count, bytes)] ([Pstm_obs.Traffic.edges]), weighted by
+    bytes. The optional limits are {!refine}'s. [partition] is not
+    mutated. *)
+val refine_profile :
+  ?max_imbalance:float ->
+  ?max_heat_imbalance:float ->
+  ?max_moves:int ->
+  Partition.t ->
+  (int * int * int * int) array ->
+  refinement

@@ -40,8 +40,9 @@ let arb_graph =
       return (n, edges))
 
 (* Random queries biased toward fusable Expand/Filter chains, plus the
-   stateful ops (dedup, aggregates) that must fall back to the scalar
-   interpreter inside a batch. *)
+   ops that must fall back to the scalar interpreter inside a batch: the
+   stateful ones (dedup, aggregates) and [as()], a Set_reg that can land
+   between two fusable steps and so splits their chain. *)
 let arb_query =
   let open QCheck.Gen in
   let movement =
@@ -63,7 +64,9 @@ let arb_query =
         return Ast.Dedup;
       ]
   in
-  let middle = list_size (int_range 0 5) (oneof [ movement; movement; filter ]) in
+  let middle =
+    list_size (int_range 0 5) (oneof [ movement; movement; filter; return (Ast.As "a") ])
+  in
   let repeat =
     map (fun k -> Ast.Repeat { dir = Graph.Out; label = None; times = k }) (int_range 1 3)
   in
@@ -248,7 +251,7 @@ let test_warm_kernel_allocates_nothing () =
            |> build)
   in
   let step =
-    let rec find i = if Batch_exec.fusable program i then i else find (i + 1) in
+    let rec find i = if Batch_exec.fusable ~graph program i then i else find (i + 1) in
     find 0
   in
   Alcotest.(check int) "expand, expand, filter" 3 (Array.length (Program.chain program step));

@@ -220,22 +220,13 @@ let test_warm_start_assignment () =
       ~common:(Engine.Common.with_obs obs Engine.Common.default)
       ~cluster_config:migration_cluster ~channel_config:Channel.default_config ~graph subs
   in
-  let profile =
-    Array.map
-      (fun (u, v, _count, bytes) -> (u, v, bytes))
-      (Pstm_obs.Traffic.edges (Pstm_obs.Recorder.traffic obs))
-  in
+  let profile = Pstm_obs.Traffic.edges (Pstm_obs.Recorder.traffic obs) in
   Alcotest.(check bool) "profile is non-empty" true (Array.length profile > 0);
-  let assignment =
-    Partition.to_assignment
-      (Partition.create ~strategy:Partition.Hash ~n_parts
-         ~n_vertices:(Graph.n_vertices graph) ())
+  let { Repartition.table = refined; _ } =
+    Repartition.refine_profile ~max_imbalance:1.1 ~max_heat_imbalance:1.5
+      (Partition.create ~strategy:Partition.Hash ~n_parts ~n_vertices:(Graph.n_vertices graph) ())
+      profile
   in
-  let moves, _ =
-    Repartition.refine ~max_imbalance:1.1 ~max_heat_imbalance:1.5 ~n_parts ~assignment profile
-  in
-  let refined = Array.copy assignment in
-  List.iter (fun m -> refined.(m.Repartition.vertex) <- m.Repartition.dst) moves;
   let warm =
     run_adaptive ~check:true
       ~options:
