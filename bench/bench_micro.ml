@@ -93,15 +93,15 @@ let structure_tests () =
   let prng = Pstm_util.Prng.create 3 in
   let topk =
     Pstm_util.Topk.create ~k:10
-      ~cmp:(fun (a, _) (b, _) -> compare (a : int) b)
-      ~dummy:(0, 0)
+      ~cmp:(fun a _ b _ -> compare (a : int) b)
+      ~dummy_score:0 ~dummy_output:0
   in
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.lj_like in
   let n = Graph.n_vertices graph in
   [
     Test.make ~name:"topk-add"
       (Staged.stage (fun () ->
-           Pstm_util.Topk.add topk (Pstm_util.Prng.int prng 1_000_000, Pstm_util.Prng.int prng n)));
+           Pstm_util.Topk.add topk (Pstm_util.Prng.int prng 1_000_000) (Pstm_util.Prng.int prng n)));
     Test.make ~name:"csr-expand-scan"
       (Staged.stage (fun () ->
            let v = Pstm_util.Prng.int prng n in
@@ -225,6 +225,52 @@ let fused_vs_scalar () =
   row "chain-batched" batched_s;
   Printf.printf "  %-20s %10.2fx\n" "fused-speedup" (fst scalar_s /. fst batched_s)
 
+(* One partition's share of an aggregating query, end to end, as the
+   async engine runs it: a fresh qid's top-10 partial is fetched from
+   the partition memo (built, or recycled from a cleared query),
+   accumulates [n] traversers whose score and output sit in registers,
+   merges into the coordinator's accumulator (a memo entry of its own,
+   as {!Pstm_engine.Progress_tier} keeps it), and both memos clear the
+   query. One op is that lifecycle; words count both heaps (minor +
+   major - promoted) over [reps] ops, after one untimed op. *)
+let agg_partial_lifecycle () =
+  let graph = Builder.build (Builder.of_edges ~n_vertices:1 [||]) in
+  let agg = Step.Topk { k = 10; score = Step.Reg 0; output = Step.Reg 1 } in
+  let prng = Pstm_util.Prng.create 5 in
+  let regs =
+    Array.init 64 (fun v -> [| Value.Int (Pstm_util.Prng.int prng 1000); Value.Vertex v |])
+  in
+  let heap_words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  List.iter
+    (fun n ->
+      let memo = Memo.create () and coordinator = Memo.create () and qid = ref 0 in
+      let op () =
+        incr qid;
+        let qid = !qid in
+        let partial = Memo.partial memo ~qid ~label:3 agg in
+        for i = 0 to n - 1 do
+          Aggregate.accumulate agg partial graph ~vertex:0 ~regs:regs.(i)
+        done;
+        Aggregate.merge ~into:(Memo.partial coordinator ~qid ~label:3 agg) partial;
+        Memo.clear_query coordinator qid;
+        Memo.clear_query memo qid
+      in
+      let reps = 200_000 in
+      op ();
+      Gc.minor ();
+      let w0 = heap_words () and t0 = Sys.time () in
+      for _ = 1 to reps do
+        op ()
+      done;
+      Printf.printf "  %-26s %10.1f ns/op %10.2f words/op\n"
+        (Printf.sprintf "agg-partial-lifecycle:%d" n)
+        ((Sys.time () -. t0) *. 1e9 /. float_of_int reps)
+        ((heap_words () -. w0) /. float_of_int reps))
+    [ 1; 16; 64 ]
+
 (* The message slab under a flood, as a flooding 4-hop fills it before
    its first message is consumed: acquire N one-traverser handles on a
    fresh slab, then release them all. One op is one acquire and its
@@ -265,6 +311,8 @@ let run () =
   fused_vs_scalar ();
   Printf.printf "\n== Message slab flood (fresh slab: acquire N, then release N) ==\n";
   slab_flood ();
+  Printf.printf "\n== Aggregate partial lifecycle (fetch, accumulate N, merge, clear) ==\n";
+  agg_partial_lifecycle ();
   Printf.printf "\n== Microbenchmarks (wall clock, Bechamel OLS per op) ==\n";
   let tests = weight_tests () @ memo_tests () @ event_queue_tests () @ structure_tests () in
   let ols =

@@ -67,6 +67,15 @@ let positive_int =
   in
   Arg.conv (parse, Fmt.int)
 
+(* A rate above 0, likewise. *)
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && Float.compare x 0. > 0 -> Ok x
+    | _ -> Error (`Msg (Fmt.str "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Fmt.float)
+
 let nodes_arg =
   let doc = "Simulated cluster nodes." in
   Arg.(value & opt positive_int 8 & info [ "nodes" ] ~doc)
@@ -100,6 +109,16 @@ let slow_arg =
   Term.(
     const (parse_all parse)
     $ Arg.(value & opt_all string [] & info [ "slow" ] ~docv:"NODE:FACTOR" ~doc))
+
+(* A straggler outside the cluster would slow nothing down: a typo must
+   not turn the fault off silently. *)
+let slow_in_cluster (config : Cluster.config) slow_nodes =
+  match List.find_opt (fun (n, _) -> n < 0 || n >= config.Cluster.n_nodes) slow_nodes with
+  | None -> Ok slow_nodes
+  | Some (n, _) ->
+    Error
+      (Fmt.str "--slow node %d is outside the cluster (nodes 0 to %d)" n
+         (config.Cluster.n_nodes - 1))
 
 let batched_arg =
   let doc =
@@ -310,7 +329,7 @@ let why_cmd =
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
        let* program = compile_query graph text in
-       let* slow_nodes = slow_nodes in
+       let* slow_nodes = Result.bind slow_nodes (slow_in_cluster config) in
        let obs = Pstm_obs.Recorder.create ~causal:true () in
        let faults =
          if slow_nodes = [] then None else Some { Faults.none with Faults.slow_nodes }
@@ -406,7 +425,7 @@ let chaos_cmd =
       (let ( let* ) = Result.bind in
        let* graph = load_graph dataset in
        let* program = compile_query graph text in
-       let* slow_nodes = slow_nodes in
+       let* slow_nodes = Result.bind slow_nodes (slow_in_cluster config) in
        let* pauses = parse_all parse_pause pauses in
        let* (module E : Engine.S) = resolve_engine ~config engine in
        let spec =
@@ -763,7 +782,7 @@ let serve_cmd =
   let module Arrival = Pstm_service.Arrival in
   let rate_arg =
     let doc = "Offered load per tenant: Poisson arrival rate in queries/second (simulated)." in
-    Arg.(value & opt float 20_000.0 & info [ "rate" ] ~docv:"QPS" ~doc)
+    Arg.(value & opt positive_float 20_000.0 & info [ "rate" ] ~docv:"QPS" ~doc)
   in
   let duration_arg =
     let doc = "Arrival horizon in simulated milliseconds (queued work still drains after)." in

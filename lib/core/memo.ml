@@ -31,7 +31,9 @@
    until then, and a read of an absent query or label allocates nothing.
    [clear_query] empties the query's stores and puts them, and the query
    record with its label array, on free lists that the next query's first
-   writes draw from. *)
+   writes draw from. A store's partial aggregate, with its [Partial]
+   entry, goes to a free list of its own, emptied: [partial] takes one
+   of the same shape from there before it builds a new one. *)
 
 type entry =
   | Scalar of Value.t
@@ -234,6 +236,7 @@ type t = {
   mutable live_entries : int;
   free_queries : query Vec.t; (* cleared, with every label slot [no_store] *)
   free_stores : store Vec.t; (* emptied *)
+  free_partials : entry Vec.t; (* [Partial] entries of reset states *)
 }
 
 let create () =
@@ -243,6 +246,7 @@ let create () =
     live_entries = 0;
     free_queries = Vec.create ~dummy:nil;
     free_stores = Vec.create ~dummy:no_store;
+    free_partials = Vec.create ~dummy:absent;
   }
 
 let live_entries t = t.live_entries
@@ -360,22 +364,36 @@ let min_int_update t ~qid ~label vertex d =
     else Not_improved
   end
 
+(* The pool keeps at most this many partials; a query shape gone from
+   the workload cannot make the search below long. *)
+let max_pooled_partials = 64
+
+(* A pooled [Partial] entry whose state fits [agg], searched from slot
+   [i] down (most recent first), or a new one. *)
+let rec take_partial pool agg i =
+  if i < 0 then Partial (Aggregate.create agg)
+  else
+    match Vec.get pool i with
+    | Partial p when Aggregate.fits agg p -> Vec.swap_remove pool i
+    | _ -> take_partial pool agg (i - 1)
+
 (* Fetch-or-create the partial aggregate of step [label]. *)
-let partial t ~qid ~label agg =
+let rec partial t ~qid ~label agg =
   let s = store t ~qid ~label in
   match s.null_key with
   | Partial p -> p
   | e when e == absent ->
-    let p = Aggregate.create agg in
-    add t s Value.Null (Partial p);
-    p
+    add t s Value.Null (take_partial t.free_partials agg (Vec.length t.free_partials - 1));
+    partial t ~qid ~label agg
   | _ -> invalid_arg "Memo.partial: label holds a non-aggregate entry"
 
-let partial_opt t ~qid ~label =
+let find_partial t ~qid ~label ~absent:none f =
   match (peek t ~qid ~label).null_key with
-  | Partial p -> Some p
-  | e when e == absent -> None
-  | _ -> invalid_arg "Memo.partial_opt: label holds a non-aggregate entry"
+  | Partial p -> f p
+  | e when e == absent -> none
+  | _ -> invalid_arg "Memo.find_partial: label holds a non-aggregate entry"
+
+let partial_opt t ~qid ~label = find_partial t ~qid ~label ~absent:None Option.some
 
 (* Append a row to a join side's bucket and return the opposite bucket. *)
 let rows_add t ~qid ~label key row =
@@ -437,6 +455,11 @@ let clear_query t qid =
       if s != no_store then begin
         t.live_entries <- t.live_entries - store_length s;
         reset s.vertices;
+        (match s.null_key with
+        | Partial p as e when Vec.length t.free_partials < max_pooled_partials ->
+          Aggregate.reset p;
+          Vec.push t.free_partials e
+        | _ -> ());
         s.null_key <- absent;
         (match s.generic with Some g -> Table.reset g | None -> ());
         stores.(label) <- no_store;

@@ -35,10 +35,16 @@ type visit_outcome =
     improves the stored one. *)
 val min_int_update : t -> qid:int -> label:int -> int -> int -> visit_outcome
 
-(** Fetch-or-create the partial aggregate stored under [label]. *)
+(** Fetch-or-create the partial aggregate stored under [label]. A new one
+    is a recycled state of the same shape when a cleared query left one,
+    reset. *)
 val partial : t -> qid:int -> label:int -> Step.agg -> Aggregate.t
 
 val partial_opt : t -> qid:int -> label:int -> Aggregate.t option
+
+(** [f p] for the partial [p] under [label], or [absent]: {!partial_opt}
+    without the option. *)
+val find_partial : t -> qid:int -> label:int -> absent:'a -> (Aggregate.t -> 'a) -> 'a
 
 (** Double-pipelined join buckets. *)
 val rows_add : t -> qid:int -> label:int -> Value.t -> Value.t array -> unit
@@ -55,5 +61,7 @@ val entry_bytes : entry -> int
     put. *)
 val extract_for_key : t -> Value.t -> (int * int * entry) list
 
-(** Drop every record of a terminated query. *)
+(** Drop every record of a terminated query. Its partial aggregates are
+    reset and kept for later queries, so a partial must not be read once
+    its query is cleared. *)
 val clear_query : t -> int -> unit

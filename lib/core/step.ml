@@ -48,8 +48,8 @@ let rec eval_expr graph ~vertex ~regs = function
   | Pair (a, b) ->
     Value.List [ eval_expr graph ~vertex ~regs a; eval_expr graph ~vertex ~regs b ]
 
-let eval_cmp cmp a b =
-  let c = Value.compare a b in
+(* Whether [cmp] holds of a [Value.compare] result. *)
+let holds cmp c =
   match cmp with
   | Eq -> c = 0
   | Ne -> c <> 0
@@ -60,8 +60,11 @@ let eval_cmp cmp a b =
 
 let rec eval_pred graph ~vertex ~regs = function
   | True -> true
+  | Cmp (cmp, Prop key, Const (Value.Int _ as c)) ->
+    (* The property is read unboxed; [eval_expr] would box an int. *)
+    holds cmp (Graph.compare_vertex_prop graph ~key vertex c)
   | Cmp (cmp, a, b) ->
-    eval_cmp cmp (eval_expr graph ~vertex ~regs a) (eval_expr graph ~vertex ~regs b)
+    holds cmp (Value.compare (eval_expr graph ~vertex ~regs a) (eval_expr graph ~vertex ~regs b))
   | And (p, q) -> eval_pred graph ~vertex ~regs p && eval_pred graph ~vertex ~regs q
   | Or (p, q) -> eval_pred graph ~vertex ~regs p || eval_pred graph ~vertex ~regs q
   | Not p -> not (eval_pred graph ~vertex ~regs p)

@@ -383,8 +383,9 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     | P_agg_flush { agg_step } ->
       Sim_time.add (Cost_model.memo_op model)
         (Progress_tier.respond tier ~at ~w:w.id w.memo q ~agg_step ~cz)
-    | P_agg_partial { agg_step; partial } -> begin
-      match Progress_tier.combine q ~agg_step partial with
+    | (P_agg_partial _ | P_agg_empty) as partial -> begin
+      let agg_step = q.ext.combine_step in
+      match Progress_tier.combine tier q partial with
       | None -> Cost_model.memo_op model
       | Some regs ->
         Metrics.(incr metrics Counter.spawned);
@@ -430,7 +431,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       Memo.clear_query w.memo qid;
       Cost_model.memo_op model
     | (P_migrate _ | P_migrate_data _) as p -> Migration.handle mig ~at ~w:w.id w.memo w.tasks ~cz p
-    | (P_agg_flush _ | P_agg_partial _ | P_setup | P_setup_ack) as p -> begin
+    | (P_agg_flush _ | P_agg_partial _ | P_agg_empty | P_setup | P_setup_ack) as p -> begin
       (* A cancelled / timed-out query's stragglers are dropped. *)
       match Lifecycle.live life qid with None -> Sim_time.zero | Some q -> control w ~at ~cz q p
     end

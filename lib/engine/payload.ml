@@ -40,7 +40,11 @@ type t =
        conservation is untouched. *)
   | P_progress (* a phase's finished weight: the phase in [vsteps], the weight in [weights] *)
   | P_agg_flush of { agg_step : int }
-  | P_agg_partial of { agg_step : int; partial : Aggregate.t option }
+  | P_agg_partial of Aggregate.t
+    (* A responder's partial, read by the coordinator's combine and never
+       changed by it: the responder's memo keeps it until the query's
+       cleanup. *)
+  | P_agg_empty (* a responder that holds no partial *)
   | P_cleanup
   | P_setup (* dataflow flavors: instantiate operators *)
   | P_setup_ack
@@ -295,8 +299,8 @@ let bytes s h =
     !bytes
   | P_progress -> 8 + Weight.bytes + 8
   | P_agg_flush _ -> 16
-  | P_agg_partial { partial; _ } ->
-    16 + (match partial with None -> 0 | Some p -> Aggregate.bytes p)
+  | P_agg_partial p -> 16 + Aggregate.bytes p
+  | P_agg_empty -> 16
   | P_cleanup -> 8
   | P_setup | P_setup_ack -> 16
   | P_migrate _ -> 16
@@ -318,7 +322,7 @@ let arrive s causal ~ts hop h =
       | P_trav_batch -> "arrive-batch"
       | P_progress -> "arrive-progress"
       | P_agg_flush _ -> "arrive-agg"
-      | P_agg_partial _ -> "arrive-partial"
+      | P_agg_partial _ | P_agg_empty -> "arrive-partial"
       | P_setup -> "arrive-setup"
       | P_setup_ack -> "arrive-ack"
       | P_migrate _ -> "arrive-migrate"

@@ -14,7 +14,7 @@ type query = {
   mutable combine_step : int; (* aggregate step being combined, or -1 *)
   mutable combine_expected : int;
   mutable combine_received : int;
-  mutable combine_acc : Aggregate.t option;
+  mutable combine_acc : Aggregate.t option; (* the coordinator's accumulator *)
 }
 
 type q = query Lifecycle.query
@@ -32,6 +32,10 @@ type t = {
   coalescing : bool;
   per_traverser : bool;
   responders : int array;
+  accumulators : Memo.t;
+      (* one accumulator per combine in progress, keyed (qid, aggregate
+         step): a memo of its own, so accumulators are pooled like the
+         workers' partials *)
   check : bool;
   mutation : Mutation.t option;
   obs_on : bool;
@@ -49,7 +53,8 @@ let create ~costs ~metrics ~n_workers ~coalescing ~per_traverser ~responders ?(c
     ~slab ~send ~complete () =
   let coalescers = Array.init n_workers (fun _ -> Progress.coalescer ()) in
   let trace = Pstm_obs.Recorder.trace obs and causal = Pstm_obs.Recorder.causal obs in
-  { costs; metrics; coalescers; coalescing; per_traverser; responders; check; mutation;
+  { costs; metrics; coalescers; coalescing; per_traverser; responders;
+    accumulators = Memo.create (); check; mutation;
     obs_on = Pstm_obs.Recorder.enabled obs; trace; causal; on_event; live; slab; send; complete }
 
 let launch t (q : q) =
@@ -110,10 +115,17 @@ and phase_complete t ~at ~cz ~w q phase =
   match Program.agg_of_phase q.program phase with
   | Some agg_step ->
     (* Pull the per-partition partials in (§III-C): one flush payload,
-       one message per responder. *)
+       one message per responder. They merge into an accumulator of the
+       coordinator's own; a responder's partial stays in its memo,
+       unchanged, until the query's cleanup recycles it. *)
+    let agg =
+      match (Program.step q.program agg_step).Step.op with
+      | Step.Aggregate { agg; _ } -> agg
+      | _ -> invalid_arg "Progress_tier: phase boundary is not an aggregate step"
+    in
     q.ext.combine_step <- agg_step;
     q.ext.combine_received <- 0;
-    q.ext.combine_acc <- None;
+    q.ext.combine_acc <- Some (Memo.partial t.accumulators ~qid:q.qid ~label:agg_step agg);
     q.ext.combine_expected <- Array.length t.responders;
     let cz = hop t ~qid:q.qid ~name:"phase-complete" ~ts:at ~src:cz Pstm_obs.Causal.Tracker in
     let flush = P_agg_flush { agg_step } in
@@ -185,29 +197,41 @@ let flush t ~at ~w =
    coordinator. Collective leg: the coordinator waits for every partial,
    so the flush and partial hops classify as Barrier. *)
 let respond t ~at ~w memo (q : q) ~agg_step ~cz =
-  let partial = Memo.partial_opt memo ~qid:q.qid ~label:agg_step in
+  let partial =
+    Memo.find_partial memo ~qid:q.qid ~label:agg_step ~absent:P_agg_empty (fun p -> P_agg_partial p)
+  in
   let cz = hop t ~qid:q.qid ~name:"agg-flush" ~ts:at ~src:cz Pstm_obs.Causal.Barrier in
   t.send ~at ~src:w ~dst:q.coordinator ~kind:Metrics.Control_msg
-    (msg t.slab ~qid:q.qid ~cz (P_agg_partial { agg_step; partial }))
+    (msg t.slab ~qid:q.qid ~cz partial)
 
-let combine (q : q) ~agg_step partial =
+(* Recycle [q]'s accumulators. *)
+let release_accumulators t (q : q) =
+  q.ext.combine_acc <- None;
+  Memo.clear_query t.accumulators q.qid
+
+let combine t (q : q) payload =
   let s = q.ext in
-  assert (s.combine_step = agg_step);
-  (match (partial, s.combine_acc) with
-  | None, _ -> ()
-  | Some p, None -> s.combine_acc <- Some p
-  | Some p, Some acc -> Aggregate.merge ~into:acc p);
-  s.combine_received <- s.combine_received + 1;
-  if s.combine_received < s.combine_expected then None
-  else begin
-    (* All partials in: finalize and start the next phase. *)
-    s.combine_step <- -1;
-    Some (Exec.continuation q.program ~agg_step s.combine_acc)
-  end
+  match s.combine_acc with
+  | None -> invalid_arg "Progress_tier.combine: no combine in progress"
+  | Some acc ->
+    (match payload with
+    | P_agg_partial p -> Aggregate.merge ~into:acc p
+    | P_agg_empty -> ()
+    | _ -> invalid_arg "Progress_tier.combine: not a partial");
+    s.combine_received <- s.combine_received + 1;
+    if s.combine_received < s.combine_expected then None
+    else begin
+      (* All partials in: finalize and start the next phase. *)
+      let regs = Exec.continuation q.program ~agg_step:s.combine_step s.combine_acc in
+      s.combine_step <- -1;
+      release_accumulators t q;
+      Some regs
+    end
 
 (* The scoped reclaim of progress bookkeeping: open trackers time out,
    and weight merged but not yet flushed will never reach a tracker. *)
 let cancel t (q : q) =
+  release_accumulators t q;
   if q.ext.launched then
     Array.iteri
       (fun phase tr -> if not (Progress.is_complete tr) then t.on_event "timeout" ~qid:q.qid ~phase)

@@ -11,7 +11,7 @@ type query = {
   mutable combine_step : int;  (** aggregate step being combined, or -1 *)
   mutable combine_expected : int;
   mutable combine_received : int;
-  mutable combine_acc : Aggregate.t option;
+  mutable combine_acc : Aggregate.t option;  (** the coordinator's accumulator *)
 }
 
 type q = query Lifecycle.query
@@ -44,7 +44,8 @@ val create :
   t
 
 (** The query launched (its trackers register) / ended early (open
-    trackers time out, coalesced weight drops). *)
+    trackers time out, coalesced weight drops, a combine in progress
+    recycles its accumulator). *)
 val launch : t -> q -> unit
 
 val cancel : t -> q -> unit
@@ -60,12 +61,15 @@ val flush_due : t -> w:int -> bool
 
 val flush : t -> at:Sim_time.t -> w:int -> Sim_time.t
 
-(** Answer an aggregate flush with [w]'s partial from [memo]. *)
+(** Answer an aggregate flush with [w]'s partial from [memo]: a
+    [P_agg_partial] holding it, or [P_agg_empty]. *)
 val respond : t -> at:Sim_time.t -> w:int -> Memo.t -> q -> agg_step:int -> cz:int -> Sim_time.t
 
-(** Merge one partial; once all are in, the register file of the next
-    phase's root ({!Exec.continuation}). *)
-val combine : q -> agg_step:int -> Aggregate.t option -> Value.t array option
+(** Merge one responder's answer into the coordinator's accumulator,
+    leaving the responder's partial unchanged; once all are in, the
+    register file of the next phase's root ({!Exec.continuation}), and the
+    accumulator is recycled. *)
+val combine : t -> q -> Payload.t -> Value.t array option
 
 (** Sanitizer: raise if a coalescer still holds weight. *)
 val check_drained : t -> unit

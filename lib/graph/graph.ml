@@ -82,6 +82,10 @@ let vertex_prop t ~key v =
   check_vertex t v;
   Props.get t.vertex_props ~key v
 
+let compare_vertex_prop t ~key v c =
+  check_vertex t v;
+  Props.compare_to t.vertex_props ~key v c
+
 let vertex_prop_by_name t ~key v =
   match Schema.property_key_opt t.schema key with
   | None -> Value.Null

@@ -50,6 +50,10 @@ val out_csr : t -> Csr.t
 val in_csr : t -> Csr.t
 val vertex_prop : t -> key:int -> int -> Value.t
 
+(** [Value.compare (vertex_prop t ~key v) c], boxing nothing when the
+    property is an integer column and [c] an [Int]. *)
+val compare_vertex_prop : t -> key:int -> int -> Value.t -> int
+
 (** Convenience lookup by property-key name; [Null] when the key or value
     is absent. *)
 val vertex_prop_by_name : t -> key:string -> int -> Value.t

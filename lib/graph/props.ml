@@ -35,6 +35,18 @@ let get t ~key id =
   | Strs (data, valid) -> if Bitset.mem valid id then Value.Str data.(id) else Value.Null
   | Mixed data -> data.(id)
 
+(* [Value.compare (get t ~key id) v], without boxing the cell when it
+   sits in an Ints column and [v] is an [Int]: a filter such as
+   [has('id', ne(s))] compares a column against an int constant on every
+   traverser. *)
+let compare_to t ~key id v =
+  match v with
+  | Value.Int n when id >= 0 && id < t.size -> (
+    match Hashtbl.find t.columns key with
+    | Ints (data, valid) when Bitset.mem valid id -> Int.compare data.(id) n
+    | _ | (exception Not_found) -> Value.compare (get t ~key id) v)
+  | _ -> Value.compare (get t ~key id) v
+
 let get_int t ~key id =
   match Hashtbl.find t.columns key with
   | exception Not_found -> None

@@ -18,6 +18,10 @@ val keys : t -> int list
 (** [get t ~key id] is the value at row [id], or [Null] when absent. *)
 val get : t -> key:int -> int -> Value.t
 
+(** [Value.compare (get t ~key id) v]; allocates nothing when the cell
+    is in an integer column and [v] is an [Int]. *)
+val compare_to : t -> key:int -> int -> Value.t -> int
+
 (** Fast path for integer columns. *)
 val get_int : t -> key:int -> int -> int option
 

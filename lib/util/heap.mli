@@ -1,28 +1,43 @@
-(** Binary min-heap with the ordering fixed at creation. *)
+(** Binary min-heap of (key, value) pairs, with the ordering fixed at
+    creation. Pairs sit in two flat lanes by slot; the heap sifts an int
+    lane of slots. *)
 
-type 'a t
+type ('k, 'v) t
 
-val create : cmp:('a -> 'a -> int) -> dummy:'a -> 'a t
-val length : 'a t -> int
-val is_empty : 'a t -> bool
-val clear : 'a t -> unit
-val push : 'a t -> 'a -> unit
+(** Lanes of [capacity] slots; a push past it doubles them. *)
+val create :
+  cmp:('k -> 'v -> 'k -> 'v -> int) -> capacity:int -> dummy_key:'k -> dummy_value:'v -> ('k, 'v) t
 
-(** Smallest element without removing it. *)
-val peek : 'a t -> 'a option
+val length : ('k, 'v) t -> int
+val is_empty : ('k, 'v) t -> bool
 
-val peek_exn : 'a t -> 'a
+(** Empty the heap, dropping its pairs; its lanes are kept. *)
+val clear : ('k, 'v) t -> unit
 
-(** Remove and return the smallest element. Raises on empty. *)
-val pop : 'a t -> 'a
+val push : ('k, 'v) t -> 'k -> 'v -> unit
 
-val pop_opt : 'a t -> 'a option
+(** The smallest pair's key and value. Raise on empty. *)
+val min_key : ('k, 'v) t -> 'k
 
-(** An independent heap with the same elements. *)
-val copy : 'a t -> 'a t
+val min_value : ('k, 'v) t -> 'v
 
-(** Fold over the elements in heap-array order, not sorted order. *)
-val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+(** Remove the smallest pair. Raises on empty. *)
+val pop : ('k, 'v) t -> unit
+
+(** An int lane that {!iter_ascending} pops instead of the heap's own. *)
+type scratch
+
+val scratch : unit -> scratch
+
+(** [iter_ascending f x scratch t] calls [f x k v] on [t]'s pairs in the
+    order repeated {!pop}s would remove them, without changing [t]: the
+    pops run on a copy of [t]'s int lane of slots in [scratch], which
+    grows to fit and allocates nothing once it has. [f] must not change
+    [t]. *)
+val iter_ascending : ('a -> 'k -> 'v -> unit) -> 'a -> scratch -> ('k, 'v) t -> unit
+
+(** Fold over the pairs in heap-array order, not sorted order. *)
+val fold : ('acc -> 'k -> 'v -> 'acc) -> 'acc -> ('k, 'v) t -> 'acc
 
 (** Non-destructive ascending drain, for tests. *)
-val to_sorted_list : 'a t -> 'a list
+val to_sorted_list : ('k, 'v) t -> ('k * 'v) list

@@ -723,9 +723,11 @@ let tie_score =
         (1, map (fun s -> Value.Str s) (oneofl [ "a"; "bcd" ]));
       ])
 
+(* Scores with unit outputs: ties are between scores alone. *)
 let topk_of ~k xs =
-  let t = Topk.create ~k ~cmp:Value.compare ~dummy:Value.Null in
-  List.iter (Topk.add t) xs;
+  let cmp s1 () s2 () = Value.compare s1 s2 in
+  let t = Topk.create ~k ~cmp ~dummy_score:Value.Null ~dummy_output:() in
+  List.iter (fun x -> Topk.add t x ()) xs;
   t
 
 (* [Topk.merge] keeps exactly what feeding the source's sorted list,
@@ -743,7 +745,7 @@ let topk_merge_matches_list_reference =
       let merged = topk_of ~k xs and reference = topk_of ~k xs and src = topk_of ~k ys in
       let src_before = Topk.to_sorted_list src in
       Topk.merge ~into:merged src;
-      List.iter (Topk.add reference) (List.rev src_before);
+      List.iter (fun (x, ()) -> Topk.add reference x ()) (List.rev src_before);
       Topk.to_sorted_list merged = Topk.to_sorted_list reference
       && Topk.to_sorted_list src = src_before)
 
@@ -776,6 +778,108 @@ let agg_topk_bytes_matches_sorted_sum =
         | _ -> invalid_arg "non-list top-k"
       in
       Aggregate.bytes state = expected)
+
+(* --- Recycled partials --- *)
+
+let every_agg_kind =
+  [
+    Step.Count;
+    Step.Sum (Step.Reg 0);
+    Step.Max (Step.Reg 0);
+    Step.Min (Step.Reg 0);
+    Step.Topk { k = 3; score = Step.Reg 0; output = Step.Reg 1 };
+    Step.Collect { expr = Step.Reg 0; limit = Some 4 };
+    Step.Group_count (Step.Reg 0);
+  ]
+
+(* Scores in register 0, distinct vertices as outputs in register 1. *)
+let feed agg state xs =
+  let g = Lazy.force dummy_graph in
+  List.iteri
+    (fun i x -> Aggregate.accumulate agg state g ~vertex:0 ~regs:[| Value.Int x; Value.Vertex i |])
+    xs
+
+(* A state filled by one query and [reset] behaves as a fresh one for
+   the next: the same finalized value and the same wire size. *)
+let agg_recycled_equals_fresh =
+  QCheck.Test.make ~name:"a recycled partial finalizes as a fresh one" ~count:200
+    QCheck.(pair (list small_int) (list small_int))
+    (fun (xs, ys) ->
+      List.for_all
+        (fun agg ->
+          let recycled = Aggregate.create agg and fresh = Aggregate.create agg in
+          feed agg recycled xs;
+          Aggregate.reset recycled;
+          feed agg recycled ys;
+          feed agg fresh ys;
+          Aggregate.fits agg recycled
+          && Aggregate.finalize recycled = Aggregate.finalize fresh
+          && Aggregate.bytes recycled = Aggregate.bytes fresh)
+        every_agg_kind)
+
+(* A cleared query's partial serves the next query that aggregates with
+   the same shape, emptied; another shape gets a state of its own. *)
+let test_memo_recycles_partials () =
+  let m = Memo.create () in
+  let top3 = Step.Topk { k = 3; score = Step.Reg 0; output = Step.Reg 1 } in
+  let p0 = Memo.partial m ~qid:0 ~label:2 top3 in
+  feed top3 p0 [ 5; 1; 9 ];
+  Memo.clear_query m 0;
+  let p1 = Memo.partial m ~qid:1 ~label:5 top3 in
+  Alcotest.(check bool) "same state" true (p0 == p1);
+  Alcotest.(check bool) "emptied" true (Aggregate.finalize p1 = Value.List []);
+  Alcotest.(check int) "one live entry" 1 (Memo.live_entries m);
+  Memo.clear_query m 1;
+  let top5 = Step.Topk { k = 5; score = Step.Reg 0; output = Step.Reg 1 } in
+  Alcotest.(check bool) "another k, another state" true (Memo.partial m ~qid:2 ~label:5 top5 != p0);
+  Alcotest.(check bool) "another kind, another state" true
+    (Memo.partial m ~qid:2 ~label:6 Step.Count != p0);
+  Alcotest.(check bool) "the kept one still fits top-3" true
+    (Memo.partial m ~qid:3 ~label:0 top3 == p0)
+
+(* Allocation guard for the partial lifecycle of §III-C, as one
+   partition and the coordinator see it: once one query has run, each of
+   1 000 fresh qids fetches a Count, Max, Min and top-10 partial, feeds
+   each 16 traversers whose expressions read registers only, merges each
+   into the coordinator's accumulator (a memo entry of its own, as the
+   async engine keeps it) and clears both memos. Bound 0 words per
+   query; measured 0. A memo that builds each partial anew, a top-k that
+   pairs (score, output) or grows its lanes, or a merge that copies its
+   source into a fresh heap fails it. *)
+let test_warm_aggregate_allocates_nothing () =
+  let g = Lazy.force dummy_graph in
+  let memo = Memo.create () and coordinator = Memo.create () in
+  let regs = Array.init 16 (fun i -> [| Value.Int (i * 7 mod 5); Value.Vertex i |]) in
+  let aggs =
+    [|
+      Step.Count;
+      Step.Max (Step.Reg 0);
+      Step.Min (Step.Reg 0);
+      Step.Topk { k = 10; score = Step.Reg 0; output = Step.Reg 1 };
+    |]
+  in
+  let run qid =
+    for label = 0 to Array.length aggs - 1 do
+      let agg = aggs.(label) in
+      let p = Memo.partial memo ~qid ~label agg in
+      for i = 0 to Array.length regs - 1 do
+        Aggregate.accumulate agg p g ~vertex:0 ~regs:regs.(i)
+      done;
+      Aggregate.merge ~into:(Memo.partial coordinator ~qid ~label agg) p
+    done;
+    Memo.clear_query coordinator qid;
+    Memo.clear_query memo qid
+  in
+  run 0;
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for qid = 1 to 1000 do
+    run qid
+  done;
+  let per_query = (Gc.minor_words () -. before) /. 1000. in
+  Alcotest.(check int) "memos empty" 0 (Memo.live_entries memo + Memo.live_entries coordinator);
+  if per_query > 0. then
+    Alcotest.failf "a warm aggregating query allocated %.2f words (bound 0)" per_query
 
 (* --- Program validation --- *)
 
@@ -904,6 +1008,69 @@ let test_step_eval () =
   let pred = Step.And (Step.Cmp (Step.Ge, Step.Prop x, Step.Const (Value.Int 10)), Step.Not (Step.Cmp (Step.Eq, Step.Vertex_id, Step.Reg 0))) in
   Alcotest.(check bool) "pred" true (Step.eval_pred g ~vertex:v0 ~regs pred)
 
+(* A graph whose property columns cover every shape a filter can meet:
+   an Ints column with holes (missing reads as Null), a Floats column, a
+   Mixed column (ints and strings), and a key with no column at all. *)
+let filter_graph =
+  lazy
+    (let b = Builder.create () in
+     for v = 0 to 11 do
+       let ints = if v mod 3 = 0 then [] else [ ("ints", Value.Int (v - 5)) ] in
+       let mixed = ("mixed", if v mod 2 = 0 then Value.Int (v - 6) else Value.Str "s") in
+       ignore
+         (Builder.add_vertex b ~label:"v"
+            ~props:(ints @ [ ("floats", Value.Float (float_of_int v /. 2.)); mixed ])
+            ())
+     done;
+     Builder.build b)
+
+let filter_keys g =
+  let key = Schema.property_key (Graph.schema g) in
+  [| key "ints"; key "floats"; key "mixed"; key "no-such-column" |]
+
+let all_cmps = [| Step.Eq; Step.Ne; Step.Lt; Step.Le; Step.Gt; Step.Ge |]
+
+(* The unboxed compare of a property against an int constant decides as
+   the boxed [Value.compare] of the property's value does, on every
+   column shape. *)
+let filter_int_const_matches_boxed =
+  QCheck.Test.make ~name:"int-constant filter matches the boxed compare" ~count:500
+    QCheck.(quad (int_range 0 11) (int_range 0 3) (int_range (-8) 8) (int_range 0 5))
+    (fun (v, k, n, c) ->
+      let g = Lazy.force filter_graph in
+      let key = (filter_keys g).(k) and cmp = all_cmps.(c) in
+      let boxed = Value.compare (Graph.vertex_prop g ~key v) (Value.Int n) in
+      let expected =
+        match cmp with
+        | Step.Eq -> boxed = 0
+        | Step.Ne -> boxed <> 0
+        | Step.Lt -> boxed < 0
+        | Step.Le -> boxed <= 0
+        | Step.Gt -> boxed > 0
+        | Step.Ge -> boxed >= 0
+      in
+      Graph.compare_vertex_prop g ~key v (Value.Int n) = boxed
+      && Step.eval_pred g ~vertex:v ~regs:[||] (Step.Cmp (cmp, Step.Prop key, Step.Const (Value.Int n)))
+         = expected)
+
+(* Allocation guard: [has('ints', ne(3))] over an Ints column reads the
+   cell unboxed. 1 200 evaluations, bound 0 words; 2 words each when the
+   property came back as a boxed [Value.Int]. *)
+let test_int_filter_allocates_nothing () =
+  let g = Lazy.force filter_graph in
+  let pred = Step.Cmp (Step.Ne, Step.Prop (filter_keys g).(0), Step.Const (Value.Int 3)) in
+  let hits = ref 0 in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    for v = 0 to 11 do
+      if Step.eval_pred g ~vertex:v ~regs:[||] pred then incr hits
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "ne(3) holds but at vertex 8" 1100 !hits;
+  if words > 0. then Alcotest.failf "1200 int filters allocated %.0f words (bound 0)" words
+
 let () =
   Alcotest.run "core"
     [
@@ -938,6 +1105,8 @@ let () =
             test_memo_lifecycle_allocates_nothing;
           Alcotest.test_case "reads of an absent query allocate nothing" `Quick
             test_memo_absent_reads_allocate_nothing;
+          Alcotest.test_case "a cleared partial serves the next query" `Quick
+            test_memo_recycles_partials;
           qcheck Memo_model.test;
         ] );
       ( "aggregate",
@@ -951,6 +1120,9 @@ let () =
           qcheck agg_merge_equals_concat;
           qcheck topk_merge_matches_list_reference;
           qcheck agg_topk_bytes_matches_sorted_sum;
+          qcheck agg_recycled_equals_fresh;
+          Alcotest.test_case "a warm aggregate allocates nothing" `Quick
+            test_warm_aggregate_allocates_nothing;
         ] );
       ( "program",
         [
@@ -959,5 +1131,11 @@ let () =
           Alcotest.test_case "join partner" `Quick test_program_join_partner;
         ]
         @ invalid_cases );
-      ("step", [ Alcotest.test_case "eval" `Quick test_step_eval ]);
+      ( "step",
+        [
+          Alcotest.test_case "eval" `Quick test_step_eval;
+          qcheck filter_int_const_matches_boxed;
+          Alcotest.test_case "an int filter allocates nothing" `Quick
+            test_int_filter_allocates_nothing;
+        ] );
     ]

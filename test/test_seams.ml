@@ -260,6 +260,74 @@ let test_cancelled_weight_dropped () =
     (List.length (progress_weights sent));
   Progress_tier.check_drained tier
 
+(* The aggregate combine of §III-C, driven end to end through the tier:
+   the coordinator's tracker completes, the flush goes to both
+   responders, each answers from its memo, and the answers merge into an
+   accumulator of the coordinator's own. A responder's partial stays in
+   its memo until the query's cleanup, so the combine must read it and
+   leave it as it was; the accumulator is recycled between queries, so
+   the second query (one responder holding nothing) must not see the
+   first one's pairs. Ids 0-7 on a ring: the top-2 by id of the given
+   vertices, best first. *)
+let test_combine_leaves_partials () =
+  let g = Lazy.force graph in
+  let program =
+    Compile.compile ~name:"seam-top" g
+      Dsl.(v_lookup ~key:"id" (int 1) |> out_ "link" |> top_k "id" 2 |> build)
+  in
+  let agg_step = Option.get (Program.agg_of_phase program 0) in
+  let agg, reg =
+    match (Program.step program agg_step).Step.op with
+    | Step.Aggregate { agg; reg } -> (agg, reg)
+    | _ -> Alcotest.fail "phase 0 does not end in an aggregate"
+  in
+  let life = lifecycle () in
+  let sent, tier = tier life in
+  let memos = [| Memo.create (); Memo.create () |] in
+  let query feeds =
+    let q = Lifecycle.submit life (Engine.submit program) (Progress_tier.state program) in
+    let regs = Array.make (Program.n_registers program) Value.Null in
+    Array.iteri
+      (fun w vertices ->
+        List.iter
+          (fun vertex ->
+            Aggregate.accumulate agg (Memo.partial memos.(w) ~qid:q.qid ~label:agg_step agg) g
+              ~vertex ~regs)
+          vertices)
+      feeds;
+    let snapshot () =
+      Array.map
+        (fun memo ->
+          Option.map
+            (fun p -> (Aggregate.finalize p, Aggregate.bytes p))
+            (Memo.partial_opt memo ~qid:q.qid ~label:agg_step))
+        memos
+    in
+    let before = snapshot () in
+    sent := [];
+    Progress_tier.launch tier q;
+    ignore
+      (Progress_tier.receive tier ~at:Sim_time.zero ~cz:(-1) ~w:q.coordinator q 0 Weight.root
+        : Sim_time.t);
+    Alcotest.(check int) "a flush to each responder" 2 (List.length !sent);
+    sent := [];
+    Array.iteri
+      (fun w memo ->
+        ignore
+          (Progress_tier.respond tier ~at:Sim_time.zero ~w memo q ~agg_step ~cz:(-1) : Sim_time.t))
+      memos;
+    let results = List.filter_map (fun (_, p) -> Progress_tier.combine tier q p) (payloads sent) in
+    Alcotest.(check bool) "partials unchanged by the combine" true (snapshot () = before);
+    Array.iter (fun memo -> Memo.clear_query memo q.qid) memos;
+    match results with
+    | [ regs ] -> regs.(reg)
+    | l -> Alcotest.failf "%d combines finished, expected 1" (List.length l)
+  in
+  let ids vs = Value.List (List.map (fun v -> Value.Vertex v) vs) in
+  Alcotest.(check bool) "first query" true (query [| [ 1; 6; 3 ]; [ 7; 2 ] |] = ids [ 7; 6 ]);
+  Alcotest.(check bool) "second query, recycled accumulator" true
+    (query [| [ 4; 0 ]; [] |] = ids [ 4; 0 ])
+
 (* --- Lifecycle --- *)
 
 let test_terminal_once () =
@@ -623,6 +691,8 @@ let () =
         [
           Alcotest.test_case "flush conserves coalesced weight" `Quick test_flush_conserves;
           Alcotest.test_case "cancelled weight is dropped" `Quick test_cancelled_weight_dropped;
+          Alcotest.test_case "a combine leaves the responders' partials unchanged" `Quick
+            test_combine_leaves_partials;
         ] );
       ( "lifecycle",
         [ Alcotest.test_case "terminal transition fires once" `Quick test_terminal_once ] );

@@ -156,50 +156,134 @@ let test_vec_bounds () =
 
 (* --- Heap --- *)
 
+(* Int keys with unit values: the heap orders on keys alone. *)
+let int_heap () =
+  Heap.create ~cmp:(fun a () b () -> compare (a : int) b) ~capacity:0 ~dummy_key:0 ~dummy_value:()
+
 let heap_sorts =
   QCheck.Test.make ~name:"heap drains in sorted order" ~count:300
     QCheck.(list small_int)
     (fun xs ->
-      let h = Heap.create ~cmp:compare ~dummy:0 in
-      List.iter (Heap.push h) xs;
-      let rec drain acc = match Heap.pop_opt h with None -> List.rev acc | Some x -> drain (x :: acc) in
+      let h = int_heap () in
+      List.iter (fun x -> Heap.push h x ()) xs;
+      let rec drain acc =
+        if Heap.is_empty h then List.rev acc
+        else begin
+          let x = Heap.min_key h in
+          Heap.pop h;
+          drain (x :: acc)
+        end
+      in
       drain [] = List.sort compare xs)
 
+(* Pushes and pops interleaved, with clears, so pushes reuse the slots
+   that pops free: the minimum and length after every op match a sorted
+   list, and the values (each push's index) stay with their keys. *)
+let heap_matches_model =
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300
+    QCheck.(list (pair (int_range 0 9) small_int))
+    (fun ops ->
+      let h =
+        Heap.create ~cmp:(fun a i b j -> compare (a, i) (b, j)) ~capacity:2 ~dummy_key:0
+          ~dummy_value:(-1)
+      in
+      let model = ref [] in
+      List.for_all
+        (fun (i, (op, x)) ->
+          (match op with
+          | 0 ->
+            Heap.clear h;
+            model := []
+          | 1 | 2 | 3 -> (
+            match !model with
+            | [] -> ()
+            | _ :: rest ->
+              Heap.pop h;
+              model := rest)
+          | _ ->
+            Heap.push h x i;
+            model := List.sort compare ((x, i) :: !model));
+          Heap.length h = List.length !model
+          && match !model with [] -> Heap.is_empty h | (k, v) :: _ -> Heap.min_key h = k && Heap.min_value h = v)
+        (List.mapi (fun i op -> (i, op)) ops))
+
 let test_heap_peek () =
-  let h = Heap.create ~cmp:compare ~dummy:0 in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  Heap.push h 5;
-  Heap.push h 2;
-  Heap.push h 8;
-  Alcotest.(check (option int)) "min on top" (Some 2) (Heap.peek h);
+  let h = int_heap () in
+  Alcotest.(check bool) "empty" true (Heap.is_empty h);
+  Alcotest.check_raises "empty min" (Invalid_argument "Heap.min_key: empty") (fun () ->
+      ignore (Heap.min_key h : int));
+  List.iter (fun x -> Heap.push h x ()) [ 5; 2; 8 ];
+  Alcotest.(check int) "min on top" 2 (Heap.min_key h);
   Alcotest.(check int) "length" 3 (Heap.length h)
 
 let test_heap_to_sorted_preserves () =
-  let h = Heap.create ~cmp:compare ~dummy:0 in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Alcotest.(check (list int)) "sorted view" [ 1; 2; 3 ] (Heap.to_sorted_list h);
+  let h = int_heap () in
+  List.iter (fun x -> Heap.push h x ()) [ 3; 1; 2 ];
+  Alcotest.(check (list int)) "sorted view" [ 1; 2; 3 ] (List.map fst (Heap.to_sorted_list h));
   Alcotest.(check int) "heap intact" 3 (Heap.length h)
 
 (* --- Topk --- *)
 
+(* Pairs ordered by score, ties by the smaller output, as the TopK
+   aggregation orders them. *)
+let pair_cmp s1 o1 s2 o2 =
+  let c = compare (s1 : int) s2 in
+  if c <> 0 then c else compare (o2 : int) o1
+
+let int_topk k = Topk.create ~k ~cmp:pair_cmp ~dummy_score:0 ~dummy_output:0
+let add_all t xs = List.iter (fun (s, o) -> Topk.add t s o) xs
+
+(* Best first. *)
+let take_k k xs =
+  List.filteri (fun i _ -> i < k) (List.sort (fun (s1, o1) (s2, o2) -> pair_cmp s2 o2 s1 o1) xs)
+
 let topk_matches_sort =
   QCheck.Test.make ~name:"topk equals sort-take-k" ~count:300
-    QCheck.(pair (int_range 0 10) (list small_int))
+    QCheck.(pair (int_range 0 10) (list (pair small_int small_int)))
     (fun (k, xs) ->
-      let t = Topk.create ~k ~cmp:compare ~dummy:0 in
-      List.iter (Topk.add t) xs;
-      let expected =
-        List.filteri (fun i _ -> i < k) (List.sort (fun a b -> compare b a) xs)
-      in
-      Topk.to_sorted_list t = expected)
+      let t = int_topk k in
+      add_all t xs;
+      Topk.to_sorted_list t = take_k k xs)
 
 let test_topk_merge () =
-  let a = Topk.create ~k:3 ~cmp:compare ~dummy:0 in
-  let b = Topk.create ~k:3 ~cmp:compare ~dummy:0 in
-  List.iter (Topk.add a) [ 1; 5; 3 ];
-  List.iter (Topk.add b) [ 9; 2; 7 ];
+  let a = int_topk 3 and b = int_topk 3 in
+  add_all a [ (1, 0); (5, 0); (3, 0) ];
+  add_all b [ (9, 0); (2, 0); (7, 0) ];
   Topk.merge ~into:a b;
-  Alcotest.(check (list int)) "merged top 3" [ 9; 7; 5 ] (Topk.to_sorted_list a)
+  Alcotest.(check (list int)) "merged top 3" [ 9; 7; 5 ] (List.map fst (Topk.to_sorted_list a))
+
+(* A stream with many duplicate scores (and some duplicate pairs), dealt
+   to random partials, each merged into one accumulator in a random
+   order, as a coordinator combines partition partials. The accumulator
+   is recycled between rounds ([reset]) and the partials are reused
+   across merges, so a merge that changed its source or left stale pairs
+   behind fails. *)
+let topk_partials_match_sort =
+  QCheck.Test.make ~name:"merged topk partials equal sort-take-k" ~count:300
+    QCheck.(
+      make
+        ~print:Print.(triple int (list (pair int int)) (list int))
+        Gen.(
+          triple (oneofl [ 0; 1; 2; 10 ])
+            (list_size (int_range 0 60) (pair (int_range 0 6) (int_range 0 20)))
+            (list_size (int_range 1 8) (int_range 0 1000))))
+    (fun (k, xs, order) ->
+      let n_parts = List.length order in
+      let parts = Array.init n_parts (fun _ -> int_topk k) in
+      List.iteri (fun i (s, o) -> Topk.add parts.(((i * 7) + s) mod n_parts) s o) xs;
+      let before = Array.map Topk.to_sorted_list parts in
+      let acc = int_topk k in
+      let round () =
+        Topk.reset acc;
+        (* Merge in the order of the drawn keys. *)
+        List.iter
+          (fun (_, i) -> Topk.merge ~into:acc parts.(i))
+          (List.sort compare (List.mapi (fun i key -> (key, i)) order));
+        Topk.to_sorted_list acc
+      in
+      let first = round () in
+      let second = round () in
+      first = take_k k xs && second = first && Array.map Topk.to_sorted_list parts = before)
 
 (* --- Stats --- *)
 
@@ -388,9 +472,14 @@ let () =
           Alcotest.test_case "peek/min" `Quick test_heap_peek;
           Alcotest.test_case "to_sorted preserves" `Quick test_heap_to_sorted_preserves;
           qcheck heap_sorts;
+          qcheck heap_matches_model;
         ] );
       ( "topk",
-        [ Alcotest.test_case "merge" `Quick test_topk_merge; qcheck topk_matches_sort ] );
+        [
+          Alcotest.test_case "merge" `Quick test_topk_merge;
+          qcheck topk_matches_sort;
+          qcheck topk_partials_match_sort;
+        ] );
       ( "stats",
         [
           Alcotest.test_case "percentiles" `Quick test_stats_percentiles;
