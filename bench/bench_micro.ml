@@ -228,48 +228,60 @@ let fused_vs_scalar () =
 (* One partition's share of an aggregating query, end to end, as the
    async engine runs it: a fresh qid's top-10 partial is fetched from
    the partition memo (built, or recycled from a cleared query),
-   accumulates [n] traversers whose score and output sit in registers,
-   merges into the coordinator's accumulator (a memo entry of its own,
-   as {!Pstm_engine.Progress_tier} keeps it), and both memos clear the
-   query. One op is that lifecycle; words count both heaps (minor +
-   major - promoted) over [reps] ops, after one untimed op. *)
+   accumulates [n] traversers, merges into the coordinator's accumulator
+   (a memo entry of its own, as {!Pstm_engine.Progress_tier} keeps it),
+   and both memos clear the query. One op is that lifecycle; words count
+   both heaps (minor + major - promoted) over [reps] ops, after one
+   untimed op. [agg-partial-lifecycle] reads score and output from
+   registers; [agg-partial-lifecycle-prop] is the shape the compiler
+   gives [top_k]: a [Prop] score over an Ints column with holes and a
+   [Vertex_id] output, read at 64 vertices in turn. *)
 let agg_partial_lifecycle () =
-  let graph = Builder.build (Builder.of_edges ~n_vertices:1 [||]) in
-  let agg = Step.Topk { k = 10; score = Step.Reg 0; output = Step.Reg 1 } in
   let prng = Pstm_util.Prng.create 5 in
   let regs =
     Array.init 64 (fun v -> [| Value.Int (Pstm_util.Prng.int prng 1000); Value.Vertex v |])
   in
+  let b = Builder.create () in
+  for v = 0 to 63 do
+    let w = Pstm_util.Prng.int prng 1000 in
+    let props = if v mod 7 = 3 then [] else [ ("w", Value.Int w) ] in
+    ignore (Builder.add_vertex b ~label:"v" ~props ())
+  done;
+  let graph = Builder.build b in
+  let key = Schema.property_key (Graph.schema graph) "w" in
   let heap_words () =
     let minor, promoted, major = Gc.counters () in
     minor +. major -. promoted
   in
-  List.iter
-    (fun n ->
-      let memo = Memo.create () and coordinator = Memo.create () and qid = ref 0 in
-      let op () =
-        incr qid;
-        let qid = !qid in
-        let partial = Memo.partial memo ~qid ~label:3 agg in
-        for i = 0 to n - 1 do
-          Aggregate.accumulate agg partial graph ~vertex:0 ~regs:regs.(i)
-        done;
-        Aggregate.merge ~into:(Memo.partial coordinator ~qid ~label:3 agg) partial;
-        Memo.clear_query coordinator qid;
-        Memo.clear_query memo qid
-      in
-      let reps = 200_000 in
-      op ();
-      Gc.minor ();
-      let w0 = heap_words () and t0 = Sys.time () in
-      for _ = 1 to reps do
-        op ()
+  let case name agg n =
+    let memo = Memo.create () and coordinator = Memo.create () and qid = ref 0 in
+    let op () =
+      incr qid;
+      let qid = !qid in
+      let partial = Memo.partial memo ~qid ~label:3 graph agg in
+      for i = 0 to n - 1 do
+        Aggregate.accumulate agg partial graph ~vertex:i ~regs:regs.(i)
       done;
-      Printf.printf "  %-26s %10.1f ns/op %10.2f words/op\n"
-        (Printf.sprintf "agg-partial-lifecycle:%d" n)
-        ((Sys.time () -. t0) *. 1e9 /. float_of_int reps)
-        ((heap_words () -. w0) /. float_of_int reps))
-    [ 1; 16; 64 ]
+      Aggregate.merge ~into:(Memo.partial coordinator ~qid ~label:3 graph agg) partial;
+      Memo.clear_query coordinator qid;
+      Memo.clear_query memo qid
+    in
+    let reps = 200_000 in
+    op ();
+    Gc.minor ();
+    let w0 = heap_words () and t0 = Sys.time () in
+    for _ = 1 to reps do
+      op ()
+    done;
+    Printf.printf "  %-30s %10.1f ns/op %10.2f words/op\n"
+      (Printf.sprintf "%s:%d" name n)
+      ((Sys.time () -. t0) *. 1e9 /. float_of_int reps)
+      ((heap_words () -. w0) /. float_of_int reps)
+  in
+  let by_regs = Step.Topk { k = 10; score = Step.Reg 0; output = Step.Reg 1 } in
+  let by_prop = Step.Topk { k = 10; score = Step.Prop key; output = Step.Vertex_id } in
+  List.iter (case "agg-partial-lifecycle" by_regs) [ 1; 16; 64 ];
+  List.iter (case "agg-partial-lifecycle-prop" by_prop) [ 1; 16; 64 ]
 
 (* The message slab under a flood, as a flooding 4-hop fills it before
    its first message is consumed: acquire N one-traverser handles on a

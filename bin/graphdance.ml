@@ -110,15 +110,19 @@ let slow_arg =
     const (parse_all parse)
     $ Arg.(value & opt_all string [] & info [ "slow" ] ~docv:"NODE:FACTOR" ~doc))
 
-(* A straggler outside the cluster would slow nothing down: a typo must
-   not turn the fault off silently. *)
-let slow_in_cluster (config : Cluster.config) slow_nodes =
-  match List.find_opt (fun (n, _) -> n < 0 || n >= config.Cluster.n_nodes) slow_nodes with
+(* A straggler or a pause outside the cluster would slow nothing down: a
+   typo must not turn the fault off silently. *)
+let outside_cluster (config : Cluster.config) flag n =
+  Error
+    (Fmt.str "%s node %d is outside the cluster (nodes 0 to %d)" flag n
+       (config.Cluster.n_nodes - 1))
+
+let in_cluster (config : Cluster.config) n = n >= 0 && n < config.Cluster.n_nodes
+
+let slow_in_cluster config slow_nodes =
+  match List.find_opt (fun (n, _) -> not (in_cluster config n)) slow_nodes with
   | None -> Ok slow_nodes
-  | Some (n, _) ->
-    Error
-      (Fmt.str "--slow node %d is outside the cluster (nodes 0 to %d)" n
-         (config.Cluster.n_nodes - 1))
+  | Some (n, _) -> outside_cluster config "--slow" n
 
 let batched_arg =
   let doc =
@@ -409,10 +413,13 @@ let chaos_cmd =
     let doc = "Optional deadline in simulated milliseconds; queries past it report TIMEOUT." in
     Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
   in
-  let parse_pause s =
+  let parse_pause config s =
     match String.split_on_char ':' s with
     | [ node; from_us; dur_us ] -> begin
       match (int_of_string_opt node, int_of_string_opt from_us, int_of_string_opt dur_us) with
+      | Some n, _, _ when not (in_cluster config n) -> outside_cluster config "--pause" n
+      | Some _, Some f, Some d when f < 0 || d < 0 ->
+        Error (Fmt.str "bad --pause %S (FROM_US and DUR_US must not be negative)" s)
       | Some n, Some f, Some d ->
         Ok (Faults.pause ~node:n ~from_:(Sim_time.us f) ~until:(Sim_time.us (f + d)))
       | _ -> Error (Fmt.str "bad --pause %S (expected NODE:FROM_US:DUR_US)" s)
@@ -426,7 +433,7 @@ let chaos_cmd =
        let* graph = load_graph dataset in
        let* program = compile_query graph text in
        let* slow_nodes = Result.bind slow_nodes (slow_in_cluster config) in
-       let* pauses = parse_all parse_pause pauses in
+       let* pauses = parse_all (parse_pause config) pauses in
        let* (module E : Engine.S) = resolve_engine ~config engine in
        let spec =
          {

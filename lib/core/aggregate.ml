@@ -12,6 +12,8 @@ type t =
   | Max_st of { mutable best : Value.t }
   | Min_st of { mutable best : Value.t }
   | Topk_st of (Value.t, Value.t) Topk.t
+  | Topk_ints_st of { key : int; acc : (int, int) Topk.t }
+      (* a top-k of vertices by an integer property: see [ints_cmp] *)
   | Collect_st of { limit : int option; mutable items : Value.t list; mutable n : int }
   | Group_st of { counts : (Value.t, int) Hashtbl.t }
 
@@ -21,14 +23,37 @@ let topk_cmp s1 o1 s2 o2 =
   let c = Value.compare s1 s2 in
   if c <> 0 then c else Value.compare o2 o1
 
-let create (agg : Step.agg) =
+(* The typed top-k: [Topk { score = Prop key; output = Vertex_id }] over
+   an [Ints] column, the shape of every top-k in the LDBC IC queries and
+   the k-hop workloads. A pair sits in two int lanes, unboxed: the score
+   lane holds the cell (0 when it is empty) and the output lane the
+   vertex shifted left once, its low bit set when the cell is present.
+   [ints_cmp] ranks them exactly as [topk_cmp] ranks the boxed pairs
+   ([Null] or [Int n], [Vertex v]): an empty cell below every present
+   one, then by score, ties by ascending vertex. *)
+let ints_cmp s1 o1 s2 o2 =
+  let c = Int.compare (o1 land 1) (o2 land 1) in
+  if c <> 0 then c
+  else
+    let c = Int.compare s1 s2 in
+    if c <> 0 then c else Int.compare o2 o1
+
+let ints_key graph (agg : Step.agg) =
+  match agg with
+  | Topk { score = Prop key; output = Vertex_id; _ } when Graph.int_prop_column graph ~key -> key
+  | _ -> -1
+
+let create graph (agg : Step.agg) =
   match agg with
   | Count -> Count_st { n = 0 }
   | Sum _ -> Sum_st { total = Value.Null }
   | Max _ -> Max_st { best = Value.Null }
   | Min _ -> Min_st { best = Value.Null }
   | Topk { k; _ } ->
-    Topk_st (Topk.create ~k ~cmp:topk_cmp ~dummy_score:Value.Null ~dummy_output:Value.Null)
+    let key = ints_key graph agg in
+    if key >= 0 then
+      Topk_ints_st { key; acc = Topk.create ~k ~cmp:ints_cmp ~dummy_score:0 ~dummy_output:0 }
+    else Topk_st (Topk.create ~k ~cmp:topk_cmp ~dummy_score:Value.Null ~dummy_output:Value.Null)
   | Collect { limit; _ } -> Collect_st { limit; items = []; n = 0 }
   | Group_count _ -> Group_st { counts = Hashtbl.create 16 }
 
@@ -55,16 +80,22 @@ let accumulate (agg : Step.agg) t graph ~vertex ~regs =
       (not (Topk.is_full acc))
       || (Topk.k acc > 0 && Value.compare s (Topk.worst_score acc) >= 0)
     then Topk.add acc s (Step.eval_expr graph ~vertex ~regs output)
+  | Topk _, Topk_ints_st { key; acc } -> (
+    match Graph.vertex_int_prop graph ~key vertex with
+    | n -> Topk.add acc n ((vertex lsl 1) lor 1)
+    | exception Not_found -> Topk.add acc 0 (vertex lsl 1))
   | Collect { expr; limit }, Collect_st st ->
     let keep = match limit with None -> true | Some l -> st.n < l in
     if keep then begin
       st.items <- Step.eval_expr graph ~vertex ~regs expr :: st.items;
       st.n <- st.n + 1
     end
-  | Group_count e, Group_st st ->
+  | Group_count e, Group_st st -> (
+    (* [Hashtbl.find], not [find_opt]: a hit allocates no option. *)
     let key = Step.eval_expr graph ~vertex ~regs e in
-    let n = Option.value ~default:0 (Hashtbl.find_opt st.counts key) in
-    Hashtbl.replace st.counts key (n + 1)
+    match Hashtbl.find st.counts key with
+    | n -> Hashtbl.replace st.counts key (n + 1)
+    | exception Not_found -> Hashtbl.add st.counts key 1)
   | _ -> invalid_arg "Aggregate.accumulate: state does not match aggregation"
 
 let merge ~into t =
@@ -78,6 +109,7 @@ let merge ~into t =
     if (not (Value.is_null b.best)) && (Value.is_null a.best || Value.compare b.best a.best < 0)
     then a.best <- b.best
   | Topk_st a, Topk_st b -> Topk.merge ~into:a b
+  | Topk_ints_st a, Topk_ints_st b -> Topk.merge ~into:a.acc b.acc
   | Collect_st a, Collect_st b ->
     let keep = match a.limit with None -> max_int | Some l -> max 0 (l - a.n) in
     let taken = List.filteri (fun i _ -> i < keep) (List.rev b.items) in
@@ -94,13 +126,15 @@ let merge ~into t =
       b.counts
   | _ -> invalid_arg "Aggregate.merge: mismatched partial states"
 
-(* A state built by [create agg] for an [agg] of this shape: same kind,
-   same k, same collect limit. The expressions do not matter; the state
-   holds none. *)
-let fits (agg : Step.agg) t =
+(* A state built by [create graph agg] for an [agg] of this shape: same
+   kind, same k, same collect limit, and for a top-k the same lanes,
+   typed on the same column or boxed. No other part of an expression
+   matters; the state holds none. *)
+let fits graph (agg : Step.agg) t =
   match agg, t with
   | Count, Count_st _ | Sum _, Sum_st _ | Max _, Max_st _ | Min _, Min_st _ -> true
-  | Topk { k; _ }, Topk_st acc -> Topk.k acc = k
+  | Topk { k; _ }, Topk_st acc -> Topk.k acc = k && ints_key graph agg < 0
+  | Topk { k; _ }, Topk_ints_st st -> Topk.k st.acc = k && ints_key graph agg = st.key
   | Collect { limit; _ }, Collect_st st -> Option.equal Int.equal limit st.limit
   | Group_count _, Group_st _ -> true
   | _ -> false
@@ -112,6 +146,7 @@ let reset = function
   | Max_st st -> st.best <- Value.Null
   | Min_st st -> st.best <- Value.Null
   | Topk_st acc -> Topk.reset acc
+  | Topk_ints_st st -> Topk.reset st.acc
   | Collect_st st ->
     st.items <- [];
     st.n <- 0
@@ -123,6 +158,8 @@ let finalize = function
   | Max_st st -> st.best
   | Min_st st -> st.best
   | Topk_st acc -> Value.List (List.map snd (Topk.to_sorted_list acc))
+  | Topk_ints_st st ->
+    Value.List (List.map (fun (_, o) -> Value.Vertex (o lsr 1)) (Topk.to_sorted_list st.acc))
   | Collect_st st -> Value.List (List.rev st.items)
   | Group_st st ->
     (* det-ok: pairs sorted by Value.compare on the next line *)
@@ -138,6 +175,9 @@ let bytes = function
   | Max_st st -> Value.bytes st.best
   | Min_st st -> Value.bytes st.best
   | Topk_st acc -> Topk.fold (fun n s o -> n + Value.bytes s + Value.bytes o) 8 acc
+  | Topk_ints_st st ->
+    (* [Value.bytes] of [Int _] or [Null], then of [Vertex _]. *)
+    Topk.fold (fun n _ o -> n + (if o land 1 = 1 then 8 else 1) + 8) 8 st.acc
   | Collect_st st -> List.fold_left (fun acc v -> acc + Value.bytes v) 8 st.items
   | Group_st st ->
     (* det-ok: commutative sum over entries *)

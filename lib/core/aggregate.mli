@@ -7,7 +7,13 @@
 
 type t
 
-val create : Step.agg -> t
+(** A fresh state for [agg]. A top-k of vertices ([output] is
+    [Vertex_id]) by an integer property ([score] is [Prop key] and [key]
+    an [Ints] column of [graph]) keeps its pairs in int lanes and boxes
+    nothing as it accumulates; it finalizes, merges and counts its bytes
+    exactly as the boxed state does. Every other aggregation gets the
+    boxed state. *)
+val create : Graph.t -> Step.agg -> t
 
 (** Fold one traverser (evaluating the aggregation's expressions in its
     context) into the partial state. *)
@@ -16,9 +22,10 @@ val accumulate : Step.agg -> t -> Graph.t -> vertex:int -> regs:Value.t array ->
 (** Combine [t] into [into]; commutative and associative. *)
 val merge : into:t -> t -> unit
 
-(** [t] has the shape {!create} gives [agg] (same kind, same top-k [k],
-    same collect limit), so {!reset} makes it a fresh state for [agg]. *)
-val fits : Step.agg -> t -> bool
+(** [t] has the shape {!create} gives [agg] on [graph] (same kind, same
+    top-k [k] and lanes, same collect limit), so {!reset} makes it a
+    fresh state for [agg]. *)
+val fits : Graph.t -> Step.agg -> t -> bool
 
 (** Empty [t] for reuse, keeping its storage (a top-k's lanes). *)
 val reset : t -> unit

@@ -368,23 +368,23 @@ let min_int_update t ~qid ~label vertex d =
    the workload cannot make the search below long. *)
 let max_pooled_partials = 64
 
-(* A pooled [Partial] entry whose state fits [agg], searched from slot
-   [i] down (most recent first), or a new one. *)
-let rec take_partial pool agg i =
-  if i < 0 then Partial (Aggregate.create agg)
+(* A pooled [Partial] entry whose state fits [agg] on [graph], searched
+   from slot [i] down (most recent first), or a new one. *)
+let rec take_partial pool graph agg i =
+  if i < 0 then Partial (Aggregate.create graph agg)
   else
     match Vec.get pool i with
-    | Partial p when Aggregate.fits agg p -> Vec.swap_remove pool i
-    | _ -> take_partial pool agg (i - 1)
+    | Partial p when Aggregate.fits graph agg p -> Vec.swap_remove pool i
+    | _ -> take_partial pool graph agg (i - 1)
 
 (* Fetch-or-create the partial aggregate of step [label]. *)
-let rec partial t ~qid ~label agg =
+let rec partial t ~qid ~label graph agg =
   let s = store t ~qid ~label in
   match s.null_key with
   | Partial p -> p
   | e when e == absent ->
-    add t s Value.Null (take_partial t.free_partials agg (Vec.length t.free_partials - 1));
-    partial t ~qid ~label agg
+    add t s Value.Null (take_partial t.free_partials graph agg (Vec.length t.free_partials - 1));
+    partial t ~qid ~label graph agg
   | _ -> invalid_arg "Memo.partial: label holds a non-aggregate entry"
 
 let find_partial t ~qid ~label ~absent:none f =

@@ -35,10 +35,11 @@ type visit_outcome =
     improves the stored one. *)
 val min_int_update : t -> qid:int -> label:int -> int -> int -> visit_outcome
 
-(** Fetch-or-create the partial aggregate stored under [label]. A new one
-    is a recycled state of the same shape when a cleared query left one,
+(** Fetch-or-create the partial aggregate stored under [label], with the
+    state {!Aggregate.create} gives [agg] on the graph. A new one is a
+    recycled state of the same shape when a cleared query left one,
     reset. *)
-val partial : t -> qid:int -> label:int -> Step.agg -> Aggregate.t
+val partial : t -> qid:int -> label:int -> Graph.t -> Step.agg -> Aggregate.t
 
 val partial_opt : t -> qid:int -> label:int -> Aggregate.t option
 

@@ -60,9 +60,15 @@ let holds cmp c =
 
 let rec eval_pred graph ~vertex ~regs = function
   | True -> true
-  | Cmp (cmp, Prop key, Const (Value.Int _ as c)) ->
-    (* The property is read unboxed; [eval_expr] would box an int. *)
+  | Cmp (cmp, Prop key, Const ((Value.Int _ | Value.Str _) as c)) ->
+    (* The property is read unboxed; [eval_expr] would box the cell. *)
     holds cmp (Graph.compare_vertex_prop graph ~key vertex c)
+  | Cmp (cmp, Vertex_id, Reg r) -> (
+    (* [where(neq(...))] against a bound vertex: compared as ints, where
+       [eval_expr] would box the current vertex. *)
+    match regs.(r) with
+    | Value.Vertex u -> holds cmp (Int.compare vertex u)
+    | v -> holds cmp (Value.compare (Value.Vertex vertex) v))
   | Cmp (cmp, a, b) ->
     holds cmp (Value.compare (eval_expr graph ~vertex ~regs a) (eval_expr graph ~vertex ~regs b))
   | And (p, q) -> eval_pred graph ~vertex ~regs p && eval_pred graph ~vertex ~regs q

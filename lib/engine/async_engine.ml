@@ -86,6 +86,10 @@ type worker = {
   tasks : int Ring.t; (* message handles *)
   prng : Prng.t;
   mutable busy_until : Sim_time.t;
+  mutable clock : Sim_time.t;
+      (* the running quantum's clock: its start plus the CPU time charged
+         so far. A field rather than a ref per quantum, so a quantum
+         allocates nothing; quanta never nest. *)
   mutable busy_total : Sim_time.t; (* accumulated CPU time *)
   mutable awake : bool; (* a quantum event is scheduled *)
   scan : int option -> int array; (* owned vertices with a label, for Scan sources *)
@@ -239,6 +243,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
           tasks = Ring.create ~dummy:(-1);
           prng = Prng.split seed_prng;
           busy_until = Sim_time.zero;
+          clock = Sim_time.zero;
           busy_total = Sim_time.zero;
           awake = false;
           cz_last = -1;
@@ -318,7 +323,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
     !cost
   in
   let tier =
-    Progress_tier.create ~costs ~metrics ~n_workers
+    Progress_tier.create ~graph ~costs ~metrics ~n_workers
       ~coalescing:(options.weight_coalescing || options.flavor <> Graphdance)
       ~per_traverser:(options.flavor = Graphdance) ~responders:agg_responders ~check ?mutation ~obs
       ~on_event:tracker_event ~live:(Lifecycle.live life) ~slab ~send ~complete ()
@@ -623,16 +628,18 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       end
   in
   (* ---- Worker scheduling loop ------------------------------------------- *)
-  let take w local ~qid ~cz ~vertex ~step ~weight ~regs =
+  (* Charge [cost] to [w]'s running quantum. *)
+  let advance w cost = w.clock <- Sim_time.add w.clock (fault_scale w.id cost) in
+  let take w ~qid ~cz ~vertex ~step ~weight ~regs =
     if batched then Staging.add staged ~qid ~cz ~vertex ~step ~weight ~regs
     else begin
       Staging.single solo ~qid ~cz ~vertex ~step ~weight ~regs;
-      local := Sim_time.add !local (fault_scale w.id (run_group w ~at:!local solo))
+      advance w (run_group w ~at:w.clock solo)
     end
   in
   (* Consuming a message: read its lanes and release its slot (and a
      batch's arrays once its elements are staged), then run it. *)
-  let drain w local =
+  let drain w =
     let budget = ref quantum_tasks in
     while !budget > 0 && not (Ring.is_empty w.tasks) do
       let h = Ring.pop w.tasks in
@@ -644,7 +651,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         let weight = Payload.weight slab h and regs = Payload.regs slab h in
         Payload.release slab h;
         decr budget;
-        take w local ~qid ~cz ~vertex ~step ~weight ~regs
+        take w ~qid ~cz ~vertex ~step ~weight ~regs
       | P_trav_batch ->
         let id = Payload.batch slab h in
         Payload.release slab h;
@@ -654,7 +661,7 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
            execute, not free to schedule. *)
         for i = 0 to Payload.batch_length slab id - 1 do
           decr budget;
-          take w local ~qid ~cz ~vertex:(Payload.vstep_vertex vsteps.(i))
+          take w ~qid ~cz ~vertex:(Payload.vstep_vertex vsteps.(i))
             ~step:(Payload.vstep_step vsteps.(i)) ~weight:weights.(i) ~regs:regs.(i)
         done;
         Payload.batch_release slab id
@@ -666,16 +673,16 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
         let cost =
           match Lifecycle.live life qid with
           | None -> Sim_time.zero
-          | Some q -> Progress_tier.receive tier ~at:!local ~cz ~w:w.id q phase weight
+          | Some q -> Progress_tier.receive tier ~at:w.clock ~cz ~w:w.id q phase weight
         in
-        local := Sim_time.add !local (fault_scale w.id cost)
+        advance w cost
       | payload ->
         Payload.release slab h;
         decr budget;
-        local := Sim_time.add !local (fault_scale w.id (process w ~at:!local ~qid ~cz payload))
+        advance w (process w ~at:w.clock ~qid ~cz payload)
     done;
     for i = 0 to Staging.length staged - 1 do
-      local := Sim_time.add !local (fault_scale w.id (run_group w ~at:!local (Staging.get staged i)))
+      advance w (run_group w ~at:w.clock (Staging.get staged i))
     done;
     Staging.clear staged
   in
@@ -686,42 +693,41 @@ let create ?(options = default_options) ?(common = Engine.Common.default) ~clust
       w.cz_last <- -1;
       w.cz_last_qid <- -1
     end;
-    let local = ref quantum_start in
+    w.clock <- quantum_start;
     (* Dataflow flavors poll every live operator instance each quantum. *)
     if options.flavor <> Graphdance then begin
       let polling = Cost_model.polling model in
-      if Sim_time.compare polling Sim_time.zero > 0 then
-        local := Sim_time.add !local (fault_scale w.id polling)
+      if Sim_time.compare polling Sim_time.zero > 0 then advance w polling
     end;
-    drain w local;
+    drain w;
     if Ring.is_empty w.tasks || Progress_tier.flush_due tier ~w:w.id then begin
-      let flush_at = !local in
+      let flush_at = w.clock in
       let flush_cost = fault_scale w.id (Progress_tier.flush tier ~at:flush_at ~w:w.id) in
       if obs_on && Sim_time.compare flush_cost Sim_time.zero > 0 then
         Pstm_obs.Trace.span trace ~tid:w.id ~name:"flush_progress" ~ts:flush_at ~dur:flush_cost ();
-      local := Sim_time.add !local flush_cost
+      w.clock <- Sim_time.add w.clock flush_cost
     end;
     if Ring.is_empty w.tasks then begin
       (* Out of work: flush the tier-1 buffers before sleeping (§IV-B). *)
       w.awake <- false;
-      let flush_at = !local in
+      let flush_at = w.clock in
       let flush_cost = fault_scale w.id (Channel.flush_worker (channel ()) ~at:flush_at ~worker:w.id) in
       if obs_on && Sim_time.compare flush_cost Sim_time.zero > 0 then
         Pstm_obs.Trace.span trace ~tid:w.id ~name:"flush_channel" ~ts:flush_at ~dur:flush_cost ();
-      local := Sim_time.add !local flush_cost
+      w.clock <- Sim_time.add w.clock flush_cost
     end
     else begin
       w.awake <- true;
-      Event_queue.schedule_at events ~time:!local ~tag:(Cluster.worker_tag cluster w.id)
+      Event_queue.schedule_at events ~time:w.clock ~tag:(Cluster.worker_tag cluster w.id)
         quantum_thunks.(w.id)
     end;
-    let consumed = Sim_time.diff !local quantum_start in
+    let consumed = Sim_time.diff w.clock quantum_start in
     if obs_on && Sim_time.compare consumed Sim_time.zero > 0 then
       Pstm_obs.Trace.span trace ~cat:"sched" ~tid:w.id ~name:"quantum" ~ts:quantum_start
         ~dur:consumed ();
     Metrics.(add metrics Counter.busy_ns consumed);
     w.busy_total <- Sim_time.add w.busy_total consumed;
-    w.busy_until <- !local
+    w.busy_until <- w.clock
   in
   let quantum w =
     (* [awake] stays true while the quantum runs: self-sends and deferred

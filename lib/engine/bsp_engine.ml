@@ -314,7 +314,7 @@ let create ?(profile = Ablation) ?(common = Engine.Common.default) ~cluster_conf
               memos;
             let cont =
               { Traverser.vertex = 0; step = (Program.step q.program agg_step).Step.next;
-                weight = Weight.root; regs = Exec.continuation q.program ~agg_step !acc }
+                weight = Weight.root; regs = Exec.continuation graph q.program ~agg_step !acc }
             in
             if obs_on then
               Pstm_obs.Trace.instant trace ~tid:(Engine.query_track q.qid) ~name:"phase_complete"

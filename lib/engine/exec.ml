@@ -241,7 +241,7 @@ let run s ~graph ~memo ~prng ~qid ~program ~scan ~vertex ~step:at ~weight ~regs 
       count_memo s ~ops:2 ~hits:n ~misses:0
     end
   | Step.Aggregate { agg; reg = _ } ->
-    let partial = Memo.partial memo ~qid ~label:at agg in
+    let partial = Memo.partial memo ~qid ~label:at graph agg in
     Aggregate.accumulate agg partial graph ~vertex ~regs;
     finish s weight;
     s.prop_reads <- s.prop_reads + Step.agg_prop_reads agg;
@@ -286,14 +286,14 @@ let partition_scan graph members label =
   | None -> mine
   | Some l -> Array.of_seq (Seq.filter (Graph.has_vertex_label graph ~label:l) (Array.to_seq mine))
 
-let continuation program ~agg_step partial =
+let continuation graph program ~agg_step partial =
   let step = Program.step program agg_step in
   let agg, reg =
     match step.Step.op with
     | Step.Aggregate { agg; reg } -> (agg, reg)
     | _ -> invalid_arg "Exec.continuation: not an aggregate step"
   in
-  let partial = match partial with Some p -> p | None -> Aggregate.create agg in
+  let partial = match partial with Some p -> p | None -> Aggregate.create graph agg in
   let regs = Array.make (Program.n_registers program) Value.Null in
   regs.(reg) <- Aggregate.finalize partial;
   regs

@@ -85,7 +85,7 @@ val partition_scan : Graph.t -> int array Lazy.t -> int option -> int array
     step's [next] and {!Weight.root}: the aggregate's register holds the
     finalized combined partial, or the empty aggregate's value when no
     partial exists. *)
-val continuation : Program.t -> agg_step:int -> Aggregate.t option -> Value.t array
+val continuation : Graph.t -> Program.t -> agg_step:int -> Aggregate.t option -> Value.t array
 
 (** CPU time of the sink's work under a cluster cost table: one step
     dispatch plus its data and memo volume. *)

@@ -77,6 +77,7 @@ let run ?(common = Engine.Common.default) graph program =
       seed
         { Traverser.vertex = 0; step = (Program.step program agg_step).Step.next;
           weight = Weight.root;
-          regs = Exec.continuation program ~agg_step (Memo.partial_opt memo ~qid ~label:agg_step) }
+          regs =
+            Exec.continuation graph program ~agg_step (Memo.partial_opt memo ~qid ~label:agg_step) }
   done;
   List.rev !rows

@@ -26,6 +26,7 @@ let state program =
     combine_received = 0; combine_acc = None }
 
 type t = {
+  graph : Graph.t;
   costs : Cluster.costs;
   metrics : Metrics.t;
   coalescers : Progress.coalescer array; (* one per worker *)
@@ -48,12 +49,12 @@ type t = {
   complete : at:Sim_time.t -> cz:int -> w:int -> q -> Sim_time.t;
 }
 
-let create ~costs ~metrics ~n_workers ~coalescing ~per_traverser ~responders ?(check = false)
+let create ~graph ~costs ~metrics ~n_workers ~coalescing ~per_traverser ~responders ?(check = false)
     ?mutation ?(obs = Pstm_obs.Recorder.disabled) ?(on_event = fun _ ~qid:_ ~phase:_ -> ()) ~live
     ~slab ~send ~complete () =
   let coalescers = Array.init n_workers (fun _ -> Progress.coalescer ()) in
   let trace = Pstm_obs.Recorder.trace obs and causal = Pstm_obs.Recorder.causal obs in
-  { costs; metrics; coalescers; coalescing; per_traverser; responders;
+  { graph; costs; metrics; coalescers; coalescing; per_traverser; responders;
     accumulators = Memo.create (); check; mutation;
     obs_on = Pstm_obs.Recorder.enabled obs; trace; causal; on_event; live; slab; send; complete }
 
@@ -125,7 +126,7 @@ and phase_complete t ~at ~cz ~w q phase =
     in
     q.ext.combine_step <- agg_step;
     q.ext.combine_received <- 0;
-    q.ext.combine_acc <- Some (Memo.partial t.accumulators ~qid:q.qid ~label:agg_step agg);
+    q.ext.combine_acc <- Some (Memo.partial t.accumulators ~qid:q.qid ~label:agg_step t.graph agg);
     q.ext.combine_expected <- Array.length t.responders;
     let cz = hop t ~qid:q.qid ~name:"phase-complete" ~ts:at ~src:cz Pstm_obs.Causal.Tracker in
     let flush = P_agg_flush { agg_step } in
@@ -222,7 +223,7 @@ let combine t (q : q) payload =
     if s.combine_received < s.combine_expected then None
     else begin
       (* All partials in: finalize and start the next phase. *)
-      let regs = Exec.continuation q.program ~agg_step:s.combine_step s.combine_acc in
+      let regs = Exec.continuation t.graph q.program ~agg_step:s.combine_step s.combine_acc in
       s.combine_step <- -1;
       release_accumulators t q;
       Some regs

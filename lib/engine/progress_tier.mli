@@ -20,12 +20,15 @@ val state : Program.t -> query
 
 type t
 
-(** [coalescing]: finished weights merge per worker until a flush, each
-    merge charged when [per_traverser]. [responders] answer aggregate
+(** [graph] is the one the queries run on (it picks the accumulators'
+    state, {!Aggregate.create}). [coalescing]: finished weights merge
+    per worker until a flush, each merge charged when [per_traverser].
+    [responders] answer aggregate
     flushes; [on_event] feeds the tracker monitor; [live] finds a live
     query; messages are built in [slab]; [complete] ends one whose last
     phase completed. *)
 val create :
+  graph:Graph.t ->
   costs:Cluster.costs ->
   metrics:Metrics.t ->
   n_workers:int ->

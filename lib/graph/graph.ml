@@ -86,6 +86,12 @@ let compare_vertex_prop t ~key v c =
   check_vertex t v;
   Props.compare_to t.vertex_props ~key v c
 
+let int_prop_column t ~key = Props.is_ints t.vertex_props ~key
+
+let vertex_int_prop t ~key v =
+  check_vertex t v;
+  Props.int_cell t.vertex_props ~key v
+
 let vertex_prop_by_name t ~key v =
   match Schema.property_key_opt t.schema key with
   | None -> Value.Null

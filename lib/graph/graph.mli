@@ -51,8 +51,17 @@ val in_csr : t -> Csr.t
 val vertex_prop : t -> key:int -> int -> Value.t
 
 (** [Value.compare (vertex_prop t ~key v) c], boxing nothing when the
-    property is an integer column and [c] an [Int]. *)
+    property is an integer column and [c] an [Int], or a string column
+    and [c] a [Str]. *)
 val compare_vertex_prop : t -> key:int -> int -> Value.t -> int
+
+(** The vertex property [key] is an integer column. *)
+val int_prop_column : t -> key:int -> bool
+
+(** [v]'s cell in the integer column [key], unboxed. Raises [Not_found]
+    when the cell is empty or the column is not an integer column;
+    allocates nothing either way. *)
+val vertex_int_prop : t -> key:int -> int -> int
 
 (** Convenience lookup by property-key name; [Null] when the key or value
     is absent. *)

@@ -36,22 +36,31 @@ let get t ~key id =
   | Mixed data -> data.(id)
 
 (* [Value.compare (get t ~key id) v], without boxing the cell when it
-   sits in an Ints column and [v] is an [Int]: a filter such as
-   [has('id', ne(s))] compares a column against an int constant on every
+   sits in an Ints column and [v] is an [Int], or in a Strs column and
+   [v] is a [Str]: a filter such as [has('id', ne(s))] or
+   [has('name', 'x')] compares a column against a constant on every
    traverser. *)
 let compare_to t ~key id v =
   match v with
-  | Value.Int n when id >= 0 && id < t.size -> (
-    match Hashtbl.find t.columns key with
-    | Ints (data, valid) when Bitset.mem valid id -> Int.compare data.(id) n
+  | (Value.Int _ | Value.Str _) when id >= 0 && id < t.size -> (
+    match Hashtbl.find t.columns key, v with
+    | Ints (data, valid), Value.Int n when Bitset.mem valid id -> Int.compare data.(id) n
+    | Strs (data, valid), Value.Str s when Bitset.mem valid id -> String.compare data.(id) s
     | _ | (exception Not_found) -> Value.compare (get t ~key id) v)
   | _ -> Value.compare (get t ~key id) v
 
-let get_int t ~key id =
+let is_ints t ~key =
   match Hashtbl.find t.columns key with
-  | exception Not_found -> None
-  | Ints (data, valid) when Bitset.mem valid id -> Some data.(id)
-  | _ -> Value.to_int (get t ~key id)
+  | Ints _ -> true
+  | _ | (exception Not_found) -> false
+
+(* Raising the constant [Not_found] allocates nothing, so an absent cell
+   costs no option either. *)
+let int_cell t ~key id =
+  if id < 0 || id >= t.size then invalid_arg "Props.int_cell: row out of range";
+  match Hashtbl.find t.columns key with
+  | Ints (data, valid) when Bitset.mem valid id -> data.(id)
+  | _ -> raise Not_found
 
 (* Materialize a column from sparse (row, value) pairs. The column is
    specialized when every present value has the same primitive shape. *)

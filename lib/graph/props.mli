@@ -19,11 +19,17 @@ val keys : t -> int list
 val get : t -> key:int -> int -> Value.t
 
 (** [Value.compare (get t ~key id) v]; allocates nothing when the cell
-    is in an integer column and [v] is an [Int]. *)
+    is in an integer column and [v] is an [Int], or in a string column
+    and [v] is a [Str]. *)
 val compare_to : t -> key:int -> int -> Value.t -> int
 
-(** Fast path for integer columns. *)
-val get_int : t -> key:int -> int -> int option
+(** Column [key] is an [Ints] column. *)
+val is_ints : t -> key:int -> bool
+
+(** The cell at row [id] of the [Ints] column [key], unboxed. Raises
+    [Not_found] when the cell is empty or [key] is not an [Ints] column;
+    allocates nothing either way. *)
+val int_cell : t -> key:int -> int -> int
 
 (** Build from sparse per-key (row, value) pair lists; homogeneous columns
     are specialized to unboxed arrays. *)

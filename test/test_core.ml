@@ -284,6 +284,9 @@ let travs_matches_list_model =
 
 (* --- Memo --- *)
 
+let dummy_graph =
+  lazy (Builder.build (Builder.of_edges ~n_vertices:1 [||]))
+
 let test_memo_dedup () =
   let m = Memo.create () in
   Alcotest.(check bool) "first" true (Memo.add_if_absent m ~qid:1 ~label:0 (Value.Int 5));
@@ -478,7 +481,9 @@ module Memo_model = struct
         expected
         (fun () -> Memo.rows_get memo ~qid:q ~label:l k)
     | Partial (q, l) -> (
-      match (find q l Value.Null, outcome (fun () -> Memo.partial memo ~qid:q ~label:l Step.Count)) with
+      let g = Lazy.force dummy_graph in
+      let fetch () = Memo.partial memo ~qid:q ~label:l g Step.Count in
+      match (find q l Value.Null, outcome fetch) with
       | Some (Memo.Partial p), Ok p' -> p == p'
       | Some _, Error () -> true
       | None, Ok p' ->
@@ -498,7 +503,7 @@ module Memo_model = struct
         match e mod 3 with
         | 0 -> Memo.Scalar (Value.Int e)
         | 1 -> Memo.Rows [ [| Value.Int e |] ]
-        | _ -> Memo.Partial (Aggregate.create Step.Count)
+        | _ -> Memo.Partial (Aggregate.create (Lazy.force dummy_graph) Step.Count)
       in
       put q l k entry;
       agrees ( = ) (Ok ()) (fun () -> Memo.set memo ~qid:q ~label:l k entry)
@@ -638,12 +643,9 @@ let test_memo_absent_reads_allocate_nothing () =
 
 (* --- Aggregate --- *)
 
-let dummy_graph =
-  lazy (Builder.build (Builder.of_edges ~n_vertices:1 [||]))
-
 let accumulate_ints agg values =
   let g = Lazy.force dummy_graph in
-  let state = Aggregate.create agg in
+  let state = Aggregate.create g agg in
   List.iter
     (fun v ->
       let regs = [| Value.Int v |] in
@@ -677,7 +679,7 @@ let agg_merge_equals_concat =
     (fun (xs, ys) ->
       let g = Lazy.force dummy_graph in
       let agg = Step.Sum (Step.Reg 0) in
-      let left = Aggregate.create agg and right = Aggregate.create agg in
+      let left = Aggregate.create g agg and right = Aggregate.create g agg in
       List.iter (fun v -> Aggregate.accumulate agg left g ~vertex:0 ~regs:[| Value.Int v |]) xs;
       List.iter (fun v -> Aggregate.accumulate agg right g ~vertex:0 ~regs:[| Value.Int v |]) ys;
       Aggregate.merge ~into:left right;
@@ -686,7 +688,7 @@ let agg_merge_equals_concat =
 let test_agg_topk_ties_by_output () =
   let g = Lazy.force dummy_graph in
   let agg = Step.Topk { k = 2; score = Step.Reg 0; output = Step.Reg 1 } in
-  let state = Aggregate.create agg in
+  let state = Aggregate.create g agg in
   let feed score output =
     Aggregate.accumulate agg state g ~vertex:0 ~regs:[| Value.Int score; Value.Vertex output |]
   in
@@ -761,7 +763,7 @@ let agg_topk_bytes_matches_sorted_sum =
     (fun (k, scores) ->
       let g = Lazy.force dummy_graph in
       let agg = Step.Topk { k; score = Step.Reg 0; output = Step.Reg 1 } in
-      let state = Aggregate.create agg in
+      let state = Aggregate.create g agg in
       let scores = Array.of_list scores in
       Array.iteri
         (fun i s -> Aggregate.accumulate agg state g ~vertex:0 ~regs:[| s; Value.Vertex i |])
@@ -805,14 +807,15 @@ let agg_recycled_equals_fresh =
   QCheck.Test.make ~name:"a recycled partial finalizes as a fresh one" ~count:200
     QCheck.(pair (list small_int) (list small_int))
     (fun (xs, ys) ->
+      let g = Lazy.force dummy_graph in
       List.for_all
         (fun agg ->
-          let recycled = Aggregate.create agg and fresh = Aggregate.create agg in
+          let recycled = Aggregate.create g agg and fresh = Aggregate.create g agg in
           feed agg recycled xs;
           Aggregate.reset recycled;
           feed agg recycled ys;
           feed agg fresh ys;
-          Aggregate.fits agg recycled
+          Aggregate.fits g agg recycled
           && Aggregate.finalize recycled = Aggregate.finalize fresh
           && Aggregate.bytes recycled = Aggregate.bytes fresh)
         every_agg_kind)
@@ -820,22 +823,24 @@ let agg_recycled_equals_fresh =
 (* A cleared query's partial serves the next query that aggregates with
    the same shape, emptied; another shape gets a state of its own. *)
 let test_memo_recycles_partials () =
+  let g = Lazy.force dummy_graph in
   let m = Memo.create () in
   let top3 = Step.Topk { k = 3; score = Step.Reg 0; output = Step.Reg 1 } in
-  let p0 = Memo.partial m ~qid:0 ~label:2 top3 in
+  let p0 = Memo.partial m ~qid:0 ~label:2 g top3 in
   feed top3 p0 [ 5; 1; 9 ];
   Memo.clear_query m 0;
-  let p1 = Memo.partial m ~qid:1 ~label:5 top3 in
+  let p1 = Memo.partial m ~qid:1 ~label:5 g top3 in
   Alcotest.(check bool) "same state" true (p0 == p1);
   Alcotest.(check bool) "emptied" true (Aggregate.finalize p1 = Value.List []);
   Alcotest.(check int) "one live entry" 1 (Memo.live_entries m);
   Memo.clear_query m 1;
   let top5 = Step.Topk { k = 5; score = Step.Reg 0; output = Step.Reg 1 } in
-  Alcotest.(check bool) "another k, another state" true (Memo.partial m ~qid:2 ~label:5 top5 != p0);
+  Alcotest.(check bool) "another k, another state" true
+    (Memo.partial m ~qid:2 ~label:5 g top5 != p0);
   Alcotest.(check bool) "another kind, another state" true
-    (Memo.partial m ~qid:2 ~label:6 Step.Count != p0);
+    (Memo.partial m ~qid:2 ~label:6 g Step.Count != p0);
   Alcotest.(check bool) "the kept one still fits top-3" true
-    (Memo.partial m ~qid:3 ~label:0 top3 == p0)
+    (Memo.partial m ~qid:3 ~label:0 g top3 == p0)
 
 (* Allocation guard for the partial lifecycle of §III-C, as one
    partition and the coordinator see it: once one query has run, each of
@@ -861,11 +866,11 @@ let test_warm_aggregate_allocates_nothing () =
   let run qid =
     for label = 0 to Array.length aggs - 1 do
       let agg = aggs.(label) in
-      let p = Memo.partial memo ~qid ~label agg in
+      let p = Memo.partial memo ~qid ~label g agg in
       for i = 0 to Array.length regs - 1 do
         Aggregate.accumulate agg p g ~vertex:0 ~regs:regs.(i)
       done;
-      Aggregate.merge ~into:(Memo.partial coordinator ~qid ~label agg) p
+      Aggregate.merge ~into:(Memo.partial coordinator ~qid ~label g agg) p
     done;
     Memo.clear_query coordinator qid;
     Memo.clear_query memo qid
@@ -880,6 +885,147 @@ let test_warm_aggregate_allocates_nothing () =
   Alcotest.(check int) "memos empty" 0 (Memo.live_entries memo + Memo.live_entries coordinator);
   if per_query > 0. then
     Alcotest.failf "a warm aggregating query allocated %.2f words (bound 0)" per_query
+
+(* --- Typed top-k --- *)
+
+(* A graph of [cells] vertices whose "w" property is an Ints column with
+   holes ([None] cells). Every vertex carries a second, always present
+   property, so the column exists however many holes there are. *)
+let weighted_graph cells =
+  let b = Builder.create () in
+  Array.iteri
+    (fun v cell ->
+      let w = match cell with None -> [] | Some n -> [ ("w", Value.Int n) ] in
+      ignore (Builder.add_vertex b ~label:"v" ~props:(("id", Value.Int v) :: w) ()))
+    cells;
+  let g = Builder.build b in
+  (g, Schema.property_key (Graph.schema g) "w")
+
+(* The boxed twin of [Topk { score = Prop key; output = Vertex_id }]:
+   the same (score, output) values, read from registers. *)
+let boxed_topk k = Step.Topk { k; score = Step.Reg 0; output = Step.Reg 1 }
+
+let boxed_regs g ~key v = [| Graph.vertex_prop g ~key v; Value.Vertex v |]
+
+(* Cells from a narrow range, so scores tie, with holes and the extreme
+   ints; partials are vertex lists (repeats allowed) merged in a random
+   order. *)
+let typed_topk_case =
+  QCheck.Gen.(
+    let cell =
+      frequency
+        [
+          (2, return None);
+          (6, map Option.some (int_range (-3) 3));
+          (1, map Option.some (oneofl [ min_int; max_int; 0 ]));
+        ]
+    in
+    int_range 1 30 >>= fun n ->
+    let vertex = int_range 0 (n - 1) in
+    quad
+      (array_repeat n cell)
+      (oneofl [ 1; 10; 20 ])
+      (list_size (int_range 1 5) (list_size (int_range 0 25) vertex))
+      (list_size (return 5) (int_range 0 1000)))
+
+(* The typed top-k decides, merges, finalizes and counts bytes exactly
+   as the boxed state fed the same values does: per partial, and for an
+   accumulator that merges the partials in a random order, recycled
+   ([reset]) between two rounds. *)
+let agg_typed_topk_matches_boxed =
+  QCheck.Test.make ~name:"typed top-k matches the boxed one" ~count:400
+    (QCheck.make
+       ~print:QCheck.Print.(quad (array (option int)) int (list (list int)) (list int))
+       typed_topk_case)
+    (fun (cells, k, partials, order) ->
+      let g, key = weighted_graph cells in
+      let typed = Step.Topk { k; score = Step.Prop key; output = Step.Vertex_id } in
+      let boxed = boxed_topk k in
+      let fill agg regs vertices =
+        let st = Aggregate.create g agg in
+        List.iter (fun v -> Aggregate.accumulate agg st g ~vertex:v ~regs:(regs v)) vertices;
+        st
+      in
+      let ts = List.map (fill typed (fun _ -> [||])) partials in
+      let bs = List.map (fill boxed (boxed_regs g ~key)) partials in
+      (* The merge order: partial indices sorted by a drawn priority
+         each (at most five partials, five priorities). *)
+      let perm =
+        List.mapi (fun i _ -> (List.nth order i, i)) partials |> List.sort compare |> List.map snd
+      in
+      let same t b =
+        Aggregate.finalize t = Aggregate.finalize b && Aggregate.bytes t = Aggregate.bytes b
+      in
+      let t_acc = Aggregate.create g typed and b_acc = Aggregate.create g boxed in
+      let round () =
+        Aggregate.reset t_acc;
+        Aggregate.reset b_acc;
+        List.iter
+          (fun i ->
+            Aggregate.merge ~into:t_acc (List.nth ts i);
+            Aggregate.merge ~into:b_acc (List.nth bs i))
+          perm;
+        same t_acc b_acc
+      in
+      (* A typed state does not fit the boxed shape; a boxed one would.
+         With no cell present there is no column, so the state is boxed. *)
+      Aggregate.fits g boxed t_acc = Array.for_all Option.is_none cells
+      && List.for_all2 same ts bs && round () && round ())
+
+(* A pooled typed top-k serves only a top-k of the same k by the same
+   column: a boxed top-k of that k, or a typed one by another column,
+   gets a state of its own, and so does the typed one after a boxed
+   state was pooled. *)
+let test_typed_partial_fits_its_shape () =
+  let b = Builder.create () in
+  for v = 0 to 3 do
+    let props = [ ("w", Value.Int v); ("x", Value.Int (-v)) ] in
+    ignore (Builder.add_vertex b ~label:"v" ~props ())
+  done;
+  let g = Builder.build b in
+  let key = Schema.property_key (Graph.schema g) in
+  let by k = Step.Topk { k = 3; score = Step.Prop (key k); output = Step.Vertex_id } in
+  let m = Memo.create () in
+  let typed = Memo.partial m ~qid:0 ~label:0 g (by "w") in
+  Memo.clear_query m 0;
+  let boxed = Memo.partial m ~qid:1 ~label:0 g (boxed_topk 3) in
+  let by_x = Memo.partial m ~qid:1 ~label:1 g (by "x") in
+  Alcotest.(check bool) "boxed shape, another state" true (boxed != typed);
+  Alcotest.(check bool) "another column, another state" true (by_x != typed);
+  Memo.clear_query m 1;
+  let again = Memo.partial m ~qid:2 ~label:0 g (by "w") in
+  Alcotest.(check bool) "the typed state comes back" true (again == typed);
+  List.iter (fun v -> Aggregate.accumulate (by "w") again g ~vertex:v ~regs:[||]) [ 0; 1; 2; 3 ];
+  Alcotest.(check bool) "reads its own column" true
+    (Aggregate.finalize again = Value.List [ Value.Vertex 3; Value.Vertex 2; Value.Vertex 1 ]);
+  Memo.clear_query m 2;
+  let boxed_again = Memo.partial m ~qid:3 ~label:0 g (boxed_topk 3) in
+  Alcotest.(check bool) "the boxed state comes back" true (boxed_again == boxed)
+
+(* Allocation guard for the typed top-k: once warm, 10 000 accumulates
+   of a top-10 by an Ints column with holes, a merge into a second
+   state and two resets allocate nothing. Bound 0 words, measured 0;
+   the boxed state fed [Prop] and [Vertex_id] allocates about 4 words
+   per accumulate that passes its worst-score filter. *)
+let test_typed_topk_allocates_nothing () =
+  let cells = Array.init 64 (fun v -> if v mod 5 = 0 then None else Some (v * 37 mod 11)) in
+  let g, key = weighted_graph cells in
+  let agg = Step.Topk { k = 10; score = Step.Prop key; output = Step.Vertex_id } in
+  let p = Aggregate.create g agg and acc = Aggregate.create g agg in
+  let run () =
+    for i = 0 to 9_999 do
+      Aggregate.accumulate agg p g ~vertex:(i * 13 mod 64) ~regs:[||]
+    done;
+    Aggregate.merge ~into:acc p;
+    Aggregate.reset p;
+    Aggregate.reset acc
+  in
+  run ();
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  if words > 0. then Alcotest.failf "a warm typed top-k allocated %.0f words (bound 0)" words
 
 (* --- Program validation --- *)
 
@@ -1010,48 +1156,91 @@ let test_step_eval () =
 
 (* A graph whose property columns cover every shape a filter can meet:
    an Ints column with holes (missing reads as Null), a Floats column, a
-   Mixed column (ints and strings), and a key with no column at all. *)
+   Mixed column (ints and strings), a key with no column at all, and a
+   Strs column with holes. *)
+let filter_strs = [| "a"; "b"; "s"; "zz" |]
+
 let filter_graph =
   lazy
     (let b = Builder.create () in
      for v = 0 to 11 do
        let ints = if v mod 3 = 0 then [] else [ ("ints", Value.Int (v - 5)) ] in
        let mixed = ("mixed", if v mod 2 = 0 then Value.Int (v - 6) else Value.Str "s") in
+       let strs = if v mod 4 = 1 then [] else [ ("strs", Value.Str filter_strs.(v mod 4)) ] in
        ignore
          (Builder.add_vertex b ~label:"v"
-            ~props:(ints @ [ ("floats", Value.Float (float_of_int v /. 2.)); mixed ])
+            ~props:(ints @ [ ("floats", Value.Float (float_of_int v /. 2.)); mixed ] @ strs)
             ())
      done;
      Builder.build b)
 
 let filter_keys g =
   let key = Schema.property_key (Graph.schema g) in
-  [| key "ints"; key "floats"; key "mixed"; key "no-such-column" |]
+  [| key "ints"; key "floats"; key "mixed"; key "no-such-column"; key "strs" |]
 
 let all_cmps = [| Step.Eq; Step.Ne; Step.Lt; Step.Le; Step.Gt; Step.Ge |]
+
+(* Whether [cmp] holds of a [Value.compare] result. *)
+let holds cmp c =
+  match cmp with
+  | Step.Eq -> c = 0
+  | Step.Ne -> c <> 0
+  | Step.Lt -> c < 0
+  | Step.Le -> c <= 0
+  | Step.Gt -> c > 0
+  | Step.Ge -> c >= 0
 
 (* The unboxed compare of a property against an int constant decides as
    the boxed [Value.compare] of the property's value does, on every
    column shape. *)
 let filter_int_const_matches_boxed =
   QCheck.Test.make ~name:"int-constant filter matches the boxed compare" ~count:500
-    QCheck.(quad (int_range 0 11) (int_range 0 3) (int_range (-8) 8) (int_range 0 5))
+    QCheck.(quad (int_range 0 11) (int_range 0 4) (int_range (-8) 8) (int_range 0 5))
     (fun (v, k, n, c) ->
       let g = Lazy.force filter_graph in
       let key = (filter_keys g).(k) and cmp = all_cmps.(c) in
       let boxed = Value.compare (Graph.vertex_prop g ~key v) (Value.Int n) in
-      let expected =
-        match cmp with
-        | Step.Eq -> boxed = 0
-        | Step.Ne -> boxed <> 0
-        | Step.Lt -> boxed < 0
-        | Step.Le -> boxed <= 0
-        | Step.Gt -> boxed > 0
-        | Step.Ge -> boxed >= 0
-      in
       Graph.compare_vertex_prop g ~key v (Value.Int n) = boxed
       && Step.eval_pred g ~vertex:v ~regs:[||] (Step.Cmp (cmp, Step.Prop key, Step.Const (Value.Int n)))
-         = expected)
+         = holds cmp boxed)
+
+(* The same for a string constant: a Strs cell is compared unboxed, and
+   every other column shape, holes included, as [Value.compare] does. *)
+let filter_str_const_matches_boxed =
+  QCheck.Test.make ~name:"string-constant filter matches the boxed compare" ~count:500
+    QCheck.(
+      quad (int_range 0 11) (int_range 0 4) (oneofl [ ""; "a"; "b"; "r"; "s"; "zz"; "zzz" ])
+        (int_range 0 5))
+    (fun (v, k, str, c) ->
+      let g = Lazy.force filter_graph in
+      let key = (filter_keys g).(k) and cmp = all_cmps.(c) in
+      let boxed = Value.compare (Graph.vertex_prop g ~key v) (Value.Str str) in
+      Graph.compare_vertex_prop g ~key v (Value.Str str) = boxed
+      && Step.eval_pred g ~vertex:v ~regs:[||]
+           (Step.Cmp (cmp, Step.Prop key, Step.Const (Value.Str str)))
+         = holds cmp boxed)
+
+(* [where(neq(a))]: the current vertex against a register compares as
+   ints when the register holds a vertex, and as [Value.compare] of the
+   boxed vertex otherwise. *)
+let filter_vertex_reg_matches_boxed =
+  QCheck.Test.make ~name:"vertex-register filter matches the boxed compare" ~count:500
+    QCheck.(
+      triple (int_range 0 11)
+        (make
+           Gen.(
+             oneof
+               [
+                 map (fun u -> Value.Vertex u) (int_range 0 11);
+                 map (fun u -> Value.Int u) (int_range 0 11);
+                 oneofl [ Value.Null; Value.Str "s"; Value.Edge 3 ];
+               ]))
+        (int_range 0 5))
+    (fun (v, reg, c) ->
+      let g = Lazy.force filter_graph in
+      let cmp = all_cmps.(c) in
+      Step.eval_pred g ~vertex:v ~regs:[| reg |] (Step.Cmp (cmp, Step.Vertex_id, Step.Reg 0))
+      = holds cmp (Value.compare (Value.Vertex v) reg))
 
 (* Allocation guard: [has('ints', ne(3))] over an Ints column reads the
    cell unboxed. 1 200 evaluations, bound 0 words; 2 words each when the
@@ -1070,6 +1259,30 @@ let test_int_filter_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   Alcotest.(check int) "ne(3) holds but at vertex 8" 1100 !hits;
   if words > 0. then Alcotest.failf "1200 int filters allocated %.0f words (bound 0)" words
+
+(* Allocation guard for the other two unboxed filters: [has('strs',
+   neq('s'))] over a Strs column with holes, and [where(neq(a))] of the
+   current vertex against a vertex register. 2 400 evaluations, bound 0
+   words; 2 words each when the cell or the vertex came back boxed. *)
+let test_str_and_vertex_filters_allocate_nothing () =
+  let g = Lazy.force filter_graph in
+  let by_str = Step.Cmp (Step.Ne, Step.Prop (filter_keys g).(4), Step.Const (Value.Str "s")) in
+  let by_vertex = Step.Cmp (Step.Ne, Step.Vertex_id, Step.Reg 0) in
+  let regs = [| Value.Vertex 5 |] in
+  let str_hits = ref 0 and vertex_hits = ref 0 in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  for _ = 1 to 100 do
+    for v = 0 to 11 do
+      if Step.eval_pred g ~vertex:v ~regs by_str then incr str_hits;
+      if Step.eval_pred g ~vertex:v ~regs by_vertex then incr vertex_hits
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  (* "s" sits at vertices 2, 6 and 10; the register holds vertex 5. *)
+  Alcotest.(check (pair int int)) "hits" (900, 1100) (!str_hits, !vertex_hits);
+  if words > 0. then
+    Alcotest.failf "2400 string and vertex filters allocated %.0f words (bound 0)" words
 
 let () =
   Alcotest.run "core"
@@ -1123,6 +1336,11 @@ let () =
           qcheck agg_recycled_equals_fresh;
           Alcotest.test_case "a warm aggregate allocates nothing" `Quick
             test_warm_aggregate_allocates_nothing;
+          qcheck agg_typed_topk_matches_boxed;
+          Alcotest.test_case "a typed partial fits only its shape" `Quick
+            test_typed_partial_fits_its_shape;
+          Alcotest.test_case "a warm typed top-k allocates nothing" `Quick
+            test_typed_topk_allocates_nothing;
         ] );
       ( "program",
         [
@@ -1137,5 +1355,9 @@ let () =
           qcheck filter_int_const_matches_boxed;
           Alcotest.test_case "an int filter allocates nothing" `Quick
             test_int_filter_allocates_nothing;
+          qcheck filter_str_const_matches_boxed;
+          qcheck filter_vertex_reg_matches_boxed;
+          Alcotest.test_case "string and vertex filters allocate nothing" `Quick
+            test_str_and_vertex_filters_allocate_nothing;
         ] );
     ]

@@ -108,7 +108,11 @@ let test_props_typed_columns () =
   let p = Props.of_sparse ~size:3 sparse in
   Alcotest.(check bool) "int col" true (Value.equal (Value.Int 10) (Props.get p ~key:0 0));
   Alcotest.(check bool) "missing is null" true (Value.is_null (Props.get p ~key:0 1));
-  Alcotest.(check (option int)) "fast int path" (Some 30) (Props.get_int p ~key:0 2);
+  Alcotest.(check int) "fast int path" 30 (Props.int_cell p ~key:0 2);
+  Alcotest.check_raises "empty int cell" Not_found (fun () -> ignore (Props.int_cell p ~key:0 1));
+  Alcotest.check_raises "mixed col is not ints" Not_found (fun () ->
+      ignore (Props.int_cell p ~key:1 2));
+  Alcotest.(check bool) "ints column" true (Props.is_ints p ~key:0 && not (Props.is_ints p ~key:1));
   Alcotest.(check bool) "mixed col str" true (Value.equal (Value.Str "x") (Props.get p ~key:1 1));
   Alcotest.(check bool) "mixed col int" true (Value.equal (Value.Int 5) (Props.get p ~key:1 2));
   Alcotest.(check bool) "unknown key is null" true (Value.is_null (Props.get p ~key:9 0))

@@ -193,8 +193,9 @@ let lifecycle () =
 let tier ?(completed = ref 0) life =
   let sent, send = outbox () in
   let tier =
-    Progress_tier.create ~costs ~metrics:(Metrics.create ()) ~n_workers:2 ~coalescing:true
-      ~per_traverser:true ~responders:[| 0; 1 |] ~live:(Lifecycle.live life) ~slab ~send
+    Progress_tier.create ~graph:(Lazy.force graph) ~costs ~metrics:(Metrics.create ()) ~n_workers:2
+      ~coalescing:true ~per_traverser:true ~responders:[| 0; 1 |] ~live:(Lifecycle.live life)
+      ~slab ~send
       ~complete:(fun ~at:_ ~cz:_ ~w:_ _ ->
         incr completed;
         Sim_time.zero)
@@ -291,7 +292,7 @@ let test_combine_leaves_partials () =
       (fun w vertices ->
         List.iter
           (fun vertex ->
-            Aggregate.accumulate agg (Memo.partial memos.(w) ~qid:q.qid ~label:agg_step agg) g
+            Aggregate.accumulate agg (Memo.partial memos.(w) ~qid:q.qid ~label:agg_step g agg) g
               ~vertex ~regs)
           vertices)
       feeds;
