@@ -757,9 +757,10 @@ let ldbc_cmd =
           List.iter
             (fun (name, make) ->
               let rows = ref 0 in
+              let make = make data in
               let latencies =
                 Array.init repeats (fun _ ->
-                    let report = run_once (make data prng) in
+                    let report = run_once (make prng) in
                     let q = report.Engine.queries.(0) in
                     rows := !rows + List.length q.Engine.rows;
                     Engine.latency_ms q)

@@ -6,6 +6,8 @@
    terminates the partials are combined at the coordinator. [accumulate],
    [merge] and [finalize] are exactly that lifecycle. *)
 
+module Strtbl = Hashtbl.Make (String)
+
 type t =
   | Count_st of { mutable n : int }
   | Sum_st of { mutable total : Value.t }
@@ -16,6 +18,8 @@ type t =
       (* a top-k of vertices by an integer property: see [ints_cmp] *)
   | Collect_st of { limit : int option; mutable items : Value.t list; mutable n : int }
   | Group_st of { counts : (Value.t, int) Hashtbl.t }
+  | Group_strs_st of { key : int; counts : int Strtbl.t; mutable absent : int }
+      (* a group count keyed by a string property: see [strs_key] *)
 
 (* Descending score, ties broken by ascending output (the paper's k-hop
    example: "10 most weighted ... ties broken by vertex id"). *)
@@ -43,6 +47,16 @@ let ints_key graph (agg : Step.agg) =
   | Topk { score = Prop key; output = Vertex_id; _ } when Graph.int_prop_column graph ~key -> key
   | _ -> -1
 
+(* The typed group count: [Group_count (Prop key)] over a [Strs] column,
+   the shape of every group count in the LDBC IC queries. A group is
+   keyed by the cell's own string, so no [Value.Str] is boxed per
+   traverser; empty cells, which the boxed state counts under [Null],
+   are counted apart in [absent]. *)
+let strs_key graph (agg : Step.agg) =
+  match agg with
+  | Group_count (Prop key) when Graph.str_prop_column graph ~key -> key
+  | _ -> -1
+
 let create graph (agg : Step.agg) =
   match agg with
   | Count -> Count_st { n = 0 }
@@ -55,7 +69,10 @@ let create graph (agg : Step.agg) =
       Topk_ints_st { key; acc = Topk.create ~k ~cmp:ints_cmp ~dummy_score:0 ~dummy_output:0 }
     else Topk_st (Topk.create ~k ~cmp:topk_cmp ~dummy_score:Value.Null ~dummy_output:Value.Null)
   | Collect { limit; _ } -> Collect_st { limit; items = []; n = 0 }
-  | Group_count _ -> Group_st { counts = Hashtbl.create 16 }
+  | Group_count _ ->
+    let key = strs_key graph agg in
+    if key >= 0 then Group_strs_st { key; counts = Strtbl.create 16; absent = 0 }
+    else Group_st { counts = Hashtbl.create 16 }
 
 (* Fold one traverser into the partial state. The expressions of [agg]
    are evaluated in the traverser's context, each by a direct
@@ -96,6 +113,13 @@ let accumulate (agg : Step.agg) t graph ~vertex ~regs =
     match Hashtbl.find st.counts key with
     | n -> Hashtbl.replace st.counts key (n + 1)
     | exception Not_found -> Hashtbl.add st.counts key 1)
+  | Group_count _, Group_strs_st st -> (
+    match Graph.vertex_str_prop graph ~key:st.key vertex with
+    | s -> (
+      match Strtbl.find st.counts s with
+      | n -> Strtbl.replace st.counts s (n + 1)
+      | exception Not_found -> Strtbl.add st.counts s 1)
+    | exception Not_found -> st.absent <- st.absent + 1)
   | _ -> invalid_arg "Aggregate.accumulate: state does not match aggregation"
 
 let merge ~into t =
@@ -124,11 +148,20 @@ let merge ~into t =
         let m = Option.value ~default:0 (Hashtbl.find_opt a.counts key) in
         Hashtbl.replace a.counts key (m + n))
       b.counts
+  | Group_strs_st a, Group_strs_st b ->
+    (* det-ok: per-key counter addition is commutative across merge order *)
+    Strtbl.iter
+      (fun s n ->
+        match Strtbl.find a.counts s with
+        | m -> Strtbl.replace a.counts s (m + n)
+        | exception Not_found -> Strtbl.add a.counts s n)
+      b.counts;
+    a.absent <- a.absent + b.absent
   | _ -> invalid_arg "Aggregate.merge: mismatched partial states"
 
 (* A state built by [create graph agg] for an [agg] of this shape: same
-   kind, same k, same collect limit, and for a top-k the same lanes,
-   typed on the same column or boxed. No other part of an expression
+   kind, same k, same collect limit, and for a top-k or a group count
+   the same state, typed on the same column or boxed. No other part of an expression
    matters; the state holds none. *)
 let fits graph (agg : Step.agg) t =
   match agg, t with
@@ -136,7 +169,8 @@ let fits graph (agg : Step.agg) t =
   | Topk { k; _ }, Topk_st acc -> Topk.k acc = k && ints_key graph agg < 0
   | Topk { k; _ }, Topk_ints_st st -> Topk.k st.acc = k && ints_key graph agg = st.key
   | Collect { limit; _ }, Collect_st st -> Option.equal Int.equal limit st.limit
-  | Group_count _, Group_st _ -> true
+  | Group_count _, Group_st _ -> strs_key graph agg < 0
+  | Group_count _, Group_strs_st st -> strs_key graph agg = st.key
   | _ -> false
 
 (* Empty [t] as [create] left it, keeping its storage. *)
@@ -151,6 +185,9 @@ let reset = function
     st.items <- [];
     st.n <- 0
   | Group_st st -> Hashtbl.reset st.counts
+  | Group_strs_st st ->
+    Strtbl.reset st.counts;
+    st.absent <- 0
 
 let finalize = function
   | Count_st st -> Value.Int st.n
@@ -166,6 +203,14 @@ let finalize = function
     let pairs = Hashtbl.fold (fun k n acc -> (k, n) :: acc) st.counts [] in
     let pairs = List.sort (fun (a, _) (b, _) -> Value.compare a b) pairs in
     Value.List (List.map (fun (k, n) -> Value.List [ k; Value.Int n ]) pairs)
+  | Group_strs_st st ->
+    (* [Null] sorts before every [Str], and [Str]s compare as strings. *)
+    (* det-ok: pairs sorted by String.compare on the next line *)
+    let pairs = Strtbl.fold (fun s n acc -> (s, n) :: acc) st.counts [] in
+    let pairs = List.sort (fun (a, _) (b, _) -> String.compare a b) pairs in
+    let groups = List.map (fun (s, n) -> Value.List [ Value.Str s; Value.Int n ]) pairs in
+    if st.absent > 0 then Value.List (Value.List [ Value.Null; Value.Int st.absent ] :: groups)
+    else Value.List groups
 
 (* Serialized size of a partial state: charged when partials travel to the
    coordinator for the final combine. *)
@@ -182,3 +227,11 @@ let bytes = function
   | Group_st st ->
     (* det-ok: commutative sum over entries *)
     Hashtbl.fold (fun k _ acc -> acc + Value.bytes k + 8) st.counts 8
+  | Group_strs_st st ->
+    (* [Value.bytes] of [Str s] (8 plus its length) or of [Null] (1),
+       then 8 for the count. *)
+    (* det-ok: commutative sum over entries *)
+    Strtbl.fold
+      (fun s _ acc -> acc + 8 + String.length s + 8)
+      st.counts
+      (if st.absent > 0 then 8 + 1 + 8 else 8)

@@ -11,8 +11,10 @@ type t
     [Vertex_id]) by an integer property ([score] is [Prop key] and [key]
     an [Ints] column of [graph]) keeps its pairs in int lanes and boxes
     nothing as it accumulates; it finalizes, merges and counts its bytes
-    exactly as the boxed state does. Every other aggregation gets the
-    boxed state. *)
+    exactly as the boxed state does. Likewise a group count by a string
+    property ([Group_count (Prop key)], [key] a [Strs] column) keys its
+    groups by the cells' own strings and counts empty cells apart,
+    boxing no key. Every other aggregation gets the boxed state. *)
 val create : Graph.t -> Step.agg -> t
 
 (** Fold one traverser (evaluating the aggregation's expressions in its
@@ -23,8 +25,8 @@ val accumulate : Step.agg -> t -> Graph.t -> vertex:int -> regs:Value.t array ->
 val merge : into:t -> t -> unit
 
 (** [t] has the shape {!create} gives [agg] on [graph] (same kind, same
-    top-k [k] and lanes, same collect limit), so {!reset} makes it a
-    fresh state for [agg]. *)
+    top-k [k] and lanes, same collect limit, same group-count keys), so
+    {!reset} makes it a fresh state for [agg]. *)
 val fits : Graph.t -> Step.agg -> t -> bool
 
 (** Empty [t] for reuse, keeping its storage (a top-k's lanes). *)

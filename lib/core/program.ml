@@ -37,46 +37,50 @@ let successors step index =
     if step.Step.next = -1 then invalid "step %d (%s) has no successor" index (Step.op_name step.Step.op)
     else [ (step.Step.next, `Same) ]
 
+(* The error context "step %d (%s)" is formatted only when a check
+   fails: building it for every step of every valid program cost most
+   of [make]'s allocation. *)
+let bad_register i op r = invalid "step %d (%s): register %d out of range" i (Step.op_name op) r
+
+let check_reg n_registers i op r = if r < 0 || r >= n_registers then bad_register i op r
+
+let check_expr n_registers i op e =
+  let m = Step.max_reg_expr e in
+  if m >= n_registers then bad_register i op m
+
+let check_pred n_registers i op p =
+  let m = Step.max_reg_pred p in
+  if m >= n_registers then bad_register i op m
+
 let check_registers steps n_registers =
-  let check_reg ctx r =
-    if r < 0 || r >= n_registers then invalid "%s: register %d out of range" ctx r
-  in
-  let check_expr ctx e =
-    let m = Step.max_reg_expr e in
-    if m >= n_registers then invalid "%s: register %d out of range" ctx m
-  in
-  let check_pred ctx p =
-    let m = Step.max_reg_pred p in
-    if m >= n_registers then invalid "%s: register %d out of range" ctx m
-  in
   Array.iteri
     (fun i step ->
-      let ctx = Fmt.str "step %d (%s)" i (Step.op_name step.Step.op) in
-      match step.Step.op with
+      let op = step.Step.op in
+      match op with
       | Step.Index_lookup _ | Step.Scan _ | Step.Expand _ -> ()
-      | Step.Filter p -> check_pred ctx p
+      | Step.Filter p -> check_pred n_registers i op p
       | Step.Set_reg { reg; expr } ->
-        check_reg ctx reg;
-        check_expr ctx expr
-      | Step.Move_to { reg } -> check_reg ctx reg
-      | Step.Dedup { by } -> check_expr ctx by
-      | Step.Visit { dist_reg; _ } -> check_reg ctx dist_reg
+        check_reg n_registers i op reg;
+        check_expr n_registers i op expr
+      | Step.Move_to { reg } -> check_reg n_registers i op reg
+      | Step.Dedup { by } -> check_expr n_registers i op by
+      | Step.Visit { dist_reg; _ } -> check_reg n_registers i op dist_reg
       | Step.Join { key; store; load_regs; _ } ->
-        check_expr ctx key;
-        Array.iter (check_expr ctx) store;
-        Array.iter (check_reg ctx) load_regs
+        check_expr n_registers i op key;
+        Array.iter (check_expr n_registers i op) store;
+        Array.iter (check_reg n_registers i op) load_regs
       | Step.Aggregate { agg; reg } ->
-        check_reg ctx reg;
+        check_reg n_registers i op reg;
         (match agg with
         | Step.Count -> ()
         | Step.Sum e | Step.Max e | Step.Min e
         | Step.Collect { expr = e; _ }
         | Step.Group_count e ->
-          check_expr ctx e
+          check_expr n_registers i op e
         | Step.Topk { score; output; _ } ->
-          check_expr ctx score;
-          check_expr ctx output)
-      | Step.Emit exprs -> Array.iter (check_expr ctx) exprs)
+          check_expr n_registers i op score;
+          check_expr n_registers i op output)
+      | Step.Emit exprs -> Array.iter (check_expr n_registers i op) exprs)
     steps
 
 (* The maximal run of fusable steps starting at [i], linked by [next], in
@@ -238,3 +242,141 @@ let pp ppf t =
     (fun i step -> Fmt.pf ppf "  %2d [p%d] %a@," i t.phase_of_step.(i) Step.pp step)
     t.steps;
   Fmt.pf ppf "@]"
+
+(* --- Templates: a program compiled once, its literals bound later ---
+
+   A template is a checked program whose parameter literals are markers,
+   [param i] for slot [i]. No check of [make] (nor of the verifier, the
+   planner or the strategies) reads a literal's value, so a program that
+   differs from the template only in those literals passes every check
+   the template passed, and has the same phases, routing and chains.
+   [bind] therefore builds no analysis: a bound program shares every
+   array of its template but the step array, and only the steps that
+   hold a parameter get a new op there.
+
+   Each such step's rebuild is staged once, at template time, as a
+   function of the parameter array: it rebuilds the nodes on the path to
+   a parameter and shares every other subterm with the template. So
+   [bind] neither searches an op for markers nor compares a [Value.t]. *)
+
+(* A marker is a negative edge id, which no graph has: -1 for slot 0, -2
+   for slot 1 and so on. So no literal a query means can be mistaken
+   for a marker. *)
+let param i =
+  if i < 0 then invalid_arg "Program.param: negative slot";
+  Value.Edge (-1 - i)
+
+let marker_slot = function Value.Edge e when e < 0 -> -1 - e | _ -> -1
+
+type 'a rebuild = Value.t array -> 'a
+
+let keep x (_ : Value.t array) = x
+
+(* Combine two subterms' rebuilds; [None] when neither holds a
+   parameter. *)
+let stage2 mk a fa b fb =
+  match fa, fb with
+  | None, None -> None
+  | _ ->
+    let fa = Option.value fa ~default:(keep a) and fb = Option.value fb ~default:(keep b) in
+    Some (fun p -> mk (fa p) (fb p))
+
+let rec stage_expr slot (e : Step.expr) : Step.expr rebuild option =
+  match e with
+  | Step.Const c ->
+    let i = slot c in
+    if i < 0 then None else Some (fun p -> Step.Const p.(i))
+  | Step.Add (a, b) -> stage2 (fun a b -> Step.Add (a, b)) a (stage_expr slot a) b (stage_expr slot b)
+  | Step.Pair (a, b) -> stage2 (fun a b -> Step.Pair (a, b)) a (stage_expr slot a) b (stage_expr slot b)
+  | Step.Reg _ | Step.Vertex_id | Step.Vertex_label | Step.Prop _ | Step.Prop_of _ -> None
+
+let rec stage_pred slot (pr : Step.pred) : Step.pred rebuild option =
+  match pr with
+  | Step.True -> None
+  | Step.Cmp (c, a, b) ->
+    stage2 (fun a b -> Step.Cmp (c, a, b)) a (stage_expr slot a) b (stage_expr slot b)
+  | Step.And (a, b) -> stage2 (fun a b -> Step.And (a, b)) a (stage_pred slot a) b (stage_pred slot b)
+  | Step.Or (a, b) -> stage2 (fun a b -> Step.Or (a, b)) a (stage_pred slot a) b (stage_pred slot b)
+  | Step.Not a -> Option.map (fun fa p -> Step.Not (fa p)) (stage_pred slot a)
+
+let stage_exprs slot exprs : Step.expr array rebuild option =
+  let staged = Array.map (stage_expr slot) exprs in
+  if Array.for_all Option.is_none staged then None
+  else
+    let fs = Array.mapi (fun i f -> Option.value f ~default:(keep exprs.(i))) staged in
+    Some (fun p -> Array.map (fun f -> f p) fs)
+
+let stage_agg slot (agg : Step.agg) : Step.agg rebuild option =
+  let map mk e = Option.map (fun f p -> mk (f p)) (stage_expr slot e) in
+  match agg with
+  | Step.Count -> None
+  | Step.Sum e -> map (fun e -> Step.Sum e) e
+  | Step.Max e -> map (fun e -> Step.Max e) e
+  | Step.Min e -> map (fun e -> Step.Min e) e
+  | Step.Group_count e -> map (fun e -> Step.Group_count e) e
+  | Step.Collect { expr; limit } -> map (fun expr -> Step.Collect { expr; limit }) expr
+  | Step.Topk { k; score; output } ->
+    stage2
+      (fun score output -> Step.Topk { k; score; output })
+      score (stage_expr slot score) output (stage_expr slot output)
+
+let stage_op slot (op : Step.op) : Step.op rebuild option =
+  match op with
+  | Step.Index_lookup { vertex_label; key; value } ->
+    let i = slot value in
+    if i < 0 then None else Some (fun p -> Step.Index_lookup { vertex_label; key; value = p.(i) })
+  | Step.Filter pr -> Option.map (fun f p -> Step.Filter (f p)) (stage_pred slot pr)
+  | Step.Set_reg { reg; expr } ->
+    Option.map (fun f p -> Step.Set_reg { reg; expr = f p }) (stage_expr slot expr)
+  | Step.Dedup { by } -> Option.map (fun f p -> Step.Dedup { by = f p }) (stage_expr slot by)
+  | Step.Join { join_id; side; key; store; load_regs; cont } ->
+    stage2
+      (fun key store -> Step.Join { join_id; side; key; store; load_regs; cont })
+      key (stage_expr slot key) store (stage_exprs slot store)
+  | Step.Aggregate { agg; reg } ->
+    Option.map (fun f p -> Step.Aggregate { agg = f p; reg }) (stage_agg slot agg)
+  | Step.Emit exprs -> Option.map (fun f p -> Step.Emit (f p)) (stage_exprs slot exprs)
+  | Step.Scan _ | Step.Expand _ | Step.Move_to _ | Step.Visit _ -> None
+
+type template = {
+  program : t; (* checked, with a marker for each parameter *)
+  n_params : int;
+  param_steps : int array; (* the steps holding a parameter, ascending *)
+  rebuilds : Step.op rebuild array; (* each one's op from the parameters *)
+}
+
+let template ~params program =
+  if params < 0 then invalid_arg "Program.template: negative parameter count";
+  let slot v =
+    let i = marker_slot v in
+    if i >= params then invalid "%s: parameter %d of %d" program.name i params;
+    i
+  in
+  let staged = Array.map (fun step -> stage_op slot step.Step.op) program.steps in
+  Array.iteri
+    (fun i step ->
+      match Step.routing step.Step.op with
+      | Step.By_key key when Option.is_some (stage_expr slot key) ->
+        invalid "%s: step %d routes by a parameter" program.name i
+      | _ -> ())
+    program.steps;
+  let held = ref [] in
+  for i = Array.length staged - 1 downto 0 do
+    Option.iter (fun f -> held := (i, f) :: !held) staged.(i)
+  done;
+  {
+    program;
+    n_params = params;
+    param_steps = Array.of_list (List.map fst !held);
+    rebuilds = Array.of_list (List.map snd !held);
+  }
+
+let bind tpl values =
+  if Array.length values <> tpl.n_params then
+    invalid_arg "Program.bind: parameter count differs from the template's";
+  let steps = Array.copy tpl.program.steps in
+  for j = 0 to Array.length tpl.param_steps - 1 do
+    let i = tpl.param_steps.(j) in
+    steps.(i) <- { Step.op = tpl.rebuilds.(j) values; next = steps.(i).Step.next }
+  done;
+  { tpl.program with steps }

@@ -44,3 +44,30 @@ val chain_exit : t -> int -> int
 val join_partner : t -> int -> int
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Templates}
+
+    A query shape compiled once and bound to its literal values per
+    submission. No check of {!make}, of the verifier, of the planner or
+    of the strategies reads a literal's value, so checking a template
+    checks every binding of it. *)
+
+(** The marker literal of parameter slot [i]: an edge id no graph has.
+    Build a template's program with [param i] wherever parameter [i]'s
+    value goes (an index lookup's value or any [Const]). *)
+val param : int -> Value.t
+
+type template
+
+(** [template ~params p] records, once, the steps of [p] holding a
+    marker and how to rebuild each one's op from the parameter values.
+    Raises {!Invalid} if a marker names a slot at or past [params], or
+    if a step routes by a parameter (its routing could not be shared). *)
+val template : params:int -> t -> template
+
+(** [bind tpl values] is the template's program with [values.(i)] in
+    place of every [param i]: equal to the program built with those
+    values directly. It shares every analysis array of the template;
+    only the steps holding a parameter get a new op. Raises
+    [Invalid_argument] unless [values] has [params] entries. *)
+val bind : template -> Value.t array -> t

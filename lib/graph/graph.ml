@@ -28,6 +28,13 @@ type t = {
   edge_dst : int array; (* and the _dest key of the paper's model *)
   edge_label_by_id : int array;
   indexes : (int option * int, (Value.t, int Vec.t) Hashtbl.t) Hashtbl.t;
+  mutable label_stats : (int, label_stats) Hashtbl.t option; (* built on first use *)
+}
+
+and label_stats = {
+  count : int;
+  distinct_sources : int;
+  distinct_targets : int;
 }
 
 let schema t = t.schema
@@ -92,6 +99,12 @@ let vertex_int_prop t ~key v =
   check_vertex t v;
   Props.int_cell t.vertex_props ~key v
 
+let str_prop_column t ~key = Props.is_strs t.vertex_props ~key
+
+let vertex_str_prop t ~key v =
+  check_vertex t v;
+  Props.str_cell t.vertex_props ~key v
+
 let vertex_prop_by_name t ~key v =
   match Schema.property_key_opt t.schema key with
   | None -> Value.Null
@@ -122,6 +135,51 @@ let avg_degree t ~dir ?label () =
       ignore dir;
       float_of_int !count /. float_of_int t.n_vertices
   end
+
+(* Per-edge-label degree statistics, computed on first use and kept with
+   the graph they describe. *)
+let build_label_stats t =
+  let sources = Hashtbl.create 64 and targets = Hashtbl.create 64 in
+  let counts = Hashtbl.create 64 in
+  let dsrc = Hashtbl.create 16 and dtgt = Hashtbl.create 16 in
+  let bump table l = Hashtbl.replace table l (1 + Option.value ~default:0 (Hashtbl.find_opt table l)) in
+  for e = 0 to n_edges t - 1 do
+    let l = t.edge_label_by_id.(e) in
+    bump counts l;
+    let src = (l, t.edge_src.(e)) in
+    if not (Hashtbl.mem sources src) then begin
+      Hashtbl.replace sources src ();
+      bump dsrc l
+    end;
+    let dst = (l, t.edge_dst.(e)) in
+    if not (Hashtbl.mem targets dst) then begin
+      Hashtbl.replace targets dst ();
+      bump dtgt l
+    end
+  done;
+  let stats = Hashtbl.create 16 in
+  let labels =
+    (* det-ok: labels sorted before use, so stats build in a fixed order *)
+    List.sort Int.compare (Hashtbl.fold (fun l _ acc -> l :: acc) counts [])
+  in
+  List.iter
+    (fun l ->
+      Hashtbl.replace stats l
+        {
+          count = Option.value ~default:0 (Hashtbl.find_opt counts l);
+          distinct_sources = max 1 (Option.value ~default:0 (Hashtbl.find_opt dsrc l));
+          distinct_targets = max 1 (Option.value ~default:0 (Hashtbl.find_opt dtgt l));
+        })
+    labels;
+  stats
+
+let label_stats t =
+  match t.label_stats with
+  | Some stats -> stats
+  | None ->
+    let stats = build_label_stats t in
+    t.label_stats <- Some stats;
+    stats
 
 (* --- Index registry (backs the IndexLookup traversal strategy) --- *)
 
@@ -178,4 +236,5 @@ let make ~schema ~n_vertices ~vertex_label ~out_csr ~in_csr ~vertex_props ~edge_
     edge_dst;
     edge_label_by_id;
     indexes = Hashtbl.create 8;
+    label_stats = None;
   }

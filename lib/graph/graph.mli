@@ -63,6 +63,14 @@ val int_prop_column : t -> key:int -> bool
     allocates nothing either way. *)
 val vertex_int_prop : t -> key:int -> int -> int
 
+(** The vertex property [key] is a string column. *)
+val str_prop_column : t -> key:int -> bool
+
+(** [v]'s cell in the string column [key], unboxed. Raises [Not_found]
+    when the cell is empty or the column is not a string column;
+    allocates nothing either way. *)
+val vertex_str_prop : t -> key:int -> int -> string
+
 (** Convenience lookup by property-key name; [Null] when the key or value
     is absent. *)
 val vertex_prop_by_name : t -> key:string -> int -> Value.t
@@ -74,6 +82,18 @@ val iter_vertices_with_label : t -> int -> (int -> unit) -> unit
 (** Mean out-degree (optionally per edge label); feeds planner cardinality
     estimates. *)
 val avg_degree : t -> dir:direction -> ?label:int -> unit -> float
+
+(** Degree statistics of one edge label: its edge count and the number
+    of distinct sources and targets carrying it (each at least 1). *)
+type label_stats = {
+  count : int;
+  distinct_sources : int;
+  distinct_targets : int;
+}
+
+(** Statistics of every edge label present, computed on the first call
+    and kept with the graph. *)
+val label_stats : t -> (int, label_stats) Hashtbl.t
 
 (** Build (or reuse) a hash index on a vertex property and look a value up.
     Backs the IndexLookup step. *)

@@ -62,6 +62,17 @@ let int_cell t ~key id =
   | Ints (data, valid) when Bitset.mem valid id -> data.(id)
   | _ -> raise Not_found
 
+let is_strs t ~key =
+  match Hashtbl.find t.columns key with
+  | Strs _ -> true
+  | _ | (exception Not_found) -> false
+
+let str_cell t ~key id =
+  if id < 0 || id >= t.size then invalid_arg "Props.str_cell: row out of range";
+  match Hashtbl.find t.columns key with
+  | Strs (data, valid) when Bitset.mem valid id -> data.(id)
+  | _ -> raise Not_found
+
 (* Materialize a column from sparse (row, value) pairs. The column is
    specialized when every present value has the same primitive shape. *)
 let column_of_pairs ~size pairs =

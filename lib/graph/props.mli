@@ -31,6 +31,14 @@ val is_ints : t -> key:int -> bool
     allocates nothing either way. *)
 val int_cell : t -> key:int -> int -> int
 
+(** Column [key] is a [Strs] column. *)
+val is_strs : t -> key:int -> bool
+
+(** The cell at row [id] of the [Strs] column [key], the column's own
+    string. Raises [Not_found] when the cell is empty or [key] is not a
+    [Strs] column; allocates nothing either way. *)
+val str_cell : t -> key:int -> int -> string
+
 (** Build from sparse per-key (row, value) pair lists; homogeneous columns
     are specialized to unboxed arrays. *)
 val of_sparse : size:int -> (int, (int * Value.t) Vec.t) Hashtbl.t -> t

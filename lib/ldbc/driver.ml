@@ -36,16 +36,21 @@ type mixed_result = {
   report : Engine.report;
 }
 
-(* Build the submission schedule for a mixed run of [duration]. *)
+(* Build the submission schedule for a mixed run of [duration]. Each
+   query is prepared once ([a.make data]); a submission only binds its
+   drawn parameters. The Vec's dummy is an IC13 binding: it draws twice
+   from [prng], as the schedule always has, so the draws that follow
+   are unchanged. *)
 let schedule data ~tcr ~duration ~seed =
   let prng = Prng.create seed in
   let submissions = Vec.create ~dummy:(Engine.submit (Ic_queries.ic13 data prng)) in
   List.iter
     (fun a ->
+      let make = a.make data in
       let interval = Float.max 1.0 (float_of_int (Sim_time.to_ns a.base_interval) *. tcr) in
       let t = ref (Prng.float prng interval) in
       while int_of_float !t < Sim_time.to_ns duration do
-        let program = a.make data prng in
+        let program = make prng in
         Vec.push submissions (Engine.submit ~at:(Sim_time.of_float_ns !t) program);
         t := !t +. Prng.exponential prng ~mean:interval
       done)
@@ -138,9 +143,10 @@ let run_mixed_bsp ?(profile = Bsp_engine.Tigergraph_role) ?common ~cluster_confi
    [repeats] parameter choices. *)
 let sequential_latency ~run ~make ~repeats ~seed data =
   let prng = Prng.create seed in
+  let make = make data in
   let samples =
     Array.init repeats (fun _ ->
-        let program = make data prng in
+        let program = make prng in
         let report = run [| Engine.submit program |] in
         Engine.latency_ms report.Engine.queries.(0))
   in
@@ -150,7 +156,8 @@ let sequential_latency ~run ~make ~repeats ~seed data =
    completed queries per simulated second. *)
 let max_throughput ~run ~make ~streams ~seed data =
   let prng = Prng.create seed in
-  let submissions = Array.init streams (fun _ -> Engine.submit (make data prng)) in
+  let make = make data in
+  let submissions = Array.init streams (fun _ -> Engine.submit (make prng)) in
   let report = run submissions in
   Engine.throughput_qps report
 

@@ -8,6 +8,8 @@
 type arrival = {
   name : string;
   make : Snb_gen.t -> Prng.t -> Program.t;
+      (** staged: [make data] prepares the query once, and each
+          [make data prng] draws and binds its parameters *)
   base_interval : Sim_time.t;
 }
 

@@ -7,92 +7,131 @@
    drive the core API directly, since shortest-path needs the Visit
    distance register). Parameters are drawn deterministically from the
    generated dataset by the supplied generator, mirroring LDBC's
-   parameter curation. *)
+   parameter curation.
+
+   Each query is a Read_query.t: applying it to a dataset compiles its
+   shape once, with a marker per parameter, and applying the result to
+   a PRNG draws the parameters (in a fixed order: the person first) and
+   binds them. *)
 
 open Dsl
 
-let person_lookup (d : Snb_gen.t) prng =
-  let pid = Prng.int prng (Array.length d.Snb_gen.persons) in
-  (pid, v_lookup ~label:Snb_schema.person ~key:"id" (int pid))
+let query name ~params draw body = { Read_query.name; params; draw; body = Read_query.Dsl body }
+let person p = v_lookup ~label:Snb_schema.person ~key:"id" p
 
-let some_tag (d : Snb_gen.t) prng = Fmt.str "Tag_%d" (Prng.int prng (Array.length d.Snb_gen.tags))
+(* Parameter draws. Each is staged on the dataset, so name tables are
+   built once per dataset, not formatted per draw. No array literal
+   holds two draws: OCaml leaves the evaluation order of its elements
+   open, and the draws must keep their order. *)
+let draw_person (d : Snb_gen.t) =
+  let n = Array.length d.Snb_gen.persons in
+  fun prng -> int (Prng.int prng n)
 
-let some_country (d : Snb_gen.t) prng =
-  Fmt.str "Country_%d" (Prng.int prng (Array.length d.Snb_gen.countries))
-
+let first_names = Array.map str Snb_gen.first_names
+let names prefix n = Array.init n (fun i -> str (Fmt.str "%s_%d" prefix i))
 let some_date prng = Prng.int_in_range prng ~lo:Snb_gen.date_lo ~hi:Snb_gen.date_hi
 
-let compile d name ast = Compile.compile ~name d.Snb_gen.graph ast
+let only_person d =
+  let person = draw_person d in
+  fun prng -> [| person prng |]
+
+let person_and_date d =
+  let person = draw_person d in
+  fun prng ->
+    let pid = person prng in
+    [| pid; int (some_date prng) |]
+
+let person_and_country d =
+  let person = draw_person d in
+  let countries = names "Country" (Array.length d.Snb_gen.countries) in
+  fun prng ->
+    let pid = person prng in
+    [| pid; Prng.pick prng countries |]
+
+let person_and_tag d =
+  let person = draw_person d in
+  let tags = names "Tag" (Array.length d.Snb_gen.tags) in
+  fun prng ->
+    let pid = person prng in
+    [| pid; Prng.pick prng tags |]
+
+let two_persons d =
+  let person = draw_person d in
+  fun prng ->
+    let p1 = person prng in
+    [| p1; person prng |]
 
 (* IC1: friends (<=3 hops) with a given first name, ranked. *)
-let ic1 d prng =
-  let _, start = person_lookup d prng in
-  let name = Prng.pick prng Snb_gen.first_names in
-  compile d "IC1"
-    (start |> as_ "p"
-    |> repeat_out Snb_schema.knows ~times:3
-    |> where_neq "p"
-    |> has "firstName" (eq (str name))
-    |> top_k "birthday" 20 |> build)
+let ic1_query =
+  query "IC1" ~params:2
+    (fun d ->
+      let person = draw_person d in
+      fun prng ->
+        let pid = person prng in
+        [| pid; Prng.pick prng first_names |])
+    (fun p ->
+      person p.(0) |> as_ "p"
+      |> repeat_out Snb_schema.knows ~times:3
+      |> where_neq "p"
+      |> has "firstName" (eq p.(1))
+      |> top_k "birthday" 20 |> build)
 
 (* IC2: recent messages by direct friends, newest first. *)
-let ic2 d prng =
-  let _, start = person_lookup d prng in
-  let date = some_date prng in
-  compile d "IC2"
-    (start
-    |> out_ Snb_schema.knows
-    |> in_ Snb_schema.has_creator
-    |> has "creationDate" (lte (int date))
-    |> top_k "creationDate" 20 |> build)
+let ic2_query =
+  query "IC2" ~params:2 person_and_date (fun p ->
+      person p.(0)
+      |> out_ Snb_schema.knows
+      |> in_ Snb_schema.has_creator
+      |> has "creationDate" (lte p.(1))
+      |> top_k "creationDate" 20 |> build)
 
 (* IC3: messages of 2-hop friends located in a given country. *)
-let ic3 d prng =
-  let _, start = person_lookup d prng in
-  let country = some_country d prng in
-  compile d "IC3"
-    (start |> as_ "p"
-    |> repeat_out Snb_schema.knows ~times:2
-    |> where_neq "p"
-    |> in_ Snb_schema.has_creator
-    |> out_ Snb_schema.is_located_in
-    |> has "name" (eq (str country))
-    |> count |> build)
+let ic3_query =
+  query "IC3" ~params:2 person_and_country (fun p ->
+      person p.(0) |> as_ "p"
+      |> repeat_out Snb_schema.knows ~times:2
+      |> where_neq "p"
+      |> in_ Snb_schema.has_creator
+      |> out_ Snb_schema.is_located_in
+      |> has "name" (eq p.(1))
+      |> count |> build)
 
 (* IC4: tags of friends' posts in a date window, with counts. *)
-let ic4 d prng =
-  let _, start = person_lookup d prng in
-  let d1 = some_date prng in
-  let d2 = min Snb_gen.date_hi (d1 + 200) in
-  compile d "IC4"
-    (start
-    |> out_ Snb_schema.knows
-    |> in_ Snb_schema.has_creator
-    |> has_label Snb_schema.post
-    |> has "creationDate" (gte (int d1))
-    |> has "creationDate" (lte (int d2))
-    |> out_ Snb_schema.has_tag
-    |> group_count "name" |> build)
+let ic4_query =
+  query "IC4" ~params:3
+    (fun d ->
+      let person = draw_person d in
+      fun prng ->
+        let pid = person prng in
+        let d1 = some_date prng in
+        [| pid; int d1; int (min Snb_gen.date_hi (d1 + 200)) |])
+    (fun p ->
+      person p.(0)
+      |> out_ Snb_schema.knows
+      |> in_ Snb_schema.has_creator
+      |> has_label Snb_schema.post
+      |> has "creationDate" (gte p.(1))
+      |> has "creationDate" (lte p.(2))
+      |> out_ Snb_schema.has_tag
+      |> group_count "name" |> build)
 
 (* IC5: forums that 2-hop friends belong to, by membership count. *)
-let ic5 d prng =
-  let _, start = person_lookup d prng in
-  compile d "IC5"
-    (start |> as_ "p"
-    |> repeat_out Snb_schema.knows ~times:2
-    |> where_neq "p"
-    |> in_ Snb_schema.has_member
-    |> group_count "title" |> build)
+let ic5_query =
+  query "IC5" ~params:1 only_person (fun p ->
+      person p.(0) |> as_ "p"
+      |> repeat_out Snb_schema.knows ~times:2
+      |> where_neq "p"
+      |> in_ Snb_schema.has_member
+      |> group_count "title" |> build)
 
 (* IC6: tags co-occurring with a given tag on 2-hop friends' posts — the
    Figure 3 pattern; the cost-based planner decides between bidirectional
-   join and unidirectional expansion. *)
-let ic6_sides d prng =
-  let _, start = person_lookup d prng in
-  let tagname = some_tag d prng in
+   join and unidirectional expansion. The tag is parameter 1 twice: the
+   right side's lookup and the continuation's filter. *)
+let ic6_parts p =
   let left =
     Dsl.traversal
-      (start |> as_ "p"
+      (person p.(0) |> as_ "p"
       |> repeat_out Snb_schema.knows ~times:2
       |> where_neq "p"
       |> in_ Snb_schema.has_creator
@@ -100,104 +139,98 @@ let ic6_sides d prng =
   in
   let right =
     Dsl.traversal
-      (v_lookup ~label:Snb_schema.tag ~key:"name" (str tagname)
+      (v_lookup ~label:Snb_schema.tag ~key:"name" p.(1)
       |> in_ Snb_schema.has_tag
       |> has_label Snb_schema.post)
   in
   let post_steps =
-    [
-      Ast.Out (Some Snb_schema.has_tag);
-      Ast.Has ("name", Ast.Ne (Value.Str tagname));
-      Ast.Group_count "name";
-    ]
+    [ Ast.Out (Some Snb_schema.has_tag); Ast.Has ("name", Ast.Ne p.(1)); Ast.Group_count "name" ]
   in
   (left, right, post_steps)
 
-let ic6 d prng =
-  let left, right, post = ic6_sides d prng in
-  compile d "IC6" (Ast.Join_of { left; right; post })
+let ic6_sides d prng = ic6_parts (person_and_tag d prng)
+
+let ic6_query =
+  query "IC6" ~params:2 person_and_tag (fun p ->
+      let left, right, post = ic6_parts p in
+      Ast.Join_of { left; right; post })
 
 (* IC7: people who liked this person's messages, most recent first. *)
-let ic7 d prng =
-  let _, start = person_lookup d prng in
-  compile d "IC7"
-    (start
-    |> in_ Snb_schema.has_creator
-    |> in_ Snb_schema.likes
-    |> top_k "creationDate" 20 |> build)
+let ic7_query =
+  query "IC7" ~params:1 only_person (fun p ->
+      person p.(0)
+      |> in_ Snb_schema.has_creator
+      |> in_ Snb_schema.likes
+      |> top_k "creationDate" 20 |> build)
 
 (* IC8: recent replies to this person's messages. *)
-let ic8 d prng =
-  let _, start = person_lookup d prng in
-  compile d "IC8"
-    (start
-    |> in_ Snb_schema.has_creator
-    |> in_ Snb_schema.reply_of
-    |> top_k "creationDate" 20 |> build)
+let ic8_query =
+  query "IC8" ~params:1 only_person (fun p ->
+      person p.(0)
+      |> in_ Snb_schema.has_creator
+      |> in_ Snb_schema.reply_of
+      |> top_k "creationDate" 20 |> build)
 
 (* IC9: recent messages by friends within 2 hops before a date. *)
-let ic9 d prng =
-  let _, start = person_lookup d prng in
-  let date = some_date prng in
-  compile d "IC9"
-    (start |> as_ "p"
-    |> repeat_out Snb_schema.knows ~times:2
-    |> where_neq "p"
-    |> in_ Snb_schema.has_creator
-    |> has "creationDate" (lt (int date))
-    |> top_k "creationDate" 20 |> build)
+let ic9_query =
+  query "IC9" ~params:2 person_and_date (fun p ->
+      person p.(0) |> as_ "p"
+      |> repeat_out Snb_schema.knows ~times:2
+      |> where_neq "p"
+      |> in_ Snb_schema.has_creator
+      |> has "creationDate" (lt p.(1))
+      |> top_k "creationDate" 20 |> build)
 
 (* IC10: friend-of-friend recommendation by birthday window. *)
-let ic10 d prng =
-  let _, start = person_lookup d prng in
-  let b1 = Prng.int_in_range prng ~lo:3_000 ~hi:10_000 in
-  compile d "IC10"
-    (start |> as_ "p"
-    |> repeat_out Snb_schema.knows ~times:2
-    |> where_neq "p"
-    |> has "birthday" (gte (int b1))
-    |> has "birthday" (lte (int (b1 + 1_000)))
-    |> top_k "creationDate" 10 |> build)
+let ic10_query =
+  query "IC10" ~params:3
+    (fun d ->
+      let person = draw_person d in
+      fun prng ->
+        let pid = person prng in
+        let b1 = Prng.int_in_range prng ~lo:3_000 ~hi:10_000 in
+        [| pid; int b1; int (b1 + 1_000) |])
+    (fun p ->
+      person p.(0) |> as_ "p"
+      |> repeat_out Snb_schema.knows ~times:2
+      |> where_neq "p"
+      |> has "birthday" (gte p.(1))
+      |> has "birthday" (lte p.(2))
+      |> top_k "creationDate" 10 |> build)
 
 (* IC11: 2-hop friends working at companies in a given country. *)
-let ic11 d prng =
-  let _, start = person_lookup d prng in
-  let country = some_country d prng in
-  compile d "IC11"
-    (start |> as_ "p"
-    |> repeat_out Snb_schema.knows ~times:2
-    |> where_neq "p"
-    |> out_ Snb_schema.work_at
-    |> out_ Snb_schema.is_located_in
-    |> has "name" (eq (str country))
-    |> count |> build)
+let ic11_query =
+  query "IC11" ~params:2 person_and_country (fun p ->
+      person p.(0) |> as_ "p"
+      |> repeat_out Snb_schema.knows ~times:2
+      |> where_neq "p"
+      |> out_ Snb_schema.work_at
+      |> out_ Snb_schema.is_located_in
+      |> has "name" (eq p.(1))
+      |> count |> build)
 
 (* IC12: expert search — tags of posts that friends commented on. *)
-let ic12 d prng =
-  let _, start = person_lookup d prng in
-  compile d "IC12"
-    (start
-    |> out_ Snb_schema.knows
-    |> in_ Snb_schema.has_creator
-    |> has_label Snb_schema.comment
-    |> out_ Snb_schema.reply_of
-    |> out_ Snb_schema.has_tag
-    |> group_count "name" |> build)
+let ic12_query =
+  query "IC12" ~params:1 only_person (fun p ->
+      person p.(0)
+      |> out_ Snb_schema.knows
+      |> in_ Snb_schema.has_creator
+      |> has_label Snb_schema.comment
+      |> out_ Snb_schema.reply_of
+      |> out_ Snb_schema.has_tag
+      |> group_count "name" |> build)
 
 (* IC13: shortest path length between two persons. Built directly on the
    step ISA: the Visit distance register is the answer. *)
-let ic13 d prng =
-  let graph = d.Snb_gen.graph in
-  let schema = Graph.schema graph in
-  let p1 = Prng.int prng (Array.length d.Snb_gen.persons) in
-  let p2 = Prng.int prng (Array.length d.Snb_gen.persons) in
+let ic13_program (d : Snb_gen.t) p =
+  let schema = Graph.schema d.Snb_gen.graph in
   let id_key = Schema.property_key_exn schema "id" in
   let person_l = Schema.vertex_label_exn schema Snb_schema.person in
   let knows_l = Schema.edge_label_exn schema Snb_schema.knows in
   let steps =
     [|
       { Step.op =
-          Step.Index_lookup { vertex_label = Some person_l; key = id_key; value = Value.Int p1 };
+          Step.Index_lookup { vertex_label = Some person_l; key = id_key; value = p.(0) };
         next = 1 };
       { Step.op = Step.Set_reg { reg = 0; expr = Step.Const (Value.Int 0) }; next = 2 };
       { Step.op = Step.Visit { dist_reg = 0; max_hops = 4; cont = 4; emit_improved = true }; next = 3 };
@@ -206,7 +239,7 @@ let ic13 d prng =
           Step.Filter
             (Step.And
                ( Step.Cmp (Step.Eq, Step.Vertex_label, Step.Const (Value.Int person_l)),
-                 Step.Cmp (Step.Eq, Step.Prop id_key, Step.Const (Value.Int p2)) ));
+                 Step.Cmp (Step.Eq, Step.Prop id_key, Step.Const p.(1)) ));
         next = 5 };
       { Step.op = Step.Aggregate { agg = Step.Min (Step.Reg 0); reg = 1 }; next = 6 };
       { Step.op = Step.Emit [| Step.Reg 1 |]; next = -1 };
@@ -216,35 +249,40 @@ let ic13 d prng =
      same way Compile.finish does for DSL-compiled programs. *)
   Pstm_analysis.Verify.program_exn (Program.make ~name:"IC13" ~steps ~n_registers:2 ~entries:[| 0 |])
 
+let ic13_query = { Read_query.name = "IC13"; params = 2; draw = two_persons; body = Read_query.Isa ic13_program }
+
 (* IC14: interaction paths — 2-hop friends adjacent to the second person
    (a path count between the endpoints). *)
-let ic14 d prng =
-  let p1 = Prng.int prng (Array.length d.Snb_gen.persons) in
-  let p2 = Prng.int prng (Array.length d.Snb_gen.persons) in
-  compile d "IC14"
-    (v_lookup ~label:Snb_schema.person ~key:"id" (int p1)
-    |> as_ "p"
-    |> repeat_out Snb_schema.knows ~times:2
-    |> where_neq "p"
-    |> out_ Snb_schema.knows
-    |> has_label Snb_schema.person
-    |> has "id" (eq (int p2))
-    |> count |> build)
+let ic14_query =
+  query "IC14" ~params:2 two_persons (fun p ->
+      person p.(0)
+      |> as_ "p"
+      |> repeat_out Snb_schema.knows ~times:2
+      |> where_neq "p"
+      |> out_ Snb_schema.knows
+      |> has_label Snb_schema.person
+      |> has "id" (eq p.(1))
+      |> count |> build)
 
-let all : (string * (Snb_gen.t -> Prng.t -> Program.t)) list =
+let queries =
   [
-    ("IC1", ic1);
-    ("IC2", ic2);
-    ("IC3", ic3);
-    ("IC4", ic4);
-    ("IC5", ic5);
-    ("IC6", ic6);
-    ("IC7", ic7);
-    ("IC8", ic8);
-    ("IC9", ic9);
-    ("IC10", ic10);
-    ("IC11", ic11);
-    ("IC12", ic12);
-    ("IC13", ic13);
-    ("IC14", ic14);
+    ic1_query; ic2_query; ic3_query; ic4_query; ic5_query; ic6_query; ic7_query; ic8_query;
+    ic9_query; ic10_query; ic11_query; ic12_query; ic13_query; ic14_query;
   ]
+
+let ic1 = Read_query.prepare ic1_query
+let ic2 = Read_query.prepare ic2_query
+let ic3 = Read_query.prepare ic3_query
+let ic4 = Read_query.prepare ic4_query
+let ic5 = Read_query.prepare ic5_query
+let ic6 = Read_query.prepare ic6_query
+let ic7 = Read_query.prepare ic7_query
+let ic8 = Read_query.prepare ic8_query
+let ic9 = Read_query.prepare ic9_query
+let ic10 = Read_query.prepare ic10_query
+let ic11 = Read_query.prepare ic11_query
+let ic12 = Read_query.prepare ic12_query
+let ic13 = Read_query.prepare ic13_query
+let ic14 = Read_query.prepare ic14_query
+
+let all = List.map (fun q -> (q.Read_query.name, Read_query.prepare q)) queries

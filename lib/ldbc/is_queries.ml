@@ -1,41 +1,56 @@
 (* The 7 LDBC SNB Interactive Short queries: point lookups and one-hop
    neighborhood reads. These are the low-latency half of Figure 7's mixed
-   workload. *)
+   workload. Each one binds a single parameter, the id of the person or
+   message it starts from, into a shape compiled once per dataset. *)
 
 open Dsl
 
-let person (d : Snb_gen.t) prng =
-  v_lookup ~label:Snb_schema.person ~key:"id"
-    (int (Prng.int prng (Array.length d.Snb_gen.persons)))
+let person p = v_lookup ~label:Snb_schema.person ~key:"id" p.(0)
 
-let message (d : Snb_gen.t) prng =
-  (* Posts and comments share the message role; pick a post. *)
-  v_lookup ~label:Snb_schema.post ~key:"id"
-    (int (Prng.int prng (max 1 (Array.length d.Snb_gen.posts))))
+(* Posts and comments share the message role; pick a post. *)
+let message p = v_lookup ~label:Snb_schema.post ~key:"id" p.(0)
 
-let compile d name ast = Compile.compile ~name d.Snb_gen.graph ast
+let draw_person (d : Snb_gen.t) =
+  let n = Array.length d.Snb_gen.persons in
+  fun prng -> [| int (Prng.int prng n) |]
+
+let draw_message (d : Snb_gen.t) =
+  let n = max 1 (Array.length d.Snb_gen.posts) in
+  fun prng -> [| int (Prng.int prng n) |]
+
+let query name draw body = { Read_query.name; params = 1; draw; body = Read_query.Dsl body }
 
 (* IS1: person profile. *)
-let is1 d prng = compile d "IS1" (person d prng |> values "firstName" |> build)
+let is1_query = query "IS1" draw_person (fun p -> person p |> values "firstName" |> build)
 
 (* IS2: person's recent messages. *)
-let is2 d prng =
-  compile d "IS2" (person d prng |> in_ Snb_schema.has_creator |> top_k "creationDate" 10 |> build)
+let is2_query =
+  query "IS2" draw_person (fun p ->
+      person p |> in_ Snb_schema.has_creator |> top_k "creationDate" 10 |> build)
 
 (* IS3: person's friends. *)
-let is3 d prng = compile d "IS3" (person d prng |> out_ Snb_schema.knows |> build)
+let is3_query = query "IS3" draw_person (fun p -> person p |> out_ Snb_schema.knows |> build)
 
 (* IS4: message content. *)
-let is4 d prng = compile d "IS4" (message d prng |> values "content" |> build)
+let is4_query = query "IS4" draw_message (fun p -> message p |> values "content" |> build)
 
 (* IS5: message creator. *)
-let is5 d prng = compile d "IS5" (message d prng |> out_ Snb_schema.has_creator |> build)
+let is5_query =
+  query "IS5" draw_message (fun p -> message p |> out_ Snb_schema.has_creator |> build)
 
 (* IS6: forum containing a message. *)
-let is6 d prng = compile d "IS6" (message d prng |> in_ Snb_schema.container_of |> build)
+let is6_query =
+  query "IS6" draw_message (fun p -> message p |> in_ Snb_schema.container_of |> build)
 
 (* IS7: replies to a message. *)
-let is7 d prng = compile d "IS7" (message d prng |> in_ Snb_schema.reply_of |> build)
+let is7_query = query "IS7" draw_message (fun p -> message p |> in_ Snb_schema.reply_of |> build)
 
-let all : (string * (Snb_gen.t -> Prng.t -> Program.t)) list =
-  [ ("IS1", is1); ("IS2", is2); ("IS3", is3); ("IS4", is4); ("IS5", is5); ("IS6", is6); ("IS7", is7) ]
+let queries = [ is1_query; is2_query; is3_query; is4_query; is5_query; is6_query; is7_query ]
+let is1 = Read_query.prepare is1_query
+let is2 = Read_query.prepare is2_query
+let is3 = Read_query.prepare is3_query
+let is4 = Read_query.prepare is4_query
+let is5 = Read_query.prepare is5_query
+let is6 = Read_query.prepare is6_query
+let is7 = Read_query.prepare is7_query
+let all = List.map (fun q -> (q.Read_query.name, Read_query.prepare q)) queries

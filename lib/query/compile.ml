@@ -277,3 +277,14 @@ let compile_with_plan ?(name = "query") graph ~plan ~left ~right ~post =
     | Ast.Join_of { left; right; post } -> lower_join ctx left right post
   in
   finish ctx ~name ~entries
+
+(* A prepared query: [query] built once with a marker per parameter,
+   compiled and verified by [compile] like any other query, then kept
+   as a template. Neither the strategies, the planner, lowering,
+   [Program.make] nor the verifier read a literal's value, so the
+   template's plan is the plan of every binding. *)
+let prepare ?name graph ~params query =
+  let template =
+    Program.template ~params (compile ?name graph (query (Array.init params Program.param)))
+  in
+  Program.bind template

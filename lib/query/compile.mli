@@ -11,6 +11,16 @@ exception Error of string
     unfused [order().by()], ...). *)
 val compile : ?name:string -> Graph.t -> Ast.t -> Program.t
 
+(** [prepare graph ~params query] compiles [query] once, with the
+    marker {!Program.param}[ i] as parameter [i], and returns the
+    binder: [prepare graph ~params query values] equals
+    [compile graph (query values)] for every [values] of length
+    [params], but costs one {!Program.bind}. [query] must place each
+    parameter only as a literal and must not branch on its value, so
+    that the shape of the AST is the same for every binding. *)
+val prepare :
+  ?name:string -> Graph.t -> params:int -> (Value.t array -> Ast.t) -> Value.t array -> Program.t
+
 (** Compile a join pattern under a forced plan (for plan-comparison
     experiments). *)
 val compile_with_plan :

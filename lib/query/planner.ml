@@ -24,64 +24,27 @@ let plan_name = function
    schema-typed graph, where the unconditional average over all vertices
    grossly underestimates (e.g. posts per tag). *)
 
-type label_stats = {
+type label_stats = Graph.label_stats = {
   count : int;
   distinct_sources : int;
   distinct_targets : int;
 }
 
-let stats_cache : (int * int, (int, label_stats) Hashtbl.t) Hashtbl.t = Hashtbl.create 4
-
-let label_stats graph =
-  (* Key the cache on the graph's identity-ish shape. *)
-  let key = (Graph.n_vertices graph, Graph.n_edges graph) in
-  match Hashtbl.find_opt stats_cache key with
-  | Some stats -> stats
-  | None ->
-    let sources = Hashtbl.create 64 and targets = Hashtbl.create 64 in
-    let counts = Hashtbl.create 64 in
-    let dsrc = Hashtbl.create 16 and dtgt = Hashtbl.create 16 in
-    let bump table l = Hashtbl.replace table l (1 + Option.value ~default:0 (Hashtbl.find_opt table l)) in
-    for e = 0 to Graph.n_edges graph - 1 do
-      let l = Graph.edge_label graph e in
-      bump counts l;
-      let src = (l, Graph.edge_src graph e) in
-      if not (Hashtbl.mem sources src) then begin
-        Hashtbl.replace sources src ();
-        bump dsrc l
-      end;
-      let dst = (l, Graph.edge_dst graph e) in
-      if not (Hashtbl.mem targets dst) then begin
-        Hashtbl.replace targets dst ();
-        bump dtgt l
-      end
-    done;
-    let stats = Hashtbl.create 16 in
-    let labels =
-      (* det-ok: labels sorted before use, so stats build in a fixed order *)
-      List.sort Int.compare (Hashtbl.fold (fun l _ acc -> l :: acc) counts [])
-    in
-    List.iter
-      (fun l ->
-        Hashtbl.replace stats l
-          {
-            count = Option.value ~default:0 (Hashtbl.find_opt counts l);
-            distinct_sources = max 1 (Option.value ~default:0 (Hashtbl.find_opt dsrc l));
-            distinct_targets = max 1 (Option.value ~default:0 (Hashtbl.find_opt dtgt l));
-          })
-      labels;
-    Hashtbl.add stats_cache key stats;
-    stats
+(* Kept with the graph: two graphs of equal size have their own. *)
+let label_stats = Graph.label_stats
 
 (* Expected branching factor of one movement step. *)
 let step_fanout graph (s : Ast.gstep) =
   let schema = Graph.schema graph in
   let stats = label_stats graph in
+  (* A label no edge carries expands to nothing, whether or not an
+     earlier compile interned its name: the estimate must not depend on
+     what was compiled before. *)
   let deg dir label =
-    match Option.bind label (Schema.edge_label_opt schema) with
+    match label with
     | None -> Graph.avg_degree graph ~dir:Graph.Out ()
-    | Some l -> begin
-      match Hashtbl.find_opt stats l with
+    | Some name -> begin
+      match Option.bind (Schema.edge_label_opt schema name) (Hashtbl.find_opt stats) with
       | None -> 0.0
       | Some s -> begin
         match dir with

@@ -10,12 +10,13 @@ type plan =
 val plan_name : plan -> string
 
 (** Per-edge-label statistics driving cardinality estimates. *)
-type label_stats = {
+type label_stats = Graph.label_stats = {
   count : int;
   distinct_sources : int;
   distinct_targets : int;
 }
 
+(** {!Graph.label_stats}: computed once per graph and kept with it. *)
 val label_stats : Graph.t -> (int, label_stats) Hashtbl.t
 
 (** Estimated branching factor of one step, when it moves. *)

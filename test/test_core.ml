@@ -1027,6 +1027,97 @@ let test_typed_topk_allocates_nothing () =
   let words = Gc.minor_words () -. before in
   if words > 0. then Alcotest.failf "a warm typed top-k allocated %.0f words (bound 0)" words
 
+(* --- Typed group count --- *)
+
+(* A graph of [cells] vertices whose "s" property is a Strs column with
+   holes, as [weighted_graph] builds an Ints one. *)
+let named_graph cells =
+  let b = Builder.create () in
+  Array.iteri
+    (fun v cell ->
+      let s = match cell with None -> [] | Some x -> [ ("s", Value.Str x) ] in
+      ignore (Builder.add_vertex b ~label:"v" ~props:(("id", Value.Int v) :: s) ()))
+    cells;
+  let g = Builder.build b in
+  (g, Schema.property_key (Graph.schema g) "s")
+
+(* A few names, so groups repeat, including the empty string. *)
+let typed_group_case =
+  QCheck.Gen.(
+    let cell = frequency [ (2, return None); (6, map Option.some (oneofl [ ""; "a"; "b"; "Tag_1"; "zz" ])) ] in
+    int_range 1 30 >>= fun n ->
+    let vertex = int_range 0 (n - 1) in
+    triple (array_repeat n cell)
+      (list_size (int_range 1 5) (list_size (int_range 0 25) vertex))
+      (list_size (return 5) (int_range 0 1000)))
+
+(* The typed group count (keyed by the cell's own string, empty cells
+   counted apart) merges, finalizes and counts bytes exactly as the
+   boxed state fed the cell values from a register: per partial, and
+   for an accumulator that merges the partials in a random order,
+   recycled ([reset]) between two rounds. Each state fits only its own
+   shape. *)
+let agg_typed_group_matches_boxed =
+  QCheck.Test.make ~name:"typed group count matches the boxed one" ~count:400
+    (QCheck.make
+       ~print:QCheck.Print.(triple (array (option string)) (list (list int)) (list int))
+       typed_group_case)
+    (fun (cells, partials, order) ->
+      let g, key = named_graph cells in
+      let typed = Step.Group_count (Step.Prop key) in
+      let boxed = Step.Group_count (Step.Reg 0) in
+      let fill agg regs vertices =
+        let st = Aggregate.create g agg in
+        List.iter (fun v -> Aggregate.accumulate agg st g ~vertex:v ~regs:(regs v)) vertices;
+        st
+      in
+      let ts = List.map (fill typed (fun _ -> [||])) partials in
+      let bs = List.map (fill boxed (fun v -> [| Graph.vertex_prop g ~key v |])) partials in
+      let perm =
+        List.mapi (fun i _ -> (List.nth order i, i)) partials |> List.sort compare |> List.map snd
+      in
+      let same t b =
+        Aggregate.finalize t = Aggregate.finalize b && Aggregate.bytes t = Aggregate.bytes b
+      in
+      let t_acc = Aggregate.create g typed and b_acc = Aggregate.create g boxed in
+      let round () =
+        Aggregate.reset t_acc;
+        Aggregate.reset b_acc;
+        List.iter
+          (fun i ->
+            Aggregate.merge ~into:t_acc (List.nth ts i);
+            Aggregate.merge ~into:b_acc (List.nth bs i))
+          perm;
+        same t_acc b_acc
+      in
+      (* With no cell present there is no column, so the state is boxed. *)
+      let no_column = Array.for_all Option.is_none cells in
+      Aggregate.fits g boxed t_acc = no_column
+      && Aggregate.fits g typed t_acc
+      && Aggregate.fits g typed b_acc = no_column
+      && List.for_all2 same ts bs && round () && round ())
+
+(* Allocation guard for the typed group count: once its groups exist,
+   10 000 accumulates over a Strs column with holes allocate nothing.
+   Bound 0 words, measured 0; the boxed state boxes a [Value.Str] per
+   accumulate, 2 words. *)
+let test_typed_group_allocates_nothing () =
+  let cells = Array.init 64 (fun v -> if v mod 5 = 0 then None else Some (Printf.sprintf "n%d" (v mod 7))) in
+  let g, key = named_graph cells in
+  let agg = Step.Group_count (Step.Prop key) in
+  let p = Aggregate.create g agg in
+  let run () =
+    for i = 0 to 9_999 do
+      Aggregate.accumulate agg p g ~vertex:(i * 13 mod 64) ~regs:[||]
+    done
+  in
+  run ();
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  if words > 0. then Alcotest.failf "a warm typed group count allocated %.0f words (bound 0)" words
+
 (* --- Program validation --- *)
 
 let filter_step next = { Step.op = Step.Filter Step.True; next }
@@ -1081,6 +1172,25 @@ let test_program_join_partner () =
   in
   Alcotest.(check int) "partner of A" 3 (Program.join_partner p 1);
   Alcotest.(check int) "partner of B" 1 (Program.join_partner p 3)
+
+(* A register error names the step, its op and the register, exactly as
+   [Program.make] has always worded it; the context is formatted only
+   once a check fails. *)
+let test_program_register_message () =
+  let expect msg steps =
+    match Program.make ~name:"regs" ~steps ~n_registers:1 ~entries:[| 0 |] with
+    | _ -> Alcotest.fail "expected Program.Invalid"
+    | exception Program.Invalid got -> Alcotest.(check string) "message" msg got
+  in
+  expect "step 1 (set_reg): register 3 out of range"
+    [| source_step 1; { Step.op = Step.Set_reg { reg = 3; expr = Step.Vertex_id }; next = 2 }; emit_step |];
+  expect "step 2 (filter): register 4 out of range"
+    [|
+      source_step 1;
+      filter_step 2;
+      { Step.op = Step.Filter (Step.Cmp (Step.Ne, Step.Vertex_id, Step.Reg 4)); next = 3 };
+      emit_step;
+    |]
 
 let invalid_cases =
   [
@@ -1341,12 +1451,16 @@ let () =
             test_typed_partial_fits_its_shape;
           Alcotest.test_case "a warm typed top-k allocates nothing" `Quick
             test_typed_topk_allocates_nothing;
+          qcheck agg_typed_group_matches_boxed;
+          Alcotest.test_case "a warm typed group count allocates nothing" `Quick
+            test_typed_group_allocates_nothing;
         ] );
       ( "program",
         [
           Alcotest.test_case "valid" `Quick test_program_valid;
           Alcotest.test_case "phases" `Quick test_program_phases;
           Alcotest.test_case "join partner" `Quick test_program_join_partner;
+          Alcotest.test_case "register error message" `Quick test_program_register_message;
         ]
         @ invalid_cases );
       ( "step",

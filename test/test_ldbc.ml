@@ -53,6 +53,39 @@ let query_cases =
     (fun (name, make) -> Alcotest.test_case name `Quick (check_query name make))
     (Ic_queries.all @ Is_queries.all)
 
+(* --- Prepared queries --- *)
+
+(* Every binding of a prepared query equals the full compile of the same
+   query with the drawn values: the same steps, structurally (so the
+   same literals in the same places), the same printed program, and a
+   clean verifier report. Two seeds, 200 draws each, per IC and IS
+   query; the draws and the bindings consume the same PRNG stream. *)
+let check_bindings (q : Read_query.t) () =
+  let data = Lazy.force data in
+  let prepared = Read_query.prepare q data in
+  let draw = q.Read_query.draw data in
+  List.iter
+    (fun seed ->
+      let bound_prng = Prng.create seed and draw_prng = Prng.create seed in
+      for i = 1 to 200 do
+        let bound = prepared bound_prng in
+        let full = Read_query.compile q data (draw draw_prng) in
+        let label what = Fmt.str "%s seed %d draw %d: %s" q.Read_query.name seed i what in
+        if Program.steps bound <> Program.steps full then Alcotest.fail (label "steps differ");
+        Alcotest.(check string) (label "printed") (Fmt.str "%a" Program.pp full)
+          (Fmt.str "%a" Program.pp bound);
+        Alcotest.(check int) (label "registers") (Program.n_registers full) (Program.n_registers bound);
+        Alcotest.(check (array int)) (label "entries") (Program.entries full) (Program.entries bound);
+        if not (Pstm_analysis.Verify.is_clean (Pstm_analysis.Verify.check_program bound)) then
+          Alcotest.fail (label "verifier findings")
+      done)
+    [ 11; 2027 ]
+
+let binding_cases =
+  List.map
+    (fun (q : Read_query.t) -> Alcotest.test_case q.Read_query.name `Quick (check_bindings q))
+    (Ic_queries.queries @ Is_queries.queries)
+
 let test_dataset_shape () =
   let d = Lazy.force data in
   Alcotest.(check bool) "has persons" true (Array.length d.Snb_gen.persons = 200);
@@ -87,6 +120,21 @@ let test_schedule_shape () =
       0 subs
   in
   Alcotest.(check bool) "IS more frequent than IC" true (count "IS" > count "IC")
+
+(* Allocation guard for the schedule: each query is prepared once per
+   call, and a submission costs its parameter draw and one binding.
+   Bound 150 words per submission (snb_tiny, TCR 0.03, 1 s of issuance,
+   about 38 000 submissions, the 22 template compiles included); 89 on
+   the benchmark's dataset, about 2 700 when every submission ran the
+   whole compiler. *)
+let test_schedule_allocation () =
+  let data = Lazy.force data in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let subs = Driver.schedule data ~tcr:0.03 ~duration:(Sim_time.ms 1_000) ~seed:1 in
+  let per_sub = (Gc.minor_words () -. before) /. float_of_int (Array.length subs) in
+  if per_sub > 150.0 then
+    Alcotest.failf "schedule: %.1f words per submission (bound 150)" per_sub
 
 let test_schedule_deterministic () =
   let data = Lazy.force data in
@@ -165,10 +213,12 @@ let () =
     [
       ("dataset", [ Alcotest.test_case "shape" `Quick test_dataset_shape ]);
       ("queries", query_cases);
+      ("bindings", binding_cases);
       ( "driver",
         [
           Alcotest.test_case "schedule shape" `Quick test_schedule_shape;
           Alcotest.test_case "schedule deterministic" `Quick test_schedule_deterministic;
+          Alcotest.test_case "schedule allocation" `Quick test_schedule_allocation;
           Alcotest.test_case "mixed run" `Quick test_mixed_run_small;
           Alcotest.test_case "latency/throughput helpers" `Quick test_throughput_helpers;
           Alcotest.test_case "updates" `Quick test_update_driver;

@@ -199,6 +199,138 @@ let test_select_moves_back () =
     Alcotest.(check int) "back home once" expected n
   | rows -> Alcotest.fail (Fmt.str "unexpected %s" (show_rows rows))
 
+(* --- Prepared queries --- *)
+
+(* [map_literals f ast] replaces every literal of [ast], in one fixed
+   order (the source, then each step left to right; a join's left side,
+   right side, then continuation), by [f] of it. *)
+let map_literals f ast =
+  let pred = function
+    | Ast.Eq v -> Ast.Eq (f v)
+    | Ast.Ne v -> Ast.Ne (f v)
+    | Ast.Lt v -> Ast.Lt (f v)
+    | Ast.Le v -> Ast.Le (f v)
+    | Ast.Gt v -> Ast.Gt (f v)
+    | Ast.Ge v -> Ast.Ge (f v)
+    | Ast.Within vs -> Ast.Within (List.map f vs)
+  in
+  let gstep = function Ast.Has (k, p) -> Ast.Has (k, pred p) | s -> s in
+  let traversal (t : Ast.traversal) =
+    let source =
+      match t.Ast.source with
+      | Ast.Lookup l -> Ast.Lookup { l with value = f l.value }
+      | s -> s
+    in
+    { Ast.source; steps = List.map gstep t.Ast.steps }
+  in
+  match ast with
+  | Ast.Traversal t -> Ast.Traversal (traversal t)
+  | Ast.Join_of { left; right; post } ->
+    let left = traversal left in
+    let right = traversal right in
+    Ast.Join_of { left; right; post = List.map gstep post }
+
+let gen_literal =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun n -> Value.Int n) (int_range (-5) 300));
+        (2, map (fun s -> Value.Str s) (oneofl [ "a"; "b"; "Tag_1" ]));
+        (1, map (fun x -> Value.Float x) (float_range 0.0 10.0));
+        (1, map (fun b -> Value.Bool b) bool);
+        (1, return Value.Null);
+      ])
+
+let gen_pred =
+  QCheck.Gen.(
+    gen_literal >>= fun v ->
+    frequency
+      [
+        (1, return (Ast.Eq v)); (1, return (Ast.Ne v)); (1, return (Ast.Lt v));
+        (1, return (Ast.Le v)); (1, return (Ast.Gt v)); (1, return (Ast.Ge v));
+        (3, map (fun vs -> Ast.Within vs) (list_size (int_range 0 3) gen_literal));
+      ])
+
+let gen_label = QCheck.Gen.oneofl [ None; Some "link"; Some "other" ]
+
+(* Steps that keep a vertex focus; a join side is made of these. *)
+let gen_vertex_step =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun l -> Ast.Out l) gen_label);
+        (2, map (fun l -> Ast.In l) gen_label);
+        (1, map (fun l -> Ast.Both l) gen_label);
+        (4, map2 (fun k p -> Ast.Has (k, p)) (oneofl [ "id"; "weight" ]) gen_pred);
+        (1, map (fun l -> Ast.Has_label l) (oneofl [ "vertex"; "other" ]));
+      ])
+
+let gen_tail =
+  QCheck.Gen.(
+    oneofl
+      [
+        []; [ Ast.Dedup; Ast.Count ]; [ Ast.Top_k { key = "weight"; k = 3 } ];
+        [ Ast.Group_count "weight" ]; [ Ast.Values "weight" ]; [ Ast.Limit 4 ];
+        [ Ast.Repeat { dir = Graph.Out; label = Some "link"; times = 2 }; Ast.Count ];
+        [ Ast.As "x"; Ast.Out None; Ast.Where_neq "x"; Ast.Sum_of "weight" ];
+      ])
+
+let gen_source =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map (fun l -> Ast.Scan_all l) (oneofl [ None; Some "vertex" ]));
+        (3, map2 (fun label value -> Ast.Lookup { label; key = "id"; value })
+              (oneofl [ None; Some "vertex" ]) gen_literal);
+      ])
+
+let gen_traversal =
+  QCheck.Gen.(
+    map2 (fun source steps -> { Ast.source; steps }) gen_source
+      (list_size (int_range 0 4) gen_vertex_step))
+
+let gen_query =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun t tail -> Ast.Traversal { t with Ast.steps = t.Ast.steps @ tail })
+              gen_traversal gen_tail);
+        (1, map3 (fun left right post -> Ast.Join_of { left; right; post })
+              gen_traversal gen_traversal gen_tail);
+      ])
+
+(* [Compile.prepare] then a binding equals [Compile.compile] of the same
+   query with those literals: the same steps, compared structurally, the
+   same printed program, registers and entries. A query that fails to
+   compile fails to prepare with the same message. *)
+let prepare_matches_compile =
+  QCheck.Test.make ~name:"prepare then bind equals compile" ~count:300
+    (QCheck.make ~print:(Fmt.str "%a" Ast.pp) gen_query)
+    (fun ast ->
+      let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
+      let literals = ref [] in
+      ignore (map_literals (fun v -> literals := v :: !literals; v) ast : Ast.t);
+      let values = Array.of_list (List.rev !literals) in
+      let query p =
+        let i = ref 0 in
+        map_literals (fun _ -> let v = p.(!i) in incr i; v) ast
+      in
+      let outcome f =
+        match f () with
+        | program ->
+          Ok
+            ( Program.steps program,
+              Fmt.str "%a" Program.pp program,
+              Program.n_registers program,
+              Program.entries program )
+        | exception Compile.Error msg -> Error msg
+      in
+      let full = outcome (fun () -> Compile.compile ~name:"q" graph ast) in
+      let bound =
+        outcome (fun () -> Compile.prepare ~name:"q" graph ~params:(Array.length values) query values)
+      in
+      full = bound)
+
 (* --- Planner --- *)
 
 let test_reverse_traversal () =
@@ -262,6 +394,37 @@ let test_label_stats () =
   | Some i, Some o -> Alcotest.(check bool) "posts-per-tag > tags-per-post" true (i > o)
   | _ -> Alcotest.fail "expected fanouts"
 
+(* Statistics belong to the graph they describe: two graphs with the
+   same vertex and edge counts (4 and 3) but 2 and 1 edges labelled "a"
+   each report their own count, whichever is asked first. *)
+let test_label_stats_per_graph () =
+  let graph labels =
+    let b = Builder.create () in
+    for _ = 1 to 4 do
+      ignore (Builder.add_vertex b ~label:"v" ())
+    done;
+    List.iteri (fun i label -> ignore (Builder.add_edge b ~src:i ~label ~dst:(i + 1) ())) labels;
+    Builder.build b
+  in
+  let g1 = graph [ "a"; "a"; "b" ] and g2 = graph [ "a"; "b"; "b" ] in
+  let count g =
+    let a = Schema.edge_label_exn (Graph.schema g) "a" in
+    (Hashtbl.find (Planner.label_stats g) a).Planner.count
+  in
+  Alcotest.(check int) "first graph" 2 (count g1);
+  Alcotest.(check int) "second graph" 1 (count g2);
+  Alcotest.(check int) "first graph again" 2 (count g1)
+
+(* A label no edge carries has fanout 0 whether or not a compile has
+   interned its name: the plan of a query must not depend on what was
+   compiled before it. *)
+let test_fanout_ignores_interning () =
+  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
+  let fanout () = Planner.step_fanout graph (Ast.Out (Some "never_an_edge_label")) in
+  Alcotest.(check (option (float 0.0))) "before interning" (Some 0.0) (fanout ());
+  ignore (Schema.edge_label (Graph.schema graph) "never_an_edge_label" : int);
+  Alcotest.(check (option (float 0.0))) "after interning" (Some 0.0) (fanout ())
+
 (* Random traversals always produce equal rows whether compiled via the
    planner-flattened form or executed as a bidirectional join. *)
 let join_vs_flatten =
@@ -319,6 +482,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_compile_errors;
           Alcotest.test_case "unknown labels" `Quick test_compile_unknown_labels_match_nothing;
           Alcotest.test_case "select moves back" `Quick test_select_moves_back;
+          qcheck prepare_matches_compile;
         ] );
       ( "planner",
         [
@@ -326,6 +490,8 @@ let () =
           Alcotest.test_case "rejects stateful" `Quick test_reverse_rejects_stateful;
           Alcotest.test_case "plans equivalent" `Quick test_join_plans_equivalent;
           Alcotest.test_case "label stats" `Quick test_label_stats;
+          Alcotest.test_case "label stats per graph" `Quick test_label_stats_per_graph;
+          Alcotest.test_case "fanout ignores interning" `Quick test_fanout_ignores_interning;
           qcheck join_vs_flatten;
         ] );
     ]
