@@ -6,19 +6,13 @@
    nondeterministic hangs in the simulator. *)
 
 type severity =
-  | Error (* the program would hang, drop weight, or corrupt memo state *)
+  | Error (* the program would hang or read an undefined register *)
   | Warning (* suspicious but executable *)
 
 type kind =
-  | Malformed (* structural: bad entries, bad successor targets, register ranges *)
-  | Unreachable_step (* dead code: no entry reaches the step *)
-  | Phase_conflict (* a step reachable both before and after an aggregate *)
-  | Dropped_weight (* a traverser's weight can vanish without being finished *)
+  | Malformed (* well formed, but cannot behave as written: a Visit with max_hops < 1 *)
   | Unbounded_repeat (* a control-flow cycle with no Visit memo bound *)
   | Use_before_def (* a register read on a path where nothing defined it *)
-  | Orphan_join (* a double-pipelined join side with no partner *)
-  | Join_mismatch (* partnered sides whose payload arities or phases disagree *)
-  | Unclosed_partial (* a partial aggregate no phase boundary ever combines *)
 
 type t = {
   severity : severity;
@@ -29,14 +23,8 @@ type t = {
 
 let kind_name = function
   | Malformed -> "malformed"
-  | Unreachable_step -> "unreachable-step"
-  | Phase_conflict -> "phase-conflict"
-  | Dropped_weight -> "dropped-weight"
   | Unbounded_repeat -> "unbounded-repeat"
   | Use_before_def -> "use-before-def"
-  | Orphan_join -> "orphan-join"
-  | Join_mismatch -> "join-mismatch"
-  | Unclosed_partial -> "unclosed-partial"
 
 let severity_name = function Error -> "error" | Warning -> "warning"
 

@@ -8,15 +8,9 @@ type severity =
   | Warning
 
 type kind =
-  | Malformed  (** structural: bad entries, successor targets, register ranges *)
-  | Unreachable_step
-  | Phase_conflict  (** step reachable in two different phases *)
-  | Dropped_weight  (** progression weight can vanish unfinished (Theorem 1) *)
+  | Malformed  (** a Visit with [max_hops < 1], which never takes its loop edge *)
   | Unbounded_repeat  (** control-flow cycle with no Visit memo bound *)
   | Use_before_def  (** register read on a path where nothing defined it *)
-  | Orphan_join  (** double-pipelined join side with no partner (§III-B) *)
-  | Join_mismatch  (** partnered sides with mismatched payloads or phases *)
-  | Unclosed_partial  (** partial aggregate no phase boundary combines *)
 
 type t = {
   severity : severity;

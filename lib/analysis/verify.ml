@@ -1,293 +1,32 @@
-(* Static program verifier: dataflow analyses over compiled PSTM step
-   arrays.
+(* Static program verifier: the analyses of a compiled PSTM program that
+   Program.make does not make.
 
-   The paper's correctness argument leans on two invariants that are only
-   observable dynamically — progression-weight conservation (Theorem 1:
-   finished weights must sum exactly back to Weight.root, or termination
-   detection hangs or fires early) and query-scoped memo hygiene (§III-B:
-   join-side row buckets must be probed by their partner, partial
-   aggregates must be combined by their phase boundary). Both reduce to
-   checkable properties of the step graph, so a whole class of
-   planner/compiler bugs can be rejected before a traverser ever runs:
+   Program.make is the one structural validator (entries, successor
+   targets, register ranges, phases, join pairing, one aggregate per
+   phase), and every Program.t has passed it. What a well-formed program
+   can still get wrong, the verifier reports all at once, each finding a
+   structured Diagnostic:
 
-   - structure: entry steps are sources, successor targets are in range,
-     non-terminal steps have successors (a missing successor IS a dropped
-     weight: the interpreter would finish the traverser's share without
-     the step semantics asking for it);
-   - reachability and phase consistency: every step is reachable from an
-     entry in exactly one phase (Aggregate steps are the only phase
-     boundaries);
    - weight flow: every control-flow cycle passes through a Visit step,
      whose memo min-distance bound is the only thing that makes loops
      terminate — a cycle without one lets traversers multiply forever and
-     the phase's tracker never completes;
-   - memo lifetime: each double-pipelined join side has exactly one
-     partner with matching payload arity in the same phase, and each
-     phase closes at most one partial aggregate (a second Aggregate in
-     the same phase writes partials that the phase-completion pull never
-     combines);
+     the phase's finished weight never sums back to the root (Theorem 1);
    - registers: def-before-use — a forward must-be-defined dataflow over
      the step graph; reading a register no path has written evaluates
-     Null and silently corrupts predicates and join keys.
+     Null and silently corrupts predicates and join keys;
+   - a Visit with max_hops < 1, which never takes its loop edge (a
+     warning: the program still runs). *)
 
-   Unlike Program.make, which raises on the first violation, the verifier
-   collects every finding as a structured Diagnostic so tooling (the
-   `graphdance verify` subcommand, tests) can report them all at once. *)
-
-type target = {
-  name : string;
-  steps : Step.t array;
-  n_registers : int;
-  entries : int array;
-}
-
-let of_program p =
-  {
-    name = Program.name p;
-    steps = Program.steps p;
-    n_registers = Program.n_registers p;
-    entries = Program.entries p;
-  }
-
-(* Successor edges of a step; `Bump marks the phase boundary after an
-   aggregation. Out-of-range targets are kept (the structural check
-   reports them) and filtered by each analysis. *)
-let successors (s : Step.t) =
-  match s.Step.op with
-  | Step.Emit _ -> []
-  | Step.Visit { cont; _ } -> [ (s.Step.next, `Same); (cont, `Same) ]
-  | Step.Join { cont; _ } -> [ (cont, `Same) ]
-  | Step.Aggregate _ -> [ (s.Step.next, `Bump) ]
-  | Step.Index_lookup _ | Step.Scan _ | Step.Expand _ | Step.Filter _ | Step.Set_reg _
-  | Step.Move_to _ | Step.Dedup _ ->
-    [ (s.Step.next, `Same) ]
-
-let in_range tg i = i >= 0 && i < Array.length tg.steps
-
-(* --- Structure: entries, successor targets, register ranges ----------- *)
-
-let check_structure tg add =
-  let n = Array.length tg.steps in
-  if n = 0 then add (Diagnostic.error Diagnostic.Malformed "program has no steps");
-  if Array.length tg.entries = 0 then
-    add (Diagnostic.error Diagnostic.Malformed "program has no entry steps");
-  if tg.n_registers < 0 then
-    add (Diagnostic.error Diagnostic.Malformed "negative register count");
-  Array.iter
-    (fun e ->
-      if not (in_range tg e) then
-        add (Diagnostic.error Diagnostic.Malformed "entry index %d out of range" e)
-      else if not (Step.is_source tg.steps.(e).Step.op) then
-        add
-          (Diagnostic.error ~step:e Diagnostic.Malformed "entry step is %s, not a source"
-             (Step.op_name tg.steps.(e).Step.op)))
-    tg.entries;
-  Array.iteri
-    (fun i s ->
-      if Step.is_source s.Step.op && not (Array.exists (Int.equal i) tg.entries) then
-        add
-          (Diagnostic.error ~step:i Diagnostic.Malformed
-             "source step is not listed as an entry: it would never spawn traversers"))
-    tg.steps;
-  Array.iteri
-    (fun i s ->
-      let check_target what t =
-        if not (in_range tg t) then
-          add (Diagnostic.error ~step:i Diagnostic.Malformed "%s target %d out of range" what t)
-      in
-      match s.Step.op with
-      | Step.Emit _ ->
-        if s.Step.next <> -1 then
-          add (Diagnostic.error ~step:i Diagnostic.Malformed "emit must be terminal (next = -1)")
-      | Step.Visit { cont; max_hops; _ } ->
-        check_target "next" s.Step.next;
-        check_target "cont" cont;
-        if max_hops < 1 then
-          add
-            (Diagnostic.warning ~step:i Diagnostic.Malformed
-               "visit with max_hops %d never takes its loop edge" max_hops)
-      | Step.Join { cont; _ } -> check_target "cont" cont
-      | Step.Aggregate _ ->
-        if s.Step.next = -1 then
-          add
-            (Diagnostic.error ~step:i Diagnostic.Dropped_weight
-               "aggregate closes the final phase with nowhere to continue: the \
-                continuation's root weight would vanish")
-        else check_target "next" s.Step.next
-      | Step.Index_lookup _ | Step.Scan _ | Step.Expand _ | Step.Filter _ | Step.Set_reg _
-      | Step.Move_to _ | Step.Dedup _ ->
-        if s.Step.next = -1 then
-          add
-            (Diagnostic.error ~step:i Diagnostic.Dropped_weight
-               "%s has no successor: the interpreter would finish its traversers' weight \
-                without the step semantics asking for it"
-               (Step.op_name s.Step.op))
-        else check_target "next" s.Step.next)
-    tg.steps
-
-let check_registers tg add =
-  let nr = tg.n_registers in
-  Array.iteri
-    (fun i s ->
-      let reg r =
-        if r < 0 || r >= nr then
-          add
-            (Diagnostic.error ~step:i Diagnostic.Malformed
-               "register %d out of range (program declares %d)" r nr)
-      in
-      let expr e = Step.iter_regs_expr reg e in
-      let pred p = Step.iter_regs_pred reg p in
-      match s.Step.op with
-      | Step.Index_lookup _ | Step.Scan _ | Step.Expand _ -> ()
-      | Step.Filter p -> pred p
-      | Step.Set_reg { reg = r; expr = e } ->
-        reg r;
-        expr e
-      | Step.Move_to { reg = r } -> reg r
-      | Step.Dedup { by } -> expr by
-      | Step.Visit { dist_reg; _ } -> reg dist_reg
-      | Step.Join { key; store; load_regs; _ } ->
-        expr key;
-        Array.iter expr store;
-        Array.iter reg load_regs
-      | Step.Aggregate { agg; reg = r } ->
-        reg r;
-        Step.iter_regs_agg reg agg
-      | Step.Emit exprs -> Array.iter expr exprs)
-    tg.steps
-
-(* --- Reachability and phase assignment -------------------------------- *)
-
-(* BFS from the entries; returns the phase of each step, -1 when
-   unreachable. Steps reachable in two phases are Phase_conflict errors:
-   the same step would run both before and after a phase boundary, and
-   its finished weight would be charged to the wrong tracker. *)
-let compute_phases tg add =
-  let n = Array.length tg.steps in
-  let phase = Array.make n (-1) in
-  let queue = Queue.create () in
-  Array.iter
-    (fun e ->
-      if in_range tg e && phase.(e) = -1 then begin
-        phase.(e) <- 0;
-        Queue.add e queue
-      end)
-    tg.entries;
-  let conflicted = Hashtbl.create 4 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    List.iter
-      (fun (j, bump) ->
-        if in_range tg j then begin
-          let q = phase.(i) + (match bump with `Bump -> 1 | `Same -> 0) in
-          if phase.(j) = -1 then begin
-            phase.(j) <- q;
-            Queue.add j queue
-          end
-          else if phase.(j) <> q && not (Hashtbl.mem conflicted j) then begin
-            Hashtbl.add conflicted j ();
-            add
-              (Diagnostic.error ~step:j Diagnostic.Phase_conflict
-                 "step reachable in phases %d and %d: its finished weight would be charged \
-                  to the wrong termination tracker"
-                 phase.(j) q)
-          end
-        end)
-      (successors tg.steps.(i))
-  done;
-  Array.iteri
-    (fun i p ->
-      if p = -1 then
-        add
-          (Diagnostic.error ~step:i Diagnostic.Unreachable_step "step %d (%s) is unreachable from the entries"
-             i
-             (Step.op_name tg.steps.(i).Step.op)))
-    phase;
-  phase
-
-(* --- Memo lifetime: join pairing and partial aggregates ---------------- *)
-
-let check_joins tg phase add =
-  let sides = Hashtbl.create 4 in
+let check_max_hops p add =
   Array.iteri
     (fun i s ->
       match s.Step.op with
-      | Step.Join { join_id; side; store; load_regs; _ } ->
-        let a, b = Option.value ~default:(None, None) (Hashtbl.find_opt sides join_id) in
-        let entry = Some (i, Array.length store, Array.length load_regs) in
-        (match side with
-        | Step.Side_a -> begin
-          match a with
-          | Some (prev, _, _) ->
-            add
-              (Diagnostic.error ~step:i Diagnostic.Join_mismatch
-                 "join %d has two A sides (steps %d and %d)" join_id prev i)
-          | None -> Hashtbl.replace sides join_id (entry, b)
-        end
-        | Step.Side_b -> begin
-          match b with
-          | Some (prev, _, _) ->
-            add
-              (Diagnostic.error ~step:i Diagnostic.Join_mismatch
-                 "join %d has two B sides (steps %d and %d)" join_id prev i)
-          | None -> Hashtbl.replace sides join_id (a, entry)
-        end)
+      | Step.Visit { max_hops; _ } when max_hops < 1 ->
+        add
+          (Diagnostic.warning ~step:i Diagnostic.Malformed
+             "visit with max_hops %d never takes its loop edge" max_hops)
       | _ -> ())
-    tg.steps;
-  let ids =
-    (* det-ok: ids sorted before use, so diagnostics come out in join order *)
-    List.sort Int.compare (Hashtbl.fold (fun id _ acc -> id :: acc) sides [])
-  in
-  List.iter
-    (fun join_id ->
-      match Hashtbl.find sides join_id with
-      | Some (ia, store_a, load_a), Some (ib, store_b, load_b) ->
-        if store_a <> load_b then
-          add
-            (Diagnostic.error ~step:ia Diagnostic.Join_mismatch
-               "join %d: side A stores %d values but side B loads %d" join_id store_a load_b);
-        if store_b <> load_a then
-          add
-            (Diagnostic.error ~step:ib Diagnostic.Join_mismatch
-               "join %d: side B stores %d values but side A loads %d" join_id store_b load_a);
-        if phase.(ia) >= 0 && phase.(ib) >= 0 && phase.(ia) <> phase.(ib) then
-          add
-            (Diagnostic.error ~step:ib Diagnostic.Join_mismatch
-               "join %d: sides in phases %d and %d — one side's rows outlive the \
-                subquery that should probe them"
-               join_id phase.(ia) phase.(ib))
-      | Some (ia, _, _), None ->
-        add
-          (Diagnostic.error ~step:ia Diagnostic.Orphan_join
-             "join %d side A has no B side: its memo rows are written but never probed, \
-              and its probes never match"
-             join_id)
-      | None, Some (ib, _, _) ->
-        add
-          (Diagnostic.error ~step:ib Diagnostic.Orphan_join
-             "join %d side B has no A side: its memo rows are written but never probed, \
-              and its probes never match"
-             join_id)
-      | None, None -> ())
-    ids
-
-let check_aggregates tg phase add =
-  let closer = Hashtbl.create 4 in
-  Array.iteri
-    (fun i s ->
-      match s.Step.op with
-      | Step.Aggregate _ when phase.(i) >= 0 -> begin
-        match Hashtbl.find_opt closer phase.(i) with
-        | None -> Hashtbl.replace closer phase.(i) i
-        | Some first ->
-          add
-            (Diagnostic.error ~step:i Diagnostic.Unclosed_partial
-               "phase %d is already closed by the aggregate at step %d: the partial \
-                written at step %d is never combined and leaks until clear_query"
-               phase.(i) first i)
-      end
-      | _ -> ())
-    tg.steps
+    (Program.steps p)
 
 (* --- Weight flow: every cycle must be Visit-bounded -------------------- *)
 
@@ -297,15 +36,15 @@ let check_aggregates tg phase add =
    multiply traversers forever — the phase's finished weight never sums
    to the root and the query hangs. Detected by DFS on the subgraph
    induced on non-Visit steps. *)
-let check_cycles tg phase add =
-  let n = Array.length tg.steps in
-  let is_visit i = match tg.steps.(i).Step.op with Step.Visit _ -> true | _ -> false in
+let check_cycles p add =
+  let n = Program.n_steps p in
+  let is_visit i = match (Program.step p i).Step.op with Step.Visit _ -> true | _ -> false in
   let color = Array.make n 0 in
   let rec dfs i =
     color.(i) <- 1;
     List.iter
-      (fun (j, _) ->
-        if in_range tg j && phase.(j) >= 0 && not (is_visit j) then begin
+      (fun j ->
+        if not (is_visit j) then begin
           if color.(j) = 1 then
             add
               (Diagnostic.error ~step:j Diagnostic.Unbounded_repeat
@@ -314,11 +53,11 @@ let check_cycles tg phase add =
                  i j)
           else if color.(j) = 0 then dfs j
         end)
-      (successors tg.steps.(i));
+      (Program.successors p i);
     color.(i) <- 2
   in
   for i = 0 to n - 1 do
-    if phase.(i) >= 0 && (not (is_visit i)) && color.(i) = 0 then dfs i
+    if (not (is_visit i)) && color.(i) = 0 then dfs i
   done
 
 (* --- Registers: def-before-use ----------------------------------------- *)
@@ -330,107 +69,88 @@ let check_cycles tg phase add =
    register — the continuation is a fresh traverser whose other
    registers are Null again. Reads outside the defined set evaluate Null
    and silently corrupt predicates, join keys and routing. *)
-let check_use_before_def tg phase add =
-  let n = Array.length tg.steps in
-  let nr = tg.n_registers in
-  if n = 0 || nr <= 0 then ()
-  else begin
-    let in_defs = Array.make n None in
-    let worklist = Queue.create () in
-    let meet i defs =
-      match in_defs.(i) with
-      | None ->
-        in_defs.(i) <- Some (Array.copy defs);
-        Queue.add i worklist
-      | Some cur ->
-        let changed = ref false in
-        for r = 0 to nr - 1 do
-          if cur.(r) && not defs.(r) then begin
-            cur.(r) <- false;
-            changed := true
-          end
-        done;
-        if !changed then Queue.add i worklist
+let check_use_before_def p add =
+  let steps = Program.steps p in
+  let nr = Program.n_registers p in
+  let in_defs = Array.make (Array.length steps) None in
+  let worklist = Queue.create () in
+  let meet i defs =
+    match in_defs.(i) with
+    | None ->
+      in_defs.(i) <- Some (Array.copy defs);
+      Queue.add i worklist
+    | Some cur ->
+      let changed = ref false in
+      for r = 0 to nr - 1 do
+        if cur.(r) && not defs.(r) then begin
+          cur.(r) <- false;
+          changed := true
+        end
+      done;
+      if !changed then Queue.add i worklist
+  in
+  let empty = Array.make nr false in
+  Array.iter (fun e -> meet e empty) (Program.entries p);
+  while not (Queue.is_empty worklist) do
+    let i = Queue.pop worklist in
+    let defs = Option.get in_defs.(i) in
+    let out =
+      match steps.(i).Step.op with
+      | Step.Set_reg { reg; _ } ->
+        let d = Array.copy defs in
+        d.(reg) <- true;
+        d
+      | Step.Join { load_regs; _ } ->
+        let d = Array.copy defs in
+        Array.iter (fun r -> d.(r) <- true) load_regs;
+        d
+      | Step.Aggregate { reg; _ } ->
+        let d = Array.make nr false in
+        d.(reg) <- true;
+        d
+      | _ -> defs
     in
-    let empty = Array.make nr false in
-    Array.iter (fun e -> if in_range tg e then meet e empty) tg.entries;
-    while not (Queue.is_empty worklist) do
-      let i = Queue.pop worklist in
-      match in_defs.(i) with
-      | None -> ()
-      | Some defs ->
-        let s = tg.steps.(i) in
-        List.iter
-          (fun (j, _) ->
-            if in_range tg j then begin
-              let out =
-                match s.Step.op with
-                | Step.Set_reg { reg; _ } when reg >= 0 && reg < nr ->
-                  let d = Array.copy defs in
-                  d.(reg) <- true;
-                  d
-                | Step.Join { load_regs; cont; _ } when j = cont ->
-                  let d = Array.copy defs in
-                  Array.iter (fun r -> if r >= 0 && r < nr then d.(r) <- true) load_regs;
-                  d
-                | Step.Aggregate { reg; _ } ->
-                  let d = Array.make nr false in
-                  if reg >= 0 && reg < nr then d.(reg) <- true;
-                  d
-                | _ -> defs
-              in
-              meet j out
-            end)
-          (successors s)
-    done;
-    Array.iteri
-      (fun i s ->
-        if phase.(i) >= 0 then
-          match in_defs.(i) with
-          | None -> ()
-          | Some defs ->
-            let reported = Hashtbl.create 2 in
-            let read r =
-              if r >= 0 && r < nr && (not defs.(r)) && not (Hashtbl.mem reported r) then begin
-                Hashtbl.add reported r ();
-                add
-                  (Diagnostic.error ~step:i Diagnostic.Use_before_def
-                     "step %d (%s) reads register %d, but some path from an entry \
-                      reaches it with the register undefined"
-                     i (Step.op_name s.Step.op) r)
-              end
-            in
-            let expr e = Step.iter_regs_expr read e in
-            (match s.Step.op with
-            | Step.Index_lookup _ | Step.Scan _ | Step.Expand _ -> ()
-            | Step.Filter p -> Step.iter_regs_pred read p
-            | Step.Set_reg { expr = e; _ } -> expr e
-            | Step.Move_to { reg } -> read reg
-            | Step.Dedup { by } -> expr by
-            | Step.Visit { dist_reg; _ } -> read dist_reg
-            | Step.Join { key; store; _ } ->
-              expr key;
-              Array.iter expr store
-            | Step.Aggregate { agg; _ } -> Step.iter_regs_agg read agg
-            | Step.Emit exprs -> Array.iter expr exprs))
-      tg.steps
-  end
+    List.iter (fun j -> meet j out) (Program.successors p i)
+  done;
+  (* Program.make rejects unreachable steps, so every step has a set. *)
+  Array.iteri
+    (fun i s ->
+      let defs = Option.get in_defs.(i) in
+      let reported = Hashtbl.create 2 in
+      let read r =
+        if (not defs.(r)) && not (Hashtbl.mem reported r) then begin
+          Hashtbl.add reported r ();
+          add
+            (Diagnostic.error ~step:i Diagnostic.Use_before_def
+               "step %d (%s) reads register %d, but some path from an entry \
+                reaches it with the register undefined"
+               i (Step.op_name s.Step.op) r)
+        end
+      in
+      let expr e = Step.iter_regs_expr read e in
+      match s.Step.op with
+      | Step.Index_lookup _ | Step.Scan _ | Step.Expand _ -> ()
+      | Step.Filter p -> Step.iter_regs_pred read p
+      | Step.Set_reg { expr = e; _ } -> expr e
+      | Step.Move_to { reg } -> read reg
+      | Step.Dedup { by } -> expr by
+      | Step.Visit { dist_reg; _ } -> read dist_reg
+      | Step.Join { key; store; _ } ->
+        expr key;
+        Array.iter expr store
+      | Step.Aggregate { agg; _ } -> Step.iter_regs_agg read agg
+      | Step.Emit exprs -> Array.iter expr exprs)
+    steps
 
 (* --- Entry points ------------------------------------------------------- *)
 
-let check tg =
+let check_program p =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  check_structure tg add;
-  check_registers tg add;
-  let phase = compute_phases tg add in
-  check_joins tg phase add;
-  check_aggregates tg phase add;
-  check_cycles tg phase add;
-  check_use_before_def tg phase add;
+  check_max_hops p add;
+  check_cycles p add;
+  check_use_before_def p add;
   List.rev !diags
-
-let check_program p = check (of_program p)
 
 let errors diags = List.filter Diagnostic.is_error diags
 let is_clean diags = errors diags = []

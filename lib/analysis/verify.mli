@@ -1,32 +1,17 @@
-(** Static program verifier: dataflow analyses over compiled PSTM step
-    arrays.
+(** Static program verifier: the analyses {!Program.make} does not make.
 
-    Checks the static shadows of the engines' dynamic invariants —
-    progression-weight conservation (Theorem 1), memo lifetime (§III-B/C),
-    phase consistency, and register def-before-use — and reports every
-    violation as a structured {!Diagnostic.t} instead of stopping at the
-    first, as {!Program.make} does. *)
-
-(** A program candidate. {!Program.t} values are always structurally valid
-    (construction raises otherwise), so tests feed raw step arrays here to
-    exercise the rejection paths. *)
-type target = {
-  name : string;
-  steps : Step.t array;
-  n_registers : int;
-  entries : int array;
-}
-
-val of_program : Program.t -> target
+    {!Program.make} is the one structural validator, so every
+    {!Program.t} is well formed. On top of that the verifier checks that
+    every control-flow cycle passes a Visit bound (else the weight of
+    Theorem 1 never returns to the root) and that every register is
+    defined before it is read, and warns of a Visit with [max_hops < 1].
+    It reports every finding as a {!Diagnostic.t} instead of stopping at
+    the first. *)
 
 (** Run every analysis; diagnostics come out in deterministic order
-    (structure, registers, reachability/phases, joins, aggregates,
-    cycles, def-before-use; step order within each). *)
-val check : target -> Diagnostic.t list
-
+    (max_hops warnings, cycles, def-before-use; step order within each). *)
 val check_program : Program.t -> Diagnostic.t list
 
-val errors : Diagnostic.t list -> Diagnostic.t list
 val is_clean : Diagnostic.t list -> bool
 val pp_report : Format.formatter -> Diagnostic.t list -> unit
 

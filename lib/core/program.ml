@@ -5,8 +5,10 @@
    only phase boundaries: everything feeding an aggregation belongs to one
    subquery (§III-C) whose termination is tracked separately, and the
    aggregation's continuation starts the next phase with a fresh root
-   weight. Validation rejects malformed control flow up front so the
-   engines can interpret steps without defensive checks. *)
+   weight. [make] is the one structural validator: it rejects malformed
+   control flow, registers, phases and join pairs up front, so the
+   engines interpret steps without defensive checks and the verifier
+   ([Pstm_analysis.Verify]) analyses only programs that are well formed. *)
 
 type t = {
   name : string;
@@ -26,7 +28,9 @@ exception Invalid of string
 
 let invalid fmt = Fmt.kstr (fun s -> raise (Invalid s)) fmt
 
-let successors step index =
+(* Successor edges of a step; [`Bump] marks the phase boundary after an
+   aggregation. *)
+let edges step =
   match step.Step.op with
   | Step.Emit _ -> []
   | Step.Visit { cont; _ } -> [ (step.Step.next, `Same); (cont, `Same) ]
@@ -34,53 +38,37 @@ let successors step index =
   | Step.Aggregate _ -> [ (step.Step.next, `Bump) ]
   | Step.Index_lookup _ | Step.Scan _ | Step.Expand _ | Step.Filter _ | Step.Set_reg _
   | Step.Move_to _ | Step.Dedup _ ->
-    if step.Step.next = -1 then invalid "step %d (%s) has no successor" index (Step.op_name step.Step.op)
-    else [ (step.Step.next, `Same) ]
+    [ (step.Step.next, `Same) ]
 
 (* The error context "step %d (%s)" is formatted only when a check
    fails: building it for every step of every valid program cost most
    of [make]'s allocation. *)
 let bad_register i op r = invalid "step %d (%s): register %d out of range" i (Step.op_name op) r
 
-let check_reg n_registers i op r = if r < 0 || r >= n_registers then bad_register i op r
-
-let check_expr n_registers i op e =
-  let m = Step.max_reg_expr e in
-  if m >= n_registers then bad_register i op m
-
-let check_pred n_registers i op p =
-  let m = Step.max_reg_pred p in
-  if m >= n_registers then bad_register i op m
-
+(* Every register a step names, written or read, must be in range. *)
 let check_registers steps n_registers =
   Array.iteri
     (fun i step ->
       let op = step.Step.op in
+      let reg r = if r < 0 || r >= n_registers then bad_register i op r in
+      let expr e = Step.iter_regs_expr reg e in
       match op with
       | Step.Index_lookup _ | Step.Scan _ | Step.Expand _ -> ()
-      | Step.Filter p -> check_pred n_registers i op p
-      | Step.Set_reg { reg; expr } ->
-        check_reg n_registers i op reg;
-        check_expr n_registers i op expr
-      | Step.Move_to { reg } -> check_reg n_registers i op reg
-      | Step.Dedup { by } -> check_expr n_registers i op by
-      | Step.Visit { dist_reg; _ } -> check_reg n_registers i op dist_reg
+      | Step.Filter p -> Step.iter_regs_pred reg p
+      | Step.Set_reg { reg = r; expr = e } ->
+        reg r;
+        expr e
+      | Step.Move_to { reg = r } -> reg r
+      | Step.Dedup { by } -> expr by
+      | Step.Visit { dist_reg; _ } -> reg dist_reg
       | Step.Join { key; store; load_regs; _ } ->
-        check_expr n_registers i op key;
-        Array.iter (check_expr n_registers i op) store;
-        Array.iter (check_reg n_registers i op) load_regs
-      | Step.Aggregate { agg; reg } ->
-        check_reg n_registers i op reg;
-        (match agg with
-        | Step.Count -> ()
-        | Step.Sum e | Step.Max e | Step.Min e
-        | Step.Collect { expr = e; _ }
-        | Step.Group_count e ->
-          check_expr n_registers i op e
-        | Step.Topk { score; output; _ } ->
-          check_expr n_registers i op score;
-          check_expr n_registers i op output)
-      | Step.Emit exprs -> Array.iter (check_expr n_registers i op) exprs)
+        expr key;
+        Array.iter expr store;
+        Array.iter reg load_regs
+      | Step.Aggregate { agg; reg = r } ->
+        reg r;
+        Step.iter_regs_agg reg agg
+      | Step.Emit exprs -> Array.iter expr exprs)
     steps
 
 (* The maximal run of fusable steps starting at [i], linked by [next], in
@@ -151,7 +139,11 @@ let make ~name ~steps ~n_registers ~entries =
       if Step.is_source step.Step.op && not (Array.exists (Int.equal i) entries) then
         invalid "source step %d is not listed as an entry" i)
     steps;
-  (* Range-check successor indices. *)
+  (* Range-check successor indices. Every step but Emit forwards its
+     traverser, so one with no successor (next = -1) fails here: it would
+     finish its weight without its semantics asking for it (Theorem 1).
+     An aggregate's continuation always lies in the phase after it, so
+     no aggregate can close the final phase. *)
   Array.iteri
     (fun i step ->
       let check_target ctx target =
@@ -187,7 +179,7 @@ let make ~name ~steps ~n_registers ~entries =
         end
         else if phase_of_step.(j) <> q then
           invalid "step %d reachable in phases %d and %d" j phase_of_step.(j) q)
-      (successors steps.(i) i)
+      (edges steps.(i))
   done;
   Array.iteri
     (fun i p -> if p = -1 then invalid "step %d (%s) is unreachable" i (Step.op_name steps.(i).Step.op))
@@ -204,8 +196,6 @@ let make ~name ~steps ~n_registers ~entries =
         | Some other -> invalid "phase %d has two aggregate steps (%d and %d)" p other i)
       | _ -> ())
     steps;
-  if agg_of_phase.(n_phases - 1) <> None then
-    invalid "final phase ends in an aggregate with nowhere to continue";
   let join_partner = check_join_pairing steps phase_of_step in
   let routing = Array.map (fun step -> Step.routing step.Step.op) steps in
   let chains = Array.init (Array.length steps) (fused_chain steps) in
@@ -230,6 +220,7 @@ let agg_of_phase t p = t.agg_of_phase.(p)
 let routing t i = t.routing.(i)
 let chain t i = t.chains.(i)
 let chain_exit t i = t.chain_exits.(i)
+let successors t i = List.map fst (edges t.steps.(i))
 
 let join_partner t i =
   let p = t.join_partner.(i) in

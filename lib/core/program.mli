@@ -9,8 +9,14 @@ type t
 exception Invalid of string
 
 (** Validate and analyze a program; raises {!Invalid} with a description
-    on malformed control flow, out-of-range registers, unpaired join
-    sides, or phase conflicts. *)
+    of the first violation. This is the only structural check a program
+    gets: it rejects an empty program or entry list, an entry that is not
+    a source or a source that is not an entry, a successor out of range
+    (a non-Emit step with [next = -1] included) or an Emit with one, a
+    register out of range anywhere in a step (negative ones included), a
+    step unreachable from the entries or reachable in two phases, two
+    aggregates in one phase, and a join id without exactly one side of
+    each kind, with matching payload arities, in one phase. *)
 val make : name:string -> steps:Step.t array -> n_registers:int -> entries:int array -> t
 
 val name : t -> string
@@ -39,6 +45,11 @@ val chain : t -> int -> int array
 (** The step the surviving leaves of {!chain}[ t i] land on ([i] itself
     when the chain is empty). *)
 val chain_exit : t -> int -> int
+
+(** The steps a traverser at step [i] moves on to: a Visit's [next] and
+    [cont], a Join's [cont], nothing for an Emit, and [next] for every
+    other step. *)
+val successors : t -> int -> int list
 
 (** The opposite side of a Join step; raises on non-join steps. *)
 val join_partner : t -> int -> int

@@ -99,7 +99,8 @@ let rec max_reg_pred = function
   | And (p, q) | Or (p, q) -> max (max_reg_pred p) (max_reg_pred q)
   | Not p -> max_reg_pred p
 
-(* Register reads, for the static verifier's def-before-use analysis. *)
+(* Register reads, for Program.make's range check and the verifier's
+   def-before-use analysis. *)
 let rec iter_regs_expr f = function
   | Const _ | Vertex_id | Vertex_label | Prop _ -> ()
   | Reg r | Prop_of { reg = r; _ } -> f r

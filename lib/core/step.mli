@@ -37,13 +37,12 @@ val expr_prop_reads : expr -> int
 
 val pred_prop_reads : pred -> int
 
-(** Highest register index used, or -1. *)
-val max_reg_expr : expr -> int
-
+(** Highest register index a predicate reads, or -1. *)
 val max_reg_pred : pred -> int
 
 (** Apply [f] to every register an expression/predicate reads (with
-    repetitions); drives the verifier's def-before-use analysis. *)
+    repetitions); drives {!Program.make}'s range check and the verifier's
+    def-before-use analysis. *)
 val iter_regs_expr : (int -> unit) -> expr -> unit
 
 val iter_regs_pred : (int -> unit) -> pred -> unit

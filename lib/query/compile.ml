@@ -54,12 +54,14 @@ let bound ctx name =
   | Some r -> r
   | None -> error "select/where refers to unbound name %S" name
 
-(* Interning is used (rather than _exn lookups) so that queries mentioning
-   labels absent from this graph compile to programs that simply match
-   nothing, as Gremlin does. *)
-let prop_key ctx name = Schema.property_key ctx.schema name
-let edge_label ctx name = Schema.edge_label ctx.schema name
-let vertex_label ctx name = Schema.vertex_label ctx.schema name
+(* A name absent from this graph resolves to -1, an id no vertex, edge
+   or property column carries, so the query compiles to a program that
+   simply matches nothing, as Gremlin does. Compiling never adds a name
+   to the graph's schema. *)
+let resolve = Option.value ~default:(-1)
+let prop_key ctx name = resolve (Schema.property_key_opt ctx.schema name)
+let edge_label ctx name = resolve (Schema.edge_label_opt ctx.schema name)
+let vertex_label ctx name = resolve (Schema.vertex_label_opt ctx.schema name)
 
 (* Append a step whose [next] is the following index (patched later when
    that is wrong). Returns the step's index. *)
@@ -248,6 +250,16 @@ let lower_join ctx left right post =
   List.iter (compile_gstep ctx) post;
   [| entry_a; entry_b |]
 
+(* Lowering of a planned AST, shared by both entry points below. *)
+let lower ~name graph ast =
+  let ctx = create_ctx (Graph.schema graph) in
+  let entries =
+    match ast with
+    | Ast.Traversal t -> [| lower_traversal ctx t |]
+    | Ast.Join_of { left; right; post } -> lower_join ctx left right post
+  in
+  finish ctx ~name ~entries
+
 (* Full pipeline: strategies -> planner -> lowering. *)
 let compile ?(name = "query") graph ast =
   let ast = Strategies.apply ast in
@@ -258,25 +270,12 @@ let compile ?(name = "query") graph ast =
       let plan = Planner.choose graph ~left ~right in
       Strategies.apply (Planner.apply_plan plan left right post)
   in
-  let ctx = create_ctx (Graph.schema graph) in
-  let entries =
-    match ast with
-    | Ast.Traversal t -> [| lower_traversal ctx t |]
-    | Ast.Join_of { left; right; post } -> lower_join ctx left right post
-  in
-  finish ctx ~name ~entries
+  lower ~name graph ast
 
 (* Compile forcing a specific join plan; the Fig. 3 style experiments use
    this to contrast bidirectional join with unidirectional expansion. *)
 let compile_with_plan ?(name = "query") graph ~plan ~left ~right ~post =
-  let ast = Strategies.apply (Planner.apply_plan plan left right post) in
-  let ctx = create_ctx (Graph.schema graph) in
-  let entries =
-    match ast with
-    | Ast.Traversal t -> [| lower_traversal ctx t |]
-    | Ast.Join_of { left; right; post } -> lower_join ctx left right post
-  in
-  finish ctx ~name ~entries
+  lower ~name graph (Strategies.apply (Planner.apply_plan plan left right post))
 
 (* A prepared query: [query] built once with a marker per parameter,
    compiled and verified by [compile] like any other query, then kept

@@ -1124,11 +1124,20 @@ let filter_step next = { Step.op = Step.Filter Step.True; next }
 let emit_step = { Step.op = Step.Emit [| Step.Vertex_id |]; next = -1 }
 let source_step next = { Step.op = Step.Scan { vertex_label = None }; next }
 
-let check_invalid name steps ~entries ~n_registers =
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* [Program.make] rejects [steps], and by the rule whose message holds
+   [says]: a case must not pass because some other rule fired first. *)
+let check_invalid name ~says steps ~entries ~n_registers =
   Alcotest.test_case name `Quick (fun () ->
       match Program.make ~name ~steps ~n_registers ~entries with
       | _ -> Alcotest.fail "expected Program.Invalid"
-      | exception Program.Invalid _ -> ())
+      | exception Program.Invalid msg ->
+        if not (contains msg says) then
+          Alcotest.failf "expected a rejection saying %S, got %S" says msg)
 
 let test_program_valid () =
   let p =
@@ -1192,44 +1201,71 @@ let test_program_register_message () =
       emit_step;
     |]
 
+let count_step ~next = { Step.op = Step.Aggregate { agg = Step.Count; reg = 0 }; next }
+
+let join_step ~side ~store ~cont =
+  {
+    Step.op =
+      Step.Join { join_id = 0; side; key = Step.Vertex_id; store; load_regs = [||]; cont };
+    next = -1;
+  }
+
 let invalid_cases =
   [
-    check_invalid "empty program" [||] ~entries:[| 0 |] ~n_registers:0;
-    check_invalid "no entries" [| source_step 1; emit_step |] ~entries:[||] ~n_registers:0;
-    check_invalid "entry not a source" [| filter_step 1; emit_step |] ~entries:[| 0 |] ~n_registers:0;
-    check_invalid "unlisted source"
+    check_invalid "empty program" ~says:"empty program" [||] ~entries:[| 0 |] ~n_registers:0;
+    check_invalid "no entries" ~says:"no entry steps" [| source_step 1; emit_step |] ~entries:[||]
+      ~n_registers:0;
+    check_invalid "entry not a source" ~says:"is not a source" [| filter_step 1; emit_step |]
+      ~entries:[| 0 |] ~n_registers:0;
+    check_invalid "unlisted source" ~says:"not listed as an entry"
       [| source_step 1; { Step.op = Step.Scan { vertex_label = None }; next = 2 }; emit_step |]
       ~entries:[| 0 |] ~n_registers:0;
-    check_invalid "next out of range" [| source_step 5 |] ~entries:[| 0 |] ~n_registers:0;
-    check_invalid "emit with successor"
+    check_invalid "next out of range" ~says:"next target 5 out of range" [| source_step 5 |]
+      ~entries:[| 0 |] ~n_registers:0;
+    (* A non-Emit step with no successor would finish its traversers'
+       weight without its semantics asking for it. *)
+    check_invalid "step without successor" ~says:"next target -1 out of range"
+      [| source_step 1; filter_step (-1) |]
+      ~entries:[| 0 |] ~n_registers:0;
+    check_invalid "emit with successor" ~says:"emit must be terminal"
       [| source_step 1; { Step.op = Step.Emit [||]; next = 0 } |]
       ~entries:[| 0 |] ~n_registers:0;
-    check_invalid "register out of range"
+    check_invalid "register out of range" ~says:"register 3 out of range"
       [| source_step 1; { Step.op = Step.Set_reg { reg = 3; expr = Step.Vertex_id }; next = 2 }; emit_step |]
       ~entries:[| 0 |] ~n_registers:1;
-    check_invalid "unreachable step"
-      [| source_step 2; filter_step 2; emit_step |]
-      ~entries:[| 0 |] ~n_registers:0;
-    check_invalid "unpaired join"
+    check_invalid "negative register in a filter" ~says:"register -1 out of range"
       [|
         source_step 1;
-        {
-          Step.op =
-            Step.Join
-              {
-                join_id = 0;
-                side = Step.Side_a;
-                key = Step.Vertex_id;
-                store = [||];
-                load_regs = [||];
-                cont = 2;
-              };
-          next = -1;
-        };
+        { Step.op = Step.Filter (Step.Cmp (Step.Eq, Step.Reg (-1), Step.Const (Value.Int 1))); next = 2 };
         emit_step;
       |]
+      ~entries:[| 0 |] ~n_registers:1;
+    check_invalid "unreachable step" ~says:"is unreachable"
+      [| source_step 2; filter_step 2; emit_step |]
       ~entries:[| 0 |] ~n_registers:0;
-    check_invalid "visit cont out of range"
+    (* Step 2 is reached from an entry in phase 0 and through the
+       aggregate boundary in phase 1. *)
+    check_invalid "reachable in two phases" ~says:"reachable in phases"
+      [| source_step 1; count_step ~next:2; emit_step; source_step 2 |]
+      ~entries:[| 0; 3 |] ~n_registers:1;
+    (* Only one aggregate closes a phase; the other's partial would never
+       be combined. *)
+    check_invalid "two aggregates in one phase" ~says:"two aggregate steps"
+      [| source_step 1; count_step ~next:4; source_step 3; count_step ~next:4; emit_step |]
+      ~entries:[| 0; 2 |] ~n_registers:1;
+    check_invalid "unpaired join" ~says:"missing a side"
+      [| source_step 1; join_step ~side:Step.Side_a ~store:[||] ~cont:2; emit_step |]
+      ~entries:[| 0 |] ~n_registers:0;
+    check_invalid "join arity mismatch" ~says:"side A stores 1 values but side B loads 0"
+      [|
+        source_step 1;
+        join_step ~side:Step.Side_a ~store:[| Step.Vertex_id |] ~cont:4;
+        source_step 3;
+        join_step ~side:Step.Side_b ~store:[||] ~cont:4;
+        emit_step;
+      |]
+      ~entries:[| 0; 2 |] ~n_registers:0;
+    check_invalid "visit cont out of range" ~says:"cont target 9 out of range"
       [|
         source_step 1;
         { Step.op = Step.Set_reg { reg = 0; expr = Step.Const (Value.Int 0) }; next = 2 };

@@ -179,6 +179,19 @@ let test_compile_unknown_labels_match_nothing () =
   | [ [| Value.Int 0 |] ] -> ()
   | rows -> Alcotest.fail (Fmt.str "expected count 0, got %s" (show_rows rows))
 
+(* Compiling never interns a name: the graph's schema is shared by every
+   query on it, so a name one query mentions must not change it. *)
+let test_compile_leaves_schema () =
+  let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
+  let schema = Graph.schema graph in
+  ignore
+    (Compile.compile ~name:"other" graph
+       Dsl.(v ~label:"Other" () |> out_ "other" |> has "other_key" (eq (int 1)) |> count |> build)
+      : Program.t);
+  Alcotest.(check (option int)) "edge label" None (Schema.edge_label_opt schema "other");
+  Alcotest.(check (option int)) "vertex label" None (Schema.vertex_label_opt schema "Other");
+  Alcotest.(check (option int)) "property key" None (Schema.property_key_opt schema "other_key")
+
 let test_select_moves_back () =
   let graph = Pstm_gen.Datasets.load Pstm_gen.Datasets.tiny in
   (* Walk away and select back: the count equals counting the start. *)
@@ -481,6 +494,7 @@ let () =
         [
           Alcotest.test_case "errors" `Quick test_compile_errors;
           Alcotest.test_case "unknown labels" `Quick test_compile_unknown_labels_match_nothing;
+          Alcotest.test_case "unknown names leave the schema" `Quick test_compile_leaves_schema;
           Alcotest.test_case "select moves back" `Quick test_select_moves_back;
           qcheck prepare_matches_compile;
         ] );
